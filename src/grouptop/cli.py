@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -21,7 +21,6 @@ from . import examples as ex
 from .filters import family_from_json, hausdorff_verdict
 from .groups import Integers
 from .nonabelian import fib_word, phi_iterate, verify_fib_identity, FREE_XY
-from .prefixsum import SearchBudget
 from .report import (
     Status,
     VerificationReport,
@@ -38,6 +37,18 @@ _EXIT_FOR_STATUS = {
 
 _INTEGERS = Integers()
 
+_CONFIG_KEYS = {"family", "probes", "budgets", "sequences"}
+_BUDGET_KEYS = {"n_max", "depth", "max_len"}
+_SEQUENCE_KEYS = {"prefix"}
+
+
+def _reject_unknown_keys(doc, allowed: set, where: str) -> None:
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    for key in sorted(doc):
+        if key not in allowed:
+            raise ValueError(f"unknown key {key!r} in {where}")
+
 
 @dataclass
 class RunConfig:
@@ -48,26 +59,25 @@ class RunConfig:
     n_max: int = 3
     depth: int = 12
     max_len: int = 5
-    window: int = 8
-    budget: SearchBudget = field(default_factory=SearchBudget)
 
     @classmethod
     def from_json(cls, doc: dict) -> "RunConfig":
+        _reject_unknown_keys(doc, _CONFIG_KEYS, "config")
+        budgets = doc.get("budgets", {})
+        _reject_unknown_keys(budgets, _BUDGET_KEYS, "budgets")
         # user sequences register before the family resolves their names
         from .sequences import register_prefix_sequence
         for name, spec in doc.get("sequences", {}).items():
-            register_prefix_sequence(name, spec["prefix"],
-                                     spec.get("doubling_from"))
-        budgets = doc.get("budgets", {})
+            _reject_unknown_keys(spec, _SEQUENCE_KEYS, f"sequences.{name}")
+            register_prefix_sequence(name, spec["prefix"])
         cfg = cls(
             family=doc["family"],
             probes=list(doc["probes"]),
             n_max=int(budgets.get("n_max", 3)),
             depth=int(budgets.get("depth", 12)),
             max_len=int(budgets.get("max_len", 5)),
-            window=int(budgets.get("window", 8)),
         )
-        if min(cfg.n_max, cfg.depth, cfg.max_len, cfg.window) < 1:
+        if min(cfg.n_max, cfg.depth, cfg.max_len) < 1:
             raise ValueError("budgets must be positive")
         if not cfg.probes:
             raise ValueError("probe list must be nonempty")
@@ -177,7 +187,6 @@ def _cmd_hausdorff(args) -> int:
         report = hausdorff_verdict(
             family, probes,
             n_max=cfg.n_max, depth=cfg.depth, max_len=cfg.max_len,
-            budget=cfg.budget,
         )
     return _emit([report], args.out, args.format, elapsed())
 

@@ -16,13 +16,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .groups import GroupElement, op_sub
-from .prefixsum import (
-    DEFAULT_BUDGET,
-    MembershipResult,
-    SearchBudget,
-    prefix_sum_membership,
-)
-from .report import Status, VerificationReport
+from .prefixsum import DEFAULT_BUDGET, MembershipResult, prefix_sum_membership
+from .report import Status, VerificationReport, aggregate_status
 from .setspec import (
     SetLike,
     SetSpec,
@@ -266,10 +261,11 @@ class CupcapResult:
         return doc
 
 
-def _nfold_exclusion(g: GroupElement, n: int, spec: SetSpec,
-                     budget: SearchBudget) -> MembershipResult:
+def _nfold_exclusion(g: GroupElement, n: int,
+                     spec: SetSpec) -> MembershipResult:
     """Membership of g in the n-fold sum of the starred member, exact when
-    the representation allows, else the prefix-sum machinery."""
+    the representation allows, else the prefix-sum machinery.  Finite sets
+    over nonabelian groups fold exactly as n-fold product sets."""
     try:
         folded = n_fold_star(spec, n)
         if folded.contains_value(g.value):
@@ -277,11 +273,11 @@ def _nfold_exclusion(g: GroupElement, n: int, spec: SetSpec,
         return MembershipResult(
             "no", proof={"route": "exact-fold", "fold": folded.to_json()})
     except SumsetUnsupported:
-        return prefix_sum_membership(g, [spec] * n, budget)
+        return prefix_sum_membership(g, [spec] * n)
 
 
 def cupcap_check(g: GroupElement, n: int, family: FilterFamily,
-                 depth: int, budget: SearchBudget = DEFAULT_BUDGET) -> CupcapResult:
+                 depth: int) -> CupcapResult:
     """Search the first ``depth`` members for one whose n-fold starred sum
     misses g.  Only exact exclusions count as found; inconclusive members
     are skipped and tallied."""
@@ -293,7 +289,7 @@ def cupcap_check(g: GroupElement, n: int, family: FilterFamily,
     skipped = 0
     for i in range(top):
         member = family.member(i)
-        res = _nfold_exclusion(g, n, member, budget)
+        res = _nfold_exclusion(g, n, member)
         if res.is_no():
             return CupcapResult(True, n, i, member, res.proof, checked=i + 1,
                                 skipped_unknown=skipped)
@@ -348,7 +344,6 @@ def strong_convergence_check(
     """
     n_pts = len(pts)
     per_member = []
-    statuses = []
     top = depth if family.size() is None else min(depth, family.size())
     for i in range(top):
         starred = star(family.member(i))
@@ -357,30 +352,24 @@ def strong_convergence_check(
             if not contains(starred, op_sub(p, x))
         ]
         if not violations:
-            verdict = "pass"
+            verdict = Status.VERIFIED
         elif violations[-1] < n_pts - window:
-            verdict = "pass"
+            verdict = Status.VERIFIED
         elif n_pts >= window:
             starts = range(n_pts - window, -1, -window)
             dense = all(
                 any(b <= v < b + window for v in violations) for b in starts
             )
-            verdict = "refuted" if dense else "unknown"
+            verdict = Status.REFUTED if dense else Status.UNKNOWN
         else:
-            verdict = "unknown"  # sample too short to call cofinal
+            verdict = Status.UNKNOWN  # sample too short to call cofinal
         per_member.append({
             "member_index": i,
             "verdict": verdict,
             "violations": len(violations),
             "last_violation": violations[-1] if violations else None,
         })
-        statuses.append(verdict)
-    if all(s == "pass" for s in statuses):
-        status = Status.VERIFIED
-    elif any(s == "refuted" for s in statuses):
-        status = Status.REFUTED
-    else:
-        status = Status.UNKNOWN
+    status = aggregate_status(m["verdict"] for m in per_member)
     return ConvergenceResult(status, tuple(per_member))
 
 
@@ -449,7 +438,6 @@ class SeparationCertificate:
     target: GroupElement
     steps: tuple  # tuple[SeparationStep, ...]
     family: dict
-    budget: SearchBudget
     policy: str = "first-excluding-member, indices increasing along chains"
 
     def members(self) -> list:
@@ -464,7 +452,7 @@ class SeparationCertificate:
             "family": self.family,
             "policy": self.policy,
             "steps": [s.to_json() for s in self.steps],
-            "budget": self.budget.as_dict(),
+            "budget": DEFAULT_BUDGET.as_dict(),
         }
 
 
@@ -501,7 +489,6 @@ def separating_sequence(
     family: FilterFamily,
     max_len: int,
     depth: int,
-    budget: SearchBudget = DEFAULT_BUDGET,
 ):
     """Greedily extend a member sequence keeping g outside the prefix sum.
 
@@ -527,7 +514,7 @@ def separating_sequence(
         for i in range(start, top):
             member = family.member(i)
             chain = [s.member for s in steps] + [member]
-            res = prefix_sum_membership(g, chain, budget)
+            res = prefix_sum_membership(g, chain)
             if res.is_no():
                 chosen = SeparationStep(i, member, res)
                 last_index = i
@@ -537,13 +524,12 @@ def separating_sequence(
             return StuckReport(g, step_no, tuple(steps), tuple(blocked),
                                fam_desc)
         steps.append(chosen)
-    cert = SeparationCertificate(g, tuple(steps), fam_desc, budget)
-    recheck_certificate(cert, budget)
+    cert = SeparationCertificate(g, tuple(steps), fam_desc)
+    recheck_certificate(cert)
     return cert
 
 
-def recheck_certificate(cert: SeparationCertificate,
-                        budget: SearchBudget = DEFAULT_BUDGET) -> bool:
+def recheck_certificate(cert: SeparationCertificate) -> bool:
     """Re-verify a separation certificate end to end.
 
     Each prefix exclusion is recomputed from the member descriptions; any
@@ -551,7 +537,7 @@ def recheck_certificate(cert: SeparationCertificate,
     """
     members = cert.members()
     for n in range(1, len(members) + 1):
-        res = prefix_sum_membership(cert.target, members[:n], budget)
+        res = prefix_sum_membership(cert.target, members[:n])
         if not res.is_no():
             raise AssertionError(
                 f"certificate step {n - 1} does not re-verify: {res.status}"
@@ -565,7 +551,6 @@ def hausdorff_verdict(
     n_max: int,
     depth: int,
     max_len: int,
-    budget: SearchBudget = DEFAULT_BUDGET,
 ) -> VerificationReport:
     """Run both criteria on every probe and classify the outcome.
 
@@ -581,10 +566,10 @@ def hausdorff_verdict(
     per_probe = []
     outcomes = []
     for g in probes:
-        cupcaps = {n: cupcap_check(g, n, family, depth, budget)
+        cupcaps = {n: cupcap_check(g, n, family, depth)
                    for n in range(1, n_max + 1)}
         cupcap_ok = all(c.found for c in cupcaps.values())
-        sep = separating_sequence(g, family, max_len, depth, budget)
+        sep = separating_sequence(g, family, max_len, depth)
         if isinstance(sep, SeparationCertificate):
             # Necessity says the exclusion search must succeed wherever a
             # certificate this long exists; within depth that can only be
@@ -621,7 +606,7 @@ def hausdorff_verdict(
         payload={"verdict": verdict, "probes": per_probe,
                  "family": family.describe()},
         budgets={"n_max": n_max, "depth": depth, "max_len": max_len,
-                 **budget.as_dict()},
+                 **DEFAULT_BUDGET.as_dict()},
     )
 
 

@@ -7,9 +7,10 @@ itself.  Assignments give every index the set attached to its lowest-terms
 level; towers T_0 >= T_1 >= ... with T_i T_i T_i inside T_{i-1} generate
 such assignments and admit the middle-thirds collapse certificate.
 
-The module also carries the conjugation closure of a family, the
-nonabelian n-fold exclusion check, and the Fibonacci endomorphism
-x -> y, y -> xy of the free group on two generators.
+The module also carries the conjugation closure of a family and the
+Fibonacci endomorphism x -> y, y -> xy of the free group on two
+generators.  The n-fold exclusion check over nonabelian finite sets is
+``filters.cupcap_check``, shared with the abelian families.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .report import Status, VerificationReport
 from .setspec import (
     FiniteSet,
     SetSpec,
-    StarSet,
     contains,
     star,
     subset_of,
@@ -133,15 +133,6 @@ def assignment_from_json(doc: dict, group=None) -> DyadicAssignment:
     return DyadicAssignment.of(levels)
 
 
-def star_mult(spec: SetSpec) -> StarSet:
-    """Symmetrization for finite sets over a multiplicative group."""
-    if not isinstance(spec, FiniteSet):
-        raise ValueError("nonabelian star needs an explicit finite set")
-    if spec.group.is_abelian:
-        raise ValueError("use star() for abelian ambient groups")
-    return star(spec)
-
-
 @dataclass(frozen=True)
 class UqResult:
     status: str  # "yes" | "no" | "unknown"
@@ -150,18 +141,6 @@ class UqResult:
 
     def is_yes(self) -> bool:
         return self.status == "yes"
-
-    def to_json(self) -> dict:
-        doc = {"status": self.status}
-        if self.witness is not None:
-            doc["witness"] = [
-                {"index": str(q),
-                 "factor": el.group.value_to_json(el.value)}
-                for q, el in self.witness
-            ]
-        if self.searched:
-            doc["searched"] = self.searched
-        return doc
 
 
 def _reachable(assignment: DyadicAssignment) -> dict:
@@ -567,40 +546,6 @@ def fg_closure(family: ExplicitFamily,
         assert subset_of(member, out), "closure must contain the original"
         closed.append(out)
     return ExplicitFamily(closed, name=f"{family.name}^conj")
-
-
-@dataclass(frozen=True)
-class NonabCupcapResult:
-    found: bool
-    n: int
-    member_index: Optional[int] = None
-    member: Optional[SetSpec] = None
-    checked: int = 0
-
-    def to_json(self) -> dict:
-        doc = {"found": self.found, "n": self.n, "checked": self.checked}
-        if self.found:
-            doc["member_index"] = self.member_index
-            doc["member"] = self.member.to_json()
-        return doc
-
-
-def cupcap_check_nonab(g: GroupElement, n: int, family: ExplicitFamily,
-                       depth: int) -> NonabCupcapResult:
-    """Exact n-fold product-set exclusion over the first members."""
-    if g.is_identity():
-        raise ValueError("probe must not be the identity")
-    if n < 1:
-        raise ValueError("n must be positive")
-    top = min(depth, family.size())
-    for i in range(top):
-        member = family.member(i)
-        folded = star(member).base
-        for _ in range(n - 1):
-            folded = sumset(folded, star(member))
-        if not contains(folded, g):
-            return NonabCupcapResult(True, n, i, member, checked=i + 1)
-    return NonabCupcapResult(False, n, checked=top)
 
 
 # Fibonacci endomorphism of the free group on x, y.

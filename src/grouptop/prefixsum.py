@@ -320,14 +320,14 @@ def prefix_sum_membership(
         if env_no is not None:
             return env_no
 
-    found = _bounded_search(g, stars, budget)
+    plan = _plan(g, stars, budget)
+    found = _bounded_search(g, stars, plan)
     if found is not None:
         _verify_witness(g, stars, found)
         return MembershipResult("yes", witness=found,
                                 proof={"route": "bounded-search"})
 
-    complete = _search_was_complete(g, stars, budget)
-    if complete:
+    if plan is not None and all(complete for _, complete in plan):
         return MembershipResult("no", proof={"route": "finite-enumeration"})
     return MembershipResult(
         "unknown",
@@ -400,7 +400,9 @@ def _envelope_exclusion(g: GroupElement, stars: Sequence[StarSet]
     )
 
 
-def _plan(g, stars, budget):
+def _plan(g, stars, budget) -> Optional[list]:
+    """One (candidates, complete) pair per set, or None when some set has
+    no finite candidate list."""
     g_abs = abs(g.value) if isinstance(g.value, int) else 0
     plan = []
     for st in stars:
@@ -411,20 +413,14 @@ def _plan(g, stars, budget):
     return plan
 
 
-def _search_was_complete(g, stars, budget) -> bool:
-    plan = _plan(g, stars, budget)
-    return plan is not None and all(complete for _, complete in plan)
-
-
 def _bounded_search(g: GroupElement, stars: Sequence[StarSet],
-                    budget: SearchBudget) -> Optional[tuple]:
+                    plan: Optional[list]) -> Optional[tuple]:
     """Depth-first decomposition search over finite candidate lists.
 
     Only applicable when every set yields candidates (finite sets and
     certified tails).  Prunes on the reachable-magnitude envelope of the
     remaining sets for integer chains.
     """
-    plan = _plan(g, stars, budget)
     if plan is None:
         return None
     group = g.group
@@ -467,4 +463,4 @@ def decomposition_recheck(
     stars = [star(s) for s in chain]
     if g.is_identity():
         return True
-    return _bounded_search(g, stars, budget) is not None
+    return _bounded_search(g, stars, _plan(g, stars, budget)) is not None

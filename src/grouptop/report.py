@@ -2,8 +2,8 @@
 
 A report carries one claim, a three-valued status, and a certificate
 payload built entirely from sorted, JSON-stable values.  Wall time is kept
-out of the certificate body so reports are byte-identical across runs; it
-travels in a separate metadata block.
+out of the document so reports are byte-identical across runs; the CLI
+prints it to stderr.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Iterable
 
 SCHEMA_VERSION = 1
 
@@ -30,7 +30,6 @@ class VerificationReport:
     status: Status
     payload: dict
     budgets: dict = field(default_factory=dict)
-    wall_time_s: Optional[float] = None
 
     def body(self) -> dict:
         return {
@@ -40,12 +39,10 @@ class VerificationReport:
             "budgets": self.budgets,
         }
 
-    def is_verified(self) -> bool:
-        return self.status is Status.VERIFIED
 
-
-def aggregate_status(reports: Iterable[VerificationReport]) -> Status:
-    statuses = {r.status for r in reports}
+def aggregate_status(statuses: Iterable[Status]) -> Status:
+    """Refuted if any status is, else unknown if any is, else verified."""
+    statuses = set(statuses)
     if Status.REFUTED in statuses:
         return Status.REFUTED
     if Status.UNKNOWN in statuses:
@@ -53,17 +50,14 @@ def aggregate_status(reports: Iterable[VerificationReport]) -> Status:
     return Status.VERIFIED
 
 
-def report_document(reports: list, meta: Optional[dict] = None) -> dict:
+def report_document(reports: list) -> dict:
     """Bundle reports into the versioned document the CLI writes."""
-    doc = {
+    return {
         "schema": SCHEMA_VERSION,
-        "status": aggregate_status(reports).value,
+        "status": aggregate_status(r.status for r in reports).value,
         "claims": [r.body() for r in
                    sorted(reports, key=lambda r: r.claim)],
     }
-    if meta is not None:
-        doc["meta"] = meta
-    return doc
 
 
 def canonical_json(doc: dict) -> str:

@@ -1,16 +1,15 @@
 """Registry of integer sequences that tail-set descriptions refer to.
 
 A registered sequence must be strictly increasing in absolute value, so
-membership tests have an index cutoff.  Two optional certificates sharpen
-what can be concluded about tails:
-
-* ``doubling_from``: an index beyond which |x_{k+1}| >= 2 |x_k|; used to
-  cap candidate values in bounded decomposition searches.
-* ``tail_divisor(t)``: an integer provably dividing every x_k with k >= t
-  (1 when nothing better is known); sums of tail elements inherit it, which
-  is what makes exclusion proofs over tails exact.
+membership tests have an index cutoff.  An optional certificate sharpens
+what can be concluded about tails: ``tail_divisor(t)`` is an integer
+provably dividing every x_k with k >= t (1 when nothing better is known);
+sums of tail elements inherit it, which is what makes exclusion proofs over
+tails exact.
 
 The registry is write-once: names cannot be rebound after registration.
+Registering the same prefix under the same name again returns the entry
+already there.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ class SequenceError(ValueError):
 class IntegerSequence:
     name: str
     _value: Callable[[int], int]
-    doubling_from: Optional[int] = None
     _tail_divisor: Optional[Callable[[int], int]] = None
     length: Optional[int] = None  # None = unbounded
 
@@ -89,16 +87,10 @@ def _spot_check(seq: IntegerSequence, depth: int) -> None:
     top = depth if seq.length is None else min(depth, seq.length)
     for k in range(top):
         v = seq.value(k)
-        if last is not None:
-            if abs(v) <= abs(last):
-                raise SequenceError(
-                    f"{seq.name}: |x_{k}| must exceed |x_{k - 1}|"
-                )
-            if seq.doubling_from is not None and k - 1 >= seq.doubling_from:
-                if abs(v) < 2 * abs(last):
-                    raise SequenceError(
-                        f"{seq.name}: doubling certificate fails at index {k}"
-                    )
+        if last is not None and abs(v) <= abs(last):
+            raise SequenceError(
+                f"{seq.name}: |x_{k}| must exceed |x_{k - 1}|"
+            )
         last = v
     if seq._tail_divisor is not None:
         for t in range(min(6, top)):
@@ -110,20 +102,20 @@ def _spot_check(seq: IntegerSequence, depth: int) -> None:
                     )
 
 
-def register_prefix_sequence(
-    name: str,
-    values: list,
-    doubling_from: Optional[int] = None,
-) -> IntegerSequence:
+def register_prefix_sequence(name: str, values: list) -> IntegerSequence:
     """Register a user-supplied finite sequence prefix.
 
-    The declared doubling index, if any, is checked against the prefix.
     The tail divisor is the gcd of the stored tail, which is sound because
-    the prefix is the whole sequence.
+    the prefix is the whole sequence.  Re-registering identical values
+    returns the existing entry; different values under the name raise.
     """
     vals = tuple(int(v) for v in values)
     if not vals:
         raise SequenceError("empty prefix")
+    existing = _REGISTRY.get(name)
+    if existing is not None and existing.length == len(vals) and \
+            all(existing.value(k) == v for k, v in enumerate(vals)):
+        return existing
 
     def tail_div(start: int) -> int:
         tail = vals[start:]
@@ -132,7 +124,6 @@ def register_prefix_sequence(
     seq = IntegerSequence(
         name=name,
         _value=lambda k: vals[k],
-        doubling_from=doubling_from,
         _tail_divisor=tail_div,
         length=len(vals),
     )
@@ -145,7 +136,6 @@ def _make_powers(base: int) -> IntegerSequence:
     return IntegerSequence(
         name=f"powers{base}",
         _value=lambda k: base ** k,
-        doubling_from=0,
         _tail_divisor=lambda t: base ** t,
     )
 
@@ -174,14 +164,9 @@ def get_sequence(name: str) -> IntegerSequence:
         raise SequenceError(f"unknown sequence {name!r}") from None
 
 
-register(IntegerSequence(
-    name="fibonacci",
-    _value=_fib_value,
-    doubling_from=None,  # consecutive ratio tends to the golden ratio < 2
-))
+register(IntegerSequence(name="fibonacci", _value=_fib_value))
 register(IntegerSequence(
     name="factorial",
     _value=_factorial_value,
-    doubling_from=0,
     _tail_divisor=lambda t: math.factorial(t + 1),
 ))

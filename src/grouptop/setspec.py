@@ -567,12 +567,6 @@ def residue_envelope(spec: SetLike, modulus: int) -> Optional[frozenset]:
     return None
 
 
-def is_exactly_summable(spec: SetLike) -> bool:
-    """Whether the starred description participates in exact sumsets."""
-    base = _base_of(spec)
-    return not isinstance(base, TailSet)
-
-
 def spec_from_json(doc: dict, group: Optional[AmbientGroup] = None) -> SetLike:
     """Inverse of ``to_json``; ``group`` overrides the embedded descriptor."""
     kind = doc["kind"]

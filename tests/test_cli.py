@@ -1,8 +1,14 @@
 """End-to-end CLI behavior: exit codes, reports, determinism, recheck."""
 
+import hashlib
 import json
+from pathlib import Path
+
+import pytest
 
 from grouptop.cli import main
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def run(argv, capsys):
@@ -105,7 +111,6 @@ def test_hausdorff_user_sequence_config(tmp_path, capsys):
     cfg.write_text(json.dumps({
         "sequences": {"cli-user-seq": {
             "prefix": [1, 4, 16, 64, 256, 1024, 4096],
-            "doubling_from": 0,
         }},
         "family": {"kind": "cofinite", "sequence": "cli-user-seq"},
         "probes": [3],
@@ -115,6 +120,53 @@ def test_hausdorff_user_sequence_config(tmp_path, capsys):
     assert code in (0, 3)  # honest outcome either way for a finite prefix
     doc = json.loads(out)
     assert doc["claims"][0]["payload"]["family"]["sequence"] == "cli-user-seq"
+
+
+def test_hausdorff_same_user_sequence_config_twice(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "sequences": {"cli-twice-seq": {"prefix": [1, 5, 25, 125, 625]}},
+        "family": {"kind": "cofinite", "sequence": "cli-twice-seq"},
+        "probes": [2, 5],
+        "budgets": {"n_max": 1, "depth": 4, "max_len": 2},
+    }))
+    r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
+    code1, _, _ = run(["hausdorff", str(cfg), "--out", str(r1)], capsys)
+    code2, _, err2 = run(["hausdorff", str(cfg), "--out", str(r2)], capsys)
+    assert code1 == code2 != 1, err2
+    assert r1.read_bytes() == r2.read_bytes()
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"family": {"kind": "cofinite", "sequence": "powers3"},
+      "probes": [1], "window": 8}, "window"),
+    ({"family": {"kind": "cofinite", "sequence": "powers3"},
+      "probes": [1], "budgets": {"n-max": 50}}, "n-max"),
+    ({"sequences": {"cli-stale-seq": {"prefix": [1, 4, 16],
+                                      "doubling_from": 0}},
+      "family": {"kind": "cofinite", "sequence": "cli-stale-seq"},
+      "probes": [1]}, "doubling_from"),
+], ids=["top-level", "budgets", "sequence-entry"])
+def test_hausdorff_unknown_config_key_exits_1(tmp_path, capsys, doc, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    code, out, err = run(["hausdorff", str(cfg)], capsys)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and repr(key) in err
+
+
+@pytest.mark.parametrize("config, digest", [
+    ("sqrt7.json",
+     "0c82c86153d9b398c731e533a79c65ad3dfe986ce36020c7807879b7f0194dc5"),
+    ("powers3.json",
+     "59926c1de9e8ef61b26ab09a04642952407716c52138126315c442970b48c63b"),
+], ids=["sqrt7", "powers3"])
+def test_shipped_config_report_bytes_pinned(tmp_path, capsys, config, digest):
+    """Report bytes of the shipped configs; a deliberate change to the
+    report body bumps ``schema`` and refreshes these digests."""
+    report = tmp_path / "report.json"
+    run(["hausdorff", str(CONFIGS / config), "--out", str(report)], capsys)
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
 
 
 def test_hausdorff_identity_probe_exits_1(tmp_path, capsys):

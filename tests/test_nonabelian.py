@@ -1,11 +1,13 @@
 """Dyadic-index products, towers, closures, and the Fibonacci words."""
 
+import itertools
 import random
 
 import pytest
 
-from grouptop import FiniteSet, Integers, contains, op_add, op_neg, star
-from grouptop.filters import ExplicitFamily, check_directed
+from grouptop import (FiniteSet, Integers, contains, op_add, op_neg, op_sum,
+                      star)
+from grouptop.filters import ExplicitFamily, check_directed, cupcap_check
 from grouptop.fixtures import dihedral8
 from grouptop.nonabelian import (
     FREE_XY,
@@ -17,14 +19,12 @@ from grouptop.nonabelian import (
     check_inverse_closure,
     check_translation,
     commutator,
-    cupcap_check_nonab,
     dyadic_indices,
     fg_closure,
     fib_word,
     phi_apply,
     phi_iterate,
     s_in_u_reduce,
-    star_mult,
     uq_membership,
     verify_fib_identity,
 )
@@ -57,13 +57,13 @@ def test_dyadic_reflection_keeps_level():
 # --- star over multiplicative groups ---
 
 def test_star_mult_free_generator():
-    s = star_mult(FiniteSet.of(FREE_XY, ["x"]))
+    s = star(FiniteSet.of(FREE_XY, ["x"]))
     vals = {el.value for el in s.base.elements()}
     assert vals == {(1,), (), (-1,)}
 
 
 def test_star_mult_word():
-    s = star_mult(FiniteSet.of(FREE_XY, ["x y"]))
+    s = star(FiniteSet.of(FREE_XY, ["x y"]))
     vals = {str(el) for el in s.base.elements()}
     assert vals == {"x y", "e", "y^-1 x^-1"}
 
@@ -71,12 +71,7 @@ def test_star_mult_word():
 def test_star_mult_subgroup_fixed():
     d4 = dihedral8()
     rot = FiniteSet.of(d4, ["e", "r", "r2", "r3"])
-    assert star_mult(rot).base == rot
-
-
-def test_star_mult_rejects_abelian():
-    with pytest.raises(ValueError):
-        star_mult(FiniteSet.of(Z, [1]))
+    assert star(rot).base == rot
 
 
 # --- membership in dyadic products ---
@@ -126,7 +121,7 @@ def test_uq_free_group_miss_stays_unknown():
 
 def test_uq_depth1_agrees_with_star_membership():
     d4, assign = d4_assignment([["r", "s"], ["r", "s"], ["r", "s"]])
-    starred = star_mult(FiniteSet.of(d4, ["r", "s"]))
+    starred = star(FiniteSet.of(d4, ["r", "s"]))
     for el in d4.elements():
         res = uq_membership(el, assign, depth=1)
         expected = el.is_identity() or contains(starred, el)
@@ -281,15 +276,43 @@ def test_cupcap_nonab_reflection_excluded():
     d4 = dihedral8()
     fam = ExplicitFamily([FiniteSet.of(d4, ["r"])])
     for n in (1, 2, 3, 4):
-        res = cupcap_check_nonab(d4.element("s"), n, fam, depth=2)
+        res = cupcap_check(d4.element("s"), n, fam, depth=2)
         assert res.found  # powers of the rotation never reach a reflection
+        assert (res.member_index, res.checked) == (0, 1)
 
 
 def test_cupcap_nonab_rotation_not_excluded():
     d4 = dihedral8()
     fam = ExplicitFamily([FiniteSet.of(d4, ["r"])])
-    assert not cupcap_check_nonab(d4.element("r"), 1, fam, depth=2).found
-    assert not cupcap_check_nonab(d4.element("r2"), 2, fam, depth=2).found
+    assert not cupcap_check(d4.element("r"), 1, fam, depth=2).found
+    assert not cupcap_check(d4.element("r2"), 2, fam, depth=2).found
+
+
+def test_cupcap_nonab_matches_product_enumeration():
+    """The exclusion search agrees with brute force over n-fold products
+    of the starred members, member by member."""
+    d4 = dihedral8()
+    fam = ExplicitFamily([FiniteSet.of(d4, ["r", "s"]),
+                          FiniteSet.of(d4, ["rs"]),
+                          FiniteSet.of(d4, ["r2"])])
+    for n in (1, 2, 3):
+        products = []
+        for member in fam.members:
+            starred = star(member).base.elements()
+            products.append({op_sum(d4, combo).value for combo in
+                             itertools.product(starred, repeat=n)})
+        for g in d4.elements():
+            if g.is_identity():
+                continue
+            res = cupcap_check(g, n, fam, depth=3)
+            missing = [i for i, p in enumerate(products) if g.value not in p]
+            assert res.found == bool(missing), (n, str(g))
+            assert res.skipped_unknown == 0
+            if missing:
+                assert res.member_index == missing[0]
+                assert res.checked == missing[0] + 1
+            else:
+                assert res.checked == len(fam.members)
 
 
 # --- Fibonacci endomorphism ---

@@ -227,7 +227,6 @@ def test_sequence_registry():
     assert p3.tail_divisor(4) == 81
     fib = get_sequence("fibonacci")
     assert [fib.value(k) for k in range(6)] == [1, 2, 3, 5, 8, 13]
-    assert fib.doubling_from is None
     fact = get_sequence("factorial")
     assert fact.tail_divisor(3) == 24
     with pytest.raises(SequenceError):
@@ -235,10 +234,11 @@ def test_sequence_registry():
 
 
 def test_prefix_sequence_registration_is_write_once():
-    register_prefix_sequence("test-prefix-a", [1, 10, 100], doubling_from=0)
+    register_prefix_sequence("test-prefix-a", [1, 10, 100])
     seq = get_sequence("test-prefix-a")
     assert seq.value(2) == 100 and seq.length == 3
     assert seq.tail_divisor(1) == 10
+    assert register_prefix_sequence("test-prefix-a", [1, 10, 100]) is seq
     with pytest.raises(SequenceError):
         register_prefix_sequence("test-prefix-a", [1, 2])
     with pytest.raises(SequenceError):
