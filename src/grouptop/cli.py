@@ -37,9 +37,8 @@ _EXIT_FOR_STATUS = {
 
 _INTEGERS = Integers()
 
-_CONFIG_KEYS = {"family", "probes", "budgets", "sequences"}
+_CONFIG_KEYS = {"family", "probes", "budgets"}
 _BUDGET_KEYS = {"n_max", "depth", "max_len"}
-_SEQUENCE_KEYS = {"prefix"}
 
 
 def _reject_unknown_keys(doc, allowed: set, where: str) -> None:
@@ -55,7 +54,7 @@ class RunConfig:
     """Parsed configuration for a family-level verification run."""
 
     family: dict
-    probes: list
+    probes: list  # list[GroupElement] of the integers
     n_max: int = 3
     depth: int = 12
     max_len: int = 5
@@ -65,23 +64,22 @@ class RunConfig:
         _reject_unknown_keys(doc, _CONFIG_KEYS, "config")
         budgets = doc.get("budgets", {})
         _reject_unknown_keys(budgets, _BUDGET_KEYS, "budgets")
-        # user sequences register before the family resolves their names
-        from .sequences import register_prefix_sequence
-        for name, spec in doc.get("sequences", {}).items():
-            _reject_unknown_keys(spec, _SEQUENCE_KEYS, f"sequences.{name}")
-            register_prefix_sequence(name, spec["prefix"])
+        if not isinstance(doc["family"], dict):
+            raise ValueError("family must be a JSON object")
+        if not isinstance(doc["probes"], list):
+            raise ValueError("probes must be a JSON list")
         cfg = cls(
             family=doc["family"],
-            probes=list(doc["probes"]),
-            n_max=int(budgets.get("n_max", 3)),
-            depth=int(budgets.get("depth", 12)),
-            max_len=int(budgets.get("max_len", 5)),
+            probes=[_INTEGERS.element(p) for p in doc["probes"]],
+            n_max=_INTEGERS.element(budgets.get("n_max", 3)).value,
+            depth=_INTEGERS.element(budgets.get("depth", 12)).value,
+            max_len=_INTEGERS.element(budgets.get("max_len", 5)).value,
         )
         if min(cfg.n_max, cfg.depth, cfg.max_len) < 1:
             raise ValueError("budgets must be positive")
         if not cfg.probes:
             raise ValueError("probe list must be nonempty")
-        if any(p == 0 for p in cfg.probes):
+        if any(p.is_identity() for p in cfg.probes):
             raise ValueError("probes must exclude the identity")
         return cfg
 
@@ -182,10 +180,9 @@ def _cmd_hausdorff(args) -> int:
     except (KeyError, ValueError) as err:
         print(f"bad config: {err}", file=sys.stderr)
         return 1
-    probes = [_INTEGERS.element(int(p)) for p in cfg.probes]
     with stopwatch() as elapsed:
         report = hausdorff_verdict(
-            family, probes,
+            family, cfg.probes,
             n_max=cfg.n_max, depth=cfg.depth, max_len=cfg.max_len,
         )
     return _emit([report], args.out, args.format, elapsed())

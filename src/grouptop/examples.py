@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .groups import GroupElement, Integers, ProductMod, Rationals, op_sum
+from .groups import GroupElement, Integers, ProductMod, Rationals
 from .prefixsum import prefix_sum_membership
 from .report import Status, VerificationReport
 from .setspec import (
@@ -31,6 +31,7 @@ from .setspec import (
     n_fold_star,
     star,
     sumset,
+    witness_holds,
 )
 
 _INTEGERS = Integers()
@@ -117,11 +118,7 @@ class DecompositionWitness:
     sources: tuple  # tuple[SetLike, ...], parallel to summands
 
     def verify(self) -> bool:
-        for s, src in zip(self.summands, self.sources):
-            if not contains(star(src), s):
-                return False
-        return op_sum(self.target.group,
-                      self.summands).value == self.target.value
+        return witness_holds(self.target, self.summands, self.sources)
 
     def to_json(self) -> dict:
         group = self.target.group

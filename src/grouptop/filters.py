@@ -1,7 +1,7 @@
 """Downward-directed set families and the convergence criteria over them.
 
 Families come in three presentations: decreasing chains, cofinite tails of
-a registered sequence, and explicit finite lists.  On top of them live the
+an integer sequence, and explicit finite lists.  On top of them live the
 two Hausdorff-style checks (the n-fold exclusion condition and the
 separating-sequence construction), strong convergence of indexed point
 families, and the frequent-value dichotomy for cofinite families.
@@ -13,11 +13,12 @@ Every bounded search reports three-valued outcomes; "verified" and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 from .groups import GroupElement, op_sub
 from .prefixsum import DEFAULT_BUDGET, MembershipResult, prefix_sum_membership
 from .report import Status, VerificationReport, aggregate_status
+from .sequences import IntegerSequence, sequence_from_json, sequence_to_json
 from .setspec import (
     SetLike,
     SetSpec,
@@ -100,7 +101,7 @@ class ChainFamily(FilterFamily):
 
 
 class CofiniteFamily(FilterFamily):
-    """Complements of finite sets inside a registered integer sequence.
+    """Complements of finite sets inside an integer sequence.
 
     Enumeration follows the cofinal chain of plain tails; lower bounds of
     arbitrary members union their removals.
@@ -108,10 +109,10 @@ class CofiniteFamily(FilterFamily):
 
     kind = "cofinite"
 
-    def __init__(self, sequence: str, base_start: int = 0):
-        self.sequence = sequence
+    def __init__(self, sequence: Union[IntegerSequence, str],
+                 base_start: int = 0):
+        self.sequence = TailSet.of(sequence, base_start).sequence
         self.base_start = base_start
-        TailSet.of(sequence, base_start)  # resolves and validates
 
     def member(self, i: int) -> TailSet:
         if i < 0:
@@ -129,7 +130,7 @@ class CofiniteFamily(FilterFamily):
                        a.excluded | b.excluded)
 
     def describe(self) -> dict:
-        return {"kind": "cofinite", "sequence": self.sequence,
+        return {"kind": "cofinite", **sequence_to_json(self.sequence),
                 "start": self.base_start}
 
 
@@ -161,7 +162,8 @@ def family_from_json(doc: dict) -> FilterFamily:
     """
     kind = doc["kind"]
     if kind == "cofinite":
-        return CofiniteFamily(doc["sequence"], int(doc.get("start", 0)))
+        return CofiniteFamily(sequence_from_json(doc),
+                              int(doc.get("start", 0)))
     if kind == "explicit":
         return ExplicitFamily([spec_from_json(m) for m in doc["members"]],
                               name=doc.get("name", "explicit"))
@@ -322,10 +324,6 @@ class IndexedPoints:
 class ConvergenceResult:
     status: Status
     per_member: tuple  # tuple of dicts
-
-    def to_json(self) -> dict:
-        return {"status": self.status.value,
-                "per_member": list(self.per_member)}
 
 
 def strong_convergence_check(

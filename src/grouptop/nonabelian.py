@@ -30,6 +30,7 @@ from .groups import (
     op_neg,
     op_sum,
 )
+from .prefixsum import MembershipResult
 from .report import Status, VerificationReport
 from .setspec import (
     FiniteSet,
@@ -133,16 +134,6 @@ def assignment_from_json(doc: dict, group=None) -> DyadicAssignment:
     return DyadicAssignment.of(levels)
 
 
-@dataclass(frozen=True)
-class UqResult:
-    status: str  # "yes" | "no" | "unknown"
-    witness: Optional[tuple] = None  # tuple[(DyadicIndex, GroupElement), ...]
-    searched: Optional[dict] = None
-
-    def is_yes(self) -> bool:
-        return self.status == "yes"
-
-
 def _reachable(assignment: DyadicAssignment) -> dict:
     """Minimum factor count for every element of some increasing-index
     product, over all indices of the materialized levels."""
@@ -188,7 +179,7 @@ def _witness_search(g: GroupElement, assignment: DyadicAssignment,
 
 
 def uq_membership(g: GroupElement, assignment: DyadicAssignment,
-                  depth: int) -> UqResult:
+                  depth: int) -> MembershipResult:
     """Does g lie in a product of starred sets along some increasing dyadic
     index sequence of length <= depth?
 
@@ -200,8 +191,8 @@ def uq_membership(g: GroupElement, assignment: DyadicAssignment,
     if depth < 1:
         raise ValueError("depth must be positive")
     if g.is_identity():
-        return UqResult("yes", witness=())
-    searched = {"depth": depth, "max_level": assignment.max_level}
+        return MembershipResult("yes", witness=())
+    proof = {"depth": depth, "max_level": assignment.max_level}
     if isinstance(g.group, CayleyGroup):
         # The reachability table is complete for table groups, so decide
         # from it and only run the DFS when a witness is known to exist.
@@ -209,20 +200,20 @@ def uq_membership(g: GroupElement, assignment: DyadicAssignment,
         if reach.get(g.value, math.inf) <= depth:
             found = _witness_search(g, assignment, reach[g.value])
             assert found is not None, "reachable element must have a witness"
-            return UqResult("yes", witness=found)
+            return MembershipResult("yes", witness=found)
         stabilized_at = max(reach.values())
         if g.value not in reach and stabilized_at < depth:
-            searched["stabilized_at"] = stabilized_at
-            return UqResult("no", searched=searched)
+            proof["stabilized_at"] = stabilized_at
+            return MembershipResult("no", proof=proof)
         if g.value not in reach:
-            searched["note"] = "unreached but closure not inside depth cap"
-        return UqResult("unknown", searched=searched)
+            proof["note"] = "unreached but closure not inside depth cap"
+        return MembershipResult("unknown", proof=proof)
     found = _witness_search(g, assignment, depth)
     if found is not None:
         product = op_sum(g.group, [el for _, el in found])
         assert product.value == g.value, "witness product mismatch"
-        return UqResult("yes", witness=found)
-    return UqResult("unknown", searched=searched)
+        return MembershipResult("yes", witness=found)
+    return MembershipResult("unknown", proof=proof)
 
 
 def enumerate_u_witnesses(assignment: DyadicAssignment,

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .groups import GroupElement, Integers, op_add, op_sum
+from .groups import GroupElement, Integers, op_add
 from .setspec import (
     BoxSet,
     FiniteSet,
@@ -36,6 +36,7 @@ from .setspec import (
     residue_envelope,
     star,
     sumset,
+    witness_holds,
 )
 
 _INTEGERS = Integers()
@@ -64,7 +65,8 @@ DEFAULT_BUDGET = SearchBudget()
 @dataclass(frozen=True)
 class MembershipResult:
     status: str  # "yes" | "no" | "unknown"
-    witness: Optional[tuple] = None  # tuple[GroupElement, ...]
+    # tuple[GroupElement, ...]; uq_membership's are (DyadicIndex, element)
+    witness: Optional[tuple] = None
     proof: Optional[dict] = None
     note: str = ""
 
@@ -88,12 +90,8 @@ class MembershipResult:
 
 def _verify_witness(g: GroupElement, stars: Sequence[StarSet],
                     summands: Sequence[GroupElement]) -> None:
-    assert len(summands) == len(stars)
-    for s, st in zip(summands, stars):
-        if not contains(st, s):
-            raise AssertionError(f"witness summand {s} escapes {st.describe()}")
-    if op_sum(g.group, summands).value != g.value:
-        raise AssertionError("witness summands do not total the target")
+    if not witness_holds(g, summands, stars):
+        raise AssertionError(f"witness for {g} does not re-verify")
 
 
 def _fold_exact(stars: Sequence[StarSet]):
@@ -356,7 +354,7 @@ def _envelope_modulus(g: GroupElement, stars: Sequence[StarSet],
         if isinstance(base, ResidueSet):
             m = math.lcm(m, base.modulus)
         elif isinstance(base, TailSet):
-            seq = base.seq()
+            seq = base.sequence
             t = base.start
             chosen = None
             while seq.in_range(t) and t <= base.start + _ENVELOPE_DIVISOR_SCAN:

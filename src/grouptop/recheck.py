@@ -10,15 +10,14 @@ from __future__ import annotations
 import re
 from typing import Iterable, Tuple
 
-from .groups import FreeGroup, GroupElement, group_from_json, Integers, op_sum
+from .groups import FreeGroup, GroupElement, group_from_json, Integers
 from .prefixsum import prefix_sum_membership
 from .setspec import (
     contains,
-    divides,
-    divisor_certificate,
     n_fold_star,
     spec_from_json,
     star,
+    witness_holds,
 )
 
 _INTEGERS = Integers()
@@ -82,12 +81,7 @@ def _decomposition_ok(d: dict) -> bool:
     summands = [GroupElement(group, group.value_from_json(v))
                 for v in d["summands"]]
     sets = [spec_from_json(s, group=group) for s in d["sets"]]
-    if len(summands) != len(sets):
-        return False
-    for s, spec in zip(summands, sets):
-        if not contains(star(spec), s):
-            return False
-    return op_sum(group, summands).value == target.value
+    return witness_holds(target, summands, sets)
 
 
 def _recheck_hensel(cid: str, payload: dict):
@@ -140,11 +134,8 @@ def _recheck_interval(payload: dict):
                 continue
             summands = [GroupElement(group, group.value_from_json(v))
                         for v in witness]
-            for s, spec in zip(summands, chain):
-                if not contains(star(spec), s):
-                    return f"witness escapes its interval at epsilon {eps}"
-            if op_sum(group, summands).value != one.value:
-                return f"witness sum wrong at epsilon {eps}"
+            if not witness_holds(one, summands, chain):
+                return f"witness fails at epsilon {eps}"
     return "ok"
 
 
@@ -160,15 +151,9 @@ def _recheck_separation(sep: dict):
         res = block["result"]
         if res["status"] == "yes":
             candidate = spec_from_json(block["member"])
-            chain = members + [candidate]
             summands = [GroupElement(_INTEGERS, v) for v in res["witness"]]
-            if len(summands) != len(chain):
-                return "blocking witness has wrong arity"
-            for s, spec in zip(summands, chain):
-                if not contains(star(spec), s):
-                    return "blocking witness escapes its set"
-            if op_sum(_INTEGERS, summands).value != target.value:
-                return "blocking witness sum wrong"
+            if not witness_holds(target, summands, members + [candidate]):
+                return "blocking witness fails"
     return "ok"
 
 
@@ -181,17 +166,10 @@ def _recheck_hausdorff(payload: dict):
         for n_str, cc in probe["cupcap"].items():
             if not cc.get("found"):
                 continue
-            n = int(n_str)
             member = spec_from_json(cc["member"])
-            proof = cc.get("proof", {})
-            if proof.get("route") == "divisor":
-                d = divisor_certificate(star(member))  # re-derived
-                if divides(d, g.value):
-                    return f"divisor {d} does not exclude probe {g.value}"
-            else:
-                res = prefix_sum_membership(g, [member] * n)
-                if not res.is_no():
-                    return f"cupcap member no longer excludes {g.value}"
+            res = prefix_sum_membership(g, [member] * int(n_str))
+            if not res.is_no():
+                return f"cupcap member no longer excludes {g.value}"
     return "ok"
 
 

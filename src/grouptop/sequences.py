@@ -1,22 +1,22 @@
-"""Registry of integer sequences that tail-set descriptions refer to.
+"""Integer sequences that tail-set descriptions are drawn from.
 
-A registered sequence must be strictly increasing in absolute value, so
-membership tests have an index cutoff.  An optional certificate sharpens
-what can be concluded about tails: ``tail_divisor(t)`` is an integer
-provably dividing every x_k with k >= t (1 when nothing better is known);
-sums of tail elements inherit it, which is what makes exclusion proofs over
-tails exact.
+A sequence must be strictly increasing in absolute value, so membership
+tests have an index cutoff.  An optional certificate sharpens what can be
+concluded about tails: ``tail_divisor(t)`` is an integer provably dividing
+every x_k with k >= t (1 when nothing better is known); sums of tail
+elements inherit it, which is what makes exclusion proofs over tails exact.
 
-The registry is write-once: names cannot be rebound after registration.
-Registering the same prefix under the same name again returns the entry
-already there.
+Sequences are values.  The built-ins (``fibonacci``, ``factorial`` and
+``powers<b>`` for b >= 2) resolve by name; a user sequence is a finite
+prefix carried in full by every description that uses it, so two prefixes
+under one name never meet in shared state.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 _SCAN_CAP = 10_000  # hard stop for index scans; generous for desk scale
@@ -29,9 +29,11 @@ class SequenceError(ValueError):
 @dataclass(frozen=True)
 class IntegerSequence:
     name: str
-    _value: Callable[[int], int]
-    _tail_divisor: Optional[Callable[[int], int]] = None
+    _value: Callable[[int], int] = field(compare=False)
+    _tail_divisor: Optional[Callable[[int], int]] = field(default=None,
+                                                          compare=False)
     length: Optional[int] = None  # None = unbounded
+    prefix: Optional[tuple] = None  # the terms of a user sequence
 
     def value(self, k: int) -> int:
         if k < 0:
@@ -71,18 +73,7 @@ class IntegerSequence:
         return None
 
 
-_REGISTRY: dict = {}
-
-
-def register(seq: IntegerSequence, validate_depth: int = 12) -> IntegerSequence:
-    if seq.name in _REGISTRY:
-        raise SequenceError(f"sequence {seq.name!r} already registered")
-    _spot_check(seq, validate_depth)
-    _REGISTRY[seq.name] = seq
-    return seq
-
-
-def _spot_check(seq: IntegerSequence, depth: int) -> None:
+def _spot_check(seq: IntegerSequence, depth: int = 12) -> IntegerSequence:
     last = None
     top = depth if seq.length is None else min(depth, seq.length)
     for k in range(top):
@@ -100,34 +91,36 @@ def _spot_check(seq: IntegerSequence, depth: int) -> None:
                     raise SequenceError(
                         f"{seq.name}: tail divisor {d} fails at index {k}"
                     )
+    return seq
 
 
-def register_prefix_sequence(name: str, values: list) -> IntegerSequence:
-    """Register a user-supplied finite sequence prefix.
+def prefix_sequence(name: str, values: list) -> IntegerSequence:
+    """A user-supplied finite sequence; the prefix is the whole sequence.
 
     The tail divisor is the gcd of the stored tail, which is sound because
-    the prefix is the whole sequence.  Re-registering identical values
-    returns the existing entry; different values under the name raise.
+    no term lies past the prefix.  Built-in names are refused, so a name
+    in a description never means two sequences.
     """
-    vals = tuple(int(v) for v in values)
+    if name in _NAMED or _POWERS.fullmatch(name):
+        raise SequenceError(f"{name!r} names a built-in sequence")
+    if not isinstance(values, (list, tuple)) or \
+            any(isinstance(v, bool) or not isinstance(v, int) for v in values):
+        raise SequenceError(f"{name}: prefix must be a list of integers")
+    vals = tuple(values)
     if not vals:
         raise SequenceError("empty prefix")
-    existing = _REGISTRY.get(name)
-    if existing is not None and existing.length == len(vals) and \
-            all(existing.value(k) == v for k, v in enumerate(vals)):
-        return existing
 
     def tail_div(start: int) -> int:
         tail = vals[start:]
         return math.gcd(*tail) if tail else 1
 
-    seq = IntegerSequence(
+    return _spot_check(IntegerSequence(
         name=name,
         _value=lambda k: vals[k],
         _tail_divisor=tail_div,
         length=len(vals),
-    )
-    return register(seq, validate_depth=len(vals))
+        prefix=vals,
+    ), len(vals))
 
 
 def _make_powers(base: int) -> IntegerSequence:
@@ -152,21 +145,40 @@ def _factorial_value(k: int) -> int:
     return math.factorial(k + 1)
 
 
+_POWERS = re.compile(r"powers([1-9]\d*)")
+
+_NAMED = {seq.name: _spot_check(seq) for seq in (
+    IntegerSequence(name="fibonacci", _value=_fib_value),
+    IntegerSequence(
+        name="factorial",
+        _value=_factorial_value,
+        _tail_divisor=lambda t: math.factorial(t + 1),
+    ),
+)}
+
+
 def get_sequence(name: str) -> IntegerSequence:
-    """Look up a registered sequence; powers<base> are created on demand."""
-    if name not in _REGISTRY:
-        m = re.fullmatch(r"powers(\d+)", name)
-        if m:
-            register(_make_powers(int(m.group(1))))
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise SequenceError(f"unknown sequence {name!r}") from None
+    """Resolve a built-in sequence by name."""
+    if name in _NAMED:
+        return _NAMED[name]
+    m = _POWERS.fullmatch(name)
+    if m:
+        return _make_powers(int(m.group(1)))
+    raise SequenceError(f"unknown sequence {name!r}")
 
 
-register(IntegerSequence(name="fibonacci", _value=_fib_value))
-register(IntegerSequence(
-    name="factorial",
-    _value=_factorial_value,
-    _tail_divisor=lambda t: math.factorial(t + 1),
-))
+def sequence_to_json(seq: IntegerSequence) -> dict:
+    """The keys a description uses to name its sequence."""
+    if seq.prefix is None:
+        return {"sequence": seq.name}
+    return {"sequence": seq.name, "prefix": list(seq.prefix)}
+
+
+def sequence_from_json(doc: dict) -> IntegerSequence:
+    """Inverse of ``sequence_to_json``, read from a description's keys."""
+    name = doc["sequence"]
+    if not isinstance(name, str):
+        raise SequenceError(f"sequence name must be a string, got {name!r}")
+    if "prefix" in doc:
+        return prefix_sequence(name, doc["prefix"])
+    return get_sequence(name)

@@ -2,10 +2,10 @@
 
 Five description kinds cover everything the verification harness needs:
 explicit finite sets, unions of residue classes, coordinate boxes in a
-truncated product, symmetric rational intervals, and tails of registered
-integer sequences.  Residue sets are the exactness workhorse: they are
-closed under symmetrization and sumset, so the square-root chains compute
-exactly rather than within budgets.
+truncated product, symmetric rational intervals, and tails of integer
+sequences (a user prefix travels inside the tail's JSON form).  Residue sets
+are the exactness workhorse: they are closed under symmetrization and
+sumset, so the square-root chains compute exactly rather than within budgets.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .groups import (
     AmbientGroup,
@@ -23,8 +23,14 @@ from .groups import (
     ProductMod,
     Rationals,
     group_from_json,
+    op_sum,
 )
-from .sequences import get_sequence
+from .sequences import (
+    IntegerSequence,
+    get_sequence,
+    sequence_from_json,
+    sequence_to_json,
+)
 
 _INTEGERS = Integers()
 _RATIONALS = Rationals()
@@ -225,9 +231,9 @@ class SymmetricInterval(SetSpec):
 
 @dataclass(frozen=True)
 class TailSet(SetSpec):
-    """{x_k : k >= start, k not excluded} over a registered sequence."""
+    """{x_k : k >= start, k not excluded} over an integer sequence."""
 
-    sequence: str
+    sequence: IntegerSequence
     start: int
     excluded: frozenset
 
@@ -236,41 +242,40 @@ class TailSet(SetSpec):
     def __post_init__(self):
         if self.start < 0:
             raise ValueError("start must be nonnegative")
-        get_sequence(self.sequence)  # must resolve
 
     @classmethod
-    def of(cls, sequence: str, start: int = 0,
+    def of(cls, sequence: Union[IntegerSequence, str], start: int = 0,
            excluded: Iterable[int] = ()) -> "TailSet":
+        if isinstance(sequence, str):
+            sequence = get_sequence(sequence)
         return cls(sequence, start, frozenset(excluded))
 
     def ambient(self) -> AmbientGroup:
         return _INTEGERS
 
-    def seq(self):
-        return get_sequence(self.sequence)
-
     def admits(self, k: int) -> bool:
-        return k >= self.start and k not in self.excluded and self.seq().in_range(k)
+        return k >= self.start and k not in self.excluded and \
+            self.sequence.in_range(k)
 
     def contains_value(self, value: int) -> bool:
-        k = self.seq().index_of_value(value, self.start)
+        k = self.sequence.index_of_value(value, self.start)
         return k is not None and k not in self.excluded
 
     def member_values(self, bound: int) -> list:
         """Tail values with absolute value <= bound, in index order."""
-        seq = self.seq()
+        seq = self.sequence
         return [seq.value(k)
                 for k in seq.indices_with_abs_at_most(self.start, bound)
                 if k not in self.excluded]
 
     def describe(self) -> str:
         ex = "" if not self.excluded else f" minus indices {sorted(self.excluded)}"
-        return f"{{{self.sequence}[k] : k >= {self.start}}}{ex}"
+        return f"{{{self.sequence.name}[k] : k >= {self.start}}}{ex}"
 
     def to_json(self) -> dict:
         return {
             "kind": "tail",
-            "sequence": self.sequence,
+            **sequence_to_json(self.sequence),
             "start": self.start,
             "excluded": sorted(self.excluded),
         }
@@ -346,6 +351,15 @@ def contains(spec: SetLike, g: GroupElement) -> bool:
             f"{spec.ambient().describe()['kind']} set"
         )
     return spec.contains_value(g.value)
+
+
+def witness_holds(target: GroupElement, summands: Sequence[GroupElement],
+                  sets: Sequence[SetLike]) -> bool:
+    """True when there is one summand per set, each summand lies in its
+    starred set, and the summands total the target in order."""
+    return len(summands) == len(sets) and \
+        all(contains(star(spec), s) for s, spec in zip(summands, sets)) and \
+        op_sum(target.group, summands).value == target.value
 
 
 def _base_of(spec: SetLike) -> SetSpec:
@@ -501,7 +515,7 @@ def divisor_certificate(spec: SetLike) -> int:
             d = math.gcd(d, r)
         return d
     if isinstance(base, TailSet):
-        return base.seq().tail_divisor(base.start)
+        return base.sequence.tail_divisor(base.start)
     return 1
 
 
@@ -545,7 +559,7 @@ def residue_envelope(spec: SetLike, modulus: int) -> Optional[frozenset]:
                 return None
         return frozenset(out)
     if isinstance(spec, TailSet):
-        seq = spec.seq()
+        seq = spec.sequence
         cutoff = None
         t = spec.start
         while seq.in_range(t) and t <= spec.start + _ENVELOPE_SCAN_CAP:
@@ -584,6 +598,6 @@ def spec_from_json(doc: dict, group: Optional[AmbientGroup] = None) -> SetLike:
     if kind == "interval":
         return SymmetricInterval.of(Fraction(doc["epsilon"]))
     if kind == "tail":
-        return TailSet.of(doc["sequence"], int(doc["start"]),
+        return TailSet.of(sequence_from_json(doc), int(doc["start"]),
                           doc.get("excluded", ()))
     raise ValueError(f"unknown set kind {kind!r}")

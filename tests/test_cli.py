@@ -2,19 +2,41 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from grouptop.cli import main
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
+SQRT7_SHA256 = \
+    "0c82c86153d9b398c731e533a79c65ad3dfe986ce36020c7807879b7f0194dc5"
+POWERS3_SHA256 = \
+    "59926c1de9e8ef61b26ab09a04642952407716c52138126315c442970b48c63b"
 
 
 def run(argv, capsys):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_fresh(argv):
+    """The CLI in a new interpreter, sharing no state with this process."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [x for x in [env.get("PYTHONPATH")] if x])
+    return subprocess.run([sys.executable, "-m", "grouptop.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_hensel_table(capsys):
@@ -108,25 +130,25 @@ def test_hausdorff_powers3_consistent_exits_0(tmp_path, capsys):
 
 def test_hausdorff_user_sequence_config(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
+    prefix = [1, 4, 16, 64, 256, 1024, 4096]
     cfg.write_text(json.dumps({
-        "sequences": {"cli-user-seq": {
-            "prefix": [1, 4, 16, 64, 256, 1024, 4096],
-        }},
-        "family": {"kind": "cofinite", "sequence": "cli-user-seq"},
+        "family": {"kind": "cofinite", "sequence": "cli-user-seq",
+                   "prefix": prefix},
         "probes": [3],
         "budgets": {"n_max": 1, "depth": 4, "max_len": 2},
     }))
     code, out, _ = run(["hausdorff", str(cfg)], capsys)
     assert code in (0, 3)  # honest outcome either way for a finite prefix
-    doc = json.loads(out)
-    assert doc["claims"][0]["payload"]["family"]["sequence"] == "cli-user-seq"
+    family = json.loads(out)["claims"][0]["payload"]["family"]
+    assert family == {"kind": "cofinite", "sequence": "cli-user-seq",
+                      "prefix": prefix, "start": 0}
 
 
 def test_hausdorff_same_user_sequence_config_twice(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
-        "sequences": {"cli-twice-seq": {"prefix": [1, 5, 25, 125, 625]}},
-        "family": {"kind": "cofinite", "sequence": "cli-twice-seq"},
+        "family": {"kind": "cofinite", "sequence": "cli-twice-seq",
+                   "prefix": [1, 5, 25, 125, 625]},
         "probes": [2, 5],
         "budgets": {"n_max": 1, "depth": 4, "max_len": 2},
     }))
@@ -137,16 +159,71 @@ def test_hausdorff_same_user_sequence_config_twice(tmp_path, capsys):
     assert r1.read_bytes() == r2.read_bytes()
 
 
+def test_user_prefix_named_like_builtin_is_refused(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "family": {"kind": "cofinite", "sequence": "powers3",
+                   "prefix": [1, 2, 4, 8, 16]},
+        "probes": [1, 2, 3],
+    }))
+    code, out, err = run(["hausdorff", str(cfg)], capsys)
+    assert code == 1 and out == "" and "'powers3'" in err
+    report = tmp_path / "report.json"
+    code, _, _ = run(["hausdorff", str(CONFIGS / "powers3.json"),
+                      "--out", str(report)], capsys)
+    assert code == 0 and sha256(report) == POWERS3_SHA256
+
+
+def test_user_prefix_report_rechecks_in_fresh_interpreter(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "family": {"kind": "cofinite", "sequence": "cli-fresh-seq",
+                   "prefix": [1, 4, 16, 64, 256, 1024, 4096]},
+        "probes": [2, 3, 5],
+        "budgets": {"n_max": 2, "depth": 5, "max_len": 3},
+    }))
+    report = tmp_path / "report.json"
+    code, _, err = run(["hausdorff", str(cfg), "--out", str(report)], capsys)
+    assert code in (0, 2, 3), err
+    proc = run_fresh(["recheck", str(report)])
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "  ok     hausdorff:cli-fresh-seq" in proc.stdout
+
+
+def test_one_name_two_prefixes_in_one_process(tmp_path, capsys):
+    """Each config gives the bytes it gives in a process of its own."""
+    alone, together = {}, {}
+    for tag, prefix in (("a", [1, 4, 16, 64, 256]),
+                        ("b", [1, 5, 25, 125, 625])):
+        cfg = tmp_path / f"{tag}.json"
+        cfg.write_text(json.dumps({
+            "family": {"kind": "cofinite", "sequence": "cli-shared-seq",
+                       "prefix": prefix},
+            "probes": [2, 5],
+            "budgets": {"n_max": 1, "depth": 4, "max_len": 2},
+        }))
+        out = tmp_path / f"{tag}-alone.json"
+        proc = run_fresh(["hausdorff", str(cfg), "--out", str(out)])
+        assert proc.returncode != 1, proc.stderr
+        alone[tag] = (cfg, out.read_bytes())
+    for tag, (cfg, _) in alone.items():
+        out = tmp_path / f"{tag}-together.json"
+        code, _, err = run(["hausdorff", str(cfg), "--out", str(out)], capsys)
+        assert code != 1, err
+        together[tag] = out.read_bytes()
+    assert together == {tag: body for tag, (_, body) in alone.items()}
+    assert together["a"] != together["b"]
+
+
 @pytest.mark.parametrize("doc, key", [
     ({"family": {"kind": "cofinite", "sequence": "powers3"},
       "probes": [1], "window": 8}, "window"),
     ({"family": {"kind": "cofinite", "sequence": "powers3"},
       "probes": [1], "budgets": {"n-max": 50}}, "n-max"),
-    ({"sequences": {"cli-stale-seq": {"prefix": [1, 4, 16],
-                                      "doubling_from": 0}},
+    ({"sequences": {"cli-stale-seq": {"prefix": [1, 4, 16]}},
       "family": {"kind": "cofinite", "sequence": "cli-stale-seq"},
-      "probes": [1]}, "doubling_from"),
-], ids=["top-level", "budgets", "sequence-entry"])
+      "probes": [1]}, "sequences"),
+], ids=["top-level", "budgets", "sequences"])
 def test_hausdorff_unknown_config_key_exits_1(tmp_path, capsys, doc, key):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
@@ -155,18 +232,37 @@ def test_hausdorff_unknown_config_key_exits_1(tmp_path, capsys, doc, key):
     assert err.count("\n") == 1 and repr(key) in err
 
 
+POWERS3 = {"kind": "cofinite", "sequence": "powers3"}
+
+
+@pytest.mark.parametrize("doc", [
+    {"family": POWERS3, "probes": 5},
+    {"family": POWERS3, "probes": ["a"]},
+    {"family": [], "probes": [1]},
+    {"family": POWERS3, "probes": [1.5]},
+    {"family": POWERS3, "probes": [True]},
+    {"family": POWERS3, "probes": [1], "budgets": {"n_max": 1.5}},
+    {"family": {"kind": "cofinite", "sequence": 5}, "probes": [1]},
+], ids=["probes-number", "probes-string", "family-list", "probes-float",
+        "probes-bool", "budget-float", "sequence-number"])
+def test_hausdorff_malformed_config_value_exits_1(tmp_path, capsys, doc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    code, out, err = run(["hausdorff", str(cfg)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("bad config: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("config, digest", [
-    ("sqrt7.json",
-     "0c82c86153d9b398c731e533a79c65ad3dfe986ce36020c7807879b7f0194dc5"),
-    ("powers3.json",
-     "59926c1de9e8ef61b26ab09a04642952407716c52138126315c442970b48c63b"),
+    ("sqrt7.json", SQRT7_SHA256),
+    ("powers3.json", POWERS3_SHA256),
 ], ids=["sqrt7", "powers3"])
 def test_shipped_config_report_bytes_pinned(tmp_path, capsys, config, digest):
     """Report bytes of the shipped configs; a deliberate change to the
     report body bumps ``schema`` and refreshes these digests."""
     report = tmp_path / "report.json"
     run(["hausdorff", str(CONFIGS / config), "--out", str(report)], capsys)
-    assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
+    assert sha256(report) == digest
 
 
 def test_hausdorff_identity_probe_exits_1(tmp_path, capsys):

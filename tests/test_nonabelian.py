@@ -110,7 +110,7 @@ def test_uq_exact_no_on_cayley():
     d4, assign = d4_assignment([["r"], ["r"], ["r"]])
     res = uq_membership(d4.element("s"), assign, depth=4)
     assert res.status == "no"
-    assert "stabilized_at" in res.searched
+    assert "stabilized_at" in res.proof
 
 
 def test_uq_free_group_miss_stays_unknown():

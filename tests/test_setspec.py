@@ -23,7 +23,7 @@ from grouptop import (
 from grouptop.sequences import (
     SequenceError,
     get_sequence,
-    register_prefix_sequence,
+    prefix_sequence,
 )
 from grouptop.setspec import SumsetUnsupported, divides, divisor_certificate
 
@@ -233,16 +233,32 @@ def test_sequence_registry():
         get_sequence("nope")
 
 
-def test_prefix_sequence_registration_is_write_once():
-    register_prefix_sequence("test-prefix-a", [1, 10, 100])
-    seq = get_sequence("test-prefix-a")
+def test_powers_sequences_pass_the_spot_check():
+    # the sampled check that built-in sequences get at import, for powers<b>
+    for b in range(2, 11):
+        seq = get_sequence(f"powers{b}")
+        vals = [seq.value(k) for k in range(12)]
+        assert all(abs(x) < abs(y) for x, y in zip(vals, vals[1:])), b
+        for t in range(6):
+            assert all(v % seq.tail_divisor(t) == 0 for v in vals[t:]), (b, t)
+    with pytest.raises(SequenceError):
+        get_sequence("powers1")
+
+
+def test_prefix_sequence_value_semantics():
+    seq = prefix_sequence("test-prefix-a", [1, 10, 100])
     assert seq.value(2) == 100 and seq.length == 3
     assert seq.tail_divisor(1) == 10
-    assert register_prefix_sequence("test-prefix-a", [1, 10, 100]) is seq
+    assert prefix_sequence("test-prefix-a", [1, 10, 100]) == seq
+    assert prefix_sequence("test-prefix-a", [1, 20]) != seq
+    assert get_sequence("powers3") == get_sequence("powers3")
+    for name in ("fibonacci", "factorial", "powers3"):
+        with pytest.raises(SequenceError):
+            prefix_sequence(name, [1, 10, 100])  # built-in names are taken
     with pytest.raises(SequenceError):
-        register_prefix_sequence("test-prefix-a", [1, 2])
+        prefix_sequence("test-bad", [3, 2, 1])  # not increasing
     with pytest.raises(SequenceError):
-        register_prefix_sequence("test-bad", [3, 2, 1])  # not increasing
+        prefix_sequence("test-bad", [1, 2.5])  # not an integer
 
 
 # --- JSON round-trips ---
@@ -258,6 +274,7 @@ def test_setspec_json_round_trips():
         TailSet.of("powers3", 2, excluded={4}),
         FiniteSet.of(d4, ["r", "s"]),
         star(TailSet.of("powers3", 1)),
+        TailSet.of(prefix_sequence("user-p", [1, -4, 16]), 1, excluded={2}),
     ]
     for spec in specs:
         doc = spec.to_json()
