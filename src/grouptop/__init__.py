@@ -35,7 +35,6 @@ from .setspec import (
 )
 from .prefixsum import (
     MembershipResult,
-    SearchBudget,
     prefix_sum_membership,
 )
 from .filters import (

@@ -28,6 +28,7 @@ from .report import (
     report_document,
     stopwatch,
 )
+from .setspec import reject_unknown_keys
 
 _EXIT_FOR_STATUS = {
     Status.VERIFIED: 0,
@@ -39,14 +40,6 @@ _INTEGERS = Integers()
 
 _CONFIG_KEYS = {"family", "probes", "budgets"}
 _BUDGET_KEYS = {"n_max", "depth", "max_len"}
-
-
-def _reject_unknown_keys(doc, allowed: set, where: str) -> None:
-    if not isinstance(doc, dict):
-        raise ValueError(f"{where} must be a JSON object")
-    for key in sorted(doc):
-        if key not in allowed:
-            raise ValueError(f"unknown key {key!r} in {where}")
 
 
 @dataclass
@@ -61,9 +54,9 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, doc: dict) -> "RunConfig":
-        _reject_unknown_keys(doc, _CONFIG_KEYS, "config")
+        reject_unknown_keys(doc, _CONFIG_KEYS, "config")
         budgets = doc.get("budgets", {})
-        _reject_unknown_keys(budgets, _BUDGET_KEYS, "budgets")
+        reject_unknown_keys(budgets, _BUDGET_KEYS, "budgets")
         if not isinstance(doc["family"], dict):
             raise ValueError("family must be a JSON object")
         if not isinstance(doc["probes"], list):

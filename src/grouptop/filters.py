@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 from .groups import GroupElement, op_sub
-from .prefixsum import DEFAULT_BUDGET, MembershipResult, prefix_sum_membership
+from .prefixsum import SEARCH_BUDGET, MembershipResult, prefix_sum_membership
 from .report import Status, VerificationReport, aggregate_status
 from .sequences import IntegerSequence, sequence_from_json, sequence_to_json
 from .setspec import (
@@ -27,6 +27,8 @@ from .setspec import (
     SumsetUnsupported,
     TailSet,
     contains,
+    description_kind,
+    integer_from_json,
     n_fold_star,
     spec_from_json,
     star,
@@ -154,38 +156,45 @@ class ExplicitFamily(FilterFamily):
                 "members": [m.to_json() for m in self.members]}
 
 
+# Every key a family description may carry, per kind.
+_FAMILY_KEYS = {
+    "cofinite": {"kind", "sequence", "prefix", "start"},
+    "explicit": {"kind", "name", "members"},
+    "chain": {"kind", "generator", "coords"},
+}
+
+
 def family_from_json(doc: dict) -> FilterFamily:
     """Build a family from its JSON description.
 
     Chain generators are looked up by name: "sqrt7" (square-root residue
     chains), "interval-halving", and "product-boxes" are built in.
+    Unknown kinds and keys and non-integer integers raise ValueError.
     """
-    kind = doc["kind"]
+    kind = description_kind(doc, _FAMILY_KEYS, "family")
     if kind == "cofinite":
         return CofiniteFamily(sequence_from_json(doc),
-                              int(doc.get("start", 0)))
+                              integer_from_json(doc.get("start", 0)))
     if kind == "explicit":
         return ExplicitFamily([spec_from_json(m) for m in doc["members"]],
                               name=doc.get("name", "explicit"))
-    if kind == "chain":
-        name = doc["generator"]
-        if name == "sqrt7":
-            from .examples import sqrt7_set
-            return ChainFamily(lambda i: sqrt7_set(i + 1), name="sqrt7")
-        if name == "interval-halving":
-            from fractions import Fraction
-            from .setspec import SymmetricInterval
-            return ChainFamily(
-                lambda i: SymmetricInterval(Fraction(1, 2 ** i)),
-                name="interval-halving",
-            )
-        if name == "product-boxes":
-            from .examples import product_set
-            coords = int(doc.get("coords", 6))
-            return ChainFamily(lambda i: product_set(coords, i + 1),
-                               length=coords, name=f"product-boxes-{coords}")
-        raise ValueError(f"unknown chain generator {name!r}")
-    raise ValueError(f"unknown family kind {kind!r}")
+    name = doc["generator"]
+    if name == "sqrt7":
+        from .examples import sqrt7_set
+        return ChainFamily(lambda i: sqrt7_set(i + 1), name="sqrt7")
+    if name == "interval-halving":
+        from fractions import Fraction
+        from .setspec import SymmetricInterval
+        return ChainFamily(
+            lambda i: SymmetricInterval(Fraction(1, 2 ** i)),
+            name="interval-halving",
+        )
+    if name == "product-boxes":
+        from .examples import product_set
+        coords = integer_from_json(doc.get("coords", 6))
+        return ChainFamily(lambda i: product_set(coords, i + 1),
+                           length=coords, name=f"product-boxes-{coords}")
+    raise ValueError(f"unknown chain generator {name!r}")
 
 
 @dataclass(frozen=True)
@@ -450,7 +459,7 @@ class SeparationCertificate:
             "family": self.family,
             "policy": self.policy,
             "steps": [s.to_json() for s in self.steps],
-            "budget": DEFAULT_BUDGET.as_dict(),
+            "budget": dict(SEARCH_BUDGET),
         }
 
 
@@ -604,7 +613,7 @@ def hausdorff_verdict(
         payload={"verdict": verdict, "probes": per_probe,
                  "family": family.describe()},
         budgets={"n_max": n_max, "depth": depth, "max_len": max_len,
-                 **DEFAULT_BUDGET.as_dict()},
+                 **SEARCH_BUDGET},
     )
 
 

@@ -7,6 +7,12 @@ itself.  Assignments give every index the set attached to its lowest-terms
 level; towers T_0 >= T_1 >= ... with T_i T_i T_i inside T_{i-1} generate
 such assignments and admit the middle-thirds collapse certificate.
 
+Witnesses come from one breadth-first table (``enumerate_u_witnesses``)
+and are checked by one rule (``_witness_is_valid``: indices increase, then
+``setspec.witness_holds``), shared by membership, product absorption,
+inverse closure and translation.  Each level is symmetrized once per
+assignment.
+
 The module also carries the conjugation closure of a family and the
 Fibonacci endomorphism x -> y, y -> xy of the free group on two
 generators.  The n-fold exclusion check over nonabelian finite sets is
@@ -18,7 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Sequence
+from functools import cached_property
+from typing import Dict, Sequence
 
 from .filters import ExplicitFamily
 from .groups import (
@@ -28,17 +35,16 @@ from .groups import (
     op_add,
     op_conjugate,
     op_neg,
-    op_sum,
 )
 from .prefixsum import MembershipResult
 from .report import Status, VerificationReport
 from .setspec import (
     FiniteSet,
     SetSpec,
-    contains,
     star,
     subset_of,
     sumset,
+    witness_holds,
 )
 
 
@@ -71,9 +77,6 @@ class DyadicIndex:
 
     def __lt__(self, other: "DyadicIndex") -> bool:
         return self.fraction() < other.fraction()
-
-    def __le__(self, other: "DyadicIndex") -> bool:
-        return self.fraction() <= other.fraction()
 
     def __str__(self) -> str:
         return f"{self.num}/{2 ** self.level}"
@@ -112,6 +115,12 @@ class DyadicAssignment:
             raise ValueError(f"index {q} beyond materialized level")
         return self.levels[q.level - 1]
 
+    @cached_property
+    def starred(self) -> tuple:
+        """Each level's starred elements, symmetrized once for the life of
+        the assignment; starred[i-1] belongs to level i."""
+        return tuple(tuple(star(s).base.elements()) for s in self.levels)
+
     def indices(self) -> list:
         return dyadic_indices(self.max_level)
 
@@ -141,41 +150,13 @@ def _reachable(assignment: DyadicAssignment) -> dict:
     group = assignment.levels[0].ambient()
     reach = {group.identity_value(): 0}
     for q in indices:
-        starred = star(assignment.set_at(q))
         snapshot = list(reach.items())
         for value, count in snapshot:
-            for el in starred.base.elements():
+            for el in assignment.starred[q.level - 1]:
                 nxt = group._add(value, el.value)
                 if count + 1 < reach.get(nxt, math.inf):
                     reach[nxt] = count + 1
     return reach
-
-
-def _witness_search(g: GroupElement, assignment: DyadicAssignment,
-                    depth: int) -> Optional[tuple]:
-    """Smallest-index-first DFS for an increasing-index factorization."""
-    indices = assignment.indices()
-    group = g.group
-    trail: list = []
-
-    def dfs(pos: int, acc) -> bool:
-        if acc == g.value and trail:
-            return True
-        if len(trail) >= depth:
-            return False
-        for j in range(pos, len(indices)):
-            q = indices[j]
-            starred = star(assignment.set_at(q))
-            for el in starred.base.elements():
-                trail.append((q, el))
-                if dfs(j + 1, group._add(acc, el.value)):
-                    return True
-                trail.pop()
-        return False
-
-    if dfs(0, group.identity_value()):
-        return tuple(trail)
-    return None
 
 
 def uq_membership(g: GroupElement, assignment: DyadicAssignment,
@@ -183,36 +164,36 @@ def uq_membership(g: GroupElement, assignment: DyadicAssignment,
     """Does g lie in a product of starred sets along some increasing dyadic
     index sequence of length <= depth?
 
-    Exhaustive within the materialized levels and the depth cap.  The empty
-    product contributes the identity.  A miss upgrades from unknown to an
-    exact "no" only over finite table groups whose reachable products
-    stabilize before the cap; free-group misses stay unknown.
+    Exhaustive within the materialized levels and the depth cap: a "yes"
+    carries the shortest witness in the ``enumerate_u_witnesses`` table,
+    re-checked by ``_witness_is_valid``.  The empty product contributes the
+    identity.  A miss upgrades from unknown to an exact "no" only over
+    finite table groups whose reachable products stabilize before the cap;
+    free-group misses stay unknown.
     """
     if depth < 1:
         raise ValueError("depth must be positive")
     if g.is_identity():
         return MembershipResult("yes", witness=())
+    hits = [w for (value, _), w in
+            enumerate_u_witnesses(assignment, depth).items()
+            if value == g.value]
+    if hits:
+        witness = min(hits, key=len)
+        if not _witness_is_valid(g.group, assignment, witness, g.value):
+            raise AssertionError(f"witness for {g} does not re-verify")
+        return MembershipResult("yes", witness=witness)
     proof = {"depth": depth, "max_level": assignment.max_level}
     if isinstance(g.group, CayleyGroup):
-        # The reachability table is complete for table groups, so decide
-        # from it and only run the DFS when a witness is known to exist.
+        # The reachability table is complete for table groups: an element
+        # it never reaches, once it stabilizes inside the cap, is a "no".
         reach = _reachable(assignment)
-        if reach.get(g.value, math.inf) <= depth:
-            found = _witness_search(g, assignment, reach[g.value])
-            assert found is not None, "reachable element must have a witness"
-            return MembershipResult("yes", witness=found)
         stabilized_at = max(reach.values())
         if g.value not in reach and stabilized_at < depth:
             proof["stabilized_at"] = stabilized_at
             return MembershipResult("no", proof=proof)
         if g.value not in reach:
             proof["note"] = "unreached but closure not inside depth cap"
-        return MembershipResult("unknown", proof=proof)
-    found = _witness_search(g, assignment, depth)
-    if found is not None:
-        product = op_sum(g.group, [el for _, el in found])
-        assert product.value == g.value, "witness product mismatch"
-        return MembershipResult("yes", witness=found)
     return MembershipResult("unknown", proof=proof)
 
 
@@ -231,6 +212,7 @@ def enumerate_u_witnesses(assignment: DyadicAssignment,
 
 def _products_over(group, assignment: DyadicAssignment,
                    indices: Sequence[DyadicIndex], depth: int) -> dict:
+    factors = [assignment.starred[q.level - 1] for q in indices]
     out: dict = {(group.identity_value(), -1): ()}
     frontier = [(group.identity_value(), (), -1)]
     for _ in range(depth):
@@ -238,8 +220,7 @@ def _products_over(group, assignment: DyadicAssignment,
         for value, witness, pos in frontier:
             for j in range(pos + 1, len(indices)):
                 q = indices[j]
-                starred = star(assignment.set_at(q))
-                for el in starred.base.elements():
+                for el in factors[j]:
                     v2 = group._add(value, el.value)
                     if (v2, j) in out:
                         continue
@@ -284,9 +265,11 @@ def check_UU(assignment: DyadicAssignment, sigma: Rescale, tau: Rescale,
     """Product of the two rescaled neighborhood sets lands in the combined
     one: every pair of bounded witnesses concatenates into a witness.
 
-    Requires sigma's image to lie entirely below tau's.  Each product is
-    verified twice: by re-multiplying the concatenated witness and by the
-    independent membership search at the combined depth.
+    Requires sigma's image to lie entirely below tau's.  Each rescaled
+    witness is validated once against the combined assignment; a pair's
+    concatenation is then a witness exactly when the last left index lies
+    below the first right index.  Each product is also confirmed by the
+    independent reachability table at the combined depth.
     """
     if not sigma.entirely_below(tau):
         raise ValueError("sigma's image must lie entirely below tau's")
@@ -294,26 +277,24 @@ def check_UU(assignment: DyadicAssignment, sigma: Rescale, tau: Rescale,
     if shift_cap < 1:
         raise ValueError("assignment too shallow for these rescalings")
 
-    left = assignment.shifted(sigma.shift)
-    right = assignment.shifted(tau.shift)
-    lefts = enumerate_u_witnesses(left, depth)
-    rights = enumerate_u_witnesses(right, depth)
     group = assignment.levels[0].ambient()
+    lefts = _validated(group, assignment, enumerate_u_witnesses(
+        assignment.shifted(sigma.shift), depth), sigma)
+    rights = _validated(group, assignment, enumerate_u_witnesses(
+        assignment.shifted(tau.shift), depth), tau)
     # Independent route: the full reachability table of the combined set.
     reach = _reachable(assignment)
     identity = group.identity_value()
 
     pairs = 0
     failures = []
-    for (lv, _), lw in _sorted_witness_items(group, lefts):
-        for (rv, _), rw in _sorted_witness_items(group, rights):
+    for lv, lw, l_ok in lefts:
+        for rv, rw, r_ok in rights:
             pairs += 1
             product = group._add(lv, rv)
-            mapped = tuple((sigma.apply(q), el) for q, el in lw) + \
-                tuple((tau.apply(q), el) for q, el in rw)
-            ok = _witness_is_valid(group, assignment, mapped, product)
+            joins = not lw or not rw or lw[-1][0] < rw[0][0]
             confirm = product == identity or reach.get(product, math.inf) <= 2 * depth
-            if not (ok and confirm):
+            if not (l_ok and r_ok and joins and confirm):
                 failures.append({
                     "left": group.value_to_json(lv),
                     "right": group.value_to_json(rv),
@@ -333,22 +314,30 @@ def check_UU(assignment: DyadicAssignment, sigma: Rescale, tau: Rescale,
     )
 
 
+def _validated(group, assignment: DyadicAssignment, table: dict,
+               rescale: Rescale | None = None) -> list:
+    """(value, witness, valid in assignment) per table entry, sorted; with
+    a rescale, each witness is first moved by it."""
+    out = []
+    for (value, _), witness in _sorted_witness_items(group, table):
+        if rescale is not None:
+            witness = tuple((rescale.apply(q), el) for q, el in witness)
+        out.append((value, witness,
+                    _witness_is_valid(group, assignment, witness, value)))
+    return out
+
+
 def _witness_is_valid(group, assignment: DyadicAssignment,
                       witness: tuple, expected) -> bool:
-    """Indices strictly increase, factors belong, product matches."""
-    last = None
-    for q, el in witness:
-        if last is not None and not last < q:
-            return False
-        last = q
-        if q.level > assignment.max_level:
-            return False
-        if not contains(star(assignment.set_at(q)), el):
-            return False
-    total = group.identity_value()
-    for _, el in witness:
-        total = group._add(total, el.value)
-    return total == expected
+    """Indices strictly increase inside the materialized levels, and the
+    factors witness the expected product (``setspec.witness_holds``)."""
+    qs = [q for q, _ in witness]
+    if any(q.level > assignment.max_level for q in qs) or \
+            not all(a < b for a, b in zip(qs, qs[1:])):
+        return False
+    return witness_holds(GroupElement(group, expected),
+                         [el for _, el in witness],
+                         [assignment.set_at(q) for q in qs])
 
 
 def check_inverse_closure(assignment: DyadicAssignment,
@@ -379,23 +368,29 @@ def check_inverse_closure(assignment: DyadicAssignment,
 def check_translation(assignment: DyadicAssignment,
                       depth: int) -> VerificationReport:
     """For x in the neighborhood set with top index q, products with the
-    set restricted above q stay inside: witnesses concatenate."""
+    set restricted above q stay inside: witnesses concatenate.
+
+    Each witness, of x or of a restricted product, is validated once; a
+    pair then needs only the join below its first restricted index.
+    """
     witnesses = enumerate_u_witnesses(assignment, depth)
     group = assignment.levels[0].ambient()
     indices = assignment.indices()
+    tails: dict = {}  # top index -> validated witnesses above it
     checked = 0
     failures = []
-    for (value, _), witness in _sorted_witness_items(group, witnesses):
+    for value, witness, x_ok in _validated(group, assignment, witnesses):
         if not witness:
             continue
         top = witness[-1][0]
-        above = [q for q in indices if top < q]
-        tail_products = _products_over(group, assignment, above, depth)
-        for (uval, _), uwit in _sorted_witness_items(group, tail_products):
+        if top not in tails:
+            above = [q for q in indices if top < q]
+            tails[top] = _validated(group, assignment, _products_over(
+                group, assignment, above, depth))
+        for uval, uwit, u_ok in tails[top]:
             checked += 1
-            product = group._add(value, uval)
-            joined = witness + uwit
-            if not _witness_is_valid(group, assignment, joined, product):
+            joins = not uwit or top < uwit[0][0]
+            if not (x_ok and u_ok and joins):
                 failures.append({
                     "x": group.value_to_json(value),
                     "u": group.value_to_json(uval),
@@ -444,14 +439,6 @@ class ReductionStage:
     merges: tuple  # tuple[(left, mid, right), ...] as strings
     inclusion_exact: bool
 
-    def to_json(self) -> dict:
-        return {
-            "level": self.level,
-            "indices": list(self.indices),
-            "merges": [list(m) for m in self.merges],
-            "inclusion_exact": self.inclusion_exact,
-        }
-
 
 @dataclass(frozen=True)
 class ReductionCertificate:
@@ -461,13 +448,6 @@ class ReductionCertificate:
     j: int
     stages: tuple
     final_set: SetSpec
-
-    def to_json(self) -> dict:
-        return {
-            "j": self.j,
-            "stages": [s.to_json() for s in self.stages],
-            "final_set": self.final_set.to_json(),
-        }
 
 
 def s_in_u_reduce(tower: TowerChain, j: int) -> ReductionCertificate:

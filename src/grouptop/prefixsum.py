@@ -42,24 +42,9 @@ from .setspec import (
 _INTEGERS = Integers()
 
 
-@dataclass(frozen=True)
-class SearchBudget:
-    """Caps for the bounded decomposition search."""
-
-    per_set_candidates: int = 64
-    value_cap_factor: int = 1  # candidate |x| <= factor * n * max(|g|, 1)
-
-    def value_cap(self, g_abs: int, n_sets: int) -> int:
-        return self.value_cap_factor * n_sets * max(g_abs, 1)
-
-    def as_dict(self) -> dict:
-        return {
-            "per_set_candidates": self.per_set_candidates,
-            "value_cap_factor": self.value_cap_factor,
-        }
-
-
-DEFAULT_BUDGET = SearchBudget()
+# Caps for the bounded decomposition search: at most per_set_candidates
+# tail values per set, each with |x| <= value_cap_factor * n * max(|g|, 1).
+SEARCH_BUDGET = {"per_set_candidates": 64, "value_cap_factor": 1}
 
 
 @dataclass(frozen=True)
@@ -127,8 +112,8 @@ def _decompose_exact(g: GroupElement, stars: Sequence[StarSet],
                      folds: Sequence) -> tuple:
     """Build a summand witness for an exact-fold "yes", variant by variant.
 
-    Chooses each summand so that the remainder stays inside the folded sum
-    of the remaining sets; the final summand is the remainder itself.
+    Peels each summand s off the left, keeping (-s) + remainder inside the
+    folded sum of the remaining sets; the final summand is the remainder.
     Residue-class summands are solved by CRT against the next fold, since
     the right representative depends on the finer modulus downstream.
     """
@@ -139,7 +124,7 @@ def _decompose_exact(g: GroupElement, stars: Sequence[StarSet],
         nxt = folds[i + 1]
         choice = None
         for cand in _exact_candidates(st, remainder, nxt):
-            rest = op_add(remainder, GroupElement(group, group._neg(cand)))
+            rest = op_add(GroupElement(group, group._neg(cand)), remainder)
             if nxt.contains_value(rest.value):
                 choice = GroupElement(group, cand)
                 remainder = rest
@@ -229,28 +214,25 @@ def _box_decompose(g: GroupElement, stars: Sequence[StarSet],
     return tuple(g.group.element(v) for v in vectors)
 
 
-def _search_candidates(st: StarSet, g_abs: int, n_sets: int,
-                       budget: SearchBudget) -> Optional[list]:
+def _search_candidates(st: StarSet, g_abs: int,
+                       n_sets: int) -> Optional[list]:
     """Finite candidate list for the bounded search, or None if unbounded."""
     base = st.base
     if isinstance(base, FiniteSet):
         vals = [el.value for el in base.elements()]
         return vals, True  # complete enumeration
     if isinstance(base, TailSet):
-        cap = budget.value_cap(g_abs, n_sets)
+        cap = SEARCH_BUDGET["value_cap_factor"] * n_sets * max(g_abs, 1)
         vals = base.member_values(cap)
         out = [0]
-        for v in vals[: budget.per_set_candidates]:
+        for v in vals[: SEARCH_BUDGET["per_set_candidates"]]:
             out.extend((v, -v))
         return out, False
     return None
 
 
-def prefix_sum_membership(
-    g: GroupElement,
-    chain: Sequence[SetLike],
-    budget: SearchBudget = DEFAULT_BUDGET,
-) -> MembershipResult:
+def prefix_sum_membership(g: GroupElement,
+                          chain: Sequence[SetLike]) -> MembershipResult:
     """Decide g in S_0* + ... + S_{n-1}* for the given chain.
 
     Exact when every set supports exact sumsets or a divisor certificate
@@ -318,7 +300,7 @@ def prefix_sum_membership(
         if env_no is not None:
             return env_no
 
-    plan = _plan(g, stars, budget)
+    plan = _plan(g, stars)
     found = _bounded_search(g, stars, plan)
     if found is not None:
         _verify_witness(g, stars, found)
@@ -330,7 +312,7 @@ def prefix_sum_membership(
     return MembershipResult(
         "unknown",
         note="bounded search exhausted without a witness",
-        proof={"route": "bounded-search", "budget": budget.as_dict()},
+        proof={"route": "bounded-search", "budget": dict(SEARCH_BUDGET)},
     )
 
 
@@ -398,13 +380,13 @@ def _envelope_exclusion(g: GroupElement, stars: Sequence[StarSet]
     )
 
 
-def _plan(g, stars, budget) -> Optional[list]:
+def _plan(g, stars) -> Optional[list]:
     """One (candidates, complete) pair per set, or None when some set has
     no finite candidate list."""
     g_abs = abs(g.value) if isinstance(g.value, int) else 0
     plan = []
     for st in stars:
-        cand = _search_candidates(st, g_abs, len(stars), budget)
+        cand = _search_candidates(st, g_abs, len(stars))
         if cand is None:
             return None
         plan.append(cand)
@@ -416,8 +398,8 @@ def _bounded_search(g: GroupElement, stars: Sequence[StarSet],
     """Depth-first decomposition search over finite candidate lists.
 
     Only applicable when every set yields candidates (finite sets and
-    certified tails).  Prunes on the reachable-magnitude envelope of the
-    remaining sets for integer chains.
+    certified tails).  Summands v peel off the left: (-v) + remainder.
+    Prunes on the reachable-magnitude envelope of the rest for integers.
     """
     if plan is None:
         return None
@@ -440,7 +422,7 @@ def _bounded_search(g: GroupElement, stars: Sequence[StarSet],
             return False
         for v in cands[i]:
             out.append(GroupElement(group, v))
-            nxt = group._add(remainder, group._neg(v))
+            nxt = group._add(group._neg(v), remainder)
             if dfs(i + 1, nxt):
                 return True
             out.pop()
@@ -451,14 +433,10 @@ def _bounded_search(g: GroupElement, stars: Sequence[StarSet],
     return None
 
 
-def decomposition_recheck(
-    g: GroupElement,
-    chain: Sequence[SetLike],
-    budget: SearchBudget = DEFAULT_BUDGET,
-) -> bool:
+def decomposition_recheck(g: GroupElement, chain: Sequence[SetLike]) -> bool:
     """Independent brute-force search: True when some witness exists within
-    the budget caps.  Used to cross-examine "no" proofs."""
+    the ``SEARCH_BUDGET`` caps.  Used to cross-examine "no" proofs."""
     stars = [star(s) for s in chain]
     if g.is_identity():
         return True
-    return _bounded_search(g, stars, _plan(g, stars, budget)) is not None
+    return _bounded_search(g, stars, _plan(g, stars)) is not None

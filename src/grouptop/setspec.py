@@ -581,9 +581,43 @@ def residue_envelope(spec: SetLike, modulus: int) -> Optional[frozenset]:
     return None
 
 
+def reject_unknown_keys(doc, allowed: set, where: str) -> None:
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    if not allowed.issuperset(doc):
+        key = min(k for k in doc if k not in allowed)
+        raise ValueError(f"unknown key {key!r} in {where}")
+
+
+def description_kind(doc, keys_by_kind: dict, what: str) -> str:
+    """A description's kind; ValueError unless that kind uses every key."""
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    if not isinstance(kind, str) or kind not in keys_by_kind:
+        raise ValueError(f"unknown {what} kind {kind!r}")
+    reject_unknown_keys(doc, keys_by_kind[kind], f"{kind} {what}")
+    return kind
+
+
+def integer_from_json(raw) -> int:
+    """The integers' own check: bools, floats and strings are refused."""
+    return _INTEGERS._normalize(raw)
+
+
+# Every key ``to_json`` writes, per kind.
+_SPEC_KEYS = {
+    "star": {"kind", "base", "materialized"},
+    "finite": {"kind", "elements", "group"},
+    "residue": {"kind", "modulus", "residues"},
+    "box": {"kind", "coords", "allowed"},
+    "interval": {"kind", "epsilon"},
+    "tail": {"kind", "sequence", "prefix", "start", "excluded"},
+}
+
+
 def spec_from_json(doc: dict, group: Optional[AmbientGroup] = None) -> SetLike:
-    """Inverse of ``to_json``; ``group`` overrides the embedded descriptor."""
-    kind = doc["kind"]
+    """Inverse of ``to_json``; ``group`` overrides the embedded descriptor.
+    Unknown kinds and keys and non-integer integers raise ValueError."""
+    kind = description_kind(doc, _SPEC_KEYS, "set")
     if kind == "star":
         inner = spec_from_json(doc["base"], group)
         return star(inner)
@@ -592,12 +626,14 @@ def spec_from_json(doc: dict, group: Optional[AmbientGroup] = None) -> SetLike:
             group = group_from_json(doc["group"]) if "group" in doc else _INTEGERS
         return FiniteSet.of(group, doc["elements"])
     if kind == "residue":
-        return ResidueSet.of(int(doc["modulus"]), doc["residues"])
+        return ResidueSet.of(integer_from_json(doc["modulus"]),
+                             [integer_from_json(r) for r in doc["residues"]])
     if kind == "box":
-        return BoxSet.of(int(doc["coords"]), doc["allowed"])
+        return BoxSet.of(integer_from_json(doc["coords"]),
+                         [[integer_from_json(v) for v in opts]
+                          for opts in doc["allowed"]])
     if kind == "interval":
-        return SymmetricInterval.of(Fraction(doc["epsilon"]))
-    if kind == "tail":
-        return TailSet.of(sequence_from_json(doc), int(doc["start"]),
-                          doc.get("excluded", ()))
-    raise ValueError(f"unknown set kind {kind!r}")
+        return SymmetricInterval.of(_RATIONALS.element(doc["epsilon"]).value)
+    return TailSet.of(sequence_from_json(doc),
+                      integer_from_json(doc["start"]),
+                      [integer_from_json(k) for k in doc.get("excluded", [])])

@@ -253,6 +253,34 @@ def test_hausdorff_malformed_config_value_exits_1(tmp_path, capsys, doc):
     assert err.startswith("bad config: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("family, named", [
+    ({"kind": "cofinite", "sequence": "powers3", "start": 1.5,
+      "prefx": [1, 2]}, "'prefx'"),
+    ({"kind": "cofinite", "sequence": "powers3", "start": 1.5}, "1.5"),
+    ({"kind": "explicit", "members": [
+        {"kind": "tail", "sequence": "powers3", "start": 2.7, "bogus": 1}]},
+     "'bogus'"),
+    ({"kind": "explicit", "members": [
+        {"kind": "tail", "sequence": "powers3", "start": 2.7}]}, "2.7"),
+    ({"kind": "explicit", "members": [
+        {"kind": "residue", "modulus": "9", "residues": [0]}]}, "'9'"),
+    ({"kind": "chain", "generator": "product-boxes", "coords": 4.0}, "4.0"),
+    ({"kind": "chain", "generator": "sqrt7", "length": 3}, "'length'"),
+], ids=["cofinite-key", "cofinite-start-float", "tail-key",
+        "tail-start-float", "residue-modulus-string", "chain-coords-float",
+        "chain-key"])
+def test_hausdorff_malformed_family_description_exits_1(tmp_path, capsys,
+                                                        family, named):
+    """Unknown keys in a family or set description, and integer fields
+    that are not integers, are refused instead of ignored or coerced."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": family, "probes": [1, 2]}))
+    code, out, err = run(["hausdorff", str(cfg)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("bad config: ") and err.count("\n") == 1
+    assert named in err
+
+
 @pytest.mark.parametrize("config, digest", [
     ("sqrt7.json", SQRT7_SHA256),
     ("powers3.json", POWERS3_SHA256),

@@ -229,6 +229,40 @@ def test_separating_cofinite_builds_length5():
     assert recheck_certificate(cert)
 
 
+def test_separating_over_nonabelian_family():
+    """Over D4 every non-identity probe ends in a certificate or a stuck
+    report, and each one agrees with brute-force products of the starred
+    members (rs and r3s used to crash: summands came off the wrong side)."""
+    import itertools
+    from grouptop.fixtures import dihedral8
+    from grouptop.groups import op_sum
+    from grouptop.setspec import witness_holds
+    d4 = dihedral8()
+    fam = ExplicitFamily([FiniteSet.of(d4, ["r", "s"]),
+                          FiniteSet.of(d4, ["s"])])
+
+    def products(members):
+        factors = [star(m).base.elements() for m in members]
+        return {op_sum(d4, combo).value
+                for combo in itertools.product(*factors)}
+
+    for g in d4.elements():
+        if g.is_identity():
+            continue
+        res = separating_sequence(g, fam, max_len=4, depth=2)
+        assert isinstance(res, (SeparationCertificate, StuckReport)), str(g)
+        members = [step.member for step in
+                   (res.steps if isinstance(res, SeparationCertificate)
+                    else res.prefix)]
+        for n in range(1, len(members) + 1):
+            assert g.value not in products(members[:n]), (str(g), n)
+        if isinstance(res, StuckReport):
+            assert res.all_candidates_exactly_blocked(), str(g)
+            for index, _, blocking in res.blocked:
+                chain = members + [fam.member(index)]
+                assert witness_holds(g, blocking.witness, chain)
+
+
 def test_separating_rejects_identity():
     with pytest.raises(ValueError):
         separating_sequence(Z.element(0), sqrt7_family(), max_len=3, depth=3)
@@ -324,3 +358,23 @@ def test_family_from_json():
     assert exp.member(0) == ResidueSet.of(3, {0})
     with pytest.raises(ValueError):
         family_from_json({"kind": "chain", "generator": "nope"})
+
+
+def test_family_descriptions_read_back():
+    """Every key ``describe`` writes for a readable family is accepted."""
+    from grouptop.fixtures import dihedral8
+    from grouptop.sequences import prefix_sequence
+    d4 = dihedral8()
+    families = [
+        CofiniteFamily("powers3", 2),
+        CofiniteFamily(prefix_sequence("user-q", [1, 5, 25]), 1),
+        ExplicitFamily([FiniteSet.of(d4, ["r", "s"]),
+                        star(TailSet.of("powers3", 1, excluded={3}))],
+                       name="mixed"),
+    ]
+    for fam in families:
+        back = family_from_json(fam.describe())
+        assert back.describe() == fam.describe()
+    with pytest.raises(ValueError):
+        family_from_json({"kind": "explicit", "nmae": "x", "members": [
+            {"kind": "finite", "elements": [1]}]})

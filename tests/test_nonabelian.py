@@ -1,5 +1,6 @@
 """Dyadic-index products, towers, closures, and the Fibonacci words."""
 
+import hashlib
 import itertools
 import random
 
@@ -9,6 +10,7 @@ from grouptop import (FiniteSet, Integers, contains, op_add, op_neg, op_sum,
                       star)
 from grouptop.filters import ExplicitFamily, check_directed, cupcap_check
 from grouptop.fixtures import dihedral8
+from grouptop import nonabelian
 from grouptop.nonabelian import (
     FREE_XY,
     DyadicAssignment,
@@ -28,7 +30,7 @@ from grouptop.nonabelian import (
     uq_membership,
     verify_fib_identity,
 )
-from grouptop.report import Status
+from grouptop.report import Status, canonical_json, report_document
 
 Z = Integers()
 D4_NAMES = ["e", "r", "r2", "r3", "s", "rs", "r2s", "r3s"]
@@ -153,6 +155,139 @@ def test_inverse_closure_and_translation_exhaustive():
     _, assign = d4_assignment([["r"], ["r", "s"], ["r2"]])
     assert check_inverse_closure(assign, depth=3).status is Status.VERIFIED
     assert check_translation(assign, depth=3).status is Status.VERIFIED
+
+
+def test_witness_is_valid_rejects_each_fault():
+    d4, assign = d4_assignment([["r"], ["r", "s"], ["r2"]])
+    r, s_, r2 = d4.element("r"), d4.element("s"), d4.element("r2")
+    half, three_quarters = DyadicIndex(1, 1), DyadicIndex(3, 2)
+    product = op_add(r, s_).value
+
+    def valid(witness, expected=product):
+        return nonabelian._witness_is_valid(d4, assign, witness, expected)
+
+    assert valid(((half, r), (three_quarters, s_)))
+    assert not valid(((three_quarters, r), (half, s_)))  # indices decrease
+    assert not valid(((half, r), (half, s_)))  # index repeated
+    assert not valid(((half, r), (three_quarters, r2)),
+                     op_add(r, r2).value)  # r2 is not in star({r, s})
+    assert not valid(((half, r), (three_quarters, s_)),
+                     op_add(s_, r).value)  # wrong product
+    assert not valid(((half, r), (DyadicIndex(1, 4), s_)))  # past level 3
+
+
+def _starred_by_level(d4, assign):
+    """Each level's set united with its inverses and the identity."""
+    out = []
+    for spec in assign.levels:
+        members = {m.value for m in spec.elements()}
+        out.append(members | {op_neg(d4.element(v)).value for v in members}
+                   | {d4.identity_value()})
+    return out
+
+
+def _walk_is_witness(d4, starred, witness, expected):
+    """A concatenated witness checked factor by factor, by brute force."""
+    fracs = [q.fraction() for q, _ in witness]
+    if any(a >= b for a, b in zip(fracs, fracs[1:])):
+        return False
+    total = d4.identity_value()
+    for q, el in witness:
+        if q.level > len(starred) or el.value not in starred[q.level - 1]:
+            return False
+        total = d4._add(total, el.value)
+    return total == expected
+
+
+def _uu_by_pair_walk(assign, sigma, tau, depth):
+    """check_UU's pairs and failures from walking every concatenation."""
+    d4 = dihedral8()
+    sides = []
+    for rescale in (sigma, tau):
+        table = nonabelian.enumerate_u_witnesses(
+            assign.shifted(rescale.shift), depth)
+        sides.append([(value, tuple((rescale.apply(q), el) for q, el in w))
+                      for (value, _), w in sorted(
+                          table.items(),
+                          key=lambda kv: (d4.sort_key(kv[0][0]), kv[0][1]))])
+    starred = _starred_by_level(d4, assign)
+    failures = []
+    for lv, lw in sides[0]:
+        for rv, rw in sides[1]:
+            if not _walk_is_witness(d4, starred, lw + rw,
+                                    d4._add(lv, rv)):
+                failures.append({"left": d4.value_to_json(lv),
+                                 "right": d4.value_to_json(rv)})
+    return len(sides[0]) * len(sides[1]), failures
+
+
+def test_check_uu_matches_pair_walk_on_seeded_assignments(monkeypatch):
+    """Validating each side once plus the join gives the same pairs and
+    failures as walking every concatenated witness, also when the witness
+    tables are tampered with (left products broken, right indices put out
+    of order, so no pair's faults cancel)."""
+    d4 = dihedral8()
+    rng = random.Random(20261018)
+    sigma, tau = Rescale(0, 2), Rescale(3, 2)
+    for _ in range(4):
+        assign = DyadicAssignment.of({
+            lvl: FiniteSet.of(d4, rng.sample(D4_NAMES, rng.randint(1, 3)))
+            for lvl in range(1, 6)})
+        pairs, failures = _uu_by_pair_walk(assign, sigma, tau, 3)
+        rep = check_UU(assign, sigma, tau, 3)
+        assert (rep.payload["pairs_checked"], rep.payload["failures"]) == \
+            (pairs, failures) and failures == []
+
+    honest = nonabelian.enumerate_u_witnesses
+    r = d4.element("r")
+
+    def tampered(assignment, depth):
+        table = dict(honest(assignment, depth))
+        for n, (key, w) in enumerate(sorted(
+                table.items(), key=lambda kv: (d4.sort_key(kv[0][0]),
+                                               kv[0][1]))):
+            if len(w) < 2 or n % 3:
+                continue
+            if assignment.max_level == 3:  # sigma's side: wrong product
+                table[key] = w[:-1] + ((w[-1][0], op_add(w[-1][1], r)),)
+            else:  # tau's side: same factors, indices out of order
+                table[key] = ((w[1][0], w[0][1]), (w[0][0], w[1][1])) + w[2:]
+        return table
+
+    monkeypatch.setattr(nonabelian, "enumerate_u_witnesses", tampered)
+    assign = DyadicAssignment.of({
+        lvl: FiniteSet.of(d4, names) for lvl, names in
+        enumerate([["r", "s"], ["r", "s"], ["rs", "r2"], ["r"], ["s"]], 1)})
+    sigma, tau = Rescale(0, 2), Rescale(2, 3)
+    pairs, failures = _uu_by_pair_walk(assign, sigma, tau, 3)
+    rep = check_UU(assign, sigma, tau, 3)
+    assert failures and rep.status is Status.REFUTED
+    assert (rep.payload["pairs_checked"], rep.payload["failures"]) == \
+        (pairs, failures)
+
+
+# sha256 of the canonical report on the fixed D4 assignments below; it
+# was the same before witness checks were shared between the checks.
+NONABELIAN_REPORT_SHA256 = \
+    "7726dc4a55244dff78558d819d73a5f9e73de0f519d20426d1fec7db512593a8"
+
+
+def test_nonabelian_report_bytes_pinned():
+    _, five = d4_assignment([["r"], ["r", "s"], ["r2"], ["r"], ["s"]])
+    _, three = d4_assignment([["r"], ["r", "s"], ["r2"]])
+    rng = random.Random(4)
+    seeded = [d4_assignment([rng.sample(D4_NAMES, rng.randint(1, 3))
+                             for _ in range(5)])[1] for _ in range(2)]
+    reports = [
+        check_UU(five, Rescale(0, 2), Rescale(3, 2), 3),
+        check_UU(five, Rescale(1, 3), Rescale(6, 3), 2),
+        *[check_UU(a, Rescale(0, 2), Rescale(3, 2), 3) for a in seeded],
+        check_inverse_closure(three, 3), check_translation(three, 3),
+        check_inverse_closure(five, 2), check_translation(five, 2),
+    ]
+    text = canonical_json(report_document(reports))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        NONABELIAN_REPORT_SHA256
 
 
 # --- towers and the collapse certificate ---

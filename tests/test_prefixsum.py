@@ -8,7 +8,6 @@ from grouptop import (
     FiniteSet,
     Integers,
     ResidueSet,
-    SearchBudget,
     SymmetricInterval,
     TailSet,
     contains,
@@ -17,7 +16,9 @@ from grouptop import (
 )
 from grouptop.examples import sqrt7_set
 from grouptop.groups import Rationals, op_sum
-from grouptop.prefixsum import decomposition_recheck
+from grouptop.prefixsum import SEARCH_BUDGET, decomposition_recheck
+from grouptop.sequences import prefix_sequence
+from grouptop.setspec import witness_holds
 
 Z = Integers()
 
@@ -147,14 +148,41 @@ def test_witness_reverification_bulk():
     assert verified >= 200
 
 
+def test_two_set_d4_chains_against_brute_force():
+    """Every pair of 1- and 2-element D4 sets and every element: membership
+    never raises, each "yes" witness holds, and the answer matches the
+    product set of the two starred sets (summands peel off on the left)."""
+    import itertools
+    from grouptop.fixtures import dihedral8
+    d4 = dihedral8()
+    names = [el.value for el in d4.elements()]
+    sets = [FiniteSet.of(d4, combo) for k in (1, 2)
+            for combo in itertools.combinations(names, k)]
+    for a, b in itertools.product(sets, repeat=2):
+        chain = [a, b]
+        reachable = {op_sum(d4, pair).value for pair in itertools.product(
+            star(a).base.elements(), star(b).base.elements())}
+        for g in d4.elements():
+            res = prefix_sum_membership(g, chain)
+            assert res.status in ("yes", "no")
+            assert res.is_yes() == (g.value in reachable), (chain, str(g))
+            if res.is_yes():
+                assert witness_holds(g, res.witness, chain)
+
+
 def test_bounded_search_budget_respected():
-    tight = SearchBudget(per_set_candidates=1, value_cap_factor=1)
-    chain = [TailSet.of("powers3", 0), TailSet.of("powers3", 0)]
-    res = prefix_sum_membership(Z.element(12), chain, tight)
-    # 3 + 9 needs the second candidate; with one per set it stays unknown
+    seq = prefix_sequence("sparse", [3, 1000, 1002])
+    chain = [TailSet.of(seq, 0), TailSet.of(seq, 0)]
+    # 2 = 1002 - 1000, but both summands lie past the value cap
+    # value_cap_factor * 2 * |2| = 4, so the search stays unknown
+    assert witness_holds(Z.element(2), [Z.element(1002), Z.element(-1000)],
+                         chain)
+    res = prefix_sum_membership(Z.element(2), chain)
     assert res.status == "unknown"
-    wide = SearchBudget(per_set_candidates=8)
-    assert prefix_sum_membership(Z.element(12), chain, wide).is_yes()
+    assert res.proof == {"route": "bounded-search", "budget": SEARCH_BUDGET}
+    # 6 = 3 + 3 lies inside the cap 2 * |6| = 12
+    res = prefix_sum_membership(Z.element(6), chain)
+    assert res.is_yes() and [s.value for s in res.witness] == [3, 3]
 
 
 def test_decomposition_recheck_agrees():

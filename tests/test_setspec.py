@@ -280,3 +280,26 @@ def test_setspec_json_round_trips():
         doc = spec.to_json()
         back = spec_from_json(doc)
         assert back == spec, doc
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "finite", "elements": [1], "bogus": 0},
+    {"kind": "residue", "modulus": 3, "residues": [0], "coords": 2},
+    {"kind": "residue", "modulus": 3.0, "residues": [0]},
+    {"kind": "residue", "modulus": 3, "residues": [0.5]},
+    {"kind": "box", "coords": True, "allowed": [[0]]},
+    {"kind": "interval", "epsilon": 0.5},
+    {"kind": "tail", "sequence": "powers3", "start": 1, "prefx": [1]},
+    {"kind": "tail", "sequence": "powers3", "start": "1"},
+    {"kind": "tail", "sequence": "powers3", "start": 1, "excluded": [2.0]},
+    {"kind": "star", "base": {"kind": "interval", "epsilon": "1/2"},
+     "extra": 1},
+    {"kind": "nope"},
+    ["kind", "finite"],
+], ids=["finite-key", "residue-key", "residue-modulus-float",
+        "residue-float", "box-coords-bool", "interval-float", "tail-key",
+        "tail-start-string", "tail-excluded-float", "star-key",
+        "unknown-kind", "not-an-object"])
+def test_spec_from_json_refuses_unknown_keys_and_coercion(doc):
+    with pytest.raises(ValueError):
+        spec_from_json(doc)
