@@ -29,10 +29,12 @@ from .setspec import (
     contains,
     description_kind,
     integer_from_json,
+    list_from_json,
     n_fold_star,
     spec_from_json,
     star,
     subset_of,
+    witness_holds,
 )
 
 
@@ -60,18 +62,19 @@ class ChainFamily(FilterFamily):
     """A decreasing chain S(0) >= S(1) >= ... given by a generator."""
 
     kind = "chain"
+    validate_depth = 4  # leading members whose nesting is checked on build
 
     def __init__(self, generator: Callable[[int], SetSpec],
                  length: Optional[int] = None,
-                 name: str = "chain",
-                 validate_depth: int = 4):
+                 name: str = "chain"):
         self._generator = generator
         self._length = length
         self.name = name
         self._cache: dict = {}
-        self._validate(validate_depth)
+        self._validate()
 
-    def _validate(self, depth: int) -> None:
+    def _validate(self) -> None:
+        depth = self.validate_depth
         top = depth if self._length is None else min(depth, self._length - 1)
         for i in range(top):
             try:
@@ -176,7 +179,8 @@ def family_from_json(doc: dict) -> FilterFamily:
         return CofiniteFamily(sequence_from_json(doc),
                               integer_from_json(doc.get("start", 0)))
     if kind == "explicit":
-        return ExplicitFamily([spec_from_json(m) for m in doc["members"]],
+        members = list_from_json(doc["members"], "members")
+        return ExplicitFamily([spec_from_json(m) for m in members],
                               name=doc.get("name", "explicit"))
     name = doc["generator"]
     if name == "sqrt7":
@@ -197,25 +201,20 @@ def family_from_json(doc: dict) -> FilterFamily:
     raise ValueError(f"unknown chain generator {name!r}")
 
 
-@dataclass(frozen=True)
-class DirectedCheck:
-    directed: bool
-    counterexample: Optional[tuple] = None  # (index_a, index_b)
-
-    def __bool__(self) -> bool:
-        return self.directed
+def _lower_bound_among(members: Sequence[SetSpec], a: SetSpec,
+                       b: SetSpec) -> Optional[SetSpec]:
+    return next((c for c in members if subset_of(c, a) and subset_of(c, b)),
+                None)
 
 
-def check_directed(family: ExplicitFamily) -> DirectedCheck:
-    """Exhaustively verify every pair of members has a lower bound in the
-    family; on failure, reports the first offending pair."""
+def check_directed(family: ExplicitFamily) -> Optional[tuple]:
+    """The first pair of member indices (i, j), i < j, with no lower bound
+    in the family; None when the family is downward directed."""
     members = family.members
-    for i, a in enumerate(members):
-        for j in range(i + 1, len(members)):
-            b = members[j]
-            if not any(subset_of(c, a) and subset_of(c, b) for c in members):
-                return DirectedCheck(False, (i, j))
-    return DirectedCheck(True)
+    return next(((i, j) for i in range(len(members))
+                 for j in range(i + 1, len(members))
+                 if _lower_bound_among(members, members[i], members[j])
+                 is None), None)
 
 
 def lower_bound(family: FilterFamily, a: SetSpec, b: SetSpec) -> SetSpec:
@@ -231,10 +230,10 @@ def lower_bound(family: FilterFamily, a: SetSpec, b: SetSpec) -> SetSpec:
         ib = _chain_index_of(family, b)
         return family.member(max(ia, ib))
     if isinstance(family, ExplicitFamily):
-        for c in family.members:
-            if subset_of(c, a) and subset_of(c, b):
-                return c
-        raise ValueError("explicit family has no lower bound for this pair")
+        c = _lower_bound_among(family.members, a, b)
+        if c is None:
+            raise ValueError("explicit family has no lower bound for this pair")
+        return c
     raise TypeError(f"unsupported family {family!r}")
 
 
@@ -340,7 +339,6 @@ def strong_convergence_check(
     pts: IndexedPoints,
     x: GroupElement,
     depth: int,
-    window: int = 8,
 ) -> ConvergenceResult:
     """Sampled check that the differences x_j - x eventually enter every
     starred member.
@@ -349,6 +347,7 @@ def strong_convergence_check(
     before the end of the sample; it refutes when every full window of the
     sample contains a violation; anything else is unknown at this sample.
     """
+    window = 8
     n_pts = len(pts)
     per_member = []
     top = depth if family.size() is None else min(depth, family.size())
@@ -358,9 +357,7 @@ def strong_convergence_check(
             j for j, p in enumerate(pts.points)
             if not contains(starred, op_sub(p, x))
         ]
-        if not violations:
-            verdict = Status.VERIFIED
-        elif violations[-1] < n_pts - window:
+        if not violations or violations[-1] < n_pts - window:
             verdict = Status.VERIFIED
         elif n_pts >= window:
             starts = range(n_pts - window, -1, -window)
@@ -445,7 +442,7 @@ class SeparationCertificate:
     target: GroupElement
     steps: tuple  # tuple[SeparationStep, ...]
     family: dict
-    policy: str = "first-excluding-member, indices increasing along chains"
+    policy = "first-excluding-member, indices increasing along chains"
 
     def members(self) -> list:
         return [s.member for s in self.steps]
@@ -471,7 +468,7 @@ class StuckReport:
     target: GroupElement
     step: int
     prefix: tuple  # tuple[SeparationStep, ...]
-    blocked: tuple  # tuple[(candidate_index, member_json, MembershipResult)]
+    blocked: tuple  # tuple[(candidate_index, SetSpec, MembershipResult)]
     family: dict
 
     def all_candidates_exactly_blocked(self) -> bool:
@@ -484,7 +481,8 @@ class StuckReport:
             "stuck_at_step": self.step,
             "prefix": [s.to_json() for s in self.prefix],
             "blocked": [
-                {"candidate_index": i, "member": m, "result": res.to_json()}
+                {"candidate_index": i, "member": m.to_json(),
+                 "result": res.to_json()}
                 for i, m, res in self.blocked
             ],
             "family": self.family,
@@ -526,29 +524,29 @@ def separating_sequence(
                 chosen = SeparationStep(i, member, res)
                 last_index = i
                 break
-            blocked.append((i, member.to_json(), res))
+            blocked.append((i, member, res))
         if chosen is None:
             return StuckReport(g, step_no, tuple(steps), tuple(blocked),
                                fam_desc)
         steps.append(chosen)
-    cert = SeparationCertificate(g, tuple(steps), fam_desc)
-    recheck_certificate(cert)
-    return cert
+    return SeparationCertificate(g, tuple(steps), fam_desc)
 
 
-def recheck_certificate(cert: SeparationCertificate) -> bool:
-    """Re-verify a separation certificate end to end.
-
-    Each prefix exclusion is recomputed from the member descriptions; any
-    disagreement raises.  Returns True so callers can assert on it.
-    """
-    members = cert.members()
+def recheck_certificate(
+        cert: Union[SeparationCertificate, StuckReport]) -> bool:
+    """Replay a separation from its member descriptions alone: every
+    prefix sum still excludes the target, and every witness that blocked a
+    stuck report still holds.  The first failure raises AssertionError;
+    returns True so callers can assert on it."""
+    stuck = isinstance(cert, StuckReport)
+    members = [s.member for s in (cert.prefix if stuck else cert.steps)]
     for n in range(1, len(members) + 1):
-        res = prefix_sum_membership(cert.target, members[:n])
-        if not res.is_no():
-            raise AssertionError(
-                f"certificate step {n - 1} does not re-verify: {res.status}"
-            )
+        if not prefix_sum_membership(cert.target, members[:n]).is_no():
+            raise AssertionError(f"prefix {n} no longer excludes the target")
+    for i, member, res in cert.blocked if stuck else ():
+        if res.is_yes() and not witness_holds(cert.target, res.witness,
+                                              members + [member]):
+            raise AssertionError(f"blocking witness at candidate {i} fails")
     return True
 
 

@@ -67,9 +67,6 @@ class AmbientGroup:
     def value_to_json(self, value: ElementValue) -> Any:
         return value
 
-    def value_from_json(self, doc: Any) -> ElementValue:
-        return self._normalize(doc)
-
     def sort_key(self, value: ElementValue):
         return value
 
@@ -183,16 +180,13 @@ class FreeGroup(AmbientGroup):
     def identity_value(self) -> tuple:
         return ()
 
-    def rank(self) -> int:
-        return len(self.generators)
-
     def _normalize(self, raw: Any) -> tuple:
         if isinstance(raw, str):
             letters = self._parse(raw)
         else:
             letters = tuple(int(v) for v in raw)
         for letter in letters:
-            if letter == 0 or abs(letter) > self.rank():
+            if letter == 0 or abs(letter) > len(self.generators):
                 raise ValueError(f"letter {letter} outside generator range")
         return reduce_word(letters)
 
@@ -205,6 +199,8 @@ class FreeGroup(AmbientGroup):
                 power = int(exp)
             else:
                 name, power = token, 1
+            if name == "e" and name not in self.generators:
+                continue  # the identity, as format_value prints it
             if name not in self.generators:
                 raise ValueError(f"unknown generator {name!r}")
             idx = self.generators.index(name) + 1
@@ -216,9 +212,6 @@ class FreeGroup(AmbientGroup):
 
     def _neg(self, a: tuple) -> tuple:
         return tuple(-letter for letter in reversed(a))
-
-    def generator(self, name: str) -> GroupElement:
-        return self.element(name)
 
     def format_value(self, value: tuple) -> str:
         if not value:

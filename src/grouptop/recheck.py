@@ -10,17 +10,22 @@ from __future__ import annotations
 import re
 from typing import Iterable, Tuple
 
-from .groups import FreeGroup, GroupElement, group_from_json, Integers
-from .prefixsum import prefix_sum_membership
+from .filters import (
+    SeparationCertificate,
+    SeparationStep,
+    StuckReport,
+    recheck_certificate,
+)
+from .groups import FreeGroup, Rationals, group_from_json
+from .prefixsum import MembershipResult, prefix_sum_membership
 from .setspec import (
+    SymmetricInterval,
     contains,
     n_fold_star,
     spec_from_json,
     star,
     witness_holds,
 )
-
-_INTEGERS = Integers()
 
 
 def recheck_document(doc: dict) -> Tuple[bool, list]:
@@ -31,6 +36,8 @@ def recheck_document(doc: dict) -> Tuple[bool, list]:
         payload = claim.get("payload", {})
         try:
             result = _recheck_claim(cid, payload)
+        except AssertionError as err:  # a replay that no longer holds
+            result = str(err)
         except Exception as err:  # any replay failure is a finding
             result = f"error: {err}"
         if result is None:
@@ -77,9 +84,8 @@ def _find_decompositions(node) -> Iterable[dict]:
 
 def _decomposition_ok(d: dict) -> bool:
     group = group_from_json(d["group"])
-    target = GroupElement(group, group.value_from_json(d["target"]))
-    summands = [GroupElement(group, group.value_from_json(v))
-                for v in d["summands"]]
+    target = group.element(d["target"])
+    summands = [group.element(v) for v in d["summands"]]
     sets = [spec_from_json(s, group=group) for s in d["sets"]]
     return witness_holds(target, summands, sets)
 
@@ -113,17 +119,13 @@ def _recheck_necessary(cid: str, payload: dict):
 
 
 def _recheck_interval(payload: dict):
-    from fractions import Fraction
-    from .groups import Rationals
-    from .setspec import SymmetricInterval
-
     group = Rationals()
     one = group.element(1)
     s0 = SymmetricInterval.of(1)
     if contains(star(s0), one):
         return "1 re-enters the unit interval"
     for entry in payload["schedule"]:
-        eps = Fraction(entry["epsilon"])
+        eps = group.element(entry["epsilon"]).value
         witness_lists = [entry.get("witness"),
                          entry["membership"].get("witness")]
         if not any(witness_lists):
@@ -132,55 +134,51 @@ def _recheck_interval(payload: dict):
         for witness in witness_lists:
             if witness is None:
                 continue
-            summands = [GroupElement(group, group.value_from_json(v))
-                        for v in witness]
+            summands = [group.element(v) for v in witness]
             if not witness_holds(one, summands, chain):
                 return f"witness fails at epsilon {eps}"
     return "ok"
 
 
-def _recheck_separation(sep: dict):
-    target = _INTEGERS.element(int(sep["target"]))
-    steps = sep.get("steps") or sep.get("prefix") or []
-    members = [spec_from_json(s["member"]) for s in steps]
-    for n in range(1, len(members) + 1):
-        res = prefix_sum_membership(target, members[:n])
-        if not res.is_no():
-            return f"prefix {n} no longer excludes the target"
-    for block in sep.get("blocked", []):
-        res = block["result"]
-        if res["status"] == "yes":
-            candidate = spec_from_json(block["member"])
-            summands = [GroupElement(_INTEGERS, v) for v in res["witness"]]
-            if not witness_holds(target, summands, members + [candidate]):
-                return "blocking witness fails"
-    return "ok"
-
-
 def _recheck_hausdorff(payload: dict):
+    """Decode each probe in the ambient group of the members its report
+    names, then replay its separation with the producer's own replay."""
     for probe in payload["probes"]:
-        g = _INTEGERS.element(int(probe["probe"]))
-        sep_result = _recheck_separation(probe["separation"])
-        if sep_result != "ok":
-            return sep_result
-        for n_str, cc in probe["cupcap"].items():
-            if not cc.get("found"):
-                continue
-            member = spec_from_json(cc["member"])
-            res = prefix_sum_membership(g, [member] * int(n_str))
-            if not res.is_no():
-                return f"cupcap member no longer excludes {g.value}"
+        sep = probe["separation"]
+        found = [cc for cc in probe["cupcap"].values() if cc.get("found")]
+        steps = sep.get("steps", sep.get("prefix"))
+        blocked = sep.get("blocked", [])
+        specs = [spec_from_json(e["member"]) for e in found + steps + blocked]
+        if not specs:
+            continue  # no member to replay against
+        group = specs[0].ambient()
+        g = group.element(probe["probe"])
+        if group.element(sep["target"]) != g:
+            return "separation target is not the probe"
+        for cc, member in zip(found, specs):
+            if not prefix_sum_membership(g, [member] * cc["n"]).is_no():
+                return f"cupcap member no longer excludes {probe['probe']}"
+        specs = specs[len(found):]
+        chosen = tuple(SeparationStep(s["member_index"], member,
+                                      _result(group, s["exclusion"]))
+                       for s, member in zip(steps, specs))
+        replay = SeparationCertificate(g, chosen, sep["family"])
+        if "blocked" in sep:
+            replay = StuckReport(g, sep["stuck_at_step"], chosen, tuple(
+                (b["candidate_index"], member, _result(group, b["result"]))
+                for b, member in zip(blocked, specs[len(steps):])),
+                sep["family"])
+        recheck_certificate(replay)
     return "ok"
+
+
+def _result(group, doc: dict) -> MembershipResult:
+    witness = doc.get("witness")
+    return MembershipResult(doc["status"], None if witness is None else
+                            tuple(group.element(v) for v in witness))
 
 
 def _recheck_fib(payload: dict):
     free = FreeGroup(("x", "y"))
-    lhs = free.element(payload["lhs"]) if payload["lhs"] != "e" \
-        else free.identity()
-    rhs = free.element(payload["rhs"]) if payload["rhs"] != "e" \
-        else free.identity()
-    expected = free.element(payload["expected"]) if payload["expected"] != "e" \
-        else free.identity()
-    if lhs.value == rhs.value == expected.value:
-        return "ok"
-    return "word identity fails on re-parse"
+    sides = {free.element(payload[key]) for key in ("lhs", "rhs", "expected")}
+    return "ok" if len(sides) == 1 else "word identity fails on re-parse"

@@ -425,8 +425,7 @@ def sumset(a: SetLike, b: SetLike) -> SetSpec:
     )
 
 
-def n_fold_star(spec: SetLike, n: int,
-                enumeration_cap: int = 200_000) -> SetSpec:
+def n_fold_star(spec: SetLike, n: int) -> SetSpec:
     """n-fold sumset of the symmetrization of ``spec``.
 
     For finite sets over nonabelian groups this is the n-fold product set,
@@ -441,9 +440,9 @@ def n_fold_star(spec: SetLike, n: int,
     result = starred.base
     for _ in range(n - 1):
         result = sumset(result, starred.base)
-        if isinstance(result, FiniteSet) and len(result.values) > enumeration_cap:
+        if isinstance(result, FiniteSet) and len(result.values) > _ENUMERATION_CAP:
             raise EnumerationBudgetError(
-                f"n-fold enumeration exceeded {enumeration_cap} elements"
+                f"n-fold enumeration exceeded {_ENUMERATION_CAP} elements"
             )
     return result
 
@@ -523,6 +522,7 @@ def divides(d: int, g: int) -> bool:
     return g == 0 if d == 0 else g % d == 0
 
 
+_ENUMERATION_CAP = 200_000
 _ENVELOPE_SIZE_CAP = 4096
 _ENVELOPE_SCAN_CAP = 64
 
@@ -603,6 +603,12 @@ def integer_from_json(raw) -> int:
     return _INTEGERS._normalize(raw)
 
 
+def list_from_json(raw, key: str) -> list:
+    if not isinstance(raw, list):
+        raise ValueError(f"list expected for {key!r}, got {raw!r}")
+    return raw
+
+
 # Every key ``to_json`` writes, per kind.
 _SPEC_KEYS = {
     "star": {"kind", "base", "materialized"},
@@ -624,16 +630,20 @@ def spec_from_json(doc: dict, group: Optional[AmbientGroup] = None) -> SetLike:
     if kind == "finite":
         if group is None:
             group = group_from_json(doc["group"]) if "group" in doc else _INTEGERS
-        return FiniteSet.of(group, doc["elements"])
+        return FiniteSet.of(group, list_from_json(doc["elements"], "elements"))
     if kind == "residue":
         return ResidueSet.of(integer_from_json(doc["modulus"]),
-                             [integer_from_json(r) for r in doc["residues"]])
+                             [integer_from_json(r) for r in
+                              list_from_json(doc["residues"], "residues")])
     if kind == "box":
         return BoxSet.of(integer_from_json(doc["coords"]),
-                         [[integer_from_json(v) for v in opts]
-                          for opts in doc["allowed"]])
+                         [[integer_from_json(v)
+                           for v in list_from_json(opts, "allowed")]
+                          for opts in list_from_json(doc["allowed"],
+                                                     "allowed")])
     if kind == "interval":
         return SymmetricInterval.of(_RATIONALS.element(doc["epsilon"]).value)
     return TailSet.of(sequence_from_json(doc),
                       integer_from_json(doc["start"]),
-                      [integer_from_json(k) for k in doc.get("excluded", [])])
+                      [integer_from_json(k) for k in
+                       list_from_json(doc.get("excluded", []), "excluded")])

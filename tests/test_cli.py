@@ -266,13 +266,25 @@ def test_hausdorff_malformed_config_value_exits_1(tmp_path, capsys, doc):
         {"kind": "residue", "modulus": "9", "residues": [0]}]}, "'9'"),
     ({"kind": "chain", "generator": "product-boxes", "coords": 4.0}, "4.0"),
     ({"kind": "chain", "generator": "sqrt7", "length": 3}, "'length'"),
+    ({"kind": "explicit", "members": 5}, "'members'"),
+    ({"kind": "explicit", "members": [{"kind": "finite", "elements": 3}]},
+     "'elements'"),
+    ({"kind": "explicit", "members": [
+        {"kind": "residue", "modulus": 9, "residues": 0}]}, "'residues'"),
+    ({"kind": "explicit", "members": [
+        {"kind": "box", "coords": 3, "allowed": 0}]}, "'allowed'"),
+    ({"kind": "explicit", "members": [
+        {"kind": "tail", "sequence": "powers3", "start": 1, "excluded": 2}]},
+     "'excluded'"),
 ], ids=["cofinite-key", "cofinite-start-float", "tail-key",
         "tail-start-float", "residue-modulus-string", "chain-coords-float",
-        "chain-key"])
+        "chain-key", "members-number", "elements-number", "residues-number",
+        "allowed-number", "excluded-number"])
 def test_hausdorff_malformed_family_description_exits_1(tmp_path, capsys,
                                                         family, named):
-    """Unknown keys in a family or set description, and integer fields
-    that are not integers, are refused instead of ignored or coerced."""
+    """Unknown keys in a family or set description, integer fields that
+    are not integers and list fields that are not lists are refused
+    instead of ignored, coerced or ending in a traceback."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"family": family, "probes": [1, 2]}))
     code, out, err = run(["hausdorff", str(cfg)], capsys)
@@ -341,3 +353,95 @@ def test_recheck_flags_tampered_report(tmp_path, capsys):
     report.write_text(json.dumps(doc))
     code, out, _ = run(["recheck", str(report)], capsys)
     assert code == 2 and "FAIL" in out
+
+
+def _hausdorff_report(path, family, probes, **budgets):
+    from grouptop import hausdorff_verdict
+    from grouptop.report import canonical_json, report_document
+    report = hausdorff_verdict(family, probes, **budgets)
+    path.write_text(canonical_json(report_document([report])))
+    return path
+
+
+def test_recheck_replays_d4_and_interval_reports(tmp_path, capsys):
+    """Reports over nonabelian finite families and over the rationals are
+    decoded in their own ambient group, not in the integers."""
+    from fractions import Fraction
+    from grouptop import ExplicitFamily, FiniteSet, Rationals
+    from grouptop import family_from_json
+    from grouptop.fixtures import dihedral8
+    d4 = dihedral8()
+    fam = ExplicitFamily([FiniteSet.of(d4, ["r", "s"]),
+                          FiniteSet.of(d4, ["s"])], name="d4")
+    d4_report = _hausdorff_report(
+        tmp_path / "d4.json", fam,
+        [g for g in d4.elements() if not g.is_identity()],
+        n_max=2, depth=2, max_len=3)
+    outcomes = {p["outcome"] for p in json.loads(d4_report.read_text())
+                ["claims"][0]["payload"]["probes"]}
+    assert {"separated", "gap"} <= outcomes
+    q = Rationals()
+    interval_report = _hausdorff_report(
+        tmp_path / "interval.json",
+        family_from_json({"kind": "chain", "generator": "interval-halving"}),
+        [q.element(1), q.element(Fraction(1, 3))],
+        n_max=2, depth=6, max_len=3)
+    for report, tag in ((d4_report, "d4"),
+                        (interval_report, "interval-halving")):
+        code, out, _ = run(["recheck", str(report)], capsys)
+        assert code == 0, out
+        assert f"  ok     hausdorff:{tag}" in out
+
+
+def _tamper_powers3_step(probe):
+    probe["separation"]["steps"][1]["member"]["start"] = 0
+
+
+def _tamper_powers3_cupcap(probe):
+    probe["cupcap"]["2"]["member"]["start"] = 0
+
+
+def _tamper_powers3_target(probe):
+    probe["separation"]["target"] = 2
+
+
+def _tamper_sqrt7_witness(probe):
+    probe["separation"]["blocked"][0]["result"]["witness"] = [-13, 15]
+
+
+def _tamper_interval_witness(probe):
+    probe["separation"]["blocked"][0]["result"]["witness"] = ["2/3", "1/2"]
+
+
+@pytest.mark.parametrize("source, tamper, message", [
+    ("powers3", _tamper_powers3_step,
+     "prefix 2 no longer excludes the target"),
+    ("powers3", _tamper_powers3_cupcap, "cupcap member no longer excludes 1"),
+    ("powers3", _tamper_powers3_target, "separation target is not the probe"),
+    ("sqrt7", _tamper_sqrt7_witness, "blocking witness at candidate 2 fails"),
+    ("interval", _tamper_interval_witness,
+     "blocking witness at candidate 1 fails"),
+], ids=["powers3-shallower-step", "powers3-cupcap-member",
+        "powers3-target", "sqrt7-blocking-witness", "interval-witness"])
+def test_recheck_flags_tampered_separation(tmp_path, capsys, source, tamper,
+                                           message):
+    """A certificate step replaced by a shallower tail, a wrong cupcap
+    member, a moved target and an altered blocking witness all fail."""
+    report = tmp_path / "report.json"
+    if source == "interval":
+        from grouptop import Rationals, family_from_json
+        _hausdorff_report(
+            report,
+            family_from_json({"kind": "chain",
+                              "generator": "interval-halving"}),
+            [Rationals().element(1)], n_max=1, depth=3, max_len=2)
+    else:
+        run(["hausdorff", str(CONFIGS / f"{source}.json"),
+             "--out", str(report)], capsys)
+    doc = json.loads(report.read_text())
+    tamper(doc["claims"][0]["payload"]["probes"][0])
+    report.write_text(json.dumps(doc))
+    code, out, _ = run(["recheck", str(report)], capsys)
+    line = out.splitlines()[0]
+    assert code == 2 and line.startswith("  FAIL   hausdorff:")
+    assert line.endswith(f": {message}")

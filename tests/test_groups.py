@@ -33,6 +33,17 @@ def test_free_reduction_cancels_middle_pair():
     assert op_add(a, b).value == (1, 1)  # x x
 
 
+def test_free_words_round_trip_through_their_printed_form():
+    """``element(str(w)) == w``, the identity's "e" included."""
+    from grouptop.nonabelian import fib_word
+    words = [FREE.identity(), FREE.element("x y^-1 x^-1")] + \
+        [fib_word(n).word for n in range(12)]
+    for w in words:
+        assert FREE.element(str(w)) == w
+    assert str(FREE.identity()) == "e"
+    assert FREE.element("x e y") == FREE.element("x y")
+
+
 def test_product_mod_coordinatewise():
     g = ProductMod(3)
     a = g.element((0, 1, 2))
