@@ -16,10 +16,16 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 from .groups import GroupElement, op_sub
-from .prefixsum import SEARCH_BUDGET, MembershipResult, prefix_sum_membership
+from .prefixsum import (
+    SEARCH_BUDGET,
+    MembershipResult,
+    enumeration_capped,
+    prefix_sum_membership,
+)
 from .report import Status, VerificationReport, aggregate_status
 from .sequences import IntegerSequence, sequence_from_json, sequence_to_json
 from .setspec import (
+    EnumerationBudgetError,
     SetLike,
     SetSpec,
     StarSet,
@@ -275,7 +281,8 @@ def _nfold_exclusion(g: GroupElement, n: int,
                      spec: SetSpec) -> MembershipResult:
     """Membership of g in the n-fold sum of the starred member, exact when
     the representation allows, else the prefix-sum machinery.  Finite sets
-    over nonabelian groups fold exactly as n-fold product sets."""
+    over nonabelian groups fold exactly as n-fold product sets; a fold past
+    the enumeration cap is unknown, never a bounded search."""
     try:
         folded = n_fold_star(spec, n)
         if folded.contains_value(g.value):
@@ -284,6 +291,8 @@ def _nfold_exclusion(g: GroupElement, n: int,
             "no", proof={"route": "exact-fold", "fold": folded.to_json()})
     except SumsetUnsupported:
         return prefix_sum_membership(g, [spec] * n)
+    except EnumerationBudgetError as err:
+        return enumeration_capped(err)
 
 
 def cupcap_check(g: GroupElement, n: int, family: FilterFamily,

@@ -1,25 +1,14 @@
-"""Shipped data files: finite-group tables used by tests and the CLI.
-
-The fixture directory can be overridden with the GROUPTOP_FIXTURES
-environment variable; by default files ship inside the package.
-"""
+"""Shipped data files: finite-group tables used by tests and the CLI."""
 
 from __future__ import annotations
 
 import json
-import os
 from importlib import resources
-from pathlib import Path
 
 from .groups import CayleyGroup, load_cayley
 
-_ENV_VAR = "GROUPTOP_FIXTURES"
-
 
 def fixture_text(name: str) -> str:
-    override = os.environ.get(_ENV_VAR)
-    if override:
-        return (Path(override) / name).read_text()
     return resources.files("grouptop.data").joinpath(name).read_text()
 
 

@@ -6,12 +6,17 @@ three-valued semantics:
 * yes  -- always accompanied by an explicit summand witness, re-verified
           by group addition before it is returned;
 * no   -- only from an exact route: a folded exact sumset, a divisor
-          certificate over integer chains, or full enumeration of finite
-          sets;
-* unknown -- a bounded search ran out of candidates without deciding.
+          certificate over integer chains, a residue envelope, or full
+          enumeration of finite sets;
+* unknown -- a bounded search ran out of candidates without deciding, or
+          an exact fold would pass the enumeration cap.
 
 Bounded searches never produce a "no": growth certificates cap where
-witnesses are *looked for*, not where they can exist.
+witnesses are *looked for*, not where they can exist.  The bounded search
+returns the lexicographically first witness in candidate order.  Integer
+chains up to ``_BITSET_CAP`` bits wide find it by suffix reachability
+bitsets, wider ones by a depth-first search that remembers failed states.
+Residue-envelope sums are bitsets of residues up to the same cap.
 """
 
 from __future__ import annotations
@@ -22,7 +27,9 @@ from typing import Optional, Sequence
 
 from .groups import GroupElement, Integers, op_add
 from .setspec import (
+    _ENUMERATION_CAP,
     BoxSet,
+    EnumerationBudgetError,
     FiniteSet,
     ResidueSet,
     SetLike,
@@ -79,10 +86,20 @@ def _verify_witness(g: GroupElement, stars: Sequence[StarSet],
         raise AssertionError(f"witness for {g} does not re-verify")
 
 
+def enumeration_capped(err: EnumerationBudgetError) -> MembershipResult:
+    """An exact fold that would outgrow the enumeration cap decides
+    nothing; the proof names the cap."""
+    return MembershipResult(
+        "unknown", note=str(err),
+        proof={"route": "exact-fold", "enumeration_cap": _ENUMERATION_CAP},
+    )
+
+
 def _fold_exact(stars: Sequence[StarSet]):
     """Fold stars into suffix sumsets; None when some pair is unsupported.
 
-    Returns folds with folds[i] = S_i* + ... + S_{n-1}*.
+    Returns folds with folds[i] = S_i* + ... + S_{n-1}*.  Raises
+    EnumerationBudgetError when a finite fold would pass the cap.
     """
     folds: list = [None] * len(stars)
     acc = None
@@ -266,7 +283,10 @@ def prefix_sum_membership(g: GroupElement,
                                     proof={"route": "single-set"})
         return MembershipResult("no", proof={"route": "single-set"})
 
-    folds = _fold_exact(stars)
+    try:
+        folds = _fold_exact(stars)
+    except EnumerationBudgetError as err:
+        return enumeration_capped(err)  # the bounded search may not finish
     if folds is not None:
         if not folds[0].contains_value(g.value):
             return MembershipResult(
@@ -318,6 +338,12 @@ def prefix_sum_membership(g: GroupElement,
 
 _ENVELOPE_LCM_CAP = 10 ** 12
 _ENVELOPE_DIVISOR_SCAN = 40
+# Widest Python-int bitset either search builds: an envelope sum over m
+# residues, or the suffix reachability of an integer chain of width 2R + 1.
+# At 2^22 bits a 5-set chain of 65 candidates per set builds its bitsets
+# in about 0.06 s, where a memoized DFS over 3 such sets takes 0.1 s; the
+# bitsets cost 2.6 s at 2^26.  Wider inputs keep the set and DFS paths.
+_BITSET_CAP = 1 << 22
 
 
 def _envelope_modulus(g: GroupElement, stars: Sequence[StarSet],
@@ -366,18 +392,37 @@ def _envelope_exclusion(g: GroupElement, stars: Sequence[StarSet]
         if env is None:
             return None
         envelopes.append(env)
-    acc = {0}
-    for env in envelopes:
-        acc = {(a + b) % m for a in acc for b in env}
-        if len(acc) == m:
-            return None  # envelope sum saturates; no exclusion possible
-    if g.value % m in acc:
+    if _envelope_sum_meets(envelopes, m, g.value % m) is not False:
         return None
     return MembershipResult(
         "no",
         proof={"route": "residue-envelope", "modulus": m,
                "envelope_sizes": [len(e) for e in envelopes]},
     )
+
+
+def _envelope_sum_meets(envelopes: list, m: int, r: int) -> Optional[bool]:
+    """Whether residue r lies in the sum of the envelopes mod m; None when
+    that sum saturates, so no exclusion is possible.  Up to
+    ``_BITSET_CAP`` the sum is a bitset of m residues, each envelope
+    added by shifting and folding the overflow back (a rotate-and-OR)."""
+    if m <= _BITSET_CAP:
+        full = (1 << m) - 1
+        acc = 1
+        for env in envelopes:
+            shifted = 0
+            for b in env:
+                shifted |= acc << b
+            acc = (shifted & full) | (shifted >> m)
+            if acc == full:
+                return None
+        return acc >> r & 1 == 1
+    acc = {0}
+    for env in envelopes:
+        acc = {(a + b) % m for a in acc for b in env}
+        if len(acc) == m:
+            return None
+    return r in acc
 
 
 def _plan(g, stars) -> Optional[list]:
@@ -395,48 +440,84 @@ def _plan(g, stars) -> Optional[list]:
 
 def _bounded_search(g: GroupElement, stars: Sequence[StarSet],
                     plan: Optional[list]) -> Optional[tuple]:
-    """Depth-first decomposition search over finite candidate lists.
+    """The lexicographically first witness in candidate order, or None.
 
     Only applicable when every set yields candidates (finite sets and
     certified tails).  Summands v peel off the left: (-v) + remainder.
-    Prunes on the reachable-magnitude envelope of the rest for integers.
+    Integer chains of width 2R + 1 <= ``_BITSET_CAP``, R the sum of the
+    largest candidate magnitudes, are searched by suffix reachability;
+    wider integer chains and every other group by a depth-first search
+    that remembers the states that failed.  Both return the same witness.
     """
     if plan is None:
         return None
     group = g.group
-    is_int = group == _INTEGERS
     cands = [c for c, _ in plan]
-    max_abs = [max((abs(v) for v in c), default=0) if is_int else None
-               for c in cands]
-    suffix_reach = [0] * (len(stars) + 1)
-    if is_int:
-        for i in range(len(stars) - 1, -1, -1):
-            suffix_reach[i] = suffix_reach[i + 1] + max_abs[i]
+    suffix_abs = None
+    if group == _INTEGERS:
+        suffix_abs = [0] * (len(cands) + 1)
+        for i in range(len(cands) - 1, -1, -1):
+            suffix_abs[i] = suffix_abs[i + 1] + max(map(abs, cands[i]),
+                                                    default=0)
+    if suffix_abs is not None and 2 * suffix_abs[0] + 1 <= _BITSET_CAP:
+        values = _first_by_reach(g.value, cands, suffix_abs[0])
+    else:
+        values = _first_by_memo_dfs(group, g.value, cands, suffix_abs)
+    if values is None:
+        return None
+    return tuple(GroupElement(group, v) for v in values)
 
+
+def _first_by_reach(target: int, cands: list, span: int) -> Optional[list]:
+    """Suffix reachability: bit r + span of reach[i] says that lists
+    i..n-1 can sum to r.  Walking forward, each position takes its first
+    candidate whose remainder the rest can still reach."""
+    n = len(cands)
+    reach = [0] * (n + 1)
+    reach[n] = 1 << span
+    for i in range(n - 1, 0, -1):
+        nxt = reach[i + 1]
+        bits = 0
+        for v in set(cands[i]):
+            bits |= nxt << v if v >= 0 else nxt >> -v
+        reach[i] = bits
+    out = []
+    remainder = target
+    for i, c in enumerate(cands):
+        nxt = reach[i + 1]
+        for v in c:
+            rest = remainder - v
+            if abs(rest) <= span and nxt >> (rest + span) & 1:
+                break
+        else:
+            return None  # only at i == 0: later remainders are reachable
+        out.append(v)
+        remainder = rest
+    return out
+
+
+def _first_by_memo_dfs(group, target, cands: list,
+                       suffix_abs: Optional[list]) -> Optional[list]:
+    """Depth-first search in candidate order.  The candidate lists depend
+    only on the position, so a failed (position, remainder) state fails
+    again and is remembered; integer remainders beyond what the rest can
+    reach are pruned."""
+    n = len(cands)
+    failed = set()
     out: list = []
 
     def dfs(i: int, remainder) -> bool:
-        if i == len(stars):
+        if i == n:
             return remainder == group.identity_value()
-        if is_int and abs(remainder) > suffix_reach[i]:
+        if (i, remainder) in failed or \
+                (suffix_abs is not None and abs(remainder) > suffix_abs[i]):
             return False
         for v in cands[i]:
-            out.append(GroupElement(group, v))
-            nxt = group._add(group._neg(v), remainder)
-            if dfs(i + 1, nxt):
+            out.append(v)
+            if dfs(i + 1, group._add(group._neg(v), remainder)):
                 return True
             out.pop()
+        failed.add((i, remainder))
         return False
 
-    if dfs(0, g.value):
-        return tuple(out)
-    return None
-
-
-def decomposition_recheck(g: GroupElement, chain: Sequence[SetLike]) -> bool:
-    """Independent brute-force search: True when some witness exists within
-    the ``SEARCH_BUDGET`` caps.  Used to cross-examine "no" proofs."""
-    stars = [star(s) for s in chain]
-    if g.is_identity():
-        return True
-    return _bounded_search(g, stars, _plan(g, stars)) is not None
+    return out if dfs(0, target) else None

@@ -371,7 +371,9 @@ def sumset(a: SetLike, b: SetLike) -> SetSpec:
 
     Starred arguments must be materialized.  Raises SumsetUnsupported for
     pairs with no exact representation; callers fall back to bounded
-    membership search.
+    membership search.  Two finite sets whose product of sizes exceeds
+    ``_ENUMERATION_CAP`` raise EnumerationBudgetError before any sum is
+    formed.
     """
     if isinstance(a, StarSet):
         if not a.materialized:
@@ -385,6 +387,11 @@ def sumset(a: SetLike, b: SetLike) -> SetSpec:
     if isinstance(a, FiniteSet) and isinstance(b, FiniteSet):
         if a.group != b.group:
             raise GroupMismatchError("sumset of sets over different groups")
+        if len(a.values) * len(b.values) > _ENUMERATION_CAP:
+            raise EnumerationBudgetError(
+                f"sumset of {len(a.values)} x {len(b.values)} elements "
+                f"exceeds the enumeration cap {_ENUMERATION_CAP}"
+            )
         group = a.group
         out = {group._add(x, y) for x in a.values for y in b.values}
         return FiniteSet(group, frozenset(out))
@@ -430,7 +437,8 @@ def n_fold_star(spec: SetLike, n: int) -> SetSpec:
 
     For finite sets over nonabelian groups this is the n-fold product set,
     computed by iterated product.  Raises SumsetUnsupported when no exact
-    route exists and EnumerationBudgetError past the element cap.
+    route exists and EnumerationBudgetError when a step would pass the
+    enumeration cap.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -440,10 +448,6 @@ def n_fold_star(spec: SetLike, n: int) -> SetSpec:
     result = starred.base
     for _ in range(n - 1):
         result = sumset(result, starred.base)
-        if isinstance(result, FiniteSet) and len(result.values) > _ENUMERATION_CAP:
-            raise EnumerationBudgetError(
-                f"n-fold enumeration exceeded {_ENUMERATION_CAP} elements"
-            )
     return result
 
 

@@ -17,6 +17,8 @@ SQRT7_SHA256 = \
     "0c82c86153d9b398c731e533a79c65ad3dfe986ce36020c7807879b7f0194dc5"
 POWERS3_SHA256 = \
     "59926c1de9e8ef61b26ab09a04642952407716c52138126315c442970b48c63b"
+FIBONACCI_SHA256 = \
+    "54ee09caecd297de64275550077b9392e9ab674d5a080d7ce32b4596ed8cc993"
 
 
 def run(argv, capsys):
@@ -303,6 +305,47 @@ def test_shipped_config_report_bytes_pinned(tmp_path, capsys, config, digest):
     report = tmp_path / "report.json"
     run(["hausdorff", str(CONFIGS / config), "--out", str(report)], capsys)
     assert sha256(report) == digest
+
+
+def test_fibonacci_report_bytes_pinned(tmp_path, capsys):
+    """Fibonacci tails carry no divisor, so every probe stays unresolved:
+    these bytes pin the bounded search's yes witnesses and its exhausted
+    unknowns."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "family": {"kind": "cofinite", "sequence": "fibonacci"},
+        "probes": [1, 7, 20, -55, 72, 80, 98, -101, 103, 109, 111, 114,
+                   116, -117, 119, 120],
+        "budgets": {"n_max": 3, "depth": 14, "max_len": 5},
+    }))
+    report = tmp_path / "report.json"
+    code, _, _ = run(["hausdorff", str(cfg), "--out", str(report)], capsys)
+    assert code == 3 and sha256(report) == FIBONACCI_SHA256
+
+
+def test_hausdorff_past_enumeration_cap_exits_3(tmp_path, capsys):
+    """Folds of a 677-element starred set outgrow the enumeration cap:
+    the n-fold exclusion and the second separation step are unknown with
+    the cap in their proof, instead of a traceback."""
+    elements = sorted({3 ** k for k in range(1, 40)} |
+                      {5 ** k + 7 for k in range(1, 300)})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "family": {"kind": "explicit",
+                   "members": [{"kind": "finite", "elements": elements}]},
+        "probes": [1],
+        "budgets": {"n_max": 2, "depth": 1, "max_len": 2},
+    }))
+    report = tmp_path / "report.json"
+    code, _, err = run(["hausdorff", str(cfg), "--out", str(report)], capsys)
+    assert code == 3 and "Traceback" not in err
+    probe = json.loads(report.read_text())["claims"][0]["payload"]["probes"][0]
+    assert probe["cupcap"]["2"]["skipped_unknown"] == 1
+    blocked = probe["separation"]["blocked"]
+    assert [b["result"]["proof"] for b in blocked] == [
+        {"route": "exact-fold", "enumeration_cap": 200_000}]
+    code2, out2, _ = run(["recheck", str(report)], capsys)
+    assert code2 == 0 and "recheck: ok" in out2
 
 
 def test_hausdorff_identity_probe_exits_1(tmp_path, capsys):

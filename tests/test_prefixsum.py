@@ -1,5 +1,6 @@
 """Decomposition membership: exact routes, witnesses, honest unknowns."""
 
+import itertools
 import random
 
 import pytest
@@ -16,7 +17,8 @@ from grouptop import (
 )
 from grouptop.examples import sqrt7_set
 from grouptop.groups import Rationals, op_sum
-from grouptop.prefixsum import SEARCH_BUDGET, decomposition_recheck
+from grouptop import prefixsum
+from grouptop.prefixsum import SEARCH_BUDGET
 from grouptop.sequences import prefix_sequence
 from grouptop.setspec import witness_holds
 
@@ -152,7 +154,6 @@ def test_two_set_d4_chains_against_brute_force():
     """Every pair of 1- and 2-element D4 sets and every element: membership
     never raises, each "yes" witness holds, and the answer matches the
     product set of the two starred sets (summands peel off on the left)."""
-    import itertools
     from grouptop.fixtures import dihedral8
     d4 = dihedral8()
     names = [el.value for el in d4.elements()]
@@ -185,11 +186,125 @@ def test_bounded_search_budget_respected():
     assert res.is_yes() and [s.value for s in res.witness] == [3, 3]
 
 
-def test_decomposition_recheck_agrees():
+def test_decomposition_recheck_agrees(budget_sums):
+    """The plain budget reference and the membership agree on a "no" and
+    a "yes"."""
     chain = [TailSet.of("powers3", 1), TailSet.of("powers3", 2)]
-    assert not decomposition_recheck(Z.element(5), chain)
+    assert 5 not in budget_sums(5, chain)
+    assert prefix_sum_membership(Z.element(5), chain).is_no()
     chain2 = [TailSet.of("powers3", 0), TailSet.of("powers3", 1)]
-    assert decomposition_recheck(Z.element(4), chain2)
+    assert 4 in budget_sums(4, chain2)
+    assert prefix_sum_membership(Z.element(4), chain2).is_yes()
+
+
+def first_in_product_order(g: int, lists):
+    return next((t for t in itertools.product(*lists) if sum(t) == g), None)
+
+
+def assert_matches_product_order(g: int, chain, lists):
+    """Same status and the identical witness as the first tuple of
+    itertools.product over the candidate lists; returns the result."""
+    expected = first_in_product_order(g, lists)
+    res = prefix_sum_membership(Z.element(g), chain)
+    if expected is None:
+        complete = all(isinstance(spec, FiniteSet) for spec in chain)
+        assert res.status == "no" if complete else res.status != "yes"
+    else:
+        assert res.is_yes(), (g, chain)
+        assert tuple(s.value for s in res.witness) == expected, (g, chain)
+    return res
+
+
+def test_bounded_search_returns_first_witness_in_candidate_order(
+        budget_candidates):
+    """Seeded integer chains of 2 to 4 sets (powers3, Fibonacci and
+    user-prefix tails mixed with finite sets) against the first tuple of
+    itertools.product over the budget's candidate lists."""
+    rng = random.Random(6)
+    seq = prefix_sequence("spread", [2, 5, 7, 11, 20, 31, 45])
+    searched = yes = 0
+    for _ in range(120):
+        chain = []
+        for _ in range(rng.randint(2, 4)):
+            pick = rng.random()
+            if pick < 0.25:
+                chain.append(TailSet.of("powers3", rng.randint(0, 2)))
+            elif pick < 0.5:
+                chain.append(TailSet.of("fibonacci", rng.randint(0, 3)))
+            elif pick < 0.7:
+                chain.append(TailSet.of(seq, rng.randint(0, 2)))
+            else:
+                chain.append(FiniteSet.of(Z, rng.sample(range(-9, 10),
+                                                        rng.randint(1, 3))))
+        g = rng.choice([v for v in range(-15, 16) if v])
+        res = assert_matches_product_order(
+            g, chain, budget_candidates(g, chain))
+        if res.proof["route"] == "bounded-search":
+            searched += 1
+            yes += res.is_yes()
+    assert searched >= 40 and 0 < yes < searched
+
+
+def test_chain_wider_than_bitset_cap_takes_memoized_search(
+        budget_candidates, monkeypatch):
+    """A finite member past the bitset cap sends the search to the
+    memoized DFS, which still returns the first witness in candidate
+    order; on the second chain a remainder that failed one position deeper
+    is reachable where it recurs (24 = 0 + (-3) + 27)."""
+    big = 3 * prefixsum._BITSET_CAP
+    cases = [
+        ([FiniteSet.of(Z, [4, big]), TailSet.of("powers3", 0),
+          TailSet.of("fibonacci", 1)], [1, 6, -11, 40, 97, big + 4, big - 17]),
+        ([FiniteSet.of(Z, [1, 7, big]), TailSet.of("powers3", 0),
+          TailSet.of("powers3", 1)], [10, 24]),
+    ]
+    calls = []
+    memo_dfs = prefixsum._first_by_memo_dfs
+
+    def spy(*args):
+        calls.append(args)
+        return memo_dfs(*args)
+
+    monkeypatch.setattr(prefixsum, "_first_by_memo_dfs", spy)
+    statuses = set()
+    for chain, targets in cases:
+        for g in targets:
+            res = assert_matches_product_order(g, chain,
+                                               budget_candidates(g, chain))
+            assert res.proof["route"] == "bounded-search", g
+            statuses.add(res.status)
+    assert len(calls) == 9 and statuses == {"yes", "unknown"}
+
+
+def envelope_sum_reference(envelopes, m: int, r: int):
+    acc = {0}
+    for env in envelopes:
+        acc = {(a + b) % m for a in acc for b in env}
+        if len(acc) == m:
+            return None
+    return r in acc
+
+
+def test_envelope_bitset_sum_matches_set_sum():
+    """Rotate-and-OR over a bitset of residues against a plain set
+    comprehension, on seeded envelopes and moduli on both sides of the
+    bitset cap."""
+    rng = random.Random(12)
+    saturated = decided = 0
+    for _ in range(300):
+        m = rng.choice([2, 3, 7, 27, 64, 81, 243, 1000, 6561,
+                        prefixsum._BITSET_CAP, prefixsum._BITSET_CAP + 1,
+                        10 ** 9 + 7])
+        envelopes = [frozenset({0} | {rng.randrange(m)
+                                      for _ in range(rng.randint(0, 6))})
+                     for _ in range(rng.randint(1, 4))]
+        for r in {0, 1, m - 1, rng.randrange(m)}:
+            expected = envelope_sum_reference(envelopes, m, r)
+            assert prefixsum._envelope_sum_meets(envelopes, m, r) == \
+                expected, (m, envelopes, r)
+            saturated += expected is None
+            decided += expected is False
+    assert saturated and decided
 
 
 def test_chain_must_share_ambient_group():
