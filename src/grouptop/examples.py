@@ -73,16 +73,24 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+# Largest prime accepted: the level-1 root is found by scanning all p
+# residues (about 0.2 s at the cap) after trial division up to sqrt(p).
+HENSEL_P_CAP = 10 ** 6
+
+
+@lru_cache(maxsize=1024)
 def hensel_sqrt(a: int = 7, p: int = 3, k: int = 1) -> HenselWitness:
     """Square root of a modulo p^k by iterated lifting from level 1.
 
     The canonical representative is the lift of min(c, p - c) for the
     level-1 root c, so certificates are reproducible byte for byte.
-    Raises when a is not a quadratic residue mod p (e.g. a = 2, p = 3).
+    Raises when a is not a quadratic residue mod p (e.g. a = 2, p = 3),
+    and for p past ``HENSEL_P_CAP`` before any search starts.
     """
     if k < 1:
         raise HenselError("level k must be positive")
+    if p > HENSEL_P_CAP:
+        raise HenselError(f"p must not exceed {HENSEL_P_CAP}")
     if p < 3 or not _is_prime(p):
         raise HenselError("p must be an odd prime")
     if a % p == 0:

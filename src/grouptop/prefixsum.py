@@ -6,8 +6,7 @@ three-valued semantics:
 * yes  -- always accompanied by an explicit summand witness, re-verified
           by group addition before it is returned;
 * no   -- only from an exact route: a folded exact sumset, a divisor
-          certificate over integer chains, a residue envelope, or full
-          enumeration of finite sets;
+          certificate over integer chains, or a residue envelope;
 * unknown -- a bounded search ran out of candidates without deciding, or
           an exact fold would pass the enumeration cap.
 
@@ -236,15 +235,14 @@ def _search_candidates(st: StarSet, g_abs: int,
     """Finite candidate list for the bounded search, or None if unbounded."""
     base = st.base
     if isinstance(base, FiniteSet):
-        vals = [el.value for el in base.elements()]
-        return vals, True  # complete enumeration
+        return [el.value for el in base.elements()]
     if isinstance(base, TailSet):
         cap = SEARCH_BUDGET["value_cap_factor"] * n_sets * max(g_abs, 1)
         vals = base.member_values(cap)
         out = [0]
         for v in vals[: SEARCH_BUDGET["per_set_candidates"]]:
             out.extend((v, -v))
-        return out, False
+        return out
     return None
 
 
@@ -304,7 +302,9 @@ def prefix_sum_membership(g: GroupElement,
                                 proof={"route": "exact-fold"})
 
     # Integer chains: a common divisor of all candidate summands gives an
-    # exact exclusion whenever it fails to divide the target.
+    # exact exclusion whenever it fails to divide the target.  Only they
+    # can reach the bounded search with candidates: a chain of finite sets
+    # over any group was decided by the exact fold above.
     if group == _INTEGERS:
         divisors = [divisor_certificate(st) for st in stars]
         d = 0
@@ -319,16 +319,12 @@ def prefix_sum_membership(g: GroupElement,
         env_no = _envelope_exclusion(g, stars)
         if env_no is not None:
             return env_no
+        found = _bounded_search(g, _plan(g, stars))
+        if found is not None:
+            _verify_witness(g, stars, found)
+            return MembershipResult("yes", witness=found,
+                                    proof={"route": "bounded-search"})
 
-    plan = _plan(g, stars)
-    found = _bounded_search(g, stars, plan)
-    if found is not None:
-        _verify_witness(g, stars, found)
-        return MembershipResult("yes", witness=found,
-                                proof={"route": "bounded-search"})
-
-    if plan is not None and all(complete for _, complete in plan):
-        return MembershipResult("no", proof={"route": "finite-enumeration"})
     return MembershipResult(
         "unknown",
         note="bounded search exhausted without a witness",
@@ -363,6 +359,8 @@ def _envelope_modulus(g: GroupElement, stars: Sequence[StarSet],
             m = math.lcm(m, base.modulus)
         elif isinstance(base, TailSet):
             seq = base.sequence
+            if not seq.has_tail_divisor():
+                return 1  # every divisor is 1, never past the threshold
             t = base.start
             chosen = None
             while seq.in_range(t) and t <= base.start + _ENVELOPE_DIVISOR_SCAN:
@@ -425,10 +423,10 @@ def _envelope_sum_meets(envelopes: list, m: int, r: int) -> Optional[bool]:
     return r in acc
 
 
-def _plan(g, stars) -> Optional[list]:
-    """One (candidates, complete) pair per set, or None when some set has
-    no finite candidate list."""
-    g_abs = abs(g.value) if isinstance(g.value, int) else 0
+def _plan(g: GroupElement, stars: Sequence[StarSet]) -> Optional[list]:
+    """One candidate list per set of an integer chain, or None when some
+    set has no finite candidate list."""
+    g_abs = abs(g.value)
     plan = []
     for st in stars:
         cand = _search_candidates(st, g_abs, len(stars))
@@ -438,34 +436,30 @@ def _plan(g, stars) -> Optional[list]:
     return plan
 
 
-def _bounded_search(g: GroupElement, stars: Sequence[StarSet],
-                    plan: Optional[list]) -> Optional[tuple]:
+def _bounded_search(g: GroupElement,
+                    cands: Optional[list]) -> Optional[tuple]:
     """The lexicographically first witness in candidate order, or None.
 
-    Only applicable when every set yields candidates (finite sets and
-    certified tails).  Summands v peel off the left: (-v) + remainder.
-    Integer chains of width 2R + 1 <= ``_BITSET_CAP``, R the sum of the
-    largest candidate magnitudes, are searched by suffix reachability;
-    wider integer chains and every other group by a depth-first search
-    that remembers the states that failed.  Both return the same witness.
+    Only applicable to integer chains whose every set yields candidates
+    (finite sets and tails).  Summands v peel off the left: remainder - v.
+    Chains of width 2R + 1 <= ``_BITSET_CAP``, R the sum of the largest
+    candidate magnitudes, are searched by suffix reachability; wider ones
+    by a depth-first search that remembers the states that failed.  Both
+    return the same witness.
     """
-    if plan is None:
+    if cands is None:
         return None
-    group = g.group
-    cands = [c for c, _ in plan]
-    suffix_abs = None
-    if group == _INTEGERS:
-        suffix_abs = [0] * (len(cands) + 1)
-        for i in range(len(cands) - 1, -1, -1):
-            suffix_abs[i] = suffix_abs[i + 1] + max(map(abs, cands[i]),
-                                                    default=0)
-    if suffix_abs is not None and 2 * suffix_abs[0] + 1 <= _BITSET_CAP:
+    suffix_abs = [0] * (len(cands) + 1)
+    for i in range(len(cands) - 1, -1, -1):
+        suffix_abs[i] = suffix_abs[i + 1] + max(map(abs, cands[i]),
+                                                default=0)
+    if 2 * suffix_abs[0] + 1 <= _BITSET_CAP:
         values = _first_by_reach(g.value, cands, suffix_abs[0])
     else:
-        values = _first_by_memo_dfs(group, g.value, cands, suffix_abs)
+        values = _first_by_memo_dfs(g.value, cands, suffix_abs)
     if values is None:
         return None
-    return tuple(GroupElement(group, v) for v in values)
+    return tuple(GroupElement(g.group, v) for v in values)
 
 
 def _first_by_reach(target: int, cands: list, span: int) -> Optional[list]:
@@ -496,25 +490,24 @@ def _first_by_reach(target: int, cands: list, span: int) -> Optional[list]:
     return out
 
 
-def _first_by_memo_dfs(group, target, cands: list,
-                       suffix_abs: Optional[list]) -> Optional[list]:
+def _first_by_memo_dfs(target: int, cands: list,
+                       suffix_abs: list) -> Optional[list]:
     """Depth-first search in candidate order.  The candidate lists depend
     only on the position, so a failed (position, remainder) state fails
-    again and is remembered; integer remainders beyond what the rest can
-    reach are pruned."""
+    again and is remembered; remainders beyond what the rest can reach
+    (``suffix_abs``) are pruned."""
     n = len(cands)
     failed = set()
     out: list = []
 
-    def dfs(i: int, remainder) -> bool:
+    def dfs(i: int, remainder: int) -> bool:
         if i == n:
-            return remainder == group.identity_value()
-        if (i, remainder) in failed or \
-                (suffix_abs is not None and abs(remainder) > suffix_abs[i]):
+            return remainder == 0
+        if (i, remainder) in failed or abs(remainder) > suffix_abs[i]:
             return False
         for v in cands[i]:
             out.append(v)
-            if dfs(i + 1, group._add(group._neg(v), remainder)):
+            if dfs(i + 1, remainder - v):
                 return True
             out.pop()
         failed.add((i, remainder))

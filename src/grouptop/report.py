@@ -8,11 +8,11 @@ prints it to stderr.
 
 from __future__ import annotations
 
-import json
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable
 
 SCHEMA_VERSION = 1
@@ -61,7 +61,50 @@ def report_document(reports: list) -> dict:
 
 
 def canonical_json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """The bytes of ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``.
+
+    With ``indent`` set, ``json`` falls back to its generator-based encoder;
+    this one joins a string per container instead.  It follows ``json``'s
+    rules for str and int subclasses (``Status`` encodes as its value),
+    bools, None, tuples and empty containers.  Reports carry exact values
+    under string keys only, so a float, a key that is not a string, or any
+    value ``json`` cannot encode raises TypeError.
+    """
+    return _encode(doc, "\n") + "\n"
+
+
+def _encode(value, newline: str) -> str:
+    # Containers come first, as most calls are for them: leaves of exact
+    # type str or int are encoded inline by the comprehensions below, and
+    # only subclasses, bools and None reach the checks after them.
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        return "{" + inner + ("," + inner).join([
+            _quote(k) + ": " + (
+                _quote(v) if type(v) is str else
+                int.__repr__(v) if type(v) is int else _encode(v, inner))
+            for k, v in sorted(value.items())]) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([
+            _quote(v) if type(v) is str else
+            int.__repr__(v) if type(v) is int else _encode(v, inner)
+            for v in value]) + newline + "]"
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} "
+                    f"is not JSON serializable")
 
 
 @contextmanager

@@ -45,6 +45,10 @@ class IntegerSequence:
     def in_range(self, k: int) -> bool:
         return k >= 0 and (self.length is None or k < self.length)
 
+    def has_tail_divisor(self) -> bool:
+        """False when ``tail_divisor`` is 1 at every index."""
+        return self._tail_divisor is not None
+
     def tail_divisor(self, start: int) -> int:
         """Integer dividing every value at index >= start (1 if unknown)."""
         if self._tail_divisor is None:

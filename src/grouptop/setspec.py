@@ -387,11 +387,7 @@ def sumset(a: SetLike, b: SetLike) -> SetSpec:
     if isinstance(a, FiniteSet) and isinstance(b, FiniteSet):
         if a.group != b.group:
             raise GroupMismatchError("sumset of sets over different groups")
-        if len(a.values) * len(b.values) > _ENUMERATION_CAP:
-            raise EnumerationBudgetError(
-                f"sumset of {len(a.values)} x {len(b.values)} elements "
-                f"exceeds the enumeration cap {_ENUMERATION_CAP}"
-            )
+        _check_enumeration(len(a.values), len(b.values))
         group = a.group
         out = {group._add(x, y) for x in a.values for y in b.values}
         return FiniteSet(group, frozenset(out))
@@ -435,20 +431,64 @@ def sumset(a: SetLike, b: SetLike) -> SetSpec:
 def n_fold_star(spec: SetLike, n: int) -> SetSpec:
     """n-fold sumset of the symmetrization of ``spec``.
 
-    For finite sets over nonabelian groups this is the n-fold product set,
-    computed by iterated product.  Raises SumsetUnsupported when no exact
-    route exists and EnumerationBudgetError when a step would pass the
-    enumeration cap.
+    For finite sets over nonabelian groups this is the n-fold product set.
+    S* contains the identity, so the k-fold sums A_k grow as a chain and
+    A_{k+1} = A_k + (F_k + S*), where F_k = A_k - A_{k-1} is the frontier
+    the step before reached.  Residue and finite sets grow by adding S* to
+    the frontier alone, on the right, and stop early once it is empty;
+    boxes and intervals keep the iterated sumset.  Raises
+    SumsetUnsupported when no exact route exists.  A finite fold raises
+    EnumerationBudgetError before the first step at which |A_k| x |S*|
+    passes the enumeration cap, with the message the iterated fold's
+    ``sumset`` gives there; once a frontier is empty A_k stops growing,
+    so no later step could raise.
     """
     if n < 1:
         raise ValueError("n must be positive")
     starred = star(spec)
     if not starred.materialized:
         raise SumsetUnsupported("tail sets have no exact n-fold sumset")
-    result = starred.base
+    base = starred.base
+    if isinstance(base, ResidueSet):
+        m, step = base.modulus, base.residues
+        return ResidueSet(m, frozenset(_grow_by_frontier(
+            step, n,
+            lambda front: {(x + y) % m for x in front for y in step})))
+    if isinstance(base, FiniteSet):
+        add, step = base.group._add, base.values
+        return FiniteSet(base.group, frozenset(_grow_by_frontier(
+            step, n, lambda front: {add(x, y) for x in front for y in step},
+            capped=True)))
+    result = base
     for _ in range(n - 1):
-        result = sumset(result, starred.base)
+        result = sumset(result, base)
     return result
+
+
+def _grow_by_frontier(step: frozenset, n: int, sums,
+                      capped: bool = False) -> set:
+    """The n-fold sums of ``step``, a set containing the identity;
+    ``sums(front)`` adds ``step`` on the right of each element of front.
+    With ``capped``, each step first checks |reached| x |step| against
+    the enumeration cap, as ``sumset`` does."""
+    reached = set(step)
+    frontier = reached
+    for _ in range(n - 1):
+        if capped:
+            _check_enumeration(len(reached), len(step))
+        frontier = sums(frontier) - reached
+        if not frontier:
+            break
+        reached |= frontier
+    return reached
+
+
+def _check_enumeration(size_a: int, size_b: int) -> None:
+    if size_a * size_b > _ENUMERATION_CAP:
+        raise EnumerationBudgetError(
+            f"sumset of {size_a} x {size_b} elements "
+            f"exceeds the enumeration cap {_ENUMERATION_CAP}"
+        )
 
 
 def subset_of(inner: SetLike, outer: SetLike) -> bool:
@@ -564,6 +604,8 @@ def residue_envelope(spec: SetLike, modulus: int) -> Optional[frozenset]:
         return frozenset(out)
     if isinstance(spec, TailSet):
         seq = spec.sequence
+        if not seq.has_tail_divisor() and seq.length is None:
+            return None  # every divisor is 1 and the tail never ends
         cutoff = None
         t = spec.start
         while seq.in_range(t) and t <= spec.start + _ENVELOPE_SCAN_CAP:

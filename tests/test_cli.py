@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -57,6 +58,17 @@ def test_hensel_non_residue_exits_1(capsys):
 def test_hensel_bad_level_exits_1(capsys):
     code, _, _ = run(["hensel", "--k", "0"], capsys)
     assert code == 1
+
+
+def test_hensel_past_prime_cap_exits_1(capsys):
+    """A huge p is refused before trial division or the root scan."""
+    from grouptop.examples import HENSEL_P_CAP, hensel_sqrt
+    t0 = time.perf_counter()
+    code, out, err = run(["hensel", "--p", "1000000000000000003"], capsys)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1 and out == ""
+    assert err == f"hensel: p must not exceed {HENSEL_P_CAP}\n"
+    assert hensel_sqrt.cache_info().maxsize is not None
 
 
 def test_verify_interval(capsys):

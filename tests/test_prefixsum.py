@@ -1,5 +1,6 @@
 """Decomposition membership: exact routes, witnesses, honest unknowns."""
 
+import dataclasses
 import itertools
 import random
 
@@ -16,10 +17,10 @@ from grouptop import (
     star,
 )
 from grouptop.examples import sqrt7_set
-from grouptop.groups import Rationals, op_sum
+from grouptop.groups import GroupElement, Rationals, op_sum
 from grouptop import prefixsum
 from grouptop.prefixsum import SEARCH_BUDGET
-from grouptop.sequences import prefix_sequence
+from grouptop.sequences import IntegerSequence, get_sequence, prefix_sequence
 from grouptop.setspec import witness_holds
 
 Z = Integers()
@@ -305,6 +306,99 @@ def test_envelope_bitset_sum_matches_set_sum():
             saturated += expected is None
             decided += expected is False
     assert saturated and decided
+
+
+def test_finite_chains_fold_and_other_groups_never_plan_a_search(
+        monkeypatch):
+    """Every all-finite chain is decided by the exact fold (or refused at
+    the enumeration cap), so only integer chains with a tail ever get
+    candidate lists for the bounded search."""
+    from grouptop.fixtures import dihedral8
+    from grouptop.groups import ProductMod
+    from grouptop.setspec import BoxSet
+
+    planned = []
+    real_plan = prefixsum._plan
+
+    def spy(g, stars):
+        plan = real_plan(g, stars)
+        planned.append((g.group, plan is not None))
+        return plan
+
+    monkeypatch.setattr(prefixsum, "_plan", spy)
+    rng = random.Random(7)
+    q, p4, d4 = Rationals(), ProductMod(4), dihedral8()
+
+    def finite(group, pool):
+        return FiniteSet.of(group, rng.sample(pool, rng.randint(0, 3)))
+
+    pools = {
+        Z: list(range(-12, 13)),
+        q: [f"{a}/{b}" for a in range(-4, 5) for b in (1, 2, 3)],
+        p4: [(0, a, b, c) for a in range(2) for b in range(3)
+             for c in range(4)],
+        d4: [el.value for el in d4.elements()],
+    }
+    others = {
+        Z: lambda: TailSet.of("fibonacci", rng.randint(0, 3)),
+        q: lambda: SymmetricInterval.of(f"1/{rng.randint(1, 5)}"),
+        p4: lambda: BoxSet.of(4, [{0}, {0, 1}][:rng.randint(0, 2)]),
+        d4: None,
+    }
+    folded = 0
+    for _ in range(200):
+        group = rng.choice(list(pools))
+        chain = [finite(group, pools[group])
+                 for _ in range(rng.randint(2, 4))]
+        all_finite = others[group] is None or rng.random() < 0.5
+        if not all_finite:
+            chain[rng.randrange(len(chain))] = others[group]()
+        g = GroupElement(group, rng.choice(pools[group]))
+        res = prefix_sum_membership(g, chain)
+        if all_finite and not g.is_identity():
+            assert res.proof["route"] == "exact-fold", (chain, g)
+            folded += 1
+    wide = FiniteSet.of(Z, range(500))
+    res = prefix_sum_membership(Z.element(1), [wide, wide])
+    assert res.status == "unknown" and res.proof == {
+        "route": "exact-fold", "enumeration_cap": 200_000}
+    assert folded >= 80
+    assert any(searched for _, searched in planned)
+    assert all(group == Z for group, searched in planned if searched)
+
+
+def test_uncertified_tails_skip_divisor_scans(monkeypatch):
+    """Fibonacci tails carry no divisor certificate, so the envelope
+    routes stop at once: at most one ``tail_divisor`` call per tail (the
+    divisor route's), and the same results as on a copy of the sequence
+    whose certificate is the constant 1, which both envelope scans walk
+    in full."""
+    fib = get_sequence("fibonacci")
+    scanned = dataclasses.replace(fib, _tail_divisor=lambda t: 1)
+    real = IntegerSequence.tail_divisor
+    calls = []
+
+    def spy(seq, start):
+        calls.append(start)
+        return real(seq, start)
+
+    rng = random.Random(5)
+    routes = set()
+    for _ in range(60):
+        starts = [rng.randint(0, 4) for _ in range(rng.randint(2, 4))]
+        g = Z.element(rng.choice([v for v in range(-40, 41) if v]))
+        expected = prefix_sum_membership(
+            g, [TailSet.of(scanned, t) for t in starts])
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(IntegerSequence, "tail_divisor", spy)
+            res = prefix_sum_membership(g, [TailSet.of(fib, t)
+                                            for t in starts])
+        assert len(calls) <= len(starts)
+        assert res == expected, (g, starts)
+        routes.add((res.status, res.proof["route"]))
+    assert routes == {("yes", "bounded-search"),
+                      ("unknown", "bounded-search")}
 
 
 def test_chain_must_share_ambient_group():

@@ -25,7 +25,12 @@ from grouptop.sequences import (
     get_sequence,
     prefix_sequence,
 )
-from grouptop.setspec import SumsetUnsupported, divides, divisor_certificate
+from grouptop.setspec import (
+    EnumerationBudgetError,
+    SumsetUnsupported,
+    divides,
+    divisor_certificate,
+)
 
 Z = Integers()
 
@@ -158,6 +163,51 @@ def test_n_fold_star_examples():
     assert n_fold_star(s, 2) == ResidueSet.of(9, {0, 1, 4, 5, 8})
     out = n_fold_star(FiniteSet.of(Z, [1]), 3)
     assert {el.value for el in out.elements()} == set(range(-3, 4))
+
+
+def iterated_n_fold(spec, n):
+    """The n-fold star as the iterated fold A_{k+1} = sumset(A_k, S*)."""
+    base = star(spec).base
+    out = base
+    for _ in range(n - 1):
+        out = sumset(out, base)
+    return out
+
+
+def test_n_fold_star_matches_iterated_sumset():
+    """Frontier growth against the iterated fold, on seeded residue sets,
+    finite integer sets and D4 sets (products on the right), n = 1..8."""
+    from grouptop.fixtures import dihedral8
+    d4 = dihedral8()
+    names = [el.value for el in d4.elements()]
+    rng = random.Random(17)
+    specs = []
+    for _ in range(30):
+        m = rng.choice([1, 2, 3, 9, 27, 81, 100, 243, 2187])
+        specs.append(ResidueSet.of(m, rng.sample(range(m),
+                                                 rng.randint(0, min(m, 3)))))
+        specs.append(FiniteSet.of(Z, rng.sample(range(-30, 31),
+                                                rng.randint(0, 4))))
+        specs.append(FiniteSet.of(d4, rng.sample(names, rng.randint(0, 2))))
+    for spec in specs:
+        for n in range(1, 9):
+            assert n_fold_star(spec, n) == iterated_n_fold(spec, n), (spec, n)
+
+
+def test_n_fold_star_raises_at_the_iterated_folds_step():
+    """[-150, 150] folds to 601 sums, then 901: 901 x 301 passes the cap
+    on the step to n = 4, in both folds and with the same message."""
+    spec = FiniteSet.of(Z, range(1, 151))
+    for n in range(1, 4):
+        assert n_fold_star(spec, n) == iterated_n_fold(spec, n)
+    for n in (4, 6):
+        with pytest.raises(EnumerationBudgetError) as ours:
+            n_fold_star(spec, n)
+        with pytest.raises(EnumerationBudgetError) as iterated:
+            iterated_n_fold(spec, n)
+        assert str(ours.value) == str(iterated.value) == (
+            "sumset of 901 x 301 elements exceeds the enumeration cap "
+            "200000")
 
 
 def test_n_fold_star_rejects_tails():
