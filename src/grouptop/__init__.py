@@ -21,6 +21,7 @@ from .groups import (
 from .setspec import (
     BoxSet,
     FiniteSet,
+    FoldTable,
     ResidueSet,
     SetSpec,
     StarSet,

@@ -28,7 +28,7 @@ from .report import (
     report_document,
     stopwatch,
 )
-from .setspec import reject_unknown_keys
+from .setspec import FoldTable, reject_unknown_keys
 
 _EXIT_FOR_STATUS = {
     Status.VERIFIED: 0,
@@ -101,8 +101,9 @@ def _cmd_verify(args) -> int:
             if args.gmax < 1 or args.nmax < 1:
                 print("gmax and nmax must be positive", file=sys.stderr)
                 return 1
+            table = FoldTable()  # the grid shares every n-fold set
             reports = [
-                ex.verify_sqrt7_necessary(g, n)
+                ex.verify_sqrt7_necessary(g, n, table=table)
                 for g in range(1, args.gmax + 1)
                 for n in range(1, args.nmax + 1)
             ]
@@ -190,8 +191,9 @@ def _cmd_hensel(args) -> int:
             rows = []
             prev = None
             chain_ok = True
-            for level in range(1, args.k + 1):
-                w = ex.hensel_sqrt(args.a, args.p, level)
+            roots = ex.hensel_roots(args.a, args.p, args.k)
+            for level, root in enumerate(roots, start=1):
+                w = ex.HenselWitness(args.p, args.a, level, root)
                 if prev is not None:
                     mod = args.p ** (level - 1)
                     chain_ok = chain_ok and (w.root - prev) % mod == 0

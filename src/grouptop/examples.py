@@ -18,13 +18,14 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .groups import GroupElement, Integers, ProductMod, Rationals
 from .prefixsum import prefix_sum_membership
 from .report import Status, VerificationReport
 from .setspec import (
     BoxSet,
+    FoldTable,
     ResidueSet,
     SymmetricInterval,
     contains,
@@ -78,14 +79,18 @@ def _is_prime(n: int) -> bool:
 HENSEL_P_CAP = 10 ** 6
 
 
-@lru_cache(maxsize=1024)
-def hensel_sqrt(a: int = 7, p: int = 3, k: int = 1) -> HenselWitness:
-    """Square root of a modulo p^k by iterated lifting from level 1.
+def _level1_roots(a: int, p: int) -> list:
+    """Every square root of a modulo p, by scanning all p residues."""
+    return [c for c in range(p) if (c * c - a) % p == 0]
 
-    The canonical representative is the lift of min(c, p - c) for the
-    level-1 root c, so certificates are reproducible byte for byte.
-    Raises when a is not a quadratic residue mod p (e.g. a = 2, p = 3),
-    and for p past ``HENSEL_P_CAP`` before any search starts.
+
+def hensel_roots(a: int, p: int, k: int) -> Iterator[int]:
+    """The canonical square roots of a modulo p, p^2, ..., p^k.
+
+    One scan finds the level-1 root min(c, p - c); every later level is
+    the Newton iterate of the one before.  Raises when a is not a
+    quadratic residue mod p (e.g. a = 2, p = 3), and for p past
+    ``HENSEL_P_CAP`` before any search starts.
     """
     if k < 1:
         raise HenselError("level k must be positive")
@@ -95,17 +100,31 @@ def hensel_sqrt(a: int = 7, p: int = 3, k: int = 1) -> HenselWitness:
         raise HenselError("p must be an odd prime")
     if a % p == 0:
         raise HenselError("p must not divide a")
-    roots = [c for c in range(p) if (c * c - a) % p == 0]
+    roots = _level1_roots(a, p)
     if not roots:
         raise HenselError(f"{a} is not a quadratic residue mod {p}")
     c = min(roots)
+    yield c
     modulus = p
     for level in range(2, k + 1):
         modulus *= p
         # Newton step: c <- c - (c^2 - a) / (2c), exact modulo p^level.
         inv = pow(2 * c, -1, modulus)
         c = (c - (c * c - a) * inv) % modulus
-    return HenselWitness(p=p, a=a, k=k, root=c)
+        yield c
+
+
+@lru_cache(maxsize=1024)
+def hensel_sqrt(a: int = 7, p: int = 3, k: int = 1) -> HenselWitness:
+    """Square root of a modulo p^k by iterated lifting from level 1.
+
+    The canonical representative is the lift of min(c, p - c) for the
+    level-1 root c, so certificates are reproducible byte for byte.
+    Raises as ``hensel_roots`` does.
+    """
+    for root in hensel_roots(a, p, k):
+        pass
+    return HenselWitness(p=p, a=a, k=k, root=root)
 
 
 def sqrt7_set(k: int, a: int = 7, p: int = 3) -> ResidueSet:
@@ -139,19 +158,23 @@ class DecompositionWitness:
         }
 
 
-def verify_sqrt7_necessary(g: int, n: int, a: int = 7,
-                           p: int = 3) -> VerificationReport:
+def verify_sqrt7_necessary(g: int, n: int, a: int = 7, p: int = 3,
+                           table: Optional[FoldTable] = None
+                           ) -> VerificationReport:
     """Exact check that g avoids the n-fold sum of a deep enough chain set.
 
     Picks the smallest level k at which p^k divides none of the integers
     g^2 - a m^2 for 0 <= m <= n, confirms by residue arithmetic that g is
     outside the n-fold starred set at that level, and cross-checks that
-    the crude level bound p^k > max(g^2, a n^2) also works.
+    the crude level bound p^k > max(g^2, a n^2) also works.  The n-fold
+    sets come from ``table``, a fresh one when None.
     """
     if g == 0:
         raise ValueError("g must be nonzero")
     if n < 1:
         raise ValueError("n must be positive")
+    if table is None:
+        table = FoldTable()
     targets = [g * g - a * m * m for m in range(n + 1)]
     if any(t == 0 for t in targets):
         raise HenselError(f"{a} must not be a perfect-square multiple")
@@ -164,13 +187,13 @@ def verify_sqrt7_necessary(g: int, n: int, a: int = 7,
     while not divides_none(k):
         k += 1
     member = sqrt7_set(k, a, p)
-    folded = n_fold_star(member, n)
+    folded = table.n_fold_star(member, n)
     excluded = not folded.contains_value(g) and not folded.contains_value(-g)
 
     k_bound = 1
     while p ** k_bound <= max(g * g, a * n * n):
         k_bound += 1
-    bound_fold = n_fold_star(sqrt7_set(k_bound, a, p), n)
+    bound_fold = table.n_fold_star(sqrt7_set(k_bound, a, p), n)
     bound_ok = divides_none(k_bound) and \
         not bound_fold.contains_value(g) and not bound_fold.contains_value(-g)
 

@@ -12,6 +12,7 @@ Every bounded search reports three-valued outcomes; "verified" and
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -26,6 +27,7 @@ from .report import Status, VerificationReport, aggregate_status
 from .sequences import IntegerSequence, sequence_from_json, sequence_to_json
 from .setspec import (
     EnumerationBudgetError,
+    FoldTable,
     SetLike,
     SetSpec,
     StarSet,
@@ -36,7 +38,7 @@ from .setspec import (
     description_kind,
     integer_from_json,
     list_from_json,
-    n_fold_star,
+    reject_unknown_keys,
     spec_from_json,
     star,
     subset_of,
@@ -169,16 +171,23 @@ class ExplicitFamily(FilterFamily):
 _FAMILY_KEYS = {
     "cofinite": {"kind", "sequence", "prefix", "start"},
     "explicit": {"kind", "name", "members"},
-    "chain": {"kind", "generator", "coords"},
+    "chain": {"kind", "generator", "coords", "name", "length"},
 }
+# A chain is given by its generator (a config) or by the name and length
+# ``ChainFamily.describe`` writes (a report); the two forms do not mix.
+_CHAIN_GENERATOR_KEYS = {"kind", "generator", "coords"}
+_CHAIN_NAME_KEYS = {"kind", "name", "length"}
+_BOXES_NAME = re.compile(r"product-boxes-([1-9][0-9]*)")
 
 
 def family_from_json(doc: dict) -> FilterFamily:
     """Build a family from its JSON description.
 
     Chain generators are looked up by name: "sqrt7" (square-root residue
-    chains), "interval-halving", and "product-boxes" are built in.
-    Unknown kinds and keys and non-integer integers raise ValueError.
+    chains), "interval-halving", and "product-boxes" are built in.  A
+    chain's own description, {"kind": "chain", "name": ..., "length": ...},
+    builds the same chain.  Unknown kinds and keys and non-integer integers
+    raise ValueError.
     """
     kind = description_kind(doc, _FAMILY_KEYS, "family")
     if kind == "cofinite":
@@ -188,23 +197,43 @@ def family_from_json(doc: dict) -> FilterFamily:
         members = list_from_json(doc["members"], "members")
         return ExplicitFamily([spec_from_json(m) for m in members],
                               name=doc.get("name", "explicit"))
-    name = doc["generator"]
-    if name == "sqrt7":
+    if "name" not in doc:
+        reject_unknown_keys(doc, _CHAIN_GENERATOR_KEYS, "chain family")
+        if "coords" in doc and doc["generator"] != "product-boxes":
+            raise ValueError(f"'coords' does not apply to chain generator "
+                             f"{doc['generator']!r}")
+        return _chain_family(doc["generator"],
+                             integer_from_json(doc.get("coords", 6)))
+    reject_unknown_keys(doc, _CHAIN_NAME_KEYS, "chain family")
+    name = doc["name"]
+    boxes = _BOXES_NAME.fullmatch(name) if isinstance(name, str) else None
+    family = _chain_family("product-boxes", int(boxes.group(1))) if boxes \
+        else _chain_family(name, 6)
+    if family.name != name:
+        raise ValueError(f"unknown chain name {name!r}")
+    if "length" in doc and \
+            integer_from_json(doc["length"]) != family.size():
+        raise ValueError(f"length {doc['length']!r} does not match chain "
+                         f"{name!r}")
+    return family
+
+
+def _chain_family(generator, coords: int) -> ChainFamily:
+    if generator == "sqrt7":
         from .examples import sqrt7_set
         return ChainFamily(lambda i: sqrt7_set(i + 1), name="sqrt7")
-    if name == "interval-halving":
+    if generator == "interval-halving":
         from fractions import Fraction
         from .setspec import SymmetricInterval
         return ChainFamily(
             lambda i: SymmetricInterval(Fraction(1, 2 ** i)),
             name="interval-halving",
         )
-    if name == "product-boxes":
+    if generator == "product-boxes":
         from .examples import product_set
-        coords = integer_from_json(doc.get("coords", 6))
         return ChainFamily(lambda i: product_set(coords, i + 1),
                            length=coords, name=f"product-boxes-{coords}")
-    raise ValueError(f"unknown chain generator {name!r}")
+    raise ValueError(f"unknown chain generator {generator!r}")
 
 
 def _lower_bound_among(members: Sequence[SetSpec], a: SetSpec,
@@ -277,38 +306,42 @@ class CupcapResult:
         return doc
 
 
-def _nfold_exclusion(g: GroupElement, n: int,
-                     spec: SetSpec) -> MembershipResult:
+def _nfold_exclusion(g: GroupElement, n: int, spec: SetSpec,
+                     table: FoldTable) -> MembershipResult:
     """Membership of g in the n-fold sum of the starred member, exact when
     the representation allows, else the prefix-sum machinery.  Finite sets
     over nonabelian groups fold exactly as n-fold product sets; a fold past
     the enumeration cap is unknown, never a bounded search."""
     try:
-        folded = n_fold_star(spec, n)
+        folded = table.n_fold_star(spec, n)
         if folded.contains_value(g.value):
             return MembershipResult("yes", proof={"route": "exact-fold"})
         return MembershipResult(
             "no", proof={"route": "exact-fold", "fold": folded.to_json()})
     except SumsetUnsupported:
-        return prefix_sum_membership(g, [spec] * n)
+        return prefix_sum_membership(g, [spec] * n, table)
     except EnumerationBudgetError as err:
         return enumeration_capped(err)
 
 
 def cupcap_check(g: GroupElement, n: int, family: FilterFamily,
-                 depth: int) -> CupcapResult:
+                 depth: int, table: Optional[FoldTable] = None
+                 ) -> CupcapResult:
     """Search the first ``depth`` members for one whose n-fold starred sum
     misses g.  Only exact exclusions count as found; inconclusive members
-    are skipped and tallied."""
+    are skipped and tallied.  Folds come from ``table``, a fresh one when
+    None."""
     if g.is_identity():
         raise ValueError("probe must not be the identity")
     if n < 1:
         raise ValueError("n must be positive")
+    if table is None:
+        table = FoldTable()
     top = depth if family.size() is None else min(depth, family.size())
     skipped = 0
     for i in range(top):
         member = family.member(i)
-        res = _nfold_exclusion(g, n, member)
+        res = _nfold_exclusion(g, n, member, table)
         if res.is_no():
             return CupcapResult(True, n, i, member, res.proof, checked=i + 1,
                                 skipped_unknown=skipped)
@@ -503,6 +536,7 @@ def separating_sequence(
     family: FilterFamily,
     max_len: int,
     depth: int,
+    table: Optional[FoldTable] = None,
 ):
     """Greedily extend a member sequence keeping g outside the prefix sum.
 
@@ -512,7 +546,7 @@ def separating_sequence(
     which loses nothing: members only shrink, so a deeper member excludes
     whenever a shallower one does.  Returns a certificate on success and a
     stuck report (prefix plus every candidate's blocking membership)
-    otherwise.
+    otherwise.  Every membership is decided through ``table``.
     """
     if g.is_identity():
         raise ValueError("the identity cannot be separated")
@@ -528,7 +562,7 @@ def separating_sequence(
         for i in range(start, top):
             member = family.member(i)
             chain = [s.member for s in steps] + [member]
-            res = prefix_sum_membership(g, chain)
+            res = prefix_sum_membership(g, chain, table)
             if res.is_no():
                 chosen = SeparationStep(i, member, res)
                 last_index = i
@@ -542,15 +576,18 @@ def separating_sequence(
 
 
 def recheck_certificate(
-        cert: Union[SeparationCertificate, StuckReport]) -> bool:
+        cert: Union[SeparationCertificate, StuckReport],
+        table: Optional[FoldTable] = None) -> bool:
     """Replay a separation from its member descriptions alone: every
     prefix sum still excludes the target, and every witness that blocked a
     stuck report still holds.  The first failure raises AssertionError;
-    returns True so callers can assert on it."""
+    returns True so callers can assert on it.  Every membership is
+    decided through ``table``."""
     stuck = isinstance(cert, StuckReport)
     members = [s.member for s in (cert.prefix if stuck else cert.steps)]
     for n in range(1, len(members) + 1):
-        if not prefix_sum_membership(cert.target, members[:n]).is_no():
+        if not prefix_sum_membership(cert.target, members[:n],
+                                     table).is_no():
             raise AssertionError(f"prefix {n} no longer excludes the target")
     for i, member, res in cert.blocked if stuck else ():
         if res.is_yes() and not witness_holds(cert.target, res.witness,
@@ -577,13 +614,14 @@ def hausdorff_verdict(
     """
     if any(p.is_identity() for p in probes):
         raise ValueError("probes must exclude the identity")
+    table = FoldTable()  # the probes share every star and fold
     per_probe = []
     outcomes = []
     for g in probes:
-        cupcaps = {n: cupcap_check(g, n, family, depth)
+        cupcaps = {n: cupcap_check(g, n, family, depth, table)
                    for n in range(1, n_max + 1)}
         cupcap_ok = all(c.found for c in cupcaps.values())
-        sep = separating_sequence(g, family, max_len, depth)
+        sep = separating_sequence(g, family, max_len, depth, table)
         if isinstance(sep, SeparationCertificate):
             # Necessity says the exclusion search must succeed wherever a
             # certificate this long exists; within depth that can only be

@@ -30,6 +30,7 @@ from .setspec import (
     BoxSet,
     EnumerationBudgetError,
     FiniteSet,
+    FoldTable,
     ResidueSet,
     SetLike,
     StarSet,
@@ -40,8 +41,6 @@ from .setspec import (
     divides,
     divisor_certificate,
     residue_envelope,
-    star,
-    sumset,
     witness_holds,
 )
 
@@ -92,26 +91,6 @@ def enumeration_capped(err: EnumerationBudgetError) -> MembershipResult:
         "unknown", note=str(err),
         proof={"route": "exact-fold", "enumeration_cap": _ENUMERATION_CAP},
     )
-
-
-def _fold_exact(stars: Sequence[StarSet]):
-    """Fold stars into suffix sumsets; None when some pair is unsupported.
-
-    Returns folds with folds[i] = S_i* + ... + S_{n-1}*.  Raises
-    EnumerationBudgetError when a finite fold would pass the cap.
-    """
-    folds: list = [None] * len(stars)
-    acc = None
-    try:
-        for i in range(len(stars) - 1, -1, -1):
-            st = stars[i]
-            if not st.materialized:
-                return None
-            acc = st.base if acc is None else sumset(st, acc)
-            folds[i] = acc
-    except SumsetUnsupported:
-        return None
-    return folds
 
 
 def _crt(a: int, m: int, b: int, n: int) -> Optional[int]:
@@ -170,13 +149,14 @@ def _exact_candidates(st: StarSet, remainder: GroupElement, rest_fold):
         rem = remainder.value
         if isinstance(rest_fold, ResidueSet):
             n = rest_fold.modulus
+            lcm = m * n // math.gcd(m, n)
+            rest_residues = sorted(rest_fold.residues)
             seen = set()
             for r in sorted(base.residues):
-                for r2 in sorted(rest_fold.residues):
+                for r2 in rest_residues:
                     x = _crt(r, m, (rem - r2) % n, n)
                     if x is not None and x not in seen:
                         seen.add(x)
-                        lcm = m * n // math.gcd(m, n)
                         yield x if x <= lcm // 2 else x - lcm
             return
         if isinstance(rest_fold, FiniteSet):
@@ -246,19 +226,23 @@ def _search_candidates(st: StarSet, g_abs: int,
     return None
 
 
-def prefix_sum_membership(g: GroupElement,
-                          chain: Sequence[SetLike]) -> MembershipResult:
+def prefix_sum_membership(g: GroupElement, chain: Sequence[SetLike],
+                          table: Optional[FoldTable] = None
+                          ) -> MembershipResult:
     """Decide g in S_0* + ... + S_{n-1}* for the given chain.
 
     Exact when every set supports exact sumsets or a divisor certificate
     applies; otherwise a bounded witness search that can only answer yes
-    or unknown.  Inconclusiveness is a value, not an error.
+    or unknown.  Inconclusiveness is a value, not an error.  The chain's
+    stars and exact folds come from ``table``, a fresh one when None.
     """
     group = g.group
     for spec in chain:
         if spec.ambient() != group:
             raise ValueError("chain sets must share the probe's ambient group")
-    stars = [star(s) for s in chain]
+    if table is None:
+        table = FoldTable()
+    stars = [table.star(s) for s in chain]
     n = len(stars)
 
     if n == 0:
@@ -282,7 +266,7 @@ def prefix_sum_membership(g: GroupElement,
         return MembershipResult("no", proof={"route": "single-set"})
 
     try:
-        folds = _fold_exact(stars)
+        folds = table.suffix_folds(stars)
     except EnumerationBudgetError as err:
         return enumeration_capped(err)  # the bounded search may not finish
     if folds is not None:

@@ -19,9 +19,9 @@ from .filters import (
 from .groups import FreeGroup, Rationals, group_from_json
 from .prefixsum import MembershipResult, prefix_sum_membership
 from .setspec import (
+    FoldTable,
     SymmetricInterval,
     contains,
-    n_fold_star,
     spec_from_json,
     star,
     witness_holds,
@@ -31,11 +31,12 @@ from .setspec import (
 def recheck_document(doc: dict) -> Tuple[bool, list]:
     ok = True
     details = []
+    table = FoldTable()  # the claims share every star and fold
     for claim in doc.get("claims", []):
         cid = claim["claim"]
         payload = claim.get("payload", {})
         try:
-            result = _recheck_claim(cid, payload)
+            result = _recheck_claim(cid, payload, table)
         except AssertionError as err:  # a replay that no longer holds
             result = str(err)
         except Exception as err:  # any replay failure is a finding
@@ -50,15 +51,15 @@ def recheck_document(doc: dict) -> Tuple[bool, list]:
     return ok, details
 
 
-def _recheck_claim(cid: str, payload: dict):
+def _recheck_claim(cid: str, payload: dict, table: FoldTable):
     if cid.startswith("hensel:"):
         return _recheck_hensel(cid, payload)
     if "-necessary:" in cid:
-        return _recheck_necessary(cid, payload)
+        return _recheck_necessary(cid, payload, table)
     if cid.startswith("interval-no-extension"):
         return _recheck_interval(payload)
     if cid.startswith("hausdorff:"):
-        return _recheck_hausdorff(payload)
+        return _recheck_hausdorff(payload, table)
     if cid.startswith("fibonacci-commutator"):
         return _recheck_fib(payload)
     decomps = list(_find_decompositions(payload))
@@ -106,13 +107,13 @@ def _recheck_hensel(cid: str, payload: dict):
     return "ok"
 
 
-def _recheck_necessary(cid: str, payload: dict):
+def _recheck_necessary(cid: str, payload: dict, table: FoldTable):
     m = re.search(r":g=(-?\d+):n=(\d+)", cid)
     if not m:
         return "unparseable claim id"
     g, n = int(m.group(1)), int(m.group(2))
     member = spec_from_json(payload["member"])
-    folded = n_fold_star(member, n)
+    folded = table.n_fold_star(member, n)
     if folded.contains_value(g) or folded.contains_value(-g):
         return "target re-enters the n-fold set"
     return "ok"
@@ -140,7 +141,7 @@ def _recheck_interval(payload: dict):
     return "ok"
 
 
-def _recheck_hausdorff(payload: dict):
+def _recheck_hausdorff(payload: dict, table: FoldTable):
     """Decode each probe in the ambient group of the members its report
     names, then replay its separation with the producer's own replay."""
     for probe in payload["probes"]:
@@ -156,7 +157,8 @@ def _recheck_hausdorff(payload: dict):
         if group.element(sep["target"]) != g:
             return "separation target is not the probe"
         for cc, member in zip(found, specs):
-            if not prefix_sum_membership(g, [member] * cc["n"]).is_no():
+            if not prefix_sum_membership(g, [member] * cc["n"],
+                                         table).is_no():
                 return f"cupcap member no longer excludes {probe['probe']}"
         specs = specs[len(found):]
         chosen = tuple(SeparationStep(s["member_index"], member,
@@ -168,7 +170,7 @@ def _recheck_hausdorff(payload: dict):
                 (b["candidate_index"], member, _result(group, b["result"]))
                 for b, member in zip(blocked, specs[len(steps):])),
                 sep["family"])
-        recheck_certificate(replay)
+        recheck_certificate(replay, table)
     return "ok"
 
 

@@ -465,6 +465,75 @@ def n_fold_star(spec: SetLike, n: int) -> SetSpec:
     return result
 
 
+def suffix_folds(stars: Sequence[StarSet]) -> Optional[tuple]:
+    """Fold stars into suffix sumsets; None when some pair is unsupported.
+
+    Returns folds with folds[i] = S_i* + ... + S_{n-1}*.  Raises
+    EnumerationBudgetError when a finite fold would pass the cap.
+    """
+    folds: list = [None] * len(stars)
+    acc = None
+    try:
+        for i in range(len(stars) - 1, -1, -1):
+            st = stars[i]
+            if not st.materialized:
+                return None
+            acc = st.base if acc is None else sumset(st, acc)
+            folds[i] = acc
+    except SumsetUnsupported:
+        return None
+    return tuple(folds)
+
+
+class FoldTable:
+    """Probe-independent exact sums, computed once per command.
+
+    Three maps: ``star``, ``n_fold_star`` and ``suffix_folds``.  Keys are
+    frozen set values, so sets rebuilt from JSON hit the entries of equal
+    sets built in code.  Only exact algebra that no probe enters is kept;
+    every witness and its check still runs per membership.  A computation
+    that raises is not stored, so it raises again at the same step with
+    the same message.  Tails are never keyed: their stars stay marked, and
+    they have no exact fold.  A table lives as long as the command that
+    made it; nothing here is process-global.
+    """
+
+    def __init__(self):
+        self._stars: dict = {}
+        self._n_folds: dict = {}
+        self._suffix_folds: dict = {}
+
+    def star(self, spec: SetLike) -> StarSet:
+        if isinstance(spec, (StarSet, TailSet)):
+            return star(spec)  # nothing to materialize
+        found = self._stars.get(spec)
+        if found is None:
+            found = self._stars[spec] = star(spec)
+        return found
+
+    def n_fold_star(self, spec: SetLike, n: int) -> SetSpec:
+        starred = self.star(spec)
+        if not starred.materialized:
+            return n_fold_star(starred, n)  # raises, as for every tail
+        key = (starred, n)
+        found = self._n_folds.get(key)
+        if found is None:
+            found = self._n_folds[key] = n_fold_star(starred, n)
+        return found
+
+    def suffix_folds(self, stars: Sequence[StarSet]) -> Optional[tuple]:
+        for st in stars:
+            if not st.materialized:
+                return suffix_folds(stars)
+        key = tuple(stars)
+        found = self._suffix_folds.get(key)
+        if found is None:
+            found = suffix_folds(stars)
+            if found is not None:
+                self._suffix_folds[key] = found
+        return found
+
+
 def _grow_by_frontier(step: frozenset, n: int, sums,
                       capped: bool = False) -> set:
     """The n-fold sums of ``step``, a set containing the identity;

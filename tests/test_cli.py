@@ -71,6 +71,26 @@ def test_hensel_past_prime_cap_exits_1(capsys):
     assert hensel_sqrt.cache_info().maxsize is not None
 
 
+def test_hensel_scans_roots_once(capsys, monkeypatch):
+    """Every level lifts from one level-1 root scan, and the report keeps
+    comparing consecutive iterates."""
+    from grouptop import examples
+    scans = []
+    scan = examples._level1_roots
+    monkeypatch.setattr(examples, "_level1_roots",
+                        lambda a, p: scans.append(p) or scan(a, p))
+    code, out, _ = run(["hensel", "--p", "999983", "--a", "7", "--k", "10"],
+                       capsys)
+    assert code == 0 and scans == [999983]
+    payload = json.loads(out)["claims"][0]["payload"]
+    assert payload["congruence_chain"] is True
+    roots = [row["root"] for row in payload["levels"]]
+    assert len(roots) == 10
+    for k, (prev, root) in enumerate(zip(roots, roots[1:]), start=2):
+        assert (root * root - 7) % 999983 ** k == 0
+        assert (root - prev) % 999983 ** (k - 1) == 0
+
+
 def test_verify_interval(capsys):
     code, out, _ = run(["verify", "interval"], capsys)
     assert code == 0
@@ -140,6 +160,21 @@ def test_hausdorff_powers3_consistent_exits_0(tmp_path, capsys):
     assert doc["claims"][0]["payload"]["verdict"] == "consistent-with-hausdorff"
     code2, _, _ = run(["recheck", str(report)], capsys)
     assert code2 == 0
+
+
+def test_hausdorff_report_family_is_a_config_family(tmp_path, capsys):
+    """The family a chain report describes runs again as a config."""
+    report = tmp_path / "report.json"
+    run(["hausdorff", str(CONFIGS / "sqrt7.json"), "--out", str(report)],
+        capsys)
+    family = json.loads(report.read_text())["claims"][0]["payload"]["family"]
+    cfg = json.loads((CONFIGS / "sqrt7.json").read_text())
+    assert family != cfg["family"]
+    (tmp_path / "cfg.json").write_text(json.dumps({**cfg, "family": family}))
+    again = tmp_path / "again.json"
+    code, _, _ = run(["hausdorff", str(tmp_path / "cfg.json"),
+                      "--out", str(again)], capsys)
+    assert code == 2 and sha256(again) == SQRT7_SHA256
 
 
 def test_hausdorff_user_sequence_config(tmp_path, capsys):
@@ -280,6 +315,7 @@ def test_hausdorff_malformed_config_value_exits_1(tmp_path, capsys, doc):
         {"kind": "residue", "modulus": "9", "residues": [0]}]}, "'9'"),
     ({"kind": "chain", "generator": "product-boxes", "coords": 4.0}, "4.0"),
     ({"kind": "chain", "generator": "sqrt7", "length": 3}, "'length'"),
+    ({"kind": "chain", "generator": "sqrt7", "coords": 3}, "'coords'"),
     ({"kind": "explicit", "members": 5}, "'members'"),
     ({"kind": "explicit", "members": [{"kind": "finite", "elements": 3}]},
      "'elements'"),
@@ -292,7 +328,7 @@ def test_hausdorff_malformed_config_value_exits_1(tmp_path, capsys, doc):
      "'excluded'"),
 ], ids=["cofinite-key", "cofinite-start-float", "tail-key",
         "tail-start-float", "residue-modulus-string", "chain-coords-float",
-        "chain-key", "members-number", "elements-number", "residues-number",
+        "chain-key", "chain-coords-unused", "members-number", "elements-number", "residues-number",
         "allowed-number", "excluded-number"])
 def test_hausdorff_malformed_family_description_exits_1(tmp_path, capsys,
                                                         family, named):
@@ -408,6 +444,114 @@ def test_recheck_flags_tampered_report(tmp_path, capsys):
     report.write_text(json.dumps(doc))
     code, out, _ = run(["recheck", str(report)], capsys)
     assert code == 2 and "FAIL" in out
+
+
+def test_recheck_flags_tampered_copy_of_an_intact_claim(tmp_path, capsys):
+    """A claim rechecked after an intact copy of itself still fails: the
+    replay's shared table keys sets by value, so the tampered member is
+    folded afresh."""
+    report = tmp_path / "sq.json"
+    run(["verify", "sqrt7", "--gmax", "1", "--nmax", "1",
+         "--out", str(report)], capsys)
+    doc = json.loads(report.read_text())
+    tampered = json.loads(json.dumps(doc["claims"][0]))
+    tampered["payload"]["member"] = {"kind": "residue", "modulus": 3,
+                                     "residues": [0, 1, 2]}
+    doc["claims"].append(tampered)
+    report.write_text(json.dumps(doc))
+    code, out, _ = run(["recheck", str(report)], capsys)
+    assert code == 2
+    assert out.splitlines()[:2] == [
+        "  ok     sqrt7-necessary:g=1:n=1",
+        "  FAIL   sqrt7-necessary:g=1:n=1: target re-enters the n-fold set"]
+
+
+def test_hausdorff_folds_each_distinct_sum_once(tmp_path, capsys,
+                                                monkeypatch):
+    """One run computes each distinct (member, n) n-fold star and each
+    distinct tuple of stars' suffix folds once, for all probes."""
+    from collections import Counter
+    from grouptop import setspec
+    n_folds, folds = Counter(), Counter()
+    n_fold_star, suffix_folds = setspec.n_fold_star, setspec.suffix_folds
+
+    def counted_n_fold_star(spec, n):
+        n_folds[(spec, n)] += 1
+        return n_fold_star(spec, n)
+
+    def counted_suffix_folds(stars):
+        folds[tuple(stars)] += 1
+        return suffix_folds(stars)
+
+    monkeypatch.setattr(setspec, "n_fold_star", counted_n_fold_star)
+    monkeypatch.setattr(setspec, "suffix_folds", counted_suffix_folds)
+    report = tmp_path / "report.json"
+    code, _, _ = run(["hausdorff", str(CONFIGS / "sqrt7.json"),
+                      "--out", str(report)], capsys)
+    assert code == 2 and sha256(report) == SQRT7_SHA256
+    assert n_folds and set(n_folds.values()) == {1}
+    assert folds and set(folds.values()) == {1}
+
+
+def _grouptop_containers() -> dict:
+    """Size of every dict, list and set held by a grouptop module or by a
+    class that one defines."""
+    import importlib
+    import pkgutil
+    import grouptop
+    for info in pkgutil.iter_modules(grouptop.__path__):
+        importlib.import_module(f"grouptop.{info.name}")
+    sizes = {}
+    for name, module in sorted(sys.modules.items()):
+        if name != "grouptop" and not name.startswith("grouptop."):
+            continue
+        owners = [(name, module)] + [
+            (f"{name}.{key}", value) for key, value in vars(module).items()
+            if isinstance(value, type) and value.__module__ == name]
+        for owner_name, owner in owners:
+            for key, value in vars(owner).items():
+                if not key.startswith("__") and \
+                        isinstance(value, (dict, list, set)):
+                    sizes[f"{owner_name}.{key}"] = len(value)
+    return sizes
+
+
+def check_commands_leave_no_global_state(workdir: str) -> None:
+    """hausdorff, verify sqrt7 and recheck, run in this process, grow no
+    module-level container; the only cache is hensel_sqrt's bounded one.
+    Meant for a fresh interpreter, where no earlier call can have filled
+    a cache with the entries these commands would add."""
+    import grouptop
+    before = _grouptop_containers()
+    assert "grouptop.cli._EXIT_FOR_STATUS" in before
+    sqrt7, grid = Path(workdir, "sqrt7.json"), Path(workdir, "grid.json")
+    assert main(["hausdorff", str(CONFIGS / "sqrt7.json"),
+                 "--out", str(sqrt7)]) == 2
+    assert main(["verify", "sqrt7", "--gmax", "6", "--nmax", "4",
+                 "--out", str(grid)]) == 0
+    for report in (sqrt7, grid):
+        assert main(["recheck", str(report)]) == 0
+    after = _grouptop_containers()
+    assert after == before, {k: (before.get(k), v) for k, v in after.items()
+                             if before.get(k) != v}
+    caches = {(name, key) for name, module in sys.modules.items()
+              if name.startswith("grouptop.")
+              for key, value in vars(module).items()
+              if hasattr(value, "cache_info")}
+    assert caches == {("grouptop.examples", "hensel_sqrt")}, caches
+    assert grouptop.examples.hensel_sqrt.cache_info().maxsize == 1024
+
+
+def test_commands_leave_no_process_global_state(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT / "tests")] +
+        [x for x in [env.get("PYTHONPATH")] if x])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import test_cli; test_cli."
+         f"check_commands_leave_no_global_state({str(tmp_path)!r})"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 def _hausdorff_report(path, family, probes, **budgets):

@@ -358,6 +358,30 @@ def test_family_from_json():
         family_from_json({"kind": "chain", "generator": "nope"})
 
 
+def test_chain_descriptions_read_back():
+    """A report's chain description, name and length, rebuilds the chain;
+    a misspelt key, a mixed form and a wrong length are refused."""
+    for doc in ({"kind": "chain", "generator": "sqrt7"},
+                {"kind": "chain", "generator": "interval-halving"},
+                {"kind": "chain", "generator": "product-boxes"}):
+        fam = family_from_json(doc)
+        back = family_from_json(fam.describe())
+        assert back.describe() == fam.describe()
+        assert [back.member(i) for i in range(4)] == \
+            [fam.member(i) for i in range(4)]
+    assert family_from_json({"kind": "chain", "name": "product-boxes-6",
+                             "length": 6}).size() == 6
+    for bad in ({"kind": "chain", "name": "sqrt7", "lenght": 3},
+                {"kind": "chain", "name": "product-boxes-6", "coords": 6},
+                {"kind": "chain", "name": "sqrt7", "generator": "sqrt7"},
+                {"kind": "chain", "name": "sqrt7", "length": 3},
+                {"kind": "chain", "name": "product-boxes-6", "length": 5},
+                {"kind": "chain", "name": "product-boxes"},
+                {"kind": "chain", "name": "nope"}):
+        with pytest.raises(ValueError):
+            family_from_json(bad)
+
+
 def test_family_descriptions_read_back():
     """Every key ``describe`` writes for a readable family is accepted."""
     from grouptop.fixtures import dihedral8

@@ -27,9 +27,11 @@ from grouptop.sequences import (
 )
 from grouptop.setspec import (
     EnumerationBudgetError,
+    FoldTable,
     SumsetUnsupported,
     divides,
     divisor_certificate,
+    suffix_folds,
 )
 
 Z = Integers()
@@ -213,6 +215,91 @@ def test_n_fold_star_raises_at_the_iterated_folds_step():
 def test_n_fold_star_rejects_tails():
     with pytest.raises(SumsetUnsupported):
         n_fold_star(TailSet.of("powers3", 0), 2)
+
+
+# --- FoldTable ---
+
+def _seeded_specs() -> list:
+    """Seeded residue, integer-finite, D4-finite, box and interval sets."""
+    from fractions import Fraction
+    from grouptop.fixtures import dihedral8
+    d4 = dihedral8()
+    names = [el.value for el in d4.elements()]
+    rng = random.Random(23)
+    specs = []
+    for _ in range(12):
+        m = rng.choice([1, 3, 9, 27, 81, 100, 243])
+        specs.append(ResidueSet.of(m, rng.sample(range(m),
+                                                 rng.randint(0, min(m, 3)))))
+        specs.append(FiniteSet.of(Z, rng.sample(range(-30, 31),
+                                                rng.randint(0, 4))))
+        specs.append(FiniteSet.of(d4, rng.sample(names, rng.randint(0, 2))))
+        coords = rng.randint(2, 6)
+        specs.append(BoxSet.of(coords, [
+            {v % c for v in (-1, 0, 1)} if rng.random() < 0.5 else {0}
+            for c in range(1, rng.randint(1, coords) + 1)]))
+        specs.append(SymmetricInterval(Fraction(1, rng.randint(1, 64))))
+    return specs
+
+
+def test_fold_table_matches_uncached_algebra():
+    """First and repeated lookups equal the uncached star, n_fold_star
+    and suffix_folds; a set rebuilt from JSON hits the same entry."""
+    specs = _seeded_specs()
+    table = FoldTable()
+    for _ in range(2):
+        for spec in specs:
+            assert table.star(spec) == star(spec)
+            rebuilt = spec_from_json(spec.to_json())
+            assert table.star(rebuilt) is table.star(spec)
+            for n in range(1, 5):
+                assert table.n_fold_star(spec, n) == n_fold_star(spec, n)
+                assert table.n_fold_star(rebuilt, n) is \
+                    table.n_fold_star(spec, n)
+    rng = random.Random(5)
+    for _ in range(60):
+        first = rng.choice(specs)
+        # a chain of sets that share an ambient group
+        chain = [s for s in specs if s.ambient() == first.ambient()]
+        chain = rng.sample(chain, min(len(chain), rng.randint(1, 4)))
+        stars = [table.star(s) for s in chain]
+        want = suffix_folds([star(s) for s in chain])
+        assert table.suffix_folds(stars) == want
+        assert table.suffix_folds(stars) == want
+
+
+def test_fold_table_keys_no_tail():
+    """Tails have no exact fold: the table raises as the uncached call
+    does and never keys them."""
+    tail = TailSet.of("powers3", 2)
+    table = FoldTable()
+    assert table.star(tail) == star(tail)
+    with pytest.raises(SumsetUnsupported):
+        table.n_fold_star(tail, 2)
+    assert table.suffix_folds([star(tail), star(ResidueSet.of(3, {1}))]) \
+        is None
+    assert not any(vars(table).values())
+
+
+def test_fold_table_repeats_cap_failures():
+    """A fold past the enumeration cap raises the uncached message on
+    every lookup; failures are never stored."""
+    spec = FiniteSet.of(Z, range(1, 151))
+    wide = star(FiniteSet.of(Z, range(0, 1000, 2)))
+    table = FoldTable()
+    with pytest.raises(EnumerationBudgetError) as plain:
+        n_fold_star(spec, 4)
+    with pytest.raises(EnumerationBudgetError) as plain_folds:
+        suffix_folds([wide, wide])
+    for _ in range(2):
+        with pytest.raises(EnumerationBudgetError) as cached:
+            table.n_fold_star(spec, 4)
+        assert str(cached.value) == str(plain.value)
+        with pytest.raises(EnumerationBudgetError) as cached:
+            table.suffix_folds([wide, wide])
+        assert str(cached.value) == str(plain_folds.value)
+    assert table.n_fold_star(spec, 3) == n_fold_star(spec, 3)
+    assert len(table._n_folds) == 1 and not table._suffix_folds
 
 
 # --- boxes ---
