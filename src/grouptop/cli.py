@@ -61,12 +61,13 @@ class RunConfig:
             raise ValueError("family must be a JSON object")
         if not isinstance(doc["probes"], list):
             raise ValueError("probes must be a JSON list")
+        # a budget the config leaves out takes its field's default
+        limits = {key: budgets.get(key, getattr(cls, key))
+                  for key in sorted(_BUDGET_KEYS)}
         cfg = cls(
             family=doc["family"],
             probes=[_INTEGERS.element(p) for p in doc["probes"]],
-            n_max=_INTEGERS.element(budgets.get("n_max", 3)).value,
-            depth=_INTEGERS.element(budgets.get("depth", 12)).value,
-            max_len=_INTEGERS.element(budgets.get("max_len", 5)).value,
+            **{key: _INTEGERS.element(v).value for key, v in limits.items()},
         )
         if min(cfg.n_max, cfg.depth, cfg.max_len) < 1:
             raise ValueError("budgets must be positive")

@@ -31,7 +31,7 @@ from .setspec import (
     contains,
     n_fold_star,
     star,
-    sumset,
+    suffix_folds,
     witness_holds,
 )
 
@@ -127,12 +127,16 @@ def hensel_sqrt(a: int = 7, p: int = 3, k: int = 1) -> HenselWitness:
     return HenselWitness(p=p, a=a, k=k, root=root)
 
 
-def sqrt7_set(k: int, a: int = 7, p: int = 3) -> ResidueSet:
-    """Integers whose residue mod p^k is 0 or a square root of ``a``."""
+# The paper's chain lives in the 3-adic square roots of 7.
+SQRT7_A, SQRT7_P = 7, 3
+
+
+def sqrt7_set(k: int) -> ResidueSet:
+    """Integers whose residue mod 3^k is 0 or a square root of 7."""
     if k < 1:
         raise ValueError("k must be positive")
-    w = hensel_sqrt(a, p, k)
-    pk = p ** k
+    w = hensel_sqrt(SQRT7_A, SQRT7_P, k)
+    pk = SQRT7_P ** k
     return ResidueSet.of(pk, {0, w.root, (pk - w.root) % pk})
 
 
@@ -158,7 +162,7 @@ class DecompositionWitness:
         }
 
 
-def verify_sqrt7_necessary(g: int, n: int, a: int = 7, p: int = 3,
+def verify_sqrt7_necessary(g: int, n: int,
                            table: Optional[FoldTable] = None
                            ) -> VerificationReport:
     """Exact check that g avoids the n-fold sum of a deep enough chain set.
@@ -175,9 +179,8 @@ def verify_sqrt7_necessary(g: int, n: int, a: int = 7, p: int = 3,
         raise ValueError("n must be positive")
     if table is None:
         table = FoldTable()
-    targets = [g * g - a * m * m for m in range(n + 1)]
-    if any(t == 0 for t in targets):
-        raise HenselError(f"{a} must not be a perfect-square multiple")
+    a, p = SQRT7_A, SQRT7_P
+    targets = [g * g - a * m * m for m in range(n + 1)]  # 7 is no square
 
     def divides_none(k: int) -> bool:
         pk = p ** k
@@ -186,21 +189,21 @@ def verify_sqrt7_necessary(g: int, n: int, a: int = 7, p: int = 3,
     k = 1
     while not divides_none(k):
         k += 1
-    member = sqrt7_set(k, a, p)
+    member = sqrt7_set(k)
     folded = table.n_fold_star(member, n)
     excluded = not folded.contains_value(g) and not folded.contains_value(-g)
 
     k_bound = 1
     while p ** k_bound <= max(g * g, a * n * n):
         k_bound += 1
-    bound_fold = table.n_fold_star(sqrt7_set(k_bound, a, p), n)
+    bound_fold = table.n_fold_star(sqrt7_set(k_bound), n)
     bound_ok = divides_none(k_bound) and \
         not bound_fold.contains_value(g) and not bound_fold.contains_value(-g)
 
     status = Status.VERIFIED if excluded and bound_ok and k <= k_bound \
         else Status.REFUTED
     return VerificationReport(
-        claim=f"sqrt{a}-necessary:g={g}:n={n}",
+        claim=f"sqrt7-necessary:g={g}:n={n}",
         status=status,
         payload={
             "k": k,
@@ -215,68 +218,65 @@ def verify_sqrt7_necessary(g: int, n: int, a: int = 7, p: int = 3,
     )
 
 
-def _lifted_member(m_i: int, m0: int, a: int, p: int) -> int:
-    """An element of the level-m_i chain set congruent mod p^m0 to the
+def _lifted_member(m_i: int, m0: int) -> int:
+    """An element of the level-m_i chain set congruent mod 3^m0 to the
     canonical level-m0 root."""
-    c0 = hensel_sqrt(a, p, m0).root
+    c0 = hensel_sqrt(SQRT7_A, SQRT7_P, m0).root
     if m_i <= m0:
         return c0  # the chain set at a shallower level contains it already
-    return hensel_sqrt(a, p, m_i).root  # canonical lift stays congruent
+    # the canonical lift stays congruent
+    return hensel_sqrt(SQRT7_A, SQRT7_P, m_i).root
 
 
-def sqrt7_cover_witness(g: int, m0: int, ms: Sequence[int],
-                        a: int = 7, p: int = 3) -> DecompositionWitness:
+def sqrt7_cover_witness(g: int, m0: int,
+                        ms: Sequence[int]) -> DecompositionWitness:
     """The explicit decomposition of g across the chain sets at levels
     m0, m1, ..., following the residue recipe.
 
     h copies of a lifted root plus zeros land in the right class modulo
-    p^m0; one multiple of p^m0 drawn from the level-m0 set closes the gap.
+    3^m0; one multiple of 3^m0 drawn from the level-m0 set closes the gap.
     """
-    if len(ms) != p ** m0:
-        raise ValueError(f"need exactly {p ** m0} follower levels")
-    pk = p ** m0
-    c0 = hensel_sqrt(a, p, m0).root
+    pk = SQRT7_P ** m0
+    if len(ms) != pk:
+        raise ValueError(f"need exactly {pk} follower levels")
+    c0 = hensel_sqrt(SQRT7_A, SQRT7_P, m0).root
     h = (g * pow(c0, -1, pk)) % pk
     summands = [0] * len(ms)
     for slot in range(h):
-        summands[slot] = _lifted_member(ms[slot], m0, a, p)
+        summands[slot] = _lifted_member(ms[slot], m0)
     corrector = g - sum(summands)
-    assert corrector % pk == 0, "recipe must leave a multiple of p^m0"
+    assert corrector % pk == 0, "recipe must leave a multiple of 3^m0"
     group = _INTEGERS
     return DecompositionWitness(
         target=group.element(g),
         summands=tuple(group.element(v) for v in [corrector] + summands),
-        sources=tuple([sqrt7_set(m0, a, p)] +
-                      [sqrt7_set(m, a, p) for m in ms]),
+        sources=tuple(sqrt7_set(m) for m in [m0, *ms]),
     )
 
 
 def verify_sqrt7_U_full(m0: int, ms: Sequence[int],
-                        sample_gs: Sequence[int],
-                        a: int = 7, p: int = 3) -> VerificationReport:
+                        sample_gs: Sequence[int]) -> VerificationReport:
     """Exact proof that the starred chain sets at levels m0, m1, ... sum to
     all of Z, with explicit re-verified witnesses for the samples."""
     if m0 < 1:
         raise ValueError("m0 must be positive")
-    if len(ms) != p ** m0:
-        raise ValueError(f"need exactly {p ** m0} follower levels")
+    if len(ms) != SQRT7_P ** m0:
+        raise ValueError(f"need exactly {SQRT7_P ** m0} follower levels")
     sample_gs = list(sample_gs)
-    folded = star(sqrt7_set(m0, a, p)).base
-    for m in ms:
-        folded = sumset(folded, star(sqrt7_set(m, a, p)))
+    folded = suffix_folds([star(sqrt7_set(m)) for m in [m0, *ms]])[0]
     covers = folded.is_all_integers()
 
     witnesses = []
     all_verify = True
     for g in sample_gs:
-        w = sqrt7_cover_witness(g, m0, ms, a, p)
+        w = sqrt7_cover_witness(g, m0, ms)
         ok = w.verify()
         all_verify = all_verify and ok
         witnesses.append(w.to_json())
 
     status = Status.VERIFIED if covers and all_verify else Status.REFUTED
     return VerificationReport(
-        claim=f"sqrt{a}-cover:m0={m0}:ms={','.join(map(str, ms))}",
+        claim=f"sqrt7-cover:m0={m0}:ms={','.join(map(str, ms))}",
         status=status,
         payload={
             "sum_equals_all_residues": covers,
@@ -338,9 +338,8 @@ def verify_product_sum_full(n_coords: int, m0: int, ms: Sequence[int],
     if len(ms) != m0:
         raise ValueError(f"need exactly {m0} follower levels")
     sample_gs = list(sample_gs)
-    folded = star(product_set(n_coords, m0)).base
-    for m in ms:
-        folded = sumset(folded, star(product_set(n_coords, m)))
+    folded = suffix_folds([star(product_set(n_coords, m))
+                           for m in [m0, *ms]])[0]
     covers = all(
         folded.coordinate_options(coord) == frozenset(range(coord))
         for coord in range(1, n_coords + 1)

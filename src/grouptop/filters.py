@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .groups import GroupElement, op_sub
+from .groups import GroupElement, integer_from_json, list_from_json, op_sub
 from .prefixsum import (
     SEARCH_BUDGET,
     MembershipResult,
@@ -36,8 +36,6 @@ from .setspec import (
     TailSet,
     contains,
     description_kind,
-    integer_from_json,
-    list_from_json,
     reject_unknown_keys,
     spec_from_json,
     star,
@@ -49,8 +47,6 @@ from .setspec import (
 class FilterFamily:
     """Base for downward directed families enumerated in chain order:
     member(0), member(1), ... with deeper members at larger indices."""
-
-    kind: str = "?"
 
     def member(self, i: int) -> SetSpec:
         raise NotImplementedError
@@ -69,7 +65,6 @@ class FilterFamily:
 class ChainFamily(FilterFamily):
     """A decreasing chain S(0) >= S(1) >= ... given by a generator."""
 
-    kind = "chain"
     validate_depth = 4  # leading members whose nesting is checked on build
 
     def __init__(self, generator: Callable[[int], SetSpec],
@@ -120,8 +115,6 @@ class CofiniteFamily(FilterFamily):
     arbitrary members union their removals.
     """
 
-    kind = "cofinite"
-
     def __init__(self, sequence: Union[IntegerSequence, str],
                  base_start: int = 0):
         self.sequence = TailSet.of(sequence, base_start).sequence
@@ -148,8 +141,6 @@ class CofiniteFamily(FilterFamily):
 
 
 class ExplicitFamily(FilterFamily):
-    kind = "explicit"
-
     def __init__(self, members: Sequence[SetSpec], name: str = "explicit"):
         if not members:
             raise ValueError("explicit family needs at least one member")
@@ -603,25 +594,57 @@ def hausdorff_verdict(
     depth: int,
     max_len: int,
 ) -> VerificationReport:
-    """Run both criteria on every probe and classify the outcome.
+    """Run both criteria on every probe and classify the outcome with
+    ``hausdorff_classification``.
 
     Per probe: the n-fold exclusion search for each n <= n_max, and the
-    separating-sequence construction.  The aggregate verdict distinguishes
-    "consistent-with-hausdorff" (everything separates) from the gap where
-    the necessary condition holds but the construction sticks against
-    exact blocking memberships -- the desk-scale signature of a family
-    whose finest topology is not Hausdorff.
+    separating-sequence construction.
     """
     if any(p.is_identity() for p in probes):
         raise ValueError("probes must exclude the identity")
     table = FoldTable()  # the probes share every star and fold
     per_probe = []
+
+    def searched():  # lazily, so no separation outlives its JSON
+        for g in probes:
+            cupcaps = {n: cupcap_check(g, n, family, depth, table)
+                       for n in range(1, n_max + 1)}
+            sep = separating_sequence(g, family, max_len, depth, table)
+            per_probe.append({
+                "probe": g.group.value_to_json(g.value),
+                "cupcap": {str(n): c.to_json() for n, c in cupcaps.items()},
+                "separation": sep.to_json(),
+            })
+            yield all(c.found for c in cupcaps.values()), sep
+
+    outcomes, verdict, status = hausdorff_classification(searched())
+    for probe, outcome in zip(per_probe, outcomes):
+        probe["outcome"] = outcome
+    return VerificationReport(
+        claim=f"hausdorff:{_family_tag(family)}",
+        status=status,
+        payload={"verdict": verdict, "probes": per_probe,
+                 "family": family.describe()},
+        budgets={"n_max": n_max, "depth": depth, "max_len": max_len,
+                 **SEARCH_BUDGET},
+    )
+
+
+def hausdorff_classification(probes: Iterable[tuple]) -> tuple:
+    """Each probe's outcome, then the claim's verdict and status.
+
+    ``probes`` yields one (cupcap_ok, separation) pair per probe: whether
+    the n-fold exclusion search found a member for every n, and the
+    separation certificate or stuck report.  ``hausdorff_verdict`` feeds
+    it its own runs and ``recheck`` a report's replayed payload, so both
+    derive outcomes, verdict and status by this one rule.  The verdict
+    distinguishes "consistent-with-hausdorff" (everything separates) from
+    the gap where the necessary condition holds but the construction
+    sticks against exact blocking memberships -- the desk-scale signature
+    of a family whose finest topology is not Hausdorff.
+    """
     outcomes = []
-    for g in probes:
-        cupcaps = {n: cupcap_check(g, n, family, depth, table)
-                   for n in range(1, n_max + 1)}
-        cupcap_ok = all(c.found for c in cupcaps.values())
-        sep = separating_sequence(g, family, max_len, depth, table)
+    for cupcap_ok, sep in probes:
         if isinstance(sep, SeparationCertificate):
             # Necessity says the exclusion search must succeed wherever a
             # certificate this long exists; within depth that can only be
@@ -633,33 +656,16 @@ def hausdorff_verdict(
         else:
             outcome = "unresolved"
         outcomes.append(outcome)
-        per_probe.append({
-            "probe": g.group.value_to_json(g.value),
-            "outcome": outcome,
-            "cupcap": {str(n): c.to_json() for n, c in cupcaps.items()},
-            "separation": sep.to_json(),
-        })
 
     if all(o == "separated" for o in outcomes):
-        verdict = "consistent-with-hausdorff"
-        status = Status.VERIFIED
-    elif all(o in ("separated", "gap") for o in outcomes) and \
-            "gap" in outcomes:
+        verdict, status = "consistent-with-hausdorff", Status.VERIFIED
+    elif all(o in ("separated", "gap") for o in outcomes):  # a gap, then
         verdict = ("necessary-condition-holds-but-separation-blocked: "
                    "finest topology not Hausdorff at desk scale")
         status = Status.REFUTED
     else:
-        verdict = "unresolved-at-budget"
-        status = Status.UNKNOWN
-
-    return VerificationReport(
-        claim=f"hausdorff:{_family_tag(family)}",
-        status=status,
-        payload={"verdict": verdict, "probes": per_probe,
-                 "family": family.describe()},
-        budgets={"n_max": n_max, "depth": depth, "max_len": max_len,
-                 **SEARCH_BUDGET},
-    )
+        verdict, status = "unresolved-at-budget", Status.UNKNOWN
+    return outcomes, verdict, status
 
 
 def _family_tag(family: FilterFamily) -> str:

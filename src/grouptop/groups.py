@@ -94,6 +94,20 @@ class Integers(AmbientGroup):
         return {"kind": "integers"}
 
 
+_INTEGERS = Integers()
+
+
+def integer_from_json(raw) -> int:
+    """The integers' own check: bools, floats and strings are refused."""
+    return _INTEGERS._normalize(raw)
+
+
+def list_from_json(raw, key: str) -> list:
+    if not isinstance(raw, list):
+        raise ValueError(f"list expected for {key!r}, got {raw!r}")
+    return raw
+
+
 @dataclass(frozen=True)
 class Rationals(AmbientGroup):
     def identity_value(self) -> Fraction:
@@ -135,7 +149,9 @@ class ProductMod(AmbientGroup):
         return (0,) * self.n_coords
 
     def _normalize(self, raw: Any) -> tuple:
-        vec = tuple(int(v) for v in raw)
+        if not isinstance(raw, (list, tuple)):
+            raise ValueError(f"coordinate list expected, got {raw!r}")
+        vec = tuple(integer_from_json(v) for v in raw)
         if len(vec) != self.n_coords:
             raise ValueError(f"expected {self.n_coords} coordinates, got {len(vec)}")
         return tuple(v % (i + 1) for i, v in enumerate(vec))
@@ -171,11 +187,22 @@ class FreeGroup(AmbientGroup):
     """Free group on named generators; values are reduced letter tuples.
 
     A letter is a nonzero signed integer: +i is the i-th generator
-    (1-based), -i its inverse.
+    (1-based), -i its inverse.  Generator names are distinct nonempty
+    strings without whitespace, "*" or "^", and none is "e", the name of
+    the identity, so every word's printed form parses back to the word.
     """
 
     generators: tuple = ("x", "y")
     is_abelian = False
+
+    def __post_init__(self):
+        for name in self.generators:
+            if not isinstance(name, str) or not name or name == "e" or \
+                    any(c.isspace() or c in "*^" for c in name):
+                raise ValueError(f"generator name {name!r} cannot be "
+                                 f"parsed back")
+        if len(set(self.generators)) != len(self.generators):
+            raise ValueError("generator names must be distinct")
 
     def identity_value(self) -> tuple:
         return ()
@@ -183,8 +210,10 @@ class FreeGroup(AmbientGroup):
     def _normalize(self, raw: Any) -> tuple:
         if isinstance(raw, str):
             letters = self._parse(raw)
+        elif isinstance(raw, (list, tuple)):
+            letters = tuple(integer_from_json(v) for v in raw)
         else:
-            letters = tuple(int(v) for v in raw)
+            raise ValueError(f"word or letter list expected, got {raw!r}")
         for letter in letters:
             if letter == 0 or abs(letter) > len(self.generators):
                 raise ValueError(f"letter {letter} outside generator range")
@@ -199,7 +228,7 @@ class FreeGroup(AmbientGroup):
                 power = int(exp)
             else:
                 name, power = token, 1
-            if name == "e" and name not in self.generators:
+            if name == "e":
                 continue  # the identity, as format_value prints it
             if name not in self.generators:
                 raise ValueError(f"unknown generator {name!r}")
@@ -251,7 +280,7 @@ class CayleyGroup(AmbientGroup):
             if raw not in self.names:
                 raise ValueError(f"unknown element name {raw!r}")
             return self.names.index(raw)
-        idx = int(raw)
+        idx = integer_from_json(raw)
         if not 0 <= idx < self.order:
             raise ValueError(f"index {idx} outside 0..{self.order - 1}")
         return idx
@@ -286,13 +315,14 @@ def load_cayley(doc: Union[dict, str]) -> CayleyGroup:
     """
     if isinstance(doc, str):
         doc = json.loads(doc)
-    order = int(doc["order"])
-    table = doc["table"]
+    order = integer_from_json(doc["order"])
+    table = list_from_json(doc["table"], "table")
     if order < 1:
         raise NotAGroupError("order must be positive")
-    if len(table) != order or any(len(row) != order for row in table):
+    if len(table) != order or any(len(list_from_json(row, "table")) != order
+                                  for row in table):
         raise NotAGroupError(f"table must be {order}x{order}")
-    table = tuple(tuple(int(v) for v in row) for row in table)
+    table = tuple(tuple(integer_from_json(v) for v in row) for row in table)
     for row in table:
         for v in row:
             if not 0 <= v < order:
@@ -326,9 +356,14 @@ def load_cayley(doc: Union[dict, str]) -> CayleyGroup:
                         f"not associative at ({a},{b},{c})"
                     )
 
-    names = tuple(doc.get("names") or [f"g{i}" for i in range(order)])
+    names = doc.get("names")
+    names = tuple(f"g{i}" for i in range(order)) if names is None \
+        else tuple(list_from_json(names, "names"))
     if len(names) != order:
         raise NotAGroupError("names length must equal order")
+    if not all(isinstance(n, str) for n in names) or \
+            len(set(names)) != order:
+        raise NotAGroupError("names must be distinct strings")
     group = CayleyGroup(table=table, names=names,
                         identity_index=identity, inverse=tuple(inverse))
     abelian = all(table[a][b] == table[b][a]
@@ -338,15 +373,20 @@ def load_cayley(doc: Union[dict, str]) -> CayleyGroup:
 
 
 def group_from_json(doc: dict) -> AmbientGroup:
-    kind = doc["kind"]
+    """Inverse of ``describe``; a descriptor that is not a JSON object, an
+    unknown kind and values of the wrong JSON type raise ValueError."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"group must be a JSON object, got {doc!r}")
+    kind = doc.get("kind")
     if kind == "integers":
         return Integers()
     if kind == "rationals":
         return Rationals()
     if kind == "product":
-        return ProductMod(int(doc["coords"]))
+        return ProductMod(integer_from_json(doc["coords"]))
     if kind == "free":
-        return FreeGroup(tuple(doc["generators"]))
+        return FreeGroup(tuple(list_from_json(doc["generators"],
+                                              "generators")))
     if kind == "cayley":
         return load_cayley(doc)
     raise ValueError(f"unknown group kind {kind!r}")

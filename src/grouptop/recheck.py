@@ -2,7 +2,9 @@
 
 Everything here rebuilds elements and set descriptions from their JSON
 forms and replays membership and addition; no verdict from the original
-run is trusted.  Claims without embedded witnesses are listed as skipped.
+run is trusted.  A ``hausdorff`` claim's outcomes, verdict and status are
+derived again from its replayed payload, and the document's status from
+its claims'.  Claims without embedded witnesses are listed as skipped.
 """
 
 from __future__ import annotations
@@ -14,10 +16,13 @@ from .filters import (
     SeparationCertificate,
     SeparationStep,
     StuckReport,
+    _nfold_exclusion,
+    hausdorff_classification,
     recheck_certificate,
 )
 from .groups import FreeGroup, Rationals, group_from_json
-from .prefixsum import MembershipResult, prefix_sum_membership
+from .prefixsum import MembershipResult
+from .report import Status, aggregate_status
 from .setspec import (
     FoldTable,
     SymmetricInterval,
@@ -32,11 +37,12 @@ def recheck_document(doc: dict) -> Tuple[bool, list]:
     ok = True
     details = []
     table = FoldTable()  # the claims share every star and fold
+    statuses = []
     for claim in doc.get("claims", []):
         cid = claim["claim"]
-        payload = claim.get("payload", {})
         try:
-            result = _recheck_claim(cid, payload, table)
+            statuses.append(Status(claim["status"]))
+            result = _recheck_claim(claim, table)
         except AssertionError as err:  # a replay that no longer holds
             result = str(err)
         except Exception as err:  # any replay failure is a finding
@@ -48,10 +54,17 @@ def recheck_document(doc: dict) -> Tuple[bool, list]:
         else:
             details.append(f"  FAIL   {cid}: {result}")
             ok = False
+    derived = aggregate_status(statuses).value
+    if doc.get("status") != derived:
+        details.append(f"  FAIL   document status: the claims give "
+                       f"{derived!r}, the document {doc.get('status')!r}")
+        ok = False
     return ok, details
 
 
-def _recheck_claim(cid: str, payload: dict, table: FoldTable):
+def _recheck_claim(claim: dict, table: FoldTable):
+    cid = claim["claim"]
+    payload = claim.get("payload", {})
     if cid.startswith("hensel:"):
         return _recheck_hensel(cid, payload)
     if "-necessary:" in cid:
@@ -59,7 +72,7 @@ def _recheck_claim(cid: str, payload: dict, table: FoldTable):
     if cid.startswith("interval-no-extension"):
         return _recheck_interval(payload)
     if cid.startswith("hausdorff:"):
-        return _recheck_hausdorff(payload, table)
+        return _recheck_hausdorff(claim, table)
     if cid.startswith("fibonacci-commutator"):
         return _recheck_fib(payload)
     decomps = list(_find_decompositions(payload))
@@ -141,37 +154,59 @@ def _recheck_interval(payload: dict):
     return "ok"
 
 
-def _recheck_hausdorff(payload: dict, table: FoldTable):
-    """Decode each probe in the ambient group of the members its report
-    names, then replay its separation with the producer's own replay."""
-    for probe in payload["probes"]:
-        sep = probe["separation"]
-        found = [cc for cc in probe["cupcap"].values() if cc.get("found")]
-        steps = sep.get("steps", sep.get("prefix"))
-        blocked = sep.get("blocked", [])
-        specs = [spec_from_json(e["member"]) for e in found + steps + blocked]
-        if not specs:
-            continue  # no member to replay against
+def _recheck_hausdorff(claim: dict, table: FoldTable):
+    """Replay every probe, then derive its outcome, the verdict and the
+    status with the producer's own rule and compare them with the
+    report's."""
+    payload = claim["payload"]
+    probes = payload["probes"]
+    outcomes, verdict, status = hausdorff_classification(
+        _replayed_probe(probe, table) for probe in probes)
+    for probe, outcome in zip(probes, outcomes):
+        if probe["outcome"] != outcome:
+            return (f"probe {probe['probe']}: the replay gives outcome "
+                    f"{outcome!r}, the report {probe['outcome']!r}")
+    if payload["verdict"] != verdict:
+        return (f"the replay gives verdict {verdict!r}, the report "
+                f"{payload['verdict']!r}")
+    if claim["status"] != status.value:
+        return (f"the replay gives status {status.value!r}, the report "
+                f"{claim['status']!r}")
+    return "ok"
+
+
+def _replayed_probe(probe: dict, table: FoldTable) -> tuple:
+    """(cupcap_ok, separation) of one probe, decoded in the ambient group
+    of the members its report names, after replaying each found n-fold
+    exclusion and the separation through the producer's own routes; a
+    replay that fails raises AssertionError."""
+    sep = probe["separation"]
+    found = [cc for cc in probe["cupcap"].values() if cc.get("found")]
+    steps = sep.get("steps", sep.get("prefix"))
+    blocked = sep.get("blocked", [])
+    specs = [spec_from_json(e["member"]) for e in found + steps + blocked]
+    group = g = None  # without members there is nothing to replay
+    if specs:
         group = specs[0].ambient()
         g = group.element(probe["probe"])
         if group.element(sep["target"]) != g:
-            return "separation target is not the probe"
-        for cc, member in zip(found, specs):
-            if not prefix_sum_membership(g, [member] * cc["n"],
-                                         table).is_no():
-                return f"cupcap member no longer excludes {probe['probe']}"
-        specs = specs[len(found):]
-        chosen = tuple(SeparationStep(s["member_index"], member,
-                                      _result(group, s["exclusion"]))
-                       for s, member in zip(steps, specs))
-        replay = SeparationCertificate(g, chosen, sep["family"])
-        if "blocked" in sep:
-            replay = StuckReport(g, sep["stuck_at_step"], chosen, tuple(
-                (b["candidate_index"], member, _result(group, b["result"]))
-                for b, member in zip(blocked, specs[len(steps):])),
-                sep["family"])
-        recheck_certificate(replay, table)
-    return "ok"
+            raise AssertionError("separation target is not the probe")
+    for cc, member in zip(found, specs):
+        if not _nfold_exclusion(g, cc["n"], member, table).is_no():
+            raise AssertionError(
+                f"cupcap member no longer excludes {probe['probe']}")
+    specs = specs[len(found):]
+    chosen = tuple(SeparationStep(s["member_index"], member,
+                                  _result(group, s["exclusion"]))
+                   for s, member in zip(steps, specs))
+    replay = SeparationCertificate(g, chosen, sep["family"])
+    if "blocked" in sep:
+        replay = StuckReport(g, sep["stuck_at_step"], chosen, tuple(
+            (b["candidate_index"], member, _result(group, b["result"]))
+            for b, member in zip(blocked, specs[len(steps):])),
+            sep["family"])
+    recheck_certificate(replay, table)
+    return len(found) == len(probe["cupcap"]), replay
 
 
 def _result(group, doc: dict) -> MembershipResult:

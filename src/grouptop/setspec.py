@@ -23,6 +23,8 @@ from .groups import (
     ProductMod,
     Rationals,
     group_from_json,
+    integer_from_json,
+    list_from_json,
     op_sum,
 )
 from .sequences import (
@@ -49,15 +51,10 @@ class EnumerationBudgetError(RuntimeError):
 
 
 class SetSpec:
-    kind: str = "?"
-
     def ambient(self) -> AmbientGroup:
         raise NotImplementedError
 
     def contains_value(self, value) -> bool:
-        raise NotImplementedError
-
-    def describe(self) -> str:
         raise NotImplementedError
 
     def to_json(self) -> dict:
@@ -68,8 +65,6 @@ class SetSpec:
 class FiniteSet(SetSpec):
     group: AmbientGroup
     values: frozenset
-
-    kind = "finite"
 
     @classmethod
     def of(cls, group: AmbientGroup, raws: Iterable) -> "FiniteSet":
@@ -84,11 +79,6 @@ class FiniteSet(SetSpec):
     def elements(self) -> list:
         vals = sorted(self.values, key=self.group.sort_key)
         return [GroupElement(self.group, v) for v in vals]
-
-    def describe(self) -> str:
-        shown = ", ".join(str(el) for el in self.elements()[:8])
-        more = "" if len(self.values) <= 8 else ", ..."
-        return f"{{{shown}{more}}}"
 
     def to_json(self) -> dict:
         doc = {
@@ -108,8 +98,6 @@ class ResidueSet(SetSpec):
     modulus: int
     residues: frozenset
 
-    kind = "residue"
-
     def __post_init__(self):
         if self.modulus < 1:
             raise ValueError("modulus must be positive")
@@ -128,10 +116,6 @@ class ResidueSet(SetSpec):
 
     def is_all_integers(self) -> bool:
         return len(self.residues) == self.modulus
-
-    def describe(self) -> str:
-        rs = ",".join(str(r) for r in sorted(self.residues))
-        return f"{{x : x mod {self.modulus} in {{{rs}}}}}"
 
     def to_json(self) -> dict:
         return {
@@ -153,8 +137,6 @@ class BoxSet(SetSpec):
 
     n_coords: int
     allowed: tuple  # tuple of frozenset[int], one per constrained coordinate
-
-    kind = "box"
 
     def __post_init__(self):
         if not 0 <= len(self.allowed) <= self.n_coords:
@@ -187,11 +169,6 @@ class BoxSet(SetSpec):
     def contains_value(self, value: tuple) -> bool:
         return all(value[i] in opts for i, opts in enumerate(self.allowed))
 
-    def describe(self) -> str:
-        parts = [f"c{i + 1} in {sorted(opts)}"
-                 for i, opts in enumerate(self.allowed)]
-        return f"box[{'; '.join(parts)}; rest free of {self.n_coords}]"
-
     def to_json(self) -> dict:
         return {
             "kind": "box",
@@ -205,8 +182,6 @@ class SymmetricInterval(SetSpec):
     """The open rational interval (-epsilon, epsilon)."""
 
     epsilon: Fraction
-
-    kind = "interval"
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -222,9 +197,6 @@ class SymmetricInterval(SetSpec):
     def contains_value(self, value: Fraction) -> bool:
         return abs(value) < self.epsilon
 
-    def describe(self) -> str:
-        return f"(-{self.epsilon}, {self.epsilon})"
-
     def to_json(self) -> dict:
         return {"kind": "interval", "epsilon": str(self.epsilon)}
 
@@ -236,8 +208,6 @@ class TailSet(SetSpec):
     sequence: IntegerSequence
     start: int
     excluded: frozenset
-
-    kind = "tail"
 
     def __post_init__(self):
         if self.start < 0:
@@ -267,10 +237,6 @@ class TailSet(SetSpec):
         return [seq.value(k)
                 for k in seq.indices_with_abs_at_most(self.start, bound)
                 if k not in self.excluded]
-
-    def describe(self) -> str:
-        ex = "" if not self.excluded else f" minus indices {sorted(self.excluded)}"
-        return f"{{{self.sequence.name}[k] : k >= {self.start}}}{ex}"
 
     def to_json(self) -> dict:
         return {
@@ -302,10 +268,6 @@ class StarSet:
         return (value == group.identity_value()
                 or self.base.contains_value(value)
                 or self.base.contains_value(group._neg(value)))
-
-    def describe(self) -> str:
-        return self.base.describe() if self.materialized \
-            else f"star({self.base.describe()})"
 
     def to_json(self) -> dict:
         return {"kind": "star", "materialized": self.materialized,
@@ -387,7 +349,11 @@ def sumset(a: SetLike, b: SetLike) -> SetSpec:
     if isinstance(a, FiniteSet) and isinstance(b, FiniteSet):
         if a.group != b.group:
             raise GroupMismatchError("sumset of sets over different groups")
-        _check_enumeration(len(a.values), len(b.values))
+        if len(a.values) * len(b.values) > _ENUMERATION_CAP:
+            raise EnumerationBudgetError(
+                f"sumset of {len(a.values)} x {len(b.values)} elements "
+                f"exceeds the enumeration cap {_ENUMERATION_CAP}"
+            )
         group = a.group
         out = {group._add(x, y) for x in a.values for y in b.values}
         return FiniteSet(group, frozenset(out))
@@ -429,40 +395,9 @@ def sumset(a: SetLike, b: SetLike) -> SetSpec:
 
 
 def n_fold_star(spec: SetLike, n: int) -> SetSpec:
-    """n-fold sumset of the symmetrization of ``spec``.
-
-    For finite sets over nonabelian groups this is the n-fold product set.
-    S* contains the identity, so the k-fold sums A_k grow as a chain and
-    A_{k+1} = A_k + (F_k + S*), where F_k = A_k - A_{k-1} is the frontier
-    the step before reached.  Residue and finite sets grow by adding S* to
-    the frontier alone, on the right, and stop early once it is empty;
-    boxes and intervals keep the iterated sumset.  Raises
-    SumsetUnsupported when no exact route exists.  A finite fold raises
-    EnumerationBudgetError before the first step at which |A_k| x |S*|
-    passes the enumeration cap, with the message the iterated fold's
-    ``sumset`` gives there; once a frontier is empty A_k stops growing,
-    so no later step could raise.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    starred = star(spec)
-    if not starred.materialized:
-        raise SumsetUnsupported("tail sets have no exact n-fold sumset")
-    base = starred.base
-    if isinstance(base, ResidueSet):
-        m, step = base.modulus, base.residues
-        return ResidueSet(m, frozenset(_grow_by_frontier(
-            step, n,
-            lambda front: {(x + y) % m for x in front for y in step})))
-    if isinstance(base, FiniteSet):
-        add, step = base.group._add, base.values
-        return FiniteSet(base.group, frozenset(_grow_by_frontier(
-            step, n, lambda front: {add(x, y) for x in front for y in step},
-            capped=True)))
-    result = base
-    for _ in range(n - 1):
-        result = sumset(result, base)
-    return result
+    """n-fold sumset of the symmetrization of ``spec``, from a fresh
+    ``FoldTable``."""
+    return FoldTable().n_fold_star(spec, n)
 
 
 def suffix_folds(stars: Sequence[StarSet]) -> Optional[tuple]:
@@ -488,14 +423,15 @@ def suffix_folds(stars: Sequence[StarSet]) -> Optional[tuple]:
 class FoldTable:
     """Probe-independent exact sums, computed once per command.
 
-    Three maps: ``star``, ``n_fold_star`` and ``suffix_folds``.  Keys are
-    frozen set values, so sets rebuilt from JSON hit the entries of equal
-    sets built in code.  Only exact algebra that no probe enters is kept;
-    every witness and its check still runs per membership.  A computation
-    that raises is not stored, so it raises again at the same step with
-    the same message.  Tails are never keyed: their stars stay marked, and
-    they have no exact fold.  A table lives as long as the command that
-    made it; nothing here is process-global.
+    Three maps: each set's star, each star's n-fold sums A_1, A_2, ...
+    as far as they were asked for, and each tuple of stars' suffix folds.
+    Keys are frozen set values, so sets rebuilt from JSON hit the entries
+    of equal sets built in code.  Only exact algebra that no probe enters
+    is kept; every witness and its check still runs per membership.  A
+    computation that raises is not stored, so it raises again at the same
+    step with the same message.  Tails are never keyed: their stars stay
+    marked, and they have no exact fold.  A table lives as long as the
+    command that made it; nothing here is process-global.
     """
 
     def __init__(self):
@@ -512,14 +448,26 @@ class FoldTable:
         return found
 
     def n_fold_star(self, spec: SetLike, n: int) -> SetSpec:
+        """n-fold sumset A_n of S*, the symmetrization of ``spec``; for
+        finite sets over nonabelian groups the n-fold product set.
+
+        A_1 = S* and A_{k+1} = sumset(A_k, S*), with A_k on the left.  A
+        miss grows the deepest stored A_k one step at a time and stores
+        each step, so a finite fold raises EnumerationBudgetError at the
+        step whose |A_k| x |S*| first passes the cap.  Tails raise
+        SumsetUnsupported.
+        """
+        if n < 1:
+            raise ValueError("n must be positive")
         starred = self.star(spec)
         if not starred.materialized:
-            return n_fold_star(starred, n)  # raises, as for every tail
-        key = (starred, n)
-        found = self._n_folds.get(key)
-        if found is None:
-            found = self._n_folds[key] = n_fold_star(starred, n)
-        return found
+            raise SumsetUnsupported("tail sets have no exact n-fold sumset")
+        folds = self._n_folds.get(starred)
+        if folds is None:
+            folds = self._n_folds[starred] = [starred.base]
+        while len(folds) < n:
+            folds.append(sumset(folds[-1], starred))
+        return folds[n - 1]
 
     def suffix_folds(self, stars: Sequence[StarSet]) -> Optional[tuple]:
         for st in stars:
@@ -532,32 +480,6 @@ class FoldTable:
             if found is not None:
                 self._suffix_folds[key] = found
         return found
-
-
-def _grow_by_frontier(step: frozenset, n: int, sums,
-                      capped: bool = False) -> set:
-    """The n-fold sums of ``step``, a set containing the identity;
-    ``sums(front)`` adds ``step`` on the right of each element of front.
-    With ``capped``, each step first checks |reached| x |step| against
-    the enumeration cap, as ``sumset`` does."""
-    reached = set(step)
-    frontier = reached
-    for _ in range(n - 1):
-        if capped:
-            _check_enumeration(len(reached), len(step))
-        frontier = sums(frontier) - reached
-        if not frontier:
-            break
-        reached |= frontier
-    return reached
-
-
-def _check_enumeration(size_a: int, size_b: int) -> None:
-    if size_a * size_b > _ENUMERATION_CAP:
-        raise EnumerationBudgetError(
-            f"sumset of {size_a} x {size_b} elements "
-            f"exceeds the enumeration cap {_ENUMERATION_CAP}"
-        )
 
 
 def subset_of(inner: SetLike, outer: SetLike) -> bool:
@@ -711,17 +633,6 @@ def description_kind(doc, keys_by_kind: dict, what: str) -> str:
         raise ValueError(f"unknown {what} kind {kind!r}")
     reject_unknown_keys(doc, keys_by_kind[kind], f"{kind} {what}")
     return kind
-
-
-def integer_from_json(raw) -> int:
-    """The integers' own check: bools, floats and strings are refused."""
-    return _INTEGERS._normalize(raw)
-
-
-def list_from_json(raw, key: str) -> list:
-    if not isinstance(raw, list):
-        raise ValueError(f"list expected for {key!r}, got {raw!r}")
-    return raw
 
 
 # Every key ``to_json`` writes, per kind.

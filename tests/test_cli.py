@@ -326,10 +326,25 @@ def test_hausdorff_malformed_config_value_exits_1(tmp_path, capsys, doc):
     ({"kind": "explicit", "members": [
         {"kind": "tail", "sequence": "powers3", "start": 1, "excluded": 2}]},
      "'excluded'"),
+    ({"kind": "explicit", "members": [
+        {"kind": "finite", "group": 5, "elements": [1]}]},
+     "group must be a JSON object, got 5"),
+    ({"kind": "explicit", "members": [
+        {"kind": "finite", "group": {"kind": "free", "generators": 5},
+         "elements": []}]}, "'generators'"),
+    ({"kind": "explicit", "members": [
+        {"kind": "finite", "group": {"kind": "cayley", "order": 2,
+                                     "table": 5}, "elements": []}]},
+     "'table'"),
+    ({"kind": "explicit", "members": [
+        {"kind": "finite", "group": {"kind": "product", "coords": 3},
+         "elements": [5]}]}, "coordinate list expected, got 5"),
 ], ids=["cofinite-key", "cofinite-start-float", "tail-key",
         "tail-start-float", "residue-modulus-string", "chain-coords-float",
-        "chain-key", "chain-coords-unused", "members-number", "elements-number", "residues-number",
-        "allowed-number", "excluded-number"])
+        "chain-key", "chain-coords-unused", "members-number",
+        "elements-number", "residues-number", "allowed-number",
+        "excluded-number", "group-number", "free-generators-number",
+        "cayley-table-number", "product-element-number"])
 def test_hausdorff_malformed_family_description_exits_1(tmp_path, capsys,
                                                         family, named):
     """Unknown keys in a family or set description, integer fields that
@@ -355,17 +370,34 @@ def test_shipped_config_report_bytes_pinned(tmp_path, capsys, config, digest):
     assert sha256(report) == digest
 
 
+FIBONACCI_CONFIG = {
+    "family": {"kind": "cofinite", "sequence": "fibonacci"},
+    "probes": [1, 7, 20, -55, 72, 80, 98, -101, 103, 109, 111, 114,
+               116, -117, 119, 120],
+    "budgets": {"n_max": 3, "depth": 14, "max_len": 5},
+}
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["verify", "sqrt7", "--cover-m0", "2"],
+     "6db0332a56bb658abe4e422df607d3bb3f0f6840606fea9ddf63b8c583dca1d8"),
+    (["verify", "product"],
+     "ec47c27c34dfac51e81a56144bd55c17777dbdeb820a968c51bb4dd12685cb0e"),
+], ids=["sqrt7-cover", "product"])
+def test_verify_cover_report_bytes_pinned(tmp_path, capsys, argv, digest):
+    """Report bytes of the two cover claims, whose folds are suffix folds
+    of the chain's stars."""
+    report = tmp_path / "report.json"
+    code, _, _ = run(argv + ["--out", str(report)], capsys)
+    assert code == 0 and sha256(report) == digest
+
+
 def test_fibonacci_report_bytes_pinned(tmp_path, capsys):
     """Fibonacci tails carry no divisor, so every probe stays unresolved:
     these bytes pin the bounded search's yes witnesses and its exhausted
     unknowns."""
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({
-        "family": {"kind": "cofinite", "sequence": "fibonacci"},
-        "probes": [1, 7, 20, -55, 72, 80, 98, -101, 103, 109, 111, 114,
-                   116, -117, 119, 120],
-        "budgets": {"n_max": 3, "depth": 14, "max_len": 5},
-    }))
+    cfg.write_text(json.dumps(FIBONACCI_CONFIG))
     report = tmp_path / "report.json"
     code, _, _ = run(["hausdorff", str(cfg), "--out", str(report)], capsys)
     assert code == 3 and sha256(report) == FIBONACCI_SHA256
@@ -469,27 +501,39 @@ def test_recheck_flags_tampered_copy_of_an_intact_claim(tmp_path, capsys):
 def test_hausdorff_folds_each_distinct_sum_once(tmp_path, capsys,
                                                 monkeypatch):
     """One run computes each distinct (member, n) n-fold star and each
-    distinct tuple of stars' suffix folds once, for all probes."""
+    distinct tuple of stars' suffix folds once, for all probes: every
+    star S* is added to its k-fold sum once per k the run asks for."""
     from collections import Counter
     from grouptop import setspec
-    n_folds, folds = Counter(), Counter()
-    n_fold_star, suffix_folds = setspec.n_fold_star, setspec.suffix_folds
+    steps, deepest, folds = Counter(), {}, Counter()
+    sumset, suffix_folds = setspec.sumset, setspec.suffix_folds
+    n_fold_star = setspec.FoldTable.n_fold_star
 
-    def counted_n_fold_star(spec, n):
-        n_folds[(spec, n)] += 1
-        return n_fold_star(spec, n)
+    def counted_sumset(a, b):
+        if isinstance(b, setspec.StarSet):  # a step A_k + S* of a fold
+            steps[b] += 1
+        return sumset(a, b)
+
+    def recorded_n_fold_star(table, spec, n):
+        starred = setspec.star(spec)
+        deepest[starred] = max(deepest.get(starred, 0), n)
+        return n_fold_star(table, spec, n)
 
     def counted_suffix_folds(stars):
         folds[tuple(stars)] += 1
         return suffix_folds(stars)
 
-    monkeypatch.setattr(setspec, "n_fold_star", counted_n_fold_star)
+    monkeypatch.setattr(setspec, "sumset", counted_sumset)
+    monkeypatch.setattr(setspec.FoldTable, "n_fold_star",
+                        recorded_n_fold_star)
     monkeypatch.setattr(setspec, "suffix_folds", counted_suffix_folds)
     report = tmp_path / "report.json"
     code, _, _ = run(["hausdorff", str(CONFIGS / "sqrt7.json"),
                       "--out", str(report)], capsys)
     assert code == 2 and sha256(report) == SQRT7_SHA256
-    assert n_folds and set(n_folds.values()) == {1}
+    assert max(deepest.values()) > 1
+    assert steps == Counter({st: n - 1 for st, n in deepest.items()
+                             if n > 1})
     assert folds and set(folds.values()) == {1}
 
 
@@ -644,3 +688,65 @@ def test_recheck_flags_tampered_separation(tmp_path, capsys, source, tamper,
     line = out.splitlines()[0]
     assert code == 2 and line.startswith("  FAIL   hausdorff:")
     assert line.endswith(f": {message}")
+
+
+def _claim_status_verified(doc):
+    doc["claims"][0]["status"] = "verified"
+
+
+def _document_status_verified(doc):
+    doc["status"] = "verified"
+
+
+def _verdict_consistent(doc):
+    doc["claims"][0]["payload"]["verdict"] = "consistent-with-hausdorff"
+
+
+def _outcomes_separated(doc):
+    for probe in doc["claims"][0]["payload"]["probes"]:
+        probe["outcome"] = "separated"
+
+
+SQRT7_GAP_VERDICT = ("necessary-condition-holds-but-separation-blocked: "
+                     "finest topology not Hausdorff at desk scale")
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (_claim_status_verified, "  FAIL   hausdorff:sqrt7: the replay gives "
+     "status 'refuted', the report 'verified'"),
+    (_document_status_verified, "  FAIL   document status: the claims give "
+     "'refuted', the document 'verified'"),
+    (_verdict_consistent, f"  FAIL   hausdorff:sqrt7: the replay gives "
+     f"verdict {SQRT7_GAP_VERDICT!r}, the report "
+     f"'consistent-with-hausdorff'"),
+    (_outcomes_separated, "  FAIL   hausdorff:sqrt7: probe 1: the replay "
+     "gives outcome 'gap', the report 'separated'"),
+], ids=["claim-status", "document-status", "verdict", "outcomes"])
+def test_recheck_rederives_hausdorff_conclusions(tmp_path, capsys, tamper,
+                                                 message):
+    """A sqrt7 report edited to conclude what its payload does not fails:
+    recheck derives each probe's outcome, the verdict and the claim's
+    status from the replayed payload, and the document's status from the
+    claims'."""
+    report = tmp_path / "report.json"
+    run(["hausdorff", str(CONFIGS / "sqrt7.json"), "--out", str(report)],
+        capsys)
+    doc = json.loads(report.read_text())
+    tamper(doc)
+    report.write_text(json.dumps(doc))
+    code, out, _ = run(["recheck", str(report)], capsys)
+    assert code == 2 and message in out.splitlines(), out
+
+
+@pytest.mark.parametrize("config", ["sqrt7", "powers3", "fibonacci"])
+def test_recheck_accepts_untouched_hausdorff_reports(tmp_path, capsys,
+                                                     config):
+    cfg = CONFIGS / f"{config}.json"
+    if config == "fibonacci":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(FIBONACCI_CONFIG))
+    report = tmp_path / "report.json"
+    run(["hausdorff", str(cfg), "--out", str(report)], capsys)
+    code, out, _ = run(["recheck", str(report)], capsys)
+    assert code == 0 and out.endswith("recheck: ok\n"), out
+    assert "FAIL" not in out and "skip" not in out

@@ -44,6 +44,49 @@ def test_free_words_round_trip_through_their_printed_form():
     assert FREE.element("x e y") == FREE.element("x y")
 
 
+@given(st.lists(st.text(max_size=3), min_size=1, max_size=3),
+       st.lists(st.integers(min_value=-3, max_value=3).filter(bool),
+                max_size=10))
+def test_free_words_round_trip_for_any_generator_names(names, letters):
+    """``element(str(w)) == w`` over every generator list ``FreeGroup``
+    accepts; it refuses exactly the lists with a duplicate or with a name
+    its parser cannot read back: "e", empty, whitespace, "*" or "^"."""
+    unreadable = len(set(names)) < len(names) or any(
+        name in ("", "e") or any(c.isspace() or c in "*^" for c in name)
+        for name in names)
+    try:
+        group = FreeGroup(tuple(names))
+    except ValueError:
+        assert unreadable
+        return
+    assert not unreadable
+    w = group.element([v for v in letters if abs(v) <= len(names)])
+    assert group.element(str(w)) == w
+
+
+@pytest.mark.parametrize("names", [
+    ("e", "f"), ("x", "x"), ("",), ("a b",), ("a*b",), ("a^2",), (5,)])
+def test_free_group_refuses_unreadable_generator_names(names):
+    with pytest.raises(ValueError):
+        FreeGroup(names)
+
+
+@pytest.mark.parametrize("raw", [1.5, 3.7])
+def test_group_values_are_never_coerced(raw):
+    """Coordinates, letters and table indices are read as integers;
+    floats are refused, not truncated."""
+    with pytest.raises(ValueError):
+        ProductMod(3).element([0, raw, 0])
+    with pytest.raises(ValueError):
+        FREE.element([1, raw])
+    with pytest.raises(ValueError):
+        dihedral8().element(raw)
+    with pytest.raises(ValueError):
+        load_cayley({"order": 2, "table": [[0, 1], [1, raw]]})
+    with pytest.raises(ValueError):
+        load_cayley({"order": raw, "table": [[0]]})
+
+
 def test_product_mod_coordinatewise():
     g = ProductMod(3)
     a = g.element((0, 1, 2))

@@ -11,6 +11,7 @@ from grouptop import (
     FiniteSet,
     Integers,
     ResidueSet,
+    StarSet,
     SymmetricInterval,
     TailSet,
     contains,
@@ -177,8 +178,9 @@ def iterated_n_fold(spec, n):
 
 
 def test_n_fold_star_matches_iterated_sumset():
-    """Frontier growth against the iterated fold, on seeded residue sets,
-    finite integer sets and D4 sets (products on the right), n = 1..8."""
+    """The table's growth against the iterated fold, on seeded residue
+    sets, finite integer sets and D4 sets (products on the right),
+    n = 1..8."""
     from grouptop.fixtures import dihedral8
     d4 = dihedral8()
     names = [el.value for el in d4.elements()]
@@ -210,6 +212,12 @@ def test_n_fold_star_raises_at_the_iterated_folds_step():
         assert str(ours.value) == str(iterated.value) == (
             "sumset of 901 x 301 elements exceeds the enumeration cap "
             "200000")
+
+
+def test_n_fold_star_grows_by_a_loop():
+    """Growth is iterative: a depth past the recursion limit returns."""
+    assert FoldTable().n_fold_star(ResidueSet.of(3, {1}), 5000) == \
+        ResidueSet.of(3, {0, 1, 2})
 
 
 def test_n_fold_star_rejects_tails():
@@ -281,9 +289,11 @@ def test_fold_table_keys_no_tail():
     assert not any(vars(table).values())
 
 
-def test_fold_table_repeats_cap_failures():
+def test_fold_table_repeats_cap_failures(monkeypatch):
     """A fold past the enumeration cap raises the uncached message on
-    every lookup; failures are never stored."""
+    every lookup; failures are never stored, so each lookup tries the
+    failing step again and only that step."""
+    from grouptop import setspec
     spec = FiniteSet.of(Z, range(1, 151))
     wide = star(FiniteSet.of(Z, range(0, 1000, 2)))
     table = FoldTable()
@@ -291,15 +301,27 @@ def test_fold_table_repeats_cap_failures():
         n_fold_star(spec, 4)
     with pytest.raises(EnumerationBudgetError) as plain_folds:
         suffix_folds([wide, wide])
-    for _ in range(2):
+    steps = []
+
+    def counted_sumset(a, b):
+        if isinstance(b, StarSet):  # a step A_k + S* of a fold
+            steps.append(len(a.values))
+        return sumset(a, b)
+
+    monkeypatch.setattr(setspec, "sumset", counted_sumset)
+    # |A_k| of each step tried: the first lookup stores A_2 and A_3 and
+    # fails on A_4, the second tries A_4 alone
+    for tried in ([301, 601, 901], [901]):
         with pytest.raises(EnumerationBudgetError) as cached:
             table.n_fold_star(spec, 4)
         assert str(cached.value) == str(plain.value)
+        assert steps == tried
+        steps.clear()
         with pytest.raises(EnumerationBudgetError) as cached:
             table.suffix_folds([wide, wide])
         assert str(cached.value) == str(plain_folds.value)
-    assert table.n_fold_star(spec, 3) == n_fold_star(spec, 3)
-    assert len(table._n_folds) == 1 and not table._suffix_folds
+    assert table.n_fold_star(spec, 3) == iterated_n_fold(spec, 3)
+    assert steps == [] and not table._suffix_folds
 
 
 # --- boxes ---
