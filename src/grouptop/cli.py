@@ -18,8 +18,8 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import examples as ex
-from .filters import family_from_json, hausdorff_verdict
-from .groups import Integers
+from .filters import FilterFamily, family_from_json, hausdorff_verdict
+from .groups import integer_from_json, reject_unknown_keys
 from .nonabelian import fib_word, phi_iterate, verify_fib_identity, FREE_XY
 from .report import (
     Status,
@@ -28,15 +28,13 @@ from .report import (
     report_document,
     stopwatch,
 )
-from .setspec import FoldTable, reject_unknown_keys
+from .setspec import FoldTable
 
 _EXIT_FOR_STATUS = {
     Status.VERIFIED: 0,
     Status.REFUTED: 2,
     Status.UNKNOWN: 3,
 }
-
-_INTEGERS = Integers()
 
 _CONFIG_KEYS = {"family", "probes", "budgets"}
 _BUDGET_KEYS = {"n_max", "depth", "max_len"}
@@ -46,8 +44,8 @@ _BUDGET_KEYS = {"n_max", "depth", "max_len"}
 class RunConfig:
     """Parsed configuration for a family-level verification run."""
 
-    family: dict
-    probes: list  # list[GroupElement] of the integers
+    family: FilterFamily
+    probes: list  # list[GroupElement] of the family's ambient group
     n_max: int = 3
     depth: int = 12
     max_len: int = 5
@@ -57,17 +55,20 @@ class RunConfig:
         reject_unknown_keys(doc, _CONFIG_KEYS, "config")
         budgets = doc.get("budgets", {})
         reject_unknown_keys(budgets, _BUDGET_KEYS, "budgets")
-        if not isinstance(doc["family"], dict):
-            raise ValueError("family must be a JSON object")
         if not isinstance(doc["probes"], list):
             raise ValueError("probes must be a JSON list")
         # a budget the config leaves out takes its field's default
         limits = {key: budgets.get(key, getattr(cls, key))
                   for key in sorted(_BUDGET_KEYS)}
+        family = family_from_json(doc["family"])
+        group = family.member(0).ambient()  # the probes' group
+        if any(family.member(i).ambient() != group
+               for i in range(family.size() or 0)):
+            raise ValueError("family members lie in different groups")
         cfg = cls(
-            family=doc["family"],
-            probes=[_INTEGERS.element(p) for p in doc["probes"]],
-            **{key: _INTEGERS.element(v).value for key, v in limits.items()},
+            family=family,
+            probes=[group.element(p) for p in doc["probes"]],
+            **{key: integer_from_json(v) for key, v in limits.items()},
         )
         if min(cfg.n_max, cfg.depth, cfg.max_len) < 1:
             raise ValueError("budgets must be positive")
@@ -171,13 +172,12 @@ def _cmd_hausdorff(args) -> int:
         return 1
     try:
         cfg = RunConfig.from_json(doc)
-        family = family_from_json(cfg.family)
     except (KeyError, ValueError) as err:
         print(f"bad config: {err}", file=sys.stderr)
         return 1
     with stopwatch() as elapsed:
         report = hausdorff_verdict(
-            family, cfg.probes,
+            cfg.family, cfg.probes,
             n_max=cfg.n_max, depth=cfg.depth, max_len=cfg.max_len,
         )
     return _emit([report], args.out, args.format, elapsed())

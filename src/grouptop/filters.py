@@ -16,7 +16,14 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .groups import GroupElement, integer_from_json, list_from_json, op_sub
+from .groups import (
+    GroupElement,
+    description_kind,
+    integer_from_json,
+    list_from_json,
+    op_sub,
+    reject_unknown_keys,
+)
 from .prefixsum import (
     SEARCH_BUDGET,
     MembershipResult,
@@ -35,8 +42,6 @@ from .setspec import (
     SumsetUnsupported,
     TailSet,
     contains,
-    description_kind,
-    reject_unknown_keys,
     spec_from_json,
     star,
     subset_of,

@@ -108,15 +108,40 @@ def list_from_json(raw, key: str) -> list:
     return raw
 
 
+def reject_unknown_keys(doc, allowed: set, where: str) -> None:
+    """The one key check of every description: groups, sets, families and
+    run configs refuse a key they do not read."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object, got {doc!r}")
+    if not allowed.issuperset(doc):
+        key = min(k for k in doc if k not in allowed)
+        raise ValueError(f"unknown key {key!r} in {where}")
+
+
+def description_kind(doc, keys_by_kind: dict, what: str) -> str:
+    """A description's kind; ValueError unless that kind uses every key."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, got {doc!r}")
+    kind = doc.get("kind")
+    if not isinstance(kind, str) or kind not in keys_by_kind:
+        raise ValueError(f"unknown {what} kind {kind!r}")
+    reject_unknown_keys(doc, keys_by_kind[kind], f"{kind} {what}")
+    return kind
+
+
 @dataclass(frozen=True)
 class Rationals(AmbientGroup):
     def identity_value(self) -> Fraction:
         return Fraction(0)
 
     def _normalize(self, raw: Any) -> Fraction:
-        if isinstance(raw, float):
-            raise ValueError("floats are not exact; pass Fraction, int, or 'p/q'")
-        return Fraction(raw)
+        if isinstance(raw, bool) or not isinstance(raw, (int, Fraction, str)):
+            raise ValueError(f"rational expected (int, Fraction or 'p/q'; "
+                             f"floats are not exact), got {raw!r}")
+        try:
+            return Fraction(raw)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {raw!r}") from None
 
     def _add(self, a: Fraction, b: Fraction) -> Fraction:
         return a + b
@@ -372,12 +397,21 @@ def load_cayley(doc: Union[dict, str]) -> CayleyGroup:
     return group
 
 
+# Every key ``describe`` writes, per kind.
+_GROUP_KEYS = {
+    "integers": {"kind"},
+    "rationals": {"kind"},
+    "product": {"kind", "coords"},
+    "free": {"kind", "generators"},
+    "cayley": {"kind", "order", "table", "names"},
+}
+
+
 def group_from_json(doc: dict) -> AmbientGroup:
     """Inverse of ``describe``; a descriptor that is not a JSON object, an
-    unknown kind and values of the wrong JSON type raise ValueError."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"group must be a JSON object, got {doc!r}")
-    kind = doc.get("kind")
+    unknown kind or key and values of the wrong JSON type raise
+    ValueError."""
+    kind = description_kind(doc, _GROUP_KEYS, "group")
     if kind == "integers":
         return Integers()
     if kind == "rationals":
@@ -387,9 +421,7 @@ def group_from_json(doc: dict) -> AmbientGroup:
     if kind == "free":
         return FreeGroup(tuple(list_from_json(doc["generators"],
                                               "generators")))
-    if kind == "cayley":
-        return load_cayley(doc)
-    raise ValueError(f"unknown group kind {kind!r}")
+    return load_cayley(doc)
 
 
 def _require_same_group(a: GroupElement, b: GroupElement) -> None:

@@ -10,21 +10,31 @@ three-valued semantics:
 * unknown -- a bounded search ran out of candidates without deciding, or
           an exact fold would pass the enumeration cap.
 
+Every witness comes from one peel, ``_peel``: summands peel off the left
+as (-s) + remainder, each position takes its first candidate whose
+remainder the rest of the chain can still reach, and the last summand is
+what remains.  Routes differ only in their candidates and in the oracle
+that says what the rest reaches.  An exact fold asks the suffix fold of
+the remaining sets; its candidates are a finite set's elements, residue
+representatives solved against that fold, a box's smallest digit per
+coordinate, or an interval's share of the remainder.  The bounded search
+asks one of two reachability oracles over its candidate lists: suffix
+reachability bitsets on integer chains up to ``_BITSET_CAP`` bits wide, a
+memoized predicate past it.  Either way its witness is the
+lexicographically first in candidate order.
+
 Bounded searches never produce a "no": growth certificates cap where
-witnesses are *looked for*, not where they can exist.  The bounded search
-returns the lexicographically first witness in candidate order.  Integer
-chains up to ``_BITSET_CAP`` bits wide find it by suffix reachability
-bitsets, wider ones by a depth-first search that remembers failed states.
-Residue-envelope sums are bitsets of residues up to the same cap.
+witnesses are *looked for*, not where they can exist.  Residue-envelope
+sums are bitsets of residues up to ``_BITSET_CAP``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from .groups import GroupElement, Integers, op_add
+from .groups import GroupElement, Integers
 from .setspec import (
     _ENUMERATION_CAP,
     BoxSet,
@@ -79,8 +89,8 @@ class MembershipResult:
 
 
 def _verify_witness(g: GroupElement, stars: Sequence[StarSet],
-                    summands: Sequence[GroupElement]) -> None:
-    if not witness_holds(g, summands, stars):
+                    summands: Optional[Sequence[GroupElement]]) -> None:
+    if summands is None or not witness_holds(g, summands, stars):
         raise AssertionError(f"witness for {g} does not re-verify")
 
 
@@ -103,41 +113,41 @@ def _crt(a: int, m: int, b: int, n: int) -> Optional[int]:
     return a + m * t
 
 
-def _decompose_exact(g: GroupElement, stars: Sequence[StarSet],
-                     folds: Sequence) -> tuple:
-    """Build a summand witness for an exact-fold "yes", variant by variant.
+def _peel(g: GroupElement, n: int, candidates: Callable,
+          rest_holds: Callable) -> Optional[tuple]:
+    """The summand witness of g across n positions, by the one rule every
+    route shares.
 
-    Peels each summand s off the left, keeping (-s) + remainder inside the
-    folded sum of the remaining sets; the final summand is the remainder.
-    Residue-class summands are solved by CRT against the next fold, since
-    the right representative depends on the finer modulus downstream.
+    Summands s peel off the left as (-s) + remainder: position i takes the
+    first of ``candidates(i, remainder)`` (raw values) whose remainder
+    ``rest_holds(i + 1, ...)``, and the last summand is whatever remains.
+    None when position 0 has no such candidate.
     """
     group = g.group
-    remainder = g
-    summands = []
-    for i, st in enumerate(stars[:-1]):
-        nxt = folds[i + 1]
-        choice = None
-        for cand in _exact_candidates(st, remainder, nxt):
-            rest = op_add(GroupElement(group, group._neg(cand)), remainder)
-            if nxt.contains_value(rest.value):
-                choice = GroupElement(group, cand)
-                remainder = rest
+    remainder = g.value
+    values = []
+    for i in range(n - 1):
+        for cand in candidates(i, remainder):
+            rest = group._add(group._neg(cand), remainder)
+            if rest_holds(i + 1, rest):
                 break
-        if choice is None:
-            raise AssertionError(
-                "exact fold said yes but no summand choice works"
-            )
-        summands.append(choice)
-    summands.append(remainder)
-    return tuple(summands)
+        else:
+            return None  # only at i == 0: rest_holds vouched for the rest
+        values.append(cand)
+        remainder = rest
+    values.append(remainder)
+    return tuple(GroupElement(group, v) for v in values)
 
 
-def _exact_candidates(st: StarSet, remainder: GroupElement, rest_fold):
-    """Deterministic candidate summands from a materialized star-set.
+def _exact_candidates(st: StarSet, rem, rest_fold):
+    """Candidate summands from a materialized star against the folded sum
+    of the sets after it, given the raw remainder ``rem``.
 
-    Only finite and residue sets reach this point; interval and box chains
-    have dedicated decomposition rules.
+    Residue-class summands are solved by CRT against the next fold, since
+    the right representative depends on the finer modulus downstream.  A
+    box and an interval offer one candidate each: coordinate by coordinate
+    the smallest digit the rest allows, and the share of the remainder in
+    proportion to the radii.
     """
     base = st.base
     if isinstance(base, FiniteSet):
@@ -146,7 +156,6 @@ def _exact_candidates(st: StarSet, remainder: GroupElement, rest_fold):
         return
     if isinstance(base, ResidueSet):
         m = base.modulus
-        rem = remainder.value
         if isinstance(rest_fold, ResidueSet):
             n = rest_fold.modulus
             lcm = m * n // math.gcd(m, n)
@@ -168,62 +177,15 @@ def _exact_candidates(st: StarSet, remainder: GroupElement, rest_fold):
         raise SumsetUnsupported(
             f"no candidate rule against {type(rest_fold).__name__}"
         )
+    if isinstance(base, BoxSet):
+        yield tuple(min(d for d in base.coordinate_options(c)
+                        if (r - d) % c in rest_fold.coordinate_options(c))
+                    for c, r in enumerate(rem, start=1))
+        return
+    if isinstance(base, SymmetricInterval):
+        yield rem * base.epsilon / (base.epsilon + rest_fold.epsilon)
+        return
     raise SumsetUnsupported(f"no candidate rule for {type(base).__name__}")
-
-
-def _interval_decompose(g: GroupElement, stars: Sequence[StarSet]) -> tuple:
-    """Proportional exact split of a rational across interval star-sets."""
-    eps = [st.base.epsilon for st in stars]
-    total = sum(eps)
-    group = g.group
-    value = g.value
-    summands = []
-    for i, e in enumerate(eps[:-1]):
-        share = value * e / total
-        summands.append(GroupElement(group, share))
-        value -= share
-        total -= e
-    summands.append(GroupElement(group, value))
-    return tuple(summands)
-
-
-def _box_decompose(g: GroupElement, stars: Sequence[StarSet],
-                   folds: Sequence) -> tuple:
-    """Coordinatewise digit choice with lookahead into the folded rest."""
-    n = len(stars)
-    n_coords = g.group.n_coords
-    vectors = [[0] * n_coords for _ in range(n)]
-    for i in range(n_coords):
-        coord = i + 1
-        rem = g.value[i]
-        for s in range(n - 1):
-            rest_opts = folds[s + 1].coordinate_options(coord)
-            chosen = None
-            for d in sorted(stars[s].base.coordinate_options(coord)):
-                if (rem - d) % coord in rest_opts:
-                    chosen = d
-                    break
-            assert chosen is not None, "coordinate fold inconsistent"
-            vectors[s][i] = chosen
-            rem = (rem - chosen) % coord
-        vectors[n - 1][i] = rem
-    return tuple(g.group.element(v) for v in vectors)
-
-
-def _search_candidates(st: StarSet, g_abs: int,
-                       n_sets: int) -> Optional[list]:
-    """Finite candidate list for the bounded search, or None if unbounded."""
-    base = st.base
-    if isinstance(base, FiniteSet):
-        return [el.value for el in base.elements()]
-    if isinstance(base, TailSet):
-        cap = SEARCH_BUDGET["value_cap_factor"] * n_sets * max(g_abs, 1)
-        vals = base.member_values(cap)
-        out = [0]
-        for v in vals[: SEARCH_BUDGET["per_set_candidates"]]:
-            out.extend((v, -v))
-        return out
-    return None
 
 
 def prefix_sum_membership(g: GroupElement, chain: Sequence[SetLike],
@@ -275,12 +237,9 @@ def prefix_sum_membership(g: GroupElement, chain: Sequence[SetLike],
                 "no",
                 proof={"route": "exact-fold", "fold": folds[0].to_json()},
             )
-        if all(isinstance(st.base, SymmetricInterval) for st in stars):
-            witness = _interval_decompose(g, stars)
-        elif all(isinstance(st.base, BoxSet) for st in stars):
-            witness = _box_decompose(g, stars, folds)
-        else:
-            witness = _decompose_exact(g, stars, folds)
+        witness = _peel(
+            g, n, lambda i, r: _exact_candidates(stars[i], r, folds[i + 1]),
+            lambda i, r: folds[i].contains_value(r))
         _verify_witness(g, stars, witness)
         return MembershipResult("yes", witness=witness,
                                 proof={"route": "exact-fold"})
@@ -321,8 +280,9 @@ _ENVELOPE_DIVISOR_SCAN = 40
 # Widest Python-int bitset either search builds: an envelope sum over m
 # residues, or the suffix reachability of an integer chain of width 2R + 1.
 # At 2^22 bits a 5-set chain of 65 candidates per set builds its bitsets
-# in about 0.06 s, where a memoized DFS over 3 such sets takes 0.1 s; the
-# bitsets cost 2.6 s at 2^26.  Wider inputs keep the set and DFS paths.
+# in about 0.06 s, where a memoized search over 3 such sets takes 0.1 s;
+# the bitsets cost 2.6 s at 2^26.  Wider inputs take the residue set and
+# the memoized reachability predicate.
 _BITSET_CAP = 1 << 22
 
 
@@ -408,15 +368,22 @@ def _envelope_sum_meets(envelopes: list, m: int, r: int) -> Optional[bool]:
 
 
 def _plan(g: GroupElement, stars: Sequence[StarSet]) -> Optional[list]:
-    """One candidate list per set of an integer chain, or None when some
-    set has no finite candidate list."""
-    g_abs = abs(g.value)
+    """One candidate list per set of an integer chain: a finite set's
+    elements, or 0 and then +v, -v for each tail value v under the
+    budget's caps.  None when some set has no finite candidate list."""
+    cap = SEARCH_BUDGET["value_cap_factor"] * len(stars) * max(abs(g.value), 1)
+    per_set = SEARCH_BUDGET["per_set_candidates"]
     plan = []
     for st in stars:
-        cand = _search_candidates(st, g_abs, len(stars))
-        if cand is None:
+        if isinstance(st.base, FiniteSet):
+            plan.append([el.value for el in st.base.elements()])
+        elif isinstance(st.base, TailSet):
+            cand = [0]
+            for v in st.base.member_values(cap)[:per_set]:
+                cand.extend((v, -v))
+            plan.append(cand)
+        else:
             return None
-        plan.append(cand)
     return plan
 
 
@@ -425,11 +392,10 @@ def _bounded_search(g: GroupElement,
     """The lexicographically first witness in candidate order, or None.
 
     Only applicable to integer chains whose every set yields candidates
-    (finite sets and tails).  Summands v peel off the left: remainder - v.
-    Chains of width 2R + 1 <= ``_BITSET_CAP``, R the sum of the largest
-    candidate magnitudes, are searched by suffix reachability; wider ones
-    by a depth-first search that remembers the states that failed.  Both
-    return the same witness.
+    (finite sets and tails).  Chains of width 2R + 1 <= ``_BITSET_CAP``,
+    R the sum of the largest candidate magnitudes, ask suffix reachability
+    bitsets what the rest reaches, wider ones a memoized predicate; both
+    answer the same, so the peel returns the same witness.
     """
     if cands is None:
         return None
@@ -438,18 +404,15 @@ def _bounded_search(g: GroupElement,
         suffix_abs[i] = suffix_abs[i + 1] + max(map(abs, cands[i]),
                                                 default=0)
     if 2 * suffix_abs[0] + 1 <= _BITSET_CAP:
-        values = _first_by_reach(g.value, cands, suffix_abs[0])
+        reaches = _reach_by_bitsets(cands, suffix_abs[0])
     else:
-        values = _first_by_memo_dfs(g.value, cands, suffix_abs)
-    if values is None:
-        return None
-    return tuple(GroupElement(g.group, v) for v in values)
+        reaches = _reach_by_memo(cands, suffix_abs)
+    return _peel(g, len(cands), lambda i, r: cands[i], reaches)
 
 
-def _first_by_reach(target: int, cands: list, span: int) -> Optional[list]:
+def _reach_by_bitsets(cands: list, span: int) -> Callable:
     """Suffix reachability: bit r + span of reach[i] says that lists
-    i..n-1 can sum to r.  Walking forward, each position takes its first
-    candidate whose remainder the rest can still reach."""
+    i..n-1 can sum to r."""
     n = len(cands)
     reach = [0] * (n + 1)
     reach[n] = 1 << span
@@ -459,42 +422,28 @@ def _first_by_reach(target: int, cands: list, span: int) -> Optional[list]:
         for v in set(cands[i]):
             bits |= nxt << v if v >= 0 else nxt >> -v
         reach[i] = bits
-    out = []
-    remainder = target
-    for i, c in enumerate(cands):
-        nxt = reach[i + 1]
-        for v in c:
-            rest = remainder - v
-            if abs(rest) <= span and nxt >> (rest + span) & 1:
-                break
-        else:
-            return None  # only at i == 0: later remainders are reachable
-        out.append(v)
-        remainder = rest
-    return out
+
+    def reaches(i: int, r: int) -> bool:
+        return abs(r) <= span and reach[i] >> (r + span) & 1 == 1
+
+    return reaches
 
 
-def _first_by_memo_dfs(target: int, cands: list,
-                       suffix_abs: list) -> Optional[list]:
-    """Depth-first search in candidate order.  The candidate lists depend
-    only on the position, so a failed (position, remainder) state fails
-    again and is remembered; remainders beyond what the rest can reach
-    (``suffix_abs``) are pruned."""
+def _reach_by_memo(cands: list, suffix_abs: list) -> Callable:
+    """Whether lists i..n-1 can sum to r, tried in candidate order.  The
+    lists depend only on the position, so each (position, remainder)
+    state is decided once and remembered; remainders beyond what the rest
+    can reach (``suffix_abs``) are pruned."""
     n = len(cands)
-    failed = set()
-    out: list = []
+    known: dict = {}
 
-    def dfs(i: int, remainder: int) -> bool:
+    def reaches(i: int, r: int) -> bool:
         if i == n:
-            return remainder == 0
-        if (i, remainder) in failed or abs(remainder) > suffix_abs[i]:
+            return r == 0
+        if abs(r) > suffix_abs[i]:
             return False
-        for v in cands[i]:
-            out.append(v)
-            if dfs(i + 1, remainder - v):
-                return True
-            out.pop()
-        failed.add((i, remainder))
-        return False
+        if (i, r) not in known:
+            known[i, r] = any(reaches(i + 1, r - v) for v in cands[i])
+        return known[i, r]
 
-    return out if dfs(0, target) else None
+    return reaches

@@ -22,6 +22,7 @@ from .groups import (
     Integers,
     ProductMod,
     Rationals,
+    description_kind,
     group_from_json,
     integer_from_json,
     list_from_json,
@@ -616,23 +617,6 @@ def residue_envelope(spec: SetLike, modulus: int) -> Optional[frozenset]:
             out.add(0)
         return frozenset(out)
     return None
-
-
-def reject_unknown_keys(doc, allowed: set, where: str) -> None:
-    if not isinstance(doc, dict):
-        raise ValueError(f"{where} must be a JSON object")
-    if not allowed.issuperset(doc):
-        key = min(k for k in doc if k not in allowed)
-        raise ValueError(f"unknown key {key!r} in {where}")
-
-
-def description_kind(doc, keys_by_kind: dict, what: str) -> str:
-    """A description's kind; ValueError unless that kind uses every key."""
-    kind = doc.get("kind") if isinstance(doc, dict) else None
-    if not isinstance(kind, str) or kind not in keys_by_kind:
-        raise ValueError(f"unknown {what} kind {kind!r}")
-    reject_unknown_keys(doc, keys_by_kind[kind], f"{kind} {what}")
-    return kind
 
 
 # Every key ``to_json`` writes, per kind.

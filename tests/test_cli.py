@@ -282,6 +282,8 @@ def test_hausdorff_unknown_config_key_exits_1(tmp_path, capsys, doc, key):
 
 
 POWERS3 = {"kind": "cofinite", "sequence": "powers3"}
+INTERVAL_CHAIN = {"kind": "chain", "generator": "interval-halving"}
+BOXES_CHAIN = {"kind": "chain", "generator": "product-boxes", "coords": 6}
 
 
 @pytest.mark.parametrize("doc", [
@@ -292,8 +294,17 @@ POWERS3 = {"kind": "cofinite", "sequence": "powers3"}
     {"family": POWERS3, "probes": [True]},
     {"family": POWERS3, "probes": [1], "budgets": {"n_max": 1.5}},
     {"family": {"kind": "cofinite", "sequence": 5}, "probes": [1]},
+    {"family": INTERVAL_CHAIN, "probes": [[1]]},
+    {"family": INTERVAL_CHAIN, "probes": [True]},
+    {"family": INTERVAL_CHAIN, "probes": ["1/0"]},
+    {"family": BOXES_CHAIN, "probes": [[0, 1]]},
+    {"family": {"kind": "explicit", "members": [
+        {"kind": "residue", "modulus": 3, "residues": [1]},
+        {"kind": "interval", "epsilon": "1/2"}]}, "probes": [1]},
 ], ids=["probes-number", "probes-string", "family-list", "probes-float",
-        "probes-bool", "budget-float", "sequence-number"])
+        "probes-bool", "budget-float", "sequence-number", "rational-list",
+        "rational-bool", "rational-zero-denominator", "box-length",
+        "members-in-two-groups"])
 def test_hausdorff_malformed_config_value_exits_1(tmp_path, capsys, doc):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
@@ -339,12 +350,16 @@ def test_hausdorff_malformed_config_value_exits_1(tmp_path, capsys, doc):
     ({"kind": "explicit", "members": [
         {"kind": "finite", "group": {"kind": "product", "coords": 3},
          "elements": [5]}]}, "coordinate list expected, got 5"),
+    ({"kind": "explicit", "members": [
+        {"kind": "finite", "group": {"kind": "product", "coords": 3,
+                                     "bogus": 1}, "elements": []}]},
+     "'bogus'"),
 ], ids=["cofinite-key", "cofinite-start-float", "tail-key",
         "tail-start-float", "residue-modulus-string", "chain-coords-float",
         "chain-key", "chain-coords-unused", "members-number",
         "elements-number", "residues-number", "allowed-number",
         "excluded-number", "group-number", "free-generators-number",
-        "cayley-table-number", "product-element-number"])
+        "cayley-table-number", "product-element-number", "group-key"])
 def test_hausdorff_malformed_family_description_exits_1(tmp_path, capsys,
                                                         family, named):
     """Unknown keys in a family or set description, integer fields that
@@ -750,3 +765,116 @@ def test_recheck_accepts_untouched_hausdorff_reports(tmp_path, capsys,
     code, out, _ = run(["recheck", str(report)], capsys)
     assert code == 0 and out.endswith("recheck: ok\n"), out
     assert "FAIL" not in out and "skip" not in out
+
+
+
+def _box(*allowed):
+    return {"kind": "box", "coords": 6, "allowed": [list(a) for a in allowed]}
+
+
+def _explicit_boxes_config():
+    full = ([0], [0, 1], [0, 1, 2], [0, 1, 3], [0, 1, 4], [0, 1, 5])
+    return {
+        "family": {"kind": "explicit", "name": "hexad", "members": [
+            _box([0], [0, 1], [0], [0], [0, 1, 4], [0, 1, 5]),
+            _box([0], [0, 1], [0, 1, 2], [0], [0, 1, 4], [0, 1, 5]),
+            _box(*full), _box(*full), _box(*full)]},
+        "probes": [[0, 0, 0, 0, 0, 3], [0, 1, 1, 2, 2, 3],
+                   [0, 0, 0, 2, 2, 3], [0, 1, 0, 0, 3, 2]],
+        "budgets": {"n_max": 2, "depth": 5, "max_len": 5},
+    }
+
+
+def _d4_config():
+    from grouptop import ExplicitFamily, FiniteSet
+    from grouptop.fixtures import dihedral8
+    d4 = dihedral8()
+    family = ExplicitFamily([FiniteSet.of(d4, ["r", "s"]),
+                             FiniteSet.of(d4, ["s", "rs"]),
+                             FiniteSet.of(d4, ["s"])], name="d4-triple")
+    return {"family": family.describe(), "probes": list(d4.names[1:]),
+            "budgets": {"n_max": 2, "depth": 3, "max_len": 3}}
+
+
+@pytest.mark.parametrize("config, digest", [
+    (lambda: {"family": INTERVAL_CHAIN,
+              "probes": ["1/3", "-5/7", "3/2", "1/10", "-2/9", "11/12"],
+              "budgets": {"n_max": 3, "depth": 6, "max_len": 5}},
+     "287acb10016da82073a54987f7f54e6338707e65a3c4c7c94bb0b6f69482ddbe"),
+    (lambda: {"family": BOXES_CHAIN,
+              "probes": [[0, 1, 0, 0, 0, 0], [0, 1, 2, 3, 4, 5],
+                         [0, 0, 1, 2, 0, 3], [0, 1, 1, 1, 1, 1],
+                         [0, 0, 0, 0, 2, 0], [0, 1, 2, 0, 3, 2]],
+              "budgets": {"n_max": 3, "depth": 12, "max_len": 5}},
+     "e19fd106827e9edfcb2297c57da42c3157acfd20611500b18672553f98a4b92d"),
+    (_explicit_boxes_config,
+     "f5d13a9abcebe43a7170c4f6b7c6dcdee5a61385a50136cc1dc85b07184b821c"),
+    (_d4_config,
+     "bdc0ded7f2a7d741c3e6ed74a3abce6a6e78e68ce52955a0202aeba5b62d85af"),
+], ids=["interval-halving", "product-boxes-6", "explicit-boxes", "d4"])
+def test_witness_report_bytes_pinned_outside_the_integers(tmp_path, capsys,
+                                                          config, digest):
+    """Stuck probes list the witness that blocked each candidate, so these
+    bytes pin the exact folds' witnesses: an interval's share of the
+    remainder, a box's smallest digit per coordinate, and a finite set's
+    first element over D4.  The probes are read in the family's group;
+    the digests are those of ``hausdorff_verdict`` called in-process."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config()))
+    report = tmp_path / "report.json"
+    code, _, err = run(["hausdorff", str(cfg), "--out", str(report)], capsys)
+    assert code == 3 and sha256(report) == digest, err
+    code, out, _ = run(["recheck", str(report)], capsys)
+    assert code == 0 and out.endswith("recheck: ok\n"), out
+
+
+def test_hausdorff_reads_probes_in_the_family_group(tmp_path, capsys):
+    """An integer probe of a rational chain is the rational 1/1, not an
+    integer the chain's sets cannot be added to."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": INTERVAL_CHAIN, "probes": [1],
+                               "budgets": {"n_max": 1, "depth": 3,
+                                           "max_len": 2}}))
+    report = tmp_path / "report.json"
+    code, _, err = run(["hausdorff", str(cfg), "--out", str(report)], capsys)
+    assert code != 1 and "Traceback" not in err, err
+    probes = json.loads(report.read_text())["claims"][0]["payload"]["probes"]
+    assert [p["probe"] for p in probes] == ["1/1"]
+
+
+def test_recheck_dispatches_on_the_exact_claim_kind(tmp_path, capsys):
+    """A claim's kind is its id up to the first ":": a hausdorff claim on
+    a family named like another kind's id replays as a hausdorff claim, a
+    kind the program does not emit fails, and a known kind whose payload
+    embeds no witnesses is skipped."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "family": {"kind": "explicit", "name": "a-necessary:g=1:n=1",
+                   "members": [{"kind": "residue", "modulus": 9,
+                                "residues": [3]}]},
+        "probes": [1], "budgets": {"n_max": 1, "depth": 1, "max_len": 1}}))
+    report = tmp_path / "report.json"
+    run(["hausdorff", str(cfg), "--out", str(report)], capsys)
+    code, out, _ = run(["recheck", str(report)], capsys)
+    assert code == 0, out
+    assert "  ok     hausdorff:a-necessary:g=1:n=1" in out.splitlines()
+    report.write_text(json.dumps({"schema": 1, "status": "verified",
+                                  "claims": [
+        {"claim": "foo:1", "status": "verified", "payload": {}},
+        {"claim": "fibonacci-words:n<=3", "status": "verified",
+         "payload": {"lengths": [1, 1, 2, 3]}}]}))
+    code, out, _ = run(["recheck", str(report)], capsys)
+    assert code == 2 and out.splitlines() == [
+        "  FAIL   foo:1: unknown claim kind 'foo'",
+        "  skip   fibonacci-words:n<=3 (no embedded witnesses)",
+        "recheck: FAILED"]
+
+
+def test_recheck_claim_without_id_fails(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"schema": 1, "status": "verified",
+                                  "claims": [{"status": "verified",
+                                              "payload": {}}]}))
+    code, out, _ = run(["recheck", str(report)], capsys)
+    assert code == 2 and out.splitlines() == [
+        "  FAIL   claim 0: no claim id", "recheck: FAILED"]

@@ -249,9 +249,10 @@ def test_bounded_search_returns_first_witness_in_candidate_order(
 def test_chain_wider_than_bitset_cap_takes_memoized_search(
         budget_candidates, monkeypatch):
     """A finite member past the bitset cap sends the search to the
-    memoized DFS, which still returns the first witness in candidate
-    order; on the second chain a remainder that failed one position deeper
-    is reachable where it recurs (24 = 0 + (-3) + 27)."""
+    memoized reachability predicate, and the peel still returns the first
+    witness in candidate order; on the second chain a remainder that
+    failed one position deeper is reachable where it recurs
+    (24 = 0 + (-3) + 27)."""
     big = 3 * prefixsum._BITSET_CAP
     cases = [
         ([FiniteSet.of(Z, [4, big]), TailSet.of("powers3", 0),
@@ -260,13 +261,13 @@ def test_chain_wider_than_bitset_cap_takes_memoized_search(
           TailSet.of("powers3", 1)], [10, 24]),
     ]
     calls = []
-    memo_dfs = prefixsum._first_by_memo_dfs
+    memo_reach = prefixsum._reach_by_memo
 
     def spy(*args):
         calls.append(args)
-        return memo_dfs(*args)
+        return memo_reach(*args)
 
-    monkeypatch.setattr(prefixsum, "_first_by_memo_dfs", spy)
+    monkeypatch.setattr(prefixsum, "_reach_by_memo", spy)
     statuses = set()
     for chain, targets in cases:
         for g in targets:
