@@ -42,17 +42,13 @@ from .filters import (
     ChainFamily,
     CofiniteFamily,
     ExplicitFamily,
-    IndexedPoints,
     SeparationCertificate,
     StuckReport,
     check_directed,
     cupcap_check,
     family_from_json,
-    frequent_value_selector,
     hausdorff_verdict,
-    lower_bound,
     separating_sequence,
-    strong_convergence_check,
 )
 from .report import Status, VerificationReport
 

@@ -62,9 +62,6 @@ class RunConfig:
                   for key in sorted(_BUDGET_KEYS)}
         family = family_from_json(doc["family"])
         group = family.member(0).ambient()  # the probes' group
-        if any(family.member(i).ambient() != group
-               for i in range(family.size() or 0)):
-            raise ValueError("family members lie in different groups")
         cfg = cls(
             family=family,
             probes=[group.element(p) for p in doc["probes"]],

@@ -3,8 +3,7 @@
 Families come in three presentations: decreasing chains, cofinite tails of
 an integer sequence, and explicit finite lists.  On top of them live the
 two Hausdorff-style checks (the n-fold exclusion condition and the
-separating-sequence construction), strong convergence of indexed point
-families, and the frequent-value dichotomy for cofinite families.
+separating-sequence construction) and the verdict drawn from them.
 
 Every bounded search reports three-valued outcomes; "verified" and
 "refuted" are reserved for exact arithmetic or re-checked witnesses.
@@ -21,7 +20,6 @@ from .groups import (
     description_kind,
     integer_from_json,
     list_from_json,
-    op_sub,
     reject_unknown_keys,
 )
 from .prefixsum import (
@@ -30,20 +28,16 @@ from .prefixsum import (
     enumeration_capped,
     prefix_sum_membership,
 )
-from .report import Status, VerificationReport, aggregate_status
+from .report import Status, VerificationReport
 from .sequences import IntegerSequence, sequence_from_json, sequence_to_json
 from .setspec import (
     EnumerationBudgetError,
     FoldTable,
-    SetLike,
     SetSpec,
-    StarSet,
     SubsetUndecidable,
     SumsetUnsupported,
     TailSet,
-    contains,
     spec_from_json,
-    star,
     subset_of,
     witness_holds,
 )
@@ -116,8 +110,8 @@ class ChainFamily(FilterFamily):
 class CofiniteFamily(FilterFamily):
     """Complements of finite sets inside an integer sequence.
 
-    Enumeration follows the cofinal chain of plain tails; lower bounds of
-    arbitrary members union their removals.
+    Enumeration follows the cofinal chain of plain tails: every member, a
+    tail with finitely many terms removed, contains a plain tail.
     """
 
     def __init__(self, sequence: Union[IntegerSequence, str],
@@ -133,22 +127,19 @@ class CofiniteFamily(FilterFamily):
     def monotone_chain(self) -> bool:
         return True
 
-    def lower_bound_members(self, a: TailSet, b: TailSet) -> TailSet:
-        if not (isinstance(a, TailSet) and isinstance(b, TailSet)) or \
-                a.sequence != self.sequence or b.sequence != self.sequence:
-            raise ValueError("members must be tails of this family's sequence")
-        return TailSet(self.sequence, max(a.start, b.start),
-                       a.excluded | b.excluded)
-
     def describe(self) -> dict:
         return {"kind": "cofinite", **sequence_to_json(self.sequence),
                 "start": self.base_start}
 
 
 class ExplicitFamily(FilterFamily):
+    """A finite list of members, all in one ambient group."""
+
     def __init__(self, members: Sequence[SetSpec], name: str = "explicit"):
         if not members:
             raise ValueError("explicit family needs at least one member")
+        if any(m.ambient() != members[0].ambient() for m in members):
+            raise ValueError("family members lie in different groups")
         self.members = tuple(members)
         self.name = name
 
@@ -248,37 +239,6 @@ def check_directed(family: ExplicitFamily) -> Optional[tuple]:
                  is None), None)
 
 
-def lower_bound(family: FilterFamily, a: SetSpec, b: SetSpec) -> SetSpec:
-    """A member below both a and b.
-
-    Chains take the deeper of the two; cofinite families union removals;
-    explicit families search, and raise when no bound exists.
-    """
-    if isinstance(family, CofiniteFamily):
-        return family.lower_bound_members(a, b)
-    if isinstance(family, ChainFamily):
-        ia = _chain_index_of(family, a)
-        ib = _chain_index_of(family, b)
-        return family.member(max(ia, ib))
-    if isinstance(family, ExplicitFamily):
-        c = _lower_bound_among(family.members, a, b)
-        if c is None:
-            raise ValueError("explicit family has no lower bound for this pair")
-        return c
-    raise TypeError(f"unsupported family {family!r}")
-
-
-_CHAIN_SCAN_CAP = 512
-
-
-def _chain_index_of(family: ChainFamily, member: SetSpec) -> int:
-    top = family.size() or _CHAIN_SCAN_CAP
-    for i in range(top):
-        if family.member(i) == member:
-            return i
-    raise ValueError("not a member of this chain (within scan cap)")
-
-
 @dataclass(frozen=True)
 class CupcapResult:
     """Outcome of the n-fold exclusion search over the first members."""
@@ -344,118 +304,6 @@ def cupcap_check(g: GroupElement, n: int, family: FilterFamily,
         if res.status == "unknown":
             skipped += 1
     return CupcapResult(False, n, checked=top, skipped_unknown=skipped)
-
-
-@dataclass(frozen=True)
-class IndexedPoints:
-    """Points indexed by an omega-chain; larger positions sit deeper in the
-    downward-directed order, so convergence reads along increasing index."""
-
-    points: tuple  # tuple[GroupElement, ...]
-    enclosing: Optional[StarSet] = None
-
-    def __post_init__(self):
-        if self.enclosing is not None:
-            for p in self.points:
-                if not contains(self.enclosing, p):
-                    raise ValueError(
-                        f"point {p} escapes the declared enclosing star-set"
-                    )
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
-@dataclass(frozen=True)
-class ConvergenceResult:
-    status: Status
-    per_member: tuple  # tuple of dicts
-
-
-def strong_convergence_check(
-    family: FilterFamily,
-    pts: IndexedPoints,
-    x: GroupElement,
-    depth: int,
-) -> ConvergenceResult:
-    """Sampled check that the differences x_j - x eventually enter every
-    starred member.
-
-    A member passes when violations stop at least ``window`` positions
-    before the end of the sample; it refutes when every full window of the
-    sample contains a violation; anything else is unknown at this sample.
-    """
-    window = 8
-    n_pts = len(pts)
-    per_member = []
-    top = depth if family.size() is None else min(depth, family.size())
-    for i in range(top):
-        starred = star(family.member(i))
-        violations = [
-            j for j, p in enumerate(pts.points)
-            if not contains(starred, op_sub(p, x))
-        ]
-        if not violations or violations[-1] < n_pts - window:
-            verdict = Status.VERIFIED
-        elif n_pts >= window:
-            starts = range(n_pts - window, -1, -window)
-            dense = all(
-                any(b <= v < b + window for v in violations) for b in starts
-            )
-            verdict = Status.REFUTED if dense else Status.UNKNOWN
-        else:
-            verdict = Status.UNKNOWN  # sample too short to call cofinal
-        per_member.append({
-            "member_index": i,
-            "verdict": verdict,
-            "violations": len(violations),
-            "last_violation": violations[-1] if violations else None,
-        })
-    status = aggregate_status(m["verdict"] for m in per_member)
-    return ConvergenceResult(status, tuple(per_member))
-
-
-@dataclass(frozen=True)
-class SelectorResult:
-    value: GroupElement
-    positions: tuple
-    branch: str  # "frequent" | "fallback"
-
-
-def frequent_value_selector(
-    spec: SetLike,
-    pts: IndexedPoints,
-    window: int,
-) -> SelectorResult:
-    """The frequent-value dichotomy at sample scale.
-
-    If some value of the point family recurs in every ``window``
-    consecutive positions, return it with the positions where it occurs
-    (the sampled stand-in for a cofinal subfamily).  Otherwise take the
-    second branch: the zero/identity value on all positions.
-    """
-    starred = star(spec)
-    for p in pts.points:
-        if not contains(starred, p):
-            raise ValueError(f"point {p} escapes the chosen star-set")
-    n_pts = len(pts)
-    occurrences: dict = {}
-    for j, p in enumerate(pts.points):
-        occurrences.setdefault(p.value, []).append(j)
-
-    group = pts.points[0].group if pts.points else starred.ambient()
-    best = None
-    for value, posns in occurrences.items():
-        gaps = [posns[0] + 1] + \
-            [b - a for a, b in zip(posns, posns[1:])] + \
-            [n_pts - posns[-1]]
-        if max(gaps) <= window:
-            if best is None or len(posns) > len(best[1]):
-                best = (value, posns)
-    if best is not None:
-        return SelectorResult(GroupElement(group, best[0]),
-                              tuple(best[1]), "frequent")
-    return SelectorResult(group.identity(), tuple(range(n_pts)), "fallback")
 
 
 @dataclass(frozen=True)

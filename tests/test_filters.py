@@ -1,4 +1,4 @@
-"""Families, criteria checks, selectors, and separating certificates."""
+"""Families, criteria checks, and separating certificates."""
 
 import pytest
 
@@ -7,23 +7,19 @@ from grouptop import (
     CofiniteFamily,
     ExplicitFamily,
     FiniteSet,
-    IndexedPoints,
     Integers,
     ResidueSet,
     SeparationCertificate,
     StuckReport,
+    SymmetricInterval,
     TailSet,
     check_directed,
-    contains,
     cupcap_check,
     family_from_json,
-    frequent_value_selector,
     hausdorff_verdict,
-    lower_bound,
     n_fold_star,
     separating_sequence,
     star,
-    strong_convergence_check,
 )
 from grouptop.examples import sqrt7_set
 from grouptop.filters import recheck_certificate
@@ -36,7 +32,7 @@ def sqrt7_family():
     return ChainFamily(lambda i: sqrt7_set(i + 1), name="sqrt7")
 
 
-# --- directedness and lower bounds ---
+# --- family construction and directedness ---
 
 def test_check_directed_nested_chain():
     fam = ExplicitFamily([ResidueSet.of(3, {0, 1, 2}),
@@ -55,27 +51,11 @@ def test_check_directed_sqrt7_prefix():
     assert check_directed(fam) is None
 
 
-def test_lower_bound_chain_order():
-    fam = sqrt7_family()
-    assert lower_bound(fam, fam.member(1), fam.member(4)) == fam.member(4)
-
-
-def test_lower_bound_cofinite_unions_removals():
-    fam = CofiniteFamily("powers3")
-    a = TailSet.of("powers3", 1, {3})
-    b = TailSet.of("powers3", 2, {5})
-    out = lower_bound(fam, a, b)
-    assert out == TailSet.of("powers3", 2, {3, 5})
-
-
-def test_lower_bound_explicit_nested():
-    big = ResidueSet.of(3, {0, 1, 2})
-    small = ResidueSet.of(9, {0, 4, 5})
-    fam = ExplicitFamily([big, small])
-    assert lower_bound(fam, big, small) == small
-    bad = ExplicitFamily([FiniteSet.of(Z, [1]), FiniteSet.of(Z, [2])])
-    with pytest.raises(ValueError):
-        lower_bound(bad, bad.member(0), bad.member(1))
+def test_explicit_family_refuses_members_of_two_groups():
+    """Members in the integers and in the rationals are refused when the
+    family is built, not deep inside a later verdict."""
+    with pytest.raises(ValueError, match="different groups"):
+        ExplicitFamily([ResidueSet.of(3, [1]), SymmetricInterval.of(1)])
 
 
 def test_chain_validation_rejects_non_decreasing():
@@ -126,82 +106,6 @@ def test_cupcap_found_is_monotone_in_n():
 def test_cupcap_rejects_identity():
     with pytest.raises(ValueError):
         cupcap_check(Z.element(0), 1, sqrt7_family(), depth=3)
-
-
-# --- strong convergence ---
-
-def test_strong_convergence_constant_points():
-    fam = CofiniteFamily("powers3")
-    x = Z.element(4)
-    pts = IndexedPoints(tuple(x for _ in range(24)))
-    res = strong_convergence_check(fam, pts, x, depth=5)
-    assert res.status is Status.VERIFIED
-
-
-def test_strong_convergence_powers_to_zero():
-    fam = CofiniteFamily("powers3")
-    pts = IndexedPoints(tuple(Z.element(3 ** j) for j in range(24)))
-    res = strong_convergence_check(fam, pts, Z.element(0), depth=6)
-    assert res.status is Status.VERIFIED
-
-
-def test_strong_convergence_alternating_refuted():
-    fam = ChainFamily(lambda i: FiniteSet.of(Z, [0]), name="zero-chain")
-    pts = IndexedPoints(tuple(Z.element((-1) ** j) for j in range(24)))
-    res = strong_convergence_check(fam, pts, Z.element(0), depth=3)
-    assert res.status is Status.REFUTED
-
-
-# --- frequent-value dichotomy ---
-
-def test_selector_constant_points():
-    s = TailSet.of("powers3", 0)
-    pts = IndexedPoints(tuple(Z.element(3) for _ in range(16)))
-    out = frequent_value_selector(s, pts, window=4)
-    assert out.branch == "frequent" and out.value.value == 3
-    assert out.positions == tuple(range(16))
-
-
-def test_selector_distinct_values_fall_back():
-    s = TailSet.of("powers3", 0)
-    pts = IndexedPoints(tuple(Z.element(3 ** j) for j in range(16)))
-    out = frequent_value_selector(s, pts, window=4)
-    assert out.branch == "fallback" and out.value.value == 0
-
-
-def test_selector_recurring_on_even_positions():
-    s = TailSet.of("powers3", 0)
-    pts = IndexedPoints(tuple(
-        Z.element(9 if j % 2 == 0 else 3 ** (j + 4)) for j in range(16)
-    ))
-    out = frequent_value_selector(s, pts, window=4)
-    assert out.branch == "frequent" and out.value.value == 9
-    assert out.positions == tuple(range(0, 16, 2))
-
-
-def test_selector_requires_points_in_star():
-    s = TailSet.of("powers3", 1)
-    pts = IndexedPoints(tuple([Z.element(5)]))
-    with pytest.raises(ValueError):
-        frequent_value_selector(s, pts, window=4)
-
-
-def test_selector_composes_with_strong_convergence():
-    # the frequent-value dichotomy feeds straight into convergence checks
-    fam = CofiniteFamily("powers3")
-    member = fam.member(0)
-    patterns = [
-        tuple(Z.element(3) for _ in range(24)),
-        tuple(Z.element(3 ** j) for j in range(24)),
-        tuple(Z.element(9 if j % 2 == 0 else 3 ** j) for j in range(2, 26)),
-        tuple(Z.element(-(3 ** j)) for j in range(24)),
-    ]
-    for points in patterns:
-        pts = IndexedPoints(points, enclosing=star(member))
-        sel = frequent_value_selector(member, pts, window=6)
-        chosen = IndexedPoints(tuple(points[i] for i in sel.positions))
-        res = strong_convergence_check(fam, chosen, sel.value, depth=5)
-        assert res.status is Status.VERIFIED, (sel.branch, res)
 
 
 # --- separating sequences ---
@@ -391,8 +295,10 @@ def test_family_descriptions_read_back():
         CofiniteFamily("powers3", 2),
         CofiniteFamily(prefix_sequence("user-q", [1, 5, 25]), 1),
         ExplicitFamily([FiniteSet.of(d4, ["r", "s"]),
+                        FiniteSet.of(d4, ["s"])], name="d4"),
+        ExplicitFamily([ResidueSet.of(3, [0]),
                         star(TailSet.of("powers3", 1, excluded={3}))],
-                       name="mixed"),
+                       name="integers"),
     ]
     for fam in families:
         back = family_from_json(fam.describe())
