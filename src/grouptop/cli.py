@@ -1,8 +1,10 @@
-"""Command-line harness: run verifications, emit certificate reports.
+"""Command-line harness: parse arguments, read configs, and emit the
+reports that the claims' producers build.
 
 Exit codes follow the three-valued logic so automation can tell refutation
 from budget exhaustion: 0 all claims verified, 2 some claim refuted,
-3 some claim unknown at budget, 1 bad parameters or malformed input.
+3 some claim unknown at budget, 1 bad parameters (a usage error too) or
+malformed input.
 
 Report files are byte-identical across runs for identical configurations;
 wall time goes to stderr, never into the certificate body.
@@ -20,14 +22,8 @@ from typing import Optional, Sequence
 from . import examples as ex
 from .filters import FilterFamily, family_from_json, hausdorff_verdict
 from .groups import integer_from_json, reject_unknown_keys
-from .nonabelian import fib_word, phi_iterate, verify_fib_identity, FREE_XY
-from .report import (
-    Status,
-    VerificationReport,
-    canonical_json,
-    report_document,
-    stopwatch,
-)
+from .nonabelian import verify_fib_identity, verify_fib_words
+from .report import Status, canonical_json, report_document, stopwatch
 from .setspec import FoldTable
 
 _EXIT_FOR_STATUS = {
@@ -95,11 +91,11 @@ def _emit(reports: list, out: Optional[str], fmt: str, elapsed: float) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.example == "product" and max(args.m0) > args.coords:
+        print("--m0 must not exceed --coords", file=sys.stderr)
+        return 1
     with stopwatch() as elapsed:
         if args.example == "sqrt7":
-            if args.gmax < 1 or args.nmax < 1:
-                print("gmax and nmax must be positive", file=sys.stderr)
-                return 1
             table = FoldTable()  # the grid shares every n-fold set
             reports = [
                 ex.verify_sqrt7_necessary(g, n, table=table)
@@ -107,58 +103,25 @@ def _cmd_verify(args) -> int:
                 for n in range(1, args.nmax + 1)
             ]
             if args.cover_m0:
-                m0 = args.cover_m0
-                ms = [m0] * (3 ** m0)
+                m0, gmax = args.cover_m0, args.cover_gmax
                 reports.append(ex.verify_sqrt7_U_full(
-                    m0, ms, list(range(-args.cover_gmax, args.cover_gmax + 1))
-                ))
+                    m0, [m0] * (3 ** m0), range(-gmax, gmax + 1)))
         elif args.example == "product":
-            n_coords = args.coords
-            if n_coords < 1:
-                print("coordinate count must be positive", file=sys.stderr)
-                return 1
-            reports = []
-            samples = ex.random_product_elements(n_coords, args.samples,
+            coords = args.coords
+            samples = ex.random_product_elements(coords, args.samples,
                                                  args.seed)
-            for m0 in args.m0:
-                ms = [min(m0 + i + 1, n_coords) for i in range(m0)]
-                reports.append(
-                    ex.verify_product_sum_full(n_coords, m0, ms, samples))
-            for n in args.union_n:
-                reports.append(ex.verify_product_union_small(n_coords, n))
+            reports = [ex.verify_product_sum_full(
+                coords, m0, [min(m0 + i + 1, coords) for i in range(m0)],
+                samples) for m0 in args.m0]
+            reports += [ex.verify_product_union_small(coords, n)
+                        for n in args.union_n]
         elif args.example == "interval":
             reports = [ex.verify_interval_example(args.min_exp)]
-        elif args.example == "fibonacci":
-            if args.n < 1:
-                print("n must be positive", file=sys.stderr)
-                return 1
-            reports = [_fibonacci_report(args.n)]
+        else:  # fibonacci; argparse restricts the choices
+            reports = [verify_fib_words(args.n)]
             reports.extend(verify_fib_identity(n)
                            for n in range(min(args.n, 10) + 1))
-        else:  # pragma: no cover - argparse restricts choices
-            return 1
     return _emit(reports, args.out, args.format, elapsed())
-
-
-def _fibonacci_report(top: int) -> VerificationReport:
-    """Words from the recurrence match substitution iterates and their
-    lengths follow the Fibonacci numbers."""
-    x = FREE_XY.element("x")
-    lengths = []
-    ok = True
-    fib_a, fib_b = 1, 1
-    for n in range(top + 1):
-        w = fib_word(n)
-        ok = ok and w.word.value == phi_iterate(x, n).value
-        lengths.append(w.length())
-        ok = ok and w.length() == fib_a
-        fib_a, fib_b = fib_b, fib_a + fib_b
-    return VerificationReport(
-        claim=f"fibonacci-words:n<={top}",
-        status=Status.VERIFIED if ok else Status.REFUTED,
-        payload={"lengths": lengths},
-        budgets={"n": top},
-    )
 
 
 def _cmd_hausdorff(args) -> int:
@@ -181,31 +144,12 @@ def _cmd_hausdorff(args) -> int:
 
 
 def _cmd_hensel(args) -> int:
-    if args.k < 1:
-        print("level k must be positive", file=sys.stderr)
-        return 1
     try:
         with stopwatch() as elapsed:
-            rows = []
-            prev = None
-            chain_ok = True
-            roots = ex.hensel_roots(args.a, args.p, args.k)
-            for level, root in enumerate(roots, start=1):
-                w = ex.HenselWitness(args.p, args.a, level, root)
-                if prev is not None:
-                    mod = args.p ** (level - 1)
-                    chain_ok = chain_ok and (w.root - prev) % mod == 0
-                rows.append({"k": level, "modulus": args.p ** level,
-                             "root": w.root})
-                prev = w.root
+            report = ex.verify_hensel(args.a, args.p, args.k)
     except ex.HenselError as err:
         print(f"hensel: {err}", file=sys.stderr)
         return 1
-    report = VerificationReport(
-        claim=f"hensel:p={args.p}:a={args.a}:k={args.k}",
-        status=Status.VERIFIED if chain_ok else Status.REFUTED,
-        payload={"levels": rows, "congruence_chain": chain_ok},
-    )
     return _emit([report], args.out, args.format, elapsed())
 
 
@@ -223,8 +167,23 @@ def _cmd_recheck(args) -> int:
     return 0 if ok else 2
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # exit 2 would read as "some claim refuted"
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _at_least(least: int):
+    """An argparse ``type``: an integer no smaller than ``least``."""
+    def integer(text: str) -> int:
+        if int(text) < least:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {least}, got {text}")
+        return int(text)
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="grouptop",
         description="certified verifications of set-family convergence "
                     "criteria",
@@ -235,18 +194,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("example",
                           choices=["sqrt7", "product", "interval",
                                    "fibonacci"])
-    p_verify.add_argument("--gmax", type=int, default=50)
-    p_verify.add_argument("--nmax", type=int, default=5)
-    p_verify.add_argument("--cover-m0", type=int, default=0,
+    p_verify.add_argument("--gmax", type=_at_least(1), default=50)
+    p_verify.add_argument("--nmax", type=_at_least(1), default=5)
+    p_verify.add_argument("--cover-m0", type=_at_least(0), default=0,
                           help="also verify the full-cover claim at this m0")
-    p_verify.add_argument("--cover-gmax", type=int, default=20)
-    p_verify.add_argument("--coords", type=int, default=6)
-    p_verify.add_argument("--m0", type=int, nargs="+", default=[2, 3])
-    p_verify.add_argument("--union-n", type=int, nargs="+", default=[1, 2])
-    p_verify.add_argument("--samples", type=int, default=50)
+    p_verify.add_argument("--cover-gmax", type=_at_least(0), default=20)
+    p_verify.add_argument("--coords", type=_at_least(1), default=6)
+    p_verify.add_argument("--m0", type=_at_least(1), nargs="+", default=[2, 3])
+    p_verify.add_argument("--union-n", type=_at_least(1), nargs="+",
+                          default=[1, 2])
+    p_verify.add_argument("--samples", type=_at_least(0), default=50)
     p_verify.add_argument("--seed", type=int, default=7)
-    p_verify.add_argument("--min-exp", type=int, default=10)
-    p_verify.add_argument("--n", type=int, default=20)
+    p_verify.add_argument("--min-exp", type=_at_least(0), default=10)
+    p_verify.add_argument("--n", type=_at_least(1), default=20)
     _common_output(p_verify)
     p_verify.set_defaults(func=_cmd_verify)
 
@@ -259,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_hensel = sub.add_parser("hensel", help="square-root lifting table")
     p_hensel.add_argument("--p", type=int, default=3)
     p_hensel.add_argument("--a", type=int, default=7)
-    p_hensel.add_argument("--k", type=int, default=3)
+    p_hensel.add_argument("--k", type=_at_least(1), default=3)
     _common_output(p_hensel)
     p_hensel.set_defaults(func=_cmd_hensel)
 
@@ -276,8 +236,10 @@ def _common_output(p: argparse.ArgumentParser) -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as done:  # a usage error exits 1, --help 0
+        return done.code
     return args.func(args)
 
 

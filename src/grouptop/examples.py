@@ -9,7 +9,9 @@
   extended.
 
 Every verification returns a report whose witnesses re-verify by plain
-group addition.
+group addition, and whose status comes from its kind's one rule
+(``hensel_rule``, ``sqrt7_necessary_rule``, ``cover_rule``,
+``interval_rule``), which ``recheck`` applies too.
 """
 
 from __future__ import annotations
@@ -20,23 +22,34 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
-from .groups import GroupElement, Integers, ProductMod, Rationals
+from .groups import (
+    GroupElement,
+    Integers,
+    ProductMod,
+    Rationals,
+    group_from_json,
+)
 from .prefixsum import prefix_sum_membership
 from .report import Status, VerificationReport
 from .setspec import (
     BoxSet,
     FoldTable,
     ResidueSet,
+    SetLike,
     SymmetricInterval,
     contains,
     n_fold_star,
+    spec_from_json,
     star,
+    subset_of,
     suffix_folds,
     witness_holds,
 )
 
 _INTEGERS = Integers()
 _RATIONALS = Rationals()
+_ONE = _RATIONALS.element(1)
+_UNIT = SymmetricInterval.of(1)  # the open unit interval
 
 
 class HenselError(ValueError):
@@ -58,9 +71,6 @@ class HenselWitness:
             raise HenselError("root fails its congruence")
         if (2 * self.root) % self.p == 0:
             raise HenselError("derivative not a unit; lifting undefined")
-
-    def to_json(self) -> dict:
-        return {"p": self.p, "a": self.a, "k": self.k, "root": self.root}
 
 
 def _is_prime(n: int) -> bool:
@@ -127,6 +137,33 @@ def hensel_sqrt(a: int = 7, p: int = 3, k: int = 1) -> HenselWitness:
     return HenselWitness(p=p, a=a, k=k, root=root)
 
 
+def hensel_rule(p: int, a: int, levels: Sequence[dict]) -> tuple:
+    """(congruence_chain, status) of a hensel table: row k holds modulus
+    p^k and a root ``HenselWitness`` accepts there (HenselError
+    otherwise); verified when each root agrees with the one before it
+    modulo that one's modulus."""
+    for level, row in enumerate(levels, start=1):
+        if (row["k"], row["modulus"]) != (level, p ** level):
+            raise HenselError(f"row {level} is not the level p^{level}")
+        HenselWitness(p, a, level, row["root"])
+    chain = all((row["root"] - prev["root"]) % prev["modulus"] == 0
+                for prev, row in zip(levels, levels[1:]))
+    return chain, Status.VERIFIED if chain else Status.REFUTED
+
+
+def verify_hensel(a: int, p: int, k: int) -> VerificationReport:
+    """The table of canonical square roots of a modulo p, ..., p^k and
+    their congruence chain; raises as ``hensel_roots`` does."""
+    levels = [{"k": level, "modulus": p ** level, "root": root}
+              for level, root in enumerate(hensel_roots(a, p, k), start=1)]
+    chain, status = hensel_rule(p, a, levels)
+    return VerificationReport(
+        claim=f"hensel:p={p}:a={a}:k={k}",
+        status=status,
+        payload={"levels": levels, "congruence_chain": chain},
+    )
+
+
 # The paper's chain lives in the 3-adic square roots of 7.
 SQRT7_A, SQRT7_P = 7, 3
 
@@ -161,6 +198,17 @@ class DecompositionWitness:
             "sets": [star(src).to_json() for src in self.sources],
         }
 
+    @classmethod
+    def from_json(cls, doc: dict) -> "DecompositionWitness":
+        if doc.get("type") != "decomposition":
+            raise ValueError("not a decomposition witness")
+        group = group_from_json(doc["group"])
+        return cls(
+            target=group.element(doc["target"]),
+            summands=tuple(group.element(v) for v in doc["summands"]),
+            sources=tuple(spec_from_json(s, group=group) for s in doc["sets"]),
+        )
+
 
 def verify_sqrt7_necessary(g: int, n: int,
                            table: Optional[FoldTable] = None
@@ -191,7 +239,6 @@ def verify_sqrt7_necessary(g: int, n: int,
         k += 1
     member = sqrt7_set(k)
     folded = table.n_fold_star(member, n)
-    excluded = not folded.contains_value(g) and not folded.contains_value(-g)
 
     k_bound = 1
     while p ** k_bound <= max(g * g, a * n * n):
@@ -200,8 +247,7 @@ def verify_sqrt7_necessary(g: int, n: int,
     bound_ok = divides_none(k_bound) and \
         not bound_fold.contains_value(g) and not bound_fold.contains_value(-g)
 
-    status = Status.VERIFIED if excluded and bound_ok and k <= k_bound \
-        else Status.REFUTED
+    excluded, status = sqrt7_necessary_rule(g, folded, bound_ok, k, k_bound)
     return VerificationReport(
         claim=f"sqrt7-necessary:g={g}:n={n}",
         status=status,
@@ -216,6 +262,16 @@ def verify_sqrt7_necessary(g: int, n: int,
         },
         budgets={"n": n},
     )
+
+
+def sqrt7_necessary_rule(g: int, folded: ResidueSet, bound_ok: bool,
+                         k: int, k_bound: int) -> tuple:
+    """(excluded, status) of a sqrt7-necessary claim: whether the n-fold
+    set ``folded`` misses g and -g, and verified when it does, so does the
+    bound-level fold, and the level k is at most the bound level."""
+    excluded = not folded.contains_value(g) and not folded.contains_value(-g)
+    ok = excluded and bound_ok and k <= k_bound
+    return excluded, Status.VERIFIED if ok else Status.REFUTED
 
 
 def _lifted_member(m_i: int, m0: int) -> int:
@@ -262,28 +318,44 @@ def verify_sqrt7_U_full(m0: int, ms: Sequence[int],
         raise ValueError("m0 must be positive")
     if len(ms) != SQRT7_P ** m0:
         raise ValueError(f"need exactly {SQRT7_P ** m0} follower levels")
-    sample_gs = list(sample_gs)
-    folded = suffix_folds([star(sqrt7_set(m)) for m in [m0, *ms]])[0]
-    covers = folded.is_all_integers()
+    return _verify_cover(
+        f"sqrt7-cover:m0={m0}:ms={','.join(map(str, ms))}",
+        [sqrt7_set(m) for m in [m0, *ms]],
+        [sqrt7_cover_witness(g, m0, ms) for g in sample_gs])
 
-    witnesses = []
-    all_verify = True
-    for g in sample_gs:
-        w = sqrt7_cover_witness(g, m0, ms)
-        ok = w.verify()
-        all_verify = all_verify and ok
-        witnesses.append(w.to_json())
 
-    status = Status.VERIFIED if covers and all_verify else Status.REFUTED
+# The payload key of each cover claim's flag.
+COVER_FLAG_KEYS = {"sqrt7-cover": "sum_equals_all_residues",
+                   "product-cover": "sum_covers_group"}
+
+
+def cover_rule(folded: SetLike, witnesses: Sequence[DecompositionWitness]
+               ) -> tuple:
+    """(covers, status) of a cover claim: whether the fold contains its
+    whole group (Z as 0 mod 1, a product as the unconstrained box), and
+    verified when it does and every sample's witness holds."""
+    whole = BoxSet(folded.n_coords, ()) if isinstance(folded, BoxSet) \
+        else ResidueSet.of(1, [0])
+    covers = subset_of(whole, folded)
+    ok = covers and all(w.verify() for w in witnesses)
+    return covers, Status.VERIFIED if ok else Status.REFUTED
+
+
+def _verify_cover(claim: str, sources: Sequence[SetLike],
+                  witnesses: Sequence[DecompositionWitness]
+                  ) -> VerificationReport:
+    """A cover claim on the suffix fold of the starred ``sources``."""
+    folded = suffix_folds([star(src) for src in sources])[0]
+    covers, status = cover_rule(folded, witnesses)
     return VerificationReport(
-        claim=f"sqrt7-cover:m0={m0}:ms={','.join(map(str, ms))}",
+        claim=claim,
         status=status,
         payload={
-            "sum_equals_all_residues": covers,
+            COVER_FLAG_KEYS[claim.partition(":")[0]]: covers,
             "fold": folded.to_json(),
-            "witnesses": witnesses,
+            "witnesses": [w.to_json() for w in witnesses],
         },
-        budgets={"samples": len(sample_gs)},
+        budgets={"samples": len(witnesses)},
     )
 
 
@@ -337,31 +409,10 @@ def verify_product_sum_full(n_coords: int, m0: int, ms: Sequence[int],
     truncated product, with re-verified per-sample witnesses."""
     if len(ms) != m0:
         raise ValueError(f"need exactly {m0} follower levels")
-    sample_gs = list(sample_gs)
-    folded = suffix_folds([star(product_set(n_coords, m))
-                           for m in [m0, *ms]])[0]
-    covers = all(
-        folded.coordinate_options(coord) == frozenset(range(coord))
-        for coord in range(1, n_coords + 1)
-    )
-    witnesses = []
-    all_verify = True
-    for g in sample_gs:
-        w = product_cover_witness(g, m0, ms)
-        ok = w.verify()
-        all_verify = all_verify and ok
-        witnesses.append(w.to_json())
-    status = Status.VERIFIED if covers and all_verify else Status.REFUTED
-    return VerificationReport(
-        claim=f"product-cover:N={n_coords}:m0={m0}",
-        status=status,
-        payload={
-            "sum_covers_group": covers,
-            "fold": folded.to_json(),
-            "witnesses": witnesses,
-        },
-        budgets={"samples": len(sample_gs)},
-    )
+    return _verify_cover(
+        f"product-cover:N={n_coords}:m0={m0}",
+        [product_set(n_coords, m) for m in [m0, *ms]],
+        [product_cover_witness(g, m0, ms) for g in sample_gs])
 
 
 def small_representable(coord: int, n: int) -> frozenset:
@@ -431,6 +482,20 @@ def verify_product_union_small(n_coords: int, n: int) -> VerificationReport:
     )
 
 
+def interval_rule(steps: Sequence[tuple]) -> tuple:
+    """(one_outside_unit_interval, status) of the interval claim, whose
+    (epsilon, pinned summands, membership) steps, at least one, must each
+    be a ``yes`` with both witnesses summing to 1 in the unit and epsilon
+    intervals."""
+    first_excluded = not contains(star(_UNIT), _ONE)
+    ok = first_excluded and bool(steps) and all(
+        res.is_yes() and all(witness_holds(_ONE, summands,
+                                           [_UNIT, SymmetricInterval(eps)])
+                             for summands in (pinned, res.witness))
+        for eps, pinned, res in steps)
+    return first_excluded, Status.VERIFIED if ok else Status.REFUTED
+
+
 def verify_interval_example(min_exp: int = 10) -> VerificationReport:
     """The one-step interval exclusion that cannot be extended.
 
@@ -439,39 +504,24 @@ def verify_interval_example(min_exp: int = 10) -> VerificationReport:
     1 = (1 - eps/2) + eps/2 puts 1 back inside the two-set sum, so no
     second family member extends the exclusion.
     """
+    if min_exp < 0:
+        raise ValueError("min_exp must be nonnegative")
     group = _RATIONALS
-    one = group.element(1)
-    s0 = SymmetricInterval.of(1)
-    first_excluded = not contains(star(s0), one)
-
-    schedule = []
-    all_witnessed = True
-    for j in range(min_exp + 1):
-        eps = Fraction(1, 2 ** j)
-        s1 = SymmetricInterval(eps)
-        # Pinned witness: 1 = (1 - eps/2) + eps/2, valid for every eps <= 2.
-        w = DecompositionWitness(
-            target=one,
-            summands=(group.element(1 - eps / 2), group.element(eps / 2)),
-            sources=(s0, s1),
-        )
-        res = prefix_sum_membership(one, [s0, s1])
-        witnessed = w.verify() and res.is_yes()
-        all_witnessed = all_witnessed and witnessed
-        schedule.append({
-            "epsilon": str(eps),
-            "witness": [group.value_to_json(s.value) for s in w.summands],
-            "membership": res.to_json(),
-        })
-
-    status = Status.VERIFIED if first_excluded and all_witnessed \
-        else Status.REFUTED
+    # Pinned witness: 1 = (1 - eps/2) + eps/2, valid for every eps <= 2.
+    steps = [(eps, (group.element(1 - eps / 2), group.element(eps / 2)),
+              prefix_sum_membership(_ONE, [_UNIT, SymmetricInterval(eps)]))
+             for eps in (Fraction(1, 2 ** j) for j in range(min_exp + 1))]
+    first_excluded, status = interval_rule(steps)
     return VerificationReport(
         claim=f"interval-no-extension:min_eps=2^-{min_exp}",
         status=status,
         payload={
             "one_outside_unit_interval": first_excluded,
-            "schedule": schedule,
+            "schedule": [{
+                "epsilon": str(eps),
+                "witness": [group.value_to_json(s.value) for s in pinned],
+                "membership": res.to_json(),
+            } for eps, pinned, res in steps],
         },
         budgets={"min_exp": min_exp},
     )

@@ -13,10 +13,11 @@ and are checked by one rule (``_witness_is_valid``: indices increase, then
 inverse closure and translation.  Each level is symmetrized once per
 assignment.
 
-The module also carries the conjugation closure of a family and the
+The module also carries the conjugation closure of a family, and the
 Fibonacci endomorphism x -> y, y -> xy of the free group on two
-generators.  The n-fold exclusion check over nonabelian finite sets is
-``filters.cupcap_check``, shared with the abelian families.
+generators with the producers of its two claims.  The n-fold exclusion
+check over nonabelian finite sets is ``filters.cupcap_check``, shared
+with the abelian families.
 """
 
 from __future__ import annotations
@@ -566,8 +567,33 @@ def fib_word(n: int) -> FibWord:
     return FibWord(b, n)
 
 
+def verify_fib_words(top: int) -> VerificationReport:
+    """Words from the recurrence match substitution iterates and their
+    lengths follow the Fibonacci numbers."""
+    lengths, ok, fib_a, fib_b = [], True, 1, 1
+    for n in range(top + 1):
+        w = fib_word(n)
+        ok = ok and w.word.value == phi_iterate(_X, n).value and \
+            w.length() == fib_a
+        lengths.append(w.length())
+        fib_a, fib_b = fib_b, fib_a + fib_b
+    return VerificationReport(
+        claim=f"fibonacci-words:n<={top}",
+        status=Status.VERIFIED if ok else Status.REFUTED,
+        payload={"lengths": lengths},
+        budgets={"n": top},
+    )
+
+
 def commutator(a: GroupElement, b: GroupElement) -> GroupElement:
     return op_add(op_add(a, b), op_add(op_neg(a), op_neg(b)))
+
+
+def fib_identity_status(lhs: GroupElement, rhs: GroupElement,
+                        expected: GroupElement) -> Status:
+    """Verified when a fibonacci-commutator claim's three words agree."""
+    return Status.VERIFIED if lhs.value == rhs.value == expected.value \
+        else Status.REFUTED
 
 
 def verify_fib_identity(n: int) -> VerificationReport:
@@ -582,10 +608,9 @@ def verify_fib_identity(n: int) -> VerificationReport:
     f_n1 = phi_iterate(_X, n + 1)
     rhs = commutator(f_n, f_n1)
     expected = base if n % 2 == 0 else op_neg(base)
-    ok = lhs.value == rhs.value == expected.value
     return VerificationReport(
         claim=f"fibonacci-commutator:n={n}",
-        status=Status.VERIFIED if ok else Status.REFUTED,
+        status=fib_identity_status(lhs, rhs, expected),
         payload={
             "lhs": str(lhs),
             "rhs": str(rhs),

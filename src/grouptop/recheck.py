@@ -2,18 +2,21 @@
 
 Everything here rebuilds elements and set descriptions from their JSON
 forms and replays membership and addition; no verdict from the original
-run is trusted.  A ``hausdorff`` claim's outcomes, verdict and status are
-derived again from its replayed payload, and the document's status from
-its claims'.  A claim's kind, its id up to the first ":", picks its one
-replayer; kinds whose payloads embed no witnesses are listed as skipped,
-and a kind the program does not emit fails.
+run is trusted.  A claim's kind, its id up to the first ":", picks its one
+replayer.  A replayer fails where a fact its payload records disagrees
+with the replay, and returns the status that the producer's own rule
+derives from the replayed facts; ``recheck_document`` compares it with
+the claim's status, and the document's status with its claims'.  Kinds
+without a replayer are listed as skipped, and a kind the program does
+not emit fails.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterable, Tuple
+from typing import Tuple
 
+from . import examples as ex
 from .filters import (
     SeparationCertificate,
     SeparationStep,
@@ -22,21 +25,14 @@ from .filters import (
     hausdorff_classification,
     recheck_certificate,
 )
-from .groups import FreeGroup, Rationals, group_from_json
+from .groups import Rationals
+from .nonabelian import FREE_XY, fib_identity_status
 from .prefixsum import MembershipResult
 from .report import Status, aggregate_status
-from .setspec import (
-    FoldTable,
-    SymmetricInterval,
-    contains,
-    spec_from_json,
-    star,
-    witness_holds,
-)
+from .setspec import FoldTable, spec_from_json
 
 
 def recheck_document(doc: dict) -> Tuple[bool, list]:
-    ok = True
     details = []
     table = FoldTable()  # the claims share every star and fold
     statuses = []
@@ -47,11 +43,16 @@ def recheck_document(doc: dict) -> Tuple[bool, list]:
         cid = claim.get("claim") if isinstance(claim, dict) else None
         if not isinstance(cid, str):
             details.append(f"  FAIL   claim {i}: no claim id")
-            ok = False
             continue
+        kind = cid.partition(":")[0]  # its id up to the first ":"
         try:
             statuses.append(Status(claim["status"]))
-            result = _recheck_claim(cid, claim, table)
+            if kind not in _REPLAYERS:
+                raise AssertionError(f"unknown claim kind {kind!r}")
+            replayed = _REPLAYERS[kind] and _REPLAYERS[kind](claim, table)
+            if replayed is not None:
+                _agrees(claim, "status", replayed.value)
+            result = replayed and "ok"
         except AssertionError as err:  # a replay that no longer holds
             result = str(err)
         except Exception as err:  # any replay failure is a finding
@@ -62,127 +63,83 @@ def recheck_document(doc: dict) -> Tuple[bool, list]:
             details.append(f"  ok     {cid}")
         else:
             details.append(f"  FAIL   {cid}: {result}")
-            ok = False
     derived = aggregate_status(statuses).value
     if doc.get("status") != derived:
         details.append(f"  FAIL   document status: the claims give "
                        f"{derived!r}, the document {doc.get('status')!r}")
-        ok = False
-    return ok, details
+    return not any(line.startswith("  FAIL") for line in details), details
 
 
-def _recheck_claim(cid: str, claim: dict, table: FoldTable):
-    """Replay a claim by its kind, the id up to its first ":"."""
-    kind = cid.partition(":")[0]
-    replay = _REPLAYERS.get(kind)
-    if replay is None:
-        return f"unknown claim kind {kind!r}"
-    return replay(claim, table)
+def _agrees(payload: dict, key: str, replayed) -> None:
+    if payload[key] != replayed:
+        raise AssertionError(f"the replay gives {key} {replayed!r}, the "
+                             f"report {payload[key]!r}")
 
 
-def _no_witnesses(claim: dict, table: FoldTable):
-    return None
-
-
-def _recheck_decompositions(claim: dict, table: FoldTable):
-    decomps = list(_find_decompositions(claim.get("payload", {})))
-    if not decomps:
-        return None
-    for d in decomps:
-        if not _decomposition_ok(d):
-            return "a decomposition witness fails"
-    return "ok"
-
-
-def _find_decompositions(node) -> Iterable[dict]:
-    if isinstance(node, dict):
-        if node.get("type") == "decomposition":
-            yield node
-        else:
-            for v in node.values():
-                yield from _find_decompositions(v)
-    elif isinstance(node, list):
-        for v in node:
-            yield from _find_decompositions(v)
-
-
-def _decomposition_ok(d: dict) -> bool:
-    group = group_from_json(d["group"])
-    target = group.element(d["target"])
-    summands = [group.element(v) for v in d["summands"]]
-    sets = [spec_from_json(s, group=group) for s in d["sets"]]
-    return witness_holds(target, summands, sets)
-
-
-def _recheck_hensel(claim: dict, table: FoldTable):
-    m = re.fullmatch(r"hensel:p=(-?\d+):a=(-?\d+):k=\d+", claim["claim"])
+def _id_numbers(pattern: str, claim: dict) -> list:
+    m = re.fullmatch(pattern, claim["claim"])
     if not m:
-        return "unparseable claim id"
-    p, a = int(m.group(1)), int(m.group(2))
-    prev = None
-    for row in claim["payload"]["levels"]:
-        modulus, root = row["modulus"], row["root"]
-        if (root * root - a) % modulus != 0:
-            return f"root {root} fails mod {modulus}"
-        if prev is not None and (root - prev) % (modulus // p) != 0:
-            return "congruence chain broken"
-        prev = root
-    return "ok"
+        raise AssertionError("unparseable claim id")
+    return [int(v) for v in m.groups()]
 
 
-def _recheck_necessary(claim: dict, table: FoldTable):
-    m = re.fullmatch(r"sqrt7-necessary:g=(-?\d+):n=(\d+)", claim["claim"])
-    if not m:
-        return "unparseable claim id"
-    g, n = int(m.group(1)), int(m.group(2))
-    member = spec_from_json(claim["payload"]["member"])
-    folded = table.n_fold_star(member, n)
-    if folded.contains_value(g) or folded.contains_value(-g):
-        return "target re-enters the n-fold set"
-    return "ok"
+def _recheck_cover(claim: dict, table: FoldTable) -> Status:
+    payload = claim["payload"]
+    covers, status = ex.cover_rule(
+        spec_from_json(payload["fold"]),
+        [ex.DecompositionWitness.from_json(w) for w in payload["witnesses"]])
+    _agrees(payload, ex.COVER_FLAG_KEYS[claim["claim"].partition(":")[0]],
+            covers)
+    return status
 
 
-def _recheck_interval(claim: dict, table: FoldTable):
+def _recheck_hensel(claim: dict, table: FoldTable) -> Status:
+    p, a = _id_numbers(r"hensel:p=(-?\d+):a=(-?\d+):k=\d+", claim)
+    chain, status = ex.hensel_rule(p, a, claim["payload"]["levels"])
+    _agrees(claim["payload"], "congruence_chain", chain)
+    return status
+
+
+def _recheck_necessary(claim: dict, table: FoldTable) -> Status:
+    g, n = _id_numbers(r"sqrt7-necessary:g=(-?\d+):n=(\d+)", claim)
+    payload = claim["payload"]
+    folded = table.n_fold_star(spec_from_json(payload["member"]), n)
+    excluded, status = ex.sqrt7_necessary_rule(
+        g, folded, payload["bound_level_also_excludes"], payload["k"],
+        payload["k_bound"])
+    if payload["excluded"] and not excluded:
+        raise AssertionError("target re-enters the n-fold set")
+    _agrees(payload, "excluded", excluded)
+    return status
+
+
+def _recheck_interval(claim: dict, table: FoldTable) -> Status:
     group = Rationals()
-    one = group.element(1)
-    s0 = SymmetricInterval.of(1)
-    if contains(star(s0), one):
-        return "1 re-enters the unit interval"
-    for entry in claim["payload"]["schedule"]:
-        eps = group.element(entry["epsilon"]).value
-        witness_lists = [entry.get("witness"),
-                         entry["membership"].get("witness")]
-        if not any(witness_lists):
-            return f"no witness at epsilon {eps}"
-        chain = [s0, SymmetricInterval(eps)]
-        for witness in witness_lists:
-            if witness is None:
-                continue
-            summands = [group.element(v) for v in witness]
-            if not witness_holds(one, summands, chain):
-                return f"witness fails at epsilon {eps}"
-    return "ok"
+    payload = claim["payload"]
+    first_excluded, status = ex.interval_rule([
+        (group.element(entry["epsilon"]).value,
+         [group.element(v) for v in entry["witness"]],
+         _result(group, entry["membership"]))
+        for entry in payload["schedule"]])
+    _agrees(payload, "one_outside_unit_interval", first_excluded)
+    return status
 
 
-def _recheck_hausdorff(claim: dict, table: FoldTable):
-    """Replay every probe, then derive its outcome, the verdict and the
-    status with the producer's own rule and compare them with the
-    report's."""
+def _recheck_hausdorff(claim: dict, table: FoldTable) -> Status:
+    """Replay every probe, derive its outcome, the verdict and the status
+    with the producer's own rule, and compare the outcomes and the verdict
+    with the report's."""
     payload = claim["payload"]
     probes = payload["probes"]
     outcomes, verdict, status = hausdorff_classification(
         _replayed_probe(probe, table) for probe in probes)
     for probe, outcome in zip(probes, outcomes):
         if probe["outcome"] != outcome:
-            return (f"probe {probe['probe']}: the replay gives outcome "
-                    f"{outcome!r}, the report {probe['outcome']!r}")
-    if payload["verdict"] != verdict:
-        return (f"the replay gives verdict {verdict!r}, the report "
-                f"{payload['verdict']!r}")
-    if claim["status"] != status.value:
-        return (f"the replay gives status {status.value!r}, the report "
-                f"{claim['status']!r}")
-    return "ok"
+            raise AssertionError(
+                f"probe {probe['probe']}: the replay gives outcome "
+                f"{outcome!r}, the report {probe['outcome']!r}")
+    _agrees(payload, "verdict", verdict)
+    return status
 
 
 def _replayed_probe(probe: dict, table: FoldTable) -> tuple:
@@ -225,23 +182,22 @@ def _result(group, doc: dict) -> MembershipResult:
                             tuple(group.element(v) for v in witness))
 
 
-def _recheck_fib(claim: dict, table: FoldTable):
+def _recheck_fib(claim: dict, table: FoldTable) -> Status:
     payload = claim["payload"]
-    free = FreeGroup(("x", "y"))
-    sides = {free.element(payload[key]) for key in ("lhs", "rhs", "expected")}
-    return "ok" if len(sides) == 1 else "word identity fails on re-parse"
+    return fib_identity_status(*(FREE_XY.element(payload[key])
+                                 for key in ("lhs", "rhs", "expected")))
 
 
-# One replayer per claim kind the program emits; the kinds whose payloads
-# embed no witnesses yet are listed as skipped.  Any other kind fails.
+# One replayer per claim kind the program emits; the kinds without one
+# yet map to None and are listed as skipped.  Any other kind fails.
 _REPLAYERS = {
     "hausdorff": _recheck_hausdorff,
     "hensel": _recheck_hensel,
     "sqrt7-necessary": _recheck_necessary,
-    "sqrt7-cover": _recheck_decompositions,
-    "product-cover": _recheck_decompositions,
+    "sqrt7-cover": _recheck_cover,
+    "product-cover": _recheck_cover,
     "interval-no-extension": _recheck_interval,
     "fibonacci-commutator": _recheck_fib,
     **dict.fromkeys(["fibonacci-words", "product-union-small", "uu-product",
-                     "u-inverse-closure", "u-translation"], _no_witnesses),
+                     "u-inverse-closure", "u-translation"]),
 }

@@ -407,6 +407,25 @@ def test_verify_cover_report_bytes_pinned(tmp_path, capsys, argv, digest):
     assert code == 0 and sha256(report) == digest
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (["hensel"],
+     "0c7fba4ff5c129d3417f87c5033835953a53059ddaa9e66f79d43d52a16b0533"),
+    (["hensel", "--p", "999983", "--k", "10"],
+     "6752093a5e828f55feebb2aaccd5edc2e3d0514a81c1488d4c62a2877fe81567"),
+    (["verify", "fibonacci"],
+     "74c4879859420f2b332405de83bd2d427827e32f4fb83c01164f12b20c8f28db"),
+    (["verify", "interval"],
+     "9fc1fd6de6bb744e6cd2500d31083a8748f0033d9dff63cac5d9e67ccb629a86"),
+], ids=["hensel", "hensel-large-p", "fibonacci", "interval"])
+def test_hensel_fibonacci_interval_report_bytes_pinned(tmp_path, capsys,
+                                                       argv, digest):
+    """Report bytes of the hensel table, the Fibonacci word claims and the
+    interval claim, whose producers live beside their constructions."""
+    report = tmp_path / "report.json"
+    code, _, _ = run(argv + ["--out", str(report)], capsys)
+    assert code == 0 and sha256(report) == digest
+
+
 def test_fibonacci_report_bytes_pinned(tmp_path, capsys):
     """Fibonacci tails carry no divisor, so every probe stays unresolved:
     these bytes pin the bounded search's yes witnesses and its exhausted
@@ -765,6 +784,110 @@ def test_recheck_accepts_untouched_hausdorff_reports(tmp_path, capsys,
     code, out, _ = run(["recheck", str(report)], capsys)
     assert code == 0 and out.endswith("recheck: ok\n"), out
     assert "FAIL" not in out and "skip" not in out
+
+
+def _flip_claim_and_document(claim, doc):
+    claim["status"] = doc["status"] = "refuted"
+
+
+def _cover_flag_off(claim, doc):
+    claim["payload"]["sum_covers_group"] = False
+
+
+def _cover_flag_off_fold_cut(claim, doc):
+    claim["payload"]["sum_covers_group"] = False
+    claim["payload"]["fold"]["allowed"][1] = [0]
+
+
+REFUTED_BY_REPLAY = ("the replay gives status 'verified', the report "
+                     "'refuted'")
+
+
+@pytest.mark.parametrize("argv, kind, tamper, message", [
+    (["hausdorff", str(CONFIGS / "powers3.json")], "hausdorff",
+     _flip_claim_and_document, REFUTED_BY_REPLAY),
+    (["hensel"], "hensel", _flip_claim_and_document, REFUTED_BY_REPLAY),
+    (["verify", "sqrt7", "--gmax", "2", "--nmax", "1"], "sqrt7-necessary",
+     _flip_claim_and_document, REFUTED_BY_REPLAY),
+    (["verify", "sqrt7", "--gmax", "1", "--nmax", "1", "--cover-m0", "1"],
+     "sqrt7-cover", _flip_claim_and_document, REFUTED_BY_REPLAY),
+    (["verify", "product", "--samples", "2"], "product-cover",
+     _flip_claim_and_document, REFUTED_BY_REPLAY),
+    (["verify", "interval", "--min-exp", "2"], "interval-no-extension",
+     _flip_claim_and_document, REFUTED_BY_REPLAY),
+    (["verify", "fibonacci", "--n", "3"], "fibonacci-commutator",
+     _flip_claim_and_document, REFUTED_BY_REPLAY),
+    (["verify", "product", "--samples", "0"], "product-cover",
+     _cover_flag_off, "the replay gives sum_covers_group True, the report "
+                      "False"),
+    (["verify", "product", "--samples", "0"], "product-cover",
+     _cover_flag_off_fold_cut, "the replay gives status 'refuted', the "
+                               "report 'verified'"),
+], ids=["hausdorff", "hensel", "sqrt7-necessary", "sqrt7-cover",
+        "product-cover",
+        "interval", "fibonacci-commutator", "cover-flag-off",
+        "cover-flag-off-fold-cut"])
+def test_recheck_derives_each_replayed_claim_status(tmp_path, capsys, argv,
+                                                    kind, tamper, message):
+    """Every replayed kind derives its status by its producer's rule: a
+    claim flipped to refuted with its document fails, and so does a cover
+    claim whose flag disagrees with its fold or whose cut fold no longer
+    covers the group."""
+    report = tmp_path / "report.json"
+    assert run(argv + ["--out", str(report)], capsys)[0] == 0
+    doc = json.loads(report.read_text())
+    claim = next(c for c in doc["claims"]
+                 if c["claim"].partition(":")[0] == kind)
+    tamper(claim, doc)
+    report.write_text(json.dumps(doc))
+    code, out, _ = run(["recheck", str(report)], capsys)
+    assert code == 2 and f"  FAIL   {claim['claim']}: {message}" in \
+        out.splitlines(), out
+
+
+def test_recheck_replays_cover_claims_without_samples(tmp_path, capsys):
+    """A cover claim with no samples still replays its fold's flag and
+    status; only the kinds without a replayer print skip."""
+    report = tmp_path / "report.json"
+    run(["verify", "product", "--samples", "0", "--out", str(report)], capsys)
+    code, out, _ = run(["recheck", str(report)], capsys)
+    assert code == 0 and out.splitlines() == [
+        "  ok     product-cover:N=6:m0=2",
+        "  ok     product-cover:N=6:m0=3",
+        "  skip   product-union-small:N=6:n=1 (no embedded witnesses)",
+        "  skip   product-union-small:N=6:n=2 (no embedded witnesses)",
+        "recheck: ok"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["hensel", "--k", "abc"],
+    ["verify", "sqrt7", "--bogus"],
+], ids=["hensel-k-abc", "verify-bogus-option"])
+def test_usage_error_exits_1(capsys, argv):
+    """Exit 2 means some claim refuted, so a usage error exits 1 with
+    argparse's one-line message, in-process and from the shell."""
+    code, out, err = run(argv, capsys)
+    assert code == 1 and out == "" and err.count("\n") == 1, err
+    assert err.startswith("grouptop") and ": error: " in err
+    proc = run_fresh(argv)
+    assert proc.returncode == 1 and proc.stderr == err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "product", "--m0", "0"],
+    ["verify", "product", "--union-n", "0"],
+    ["verify", "product", "--coords", "3", "--m0", "5"],
+    ["verify", "sqrt7", "--cover-m0", "-1"],
+    ["verify", "interval", "--min-exp", "-1"],
+], ids=["m0-0", "union-n-0", "m0-past-coords", "cover-m0-negative",
+        "min-exp-negative"])
+def test_verify_bad_value_exits_1(tmp_path, capsys, argv):
+    """A value outside an option's range exits 1 with one line, no
+    traceback and no report."""
+    report = tmp_path / "report.json"
+    code, out, err = run(argv + ["--out", str(report)], capsys)
+    assert code == 1 and out == "" and err.count("\n") == 1, err
+    assert "Traceback" not in err and not report.exists()
 
 
 
