@@ -24,7 +24,7 @@ from .filters import FilterFamily, family_from_json, hausdorff_verdict
 from .groups import integer_from_json, reject_unknown_keys
 from .nonabelian import verify_fib_identity, verify_fib_words
 from .report import Status, canonical_json, report_document, stopwatch
-from .setspec import FoldTable
+from .setspec import EnumerationBudgetError, FoldTable
 
 _EXIT_FOR_STATUS = {
     Status.VERIFIED: 0,
@@ -94,33 +94,38 @@ def _cmd_verify(args) -> int:
     if args.example == "product" and max(args.m0) > args.coords:
         print("--m0 must not exceed --coords", file=sys.stderr)
         return 1
-    with stopwatch() as elapsed:
-        if args.example == "sqrt7":
-            table = FoldTable()  # the grid shares every n-fold set
-            reports = [
-                ex.verify_sqrt7_necessary(g, n, table=table)
-                for g in range(1, args.gmax + 1)
-                for n in range(1, args.nmax + 1)
-            ]
-            if args.cover_m0:
-                m0, gmax = args.cover_m0, args.cover_gmax
-                reports.append(ex.verify_sqrt7_U_full(
-                    m0, [m0] * (3 ** m0), range(-gmax, gmax + 1)))
-        elif args.example == "product":
-            coords = args.coords
-            samples = ex.random_product_elements(coords, args.samples,
-                                                 args.seed)
-            reports = [ex.verify_product_sum_full(
-                coords, m0, [min(m0 + i + 1, coords) for i in range(m0)],
-                samples) for m0 in args.m0]
-            reports += [ex.verify_product_union_small(coords, n)
-                        for n in args.union_n]
-        elif args.example == "interval":
-            reports = [ex.verify_interval_example(args.min_exp)]
-        else:  # fibonacci; argparse restricts the choices
-            reports = [verify_fib_words(args.n)]
-            reports.extend(verify_fib_identity(n)
-                           for n in range(min(args.n, 10) + 1))
+    try:
+        with stopwatch() as elapsed:
+            if args.example == "sqrt7":
+                reports = []  # the cover first: its cap refuses at once
+                if args.cover_m0:
+                    m0, gmax = args.cover_m0, args.cover_gmax
+                    reports.append(ex.verify_sqrt7_U_full(
+                        m0, [m0] * (3 ** m0), range(-gmax, gmax + 1)))
+                table = FoldTable()  # the grid shares every n-fold set
+                reports += [
+                    ex.verify_sqrt7_necessary(g, n, table=table)
+                    for g in range(1, args.gmax + 1)
+                    for n in range(1, args.nmax + 1)
+                ]
+            elif args.example == "product":
+                coords = args.coords
+                samples = ex.random_product_elements(coords, args.samples,
+                                                     args.seed)
+                reports = [ex.verify_product_sum_full(
+                    coords, m0, [min(m0 + i + 1, coords) for i in range(m0)],
+                    samples) for m0 in args.m0]
+                reports += [ex.verify_product_union_small(coords, n)
+                            for n in args.union_n]
+            elif args.example == "interval":
+                reports = [ex.verify_interval_example(args.min_exp)]
+            else:  # fibonacci; argparse restricts the choices
+                reports = [verify_fib_words(args.n)]
+                reports.extend(verify_fib_identity(n)
+                               for n in range(min(args.n, 10) + 1))
+    except EnumerationBudgetError as err:
+        print(f"verify: {err}", file=sys.stderr)
+        return 1
     return _emit(reports, args.out, args.format, elapsed())
 
 

@@ -11,7 +11,7 @@
 Every verification returns a report whose witnesses re-verify by plain
 group addition, and whose status comes from its kind's one rule
 (``hensel_rule``, ``sqrt7_necessary_rule``, ``cover_rule``,
-``interval_rule``), which ``recheck`` applies too.
+``interval_rule``), which its replayer beside it applies to the payload.
 """
 
 from __future__ import annotations
@@ -29,10 +29,12 @@ from .groups import (
     Rationals,
     group_from_json,
 )
-from .prefixsum import prefix_sum_membership
-from .report import Status, VerificationReport
+from .prefixsum import MembershipResult, prefix_sum_membership
+from .report import Status, VerificationReport, id_numbers
 from .setspec import (
+    _ENUMERATION_CAP,
     BoxSet,
+    EnumerationBudgetError,
     FoldTable,
     ResidueSet,
     SetLike,
@@ -164,6 +166,12 @@ def verify_hensel(a: int, p: int, k: int) -> VerificationReport:
     )
 
 
+def replay_hensel(claim: dict, table: FoldTable) -> tuple:
+    p, a = id_numbers(r"hensel:p=(-?\d+):a=(-?\d+):k=\d+", claim)
+    chain, status = hensel_rule(p, a, claim["payload"]["levels"])
+    return status, {"congruence_chain": chain}
+
+
 # The paper's chain lives in the 3-adic square roots of 7.
 SQRT7_A, SQRT7_P = 7, 3
 
@@ -274,6 +282,19 @@ def sqrt7_necessary_rule(g: int, folded: ResidueSet, bound_ok: bool,
     return excluded, Status.VERIFIED if ok else Status.REFUTED
 
 
+def replay_sqrt7_necessary(claim: dict, table: FoldTable) -> tuple:
+    """The bound-level facts are read from the payload, not re-folded."""
+    g, n = id_numbers(r"sqrt7-necessary:g=(-?\d+):n=(\d+)", claim)
+    payload = claim["payload"]
+    folded = table.n_fold_star(spec_from_json(payload["member"]), n)
+    excluded, status = sqrt7_necessary_rule(
+        g, folded, payload["bound_level_also_excludes"], payload["k"],
+        payload["k_bound"])
+    if payload["excluded"] and not excluded:
+        raise AssertionError("target re-enters the n-fold set")
+    return status, {"excluded": excluded}
+
+
 def _lifted_member(m_i: int, m0: int) -> int:
     """An element of the level-m_i chain set congruent mod 3^m0 to the
     canonical level-m0 root."""
@@ -313,11 +334,21 @@ def sqrt7_cover_witness(g: int, m0: int,
 def verify_sqrt7_U_full(m0: int, ms: Sequence[int],
                         sample_gs: Sequence[int]) -> VerificationReport:
     """Exact proof that the starred chain sets at levels m0, m1, ... sum to
-    all of Z, with explicit re-verified witnesses for the samples."""
+    all of Z, with explicit re-verified witnesses for the samples.
+
+    Each suffix fold holds at most 3^m residues for the deepest level m
+    it folds; raises EnumerationBudgetError before any set is built when
+    the folds could hold more than the enumeration cap between them.
+    """
     if m0 < 1:
         raise ValueError("m0 must be positive")
     if len(ms) != SQRT7_P ** m0:
         raise ValueError(f"need exactly {SQRT7_P ** m0} follower levels")
+    held = (len(ms) + 1) * SQRT7_P ** max(m0, max(ms))
+    if held > _ENUMERATION_CAP:
+        raise EnumerationBudgetError(
+            f"the sqrt7 cover at m0={m0} folds up to {held} residues, past "
+            f"the enumeration cap {_ENUMERATION_CAP}")
     return _verify_cover(
         f"sqrt7-cover:m0={m0}:ms={','.join(map(str, ms))}",
         [sqrt7_set(m) for m in [m0, *ms]],
@@ -339,6 +370,15 @@ def cover_rule(folded: SetLike, witnesses: Sequence[DecompositionWitness]
     covers = subset_of(whole, folded)
     ok = covers and all(w.verify() for w in witnesses)
     return covers, Status.VERIFIED if ok else Status.REFUTED
+
+
+def replay_cover(claim: dict, table: FoldTable) -> tuple:
+    """Either cover kind, from its embedded fold and witnesses."""
+    payload = claim["payload"]
+    covers, status = cover_rule(
+        spec_from_json(payload["fold"]),
+        [DecompositionWitness.from_json(w) for w in payload["witnesses"]])
+    return status, {COVER_FLAG_KEYS[claim["claim"].partition(":")[0]]: covers}
 
 
 def _verify_cover(claim: str, sources: Sequence[SetLike],
@@ -525,6 +565,15 @@ def verify_interval_example(min_exp: int = 10) -> VerificationReport:
         },
         budgets={"min_exp": min_exp},
     )
+
+
+def replay_interval(claim: dict, table: FoldTable) -> tuple:
+    first_excluded, status = interval_rule([
+        (_RATIONALS.element(entry["epsilon"]).value,
+         [_RATIONALS.element(v) for v in entry["witness"]],
+         MembershipResult.from_json(_RATIONALS, entry["membership"]))
+        for entry in claim["payload"]["schedule"]])
+    return status, {"one_outside_unit_interval": first_excluded}
 
 
 def random_product_elements(n_coords: int, count: int,

@@ -3,7 +3,9 @@
 Families come in three presentations: decreasing chains, cofinite tails of
 an integer sequence, and explicit finite lists.  On top of them live the
 two Hausdorff-style checks (the n-fold exclusion condition and the
-separating-sequence construction) and the verdict drawn from them.
+separating-sequence construction) and the verdict drawn from them, by
+``hausdorff_verdict`` and by its replayer ``replay_hausdorff`` with the
+same scan helpers and rules.
 
 Every bounded search reports three-valued outcomes; "verified" and
 "refuted" are reserved for exact arithmetic or re-checked witnesses.
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .groups import (
     GroupElement,
@@ -280,6 +282,18 @@ def _nfold_exclusion(g: GroupElement, n: int, spec: SetSpec,
         return enumeration_capped(err)
 
 
+def scan_limit(family: FilterFamily, depth: int) -> int:
+    """How many leading members a scan reads, at most ``depth``."""
+    return depth if family.size() is None else min(depth, family.size())
+
+
+def resume_index(family: FilterFamily, steps: Sequence) -> int:
+    """The first member the next separation step scans: along chains,
+    past the last chosen index."""
+    return steps[-1].member_index + 1 if steps and family.monotone_chain() \
+        else 0
+
+
 def cupcap_check(g: GroupElement, n: int, family: FilterFamily,
                  depth: int, table: Optional[FoldTable] = None
                  ) -> CupcapResult:
@@ -293,7 +307,7 @@ def cupcap_check(g: GroupElement, n: int, family: FilterFamily,
         raise ValueError("n must be positive")
     if table is None:
         table = FoldTable()
-    top = depth if family.size() is None else min(depth, family.size())
+    top = scan_limit(family, depth)
     skipped = 0
     for i in range(top):
         member = family.member(i)
@@ -395,21 +409,16 @@ def separating_sequence(
     if g.is_identity():
         raise ValueError("the identity cannot be separated")
     steps: list = []
-    last_index = -1
-    monotone = family.monotone_chain()
     fam_desc = family.describe()
     for step_no in range(max_len):
-        start = last_index + 1 if monotone else 0
-        top = depth if family.size() is None else min(depth, family.size())
         blocked = []
         chosen = None
-        for i in range(start, top):
+        for i in range(resume_index(family, steps), scan_limit(family, depth)):
             member = family.member(i)
             chain = [s.member for s in steps] + [member]
             res = prefix_sum_membership(g, chain, table)
             if res.is_no():
                 chosen = SeparationStep(i, member, res)
-                last_index = i
                 break
             blocked.append((i, member, res))
         if chosen is None:
@@ -447,32 +456,26 @@ def hausdorff_verdict(
     depth: int,
     max_len: int,
 ) -> VerificationReport:
-    """Run both criteria on every probe and classify the outcome with
-    ``hausdorff_classification``.
+    """Run both criteria on every probe and classify the outcome.
 
     Per probe: the n-fold exclusion search for each n <= n_max, and the
-    separating-sequence construction.
+    separating-sequence construction, classified by ``probe_outcome``.
     """
     if any(p.is_identity() for p in probes):
         raise ValueError("probes must exclude the identity")
     table = FoldTable()  # the probes share every star and fold
     per_probe = []
-
-    def searched():  # lazily, so no separation outlives its JSON
-        for g in probes:
-            cupcaps = {n: cupcap_check(g, n, family, depth, table)
-                       for n in range(1, n_max + 1)}
-            sep = separating_sequence(g, family, max_len, depth, table)
-            per_probe.append({
-                "probe": g.group.value_to_json(g.value),
-                "cupcap": {str(n): c.to_json() for n, c in cupcaps.items()},
-                "separation": sep.to_json(),
-            })
-            yield all(c.found for c in cupcaps.values()), sep
-
-    outcomes, verdict, status = hausdorff_classification(searched())
-    for probe, outcome in zip(per_probe, outcomes):
-        probe["outcome"] = outcome
+    for g in probes:
+        cupcaps = [cupcap_check(g, n, family, depth, table)
+                   for n in range(1, n_max + 1)]
+        sep = separating_sequence(g, family, max_len, depth, table)
+        per_probe.append({
+            "probe": g.group.value_to_json(g.value),
+            "cupcap": {str(c.n): c.to_json() for c in cupcaps},
+            "separation": sep.to_json(),
+            "outcome": probe_outcome(all(c.found for c in cupcaps), sep),
+        })
+    verdict, status = verdict_rule([p["outcome"] for p in per_probe])
     return VerificationReport(
         claim=f"hausdorff:{_family_tag(family)}",
         status=status,
@@ -483,42 +486,131 @@ def hausdorff_verdict(
     )
 
 
-def hausdorff_classification(probes: Iterable[tuple]) -> tuple:
-    """Each probe's outcome, then the claim's verdict and status.
+def probe_outcome(cupcap_ok: bool,
+                  sep: Union[SeparationCertificate, StuckReport]) -> str:
+    """A probe's outcome from whether the n-fold exclusion search found a
+    member for every n and from its separation certificate or stuck
+    report.  ``hausdorff_verdict`` and ``replay_hausdorff`` both classify
+    by this rule."""
+    if isinstance(sep, SeparationCertificate):
+        # Necessity says the exclusion search must succeed wherever a
+        # certificate this long exists; within depth that can only be
+        # missed on families without chain structure.
+        return "separated" if cupcap_ok \
+            else "separated-necessity-unconfirmed"
+    if cupcap_ok and sep.all_candidates_exactly_blocked():
+        return "gap"
+    return "unresolved"
 
-    ``probes`` yields one (cupcap_ok, separation) pair per probe: whether
-    the n-fold exclusion search found a member for every n, and the
-    separation certificate or stuck report.  ``hausdorff_verdict`` feeds
-    it its own runs and ``recheck`` a report's replayed payload, so both
-    derive outcomes, verdict and status by this one rule.  The verdict
-    distinguishes "consistent-with-hausdorff" (everything separates) from
-    the gap where the necessary condition holds but the construction
-    sticks against exact blocking memberships -- the desk-scale signature
-    of a family whose finest topology is not Hausdorff.
+
+def verdict_rule(outcomes: Sequence[str]) -> tuple:
+    """(verdict, status) of a hausdorff claim from its probes' outcomes.
+
+    The verdict distinguishes "consistent-with-hausdorff" (everything
+    separates) from the gap where the necessary condition holds but the
+    construction sticks against exact blocking memberships -- the
+    desk-scale signature of a family whose finest topology is not
+    Hausdorff.
     """
-    outcomes = []
-    for cupcap_ok, sep in probes:
-        if isinstance(sep, SeparationCertificate):
-            # Necessity says the exclusion search must succeed wherever a
-            # certificate this long exists; within depth that can only be
-            # missed on families without chain structure.
-            outcome = "separated" if cupcap_ok \
-                else "separated-necessity-unconfirmed"
-        elif cupcap_ok and sep.all_candidates_exactly_blocked():
-            outcome = "gap"
-        else:
-            outcome = "unresolved"
-        outcomes.append(outcome)
-
     if all(o == "separated" for o in outcomes):
-        verdict, status = "consistent-with-hausdorff", Status.VERIFIED
-    elif all(o in ("separated", "gap") for o in outcomes):  # a gap, then
-        verdict = ("necessary-condition-holds-but-separation-blocked: "
-                   "finest topology not Hausdorff at desk scale")
-        status = Status.REFUTED
-    else:
-        verdict, status = "unresolved-at-budget", Status.UNKNOWN
-    return outcomes, verdict, status
+        return "consistent-with-hausdorff", Status.VERIFIED
+    if all(o in ("separated", "gap") for o in outcomes):  # a gap, then
+        return ("necessary-condition-holds-but-separation-blocked: "
+                "finest topology not Hausdorff at desk scale"), Status.REFUTED
+    return "unresolved-at-budget", Status.UNKNOWN
+
+
+def replay_hausdorff(claim: dict, table: FoldTable) -> tuple:
+    """(status, {"verdict": ...}) of a hausdorff claim; the first failure
+    raises AssertionError.  Probes are read in the group of the family's
+    first member, as a run config's are.  Each probe's found n-fold
+    exclusions and separation are replayed from the members it records,
+    and then held to the shape the producer's scan gives under the claim's
+    budgets: cupcap entries for n = 1..n_max, max_len certificate steps, a
+    stuck report blocked at every candidate its last step scanned, and
+    every recorded member the family's own at its index."""
+    payload, budgets = claim["payload"], claim["budgets"]
+    n_max, max_len = budgets["n_max"], budgets["max_len"]
+    family = family_from_json(payload["family"])
+    group = family.member(0).ambient()
+    limit = scan_limit(family, budgets["depth"])
+    described: dict = {}  # member index -> the family's own description
+
+    def own(name, index: int, doc: dict, lowest: int) -> None:
+        """A recorded member lies in the scan from ``lowest`` and is the
+        family's own."""
+        if not lowest <= index < limit:
+            raise AssertionError(f"probe {name}: member index {index} lies "
+                                 f"outside the scan {lowest}..{limit - 1}")
+        if index not in described:
+            described[index] = family.member(index).to_json()
+        if doc != described[index]:
+            raise AssertionError(
+                f"probe {name}: member {index} is not the family's")
+
+    def replayed(probe: dict) -> tuple:
+        name, g = probe["probe"], group.element(probe["probe"])
+        cupcap, sep = probe["cupcap"], probe["separation"]
+        if group.element(sep["target"]) != g:
+            raise AssertionError("separation target is not the probe")
+        found = [cc for cc in cupcap.values() if cc.get("found")]
+        for cc in found:
+            member = spec_from_json(cc["member"])
+            if not _nfold_exclusion(g, cc["n"], member, table).is_no():
+                raise AssertionError(
+                    f"cupcap member no longer excludes {name}")
+        stuck = "blocked" in sep
+        recorded = sep["prefix" if stuck else "steps"]
+        steps = tuple(SeparationStep(
+            s["member_index"], spec_from_json(s["member"]),
+            MembershipResult.from_json(group, s["exclusion"]))
+            for s in recorded)
+        cert = StuckReport(g, sep["stuck_at_step"], steps, tuple(
+            (b["candidate_index"], spec_from_json(b["member"]),
+             MembershipResult.from_json(group, b["result"]))
+            for b in sep["blocked"]), sep["family"]) if stuck \
+            else SeparationCertificate(g, steps, sep["family"])
+        recheck_certificate(cert, table)
+
+        if set(cupcap) != {str(n) for n in range(1, n_max + 1)} or \
+                any(str(cc["n"]) != key for key, cc in cupcap.items()):
+            raise AssertionError(
+                f"probe {name}: the cupcap entries are not n = 1..{n_max}")
+        for cc in found:
+            own(name, cc["member_index"], cc["member"], 0)
+        for k, step in enumerate(recorded):
+            own(name, step["member_index"], step["member"],
+                resume_index(family, steps[:k]))
+        if not stuck and len(steps) != max_len:
+            raise AssertionError(f"probe {name}: the certificate has "
+                                 f"{len(steps)} steps, not {max_len}")
+        if stuck:
+            if not sep["stuck_at_step"] == len(steps) < max_len:
+                raise AssertionError(
+                    f"probe {name}: stuck at step {sep['stuck_at_step']} "
+                    f"after {len(steps)} of {max_len} steps")
+            start = resume_index(family, steps)
+            indices = [b["candidate_index"] for b in sep["blocked"]]
+            if len(indices) != limit - start or \
+                    indices != list(range(start, limit)):
+                raise AssertionError(f"probe {name}: the blocked candidates "
+                                     f"are not {start}..{limit - 1}")
+            for b in sep["blocked"]:
+                own(name, b["candidate_index"], b["member"], start)
+        if sep["family"] != payload["family"]:
+            raise AssertionError(
+                f"probe {name}: the separation names another family")
+        return len(found) == len(cupcap), cert
+
+    probes = payload["probes"]
+    outcomes = [probe_outcome(*replayed(probe)) for probe in probes]
+    for probe, outcome in zip(probes, outcomes):
+        if probe["outcome"] != outcome:
+            raise AssertionError(
+                f"probe {probe['probe']}: the replay gives outcome "
+                f"{outcome!r}, the report {probe['outcome']!r}")
+    verdict, status = verdict_rule(outcomes)
+    return status, {"verdict": verdict}
 
 
 def _family_tag(family: FilterFamily) -> str:

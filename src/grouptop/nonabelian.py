@@ -15,9 +15,9 @@ assignment.
 
 The module also carries the conjugation closure of a family, and the
 Fibonacci endomorphism x -> y, y -> xy of the free group on two
-generators with the producers of its two claims.  The n-fold exclusion
-check over nonabelian finite sets is ``filters.cupcap_check``, shared
-with the abelian families.
+generators with the producers and replayers of its two claims.  The
+n-fold exclusion check over nonabelian finite sets is
+``filters.cupcap_check``, shared with the abelian families.
 """
 
 from __future__ import annotations
@@ -38,9 +38,12 @@ from .groups import (
     op_neg,
 )
 from .prefixsum import MembershipResult
-from .report import Status, VerificationReport
+from .report import Status, VerificationReport, id_numbers
 from .setspec import (
+    _ENUMERATION_CAP,
+    EnumerationBudgetError,
     FiniteSet,
+    FoldTable,
     SetSpec,
     star,
     subset_of,
@@ -569,7 +572,16 @@ def fib_word(n: int) -> FibWord:
 
 def verify_fib_words(top: int) -> VerificationReport:
     """Words from the recurrence match substitution iterates and their
-    lengths follow the Fibonacci numbers."""
+    lengths follow the Fibonacci numbers.  The longest word, f_top, has
+    F(top + 1) letters; past the enumeration cap this raises
+    EnumerationBudgetError before any word is built."""
+    longest, following = 1, 1  # F(1) and F(2), the lengths of f_0 and f_1
+    for _ in range(top):
+        longest, following = following, longest + following
+        if longest > _ENUMERATION_CAP:
+            raise EnumerationBudgetError(
+                f"the fibonacci words up to n={top} pass the enumeration "
+                f"cap {_ENUMERATION_CAP} in length")
     lengths, ok, fib_a, fib_b = [], True, 1, 1
     for n in range(top + 1):
         w = fib_word(n)
@@ -583,6 +595,13 @@ def verify_fib_words(top: int) -> VerificationReport:
         payload={"lengths": lengths},
         budgets={"n": top},
     )
+
+
+def replay_fib_words(claim: dict, table: FoldTable) -> tuple:
+    """Re-run the capped producer for the id's top index."""
+    top, = id_numbers(r"fibonacci-words:n<=(\d+)", claim)
+    report = verify_fib_words(top)
+    return report.status, {"lengths": report.payload["lengths"]}
 
 
 def commutator(a: GroupElement, b: GroupElement) -> GroupElement:
@@ -618,3 +637,9 @@ def verify_fib_identity(n: int) -> VerificationReport:
         },
         budgets={"n": n},
     )
+
+
+def replay_fib_identity(claim: dict, table: FoldTable) -> tuple:
+    payload = claim["payload"]
+    return fib_identity_status(*(FREE_XY.element(payload[key])
+                                 for key in ("lhs", "rhs", "expected"))), {}

@@ -87,6 +87,14 @@ class MembershipResult:
             doc["note"] = self.note
         return doc
 
+    @classmethod
+    def from_json(cls, group, doc: dict) -> "MembershipResult":
+        """The status and witness ``to_json`` wrote, the witness read in
+        ``group``; a replay derives its own proof."""
+        witness = doc.get("witness")
+        return cls(doc["status"], None if witness is None else
+                   tuple(group.element(v) for v in witness))
+
 
 def _verify_witness(g: GroupElement, stars: Sequence[StarSet],
                     summands: Optional[Sequence[GroupElement]]) -> None:

@@ -8,6 +8,7 @@ prints it to stderr.
 
 from __future__ import annotations
 
+import re
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -38,6 +39,14 @@ class VerificationReport:
             "payload": self.payload,
             "budgets": self.budgets,
         }
+
+
+def id_numbers(pattern: str, claim: dict) -> list:
+    """The integers of a claim id, one per group of its kind's pattern."""
+    m = re.fullmatch(pattern, claim["claim"])
+    if not m:
+        raise AssertionError("unparseable claim id")
+    return [int(v) for v in m.groups()]
 
 
 def aggregate_status(statuses: Iterable[Status]) -> Status:

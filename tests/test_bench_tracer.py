@@ -42,8 +42,8 @@ def test_tracer_installs_over_current_sources_and_uninstalls(tmp_path,
     tracer = tracer_mod.Tracer("tier-1")
     tracer.install()
     try:
-        assert recheck.recheck_certificate is not replay
-        assert recheck.recheck_certificate is filters.recheck_certificate
+        assert filters.recheck_certificate is not replay
+        assert filters.recheck_certificate.__wrapped__ is replay
         ok, _ = recheck.recheck_document(json.loads(report.read_text()))
         assert ok
     finally:

@@ -772,6 +772,60 @@ def test_recheck_rederives_hausdorff_conclusions(tmp_path, capsys, tamper,
     assert code == 2 and message in out.splitlines(), out
 
 
+def _cut_certificates(probes):
+    for probe in probes:
+        if "steps" in probe["separation"]:
+            del probe["separation"]["steps"][1:]
+
+
+def _cupcap_only_n1(probes):
+    for probe in probes:
+        probe["cupcap"] = {"1": probe["cupcap"]["1"]}
+
+
+def _step_deeper_tail(probes):
+    probes[0]["separation"]["steps"][1]["member"]["start"] += 5
+
+
+def _cupcap_deeper_tail(probes):
+    probes[0]["cupcap"]["2"]["member"]["start"] += 5
+
+
+def _cut_blocked(probes):
+    for probe in probes:
+        if "blocked" in probe["separation"]:
+            del probe["separation"]["blocked"][1:]
+
+
+@pytest.mark.parametrize("source, tamper, message", [
+    ("powers3", _cut_certificates, "probe 1: the certificate has 1 steps, "
+                                   "not 5"),
+    ("powers3", _cupcap_only_n1, "probe 1: the cupcap entries are not "
+                                 "n = 1..3"),
+    ("powers3", _step_deeper_tail, "probe 1: member 2 is not the family's"),
+    ("powers3", _cupcap_deeper_tail, "probe 1: member 1 is not the "
+                                     "family's"),
+    ("sqrt7", _cut_blocked, "probe 1: the blocked candidates are not "
+                            "2..11"),
+], ids=["powers3-certificates-cut", "powers3-cupcap-only-n1",
+        "powers3-step-deeper-tail", "powers3-cupcap-deeper-tail",
+        "sqrt7-blocked-cut"])
+def test_recheck_holds_hausdorff_payload_to_the_producers_scan(
+        tmp_path, capsys, source, tamper, message):
+    """Edits that every replayed exclusion and witness survives still
+    fail: the payload must have the shape the producer's scan gives under
+    the claim's own budgets and family."""
+    report = tmp_path / "report.json"
+    run(["hausdorff", str(CONFIGS / f"{source}.json"), "--out",
+         str(report)], capsys)
+    doc = json.loads(report.read_text())
+    tamper(doc["claims"][0]["payload"]["probes"])
+    report.write_text(json.dumps(doc))
+    code, out, _ = run(["recheck", str(report)], capsys)
+    assert code == 2 and out.splitlines()[0] == \
+        f"  FAIL   {doc['claims'][0]['claim']}: {message}", out
+
+
 @pytest.mark.parametrize("config", ["sqrt7", "powers3", "fibonacci"])
 def test_recheck_accepts_untouched_hausdorff_reports(tmp_path, capsys,
                                                      config):
@@ -857,6 +911,44 @@ def test_recheck_replays_cover_claims_without_samples(tmp_path, capsys):
         "  skip   product-union-small:N=6:n=1 (no embedded witnesses)",
         "  skip   product-union-small:N=6:n=2 (no embedded witnesses)",
         "recheck: ok"]
+
+
+def test_recheck_replays_fibonacci_words(tmp_path, capsys):
+    """The words claim replays through its capped producer: an untouched
+    report rechecks, edited lengths fail, and an id past the cap fails
+    without building its words."""
+    report = tmp_path / "report.json"
+    run(["verify", "fibonacci", "--n", "5", "--out", str(report)], capsys)
+    code, out, _ = run(["recheck", str(report)], capsys)
+    assert code == 0 and "  ok     fibonacci-words:n<=5" in out.splitlines()
+    doc = json.loads(report.read_text())
+    words = next(c for c in doc["claims"]
+                 if c["claim"] == "fibonacci-words:n<=5")
+    words["payload"]["lengths"][-1] = 13
+    report.write_text(json.dumps(doc))
+    code, out, _ = run(["recheck", str(report)], capsys)
+    assert code == 2 and "  FAIL   fibonacci-words:n<=5: the replay gives " \
+        "lengths [1, 1, 2, 3, 5, 8], the report [1, 1, 2, 3, 5, 13]" in \
+        out.splitlines(), out
+    words["claim"] = "fibonacci-words:n<=60"
+    report.write_text(json.dumps(doc))
+    code, out, _ = run(["recheck", str(report)], capsys)
+    assert code == 2 and "  FAIL   fibonacci-words:n<=60: error: the " \
+        "fibonacci words up to n=60 pass the enumeration cap 200000 in " \
+        "length" in out.splitlines(), out
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "fibonacci", "--n", "27"],
+    ["verify", "sqrt7", "--cover-m0", "6"],
+], ids=["fibonacci-n-27", "sqrt7-cover-m0-6"])
+def test_verify_past_enumeration_cap_exits_1(tmp_path, capsys, argv):
+    """Words of length F(28) and cover folds of 730 * 3^6 residues pass
+    the enumeration cap: one line, no traceback, no report."""
+    report = tmp_path / "report.json"
+    code, out, err = run(argv + ["--out", str(report)], capsys)
+    assert code == 1 and out == "" and err.count("\n") == 1, err
+    assert "enumeration cap" in err and not report.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -984,12 +1076,12 @@ def test_recheck_dispatches_on_the_exact_claim_kind(tmp_path, capsys):
     report.write_text(json.dumps({"schema": 1, "status": "verified",
                                   "claims": [
         {"claim": "foo:1", "status": "verified", "payload": {}},
-        {"claim": "fibonacci-words:n<=3", "status": "verified",
-         "payload": {"lengths": [1, 1, 2, 3]}}]}))
+        {"claim": "product-union-small:N=6:n=1", "status": "verified",
+         "payload": {"matches": True}}]}))
     code, out, _ = run(["recheck", str(report)], capsys)
     assert code == 2 and out.splitlines() == [
         "  FAIL   foo:1: unknown claim kind 'foo'",
-        "  skip   fibonacci-words:n<=3 (no embedded witnesses)",
+        "  skip   product-union-small:N=6:n=1 (no embedded witnesses)",
         "recheck: FAILED"]
 
 
