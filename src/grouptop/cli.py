@@ -101,7 +101,8 @@ def _cmd_verify(args) -> int:
                 if args.cover_m0:
                     m0, gmax = args.cover_m0, args.cover_gmax
                     reports.append(ex.verify_sqrt7_U_full(
-                        m0, [m0] * (3 ** m0), range(-gmax, gmax + 1)))
+                        m0, ex.sqrt7_cover_levels(m0),
+                        range(-gmax, gmax + 1)))
                 table = FoldTable()  # the grid shares every n-fold set
                 reports += [
                     ex.verify_sqrt7_necessary(g, n, table=table)

@@ -331,24 +331,36 @@ def sqrt7_cover_witness(g: int, m0: int,
     )
 
 
+def _check_cover_cap(m0: int, deepest: int) -> None:
+    """Each of the cover's 3^m0 + 1 suffix folds holds at most 3^deepest
+    residues; refuse when they could pass the enumeration cap together."""
+    held = (SQRT7_P ** m0 + 1) * SQRT7_P ** deepest
+    if held > _ENUMERATION_CAP:
+        raise EnumerationBudgetError(
+            f"the sqrt7 cover at m0={m0} folds up to {held} residues, past "
+            f"the enumeration cap {_ENUMERATION_CAP}")
+
+
+def sqrt7_cover_levels(m0: int) -> list:
+    """The follower levels ``verify sqrt7 --cover-m0`` draws: 3^m0 copies
+    of m0.  The cap is checked from m0 alone, before the list is built."""
+    _check_cover_cap(m0, m0)
+    return [m0] * SQRT7_P ** m0
+
+
 def verify_sqrt7_U_full(m0: int, ms: Sequence[int],
                         sample_gs: Sequence[int]) -> VerificationReport:
     """Exact proof that the starred chain sets at levels m0, m1, ... sum to
     all of Z, with explicit re-verified witnesses for the samples.
 
-    Each suffix fold holds at most 3^m residues for the deepest level m
-    it folds; raises EnumerationBudgetError before any set is built when
-    the folds could hold more than the enumeration cap between them.
+    Raises EnumerationBudgetError before any set is built when the suffix
+    folds could hold more than the enumeration cap between them.
     """
     if m0 < 1:
         raise ValueError("m0 must be positive")
     if len(ms) != SQRT7_P ** m0:
         raise ValueError(f"need exactly {SQRT7_P ** m0} follower levels")
-    held = (len(ms) + 1) * SQRT7_P ** max(m0, max(ms))
-    if held > _ENUMERATION_CAP:
-        raise EnumerationBudgetError(
-            f"the sqrt7 cover at m0={m0} folds up to {held} residues, past "
-            f"the enumeration cap {_ENUMERATION_CAP}")
+    _check_cover_cap(m0, max(m0, *ms))
     return _verify_cover(
         f"sqrt7-cover:m0={m0}:ms={','.join(map(str, ms))}",
         [sqrt7_set(m) for m in [m0, *ms]],
@@ -470,18 +482,13 @@ def verify_product_union_small(n_coords: int, n: int) -> VerificationReport:
     """
     if n_coords < 1 or n < 1:
         raise ValueError("need positive coordinate count and n")
-    intersection: Optional[BoxSet] = None
-    for m in range(1, n_coords + 1):
-        folded = n_fold_star(product_set(n_coords, m), n)
-        if intersection is None:
-            intersection = folded
-        else:
-            allowed = [
-                intersection.coordinate_options(c) & folded.coordinate_options(c)
-                for c in range(1, max(intersection.prefix_len(),
-                                      folded.prefix_len()) + 1)
-            ]
-            intersection = BoxSet(n_coords, tuple(allowed))
+    # The boxes shrink as m grows, so their n-fold stars do too, and the
+    # intersection is the deepest box's n-fold star.
+    boxes = [product_set(n_coords, m) for m in range(1, n_coords + 1)]
+    if not all(subset_of(inner, outer)
+               for outer, inner in zip(boxes, boxes[1:])):
+        raise AssertionError("product sets must nest")
+    intersection = n_fold_star(boxes[-1], n)
 
     expected = BoxSet(
         n_coords,

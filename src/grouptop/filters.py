@@ -430,23 +430,25 @@ def separating_sequence(
 
 def recheck_certificate(
         cert: Union[SeparationCertificate, StuckReport],
-        table: Optional[FoldTable] = None) -> bool:
+        table: Optional[FoldTable] = None) -> list:
     """Replay a separation from its member descriptions alone: every
     prefix sum still excludes the target, and every witness that blocked a
     stuck report still holds.  The first failure raises AssertionError;
-    returns True so callers can assert on it.  Every membership is
-    decided through ``table``."""
+    returns the replayed exclusion of each prefix, shortest first.  Every
+    membership is decided through ``table``."""
     stuck = isinstance(cert, StuckReport)
     members = [s.member for s in (cert.prefix if stuck else cert.steps)]
+    exclusions = []
     for n in range(1, len(members) + 1):
-        if not prefix_sum_membership(cert.target, members[:n],
-                                     table).is_no():
+        res = prefix_sum_membership(cert.target, members[:n], table)
+        if not res.is_no():
             raise AssertionError(f"prefix {n} no longer excludes the target")
+        exclusions.append(res)
     for i, member, res in cert.blocked if stuck else ():
         if res.is_yes() and not witness_holds(cert.target, res.witness,
                                               members + [member]):
             raise AssertionError(f"blocking witness at candidate {i} fails")
-    return True
+    return exclusions
 
 
 def hausdorff_verdict(
@@ -528,7 +530,10 @@ def replay_hausdorff(claim: dict, table: FoldTable) -> tuple:
     and then held to the shape the producer's scan gives under the claim's
     budgets: cupcap entries for n = 1..n_max, max_len certificate steps, a
     stuck report blocked at every candidate its last step scanned, and
-    every recorded member the family's own at its index."""
+    every recorded member the family's own at its index.  Last, every
+    replayed exclusion's proof must be the recorded one, and a found
+    cupcap entry must have checked the members up to its own.  Skipped
+    unknowns and the proof of each blocking membership are not replayed."""
     payload, budgets = claim["payload"], claim["budgets"]
     n_max, max_len = budgets["n_max"], budgets["max_len"]
     family = family_from_json(payload["family"])
@@ -554,11 +559,14 @@ def replay_hausdorff(claim: dict, table: FoldTable) -> tuple:
         if group.element(sep["target"]) != g:
             raise AssertionError("separation target is not the probe")
         found = [cc for cc in cupcap.values() if cc.get("found")]
+        cupcap_exclusions = []
         for cc in found:
             member = spec_from_json(cc["member"])
-            if not _nfold_exclusion(g, cc["n"], member, table).is_no():
+            res = _nfold_exclusion(g, cc["n"], member, table)
+            if not res.is_no():
                 raise AssertionError(
                     f"cupcap member no longer excludes {name}")
+            cupcap_exclusions.append(res)
         stuck = "blocked" in sep
         recorded = sep["prefix" if stuck else "steps"]
         steps = tuple(SeparationStep(
@@ -570,7 +578,7 @@ def replay_hausdorff(claim: dict, table: FoldTable) -> tuple:
              MembershipResult.from_json(group, b["result"]))
             for b in sep["blocked"]), sep["family"]) if stuck \
             else SeparationCertificate(g, steps, sep["family"])
-        recheck_certificate(cert, table)
+        prefix_exclusions = recheck_certificate(cert, table)
 
         if set(cupcap) != {str(n) for n in range(1, n_max + 1)} or \
                 any(str(cc["n"]) != key for key, cc in cupcap.items()):
@@ -600,6 +608,18 @@ def replay_hausdorff(claim: dict, table: FoldTable) -> tuple:
         if sep["family"] != payload["family"]:
             raise AssertionError(
                 f"probe {name}: the separation names another family")
+
+        def same(what: str, replay, reported) -> None:
+            if replay != reported:
+                raise AssertionError(f"probe {name}: the replay gives {what} "
+                                     f"{replay!r}, the report {reported!r}")
+
+        for k, (step, res) in enumerate(zip(recorded, prefix_exclusions)):
+            same(f"step {k} proof", res.proof, step["exclusion"].get("proof"))
+        for cc, res in zip(found, cupcap_exclusions):
+            same(f"cupcap {cc['n']} proof", res.proof, cc.get("proof"))
+            same(f"cupcap {cc['n']} checked", cc["member_index"] + 1,
+                 cc["checked"])
         return len(found) == len(cupcap), cert
 
     probes = payload["probes"]

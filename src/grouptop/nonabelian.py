@@ -80,7 +80,8 @@ class DyadicIndex:
         return DyadicIndex(2 ** self.level - self.num, self.level)
 
     def __lt__(self, other: "DyadicIndex") -> bool:
-        return self.fraction() < other.fraction()
+        # m/2^i < m'/2^j compared as integers over the common denominator
+        return self.num << other.level < other.num << self.level
 
     def __str__(self) -> str:
         return f"{self.num}/{2 ** self.level}"
@@ -88,8 +89,7 @@ class DyadicIndex:
 
 def dyadic_indices(max_level: int) -> list:
     """All indices with level <= max_level, in increasing order."""
-    out = [DyadicIndex.of(m, max_level) for m in range(1, 2 ** max_level)]
-    return sorted(out, key=DyadicIndex.fraction)
+    return [DyadicIndex.of(m, max_level) for m in range(1, 2 ** max_level)]
 
 
 @dataclass(frozen=True)
@@ -256,12 +256,9 @@ class Rescale:
         return DyadicIndex.of(q.num + self.offset * 2 ** q.level,
                               q.level + self.shift)
 
-    def image_interval(self) -> tuple:
-        lo = Fraction(self.offset, 2 ** self.shift)
-        return (lo, lo + Fraction(1, 2 ** self.shift))
-
     def entirely_below(self, other: "Rescale") -> bool:
-        return self.image_interval()[1] <= other.image_interval()[0]
+        # the image [offset, offset + 1) / 2^shift ends where other's starts
+        return (self.offset + 1) << other.shift <= other.offset << self.shift
 
 
 def check_UU(assignment: DyadicAssignment, sigma: Rescale, tau: Rescale,

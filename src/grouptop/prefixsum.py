@@ -310,20 +310,11 @@ def _envelope_modulus(g: GroupElement, stars: Sequence[StarSet],
         if isinstance(base, ResidueSet):
             m = math.lcm(m, base.modulus)
         elif isinstance(base, TailSet):
-            seq = base.sequence
-            if not seq.has_tail_divisor():
-                return 1  # every divisor is 1, never past the threshold
-            t = base.start
-            chosen = None
-            while seq.in_range(t) and t <= base.start + _ENVELOPE_DIVISOR_SCAN:
-                d = seq.tail_divisor(t)
-                if d > threshold:
-                    chosen = d
-                    break
-                t += 1
-            if chosen is None:
+            found = base.sequence.divisor_index(
+                base.start, _ENVELOPE_DIVISOR_SCAN, above=threshold)
+            if found is None:
                 return 1
-            m = math.lcm(m, chosen)
+            m = math.lcm(m, found[1])
         if m > _ENVELOPE_LCM_CAP:
             return 1
     return m

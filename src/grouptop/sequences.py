@@ -45,35 +45,41 @@ class IntegerSequence:
     def in_range(self, k: int) -> bool:
         return k >= 0 and (self.length is None or k < self.length)
 
-    def has_tail_divisor(self) -> bool:
-        """False when ``tail_divisor`` is 1 at every index."""
-        return self._tail_divisor is not None
-
     def tail_divisor(self, start: int) -> int:
         """Integer dividing every value at index >= start (1 if unknown)."""
         if self._tail_divisor is None:
             return 1
         return max(1, self._tail_divisor(start))
 
-    def indices_with_abs_at_most(self, start: int, bound: int) -> list:
-        """All indices k >= start with |x_k| <= bound (finite by growth)."""
+    def terms(self, start: int, bound: int) -> list:
+        """(k, x_k) for each index k >= start with |x_k| <= bound, in index
+        order (finite by growth); each term is computed once."""
         out = []
         k = start
         while self.in_range(k):
             if k - start > _SCAN_CAP:
                 raise SequenceError(f"{self.name}: scan cap exceeded")
-            v = self.value(k)
+            v = self._value(k)
             if abs(v) > bound:
                 break
-            out.append(k)
+            out.append((k, v))
             k += 1
         return out
 
-    def index_of_value(self, target: int, start: int) -> Optional[int]:
-        """Index k >= start with x_k == target, if any."""
-        for k in self.indices_with_abs_at_most(start, abs(target)):
-            if self.value(k) == target:
-                return k
+    def divisor_index(self, start: int, scan: int, above: int = 0,
+                      multiple_of: int = 1) -> Optional[tuple]:
+        """(t, d) for the first index t in the sequence with start <= t <=
+        start + scan whose tail divisor d exceeds ``above`` and is a
+        multiple of ``multiple_of``.  None when no index qualifies, and at
+        once when the sequence has no divisor certificate."""
+        if self._tail_divisor is None:
+            return None
+        t = start
+        while self.in_range(t) and t <= start + scan:
+            d = self.tail_divisor(t)
+            if d > above and d % multiple_of == 0:
+                return t, d
+            t += 1
         return None
 
 

@@ -229,14 +229,14 @@ class TailSet(SetSpec):
             self.sequence.in_range(k)
 
     def contains_value(self, value: int) -> bool:
-        k = self.sequence.index_of_value(value, self.start)
-        return k is not None and k not in self.excluded
+        for k, v in self.sequence.terms(self.start, abs(value)):
+            if v == value:
+                return k not in self.excluded
+        return False
 
     def member_values(self, bound: int) -> list:
         """Tail values with absolute value <= bound, in index order."""
-        seq = self.sequence
-        return [seq.value(k)
-                for k in seq.indices_with_abs_at_most(self.start, bound)
+        return [v for k, v in self.sequence.terms(self.start, bound)
                 if k not in self.excluded]
 
     def to_json(self) -> dict:
@@ -596,20 +596,15 @@ def residue_envelope(spec: SetLike, modulus: int) -> Optional[frozenset]:
         return frozenset(out)
     if isinstance(spec, TailSet):
         seq = spec.sequence
-        if not seq.has_tail_divisor() and seq.length is None:
-            return None  # every divisor is 1 and the tail never ends
-        cutoff = None
-        t = spec.start
-        while seq.in_range(t) and t <= spec.start + _ENVELOPE_SCAN_CAP:
-            if seq.tail_divisor(t) % modulus == 0:
-                cutoff = t
-                break
-            t += 1
-        if cutoff is None:
-            if seq.length is not None and t >= seq.length:
-                cutoff = seq.length  # finite sequence exhausted
-            else:
-                return None
+        found = seq.divisor_index(spec.start, _ENVELOPE_SCAN_CAP,
+                                  multiple_of=modulus)
+        if found is not None:
+            cutoff = found[0]
+        elif seq.length is not None and \
+                spec.start + _ENVELOPE_SCAN_CAP + 1 >= seq.length:
+            cutoff = seq.length  # the scan walked a finite sequence out
+        else:
+            return None
         out = {seq.value(k) % modulus
                for k in range(spec.start, cutoff)
                if k not in spec.excluded}

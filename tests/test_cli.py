@@ -797,6 +797,24 @@ def _cut_blocked(probes):
             del probe["separation"]["blocked"][1:]
 
 
+def _step_proof_made_up(probes):
+    probes[0]["separation"]["steps"][2]["exclusion"]["proof"] = {
+        "route": "made-up", "chain_divisor": 5}
+
+
+def _cupcap_proof_nonsense(probes):
+    probes[0]["cupcap"]["2"]["proof"] = {"route": "nonsense"}
+
+
+def _cupcap_checked_99(probes):
+    probes[0]["cupcap"]["2"]["checked"] = 99
+
+
+def _prefix_proof_invented(probes):
+    probes[0]["separation"]["prefix"][0]["exclusion"]["proof"]["invented"] = \
+        True
+
+
 @pytest.mark.parametrize("source, tamper, message", [
     ("powers3", _cut_certificates, "probe 1: the certificate has 1 steps, "
                                    "not 5"),
@@ -807,14 +825,28 @@ def _cut_blocked(probes):
                                      "family's"),
     ("sqrt7", _cut_blocked, "probe 1: the blocked candidates are not "
                             "2..11"),
+    ("powers3", _step_proof_made_up, "probe 1: the replay gives step 2 proof "
+     "{'route': 'divisor', 'chain_divisor': 3, 'per_set': [3, 9, 27]}, the "
+     "report {'route': 'made-up', 'chain_divisor': 5}"),
+    ("powers3", _cupcap_proof_nonsense, "probe 1: the replay gives cupcap 2 "
+     "proof {'route': 'divisor', 'chain_divisor': 3, 'per_set': [3, 3]}, the "
+     "report {'route': 'nonsense'}"),
+    ("powers3", _cupcap_checked_99, "probe 1: the replay gives cupcap 2 "
+                                    "checked 2, the report 99"),
+    ("sqrt7", _prefix_proof_invented, "probe 1: the replay gives step 0 proof "
+     "{'route': 'single-set'}, the report {'route': 'single-set', "
+     "'invented': True}"),
 ], ids=["powers3-certificates-cut", "powers3-cupcap-only-n1",
         "powers3-step-deeper-tail", "powers3-cupcap-deeper-tail",
-        "sqrt7-blocked-cut"])
+        "sqrt7-blocked-cut", "powers3-step-proof-made-up",
+        "powers3-cupcap-proof-nonsense", "powers3-cupcap-checked-99",
+        "sqrt7-prefix-proof-invented"])
 def test_recheck_holds_hausdorff_payload_to_the_producers_scan(
         tmp_path, capsys, source, tamper, message):
     """Edits that every replayed exclusion and witness survives still
     fail: the payload must have the shape the producer's scan gives under
-    the claim's own budgets and family."""
+    the claim's own budgets and family, and each replayed exclusion must
+    carry the recorded proof."""
     report = tmp_path / "report.json"
     run(["hausdorff", str(CONFIGS / f"{source}.json"), "--out",
          str(report)], capsys)
@@ -949,6 +981,24 @@ def test_verify_past_enumeration_cap_exits_1(tmp_path, capsys, argv):
     code, out, err = run(argv + ["--out", str(report)], capsys)
     assert code == 1 and out == "" and err.count("\n") == 1, err
     assert "enumeration cap" in err and not report.exists()
+
+
+def test_cover_m0_refuses_before_building_followers(tmp_path, capsys):
+    """The cover's cap is checked from m0 alone: ``--cover-m0 15`` exits 1
+    with one line before 3^15 follower levels (115 MB as a list) exist."""
+    import tracemalloc
+    report = tmp_path / "report.json"
+    tracemalloc.start()
+    try:
+        code, out, err = run(["verify", "sqrt7", "--gmax", "1", "--nmax", "1",
+                              "--cover-m0", "15", "--out", str(report)],
+                             capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and out == "" and err.count("\n") == 1, err
+    assert "enumeration cap" in err and not report.exists()
+    assert peak < 10 * 2 ** 20, peak
 
 
 @pytest.mark.parametrize("argv", [

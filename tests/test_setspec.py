@@ -32,6 +32,7 @@ from grouptop.setspec import (
     SumsetUnsupported,
     divides,
     divisor_certificate,
+    residue_envelope,
     suffix_folds,
 )
 
@@ -418,6 +419,73 @@ def test_prefix_sequence_value_semantics():
         prefix_sequence("test-bad", [3, 2, 1])  # not increasing
     with pytest.raises(SequenceError):
         prefix_sequence("test-bad", [1, 2.5])  # not an integer
+
+
+def _signed_prefix(rng: random.Random, length: int) -> list:
+    """Terms strictly increasing in absolute value, with random signs."""
+    out, mag = [], 0
+    for _ in range(length):
+        mag += rng.randint(1, 5)
+        out.append(mag * rng.choice((1, -1)))
+    return out
+
+
+def test_tails_agree_with_brute_force():
+    """Membership, member values, the divisor certificate and residue
+    envelopes of tails match the admitted terms listed one by one: over
+    the built-ins, user prefixes with negative terms, starts at or past a
+    prefix's end, and a prefix longer than the envelope's 64-index scan."""
+    rng = random.Random(11)
+    tails = []
+    for name in ("powers2", "powers3", "factorial", "fibonacci"):
+        for _ in range(6):
+            start = rng.randint(0, 8)
+            tails.append(TailSet.of(name, start, rng.sample(
+                range(max(0, start - 2), start + 6), rng.randint(0, 3))))
+    for i, length in enumerate([1, 3, 6, 70, 90] * 3):
+        seq = prefix_sequence(f"brute-{i}", _signed_prefix(rng, length))
+        # a start inside the prefix, at its end, or past it
+        start = [rng.randint(0, min(length - 1, 4)), length,
+                 length + 2][i // 5]
+        tails.append(TailSet.of(seq, start, rng.sample(
+            range(start, start + 6), rng.randint(0, 3))))
+    cap_bound = decided = 0
+    for tail in tails:
+        seq = tail.sequence
+        top = seq.length if seq.length is not None else tail.start + 200
+        terms = [seq.value(k) for k in range(top)]
+        admitted = [terms[k] for k in range(tail.start, top)
+                    if k not in tail.excluded]
+        # probe a built-in well below its last listed term
+        horizon = top if seq.length is not None else tail.start + 12
+        probes = {0, *(rng.randint(-500, 500) for _ in range(10))}
+        for v in terms[:horizon]:
+            probes.update((v, -v, v + 1, v - 1))
+        for v in probes:
+            assert contains(tail, Z.element(v)) == (v in admitted), (tail, v)
+            assert contains(star(tail), Z.element(v)) == \
+                (v == 0 or v in admitted or -v in admitted), (tail, v)
+            bound = abs(v)
+            assert tail.member_values(bound) == \
+                [x for x in admitted if abs(x) <= bound], (tail, bound)
+        d = divisor_certificate(tail)
+        assert d >= 1 and all(x % d == 0 for x in admitted), (tail, d)
+        if seq.length is not None:
+            assert d == (math.gcd(*terms[tail.start:]) or 1), tail
+        moduli = {*range(2, 25), rng.randint(25, 400)}
+        if terms[tail.start:]:
+            moduli.add(abs(terms[-1]))  # a divisor of the last tail only
+        for m in moduli:
+            env = residue_envelope(tail, m)
+            if env is None:
+                if seq.length is not None:
+                    cap_bound += tail.start + 65 < seq.length
+                continue
+            decided += 1
+            assert env == {x % m for x in admitted}, (tail, m)
+            assert residue_envelope(star(tail), m) == \
+                env | {0} | {-r % m for r in env}, (tail, m)
+    assert cap_bound and decided
 
 
 # --- JSON round-trips ---
