@@ -5,7 +5,8 @@ an integer sequence, and explicit finite lists.  On top of them live the
 two Hausdorff-style checks (the n-fold exclusion condition and the
 separating-sequence construction) and the verdict drawn from them, by
 ``hausdorff_verdict`` and by its replayer ``replay_hausdorff`` with the
-same scan helpers and rules.
+same scan helpers and rules; the replayer also holds every replayed
+exclusion's proof to the recorded one.
 
 Every bounded search reports three-valued outcomes; "verified" and
 "refuted" are reserved for exact arithmetic or re-checked witnesses.

@@ -11,7 +11,8 @@ Witnesses come from one breadth-first table (``enumerate_u_witnesses``)
 and are checked by one rule (``_witness_is_valid``: indices increase, then
 ``setspec.witness_holds``), shared by membership, product absorption,
 inverse closure and translation.  Each level is symmetrized once per
-assignment.
+assignment.  Dyadic indices and rescaled images compare as integers over
+a common power of two.
 
 The module also carries the conjugation closure of a family, and the
 Fibonacci endomorphism x -> y, y -> xy of the free group on two

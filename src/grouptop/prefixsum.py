@@ -25,7 +25,8 @@ lexicographically first in candidate order.
 
 Bounded searches never produce a "no": growth certificates cap where
 witnesses are *looked for*, not where they can exist.  Residue-envelope
-sums are bitsets of residues up to ``_BITSET_CAP``.
+sums are bitsets of residues up to ``_BITSET_CAP``; a tail's share of the
+envelope modulus is the divisor ``IntegerSequence.divisor_index`` finds.
 """
 
 from __future__ import annotations

@@ -6,6 +6,9 @@ concluded about tails: ``tail_divisor(t)`` is an integer provably dividing
 every x_k with k >= t (1 when nothing better is known); sums of tail
 elements inherit it, which is what makes exclusion proofs over tails exact.
 
+Tails are read through ``terms`` (each term computed once) and
+``divisor_index`` (the first tail divisor in a window that passes a test).
+
 Sequences are values.  The built-ins (``fibonacci``, ``factorial`` and
 ``powers<b>`` for b >= 2) resolve by name; a user sequence is a finite
 prefix carried in full by every description that uses it, so two prefixes

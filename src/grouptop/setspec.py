@@ -566,8 +566,9 @@ _ENVELOPE_SCAN_CAP = 64
 def residue_envelope(spec: SetLike, modulus: int) -> Optional[frozenset]:
     """The exact set of residues modulo ``modulus`` attained by elements.
 
-    None when the representation cannot be reduced exactly (a tail whose
-    divisor certificates never absorb the modulus) or the envelope would be
+    None when the representation cannot be reduced exactly (a tail that
+    neither ends nor has a tail divisor absorbing the modulus within
+    ``_ENVELOPE_SCAN_CAP`` indices of its start) or the envelope would be
     unreasonably large.  Sums of sets reduce to sums of their envelopes,
     which yields exact exclusion proofs beyond the plain divisor route:
     tail elements past the index where the tail divisor is a multiple of
