@@ -436,9 +436,13 @@ def recheck_certificate(
     prefix sum still excludes the target, and every witness that blocked a
     stuck report still holds.  The first failure raises AssertionError;
     returns the replayed exclusion of each prefix, shortest first.  Every
-    membership is decided through ``table``."""
+    membership is decided, and every star taken, through ``table``, a
+    fresh one when None; each witness is still checked in full."""
+    if table is None:
+        table = FoldTable()
     stuck = isinstance(cert, StuckReport)
     members = [s.member for s in (cert.prefix if stuck else cert.steps)]
+    stars = [table.star(m) for m in members]
     exclusions = []
     for n in range(1, len(members) + 1):
         res = prefix_sum_membership(cert.target, members[:n], table)
@@ -447,7 +451,7 @@ def recheck_certificate(
         exclusions.append(res)
     for i, member, res in cert.blocked if stuck else ():
         if res.is_yes() and not witness_holds(cert.target, res.witness,
-                                              members + [member]):
+                                              stars + [table.star(member)]):
             raise AssertionError(f"blocking witness at candidate {i} fails")
     return exclusions
 
@@ -534,13 +538,23 @@ def replay_hausdorff(claim: dict, table: FoldTable) -> tuple:
     every recorded member the family's own at its index.  Last, every
     replayed exclusion's proof must be the recorded one, and a found
     cupcap entry must have checked the members up to its own.  Skipped
-    unknowns and the proof of each blocking membership are not replayed."""
+    unknowns and the proof of each blocking membership are not replayed.
+    A member record is decoded once per claim: a later record with the
+    same text reuses the set, so an edited one is decoded afresh."""
     payload, budgets = claim["payload"], claim["budgets"]
     n_max, max_len = budgets["n_max"], budgets["max_len"]
     family = family_from_json(payload["family"])
     group = family.member(0).ambient()
     limit = scan_limit(family, budgets["depth"])
     described: dict = {}  # member index -> the family's own description
+    decoded: dict = {}  # repr of a member record -> the set it describes
+
+    def decode(doc: dict) -> SetSpec:
+        # repr, unlike ==, tells 1, 1.0 and True apart, which decoding does
+        text = repr(doc)
+        if text not in decoded:
+            decoded[text] = spec_from_json(doc)
+        return decoded[text]
 
     def own(name, index: int, doc: dict, lowest: int) -> None:
         """A recorded member lies in the scan from ``lowest`` and is the
@@ -562,8 +576,7 @@ def replay_hausdorff(claim: dict, table: FoldTable) -> tuple:
         found = [cc for cc in cupcap.values() if cc.get("found")]
         cupcap_exclusions = []
         for cc in found:
-            member = spec_from_json(cc["member"])
-            res = _nfold_exclusion(g, cc["n"], member, table)
+            res = _nfold_exclusion(g, cc["n"], decode(cc["member"]), table)
             if not res.is_no():
                 raise AssertionError(
                     f"cupcap member no longer excludes {name}")
@@ -571,11 +584,11 @@ def replay_hausdorff(claim: dict, table: FoldTable) -> tuple:
         stuck = "blocked" in sep
         recorded = sep["prefix" if stuck else "steps"]
         steps = tuple(SeparationStep(
-            s["member_index"], spec_from_json(s["member"]),
+            s["member_index"], decode(s["member"]),
             MembershipResult.from_json(group, s["exclusion"]))
             for s in recorded)
         cert = StuckReport(g, sep["stuck_at_step"], steps, tuple(
-            (b["candidate_index"], spec_from_json(b["member"]),
+            (b["candidate_index"], decode(b["member"]),
              MembershipResult.from_json(group, b["result"]))
             for b in sep["blocked"]), sep["family"]) if stuck \
             else SeparationCertificate(g, steps, sep["family"])

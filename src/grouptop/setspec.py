@@ -228,6 +228,14 @@ class TailSet(SetSpec):
         return k >= self.start and k not in self.excluded and \
             self.sequence.in_range(k)
 
+    def admits_from(self, k: int) -> bool:
+        """Some index at or past k is admitted.  Among len(excluded) + 1
+        consecutive indices one is not excluded, and indices leave the
+        sequence only at its end."""
+        k = max(k, self.start)
+        return any(self.admits(i)
+                   for i in range(k, k + len(self.excluded) + 1))
+
     def contains_value(self, value: int) -> bool:
         for k, v in self.sequence.terms(self.start, abs(value)):
             if v == value:
@@ -576,8 +584,12 @@ def residue_envelope(spec: SetLike, modulus: int) -> Optional[frozenset]:
     """
     if modulus < 1:
         raise ValueError("modulus must be positive")
-    if modulus == 1:
-        return frozenset({0})
+    if modulus == 1:  # every element is 0; stars, boxes, intervals have one
+        empty = (isinstance(spec, FiniteSet) and not spec.values
+                 or isinstance(spec, ResidueSet) and not spec.residues
+                 or isinstance(spec, TailSet)
+                 and not spec.admits_from(spec.start))
+        return frozenset() if empty else frozenset({0})
     if isinstance(spec, StarSet):
         inner = residue_envelope(spec.base, modulus)
         if inner is None:
@@ -609,7 +621,7 @@ def residue_envelope(spec: SetLike, modulus: int) -> Optional[frozenset]:
         out = {seq.value(k) % modulus
                for k in range(spec.start, cutoff)
                if k not in spec.excluded}
-        if any(spec.admits(k) for k in range(cutoff, cutoff + len(spec.excluded) + 1)):
+        if spec.admits_from(cutoff):
             out.add(0)
         return frozenset(out)
     return None

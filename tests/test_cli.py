@@ -858,6 +858,81 @@ def test_recheck_holds_hausdorff_payload_to_the_producers_scan(
         f"  FAIL   {doc['claims'][0]['claim']}: {message}", out
 
 
+def test_recheck_takes_each_star_and_decodes_each_member_once(
+        tmp_path, capsys, monkeypatch):
+    """Rechecking the shipped sqrt7 report materializes each distinct
+    member's star once and decodes each distinct member description once,
+    although its probes record the same members again and again."""
+    from collections import Counter
+    from grouptop import filters, setspec
+    report = tmp_path / "report.json"
+    run(["hausdorff", str(CONFIGS / "sqrt7.json"), "--out", str(report)],
+        capsys)
+    stars, decodes = Counter(), Counter()
+    star, spec_from_json = setspec.star, filters.spec_from_json
+
+    def counted_star(spec):
+        if not isinstance(spec, setspec.StarSet):
+            stars[spec] += 1
+        return star(spec)
+
+    def counted_decode(doc, *args):
+        decodes[json.dumps(doc, sort_keys=True)] += 1
+        return spec_from_json(doc, *args)
+
+    monkeypatch.setattr(setspec, "star", counted_star)
+    monkeypatch.setattr(filters, "spec_from_json", counted_decode)
+    code, out, _ = run(["recheck", str(report)], capsys)
+    assert code == 0 and out.endswith("recheck: ok\n"), out
+    assert stars and max(stars.values()) == 1, stars
+    assert decodes and max(decodes.values()) == 1, decodes
+
+
+def _blocked_member_moved_up(probes):
+    # the probe before records member 4 untouched as a blocked candidate
+    blocked = probes[1]["separation"]["blocked"]
+    assert blocked[0]["candidate_index"] == 4
+    blocked[0]["member"] = json.loads(json.dumps(blocked[1]["member"]))
+
+
+def _repeated_prefix_member_residue(probes):
+    # the probe before records member 1 untouched as its prefix step
+    probes[1]["separation"]["prefix"][0]["member"]["residues"][1] += 1
+
+
+def _repeated_blocked_modulus_float(probes):
+    member = probes[1]["separation"]["blocked"][0]["member"]
+    member["modulus"] = float(member["modulus"])
+
+
+def _repeated_prefix_residue_false(probes):
+    probes[1]["separation"]["prefix"][0]["member"]["residues"][0] = False
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (_blocked_member_moved_up, "blocking witness at candidate 4 fails"),
+    (_repeated_prefix_member_residue,
+     "probe 2: member 1 is not the family's"),
+    (_repeated_blocked_modulus_float, "error: integer expected, got 243.0"),
+    (_repeated_prefix_residue_false, "error: integer expected, got False"),
+], ids=["blocked-member-moved-up", "prefix-member-residue",
+        "modulus-float", "residue-false"])
+def test_recheck_decodes_every_edited_member_record(tmp_path, capsys,
+                                                    tamper, message):
+    """A member record edited after an earlier probe recorded the same
+    member untouched is decoded afresh and fails as on its own: by value,
+    or by type where an integer is replaced by an equal float or bool."""
+    report = tmp_path / "report.json"
+    run(["hausdorff", str(CONFIGS / "sqrt7.json"), "--out", str(report)],
+        capsys)
+    doc = json.loads(report.read_text())
+    tamper(doc["claims"][0]["payload"]["probes"])
+    report.write_text(json.dumps(doc))
+    code, out, _ = run(["recheck", str(report)], capsys)
+    assert code == 2 and out.splitlines()[0] == \
+        f"  FAIL   {doc['claims'][0]['claim']}: {message}", out
+
+
 @pytest.mark.parametrize("config", ["sqrt7", "powers3", "fibonacci"])
 def test_recheck_accepts_untouched_hausdorff_reports(tmp_path, capsys,
                                                      config):

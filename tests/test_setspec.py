@@ -472,7 +472,7 @@ def test_tails_agree_with_brute_force():
         assert d >= 1 and all(x % d == 0 for x in admitted), (tail, d)
         if seq.length is not None:
             assert d == (math.gcd(*terms[tail.start:]) or 1), tail
-        moduli = {*range(2, 25), rng.randint(25, 400)}
+        moduli = {*range(1, 25), rng.randint(25, 400)}
         if terms[tail.start:]:
             moduli.add(abs(terms[-1]))  # a divisor of the last tail only
         for m in moduli:
@@ -486,6 +486,25 @@ def test_tails_agree_with_brute_force():
             assert residue_envelope(star(tail), m) == \
                 env | {0} | {-r % m for r in env}, (tail, m)
     assert cap_bound and decided
+
+
+def test_residue_envelope_modulo_one_sees_only_whether_a_set_is_empty():
+    """Every integer is 0 modulo 1, so the envelope is {0} for a set with
+    an element and empty for an empty one; a star always has one."""
+    short = prefix_sequence("envelope-one", [1, 2, 3])
+    empty = [FiniteSet.of(Z, []), ResidueSet.of(4, []),
+             TailSet.of(short, 3), TailSet.of(short, 5),
+             TailSet.of(short, 1, excluded={1, 2})]
+    inhabited = [FiniteSet.of(Z, [5]), ResidueSet.of(4, [3]),
+                 TailSet.of(short, 1, excluded={1}),
+                 TailSet.of("fibonacci", 4, excluded={4, 5}),
+                 BoxSet.of(3, [{0}]), SymmetricInterval.of("1/2")]
+    for spec in empty:
+        assert residue_envelope(spec, 1) == frozenset(), spec
+    for spec in empty + inhabited:
+        assert residue_envelope(star(spec), 1) == {0}, spec
+    for spec in inhabited:
+        assert residue_envelope(spec, 1) == {0}, spec
 
 
 # --- JSON round-trips ---
