@@ -34,6 +34,7 @@ _EXIT_FOR_STATUS = {
 
 _CONFIG_KEYS = {"family", "probes", "budgets"}
 _BUDGET_KEYS = {"n_max", "depth", "max_len"}
+_EXAMPLES = ("sqrt7", "product", "interval", "fibonacci")  # of verify
 
 
 @dataclass
@@ -94,12 +95,17 @@ def _cmd_verify(args) -> int:
     if args.example == "product" and max(args.m0) > args.coords:
         print("--m0 must not exceed --coords", file=sys.stderr)
         return 1
+    if args.example == "sqrt7" and args.cover_gmax is not None and \
+            not args.cover_m0:
+        print("--cover-gmax needs --cover-m0", file=sys.stderr)
+        return 1
     try:
         with stopwatch() as elapsed:
             if args.example == "sqrt7":
                 reports = []  # the cover first: its cap refuses at once
                 if args.cover_m0:
-                    m0, gmax = args.cover_m0, args.cover_gmax
+                    m0 = args.cover_m0
+                    gmax = 20 if args.cover_gmax is None else args.cover_gmax
                     reports.append(ex.verify_sqrt7_U_full(
                         m0, ex.sqrt7_cover_levels(m0),
                         range(-gmax, gmax + 1)))
@@ -114,13 +120,13 @@ def _cmd_verify(args) -> int:
                 samples = ex.random_product_elements(coords, args.samples,
                                                      args.seed)
                 reports = [ex.verify_product_sum_full(
-                    coords, m0, [min(m0 + i + 1, coords) for i in range(m0)],
-                    samples) for m0 in args.m0]
+                    coords, m0, ex.product_cover_levels(coords, m0), samples)
+                    for m0 in args.m0]
                 reports += [ex.verify_product_union_small(coords, n)
                             for n in args.union_n]
             elif args.example == "interval":
                 reports = [ex.verify_interval_example(args.min_exp)]
-            else:  # fibonacci; argparse restricts the choices
+            else:  # fibonacci; argparse restricts the examples
                 reports = [verify_fib_words(args.n)]
                 reports.extend(verify_fib_identity(n)
                                for n in range(min(args.n, 10) + 1))
@@ -197,23 +203,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run a named example suite")
-    p_verify.add_argument("example",
-                          choices=["sqrt7", "product", "interval",
-                                   "fibonacci"])
-    p_verify.add_argument("--gmax", type=_at_least(1), default=50)
-    p_verify.add_argument("--nmax", type=_at_least(1), default=5)
-    p_verify.add_argument("--cover-m0", type=_at_least(0), default=0,
-                          help="also verify the full-cover claim at this m0")
-    p_verify.add_argument("--cover-gmax", type=_at_least(0), default=20)
-    p_verify.add_argument("--coords", type=_at_least(1), default=6)
-    p_verify.add_argument("--m0", type=_at_least(1), nargs="+", default=[2, 3])
-    p_verify.add_argument("--union-n", type=_at_least(1), nargs="+",
-                          default=[1, 2])
-    p_verify.add_argument("--samples", type=_at_least(0), default=50)
-    p_verify.add_argument("--seed", type=int, default=7)
-    p_verify.add_argument("--min-exp", type=_at_least(0), default=10)
-    p_verify.add_argument("--n", type=_at_least(1), default=20)
-    _common_output(p_verify)
+    p_verify.add_argument("example", choices=_EXAMPLES)
+    p_verify.add_argument("options", nargs=argparse.REMAINDER,
+                          help="the example's own options (verify EXAMPLE "
+                               "-h lists them)")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_h = sub.add_parser("hausdorff",
@@ -236,6 +229,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def example_parser(example: str) -> argparse.ArgumentParser:
+    """The options of one ``verify`` example and only those, built when
+    that example is run, so no other command pays for them."""
+    p = _Parser(prog=f"grouptop verify {example}")
+    if example == "sqrt7":
+        p.add_argument("--gmax", type=_at_least(1), default=50)
+        p.add_argument("--nmax", type=_at_least(1), default=5)
+        p.add_argument("--cover-m0", type=_at_least(0), default=0,
+                       help="also verify the full-cover claim at this m0")
+        p.add_argument("--cover-gmax", type=_at_least(0),
+                       help="cover samples -G..G (default 20); needs "
+                            "--cover-m0")
+    elif example == "product":
+        p.add_argument("--coords", type=_at_least(1), default=6)
+        p.add_argument("--m0", type=_at_least(1), nargs="+", default=[2, 3])
+        p.add_argument("--union-n", type=_at_least(1), nargs="+",
+                       default=[1, 2])
+        p.add_argument("--samples", type=_at_least(0), default=50)
+        p.add_argument("--seed", type=int, default=7)
+    elif example == "interval":
+        p.add_argument("--min-exp", type=_at_least(0), default=10)
+    else:  # fibonacci
+        p.add_argument("--n", type=_at_least(1), default=20)
+    _common_output(p)
+    return p
+
+
 def _common_output(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write the report here instead of stdout")
     p.add_argument("--format", choices=["json", "text"], default="json")
@@ -244,6 +264,9 @@ def _common_output(p: argparse.ArgumentParser) -> None:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if args.command == "verify":  # then the example's own options
+            args = example_parser(args.example).parse_args(args.options,
+                                                           args)
     except SystemExit as done:  # a usage error exits 1, --help 0
         return done.code
     return args.func(args)

@@ -9,9 +9,12 @@
   extended.
 
 Every verification returns a report whose witnesses re-verify by plain
-group addition, and whose status comes from its kind's one rule
-(``hensel_rule``, ``sqrt7_necessary_rule``, ``cover_rule``,
-``interval_rule``), which its replayer beside it applies to the payload.
+group addition.  Each kind's replayer sits beside its producer:
+``replay_sqrt7_necessary`` applies the producer's rule
+(``sqrt7_necessary_rule``) to the payload, and every other kind's id
+names its inputs, so its ``rerun_*`` replayer bounds the work, re-runs
+the capped producer on them and hands the re-run to
+``report.rerun_facts``.
 """
 
 from __future__ import annotations
@@ -27,10 +30,9 @@ from .groups import (
     Integers,
     ProductMod,
     Rationals,
-    group_from_json,
 )
-from .prefixsum import MembershipResult, prefix_sum_membership
-from .report import Status, VerificationReport, id_numbers
+from .prefixsum import prefix_sum_membership
+from .report import Status, VerificationReport, id_numbers, rerun_facts
 from .setspec import (
     _ENUMERATION_CAP,
     BoxSet,
@@ -139,37 +141,31 @@ def hensel_sqrt(a: int = 7, p: int = 3, k: int = 1) -> HenselWitness:
     return HenselWitness(p=p, a=a, k=k, root=root)
 
 
-def hensel_rule(p: int, a: int, levels: Sequence[dict]) -> tuple:
-    """(congruence_chain, status) of a hensel table: row k holds modulus
-    p^k and a root ``HenselWitness`` accepts there (HenselError
-    otherwise); verified when each root agrees with the one before it
-    modulo that one's modulus."""
-    for level, row in enumerate(levels, start=1):
-        if (row["k"], row["modulus"]) != (level, p ** level):
-            raise HenselError(f"row {level} is not the level p^{level}")
-        HenselWitness(p, a, level, row["root"])
+def verify_hensel(a: int, p: int, k: int) -> VerificationReport:
+    """The table of canonical square roots of a modulo p, ..., p^k, each
+    accepted by ``HenselWitness``, and their congruence chain: verified
+    when each root agrees with the one before it modulo that one's
+    modulus.  Raises as ``hensel_roots`` does."""
+    levels = [{"k": level, "modulus": p ** level,
+               "root": HenselWitness(p, a, level, root).root}
+              for level, root in enumerate(hensel_roots(a, p, k), start=1)]
     chain = all((row["root"] - prev["root"]) % prev["modulus"] == 0
                 for prev, row in zip(levels, levels[1:]))
-    return chain, Status.VERIFIED if chain else Status.REFUTED
-
-
-def verify_hensel(a: int, p: int, k: int) -> VerificationReport:
-    """The table of canonical square roots of a modulo p, ..., p^k and
-    their congruence chain; raises as ``hensel_roots`` does."""
-    levels = [{"k": level, "modulus": p ** level, "root": root}
-              for level, root in enumerate(hensel_roots(a, p, k), start=1)]
-    chain, status = hensel_rule(p, a, levels)
     return VerificationReport(
         claim=f"hensel:p={p}:a={a}:k={k}",
-        status=status,
+        status=Status.VERIFIED if chain else Status.REFUTED,
         payload={"levels": levels, "congruence_chain": chain},
     )
 
 
-def replay_hensel(claim: dict, table: FoldTable) -> tuple:
-    p, a = id_numbers(r"hensel:p=(-?\d+):a=(-?\d+):k=\d+", claim)
-    chain, status = hensel_rule(p, a, claim["payload"]["levels"])
-    return status, {"congruence_chain": chain}
+def rerun_hensel(claim: dict, table: FoldTable) -> tuple:
+    """The id's k must be the number of recorded levels, so the re-run
+    builds no more rows than the report holds."""
+    p, a, k = id_numbers(r"hensel:p=(-?\d+):a=(-?\d+):k=(-?\d+)", claim)
+    if k != len(claim["payload"]["levels"]):
+        raise AssertionError(f"the id names {k} levels, the report holds "
+                             f"{len(claim['payload']['levels'])}")
+    return rerun_facts(claim, verify_hensel(a, p, k))
 
 
 # The paper's chain lives in the 3-adic square roots of 7.
@@ -205,17 +201,6 @@ class DecompositionWitness:
             "summands": [group.value_to_json(s.value) for s in self.summands],
             "sets": [star(src).to_json() for src in self.sources],
         }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "DecompositionWitness":
-        if doc.get("type") != "decomposition":
-            raise ValueError("not a decomposition witness")
-        group = group_from_json(doc["group"])
-        return cls(
-            target=group.element(doc["target"]),
-            summands=tuple(group.element(v) for v in doc["summands"]),
-            sources=tuple(spec_from_json(s, group=group) for s in doc["sets"]),
-        )
 
 
 def verify_sqrt7_necessary(g: int, n: int,
@@ -331,14 +316,26 @@ def sqrt7_cover_witness(g: int, m0: int,
     )
 
 
-def _check_cover_cap(m0: int, deepest: int) -> None:
-    """Each of the cover's 3^m0 + 1 suffix folds holds at most 3^deepest
-    residues; refuse when they could pass the enumeration cap together."""
-    held = (SQRT7_P ** m0 + 1) * SQRT7_P ** deepest
+def _check_cap(what: str, held: int) -> None:
+    """Refuse work whose sets hold up to ``held`` residues between them
+    when that passes the enumeration cap."""
     if held > _ENUMERATION_CAP:
         raise EnumerationBudgetError(
-            f"the sqrt7 cover at m0={m0} folds up to {held} residues, past "
-            f"the enumeration cap {_ENUMERATION_CAP}")
+            f"{what} folds up to {held} residues, past the enumeration cap "
+            f"{_ENUMERATION_CAP}")
+
+
+def _check_cover_cap(m0: int, deepest: int) -> None:
+    """Each of the cover's 3^m0 + 1 suffix folds holds at most 3^deepest
+    residues; refuse when they could pass the enumeration cap together.
+    3^(m0 + deepest) alone passes it once m0 + deepest reaches the cap's
+    bit length, so no larger power is taken."""
+    if m0 + deepest >= _ENUMERATION_CAP.bit_length():
+        raise EnumerationBudgetError(
+            f"the sqrt7 cover at m0={m0} folds more than 3^{m0 + deepest} "
+            f"residues, past the enumeration cap {_ENUMERATION_CAP}")
+    _check_cap(f"the sqrt7 cover at m0={m0}",
+               (SQRT7_P ** m0 + 1) * SQRT7_P ** deepest)
 
 
 def sqrt7_cover_levels(m0: int) -> list:
@@ -358,52 +355,43 @@ def verify_sqrt7_U_full(m0: int, ms: Sequence[int],
     """
     if m0 < 1:
         raise ValueError("m0 must be positive")
+    _check_cover_cap(m0, max([m0, *ms]))
     if len(ms) != SQRT7_P ** m0:
         raise ValueError(f"need exactly {SQRT7_P ** m0} follower levels")
-    _check_cover_cap(m0, max(m0, *ms))
     return _verify_cover(
         f"sqrt7-cover:m0={m0}:ms={','.join(map(str, ms))}",
+        "sum_equals_all_residues",
         [sqrt7_set(m) for m in [m0, *ms]],
         [sqrt7_cover_witness(g, m0, ms) for g in sample_gs])
 
 
-# The payload key of each cover claim's flag.
-COVER_FLAG_KEYS = {"sqrt7-cover": "sum_equals_all_residues",
-                   "product-cover": "sum_covers_group"}
+def rerun_sqrt7_cover(claim: dict, table: FoldTable) -> tuple:
+    """The id names m0 and the follower levels, and the witnesses name
+    their targets, read as integers."""
+    m0, = id_numbers(r"sqrt7-cover:m0=(\d+):ms=(?:\d+,)*\d+", claim)
+    ms = [int(m) for m in claim["claim"].partition(":ms=")[2].split(",")]
+    return rerun_facts(claim, verify_sqrt7_U_full(m0, ms, [
+        _INTEGERS.element(w["target"]).value
+        for w in claim["payload"]["witnesses"]]))
 
 
-def cover_rule(folded: SetLike, witnesses: Sequence[DecompositionWitness]
-               ) -> tuple:
-    """(covers, status) of a cover claim: whether the fold contains its
-    whole group (Z as 0 mod 1, a product as the unconstrained box), and
-    verified when it does and every sample's witness holds."""
+def _verify_cover(claim: str, flag: str, sources: Sequence[SetLike],
+                  witnesses: Sequence[DecompositionWitness]
+                  ) -> VerificationReport:
+    """A cover claim on the suffix fold of the starred ``sources``: its
+    ``flag`` says whether the fold contains the whole group (Z as 0 mod 1,
+    a product as the unconstrained box), and it is verified when it does
+    and every sample's witness holds."""
+    folded = suffix_folds([star(src) for src in sources])[0]
     whole = BoxSet(folded.n_coords, ()) if isinstance(folded, BoxSet) \
         else ResidueSet.of(1, [0])
     covers = subset_of(whole, folded)
     ok = covers and all(w.verify() for w in witnesses)
-    return covers, Status.VERIFIED if ok else Status.REFUTED
-
-
-def replay_cover(claim: dict, table: FoldTable) -> tuple:
-    """Either cover kind, from its embedded fold and witnesses."""
-    payload = claim["payload"]
-    covers, status = cover_rule(
-        spec_from_json(payload["fold"]),
-        [DecompositionWitness.from_json(w) for w in payload["witnesses"]])
-    return status, {COVER_FLAG_KEYS[claim["claim"].partition(":")[0]]: covers}
-
-
-def _verify_cover(claim: str, sources: Sequence[SetLike],
-                  witnesses: Sequence[DecompositionWitness]
-                  ) -> VerificationReport:
-    """A cover claim on the suffix fold of the starred ``sources``."""
-    folded = suffix_folds([star(src) for src in sources])[0]
-    covers, status = cover_rule(folded, witnesses)
     return VerificationReport(
         claim=claim,
-        status=status,
+        status=Status.VERIFIED if ok else Status.REFUTED,
         payload={
-            COVER_FLAG_KEYS[claim.partition(":")[0]]: covers,
+            flag: covers,
             "fold": folded.to_json(),
             "witnesses": [w.to_json() for w in witnesses],
         },
@@ -454,17 +442,40 @@ def product_cover_witness(g: GroupElement, m0: int,
     )
 
 
+def product_cover_levels(n_coords: int, m0: int) -> list:
+    """The follower levels min(m0 + i + 1, N) for i < m0, the ones a
+    product-cover id names.  Each of the cover's m0 + 1 suffix folds
+    holds at most 1 + 2 + ... + m0 residues, and the cap is checked from
+    m0 alone before the list is built."""
+    _check_cap(f"the product cover at m0={m0}",
+               (m0 + 1) * m0 * (m0 + 1) // 2)
+    return [min(m0 + i + 1, n_coords) for i in range(m0)]
+
+
 def verify_product_sum_full(n_coords: int, m0: int, ms: Sequence[int],
                             sample_gs: Sequence[GroupElement]
                             ) -> VerificationReport:
     """Exact box-sumset proof that the starred boxes cover the whole
-    truncated product, with re-verified per-sample witnesses."""
-    if len(ms) != m0:
-        raise ValueError(f"need exactly {m0} follower levels")
+    truncated product, with re-verified per-sample witnesses.  The
+    follower levels must be ``product_cover_levels``', which the claim's
+    id names."""
+    if list(ms) != product_cover_levels(n_coords, m0):
+        raise ValueError("the follower levels must be min(m0 + i + 1, N) "
+                         "for i < m0")
     return _verify_cover(
-        f"product-cover:N={n_coords}:m0={m0}",
+        f"product-cover:N={n_coords}:m0={m0}", "sum_covers_group",
         [product_set(n_coords, m) for m in [m0, *ms]],
         [product_cover_witness(g, m0, ms) for g in sample_gs])
+
+
+def rerun_product_cover(claim: dict, table: FoldTable) -> tuple:
+    """The id names N and m0, and the witnesses name their targets, read
+    in the N-coordinate product."""
+    n_coords, m0 = id_numbers(r"product-cover:N=(\d+):m0=(\d+)", claim)
+    group = ProductMod(n_coords)
+    return rerun_facts(claim, verify_product_sum_full(
+        n_coords, m0, product_cover_levels(n_coords, m0),
+        [group.element(w["target"]) for w in claim["payload"]["witnesses"]]))
 
 
 def small_representable(coord: int, n: int) -> frozenset:
@@ -482,6 +493,9 @@ def verify_product_union_small(n_coords: int, n: int) -> VerificationReport:
     """
     if n_coords < 1 or n < 1:
         raise ValueError("need positive coordinate count and n")
+    # each n-fold sum A_1, ..., A_n holds up to c residues at coordinate c
+    _check_cap(f"product-union-small at N={n_coords}, n={n}",
+               n * n_coords * (n_coords + 1) // 2)
     # The boxes shrink as m grows, so their n-fold stars do too, and the
     # intersection is the deepest box's n-fold star.
     boxes = [product_set(n_coords, m) for m in range(1, n_coords + 1)]
@@ -529,18 +543,9 @@ def verify_product_union_small(n_coords: int, n: int) -> VerificationReport:
     )
 
 
-def interval_rule(steps: Sequence[tuple]) -> tuple:
-    """(one_outside_unit_interval, status) of the interval claim, whose
-    (epsilon, pinned summands, membership) steps, at least one, must each
-    be a ``yes`` with both witnesses summing to 1 in the unit and epsilon
-    intervals."""
-    first_excluded = not contains(star(_UNIT), _ONE)
-    ok = first_excluded and bool(steps) and all(
-        res.is_yes() and all(witness_holds(_ONE, summands,
-                                           [_UNIT, SymmetricInterval(eps)])
-                             for summands in (pinned, res.witness))
-        for eps, pinned, res in steps)
-    return first_excluded, Status.VERIFIED if ok else Status.REFUTED
+def rerun_product_union_small(claim: dict, table: FoldTable) -> tuple:
+    n_coords, n = id_numbers(r"product-union-small:N=(\d+):n=(\d+)", claim)
+    return rerun_facts(claim, verify_product_union_small(n_coords, n))
 
 
 def verify_interval_example(min_exp: int = 10) -> VerificationReport:
@@ -549,7 +554,9 @@ def verify_interval_example(min_exp: int = 10) -> VerificationReport:
     With exact rationals: 1 lies outside the open unit interval, yet for
     every epsilon in the halving schedule the witness
     1 = (1 - eps/2) + eps/2 puts 1 back inside the two-set sum, so no
-    second family member extends the exclusion.
+    second family member extends the exclusion.  Verified when each
+    step's membership is a ``yes`` and both its witnesses sum to 1 in the
+    unit and epsilon intervals.
     """
     if min_exp < 0:
         raise ValueError("min_exp must be nonnegative")
@@ -558,10 +565,15 @@ def verify_interval_example(min_exp: int = 10) -> VerificationReport:
     steps = [(eps, (group.element(1 - eps / 2), group.element(eps / 2)),
               prefix_sum_membership(_ONE, [_UNIT, SymmetricInterval(eps)]))
              for eps in (Fraction(1, 2 ** j) for j in range(min_exp + 1))]
-    first_excluded, status = interval_rule(steps)
+    first_excluded = not contains(star(_UNIT), _ONE)
+    ok = first_excluded and all(
+        res.is_yes() and all(witness_holds(_ONE, summands,
+                                           [_UNIT, SymmetricInterval(eps)])
+                             for summands in (pinned, res.witness))
+        for eps, pinned, res in steps)
     return VerificationReport(
         claim=f"interval-no-extension:min_eps=2^-{min_exp}",
-        status=status,
+        status=Status.VERIFIED if ok else Status.REFUTED,
         payload={
             "one_outside_unit_interval": first_excluded,
             "schedule": [{
@@ -574,13 +586,15 @@ def verify_interval_example(min_exp: int = 10) -> VerificationReport:
     )
 
 
-def replay_interval(claim: dict, table: FoldTable) -> tuple:
-    first_excluded, status = interval_rule([
-        (_RATIONALS.element(entry["epsilon"]).value,
-         [_RATIONALS.element(v) for v in entry["witness"]],
-         MembershipResult.from_json(_RATIONALS, entry["membership"]))
-        for entry in claim["payload"]["schedule"]])
-    return status, {"one_outside_unit_interval": first_excluded}
+def rerun_interval(claim: dict, table: FoldTable) -> tuple:
+    """The schedule must hold min_exp + 1 rows, so the re-run builds no
+    more than the report holds."""
+    min_exp, = id_numbers(r"interval-no-extension:min_eps=2\^-(\d+)", claim)
+    if min_exp + 1 != len(claim["payload"]["schedule"]):
+        raise AssertionError(f"the id names {min_exp + 1} epsilons, the "
+                             f"schedule holds "
+                             f"{len(claim['payload']['schedule'])}")
+    return rerun_facts(claim, verify_interval_example(min_exp))
 
 
 def random_product_elements(n_coords: int, count: int,

@@ -161,7 +161,8 @@ class ProductMod(AmbientGroup):
     """Product of Z/nZ for n = 1..n_coords; coordinate n holds residues mod n.
 
     Coordinate 1 is Z/1Z and therefore always zero; it is kept so that
-    coordinate numbering matches the modulus.
+    coordinate numbering matches the modulus.  A coordinate outside
+    0..n-1 is refused, not reduced.
     """
 
     n_coords: int
@@ -179,7 +180,10 @@ class ProductMod(AmbientGroup):
         vec = tuple(integer_from_json(v) for v in raw)
         if len(vec) != self.n_coords:
             raise ValueError(f"expected {self.n_coords} coordinates, got {len(vec)}")
-        return tuple(v % (i + 1) for i, v in enumerate(vec))
+        for i, v in enumerate(vec):
+            if not 0 <= v <= i:
+                raise ValueError(f"coordinate {i + 1} lies in 0..{i}, got {v}")
+        return vec
 
     def _add(self, a: tuple, b: tuple) -> tuple:
         return tuple((x + y) % (i + 1) for i, (x, y) in enumerate(zip(a, b)))

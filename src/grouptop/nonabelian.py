@@ -39,7 +39,7 @@ from .groups import (
     op_neg,
 )
 from .prefixsum import MembershipResult
-from .report import Status, VerificationReport, id_numbers
+from .report import Status, VerificationReport, id_numbers, rerun_facts
 from .setspec import (
     _ENUMERATION_CAP,
     EnumerationBudgetError,
@@ -568,11 +568,9 @@ def fib_word(n: int) -> FibWord:
     return FibWord(b, n)
 
 
-def verify_fib_words(top: int) -> VerificationReport:
-    """Words from the recurrence match substitution iterates and their
-    lengths follow the Fibonacci numbers.  The longest word, f_top, has
-    F(top + 1) letters; past the enumeration cap this raises
-    EnumerationBudgetError before any word is built."""
+def _check_fib_cap(top: int) -> None:
+    """The longest of the words f_0, ..., f_top, f_top, has F(top + 1)
+    letters; refuse when that passes the enumeration cap."""
     longest, following = 1, 1  # F(1) and F(2), the lengths of f_0 and f_1
     for _ in range(top):
         longest, following = following, longest + following
@@ -580,6 +578,13 @@ def verify_fib_words(top: int) -> VerificationReport:
             raise EnumerationBudgetError(
                 f"the fibonacci words up to n={top} pass the enumeration "
                 f"cap {_ENUMERATION_CAP} in length")
+
+
+def verify_fib_words(top: int) -> VerificationReport:
+    """Words from the recurrence match substitution iterates and their
+    lengths follow the Fibonacci numbers.  Past the enumeration cap this
+    raises EnumerationBudgetError before any word is built."""
+    _check_fib_cap(top)
     lengths, ok, fib_a, fib_b = [], True, 1, 1
     for n in range(top + 1):
         w = fib_word(n)
@@ -595,30 +600,24 @@ def verify_fib_words(top: int) -> VerificationReport:
     )
 
 
-def replay_fib_words(claim: dict, table: FoldTable) -> tuple:
-    """Re-run the capped producer for the id's top index."""
+def rerun_fib_words(claim: dict, table: FoldTable) -> tuple:
     top, = id_numbers(r"fibonacci-words:n<=(\d+)", claim)
-    report = verify_fib_words(top)
-    return report.status, {"lengths": report.payload["lengths"]}
+    return rerun_facts(claim, verify_fib_words(top))
 
 
 def commutator(a: GroupElement, b: GroupElement) -> GroupElement:
     return op_add(op_add(a, b), op_add(op_neg(a), op_neg(b)))
 
 
-def fib_identity_status(lhs: GroupElement, rhs: GroupElement,
-                        expected: GroupElement) -> Status:
-    """Verified when a fibonacci-commutator claim's three words agree."""
-    return Status.VERIFIED if lhs.value == rhs.value == expected.value \
-        else Status.REFUTED
-
-
 def verify_fib_identity(n: int) -> VerificationReport:
     """The n-th substitution image of the basic commutator equals the
     commutator of consecutive Fibonacci words, and alternates between the
-    commutator (even n) and its inverse (odd n)."""
+    commutator (even n) and its inverse (odd n).  The words f_n and
+    f_{n+1} are built, so past the enumeration cap this raises
+    EnumerationBudgetError before any word is."""
     if n < 0:
         raise ValueError("n must be nonnegative")
+    _check_fib_cap(n + 1)
     base = commutator(_X, _Y)
     lhs = phi_iterate(base, n)
     f_n = phi_iterate(_X, n)
@@ -627,7 +626,8 @@ def verify_fib_identity(n: int) -> VerificationReport:
     expected = base if n % 2 == 0 else op_neg(base)
     return VerificationReport(
         claim=f"fibonacci-commutator:n={n}",
-        status=fib_identity_status(lhs, rhs, expected),
+        status=Status.VERIFIED if lhs.value == rhs.value == expected.value
+        else Status.REFUTED,
         payload={
             "lhs": str(lhs),
             "rhs": str(rhs),
@@ -637,7 +637,6 @@ def verify_fib_identity(n: int) -> VerificationReport:
     )
 
 
-def replay_fib_identity(claim: dict, table: FoldTable) -> tuple:
-    payload = claim["payload"]
-    return fib_identity_status(*(FREE_XY.element(payload[key])
-                                 for key in ("lhs", "rhs", "expected"))), {}
+def rerun_fib_identity(claim: dict, table: FoldTable) -> tuple:
+    n, = id_numbers(r"fibonacci-commutator:n=(\d+)", claim)
+    return rerun_facts(claim, verify_fib_identity(n))

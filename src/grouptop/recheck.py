@@ -1,13 +1,13 @@
 """Re-verify the witnesses embedded in an emitted report document.
 
 A claim's kind, its id up to the first ":", picks its one replayer, which
-lives beside its producer and replays the payload from its JSON forms
-alone: it returns the status its producer's rule derives from the
-replayed facts, and those facts keyed as in the payload.
-``recheck_document`` compares every fact with the payload's, then the
-status with the claim's, and the document's status with its claims'.
-Kinds without a replayer are listed as skipped, and a kind the program
-does not emit fails.
+lives beside its producer and returns a status and facts keyed as in the
+payload: a re-run of the capped producer on the inputs the id names, or
+what the producer's rule derives from the replayed evidence.
+``recheck_document`` compares every fact with the payload's, by JSON type
+as well as value, then the status with the claim's, and the document's
+status with its claims'.  Kinds without a replayer are listed as skipped,
+and a kind the program does not emit fails.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from typing import Tuple
 
 from . import examples as ex
 from .filters import replay_hausdorff
-from .nonabelian import replay_fib_identity, replay_fib_words
-from .report import Status, aggregate_status
+from .nonabelian import rerun_fib_identity, rerun_fib_words
+from .report import Status, aggregate_status, same_json
 from .setspec import FoldTable
 
 
@@ -44,7 +44,7 @@ def recheck_document(doc: dict) -> Tuple[bool, list]:
                 for key, value in [*facts.items(), ("status", status.value)]:
                     reported = (claim if key == "status" else
                                 claim["payload"])[key]
-                    if value != reported:
+                    if not same_json(value, reported):
                         raise AssertionError(f"the replay gives {key} "
                                              f"{value!r}, the report "
                                              f"{reported!r}")
@@ -67,17 +67,17 @@ def recheck_document(doc: dict) -> Tuple[bool, list]:
 
 
 # One replayer per claim kind the program emits, each beside its
-# producer; the kinds without one yet map to None and are listed as
-# skipped.  Any other kind fails.
+# producer (``rerun_*`` re-run it); the kinds without one yet map to None
+# and are listed as skipped.  Any other kind fails.
 _REPLAYERS = {
     "hausdorff": replay_hausdorff,
-    "hensel": ex.replay_hensel,
     "sqrt7-necessary": ex.replay_sqrt7_necessary,
-    "sqrt7-cover": ex.replay_cover,
-    "product-cover": ex.replay_cover,
-    "interval-no-extension": ex.replay_interval,
-    "fibonacci-commutator": replay_fib_identity,
-    "fibonacci-words": replay_fib_words,
-    **dict.fromkeys(["product-union-small", "uu-product",
-                     "u-inverse-closure", "u-translation"]),
+    "hensel": ex.rerun_hensel,
+    "sqrt7-cover": ex.rerun_sqrt7_cover,
+    "product-cover": ex.rerun_product_cover,
+    "product-union-small": ex.rerun_product_union_small,
+    "interval-no-extension": ex.rerun_interval,
+    "fibonacci-commutator": rerun_fib_identity,
+    "fibonacci-words": rerun_fib_words,
+    **dict.fromkeys(["uu-product", "u-inverse-closure", "u-translation"]),
 }

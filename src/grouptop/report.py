@@ -49,6 +49,38 @@ def id_numbers(pattern: str, claim: dict) -> list:
     return [int(v) for v in m.groups()]
 
 
+def rerun_facts(claim: dict, report: VerificationReport) -> tuple:
+    """(status, payload) of ``report``, the capped producer re-run on the
+    inputs ``claim``'s id names, once the claim's id, payload keys and
+    budgets are the re-run's; ``recheck_document`` then compares each
+    payload key, in sorted order as a report lists them, and the status."""
+    for what, replay, reported in [
+            ("claim", report.claim, claim["claim"]),
+            ("payload keys", sorted(report.payload), sorted(claim["payload"])),
+            ("budgets", report.budgets, claim["budgets"])]:
+        if not same_json(replay, reported):
+            raise AssertionError(f"the replay gives {what} {replay!r}, the "
+                                 f"report {reported!r}")
+    return report.status, dict(sorted(report.payload.items()))
+
+
+def same_json(replayed, reported) -> bool:
+    """Whether ``reported``, a value read back from JSON, is ``replayed``
+    as ``canonical_json`` writes it: equal, and of the same JSON type at
+    every depth, so that True is not 1 and 1 is not 1.0."""
+    kind = str if isinstance(replayed, str) else \
+        list if isinstance(replayed, tuple) else type(replayed)
+    if type(reported) is not kind:
+        return False
+    if kind is dict:
+        return replayed.keys() == reported.keys() and \
+            all(same_json(v, reported[k]) for k, v in replayed.items())
+    if kind is list:
+        return len(replayed) == len(reported) and \
+            all(map(same_json, replayed, reported))
+    return replayed == reported
+
+
 def aggregate_status(statuses: Iterable[Status]) -> Status:
     """Refuted if any status is, else unknown if any is, else verified."""
     statuses = set(statuses)

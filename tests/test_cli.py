@@ -982,8 +982,10 @@ REFUTED_BY_REPLAY = ("the replay gives status 'verified', the report "
      _cover_flag_off, "the replay gives sum_covers_group True, the report "
                       "False"),
     (["verify", "product", "--samples", "0"], "product-cover",
-     _cover_flag_off_fold_cut, "the replay gives status 'refuted', the "
-                               "report 'verified'"),
+     _cover_flag_off_fold_cut, "the replay gives fold {'kind': 'box', "
+                               "'coords': 6, 'allowed': [[0], [0, 1]]}, the "
+                               "report {'allowed': [[0], [0]], 'coords': 6, "
+                               "'kind': 'box'}"),
 ], ids=["hausdorff", "hensel", "sqrt7-necessary", "sqrt7-cover",
         "product-cover",
         "interval", "fibonacci-commutator", "cover-flag-off",
@@ -992,8 +994,8 @@ def test_recheck_derives_each_replayed_claim_status(tmp_path, capsys, argv,
                                                     kind, tamper, message):
     """Every replayed kind derives its status by its producer's rule: a
     claim flipped to refuted with its document fails, and so does a cover
-    claim whose flag disagrees with its fold or whose cut fold no longer
-    covers the group."""
+    claim whose flag disagrees with the re-run, or whose fold was cut: the
+    fold, listed before the flag, is the first key to differ."""
     report = tmp_path / "report.json"
     assert run(argv + ["--out", str(report)], capsys)[0] == 0
     doc = json.loads(report.read_text())
@@ -1007,16 +1009,16 @@ def test_recheck_derives_each_replayed_claim_status(tmp_path, capsys, argv,
 
 
 def test_recheck_replays_cover_claims_without_samples(tmp_path, capsys):
-    """A cover claim with no samples still replays its fold's flag and
-    status; only the kinds without a replayer print skip."""
+    """A cover claim with no samples still re-runs its fold, flag and
+    status, and the product-union-small claims re-run too."""
     report = tmp_path / "report.json"
     run(["verify", "product", "--samples", "0", "--out", str(report)], capsys)
     code, out, _ = run(["recheck", str(report)], capsys)
     assert code == 0 and out.splitlines() == [
         "  ok     product-cover:N=6:m0=2",
         "  ok     product-cover:N=6:m0=3",
-        "  skip   product-union-small:N=6:n=1 (no embedded witnesses)",
-        "  skip   product-union-small:N=6:n=2 (no embedded witnesses)",
+        "  ok     product-union-small:N=6:n=1",
+        "  ok     product-union-small:N=6:n=2",
         "recheck: ok"]
 
 
@@ -1045,13 +1047,187 @@ def test_recheck_replays_fibonacci_words(tmp_path, capsys):
         "length" in out.splitlines(), out
 
 
+def _recheck_tampered(tmp_path, capsys, argv, kind, tamper):
+    """Emit ``argv``'s report, tamper with its first claim whose id starts
+    with ``kind`` and recheck it: (exit code, output lines, the tampered
+    claim's id)."""
+    report = tmp_path / "report.json"
+    assert run(argv + ["--out", str(report)], capsys)[0] == 0
+    doc = json.loads(report.read_text())
+    claim = next(c for c in doc["claims"] if c["claim"].startswith(kind))
+    tamper(claim)
+    report.write_text(json.dumps(doc))
+    code, out, _ = run(["recheck", str(report)], capsys)
+    return code, out.splitlines(), claim["claim"]
+
+
+def _set(path, value):
+    """A tamper that sets the payload value at ``path``, a list of keys."""
+    def tamper(claim):
+        *parents, last = path
+        node = claim["payload"]
+        for key in parents:
+            node = node[key]
+        node[last] = value
+    return tamper
+
+
+def _rename(cid):
+    def tamper(claim):
+        claim["claim"] = cid
+    return tamper
+
+
+def _words_x(claim):
+    claim["payload"].update(lhs="x", rhs="x", expected="x")
+
+
+@pytest.mark.parametrize("argv, kind, tamper, message", [
+    (["hensel"], "hensel", _rename("hensel:p=3:a=7:k=99"),
+     "the id names 99 levels, the report holds 3"),
+    (["verify", "fibonacci", "--n", "2"], "fibonacci-commutator:n=2",
+     _words_x, "the replay gives expected 'x y x^-1 y^-1', the report 'x'"),
+    (["verify", "sqrt7", "--gmax", "1", "--nmax", "1", "--cover-m0", "1",
+      "--cover-gmax", "1"], "sqrt7-cover",
+     _set(["fold"], {"kind": "residue", "modulus": 1, "residues": [0]}),
+     "the replay gives fold {'kind': 'residue', 'modulus': 3, 'residues': "
+     "[0, 1, 2]}, the report {'kind': 'residue', 'modulus': 1, "
+     "'residues': [0]}"),
+    (["verify", "product", "--m0", "2", "--samples", "0"], "product-cover",
+     _set(["fold", "allowed"], []),
+     "the replay gives fold {'kind': 'box', 'coords': 6, 'allowed': [[0], "
+     "[0, 1]]}, the report {'allowed': [], 'coords': 6, 'kind': 'box'}"),
+    (["verify", "interval", "--min-exp", "3"], "interval-no-extension",
+     _set(["schedule", 3, "epsilon"], "1/4"), "the replay gives schedule "),
+    (["verify", "product", "--union-n", "1", "--samples", "0"],
+     "product-union-small", _set(["matches"], False),
+     "the replay gives matches True, the report False"),
+    (["verify", "product", "--union-n", "1", "--samples", "0"],
+     "product-union-small", _set(["intersection", "allowed", 3], [0, 1, 2, 3]),
+     "the replay gives intersection "),
+    (["verify", "product", "--m0", "2", "--samples", "1"], "product-cover",
+     _set(["witnesses", 0, "target"], [0, 1, 2, 3, 4, 11]),
+     "error: coordinate 6 lies in 0..5, got 11"),
+    (["verify", "sqrt7", "--gmax", "1", "--nmax", "1"], "sqrt7-necessary",
+     _set(["excluded"], 1), "the replay gives excluded True, the report 1"),
+    (["verify", "fibonacci", "--n", "1"], "fibonacci-words",
+     lambda claim: claim["budgets"].update(n=True),
+     "the replay gives budgets {'n': 1}, the report {'n': True}"),
+    (["verify", "fibonacci", "--n", "1"], "fibonacci-words",
+     _rename("fibonacci-words:n<=01"),
+     "the replay gives claim 'fibonacci-words:n<=1', the report "
+     "'fibonacci-words:n<=01'"),
+], ids=["hensel-k-99", "commutator-words-x", "sqrt7-cover-fold-z",
+        "product-cover-fold-box", "interval-epsilon-raised",
+        "union-small-matches", "union-small-intersection",
+        "product-target-unreduced", "excluded-1", "budgets-n-true",
+        "id-leading-zero"])
+def test_recheck_fails_forged_facts(tmp_path, capsys, argv, kind, tamper,
+                                    message):
+    """Each kind whose id names its inputs re-runs its producer, so a
+    forged fact fails even where its rule would still hold on it: a hensel
+    id naming more levels than its table, commutator words that agree
+    with one another, a cover fold swapped for the whole group, an
+    interval schedule with a raised epsilon, an edited union claim.  Facts
+    compare by JSON type as well as value, targets are read strictly, and
+    a re-run must give the claim's own id and budgets."""
+    code, lines, cid = _recheck_tampered(tmp_path, capsys, argv, kind,
+                                         tamper)
+    fail = f"  FAIL   {cid}: {message}"
+    assert code == 2 and any(line.startswith(fail) for line in lines), lines
+
+
+@pytest.mark.parametrize("cid, message", [
+    ("hensel:p=3:a=7:k=1000000000",
+     "the id names 1000000000 levels, the report holds 3"),
+    ("interval-no-extension:min_eps=2^-1000000",
+     "the id names 1000001 epsilons, the schedule holds 11"),
+    ("product-union-small:N=1000000:n=2",
+     "error: product-union-small at N=1000000, n=2 folds up to "
+     "1000001000000 residues, past the enumeration cap 200000"),
+    ("fibonacci-commutator:n=60",
+     "error: the fibonacci words up to n=61 pass the enumeration cap 200000 "
+     "in length"),
+    ("sqrt7-cover:m0=1000000000:ms=1",
+     "error: the sqrt7 cover at m0=1000000000 folds more than "
+     "3^2000000000 residues, past the enumeration cap 200000"),
+    ("product-cover:N=1000000:m0=1000000",
+     "error: the product cover at m0=1000000 folds up to "
+     "500001000000500000 residues, past the enumeration cap 200000"),
+], ids=["hensel", "interval", "product-union-small", "fibonacci-commutator",
+        "sqrt7-cover", "product-cover"])
+def test_recheck_refuses_crafted_ids_at_once(tmp_path, capsys, cid, message):
+    """An id naming a huge input fails in one line, before anything is
+    built: by the record's own size (hensel levels, interval epsilons) or
+    by the producer's cap."""
+    argv = {"hensel": ["hensel"],
+            "interval-no-extension": ["verify", "interval"],
+            "product-union-small": ["verify", "product", "--samples", "1"],
+            "fibonacci-commutator": ["verify", "fibonacci", "--n", "2"],
+            "sqrt7-cover": ["verify", "sqrt7", "--gmax", "1", "--nmax", "1",
+                            "--cover-m0", "1", "--cover-gmax", "1"],
+            "product-cover": ["verify", "product", "--samples", "1"],
+            }[cid.partition(":")[0]]
+    report = tmp_path / "report.json"
+    assert run(argv + ["--out", str(report)], capsys)[0] == 0
+    doc = json.loads(report.read_text())
+    claim = next(c for c in doc["claims"]
+                 if c["claim"].partition(":")[0] == cid.partition(":")[0])
+    doc["claims"] = [dict(claim, claim=cid)]
+    report.write_text(json.dumps(doc))
+    t0 = time.perf_counter()
+    code, out, _ = run(["recheck", str(report)], capsys)
+    elapsed = time.perf_counter() - t0
+    assert code == 2 and out.splitlines() == [
+        f"  FAIL   {cid}: {message}", "recheck: FAILED"], out
+    assert elapsed < 1.0, elapsed
+
+
+def _subcommands(parser):
+    import argparse
+    return next(action.choices for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction))
+
+
+def test_every_default_report_rechecks_without_skips(tmp_path, capsys):
+    """Each verify example's default report, and hensel's, rechecks
+    ``ok``: every kind they emit has a replayer.  Only the three
+    noncommutative kinds may print skip, and none of them is emitted
+    here."""
+    from grouptop.cli import build_parser
+    verify = _subcommands(build_parser())["verify"]
+    examples = next(action.choices for action in verify._actions
+                    if action.dest == "example")
+    assert sorted(examples) == ["fibonacci", "interval", "product", "sqrt7"]
+    kinds = set()
+    for argv in [["verify", example] for example in examples] + [["hensel"]]:
+        report = tmp_path / f"{argv[-1]}.json"
+        assert run(argv + ["--out", str(report)], capsys)[0] == 0, argv
+        code, out, _ = run(["recheck", str(report)], capsys)
+        skipped = {line.split()[1].partition(":")[0]
+                   for line in out.splitlines() if line.startswith("  skip")}
+        assert code == 0 and "FAIL" not in out, out
+        assert skipped <= {"uu-product", "u-inverse-closure",
+                           "u-translation"}, skipped
+        kinds |= {c["claim"].partition(":")[0]
+                  for c in json.loads(report.read_text())["claims"]}
+    assert kinds == {"sqrt7-necessary", "product-cover",
+                     "product-union-small", "interval-no-extension",
+                     "fibonacci-words", "fibonacci-commutator", "hensel"}
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "fibonacci", "--n", "27"],
     ["verify", "sqrt7", "--cover-m0", "6"],
-], ids=["fibonacci-n-27", "sqrt7-cover-m0-6"])
+    ["verify", "sqrt7", "--cover-m0", "1000000000"],
+    ["verify", "product", "--coords", "1000"],
+], ids=["fibonacci-n-27", "sqrt7-cover-m0-6", "sqrt7-cover-m0-10^9",
+        "product-coords-1000"])
 def test_verify_past_enumeration_cap_exits_1(tmp_path, capsys, argv):
-    """Words of length F(28) and cover folds of 730 * 3^6 residues pass
-    the enumeration cap: one line, no traceback, no report."""
+    """Words of length F(28), cover folds of 730 * 3^6 residues (or more
+    than 3^(2 * 10^9), refused before that power is taken) and the union
+    claims' folds over 1,000 coordinates pass the enumeration cap: one
+    line, no traceback, no report."""
     report = tmp_path / "report.json"
     code, out, err = run(argv + ["--out", str(report)], capsys)
     assert code == 1 and out == "" and err.count("\n") == 1, err
@@ -1079,7 +1255,11 @@ def test_cover_m0_refuses_before_building_followers(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["hensel", "--k", "abc"],
     ["verify", "sqrt7", "--bogus"],
-], ids=["hensel-k-abc", "verify-bogus-option"])
+    ["verify", "interval", "--gmax", "3"],
+    ["verify", "interval", "--coords", "3"],
+    ["verify", "fibonacci", "--seed", "4"],
+], ids=["hensel-k-abc", "verify-bogus-option", "interval-gmax",
+        "interval-coords", "fibonacci-seed"])
 def test_usage_error_exits_1(capsys, argv):
     """Exit 2 means some claim refuted, so a usage error exits 1 with
     argparse's one-line message, in-process and from the shell."""
@@ -1090,14 +1270,22 @@ def test_usage_error_exits_1(capsys, argv):
     assert proc.returncode == 1 and proc.stderr == err
 
 
+def test_verify_example_help_lists_its_own_options(capsys):
+    """Each example parses its own options, so its help lists only them."""
+    code, out, _ = run(["verify", "interval", "--help"], capsys)
+    assert code == 0 and out.startswith("usage: grouptop verify interval")
+    assert "--min-exp" in out and "--out" in out and "--gmax" not in out
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "product", "--m0", "0"],
     ["verify", "product", "--union-n", "0"],
     ["verify", "product", "--coords", "3", "--m0", "5"],
     ["verify", "sqrt7", "--cover-m0", "-1"],
     ["verify", "interval", "--min-exp", "-1"],
+    ["verify", "sqrt7", "--cover-gmax", "3"],
 ], ids=["m0-0", "union-n-0", "m0-past-coords", "cover-m0-negative",
-        "min-exp-negative"])
+        "min-exp-negative", "cover-gmax-without-cover-m0"])
 def test_verify_bad_value_exits_1(tmp_path, capsys, argv):
     """A value outside an option's range exits 1 with one line, no
     traceback and no report."""
@@ -1185,8 +1373,9 @@ def test_hausdorff_reads_probes_in_the_family_group(tmp_path, capsys):
 def test_recheck_dispatches_on_the_exact_claim_kind(tmp_path, capsys):
     """A claim's kind is its id up to the first ":": a hausdorff claim on
     a family named like another kind's id replays as a hausdorff claim, a
-    kind the program does not emit fails, and a known kind whose payload
-    embeds no witnesses is skipped."""
+    kind the program does not emit fails, a re-run kind whose payload
+    lacks the producer's keys fails, and a kind without a replayer yet is
+    skipped."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "family": {"kind": "explicit", "name": "a-necessary:g=1:n=1",
@@ -1202,11 +1391,17 @@ def test_recheck_dispatches_on_the_exact_claim_kind(tmp_path, capsys):
                                   "claims": [
         {"claim": "foo:1", "status": "verified", "payload": {}},
         {"claim": "product-union-small:N=6:n=1", "status": "verified",
-         "payload": {"matches": True}}]}))
+         "payload": {"matches": True}, "budgets": {"n": 1}},
+        {"claim": "u-translation:depth=1", "status": "verified",
+         "payload": {}}]}))
     code, out, _ = run(["recheck", str(report)], capsys)
     assert code == 2 and out.splitlines() == [
         "  FAIL   foo:1: unknown claim kind 'foo'",
-        "  skip   product-union-small:N=6:n=1 (no embedded witnesses)",
+        "  FAIL   product-union-small:N=6:n=1: the replay gives payload keys "
+        "['excluded_element', 'expected', 'intersection', 'matches', "
+        "'note', 'truncation_artifact', 'whole_group'], the report "
+        "['matches']",
+        "  skip   u-translation:depth=1 (no embedded witnesses)",
         "recheck: FAILED"]
 
 

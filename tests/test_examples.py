@@ -7,6 +7,7 @@ from grouptop.examples import (
     DecompositionWitness,
     HenselError,
     hensel_sqrt,
+    product_cover_levels,
     product_cover_witness,
     product_set,
     random_product_elements,
@@ -20,6 +21,7 @@ from grouptop.examples import (
     verify_sqrt7_necessary,
 )
 from grouptop.report import Status
+from grouptop.setspec import EnumerationBudgetError
 
 Z = Integers()
 
@@ -173,6 +175,27 @@ def test_product_cover_report_random():
     samples = random_product_elements(6, 50, seed=3)
     rep = verify_product_sum_full(6, 3, [4, 5, 6], samples)
     assert rep.status is Status.VERIFIED
+
+
+def test_product_cover_refuses_levels_its_id_cannot_name():
+    """A product-cover id names N and m0 only, so the follower levels must
+    be the recipe's, min(m0 + i + 1, N)."""
+    assert product_cover_levels(6, 2) == [3, 4]
+    assert product_cover_levels(4, 3) == [4, 4, 4]
+    with pytest.raises(ValueError, match="follower levels"):
+        verify_product_sum_full(6, 2, [2, 2], [])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: verify_product_union_small(1000, 1),
+    lambda: verify_product_union_small(6, 10 ** 5),
+    lambda: product_cover_levels(10 ** 9, 10 ** 9),
+], ids=["union-N-1000", "union-n-10^5", "cover-m0-10^9"])
+def test_product_claims_refuse_past_the_cap(build):
+    """The union's n-fold sums and the cover's suffix folds are bounded
+    from N, n and m0 before any box is built."""
+    with pytest.raises(EnumerationBudgetError, match="enumeration cap"):
+        build()
 
 
 def test_union_small_n1():

@@ -16,7 +16,7 @@ from grouptop import (
     op_neg,
     op_sub,
 )
-from grouptop.groups import reduce_word
+from grouptop.groups import group_from_json, reduce_word
 from grouptop.fixtures import dihedral8
 
 Z = Integers()
@@ -194,11 +194,21 @@ def test_conjugation_is_homomorphism(g, s1, s2):
     assert lhs.value == rhs.value
 
 
+@pytest.mark.parametrize("raw", [[1, 0, 3, 0], [0, 0, 0, -1],
+                                 [0, 2, 0, 0]])
+def test_product_mod_refuses_coordinates_out_of_range(raw):
+    """Coordinate i holds 0..i-1; anything else is refused, not reduced, so
+    an edited target cannot read as a different element."""
+    with pytest.raises(ValueError, match="lies in"):
+        group_from_json({"kind": "product", "coords": 4}).element(raw)
+
+
 def test_product_mod_coordinate_one_is_zero():
     g = ProductMod(4)
-    el = g.element((5, 7, 8, 9))
-    assert el.value[0] == 0  # mod 1
-    assert el.value == (0, 1, 2, 1)
+    el = g.element((0, 1, 2, 3))
+    assert el.value == (0, 1, 2, 3)
+    with pytest.raises(ValueError, match="coordinate 1 lies in 0..0"):
+        g.element((1, 1, 2, 3))  # Z/1Z holds 0 alone
 
 
 def test_rationals_exact():
