@@ -338,6 +338,15 @@ def _check_cover_cap(m0: int, deepest: int) -> None:
                (SQRT7_P ** m0 + 1) * SQRT7_P ** deepest)
 
 
+def _check_witness_cap(what: str, samples: int, values: int) -> None:
+    """Refuse ``samples`` witnesses whose summands hold ``values``
+    integers each when that passes the enumeration cap in all."""
+    if samples * values > _ENUMERATION_CAP:
+        raise EnumerationBudgetError(
+            f"{what} writes {samples} witnesses of {values} summand values "
+            f"each, past the enumeration cap {_ENUMERATION_CAP}")
+
+
 def sqrt7_cover_levels(m0: int) -> list:
     """The follower levels ``verify sqrt7 --cover-m0`` draws: 3^m0 copies
     of m0.  The cap is checked from m0 alone, before the list is built."""
@@ -351,13 +360,16 @@ def verify_sqrt7_U_full(m0: int, ms: Sequence[int],
     all of Z, with explicit re-verified witnesses for the samples.
 
     Raises EnumerationBudgetError before any set is built when the suffix
-    folds could hold more than the enumeration cap between them.
+    folds could hold more than the enumeration cap between them, or the
+    samples' witnesses of 3^m0 + 1 summands each could.
     """
     if m0 < 1:
         raise ValueError("m0 must be positive")
     _check_cover_cap(m0, max([m0, *ms]))
     if len(ms) != SQRT7_P ** m0:
         raise ValueError(f"need exactly {SQRT7_P ** m0} follower levels")
+    _check_witness_cap(f"the sqrt7 cover at m0={m0}", len(sample_gs),
+                       len(ms) + 1)
     return _verify_cover(
         f"sqrt7-cover:m0={m0}:ms={','.join(map(str, ms))}",
         "sum_equals_all_residues",
@@ -458,10 +470,14 @@ def verify_product_sum_full(n_coords: int, m0: int, ms: Sequence[int],
     """Exact box-sumset proof that the starred boxes cover the whole
     truncated product, with re-verified per-sample witnesses.  The
     follower levels must be ``product_cover_levels``', which the claim's
-    id names."""
+    id names.  Raises EnumerationBudgetError before any witness is built
+    when the samples' witnesses, m0 + 1 summands of N coordinates each,
+    could pass the enumeration cap."""
     if list(ms) != product_cover_levels(n_coords, m0):
         raise ValueError("the follower levels must be min(m0 + i + 1, N) "
                          "for i < m0")
+    _check_witness_cap(f"the product cover at m0={m0}", len(sample_gs),
+                       (m0 + 1) * n_coords)
     return _verify_cover(
         f"product-cover:N={n_coords}:m0={m0}", "sum_covers_group",
         [product_set(n_coords, m) for m in [m0, *ms]],
@@ -599,7 +615,13 @@ def rerun_interval(claim: dict, table: FoldTable) -> tuple:
 
 def random_product_elements(n_coords: int, count: int,
                             seed: int) -> list:
-    """Deterministic sample of elements of the truncated product."""
+    """Deterministic sample of elements of the truncated product,
+    refused before it is drawn when its count * N coordinates pass the
+    enumeration cap."""
+    if count * n_coords > _ENUMERATION_CAP:
+        raise EnumerationBudgetError(
+            f"{count} samples of {n_coords} coordinates pass the "
+            f"enumeration cap {_ENUMERATION_CAP}")
     rng = random.Random(seed)
     group = ProductMod(n_coords)
     out = []

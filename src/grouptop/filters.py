@@ -31,7 +31,7 @@ from .prefixsum import (
     enumeration_capped,
     prefix_sum_membership,
 )
-from .report import Status, VerificationReport
+from .report import Status, VerificationReport, mismatch
 from .sequences import IntegerSequence, sequence_from_json, sequence_to_json
 from .setspec import (
     EnumerationBudgetError,
@@ -625,8 +625,8 @@ def replay_hausdorff(claim: dict, table: FoldTable) -> tuple:
 
         def same(what: str, replay, reported) -> None:
             if replay != reported:
-                raise AssertionError(f"probe {name}: the replay gives {what} "
-                                     f"{replay!r}, the report {reported!r}")
+                raise AssertionError(
+                    f"probe {name}: {mismatch(what, replay, reported)}")
 
         for k, (step, res) in enumerate(zip(recorded, prefix_exclusions)):
             same(f"step {k} proof", res.proof, step["exclusion"].get("proof"))

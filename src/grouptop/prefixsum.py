@@ -27,6 +27,13 @@ Bounded searches never produce a "no": growth certificates cap where
 witnesses are *looked for*, not where they can exist.  Residue-envelope
 sums are bitsets of residues up to ``_BITSET_CAP``; a tail's share of the
 envelope modulus is the divisor ``IntegerSequence.divisor_index`` finds.
+
+Everything a membership reads of its sets alone comes from the command's
+``FoldTable``: stars, exact folds, divisor certificates, each tail's
+window of tail divisors (the envelope modulus), residue envelopes per
+modulus and each tail's terms (the bounded search's candidates).  So a
+command reads each tail once, not once per membership; the witness and
+its check, and a tail's single-set membership, still run per membership.
 """
 
 from __future__ import annotations
@@ -50,8 +57,6 @@ from .setspec import (
     TailSet,
     contains,
     divides,
-    divisor_certificate,
-    residue_envelope,
     witness_holds,
 )
 
@@ -258,7 +263,7 @@ def prefix_sum_membership(g: GroupElement, chain: Sequence[SetLike],
     # can reach the bounded search with candidates: a chain of finite sets
     # over any group was decided by the exact fold above.
     if group == _INTEGERS:
-        divisors = [divisor_certificate(st) for st in stars]
+        divisors = [table.divisor_certificate(st) for st in stars]
         d = 0
         for di in divisors:
             d = math.gcd(d, di)
@@ -268,10 +273,10 @@ def prefix_sum_membership(g: GroupElement, chain: Sequence[SetLike],
                 proof={"route": "divisor", "chain_divisor": d,
                        "per_set": divisors},
             )
-        env_no = _envelope_exclusion(g, stars)
+        env_no = _envelope_exclusion(g, stars, table)
         if env_no is not None:
             return env_no
-        found = _bounded_search(g, _plan(g, stars))
+        found = _bounded_search(g, _plan(g, stars, table))
         if found is not None:
             _verify_witness(g, stars, found)
             return MembershipResult("yes", witness=found,
@@ -296,23 +301,24 @@ _BITSET_CAP = 1 << 22
 
 
 def _envelope_modulus(g: GroupElement, stars: Sequence[StarSet],
-                      n_sets: int) -> int:
+                      table: FoldTable) -> int:
     """A modulus at which every chain set should reduce exactly.
 
     Residue sets contribute their own moduli; for each tail the first tail
-    divisor beyond the magnitude that n summands around g can reach.  Any
-    choice is sound; this one keeps envelopes informative and small.
+    divisor, read from ``table``, beyond the magnitude that n summands
+    around g can reach.  Any choice is sound; this one keeps envelopes
+    informative and small.
     """
-    g_abs = abs(g.value)
-    threshold = 2 * n_sets * max(g_abs, 1)
+    threshold = 2 * len(stars) * max(abs(g.value), 1)
     m = 1
     for st in stars:
         base = st.base
         if isinstance(base, ResidueSet):
             m = math.lcm(m, base.modulus)
         elif isinstance(base, TailSet):
-            found = base.sequence.divisor_index(
-                base.start, _ENVELOPE_DIVISOR_SCAN, above=threshold)
+            found = table.divisor_index(base.sequence, base.start,
+                                        _ENVELOPE_DIVISOR_SCAN,
+                                        above=threshold)
             if found is None:
                 return 1
             m = math.lcm(m, found[1])
@@ -321,16 +327,17 @@ def _envelope_modulus(g: GroupElement, stars: Sequence[StarSet],
     return m
 
 
-def _envelope_exclusion(g: GroupElement, stars: Sequence[StarSet]
-                        ) -> Optional[MembershipResult]:
+def _envelope_exclusion(g: GroupElement, stars: Sequence[StarSet],
+                        table: FoldTable) -> Optional[MembershipResult]:
     """Exact exclusion by reducing every set to its residues mod a common
-    modulus; applicable only when every envelope is exactly computable."""
-    m = _envelope_modulus(g, stars, len(stars))
+    modulus; applicable only when every envelope is exactly computable.
+    The modulus and the envelopes come from ``table``."""
+    m = _envelope_modulus(g, stars, table)
     if m <= 1:
         return None
     envelopes = []
     for st in stars:
-        env = residue_envelope(st, m)
+        env = table.residue_envelope(st, m)
         if env is None:
             return None
         envelopes.append(env)
@@ -367,19 +374,23 @@ def _envelope_sum_meets(envelopes: list, m: int, r: int) -> Optional[bool]:
     return r in acc
 
 
-def _plan(g: GroupElement, stars: Sequence[StarSet]) -> Optional[list]:
+def _plan(g: GroupElement, stars: Sequence[StarSet],
+          table: FoldTable) -> Optional[list]:
     """One candidate list per set of an integer chain: a finite set's
     elements, or 0 and then +v, -v for each tail value v under the
-    budget's caps.  None when some set has no finite candidate list."""
+    budget's caps, read from ``table``.  None when some set has no finite
+    candidate list."""
     cap = SEARCH_BUDGET["value_cap_factor"] * len(stars) * max(abs(g.value), 1)
     per_set = SEARCH_BUDGET["per_set_candidates"]
     plan = []
-    for st in stars:
-        if isinstance(st.base, FiniteSet):
+    for i, st in enumerate(stars):
+        if i and st is stars[i - 1]:  # an n-fold chain repeats its star
+            plan.append(plan[-1])
+        elif isinstance(st.base, FiniteSet):
             plan.append([el.value for el in st.base.elements()])
         elif isinstance(st.base, TailSet):
             cand = [0]
-            for v in st.base.member_values(cap)[:per_set]:
+            for v in table.member_values(st.base, cap)[:per_set]:
                 cand.extend((v, -v))
             plan.append(cand)
         else:

@@ -17,7 +17,7 @@ from typing import Tuple
 from . import examples as ex
 from .filters import replay_hausdorff
 from .nonabelian import rerun_fib_identity, rerun_fib_words
-from .report import Status, aggregate_status, same_json
+from .report import Status, aggregate_status, mismatch, same_json
 from .setspec import FoldTable
 
 
@@ -45,9 +45,7 @@ def recheck_document(doc: dict) -> Tuple[bool, list]:
                     reported = (claim if key == "status" else
                                 claim["payload"])[key]
                     if not same_json(value, reported):
-                        raise AssertionError(f"the replay gives {key} "
-                                             f"{value!r}, the report "
-                                             f"{reported!r}")
+                        raise AssertionError(mismatch(key, value, reported))
             result = replayed and "ok"
         except AssertionError as err:  # a replay that no longer holds
             result = str(err)

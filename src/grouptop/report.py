@@ -59,8 +59,7 @@ def rerun_facts(claim: dict, report: VerificationReport) -> tuple:
             ("payload keys", sorted(report.payload), sorted(claim["payload"])),
             ("budgets", report.budgets, claim["budgets"])]:
         if not same_json(replay, reported):
-            raise AssertionError(f"the replay gives {what} {replay!r}, the "
-                                 f"report {reported!r}")
+            raise AssertionError(mismatch(what, replay, reported))
     return report.status, dict(sorted(report.payload.items()))
 
 
@@ -79,6 +78,53 @@ def same_json(replayed, reported) -> bool:
         return len(replayed) == len(reported) and \
             all(map(same_json, replayed, reported))
     return replayed == reported
+
+
+_SHOWN = 200  # longest repr a mismatch message prints in full
+_NOTHING = object()  # the side of a difference that has no value there
+
+
+def mismatch(what: str, replayed, reported) -> str:
+    """The message for a replayed value that is not the reported one:
+    both values, while neither repr passes ``_SHOWN`` characters, else
+    the first JSON path at which they differ (as ``same_json`` compares)
+    and the two values there, each cut to ``_SHOWN`` // 2 characters."""
+    shown = repr(replayed), repr(reported)
+    if max(map(len, shown)) <= _SHOWN:
+        return f"the replay gives {what} {shown[0]}, the report {shown[1]}"
+    path, replayed, reported = _first_difference(replayed, reported, "")
+    return (f"the replay gives {what} at {path or 'the top'}: "
+            f"{_cut(replayed)}, the report {_cut(reported)}")
+
+
+def _first_difference(replayed, reported, path: str) -> tuple:
+    """(path, replayed value, reported value) where two values that are
+    not ``same_json`` first differ, in the replayed value's key order; a
+    key or index only one side has is paired with ``_NOTHING``."""
+    if isinstance(replayed, dict) and isinstance(reported, dict):
+        keys = [*replayed, *(k for k in reported if k not in replayed)]
+    elif isinstance(replayed, (list, tuple)) and isinstance(reported, list):
+        keys = range(max(len(replayed), len(reported)))
+    else:
+        keys = ()
+    for key in keys:
+        mine, theirs = _value_at(replayed, key), _value_at(reported, key)
+        if mine is _NOTHING or theirs is _NOTHING or \
+                not same_json(mine, theirs):
+            return _first_difference(mine, theirs, f"{path}[{key!r}]")
+    return path, replayed, reported
+
+
+def _value_at(container, key):
+    if isinstance(container, dict):
+        return container.get(key, _NOTHING)
+    return container[key] if key < len(container) else _NOTHING
+
+
+def _cut(value) -> str:
+    text = "nothing" if value is _NOTHING else repr(value)
+    half = _SHOWN // 2
+    return text if len(text) <= half else text[:half - 3] + "..."
 
 
 def aggregate_status(statuses: Iterable[Status]) -> Status:

@@ -7,7 +7,9 @@ every x_k with k >= t (1 when nothing better is known); sums of tail
 elements inherit it, which is what makes exclusion proofs over tails exact.
 
 Tails are read through ``terms`` (each term computed once) and
-``divisor_index`` (the first tail divisor in a window that passes a test).
+``divisor_index`` (the first tail divisor in a window that passes a test);
+both keep what they read in a list the caller passes, which is how a
+command's ``setspec.FoldTable`` reads each tail once.
 
 Sequences are values.  The built-ins (``fibonacci``, ``factorial`` and
 ``powers<b>`` for b >= 2) resolve by name; a user sequence is a finite
@@ -54,32 +56,46 @@ class IntegerSequence:
             return 1
         return max(1, self._tail_divisor(start))
 
-    def terms(self, start: int, bound: int) -> list:
+    def terms(self, start: int, bound: int,
+              known: Optional[list] = None) -> list:
         """(k, x_k) for each index k >= start with |x_k| <= bound, in index
-        order (finite by growth); each term is computed once."""
-        out = []
-        k = start
+        order (finite by growth); each term is computed once.  ``known``,
+        when given, holds the terms from start computed so far and keeps
+        the ones this read computes, so a later read computes only terms
+        past them."""
+        if known is None:
+            known = []
+        for i, (_, v) in enumerate(known):
+            if abs(v) > bound:
+                return known[:i]
+        k = start + len(known)
         while self.in_range(k):
             if k - start > _SCAN_CAP:
                 raise SequenceError(f"{self.name}: scan cap exceeded")
-            v = self._value(k)
-            if abs(v) > bound:
-                break
-            out.append((k, v))
+            known.append((k, self._value(k)))
+            if abs(known[-1][1]) > bound:
+                return known[:-1]
             k += 1
-        return out
+        return known[:]
 
     def divisor_index(self, start: int, scan: int, above: int = 0,
-                      multiple_of: int = 1) -> Optional[tuple]:
+                      multiple_of: int = 1,
+                      window: Optional[list] = None) -> Optional[tuple]:
         """(t, d) for the first index t in the sequence with start <= t <=
         start + scan whose tail divisor d exceeds ``above`` and is a
         multiple of ``multiple_of``.  None when no index qualifies, and at
-        once when the sequence has no divisor certificate."""
+        once when the sequence has no divisor certificate.  ``window``,
+        when given, holds tail_divisor(start + i) at i for the indices read
+        so far and keeps the ones this scan reads."""
         if self._tail_divisor is None:
             return None
+        if window is None:
+            window = []
         t = start
         while self.in_range(t) and t <= start + scan:
-            d = self.tail_divisor(t)
+            if t - start == len(window):
+                window.append(self.tail_divisor(t))
+            d = window[t - start]
             if d > above and d % multiple_of == 0:
                 return t, d
             t += 1

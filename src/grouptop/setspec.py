@@ -242,9 +242,11 @@ class TailSet(SetSpec):
                 return k not in self.excluded
         return False
 
-    def member_values(self, bound: int) -> list:
-        """Tail values with absolute value <= bound, in index order."""
-        return [v for k, v in self.sequence.terms(self.start, bound)
+    def member_values(self, bound: int, known: Optional[list] = None
+                      ) -> list:
+        """Tail values with absolute value <= bound, in index order; the
+        terms read from ``known`` as ``IntegerSequence.terms`` does."""
+        return [v for k, v in self.sequence.terms(self.start, bound, known)
                 if k not in self.excluded]
 
     def to_json(self) -> dict:
@@ -430,27 +432,37 @@ def suffix_folds(stars: Sequence[StarSet]) -> Optional[tuple]:
 
 
 class FoldTable:
-    """Probe-independent exact sums, computed once per command.
+    """Probe-independent facts, computed once per command.
 
-    Three maps: each set's star, each star's n-fold sums A_1, A_2, ...
-    as far as they were asked for, and each tuple of stars' suffix folds.
-    Keys are frozen set values, so sets rebuilt from JSON hit the entries
-    of equal sets built in code.  Only exact algebra that no probe enters
-    is kept; every witness and its check still runs per membership.  A
+    Exact sums: each set's star, each star's n-fold sums A_1, A_2, ... as
+    far as they were asked for, and each tuple of stars' suffix folds.
+    Tail facts: each (sequence, start)'s terms and tail divisors, read
+    from the start as far as they were asked for; each (set, modulus)'s
+    residue envelope, None included; and each set's divisor certificate,
+    a tail's the first divisor of its window.  Keys are frozen set
+    values, so sets rebuilt from JSON hit the entries of equal sets built
+    in code.  Only what no probe enters is kept: every witness and its
+    check, and every membership of a tail, still runs per membership.  A
     computation that raises is not stored, so it raises again at the same
-    step with the same message.  Tails are never keyed: their stars stay
-    marked, and they have no exact fold.  A table lives as long as the
-    command that made it; nothing here is process-global.
+    step with the same message.  Tails have stars, marked rather than
+    materialized, and no exact fold.  Sequences compare by name, length
+    and prefix, so two sequences equal in those that compute other values
+    must not share a table.  A table lives as long as the command that
+    made it; nothing here is process-global.
     """
 
     def __init__(self):
         self._stars: dict = {}
         self._n_folds: dict = {}
         self._suffix_folds: dict = {}
+        self._terms: dict = {}
+        self._divisors: dict = {}
+        self._envelopes: dict = {}
+        self._certificates: dict = {}
 
     def star(self, spec: SetLike) -> StarSet:
-        if isinstance(spec, (StarSet, TailSet)):
-            return star(spec)  # nothing to materialize
+        if isinstance(spec, StarSet):
+            return spec
         found = self._stars.get(spec)
         if found is None:
             found = self._stars[spec] = star(spec)
@@ -488,6 +500,40 @@ class FoldTable:
             found = suffix_folds(stars)
             if found is not None:
                 self._suffix_folds[key] = found
+        return found
+
+    def member_values(self, tail: TailSet, bound: int) -> list:
+        """``tail.member_values(bound)``, each term read once per
+        (sequence, start)."""
+        return tail.member_values(
+            bound, self._terms.setdefault((tail.sequence, tail.start), []))
+
+    def divisor_index(self, sequence: IntegerSequence, start: int,
+                      scan: int, above: int = 0,
+                      multiple_of: int = 1) -> Optional[tuple]:
+        """``sequence.divisor_index(start, ...)``, each tail divisor read
+        once per (sequence, start)."""
+        return sequence.divisor_index(
+            start, scan, above, multiple_of,
+            self._divisors.setdefault((sequence, start), []))
+
+    def residue_envelope(self, spec: SetLike,
+                         modulus: int) -> Optional[frozenset]:
+        key = (spec, modulus)
+        if key not in self._envelopes:
+            self._envelopes[key] = residue_envelope(spec, modulus, self)
+        return self._envelopes[key]
+
+    def divisor_certificate(self, spec: SetLike) -> int:
+        found = self._certificates.get(spec)
+        if found is None:
+            base = _base_of(spec)
+            if isinstance(base, TailSet):
+                window = self.divisor_index(base.sequence, base.start, 0)
+                found = 1 if window is None else window[1]
+            else:
+                found = divisor_certificate(spec)
+            self._certificates[spec] = found
         return found
 
 
@@ -571,7 +617,9 @@ _ENVELOPE_SIZE_CAP = 4096
 _ENVELOPE_SCAN_CAP = 64
 
 
-def residue_envelope(spec: SetLike, modulus: int) -> Optional[frozenset]:
+def residue_envelope(spec: SetLike, modulus: int,
+                     table: Optional[FoldTable] = None
+                     ) -> Optional[frozenset]:
     """The exact set of residues modulo ``modulus`` attained by elements.
 
     None when the representation cannot be reduced exactly (a tail that
@@ -580,7 +628,8 @@ def residue_envelope(spec: SetLike, modulus: int) -> Optional[frozenset]:
     unreasonably large.  Sums of sets reduce to sums of their envelopes,
     which yields exact exclusion proofs beyond the plain divisor route:
     tail elements past the index where the tail divisor is a multiple of
-    the modulus all collapse onto residue zero.
+    the modulus all collapse onto residue zero.  A tail reads its tail
+    divisors through ``table`` when one is given.
     """
     if modulus < 1:
         raise ValueError("modulus must be positive")
@@ -591,7 +640,7 @@ def residue_envelope(spec: SetLike, modulus: int) -> Optional[frozenset]:
                  and not spec.admits_from(spec.start))
         return frozenset() if empty else frozenset({0})
     if isinstance(spec, StarSet):
-        inner = residue_envelope(spec.base, modulus)
+        inner = residue_envelope(spec.base, modulus, table)
         if inner is None:
             return None
         return frozenset(inner | {0} | {(-r) % modulus for r in inner})
@@ -609,8 +658,12 @@ def residue_envelope(spec: SetLike, modulus: int) -> Optional[frozenset]:
         return frozenset(out)
     if isinstance(spec, TailSet):
         seq = spec.sequence
-        found = seq.divisor_index(spec.start, _ENVELOPE_SCAN_CAP,
-                                  multiple_of=modulus)
+        if table is None:
+            found = seq.divisor_index(spec.start, _ENVELOPE_SCAN_CAP,
+                                      multiple_of=modulus)
+        else:
+            found = table.divisor_index(seq, spec.start, _ENVELOPE_SCAN_CAP,
+                                        multiple_of=modulus)
         if found is not None:
             cutoff = found[0]
         elif seq.length is not None and \

@@ -1252,6 +1252,77 @@ def test_cover_m0_refuses_before_building_followers(tmp_path, capsys):
     assert peak < 10 * 2 ** 20, peak
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "sqrt7", "--gmax", "1", "--nmax", "1", "--cover-m0", "1",
+      "--cover-gmax", "3"], "the sqrt7 cover at m0=1 writes 7 witnesses of "
+     "4 summand values each, past the enumeration cap 20"),
+    (["verify", "product", "--m0", "2", "--union-n", "1", "--samples", "3"],
+     "the product cover at m0=2 writes 3 witnesses of 18 summand values "
+     "each, past the enumeration cap 20"),
+    (["verify", "product", "--m0", "2", "--union-n", "1", "--samples", "4"],
+     "4 samples of 6 coordinates pass the enumeration cap 20"),
+], ids=["sqrt7-cover-samples", "product-cover-samples", "product-samples"])
+def test_cover_samples_refuse_before_witnesses_are_built(
+        tmp_path, capsys, monkeypatch, argv, message):
+    """The cover witnesses are capped before any is built: the sqrt7
+    cover's 2G + 1 samples of 3^m0 + 1 summands each, the product cover's
+    samples of m0 + 1 summands of N coordinates each, and the product
+    samples themselves (refused before they are drawn).  A run past the
+    cap exits 1 with one line and no report; a lowered cap stands in for
+    ``--cover-m0 5 --cover-gmax 1000``, which ran 23 s at 790 MB before
+    the cap."""
+    from grouptop import examples
+    monkeypatch.setattr(examples, "_ENUMERATION_CAP", 20)
+    report = tmp_path / "report.json"
+    code, out, err = run(argv + ["--out", str(report)], capsys)
+    assert (code, out, err) == (1, "", f"verify: {message}\n")
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "sqrt7", "--gmax", "1", "--nmax", "1", "--cover-m0", "1",
+      "--cover-gmax", "3"], "  FAIL   sqrt7-cover:m0=1:ms=1,1,1: error: the "
+     "sqrt7 cover at m0=1 writes 7 witnesses of 4 summand values each, past "
+     "the enumeration cap 20"),
+    (["verify", "product", "--m0", "2", "--union-n", "1", "--samples", "3"],
+     "  FAIL   product-cover:N=6:m0=2: error: the product cover at m0=2 "
+     "writes 3 witnesses of 18 summand values each, past the enumeration "
+     "cap 20"),
+], ids=["sqrt7-cover", "product-cover"])
+def test_recheck_refuses_cover_witnesses_past_the_cap(tmp_path, capsys,
+                                                      monkeypatch, argv,
+                                                      message):
+    """A cover claim re-runs its producer on the witnesses' targets, so a
+    report with more witnesses than the cap allows fails on one line
+    before any is rebuilt (a lowered cap stands in for a crafted report)."""
+    from grouptop import examples
+    report = tmp_path / "report.json"
+    assert run(argv + ["--out", str(report)], capsys)[0] == 0
+    monkeypatch.setattr(examples, "_ENUMERATION_CAP", 20)
+    code, out, _ = run(["recheck", str(report)], capsys)
+    assert code == 2 and message in out.splitlines(), out
+
+
+def test_recheck_fail_line_names_the_first_differing_path(tmp_path, capsys):
+    """One summand moved between two slots of one sqrt7 cover witness: the
+    replay's witnesses differ from the report's only there, and the FAIL
+    line names that path and its two values instead of printing both
+    lists (97,453 characters at m0 = 2)."""
+    def resplit(claim):
+        summands = claim["payload"]["witnesses"][3]["summands"]
+        summands[0] -= 9
+        summands[1] += 9
+
+    code, lines, cid = _recheck_tampered(
+        tmp_path, capsys, ["verify", "sqrt7", "--gmax", "1", "--nmax", "1",
+                           "--cover-m0", "2"], "sqrt7-cover", resplit)
+    fail = [line for line in lines if line.startswith("  FAIL")]
+    assert code == 2 and len(fail) == 1, lines
+    assert fail[0].startswith(f"  FAIL   {cid}: the replay gives witnesses "
+                              f"at [3]['summands'][0]: "), fail
+    assert len(fail[0]) < 300, len(fail[0])
+
+
 @pytest.mark.parametrize("argv", [
     ["hensel", "--k", "abc"],
     ["verify", "sqrt7", "--bogus"],

@@ -190,10 +190,18 @@ def test_product_cover_refuses_levels_its_id_cannot_name():
     lambda: verify_product_union_small(1000, 1),
     lambda: verify_product_union_small(6, 10 ** 5),
     lambda: product_cover_levels(10 ** 9, 10 ** 9),
-], ids=["union-N-1000", "union-n-10^5", "cover-m0-10^9"])
+    lambda: random_product_elements(6, 40_000, seed=3),
+    lambda: verify_product_sum_full(
+        6, 3, [4, 5, 6], [ProductMod(6).identity()] * 10_000),
+    lambda: verify_sqrt7_U_full(2, [2] * 9, range(-10_000, 10_001)),
+], ids=["union-N-1000", "union-n-10^5", "cover-m0-10^9", "samples-40000",
+        "product-cover-witnesses", "sqrt7-cover-witnesses"])
 def test_product_claims_refuse_past_the_cap(build):
     """The union's n-fold sums and the cover's suffix folds are bounded
-    from N, n and m0 before any box is built."""
+    from N, n and m0 before any box is built, and the covers' sample
+    witnesses (20,001 x 10 and 10,000 x 4 x 6 summand values) and the
+    product samples (40,000 x 6 coordinates) from their counts before any
+    is built."""
     with pytest.raises(EnumerationBudgetError, match="enumeration cap"):
         build()
 

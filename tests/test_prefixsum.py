@@ -321,8 +321,8 @@ def test_finite_chains_fold_and_other_groups_never_plan_a_search(
     planned = []
     real_plan = prefixsum._plan
 
-    def spy(g, stars):
-        plan = real_plan(g, stars)
+    def spy(g, stars, table):
+        plan = real_plan(g, stars, table)
         planned.append((g.group, plan is not None))
         return plan
 
@@ -400,6 +400,46 @@ def test_uncertified_tails_skip_divisor_scans(monkeypatch):
         routes.add((res.status, res.proof["route"]))
     assert routes == {("yes", "bounded-search"),
                       ("unknown", "bounded-search")}
+
+
+def test_hausdorff_reads_each_tail_divisor_once_per_window(
+        monkeypatch, tmp_path, capsys):
+    """One ``hausdorff`` run on the shipped powers3 config reads every
+    tail divisor through its command's table: at most one
+    ``tail_divisor`` call per (sequence, start, index) of the table's
+    windows, where each membership used to rescan its tails."""
+    from collections import Counter
+    from pathlib import Path
+
+    from grouptop import cli, filters
+    from grouptop.setspec import FoldTable
+
+    tables = []
+
+    def recorded():
+        tables.append(FoldTable())
+        return tables[-1]
+
+    calls = Counter()
+    real = IntegerSequence.tail_divisor
+
+    def spy(seq, t):
+        calls[seq.name, t] += 1
+        return real(seq, t)
+
+    monkeypatch.setattr(filters, "FoldTable", recorded)
+    monkeypatch.setattr(IntegerSequence, "tail_divisor", spy)
+    config = Path(__file__).resolve().parents[1] / "configs" / "powers3.json"
+    assert cli.main(["hausdorff", str(config),
+                     "--out", str(tmp_path / "report.json")]) == 0
+    capsys.readouterr()
+    table, = tables
+    windows = Counter()
+    for (seq, start), window in table._divisors.items():
+        windows.update((seq.name, start + i) for i in range(len(window)))
+    assert calls and all(n <= windows[key] for key, n in calls.items()), \
+        (calls, windows)
+    assert sum(calls.values()) <= sum(windows.values()) < 200
 
 
 def test_chain_must_share_ambient_group():

@@ -56,3 +56,36 @@ def test_canonical_json_edge_cases(doc):
 def test_canonical_json_refuses_what_reports_never_carry(doc):
     with pytest.raises(TypeError):
         canonical_json(doc)
+
+
+def test_mismatch_names_the_first_differing_path_of_long_values():
+    """Values whose reprs stay short are printed whole; past that, the
+    message names the first path at which they differ as ``same_json``
+    compares (type included) and the two values there, cut short."""
+    from grouptop.report import mismatch
+    assert mismatch("fold", {"modulus": 3}, {"modulus": 1}) == \
+        "the replay gives fold {'modulus': 3}, the report {'modulus': 1}"
+    long = [{"summands": list(range(50)), "target": 7} for _ in range(3)]
+
+    def edited(index: int, key: str, value) -> list:
+        doc = json.loads(json.dumps(long))
+        if key == "summands":
+            doc[index][key][1] = value
+        else:
+            doc[index][key] = value
+        return doc
+
+    for index, key, value, where in [
+            (2, "summands", 2, "[2]['summands'][1]: 1, the report 2"),
+            (1, "summands", 1.0, "[1]['summands'][1]: 1, the report 1.0"),
+            (0, "target", True, "[0]['target']: 7, the report True"),
+            (2, "extra", "x", "[2]['extra']: nothing, the report 'x'")]:
+        assert mismatch("witnesses", long, edited(index, key, value)) == \
+            f"the replay gives witnesses at {where}"
+    text = mismatch("witnesses", long, long[:2])
+    assert text.startswith("the replay gives witnesses at [2]: {'summands': "
+                           "[0, 1, 2,") and text.endswith(
+        "..., the report nothing") and len(text) < 160, text
+    text = mismatch("witnesses", long, 5)
+    assert text.startswith("the replay gives witnesses at the top: [{") and \
+        text.endswith(", the report 5") and len(text) < 160, text

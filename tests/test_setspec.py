@@ -279,15 +279,102 @@ def test_fold_table_matches_uncached_algebra():
 
 def test_fold_table_keys_no_tail():
     """Tails have no exact fold: the table raises as the uncached call
-    does and never keys them."""
+    does, every time, and keys no n-fold sum or suffix fold for a tail;
+    only the tail's own star is keyed, and it stays marked."""
     tail = TailSet.of("powers3", 2)
     table = FoldTable()
-    assert table.star(tail) == star(tail)
-    with pytest.raises(SumsetUnsupported):
-        table.n_fold_star(tail, 2)
-    assert table.suffix_folds([star(tail), star(ResidueSet.of(3, {1}))]) \
-        is None
-    assert not any(vars(table).values())
+    for _ in range(2):
+        assert table.star(tail) == star(tail)
+        assert table.star(TailSet.of("powers3", 2)) is table.star(tail)
+        assert not table.star(tail).materialized
+        with pytest.raises(SumsetUnsupported) as plain:
+            n_fold_star(tail, 2)
+        with pytest.raises(SumsetUnsupported) as cached:
+            table.n_fold_star(tail, 2)
+        assert str(cached.value) == str(plain.value)
+        assert table.suffix_folds([star(tail), star(ResidueSet.of(3, {1}))]) \
+            is None
+        assert table.suffix_folds([star(ResidueSet.of(3, {1})), star(tail)]) \
+            is None
+    assert not table._n_folds and not table._suffix_folds
+    assert list(table._stars) == [tail]
+
+
+def _tail_sequence(data, name: str):
+    """A drawn built-in (powers<b>, factorial, fibonacci) or a drawn
+    prefix: magnitudes strictly increasing, signs and common factor
+    drawn, so its tail divisors vary."""
+    kind = data.draw(st.sampled_from(["powers", "factorial", "fibonacci",
+                                      "prefix"]))
+    if kind == "powers":
+        return get_sequence(f"powers{data.draw(st.integers(2, 12))}")
+    if kind != "prefix":
+        return get_sequence(kind)
+    factor = data.draw(st.sampled_from([1, 2, 3, 6, 10]))
+    steps = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=14))
+    signs = data.draw(st.lists(st.sampled_from([1, -1]), min_size=len(steps),
+                               max_size=len(steps)))
+    magnitudes = [sum(steps[:i + 1]) for i in range(len(steps))]
+    return prefix_sequence(name, [factor * sign * mag for sign, mag
+                                  in zip(signs, magnitudes)])
+
+
+def _read_or_error(read):
+    try:
+        return read()
+    except SequenceError as err:
+        return ("SequenceError", str(err))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_fold_table_tail_reads_match_uncached(data):
+    """Every tail read the table keys equals the uncached read, first
+    and repeated, in any order: member values (and the scan-cap error
+    past ``_SCAN_CAP`` terms, with its message), the first divisor above
+    a threshold or a multiple of a modulus in a window, the residue
+    envelope of a tail and of its star per modulus, None included, and
+    the divisor certificate."""
+    from grouptop import sequences
+    seq = _tail_sequence(data, "table-drawn")
+    table = FoldTable()
+    tails = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        start = data.draw(st.integers(0, 9))
+        excluded = data.draw(st.sets(st.integers(max(0, start - 2),
+                                                 start + 6), max_size=3))
+        tails.append(TailSet.of(seq, start, excluded))
+    reads = data.draw(st.lists(st.tuples(
+        st.sampled_from(["values", "window", "envelope", "certificate"]),
+        st.integers(0, len(tails) - 1), st.booleans(),
+        st.integers(0, 10 ** 7), st.integers(1, 400)), min_size=1,
+        max_size=12))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sequences, "_SCAN_CAP", 12)  # reachable in a test
+        for what, i, starred, number, small in reads * 2:
+            tail = tails[i]
+            spec = star(tail) if starred else tail
+            if what == "values":
+                assert _read_or_error(
+                    lambda: table.member_values(tail, number)) == \
+                    _read_or_error(lambda: tail.member_values(number))
+            elif what == "window":
+                scan = small % 50
+                above, multiple_of = (number, 1) if starred else (0, small)
+                assert table.divisor_index(
+                    seq, tail.start, scan, above=above,
+                    multiple_of=multiple_of) == seq.divisor_index(
+                    tail.start, scan, above=above, multiple_of=multiple_of)
+            elif what == "envelope":  # the tail and its star, either first
+                m = small % 30 + 1
+                for each in (spec, star(tail) if spec is tail else tail):
+                    assert table.residue_envelope(each, m) == \
+                        residue_envelope(each, m)
+            else:
+                for each in (spec, star(tail) if spec is tail else tail):
+                    assert table.divisor_certificate(each) == \
+                        divisor_certificate(each)
+            assert table.star(tail) == star(tail)
 
 
 def test_fold_table_repeats_cap_failures(monkeypatch):
