@@ -9,10 +9,14 @@ such assignments and admit the middle-thirds collapse certificate.
 
 Witnesses come from one breadth-first table (``enumerate_u_witnesses``)
 and are checked by one rule (``_witness_is_valid``: indices increase, then
-``setspec.witness_holds``), shared by membership, product absorption,
-inverse closure and translation.  Each level is symmetrized once per
-assignment.  Dyadic indices and rescaled images compare as integers over
-a common power of two.
+``setspec.witness_holds`` against the assignment's stars), shared by
+membership, product absorption, inverse closure and translation.  Each
+level's ``StarSet`` is built once per assignment.  Product absorption and
+translation decide their witness pairs per side (``_pair_failures``): every
+witness valid, the largest last left index below the smallest first right
+index, and each distinct product confirmed; the pairs are walked only to
+list failures.  Dyadic indices and rescaled images compare as integers
+over a common power of two.
 
 The module also carries the conjugation closure of a family, and the
 Fibonacci endomorphism x -> y, y -> xy of the free group on two
@@ -23,6 +27,7 @@ n-fold exclusion check over nonabelian finite sets is
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -121,10 +126,15 @@ class DyadicAssignment:
         return self.levels[q.level - 1]
 
     @cached_property
+    def stars(self) -> tuple:
+        """Each level's ``StarSet``, symmetrized once for the life of the
+        assignment; stars[i-1] belongs to level i."""
+        return tuple(star(s) for s in self.levels)
+
+    @cached_property
     def starred(self) -> tuple:
-        """Each level's starred elements, symmetrized once for the life of
-        the assignment; starred[i-1] belongs to level i."""
-        return tuple(tuple(star(s).base.elements()) for s in self.levels)
+        """Each level's starred elements; starred[i-1] belongs to level i."""
+        return tuple(tuple(s.base.elements()) for s in self.stars)
 
     def indices(self) -> list:
         return dyadic_indices(self.max_level)
@@ -271,7 +281,8 @@ def check_UU(assignment: DyadicAssignment, sigma: Rescale, tau: Rescale,
     witness is validated once against the combined assignment; a pair's
     concatenation is then a witness exactly when the last left index lies
     below the first right index.  Each product is also confirmed by the
-    independent reachability table at the combined depth.
+    independent reachability table at the combined depth.  The pairs are
+    decided per side (``_pair_failures``).
     """
     if not sigma.entirely_below(tau):
         raise ValueError("sigma's image must lie entirely below tau's")
@@ -288,19 +299,12 @@ def check_UU(assignment: DyadicAssignment, sigma: Rescale, tau: Rescale,
     reach = _reachable(assignment)
     identity = group.identity_value()
 
-    pairs = 0
-    failures = []
-    for lv, lw, l_ok in lefts:
-        for rv, rw, r_ok in rights:
-            pairs += 1
-            product = group._add(lv, rv)
-            joins = not lw or not rw or lw[-1][0] < rw[0][0]
-            confirm = product == identity or reach.get(product, math.inf) <= 2 * depth
-            if not (l_ok and r_ok and joins and confirm):
-                failures.append({
-                    "left": group.value_to_json(lv),
-                    "right": group.value_to_json(rv),
-                })
+    pairs, bad = _pair_failures(
+        group, lefts, rights, lambda product: product == identity
+        or reach.get(product, math.inf) <= 2 * depth)
+    failures = [{"left": group.value_to_json(lefts[i][0]),
+                 "right": group.value_to_json(rights[j][0])}
+                for i, j in bad]
     status = Status.VERIFIED if not failures else Status.REFUTED
     return VerificationReport(
         claim=f"uu-product:shift={sigma.offset}/{2**sigma.shift},"
@@ -339,7 +343,35 @@ def _witness_is_valid(group, assignment: DyadicAssignment,
         return False
     return witness_holds(GroupElement(group, expected),
                          [el for _, el in witness],
-                         [assignment.set_at(q) for q in qs])
+                         [assignment.stars[q.level - 1] for q in qs])
+
+
+def _pair_failures(group, lefts: list, rights: list, confirm=None) -> tuple:
+    """The number of (left, right) pairs of validated witnesses, and the
+    positions (i, j), in pair order, of the pairs whose concatenation
+    fails: either witness is invalid, the last left index is not below the
+    first right index, or ``confirm`` rejects the product of the values.
+
+    No pair fails exactly when every witness on each side is valid, the
+    largest last index among non-empty left witnesses lies below the
+    smallest first index among non-empty right witnesses, and ``confirm``
+    accepts every product of a distinct left and a distinct right value.
+    The pairs are walked only to list failures.
+    """
+    pairs = len(lefts) * len(rights)
+    lasts = [w[-1][0] for _, w, _ in lefts if w]
+    firsts = [w[0][0] for _, w, _ in rights if w]
+    if all(ok for _, _, ok in lefts + rights) \
+            and (not lasts or not firsts or max(lasts) < min(firsts)) \
+            and (confirm is None or all(
+                confirm(group._add(lv, rv)) for lv, rv in itertools.product(
+                    {v for v, _, _ in lefts}, {v for v, _, _ in rights}))):
+        return pairs, []
+    return pairs, [
+        (i, j) for i, (lv, lw, l_ok) in enumerate(lefts)
+        for j, (rv, rw, r_ok) in enumerate(rights)
+        if not (l_ok and r_ok and (not lw or not rw or lw[-1][0] < rw[0][0])
+                and (confirm is None or confirm(group._add(lv, rv))))]
 
 
 def check_inverse_closure(assignment: DyadicAssignment,
@@ -373,30 +405,29 @@ def check_translation(assignment: DyadicAssignment,
     set restricted above q stay inside: witnesses concatenate.
 
     Each witness, of x or of a restricted product, is validated once; a
-    pair then needs only the join below its first restricted index.
+    pair then needs only the join below its first restricted index.  The
+    pairs of the x sharing one top index are decided together
+    (``_pair_failures``).
     """
     witnesses = enumerate_u_witnesses(assignment, depth)
     group = assignment.levels[0].ambient()
     indices = assignment.indices()
-    tails: dict = {}  # top index -> validated witnesses above it
+    xs = [x for x in _validated(group, assignment, witnesses) if x[1]]
+    by_top: dict = {}  # top index -> positions in xs of the x it tops
+    for n, (_, witness, _) in enumerate(xs):
+        by_top.setdefault(witness[-1][0], []).append(n)
     checked = 0
-    failures = []
-    for value, witness, x_ok in _validated(group, assignment, witnesses):
-        if not witness:
-            continue
-        top = witness[-1][0]
-        if top not in tails:
-            above = [q for q in indices if top < q]
-            tails[top] = _validated(group, assignment, _products_over(
-                group, assignment, above, depth))
-        for uval, uwit, u_ok in tails[top]:
-            checked += 1
-            joins = not uwit or top < uwit[0][0]
-            if not (x_ok and u_ok and joins):
-                failures.append({
-                    "x": group.value_to_json(value),
-                    "u": group.value_to_json(uval),
-                })
+    found = []
+    for top, positions in by_top.items():
+        above = [q for q in indices if top < q]
+        tail = _validated(group, assignment, _products_over(
+            group, assignment, above, depth))
+        pairs, bad = _pair_failures(group, [xs[n] for n in positions], tail)
+        checked += pairs
+        found += [(positions[i], j, tail[j][0]) for i, j in bad]
+    failures = [{"x": group.value_to_json(xs[n][0]),
+                 "u": group.value_to_json(uval)}
+                for n, _, uval in sorted(found)]
     status = Status.VERIFIED if not failures else Status.REFUTED
     return VerificationReport(
         claim=f"u-translation:depth={depth}",

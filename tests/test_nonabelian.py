@@ -5,11 +5,13 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grouptop import (FiniteSet, Integers, contains, op_add, op_neg, op_sum,
                       star)
 from grouptop.filters import ExplicitFamily, check_directed, cupcap_check
 from grouptop.fixtures import dihedral8
+from grouptop.groups import CayleyGroup
 from grouptop import nonabelian
 from grouptop.nonabelian import (
     FREE_XY,
@@ -199,17 +201,26 @@ def _walk_is_witness(d4, starred, witness, expected):
     return total == expected
 
 
+def _sorted_witnesses(d4, table):
+    """(value, witness) per table entry, in check order."""
+    return [(value, w) for (value, _), w in sorted(
+        table.items(), key=lambda kv: (d4.sort_key(kv[0][0]), kv[0][1]))]
+
+
+def _uu_sides(assign, sigma, tau, depth):
+    """check_UU's two sides: (value, rescaled witness), in check order."""
+    d4 = dihedral8()
+    return [[(value, tuple((rescale.apply(q), el) for q, el in w))
+             for value, w in _sorted_witnesses(
+                 d4, nonabelian.enumerate_u_witnesses(
+                     assign.shifted(rescale.shift), depth))]
+            for rescale in (sigma, tau)]
+
+
 def _uu_by_pair_walk(assign, sigma, tau, depth):
     """check_UU's pairs and failures from walking every concatenation."""
     d4 = dihedral8()
-    sides = []
-    for rescale in (sigma, tau):
-        table = nonabelian.enumerate_u_witnesses(
-            assign.shifted(rescale.shift), depth)
-        sides.append([(value, tuple((rescale.apply(q), el) for q, el in w))
-                      for (value, _), w in sorted(
-                          table.items(),
-                          key=lambda kv: (d4.sort_key(kv[0][0]), kv[0][1]))])
+    sides = _uu_sides(assign, sigma, tau, depth)
     starred = _starred_by_level(d4, assign)
     failures = []
     for lv, lw in sides[0]:
@@ -264,6 +275,153 @@ def test_check_uu_matches_pair_walk_on_seeded_assignments(monkeypatch):
     assert failures and rep.status is Status.REFUTED
     assert (rep.payload["pairs_checked"], rep.payload["failures"]) == \
         (pairs, failures)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_pair_failures_match_nested_loop(data):
+    """Deciding the pairs from facts about each side gives the nested
+    loop's pair count and ordered failures, also for synthetic sides with
+    join faults, which honest rescales never produce."""
+    d4 = dihedral8()
+    indices = dyadic_indices(4)
+    cut = data.draw(st.integers(0, len(indices)))
+    overlap = data.draw(st.booleans())  # both sides draw from every index
+    pools = (indices, indices) if overlap else (indices[:cut], indices[cut:])
+
+    def side(pool):
+        qs = st.lists(st.sampled_from(pool), max_size=3) if pool \
+            else st.just([])
+        entry = st.tuples(st.integers(0, 7), qs,
+                          st.integers(0, 9).map(bool))  # valid 9 times in 10
+        return [(value, tuple((q, None) for q in qs), ok)
+                for value, qs, ok in data.draw(st.lists(entry, max_size=8))]
+
+    lefts, rights = side(pools[0]), side(pools[1])
+    unreached = data.draw(st.sets(st.integers(0, 7), max_size=2))
+    confirm = data.draw(st.sampled_from(
+        [None, lambda product: product not in unreached]))
+
+    pairs, failures = 0, []
+    for i, (lv, lw, l_ok) in enumerate(lefts):
+        for j, (rv, rw, r_ok) in enumerate(rights):
+            pairs += 1
+            joins = not lw or not rw or \
+                lw[-1][0].fraction() < rw[0][0].fraction()
+            confirmed = confirm is None or confirm(d4._add(lv, rv))
+            if not (l_ok and r_ok and joins and confirmed):
+                failures.append((i, j))
+    assert nonabelian._pair_failures(d4, lefts, rights, confirm) == \
+        (pairs, failures)
+
+
+def test_check_uu_lists_exactly_the_pairs_confirm_rejects(monkeypatch):
+    """With one reachable element dropped from the reachability table,
+    the failures are exactly the pairs whose product is that element, in
+    pair order."""
+    d4, assign = d4_assignment([["r"], ["r", "s"], ["r2"], ["r"], ["s"]])
+    sigma, tau = Rescale(0, 2), Rescale(3, 2)
+    dropped = d4.element("rs").value
+    honest = nonabelian._reachable
+
+    def tampered(assignment):
+        reach = dict(honest(assignment))
+        del reach[dropped]
+        return reach
+
+    monkeypatch.setattr(nonabelian, "_reachable", tampered)
+    rep = check_UU(assign, sigma, tau, 3)
+    lefts, rights = _uu_sides(assign, sigma, tau, 3)
+    expected = [{"left": d4.value_to_json(lv), "right": d4.value_to_json(rv)}
+                for lv, _ in lefts for rv, _ in rights
+                if d4._add(lv, rv) == dropped]
+    assert expected and len(expected) < len(lefts) * len(rights)
+    assert rep.status is Status.REFUTED
+    assert rep.payload["failures"] == expected
+    assert rep.payload["pairs_checked"] == len(lefts) * len(rights)
+
+
+def _translation_by_pair_walk(assign, depth):
+    """check_translation's products and failures from walking every
+    concatenation of a witness with one of the set restricted above its
+    top index."""
+    d4 = dihedral8()
+    starred = _starred_by_level(d4, assign)
+    indices = assign.indices()
+    checked, failures = 0, []
+    for xv, xw in _sorted_witnesses(
+            d4, nonabelian.enumerate_u_witnesses(assign, depth)):
+        if not xw:
+            continue
+        top = xw[-1][0].fraction()
+        above = [q for q in indices if top < q.fraction()]
+        for uv, uw in _sorted_witnesses(d4, nonabelian._products_over(
+                d4, assign, above, depth)):
+            checked += 1
+            if not _walk_is_witness(d4, starred, xw + uw, d4._add(xv, uv)):
+                failures.append({"x": d4.value_to_json(xv),
+                                 "u": d4.value_to_json(uv)})
+    return checked, failures
+
+
+def test_check_translation_matches_pair_walk(monkeypatch):
+    """Deciding each top index's pairs together gives the same products
+    and failures as walking every concatenation, on seeded assignments and
+    on tampered tables (products of the whole index set broken, restricted
+    products' indices put out of order, so no pair's faults cancel)."""
+    d4 = dihedral8()
+    rng = random.Random(20261019)
+    for _ in range(4):
+        assign = DyadicAssignment.of({
+            lvl: FiniteSet.of(d4, rng.sample(D4_NAMES, rng.randint(1, 3)))
+            for lvl in range(1, 4)})
+        checked, failures = _translation_by_pair_walk(assign, 3)
+        rep = check_translation(assign, 3)
+        assert (rep.payload["products_checked"], rep.payload["failures"]) \
+            == (checked, failures) and failures == []
+
+    honest = nonabelian._products_over
+    r = d4.element("r")
+
+    def tampered(group, assignment, indices, depth):
+        table = dict(honest(group, assignment, indices, depth))
+        whole = len(indices) == len(assignment.indices())
+        for n, (key, w) in enumerate(sorted(
+                table.items(), key=lambda kv: (d4.sort_key(kv[0][0]),
+                                               kv[0][1]))):
+            if len(w) < 2 or n % 3:
+                continue
+            if whole:  # the x side: wrong product
+                table[key] = w[:-1] + ((w[-1][0], op_add(w[-1][1], r)),)
+            else:  # a restricted side: same factors, indices out of order
+                table[key] = ((w[1][0], w[0][1]), (w[0][0], w[1][1])) + w[2:]
+        return table
+
+    monkeypatch.setattr(nonabelian, "_products_over", tampered)
+    _, assign = d4_assignment([["r", "s"], ["r", "s"], ["rs", "r2"]])
+    checked, failures = _translation_by_pair_walk(assign, 3)
+    rep = check_translation(assign, 3)
+    assert failures and rep.status is Status.REFUTED
+    assert (rep.payload["products_checked"], rep.payload["failures"]) == \
+        (checked, failures)
+
+
+def test_check_uu_adds_fewer_times_than_it_counts_pairs(monkeypatch):
+    """Levels 1..9 of {e, r, s} give 1,024,144 witness pairs at depth 3;
+    deciding them per side makes fewer group additions than that."""
+    _, assign = d4_assignment([["e", "r", "s"]] * 9)
+    add, calls = CayleyGroup._add, 0
+
+    def counting(self, a, b):
+        nonlocal calls
+        calls += 1
+        return add(self, a, b)
+
+    monkeypatch.setattr(CayleyGroup, "_add", counting)
+    rep = check_UU(assign, Rescale(0, 2), Rescale(3, 2), depth=3)
+    assert rep.status is Status.VERIFIED
+    assert rep.payload["pairs_checked"] == 1_024_144
+    assert calls < rep.payload["pairs_checked"]
 
 
 # sha256 of the canonical report on the fixed D4 assignments below; it
