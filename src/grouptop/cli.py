@@ -24,7 +24,7 @@ from .filters import FilterFamily, family_from_json, hausdorff_verdict
 from .groups import integer_from_json, reject_unknown_keys
 from .nonabelian import verify_fib_identity, verify_fib_words
 from .report import Status, canonical_json, report_document, stopwatch
-from .setspec import EnumerationBudgetError, FoldTable
+from .setspec import _ENUMERATION_CAP, EnumerationBudgetError, FoldTable
 
 _EXIT_FOR_STATUS = {
     Status.VERIFIED: 0,
@@ -99,6 +99,11 @@ def _cmd_verify(args) -> int:
             not args.cover_m0:
         print("--cover-gmax needs --cover-m0", file=sys.stderr)
         return 1
+    if args.example == "sqrt7" and args.gmax * args.nmax > _ENUMERATION_CAP:
+        print(f"verify: the sqrt7 grid holds {args.gmax * args.nmax} "
+              f"claims, past the enumeration cap {_ENUMERATION_CAP}",
+              file=sys.stderr)
+        return 1
     try:
         with stopwatch() as elapsed:
             if args.example == "sqrt7":
@@ -159,7 +164,7 @@ def _cmd_hensel(args) -> int:
     try:
         with stopwatch() as elapsed:
             report = ex.verify_hensel(args.a, args.p, args.k)
-    except ex.HenselError as err:
+    except (ex.HenselError, EnumerationBudgetError) as err:
         print(f"hensel: {err}", file=sys.stderr)
         return 1
     return _emit([report], args.out, args.format, elapsed())

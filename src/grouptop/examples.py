@@ -145,7 +145,9 @@ def verify_hensel(a: int, p: int, k: int) -> VerificationReport:
     """The table of canonical square roots of a modulo p, ..., p^k, each
     accepted by ``HenselWitness``, and their congruence chain: verified
     when each root agrees with the one before it modulo that one's
-    modulus.  Raises as ``hensel_roots`` does."""
+    modulus.  Raises as ``hensel_roots`` does, and as ``_check_table_cap``
+    does before any root is lifted."""
+    _check_table_cap(f"the hensel table to k={k}", k, p)
     levels = [{"k": level, "modulus": p ** level,
                "root": HenselWitness(p, a, level, root).root}
               for level, root in enumerate(hensel_roots(a, p, k), start=1)]
@@ -322,6 +324,17 @@ def _check_cap(what: str, held: int) -> None:
     if held > _ENUMERATION_CAP:
         raise EnumerationBudgetError(
             f"{what} folds up to {held} residues, past the enumeration cap "
+            f"{_ENUMERATION_CAP}")
+
+
+def _check_table_cap(what: str, rows: int, base: int) -> None:
+    """Refuse a table whose row j writes numbers of about j digits in
+    ``base``, about rows^2 * bits(base) / 2 bits in all, when that passes
+    the enumeration cap."""
+    bits = rows * rows * base.bit_length() // 2
+    if bits > _ENUMERATION_CAP:
+        raise EnumerationBudgetError(
+            f"{what} writes about {bits} bits, past the enumeration cap "
             f"{_ENUMERATION_CAP}")
 
 
@@ -576,6 +589,7 @@ def verify_interval_example(min_exp: int = 10) -> VerificationReport:
     """
     if min_exp < 0:
         raise ValueError("min_exp must be nonnegative")
+    _check_table_cap(f"the schedule to 2^-{min_exp}", min_exp + 1, 2)
     group = _RATIONALS
     # Pinned witness: 1 = (1 - eps/2) + eps/2, valid for every eps <= 2.
     steps = [(eps, (group.element(1 - eps / 2), group.element(eps / 2)),

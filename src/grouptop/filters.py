@@ -5,8 +5,8 @@ an integer sequence, and explicit finite lists.  On top of them live the
 two Hausdorff-style checks (the n-fold exclusion condition and the
 separating-sequence construction) and the verdict drawn from them, by
 ``hausdorff_verdict`` and by its replayer ``replay_hausdorff`` with the
-same scan helpers and rules; the replayer also holds every replayed
-exclusion's proof to the recorded one.
+same scan helpers and rules; the replayer rebuilds each recorded probe
+entry with the producer's writer, ``_probe_record``, and compares once.
 
 Every bounded search reports three-valued outcomes; "verified" and
 "refuted" are reserved for exact arithmetic or re-checked witnesses.
@@ -31,7 +31,7 @@ from .prefixsum import (
     enumeration_capped,
     prefix_sum_membership,
 )
-from .report import Status, VerificationReport, mismatch
+from .report import Status, VerificationReport, mismatch, same_json
 from .sequences import IntegerSequence, sequence_from_json, sequence_to_json
 from .setspec import (
     EnumerationBudgetError,
@@ -476,29 +476,45 @@ def hausdorff_verdict(
         cupcaps = [cupcap_check(g, n, family, depth, table)
                    for n in range(1, n_max + 1)]
         sep = separating_sequence(g, family, max_len, depth, table)
-        per_probe.append({
-            "probe": g.group.value_to_json(g.value),
-            "cupcap": {str(c.n): c.to_json() for c in cupcaps},
-            "separation": sep.to_json(),
-            "outcome": probe_outcome(all(c.found for c in cupcaps), sep),
-        })
+        per_probe.append(_probe_record(g, cupcaps, sep))
     verdict, status = verdict_rule([p["outcome"] for p in per_probe])
     return VerificationReport(
-        claim=f"hausdorff:{_family_tag(family)}",
+        claim=_claim_id(family),
         status=status,
         payload={"verdict": verdict, "probes": per_probe,
                  "family": family.describe()},
-        budgets={"n_max": n_max, "depth": depth, "max_len": max_len,
-                 **SEARCH_BUDGET},
+        budgets=_budgets(n_max, depth, max_len),
     )
+
+
+def _probe_record(g: GroupElement, cupcaps: Sequence[CupcapResult],
+                  sep: Union[SeparationCertificate, StuckReport]) -> dict:
+    """One probe's entry in a hausdorff payload, as ``hausdorff_verdict``
+    writes it and ``replay_hausdorff`` rebuilds it."""
+    return {
+        "probe": g.group.value_to_json(g.value),
+        "cupcap": {str(c.n): c.to_json() for c in cupcaps},
+        "separation": sep.to_json(),
+        "outcome": probe_outcome(all(c.found for c in cupcaps), sep),
+    }
+
+
+def _claim_id(family: FilterFamily) -> str:
+    doc = family.describe()
+    return "hausdorff:" + (doc.get("name") or doc.get("sequence")
+                           or doc["kind"])
+
+
+def _budgets(n_max: int, depth: int, max_len: int) -> dict:
+    return {"n_max": n_max, "depth": depth, "max_len": max_len,
+            **SEARCH_BUDGET}
 
 
 def probe_outcome(cupcap_ok: bool,
                   sep: Union[SeparationCertificate, StuckReport]) -> str:
     """A probe's outcome from whether the n-fold exclusion search found a
     member for every n and from its separation certificate or stuck
-    report.  ``hausdorff_verdict`` and ``replay_hausdorff`` both classify
-    by this rule."""
+    report, as ``_probe_record`` writes it."""
     if isinstance(sep, SeparationCertificate):
         # Necessity says the exclusion search must succeed wherever a
         # certificate this long exists; within depth that can only be
@@ -528,125 +544,108 @@ def verdict_rule(outcomes: Sequence[str]) -> tuple:
 
 
 def replay_hausdorff(claim: dict, table: FoldTable) -> tuple:
-    """(status, {"verdict": ...}) of a hausdorff claim; the first failure
-    raises AssertionError.  Probes are read in the group of the family's
-    first member, as a run config's are.  Each probe's found n-fold
-    exclusions and separation are replayed from the members it records,
-    and then held to the shape the producer's scan gives under the claim's
-    budgets: cupcap entries for n = 1..n_max, max_len certificate steps, a
-    stuck report blocked at every candidate its last step scanned, and
-    every recorded member the family's own at its index.  Last, every
-    replayed exclusion's proof must be the recorded one, and a found
-    cupcap entry must have checked the members up to its own.  Skipped
-    unknowns and the proof of each blocking membership are not replayed.
-    A member record is decoded once per claim: a later record with the
-    same text reuses the set, so an edited one is decoded afresh."""
+    """(status, {"verdict": ..., "family": ...}) of a hausdorff claim as
+    the producer writes them; the first failure raises AssertionError.
+
+    Each probe entry is rebuilt by ``_probe_record`` from the family's own
+    members at the recorded indices, the re-decided n-fold exclusions and
+    the separation ``recheck_certificate`` replays, and compared with the
+    record once.  Taken from the record is only what a re-run of the scan
+    would derive: each cupcap entry's ``skipped_unknown``, and each
+    blocking result's ``proof`` and ``note`` (a ``yes``, whose witness is
+    re-checked, or an ``unknown``).  Checked by hand: index types and
+    ranges, step and blocked counts, and member records' JSON types, which
+    ``==`` takes alike.  Probes are read in the family's group."""
     payload, budgets = claim["payload"], claim["budgets"]
-    n_max, max_len = budgets["n_max"], budgets["max_len"]
     family = family_from_json(payload["family"])
+    n_max, depth, max_len = (integer_from_json(budgets[key])
+                             for key in ("n_max", "depth", "max_len"))
     group = family.member(0).ambient()
-    limit = scan_limit(family, budgets["depth"])
-    described: dict = {}  # member index -> the family's own description
-    decoded: dict = {}  # repr of a member record -> the set it describes
+    limit = scan_limit(family, depth)
+    described = family.describe()
+    # member index -> the family's member, its JSON and the reprs of the
+    # records found to be that JSON (repr, unlike ==, tells 1 from 1.0)
+    members: dict = {}
 
-    def decode(doc: dict) -> SetSpec:
-        # repr, unlike ==, tells 1, 1.0 and True apart, which decoding does
-        text = repr(doc)
-        if text not in decoded:
-            decoded[text] = spec_from_json(doc)
-        return decoded[text]
-
-    def own(name, index: int, doc: dict, lowest: int) -> None:
-        """A recorded member lies in the scan from ``lowest`` and is the
-        family's own."""
-        if not lowest <= index < limit:
-            raise AssertionError(f"probe {name}: member index {index} lies "
+    def member(name, index, doc, lowest: int) -> SetSpec:
+        """The member at a recorded index in the scan from ``lowest``."""
+        if type(index) is not int or not lowest <= index < limit:
+            raise AssertionError(f"probe {name}: member index {index!r} lies "
                                  f"outside the scan {lowest}..{limit - 1}")
-        if index not in described:
-            described[index] = family.member(index).to_json()
-        if doc != described[index]:
-            raise AssertionError(
-                f"probe {name}: member {index} is not the family's")
+        if index not in members:
+            spec = family.member(index)
+            members[index] = spec, spec.to_json(), set()
+        spec, own, typed = members[index]
+        text = repr(doc)
+        if text not in typed:
+            if not same_json(own, doc):
+                raise AssertionError(
+                    f"probe {name}: member {index} is not the family's")
+            typed.add(text)
+        return spec
 
-    def replayed(probe: dict) -> tuple:
+    def cupcap(name, g: GroupElement, n: int, doc: dict) -> CupcapResult:
+        skipped = doc.get("skipped_unknown", 0)
+        if doc.get("found") is not True:
+            return CupcapResult(False, n, checked=limit,
+                                skipped_unknown=skipped)
+        i = doc.get("member_index")
+        spec = member(name, i, doc.get("member"), 0)
+        res = _nfold_exclusion(g, n, spec, table)
+        if not res.is_no():
+            raise AssertionError(f"cupcap member no longer excludes {name}")
+        return CupcapResult(True, n, i, spec, res.proof, checked=i + 1,
+                            skipped_unknown=skipped)
+
+    def separation(name, g: GroupElement, doc: dict):
+        stuck = "blocked" in doc
+        steps: list = []  # exclusions are the replay's, filled in below
+        for step in doc["prefix" if stuck else "steps"]:
+            i = step["member_index"]
+            steps.append(SeparationStep(i, member(
+                name, i, step["member"], resume_index(family, steps)), None))
+        if len(steps) >= max_len if stuck else len(steps) != max_len:
+            what = "stuck report" if stuck else "certificate"
+            raise AssertionError(f"probe {name}: the {what} has "
+                                 f"{len(steps)} steps, max_len {max_len}")
+        blocked = []
+        start = resume_index(family, steps)
+        if stuck and len(doc["blocked"]) != limit - start:
+            raise AssertionError(f"probe {name}: the blocked candidates are "
+                                 f"not {start}..{limit - 1}")
+        for i, b in enumerate(doc["blocked"] if stuck else (), start):
+            res = MembershipResult.from_json(group, b["result"])
+            if res.status not in ("yes", "unknown"):
+                raise AssertionError(f"probe {name}: candidate {i} is "
+                                     f"blocked by {res.status!r}")
+            blocked.append((i, member(name, i, b["member"], start), res))
+
+        def written(steps: tuple):
+            return StuckReport(g, len(steps), steps, tuple(blocked),
+                               described) if stuck \
+                else SeparationCertificate(g, steps, described)
+
+        exclusions = recheck_certificate(written(tuple(steps)), table)
+        return written(tuple(SeparationStep(s.member_index, s.member, res)
+                             for s, res in zip(steps, exclusions)))
+
+    outcomes = []
+    for probe in payload["probes"]:
         name, g = probe["probe"], group.element(probe["probe"])
-        cupcap, sep = probe["cupcap"], probe["separation"]
-        if group.element(sep["target"]) != g:
-            raise AssertionError("separation target is not the probe")
-        found = [cc for cc in cupcap.values() if cc.get("found")]
-        cupcap_exclusions = []
-        for cc in found:
-            res = _nfold_exclusion(g, cc["n"], decode(cc["member"]), table)
-            if not res.is_no():
-                raise AssertionError(
-                    f"cupcap member no longer excludes {name}")
-            cupcap_exclusions.append(res)
-        stuck = "blocked" in sep
-        recorded = sep["prefix" if stuck else "steps"]
-        steps = tuple(SeparationStep(
-            s["member_index"], decode(s["member"]),
-            MembershipResult.from_json(group, s["exclusion"]))
-            for s in recorded)
-        cert = StuckReport(g, sep["stuck_at_step"], steps, tuple(
-            (b["candidate_index"], decode(b["member"]),
-             MembershipResult.from_json(group, b["result"]))
-            for b in sep["blocked"]), sep["family"]) if stuck \
-            else SeparationCertificate(g, steps, sep["family"])
-        prefix_exclusions = recheck_certificate(cert, table)
-
-        if set(cupcap) != {str(n) for n in range(1, n_max + 1)} or \
-                any(str(cc["n"]) != key for key, cc in cupcap.items()):
+        cupcaps = probe["cupcap"]
+        top = min(n_max, len(cupcaps) + 1)  # past it, the record differs
+        record = _probe_record(
+            g, [cupcap(name, g, n, cupcaps.get(str(n), {}))
+                for n in range(1, top + 1)],
+            separation(name, g, probe["separation"]))
+        if record != probe:
             raise AssertionError(
-                f"probe {name}: the cupcap entries are not n = 1..{n_max}")
-        for cc in found:
-            own(name, cc["member_index"], cc["member"], 0)
-        for k, step in enumerate(recorded):
-            own(name, step["member_index"], step["member"],
-                resume_index(family, steps[:k]))
-        if not stuck and len(steps) != max_len:
-            raise AssertionError(f"probe {name}: the certificate has "
-                                 f"{len(steps)} steps, not {max_len}")
-        if stuck:
-            if not sep["stuck_at_step"] == len(steps) < max_len:
-                raise AssertionError(
-                    f"probe {name}: stuck at step {sep['stuck_at_step']} "
-                    f"after {len(steps)} of {max_len} steps")
-            start = resume_index(family, steps)
-            indices = [b["candidate_index"] for b in sep["blocked"]]
-            if len(indices) != limit - start or \
-                    indices != list(range(start, limit)):
-                raise AssertionError(f"probe {name}: the blocked candidates "
-                                     f"are not {start}..{limit - 1}")
-            for b in sep["blocked"]:
-                own(name, b["candidate_index"], b["member"], start)
-        if sep["family"] != payload["family"]:
-            raise AssertionError(
-                f"probe {name}: the separation names another family")
-
-        def same(what: str, replay, reported) -> None:
-            if replay != reported:
-                raise AssertionError(
-                    f"probe {name}: {mismatch(what, replay, reported)}")
-
-        for k, (step, res) in enumerate(zip(recorded, prefix_exclusions)):
-            same(f"step {k} proof", res.proof, step["exclusion"].get("proof"))
-        for cc, res in zip(found, cupcap_exclusions):
-            same(f"cupcap {cc['n']} proof", res.proof, cc.get("proof"))
-            same(f"cupcap {cc['n']} checked", cc["member_index"] + 1,
-                 cc["checked"])
-        return len(found) == len(cupcap), cert
-
-    probes = payload["probes"]
-    outcomes = [probe_outcome(*replayed(probe)) for probe in probes]
-    for probe, outcome in zip(probes, outcomes):
-        if probe["outcome"] != outcome:
-            raise AssertionError(
-                f"probe {probe['probe']}: the replay gives outcome "
-                f"{outcome!r}, the report {probe['outcome']!r}")
+                f"probe {name}: {mismatch('the entry', record, probe)}")
+        outcomes.append(record["outcome"])
+    for what, replay, reported in [
+            ("claim", _claim_id(family), claim["claim"]),
+            ("budgets", _budgets(n_max, depth, max_len), budgets)]:
+        if not same_json(replay, reported):
+            raise AssertionError(mismatch(what, replay, reported))
     verdict, status = verdict_rule(outcomes)
-    return status, {"verdict": verdict}
-
-
-def _family_tag(family: FilterFamily) -> str:
-    doc = family.describe()
-    return doc.get("name") or doc.get("sequence") or doc["kind"]
+    return status, {"verdict": verdict, "family": described}

@@ -429,7 +429,7 @@ def group_from_json(doc: dict) -> AmbientGroup:
 
 
 def _require_same_group(a: GroupElement, b: GroupElement) -> None:
-    if a.group != b.group:
+    if a.group is not b.group and a.group != b.group:
         raise GroupMismatchError(
             f"elements of {a.group.describe()['kind']} and "
             f"{b.group.describe()['kind']} cannot be combined"
@@ -453,10 +453,14 @@ def op_sub(a: GroupElement, b: GroupElement) -> GroupElement:
 
 
 def op_sum(group: AmbientGroup, elements: Iterable[GroupElement]) -> GroupElement:
-    total = group.identity()
+    """The elements added in order from the identity, as ``op_add`` adds
+    two; only the total is built as an element."""
+    identity = group.identity()
+    total = identity.value
     for el in elements:
-        total = op_add(total, el)
-    return total
+        _require_same_group(identity, el)
+        total = group._add(total, el.value)
+    return GroupElement(group, total)
 
 
 def op_conjugate(g: GroupElement, s: GroupElement) -> GroupElement:

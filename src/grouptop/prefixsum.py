@@ -25,7 +25,8 @@ lexicographically first in candidate order.
 
 Bounded searches never produce a "no": growth certificates cap where
 witnesses are *looked for*, not where they can exist.  Residue-envelope
-sums are bitsets of residues up to ``_BITSET_CAP``; a tail's share of the
+sums are bitsets of residues up to ``_ENVELOPE_BITSET_CAP``, and past it
+sets of residues up to the enumeration cap; a tail's share of the
 envelope modulus is the divisor ``IntegerSequence.divisor_index`` finds.
 
 Everything a membership reads of its sets alone comes from the command's
@@ -95,11 +96,11 @@ class MembershipResult:
 
     @classmethod
     def from_json(cls, group, doc: dict) -> "MembershipResult":
-        """The status and witness ``to_json`` wrote, the witness read in
-        ``group``; a replay derives its own proof."""
+        """The result ``to_json`` wrote, the witness read in ``group``."""
         witness = doc.get("witness")
         return cls(doc["status"], None if witness is None else
-                   tuple(group.element(v) for v in witness))
+                   tuple(group.element(v) for v in witness),
+                   doc.get("proof"), doc.get("note", ""))
 
 
 def _verify_witness(g: GroupElement, stars: Sequence[StarSet],
@@ -291,13 +292,16 @@ def prefix_sum_membership(g: GroupElement, chain: Sequence[SetLike],
 
 _ENVELOPE_LCM_CAP = 10 ** 12
 _ENVELOPE_DIVISOR_SCAN = 40
-# Widest Python-int bitset either search builds: an envelope sum over m
-# residues, or the suffix reachability of an integer chain of width 2R + 1.
-# At 2^22 bits a 5-set chain of 65 candidates per set builds its bitsets
-# in about 0.06 s, where a memoized search over 3 such sets takes 0.1 s;
-# the bitsets cost 2.6 s at 2^26.  Wider inputs take the residue set and
-# the memoized reachability predicate.
+# Widest Python-int bitset the bounded search builds, the suffix
+# reachability of an integer chain of width 2R + 1.  At 2^22 bits a 5-set
+# chain of 65 candidates per set builds its bitsets in about 0.06 s, where
+# a memoized search over 3 such sets takes 0.1 s; the bitsets cost 2.6 s
+# at 2^26.  Wider chains take the memoized reachability predicate.
 _BITSET_CAP = 1 << 22
+# Widest envelope sum kept as a bitset.  An envelope holds a few residues,
+# so adding one is a few shifts of at most 8 MB.  Wider sums are sets of
+# residues, given up past the enumeration cap.
+_ENVELOPE_BITSET_CAP = 1 << 26
 
 
 def _envelope_modulus(g: GroupElement, stars: Sequence[StarSet],
@@ -352,10 +356,12 @@ def _envelope_exclusion(g: GroupElement, stars: Sequence[StarSet],
 
 def _envelope_sum_meets(envelopes: list, m: int, r: int) -> Optional[bool]:
     """Whether residue r lies in the sum of the envelopes mod m; None when
-    that sum saturates, so no exclusion is possible.  Up to
-    ``_BITSET_CAP`` the sum is a bitset of m residues, each envelope
-    added by shifting and folding the overflow back (a rotate-and-OR)."""
-    if m <= _BITSET_CAP:
+    that sum saturates, so no exclusion is possible, or when a sum past
+    ``_ENVELOPE_BITSET_CAP`` would pair more than ``_ENUMERATION_CAP``
+    residues.  Up to that cap the sum is a bitset of m residues, each
+    envelope added by shifting and folding the overflow back (a
+    rotate-and-OR); past it, a set of residues."""
+    if m <= _ENVELOPE_BITSET_CAP:
         full = (1 << m) - 1
         acc = 1
         for env in envelopes:
@@ -368,6 +374,8 @@ def _envelope_sum_meets(envelopes: list, m: int, r: int) -> Optional[bool]:
         return acc >> r & 1 == 1
     acc = {0}
     for env in envelopes:
+        if len(acc) * len(env) > _ENUMERATION_CAP:
+            return None
         acc = {(a + b) % m for a in acc for b in env}
         if len(acc) == m:
             return None

@@ -318,10 +318,11 @@ def star(spec: SetLike) -> StarSet:
 
 def contains(spec: SetLike, g: GroupElement) -> bool:
     """Exact membership for every description kind."""
-    if g.group != spec.ambient():
+    ambient = spec.ambient()
+    if g.group is not ambient and g.group != ambient:
         raise GroupMismatchError(
             f"element of {g.group.describe()['kind']} probed against "
-            f"{spec.ambient().describe()['kind']} set"
+            f"{ambient.describe()['kind']} set"
         )
     return spec.contains_value(g.value)
 

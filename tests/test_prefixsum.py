@@ -290,7 +290,7 @@ def envelope_sum_reference(envelopes, m: int, r: int):
 def test_envelope_bitset_sum_matches_set_sum():
     """Rotate-and-OR over a bitset of residues against a plain set
     comprehension, on seeded envelopes and moduli on both sides of the
-    bitset cap."""
+    bitset cap, and on fixed ones either side of the envelopes' own."""
     rng = random.Random(12)
     saturated = decided = 0
     for _ in range(300):
@@ -307,6 +307,24 @@ def test_envelope_bitset_sum_matches_set_sum():
             saturated += expected is None
             decided += expected is False
     assert saturated and decided
+    wide = prefixsum._ENVELOPE_BITSET_CAP
+    for m in (wide, wide + 1):
+        envelopes = [frozenset({0, 1, m - 5}), frozenset({0, 7, m - 2})]
+        for r in (0, 8, m - 1, 3):  # in the sum but 3
+            assert prefixsum._envelope_sum_meets(envelopes, m, r) == \
+                envelope_sum_reference(envelopes, m, r) == (r != 3), (m, r)
+
+
+def test_envelope_set_sum_gives_up_past_the_enumeration_cap(monkeypatch):
+    """Past the envelope bitset cap, a sum that would pair more residues
+    than the enumeration cap decides nothing, before it is built."""
+    m = prefixsum._ENVELOPE_BITSET_CAP + 1
+    envelopes = [frozenset({0, 10, 20, 30}), frozenset({0, 1, 2, 3})]
+    assert envelope_sum_reference(envelopes, m, 5) is False
+    monkeypatch.setattr(prefixsum, "_ENUMERATION_CAP", 16)
+    assert prefixsum._envelope_sum_meets(envelopes, m, 5) is False
+    monkeypatch.setattr(prefixsum, "_ENUMERATION_CAP", 15)
+    assert prefixsum._envelope_sum_meets(envelopes, m, 5) is None
 
 
 def test_finite_chains_fold_and_other_groups_never_plan_a_search(
