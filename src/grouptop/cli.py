@@ -14,16 +14,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence, TextIO
 
 from . import examples as ex
 from .filters import FilterFamily, family_from_json, hausdorff_verdict
 from .groups import integer_from_json, reject_unknown_keys
 from .nonabelian import verify_fib_identity, verify_fib_words
-from .report import Status, canonical_json, report_document, stopwatch
+from .report import (Status, report_document, stopwatch,
+                     write_canonical_json)
 from .setspec import _ENUMERATION_CAP, EnumerationBudgetError, FoldTable
 
 _EXIT_FOR_STATUS = {
@@ -75,20 +78,31 @@ class RunConfig:
 
 def _emit(reports: list, out: Optional[str], fmt: str, elapsed: float) -> int:
     doc = report_document(reports)
-    if fmt == "json":
-        text = canonical_json(doc)
-    else:
-        lines = [f"status: {doc['status']}"]
-        for claim in doc["claims"]:
-            lines.append(f"  {claim['status']:<9} {claim['claim']}")
-        text = "\n".join(lines) + "\n"
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    with _replacing(Path(out)) if out else nullcontext(sys.stdout) as fp:
+        if fmt == "json":
+            write_canonical_json(doc, fp)
+        else:
+            fp.write(f"status: {doc['status']}\n")
+            for claim in doc["claims"]:
+                fp.write(f"  {claim['status']:<9} {claim['claim']}\n")
     print(f"wall time: {elapsed:.3f}s ({len(reports)} claims)",
           file=sys.stderr)
     return _EXIT_FOR_STATUS[Status(doc["status"])]
+
+
+@contextmanager
+def _replacing(path: Path) -> Iterator[TextIO]:
+    """A text file that replaces ``path`` once the ``with`` block has
+    written it without raising; on a raise, ``path`` stays as it was and
+    the temporary file beside it is removed."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fp:
+            yield fp
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _cmd_verify(args) -> int:

@@ -32,7 +32,8 @@ from .groups import (
     Rationals,
 )
 from .prefixsum import prefix_sum_membership
-from .report import Status, VerificationReport, id_numbers, rerun_facts
+from .report import (Status, VerificationReport, check_payload_keys,
+                     id_numbers, rerun_facts)
 from .setspec import (
     _ENUMERATION_CAP,
     BoxSet,
@@ -272,6 +273,9 @@ def sqrt7_necessary_rule(g: int, folded: ResidueSet, bound_ok: bool,
 def replay_sqrt7_necessary(claim: dict, table: FoldTable) -> tuple:
     """The bound-level facts are read from the payload, not re-folded."""
     g, n = id_numbers(r"sqrt7-necessary:g=(-?\d+):n=(\d+)", claim)
+    check_payload_keys(claim, {"bound_level_also_excludes",
+                               "divisibility_targets", "excluded", "k",
+                               "k_bound", "member", "n_fold"})
     payload = claim["payload"]
     folded = table.n_fold_star(spec_from_json(payload["member"]), n)
     excluded, status = sqrt7_necessary_rule(

@@ -31,7 +31,8 @@ from .prefixsum import (
     enumeration_capped,
     prefix_sum_membership,
 )
-from .report import Status, VerificationReport, mismatch, same_json
+from .report import (Status, VerificationReport, check_payload_keys,
+                     mismatch, same_json)
 from .sequences import IntegerSequence, sequence_from_json, sequence_to_json
 from .setspec import (
     EnumerationBudgetError,
@@ -121,11 +122,14 @@ class CofiniteFamily(FilterFamily):
                  base_start: int = 0):
         self.sequence = TailSet.of(sequence, base_start).sequence
         self.base_start = base_start
+        self._cache: dict = {}
 
     def member(self, i: int) -> TailSet:
         if i < 0:
             raise IndexError("member index must be nonnegative")
-        return TailSet.of(self.sequence, self.base_start + i)
+        if i not in self._cache:
+            self._cache[i] = TailSet.of(self.sequence, self.base_start + i)
+        return self._cache[i]
 
     def monotone_chain(self) -> bool:
         return True
@@ -553,9 +557,11 @@ def replay_hausdorff(claim: dict, table: FoldTable) -> tuple:
     record once.  Taken from the record is only what a re-run of the scan
     would derive: each cupcap entry's ``skipped_unknown``, and each
     blocking result's ``proof`` and ``note`` (a ``yes``, whose witness is
-    re-checked, or an ``unknown``).  Checked by hand: index types and
-    ranges, step and blocked counts, and member records' JSON types, which
-    ``==`` takes alike.  Probes are read in the family's group."""
+    re-checked, or an ``unknown``).  Checked by hand: the payload's keys,
+    index types and ranges, step and blocked counts, and member records'
+    JSON types, which ``==`` takes alike.  Probes are read in the family's
+    group."""
+    check_payload_keys(claim, {"family", "probes", "verdict"})
     payload, budgets = claim["payload"], claim["budgets"]
     family = family_from_json(payload["family"])
     n_max, depth, max_len = (integer_from_json(budgets[key])

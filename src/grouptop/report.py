@@ -8,13 +8,14 @@ prints it to stderr.
 
 from __future__ import annotations
 
+import io
 import re
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Iterable
+from typing import AbstractSet, Iterable, TextIO
 
 SCHEMA_VERSION = 1
 
@@ -54,13 +55,21 @@ def rerun_facts(claim: dict, report: VerificationReport) -> tuple:
     inputs ``claim``'s id names, once the claim's id, payload keys and
     budgets are the re-run's; ``recheck_document`` then compares each
     payload key, in sorted order as a report lists them, and the status."""
+    check_payload_keys(claim, report.payload.keys())
     for what, replay, reported in [
             ("claim", report.claim, claim["claim"]),
-            ("payload keys", sorted(report.payload), sorted(claim["payload"])),
             ("budgets", report.budgets, claim["budgets"])]:
         if not same_json(replay, reported):
             raise AssertionError(mismatch(what, replay, reported))
     return report.status, dict(sorted(report.payload.items()))
+
+
+def check_payload_keys(claim: dict, keys: AbstractSet[str]) -> None:
+    """Raise AssertionError unless ``claim``'s payload holds exactly
+    ``keys``, the keys its producer writes."""
+    if claim["payload"].keys() != keys:
+        raise AssertionError(mismatch("payload keys", sorted(keys),
+                                      sorted(claim["payload"])))
 
 
 def same_json(replayed, reported) -> bool:
@@ -147,39 +156,73 @@ def report_document(reports: list) -> dict:
     }
 
 
-def canonical_json(doc: dict) -> str:
-    """The bytes of ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``.
+_BATCH = 256  # pieces per write: the most the writer joins into one string
+
+
+def write_canonical_json(doc: dict, fp: TextIO) -> None:
+    """Write ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"`` to the
+    text file ``fp`` as it is encoded.
 
     With ``indent`` set, ``json`` falls back to its generator-based encoder;
-    this one joins a string per container instead.  It follows ``json``'s
-    rules for str and int subclasses (``Status`` encodes as its value),
-    bools, None, tuples and empty containers.  Reports carry exact values
-    under string keys only, so a float, a key that is not a string, or any
-    value ``json`` cannot encode raises TypeError.
+    this one appends a piece (a key and an exact leaf, or a bracket) to a
+    list per entry and writes the list out every ``_BATCH`` pieces, so the
+    whole text is never held at once.  It follows ``json``'s rules for str
+    and int subclasses (``Status`` encodes as its value), bools, None,
+    tuples and empty containers.  Reports carry exact values under string
+    keys only, so a float, a key that is not a string, or any value
+    ``json`` cannot encode raises TypeError, after the pieces before it
+    may have been written.
     """
-    return _encode(doc, "\n") + "\n"
+    parts: list = []
+    append = parts.append
+
+    def encode(value, newline: str) -> None:
+        # Leaves of exact type str or int are encoded inline with their
+        # key or comma; only containers, subclasses, bools and None recurse.
+        inner = newline + "  "
+        if isinstance(value, dict):
+            if not value:
+                return append("{}")
+            lead = "{" + inner
+            for k, v in sorted(value.items()):
+                head = lead + _quote(k) + ": "
+                if type(v) is str:
+                    append(head + _quote(v))
+                elif type(v) is int:
+                    append(head + int.__repr__(v))
+                else:
+                    append(head)
+                    encode(v, inner)
+                if len(parts) >= _BATCH:
+                    fp.write("".join(parts))
+                    parts.clear()
+                lead = "," + inner
+            return append(newline + "}")
+        if isinstance(value, (list, tuple)):
+            if not value:
+                return append("[]")
+            lead = "[" + inner
+            for v in value:
+                if type(v) is str:
+                    append(lead + _quote(v))
+                elif type(v) is int:
+                    append(lead + int.__repr__(v))
+                else:
+                    append(lead)
+                    encode(v, inner)
+                if len(parts) >= _BATCH:
+                    fp.write("".join(parts))
+                    parts.clear()
+                lead = "," + inner
+            return append(newline + "]")
+        append(_leaf(value))
+
+    encode(doc, "\n")
+    append("\n")
+    fp.write("".join(parts))
 
 
-def _encode(value, newline: str) -> str:
-    # Containers come first, as most calls are for them: leaves of exact
-    # type str or int are encoded inline by the comprehensions below, and
-    # only subclasses, bools and None reach the checks after them.
-    inner = newline + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        return "{" + inner + ("," + inner).join([
-            _quote(k) + ": " + (
-                _quote(v) if type(v) is str else
-                int.__repr__(v) if type(v) is int else _encode(v, inner))
-            for k, v in sorted(value.items())]) + newline + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        return "[" + inner + ("," + inner).join([
-            _quote(v) if type(v) is str else
-            int.__repr__(v) if type(v) is int else _encode(v, inner)
-            for v in value]) + newline + "]"
+def _leaf(value) -> str:
     if isinstance(value, str):
         return _quote(value)
     if value is None:
@@ -192,6 +235,13 @@ def _encode(value, newline: str) -> str:
         return int.__repr__(value)
     raise TypeError(f"Object of type {type(value).__name__} "
                     f"is not JSON serializable")
+
+
+def canonical_json(doc: dict) -> str:
+    """The text ``write_canonical_json`` writes, as one string."""
+    buffer = io.StringIO()
+    write_canonical_json(doc, buffer)
+    return buffer.getvalue()
 
 
 @contextmanager

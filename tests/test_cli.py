@@ -1114,6 +1114,13 @@ def _words_x(claim):
      "error: coordinate 6 lies in 0..5, got 11"),
     (["verify", "sqrt7", "--gmax", "1", "--nmax", "1"], "sqrt7-necessary",
      _set(["excluded"], 1), "the replay gives excluded True, the report 1"),
+    (["verify", "sqrt7", "--gmax", "1", "--nmax", "2"],
+     "sqrt7-necessary:g=1:n=2", _set(["extra"], 1),
+     "the replay gives payload keys ['bound_level_also_excludes', "
+     "'divisibility_targets', 'excluded', 'k', 'k_bound', 'member', "
+     "'n_fold'], the report ['bound_level_also_excludes', "
+     "'divisibility_targets', 'excluded', 'extra', 'k', 'k_bound', "
+     "'member', 'n_fold']"),
     (["verify", "fibonacci", "--n", "1"], "fibonacci-words",
      lambda claim: claim["budgets"].update(n=True),
      "the replay gives budgets {'n': 1}, the report {'n': True}"),
@@ -1124,7 +1131,8 @@ def _words_x(claim):
 ], ids=["hensel-k-99", "commutator-words-x", "sqrt7-cover-fold-z",
         "product-cover-fold-box", "interval-epsilon-raised",
         "union-small-matches", "union-small-intersection",
-        "product-target-unreduced", "excluded-1", "budgets-n-true",
+        "product-target-unreduced", "excluded-1", "sqrt7-extra-key",
+        "budgets-n-true",
         "id-leading-zero"])
 def test_recheck_fails_forged_facts(tmp_path, capsys, argv, kind, tamper,
                                     message):
@@ -1133,8 +1141,9 @@ def test_recheck_fails_forged_facts(tmp_path, capsys, argv, kind, tamper,
     id naming more levels than its table, commutator words that agree
     with one another, a cover fold swapped for the whole group, an
     interval schedule with a raised epsilon, an edited union claim.  Facts
-    compare by JSON type as well as value, targets are read strictly, and
-    a re-run must give the claim's own id and budgets."""
+    compare by JSON type as well as value, targets are read strictly, a
+    re-run must give the claim's own id and budgets, and a payload key
+    the producer never writes fails."""
     code, lines, cid = _recheck_tampered(tmp_path, capsys, argv, kind,
                                          tamper)
     fail = f"  FAIL   {cid}: {message}"

@@ -81,6 +81,14 @@ def test_cupcap_sqrt7_g7_n2_with_crude_level_bound():
     assert not n_fold_star(sqrt7_set(4), 2).contains_value(7)
 
 
+def test_chain_and_cofinite_members_are_built_once_per_index():
+    """A family hands out one object per index, so the fold table's
+    entries for a member are found by identity as well as by value."""
+    for fam in [sqrt7_family(), CofiniteFamily("powers3", 2)]:
+        assert fam.member(3) is fam.member(3)
+        assert fam.member(3) is not fam.member(4)
+
+
 def test_cupcap_cofinite_with_brute_force_oracle():
     fam = CofiniteFamily("powers3")
     res = cupcap_check(Z.element(5), 2, fam, depth=8)

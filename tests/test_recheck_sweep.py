@@ -161,13 +161,17 @@ def _probe(doc, i=0):
     ("fibonacci", lambda d: _probe(d)["separation"]["blocked"][0][
         "result"].update(status="no"), "probe 4: candidate 1 is blocked by "
      "'no'"),
+    ("powers3", lambda d: _claim(d)["payload"].update(extra=1),
+     "the replay gives payload keys ['family', 'probes', 'verdict'], the "
+     "report ['extra', 'family', 'probes', 'verdict']"),
 ], ids=["policy", "per-set-candidates", "step-exclusion-status",
         "unfound-cupcap-checked", "value-cap-factor", "id-tag",
-        "blocking-status-no"])
+        "blocking-status-no", "extra-payload-key"])
 def test_recheck_binds_fields_nothing_read(name, tamper, message):
     """Fields the replay once left unread: the separation's policy and
     budget, a step's exclusion status, an unfound cupcap entry's count,
-    the search budgets, the id's family tag, and a blocking status."""
+    the search budgets, the id's family tag, a blocking status, and a
+    payload key the producer never writes."""
     doc = _report(name)
     tamper(doc)
     ok, details = recheck_document(doc)
