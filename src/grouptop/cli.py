@@ -22,12 +22,14 @@ from pathlib import Path
 from typing import Iterator, Optional, Sequence, TextIO
 
 from . import examples as ex
-from .filters import FilterFamily, family_from_json, hausdorff_verdict
+from .filters import (ExplicitFamily, FilterFamily, check_directed,
+                      family_from_json, hausdorff_verdict)
 from .groups import integer_from_json, reject_unknown_keys
 from .nonabelian import verify_fib_identity, verify_fib_words
 from .report import (Status, report_document, stopwatch,
                      write_canonical_json)
-from .setspec import _ENUMERATION_CAP, EnumerationBudgetError, FoldTable
+from .setspec import (_ENUMERATION_CAP, EnumerationBudgetError, FoldTable,
+                      SubsetUndecidable)
 
 _EXIT_FOR_STATUS = {
     Status.VERIFIED: 0,
@@ -61,6 +63,8 @@ class RunConfig:
         limits = {key: budgets.get(key, getattr(cls, key))
                   for key in sorted(_BUDGET_KEYS)}
         family = family_from_json(doc["family"])
+        if isinstance(family, ExplicitFamily):
+            _require_directed(family)
         group = family.member(0).ambient()  # the probes' group
         cfg = cls(
             family=family,
@@ -74,6 +78,21 @@ class RunConfig:
         if any(p.is_identity() for p in cfg.probes):
             raise ValueError("probes must exclude the identity")
         return cfg
+
+
+def _require_directed(family: ExplicitFamily) -> None:
+    """Refuse an explicit family with two members that contain no common
+    member: the criteria speak about downward directed families.  A family
+    with a pair of members that has no exact subset test is taken as
+    given."""
+    try:
+        pair = check_directed(family)
+    except SubsetUndecidable:
+        return
+    if pair is not None:
+        raise ValueError(f"explicit family is not downward directed: no "
+                         f"member lies inside both member {pair[0]} and "
+                         f"member {pair[1]}")
 
 
 def _emit(reports: list, out: Optional[str], fmt: str, elapsed: float) -> int:

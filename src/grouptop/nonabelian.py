@@ -8,15 +8,18 @@ level; towers T_0 >= T_1 >= ... with T_i T_i T_i inside T_{i-1} generate
 such assignments and admit the middle-thirds collapse certificate.
 
 Witnesses come from one breadth-first table (``enumerate_u_witnesses``)
-and are checked by one rule (``_witness_is_valid``: indices increase, then
+and are checked by one rule (``_witness_is_valid``: one pass over the
+indices for the level bound and the increasing order, then
 ``setspec.witness_holds`` against the assignment's stars), shared by
 membership, product absorption, inverse closure and translation.  Each
-level's ``StarSet`` is built once per assignment.  Product absorption and
-translation decide their witness pairs per side (``_pair_failures``): every
-witness valid, the largest last left index below the smallest first right
-index, and each distinct product confirmed; the pairs are walked only to
-list failures.  Dyadic indices and rescaled images compare as integers
-over a common power of two.
+level's ``StarSet`` is built once per assignment, and product absorption
+builds and sorts one witness table per distinct shift of its two
+rescalings.  Product absorption and translation decide their witness pairs
+per side (``_pair_failures``): every witness valid, the largest last left
+index below the smallest first right index, and each distinct product
+confirmed; the pairs are walked only to list failures.  Dyadic indices and
+rescaled images compare as integers over a common power of two, and a
+rescaled image is built in lowest terms directly.
 
 The module also carries the conjugation closure of a family, and the
 Fibonacci endomorphism x -> y, y -> xy of the free group on two
@@ -264,8 +267,10 @@ class Rescale:
             raise ValueError("need 0 <= offset < 2^shift, shift >= 1")
 
     def apply(self, q: DyadicIndex) -> DyadicIndex:
-        return DyadicIndex.of(q.num + self.offset * 2 ** q.level,
-                              q.level + self.shift)
+        # q.num is odd and the offset's part even, so the image is already
+        # in lowest terms.
+        return DyadicIndex(q.num + (self.offset << q.level),
+                           q.level + self.shift)
 
     def entirely_below(self, other: "Rescale") -> bool:
         # the image [offset, offset + 1) / 2^shift ends where other's starts
@@ -277,12 +282,14 @@ def check_UU(assignment: DyadicAssignment, sigma: Rescale, tau: Rescale,
     """Product of the two rescaled neighborhood sets lands in the combined
     one: every pair of bounded witnesses concatenates into a witness.
 
-    Requires sigma's image to lie entirely below tau's.  Each rescaled
-    witness is validated once against the combined assignment; a pair's
-    concatenation is then a witness exactly when the last left index lies
-    below the first right index.  Each product is also confirmed by the
-    independent reachability table at the combined depth.  The pairs are
-    decided per side (``_pair_failures``).
+    Requires sigma's image to lie entirely below tau's.  The witness table
+    of each distinct shift is built and sorted once, so two rescalings of
+    one shift share it.  Each rescaled witness is validated once against
+    the combined assignment; a pair's concatenation is then a witness
+    exactly when the last left index lies below the first right index.
+    Each product is also confirmed by the independent reachability table
+    at the combined depth.  The pairs are decided per side
+    (``_pair_failures``).
     """
     if not sigma.entirely_below(tau):
         raise ValueError("sigma's image must lie entirely below tau's")
@@ -291,10 +298,11 @@ def check_UU(assignment: DyadicAssignment, sigma: Rescale, tau: Rescale,
         raise ValueError("assignment too shallow for these rescalings")
 
     group = assignment.levels[0].ambient()
-    lefts = _validated(group, assignment, enumerate_u_witnesses(
-        assignment.shifted(sigma.shift), depth), sigma)
-    rights = _validated(group, assignment, enumerate_u_witnesses(
-        assignment.shifted(tau.shift), depth), tau)
+    tables = {shift: _sorted_witness_items(group, enumerate_u_witnesses(
+        assignment.shifted(shift), depth))
+        for shift in {sigma.shift, tau.shift}}
+    lefts = _validated(group, assignment, tables[sigma.shift], sigma)
+    rights = _validated(group, assignment, tables[tau.shift], tau)
     # Independent route: the full reachability table of the combined set.
     reach = _reachable(assignment)
     identity = group.identity_value()
@@ -320,12 +328,13 @@ def check_UU(assignment: DyadicAssignment, sigma: Rescale, tau: Rescale,
     )
 
 
-def _validated(group, assignment: DyadicAssignment, table: dict,
+def _validated(group, assignment: DyadicAssignment, items: list,
                rescale: Rescale | None = None) -> list:
-    """(value, witness, valid in assignment) per table entry, sorted; with
-    a rescale, each witness is first moved by it."""
+    """(value, witness, valid in assignment) per sorted table item
+    (``_sorted_witness_items``); with a rescale, each witness is first
+    moved by it."""
     out = []
-    for (value, _), witness in _sorted_witness_items(group, table):
+    for (value, _), witness in items:
         if rescale is not None:
             witness = tuple((rescale.apply(q), el) for q, el in witness)
         out.append((value, witness,
@@ -337,13 +346,14 @@ def _witness_is_valid(group, assignment: DyadicAssignment,
                       witness: tuple, expected) -> bool:
     """Indices strictly increase inside the materialized levels, and the
     factors witness the expected product (``setspec.witness_holds``)."""
-    qs = [q for q, _ in witness]
-    if any(q.level > assignment.max_level for q in qs) or \
-            not all(a < b for a, b in zip(qs, qs[1:])):
-        return False
+    top, previous = assignment.max_level, None
+    for q, _ in witness:
+        if q.level > top or (previous is not None and not previous < q):
+            return False
+        previous = q
     return witness_holds(GroupElement(group, expected),
                          [el for _, el in witness],
-                         [assignment.stars[q.level - 1] for q in qs])
+                         [assignment.stars[q.level - 1] for q, _ in witness])
 
 
 def _pair_failures(group, lefts: list, rights: list, confirm=None) -> tuple:
@@ -412,7 +422,8 @@ def check_translation(assignment: DyadicAssignment,
     witnesses = enumerate_u_witnesses(assignment, depth)
     group = assignment.levels[0].ambient()
     indices = assignment.indices()
-    xs = [x for x in _validated(group, assignment, witnesses) if x[1]]
+    xs = [x for x in _validated(group, assignment, _sorted_witness_items(
+        group, witnesses)) if x[1]]
     by_top: dict = {}  # top index -> positions in xs of the x it tops
     for n, (_, witness, _) in enumerate(xs):
         by_top.setdefault(witness[-1][0], []).append(n)
@@ -420,8 +431,8 @@ def check_translation(assignment: DyadicAssignment,
     found = []
     for top, positions in by_top.items():
         above = [q for q in indices if top < q]
-        tail = _validated(group, assignment, _products_over(
-            group, assignment, above, depth))
+        tail = _validated(group, assignment, _sorted_witness_items(
+            group, _products_over(group, assignment, above, depth)))
         pairs, bad = _pair_failures(group, [xs[n] for n in positions], tail)
         checked += pairs
         found += [(positions[i], j, tail[j][0]) for i, j in bad]

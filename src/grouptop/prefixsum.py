@@ -118,16 +118,6 @@ def enumeration_capped(err: EnumerationBudgetError) -> MembershipResult:
     )
 
 
-def _crt(a: int, m: int, b: int, n: int) -> Optional[int]:
-    """x with x = a (mod m) and x = b (mod n), or None when incompatible."""
-    g = math.gcd(m, n)
-    if (b - a) % g != 0:
-        return None
-    step = n // g
-    t = ((b - a) // g * pow(m // g, -1, step)) % step if step > 1 else 0
-    return a + m * t
-
-
 def _peel(g: GroupElement, n: int, candidates: Callable,
           rest_holds: Callable) -> Optional[tuple]:
     """The summand witness of g across n positions, by the one rule every
@@ -159,7 +149,9 @@ def _exact_candidates(st: StarSet, rem, rest_fold):
     of the sets after it, given the raw remainder ``rem``.
 
     Residue-class summands are solved by CRT against the next fold, since
-    the right representative depends on the finer modulus downstream.  A
+    the right representative depends on the finer modulus downstream; the
+    gcd, step and inverse are computed once, and a pair of residues is
+    skipped by one test when its two congruences are incompatible.  A
     box and an interval offer one candidate each: coordinate by coordinate
     the smallest digit the rest allows, and the share of the remainder in
     proportion to the radii.
@@ -173,13 +165,19 @@ def _exact_candidates(st: StarSet, rem, rest_fold):
         m = base.modulus
         if isinstance(rest_fold, ResidueSet):
             n = rest_fold.modulus
-            lcm = m * n // math.gcd(m, n)
+            g = math.gcd(m, n)
+            step, lcm = n // g, m * n // g
+            inverse = pow(m // g, -1, step) if step > 1 else 0
             rest_residues = sorted(rest_fold.residues)
             seen = set()
             for r in sorted(base.residues):
                 for r2 in rest_residues:
-                    x = _crt(r, m, (rem - r2) % n, n)
-                    if x is not None and x not in seen:
+                    # x = r (mod m) and x = rem - r2 (mod n)
+                    if (rem - r2 - r) % g:
+                        continue
+                    b = (rem - r2) % n
+                    x = r + m * ((b - r) // g * inverse % step)
+                    if x not in seen:
                         seen.add(x)
                         yield x if x <= lcm // 2 else x - lcm
             return

@@ -22,11 +22,11 @@ from .groups import (
     Integers,
     ProductMod,
     Rationals,
+    _require_same_group,
     description_kind,
     group_from_json,
     integer_from_json,
     list_from_json,
-    op_sum,
 )
 from .sequences import (
     IntegerSequence,
@@ -330,10 +330,24 @@ def contains(spec: SetLike, g: GroupElement) -> bool:
 def witness_holds(target: GroupElement, summands: Sequence[GroupElement],
                   sets: Sequence[SetLike]) -> bool:
     """True when there is one summand per set, each summand lies in its
-    starred set, and the summands total the target in order."""
-    return len(summands) == len(sets) and \
-        all(contains(star(spec), s) for s, spec in zip(summands, sets)) and \
-        op_sum(target.group, summands).value == target.value
+    starred set, and the summands total the target in order.
+
+    Every summand is tested against its star before any sum is formed, so
+    a summand outside its star gives False first.  The summands are then
+    added as raw values; one from another group than the target's raises
+    GroupMismatchError, as ``op_sum`` does."""
+    if len(summands) != len(sets):
+        return False
+    for s, spec in zip(summands, sets):
+        if not contains(star(spec), s):
+            return False
+    group = target.group
+    total = group.identity_value()
+    for s in summands:
+        if s.group is not group:
+            _require_same_group(target, s)
+        total = group._add(total, s.value)
+    return total == target.value
 
 
 def _base_of(spec: SetLike) -> SetSpec:

@@ -313,6 +313,21 @@ def test_hausdorff_malformed_config_value_exits_1(tmp_path, capsys, doc):
     assert err.startswith("bad config: ") and err.count("\n") == 1
 
 
+def test_hausdorff_takes_a_family_with_no_exact_subset_test(tmp_path,
+                                                            capsys):
+    """A residue class and a tail have no exact subset test, so whether
+    the family is directed is not decided and the family is run."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": {"kind": "explicit", "members": [
+        {"kind": "residue", "modulus": 3, "residues": [0]},
+        {"kind": "tail", "sequence": "powers3", "start": 1}]},
+        "probes": [1, 5], "budgets": {"n_max": 2, "depth": 4,
+                                      "max_len": 2}}))
+    code, out, err = run(["hausdorff", str(cfg)], capsys)
+    assert code == 0 and json.loads(out)["status"] == "verified"
+    assert "bad config" not in err
+
+
 @pytest.mark.parametrize("family, named", [
     ({"kind": "cofinite", "sequence": "powers3", "start": 1.5,
       "prefx": [1, 2]}, "'prefx'"),
@@ -354,17 +369,25 @@ def test_hausdorff_malformed_config_value_exits_1(tmp_path, capsys, doc):
         {"kind": "finite", "group": {"kind": "product", "coords": 3,
                                      "bogus": 1}, "elements": []}]},
      "'bogus'"),
+    ({"kind": "explicit", "members": [
+        {"kind": "finite", "elements": [1, 2]},
+        {"kind": "finite", "elements": [2, 3]}]},
+     "not downward directed: no member lies inside both member 0 and "
+     "member 1"),
 ], ids=["cofinite-key", "cofinite-start-float", "tail-key",
         "tail-start-float", "residue-modulus-string", "chain-coords-float",
         "chain-key", "chain-coords-unused", "members-number",
         "elements-number", "residues-number", "allowed-number",
         "excluded-number", "group-number", "free-generators-number",
-        "cayley-table-number", "product-element-number", "group-key"])
+        "cayley-table-number", "product-element-number", "group-key",
+        "not-directed"])
 def test_hausdorff_malformed_family_description_exits_1(tmp_path, capsys,
                                                         family, named):
     """Unknown keys in a family or set description, integer fields that
     are not integers and list fields that are not lists are refused
-    instead of ignored, coerced or ending in a traceback."""
+    instead of ignored, coerced or ending in a traceback.  So is an
+    explicit family that is not downward directed ({1, 2} and {2, 3}
+    contain no common member), since the criteria do not apply to it."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"family": family, "probes": [1, 2]}))
     code, out, err = run(["hausdorff", str(cfg)], capsys)

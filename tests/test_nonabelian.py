@@ -234,20 +234,24 @@ def _uu_by_pair_walk(assign, sigma, tau, depth):
 
 def test_check_uu_matches_pair_walk_on_seeded_assignments(monkeypatch):
     """Validating each side once plus the join gives the same pairs and
-    failures as walking every concatenated witness, also when the witness
-    tables are tampered with (left products broken, right indices put out
-    of order, so no pair's faults cancel)."""
+    failures as walking every concatenated witness, with equal shifts (one
+    shared witness table) and unequal ones, also when the witness tables
+    are tampered with (left products broken, right indices put out of
+    order, so no pair's faults cancel)."""
     d4 = dihedral8()
     rng = random.Random(20261018)
-    sigma, tau = Rescale(0, 2), Rescale(3, 2)
-    for _ in range(4):
-        assign = DyadicAssignment.of({
-            lvl: FiniteSet.of(d4, rng.sample(D4_NAMES, rng.randint(1, 3)))
-            for lvl in range(1, 6)})
-        pairs, failures = _uu_by_pair_walk(assign, sigma, tau, 3)
-        rep = check_UU(assign, sigma, tau, 3)
-        assert (rep.payload["pairs_checked"], rep.payload["failures"]) == \
-            (pairs, failures) and failures == []
+    for sigma, tau in ((Rescale(0, 2), Rescale(3, 2)),
+                       (Rescale(0, 2), Rescale(2, 3))):
+        for _ in range(4):
+            assign = DyadicAssignment.of({
+                lvl: FiniteSet.of(d4, rng.sample(D4_NAMES,
+                                                 rng.randint(1, 3)))
+                for lvl in range(1, 6)})
+            pairs, failures = _uu_by_pair_walk(assign, sigma, tau, 3)
+            rep = check_UU(assign, sigma, tau, 3)
+            assert (rep.payload["pairs_checked"],
+                    rep.payload["failures"]) == (pairs, failures) \
+                and failures == []
 
     honest = nonabelian.enumerate_u_witnesses
     r = d4.element("r")
@@ -275,6 +279,36 @@ def test_check_uu_matches_pair_walk_on_seeded_assignments(monkeypatch):
     assert failures and rep.status is Status.REFUTED
     assert (rep.payload["pairs_checked"], rep.payload["failures"]) == \
         (pairs, failures)
+
+
+def test_rescale_apply_is_the_reduced_image():
+    """The image is built in lowest terms directly, and equals the reduced
+    (q + offset) / 2^shift for every index up to level 6."""
+    for shift in (1, 2, 3):
+        for offset in range(2 ** shift):
+            rescale = Rescale(offset, shift)
+            for q in dyadic_indices(6):
+                assert rescale.apply(q) == DyadicIndex.of(
+                    q.num + offset * 2 ** q.level, q.level + shift)
+
+
+@pytest.mark.parametrize("sigma, tau, tables", [
+    (Rescale(0, 2), Rescale(3, 2), 1),
+    (Rescale(0, 2), Rescale(2, 3), 2),
+], ids=["equal-shifts", "unequal-shifts"])
+def test_check_uu_enumerates_one_table_per_shift(monkeypatch, sigma, tau,
+                                                 tables):
+    _, assign = d4_assignment([["r"], ["r", "s"], ["r2"], ["r"], ["s"]])
+    honest, calls = nonabelian.enumerate_u_witnesses, 0
+
+    def counting(assignment, depth):
+        nonlocal calls
+        calls += 1
+        return honest(assignment, depth)
+
+    monkeypatch.setattr(nonabelian, "enumerate_u_witnesses", counting)
+    assert check_UU(assign, sigma, tau, 3).status is Status.VERIFIED
+    assert calls == tables
 
 
 @settings(max_examples=300, deadline=None)

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from grouptop import (
     BoxSet,
     FiniteSet,
+    GroupMismatchError,
     Integers,
     ResidueSet,
     StarSet,
@@ -16,11 +17,13 @@ from grouptop import (
     TailSet,
     contains,
     n_fold_star,
+    op_sum,
     spec_from_json,
     star,
     subset_of,
     sumset,
 )
+from grouptop.fixtures import dihedral8
 from grouptop.sequences import (
     SequenceError,
     get_sequence,
@@ -34,6 +37,7 @@ from grouptop.setspec import (
     divisor_certificate,
     residue_envelope,
     suffix_folds,
+    witness_holds,
 )
 
 Z = Integers()
@@ -145,6 +149,91 @@ def test_contains_examples():
     assert contains(starred_tail, Z.element(-27))
     assert not contains(starred_tail, Z.element(-3))
     assert contains(starred_tail, Z.element(0))
+
+
+def _witness_holds_reference(target, summands, sets):
+    """witness_holds by its definition: every star membership, then the
+    ordered sum."""
+    return len(summands) == len(sets) and \
+        all(contains(star(spec), s) for s, spec in zip(summands, sets)) and \
+        op_sum(target.group, summands).value == target.value
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except GroupMismatchError as err:
+        return f"raises: {err}"
+
+
+_D4 = dihedral8()
+_WITNESS_FAULTS = ("short", "long", "outside", "wrong-product",
+                   "foreign-factor", "foreign-target")
+
+
+@st.composite
+def _d4_witness_side(draw):
+    """D4 sets, one star member per set, and a strategy of any element."""
+    sets = draw(st.lists(st.sets(st.sampled_from(_D4.names)).map(
+        lambda names: FiniteSet.of(_D4, names)), max_size=4))
+    members = [draw(st.sampled_from(star(spec).base.elements()))
+               for spec in sets]
+    return sets, members, st.sampled_from(_D4.names).map(_D4.element)
+
+
+@st.composite
+def _residue_witness_side(draw):
+    """Residue sets, one star member per set, and a strategy of any
+    integer."""
+    sets = draw(st.lists(st.integers(1, 12).flatmap(
+        lambda m: st.sets(st.integers(0, m - 1)).map(
+            lambda rs: ResidueSet(m, frozenset(rs)))), max_size=4))
+    members = [Z.element(draw(st.sampled_from(
+        sorted(star(spec).base.residues))) + spec.modulus *
+        draw(st.integers(-3, 3))) for spec in sets]
+    return sets, members, st.integers(-40, 40).map(Z.element)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_witness_holds_matches_its_definition(data):
+    """Over D4 and residue sets, valid witnesses and witnesses with any
+    mix of faults (the wrong length, a factor outside its star, a wrong
+    product, a factor or the target from another group): witness_holds
+    answers as its definition does, and raises the same message."""
+    d4_side = data.draw(st.booleans())
+    sets, summands, anything = data.draw(
+        _d4_witness_side() if d4_side else _residue_witness_side())
+    foreign = (st.integers(-5, 5).map(Z.element) if d4_side
+               else st.sampled_from(_D4.names).map(_D4.element))
+    group = _D4 if d4_side else Z
+    target = op_sum(group, summands)
+    faults = data.draw(st.lists(st.sampled_from(_WITNESS_FAULTS),
+                                max_size=3))
+    for fault in faults:
+        positions = st.integers(0, max(len(summands) - 1, 0))
+        if fault == "short":
+            summands = summands[:-1]
+        elif fault == "long":
+            summands = summands + [data.draw(anything)]
+        elif fault == "outside" and summands:
+            summands[data.draw(positions)] = data.draw(anything)
+        elif fault == "wrong-product":
+            target = data.draw(anything)
+        elif fault == "foreign-factor" and summands:
+            summands[data.draw(positions)] = data.draw(foreign)
+        elif fault == "foreign-target":
+            target = data.draw(foreign)
+    if data.draw(st.booleans()):
+        sets = [star(spec) for spec in sets]
+    got = _outcome(witness_holds, target, summands, sets)
+    assert got == _outcome(_witness_holds_reference, target, summands, sets)
+    if not faults:
+        assert got is True
+    if faults == ["foreign-factor"] and summands:
+        assert got.startswith("raises: element of ")
+    if faults == ["foreign-target"] and summands:
+        assert got.startswith("raises: elements of ")
 
 
 def Rationals_one():
