@@ -8,18 +8,15 @@ level; towers T_0 >= T_1 >= ... with T_i T_i T_i inside T_{i-1} generate
 such assignments and admit the middle-thirds collapse certificate.
 
 Witnesses come from one breadth-first table (``enumerate_u_witnesses``)
-and are checked by one rule (``_witness_is_valid``: one pass over the
-indices for the level bound and the increasing order, then
-``setspec.witness_holds`` against the assignment's stars), shared by
-membership, product absorption, inverse closure and translation.  Each
-level's ``StarSet`` is built once per assignment, and product absorption
-builds and sorts one witness table per distinct shift of its two
-rescalings.  Product absorption and translation decide their witness pairs
-per side (``_pair_failures``): every witness valid, the largest last left
-index below the smallest first right index, and each distinct product
-confirmed; the pairs are walked only to list failures.  Dyadic indices and
-rescaled images compare as integers over a common power of two, and a
-rescaled image is built in lowest terms directly.
+and are checked by one rule (``_validated``: the moved indices increase
+inside the levels, and ``setspec.witness_holds`` against the stars),
+shared by membership, product absorption, inverse closure and translation.
+Product absorption builds one table per distinct shift of its two
+rescalings; the rescalings of one shift share each item's star-and-product
+check, and each maps each distinct index once.  Witness pairs are decided
+per side (``_pair_failures``) and walked only to list failures.  Dyadic
+indices and rescaled images compare as integers over a common power of
+two, and a rescaled image is built in lowest terms directly.
 
 The module also carries the conjugation closure of a family, and the
 Fibonacci endomorphism x -> y, y -> xy of the free group on two
@@ -163,15 +160,17 @@ def assignment_from_json(doc: dict, group=None) -> DyadicAssignment:
 
 def _reachable(assignment: DyadicAssignment) -> dict:
     """Minimum factor count for every element of some increasing-index
-    product, over all indices of the materialized levels."""
-    indices = assignment.indices()
+    product, over all indices of the materialized levels.  Identity
+    factors are skipped: they never lower a count."""
     group = assignment.levels[0].ambient()
-    reach = {group.identity_value(): 0}
-    for q in indices:
-        snapshot = list(reach.items())
-        for value, count in snapshot:
-            for el in assignment.starred[q.level - 1]:
-                nxt = group._add(value, el.value)
+    identity = group.identity_value()
+    steps = [[el.value for el in level if el.value != identity]
+             for level in assignment.starred]
+    reach = {identity: 0}
+    for q in assignment.indices():
+        for value, count in list(reach.items()):
+            for step in steps[q.level - 1]:
+                nxt = group._add(value, step)
                 if count + 1 < reach.get(nxt, math.inf):
                     reach[nxt] = count + 1
     return reach
@@ -282,14 +281,12 @@ def check_UU(assignment: DyadicAssignment, sigma: Rescale, tau: Rescale,
     """Product of the two rescaled neighborhood sets lands in the combined
     one: every pair of bounded witnesses concatenates into a witness.
 
-    Requires sigma's image to lie entirely below tau's.  The witness table
-    of each distinct shift is built and sorted once, so two rescalings of
-    one shift share it.  Each rescaled witness is validated once against
-    the combined assignment; a pair's concatenation is then a witness
+    Requires sigma's image to lie entirely below tau's.  One witness
+    table per distinct shift is validated once for the rescalings of that
+    shift (``_validated``); a pair's concatenation is then a witness
     exactly when the last left index lies below the first right index.
     Each product is also confirmed by the independent reachability table
-    at the combined depth.  The pairs are decided per side
-    (``_pair_failures``).
+    at the combined depth, and the pairs are decided per side.
     """
     if not sigma.entirely_below(tau):
         raise ValueError("sigma's image must lie entirely below tau's")
@@ -298,11 +295,13 @@ def check_UU(assignment: DyadicAssignment, sigma: Rescale, tau: Rescale,
         raise ValueError("assignment too shallow for these rescalings")
 
     group = assignment.levels[0].ambient()
-    tables = {shift: _sorted_witness_items(group, enumerate_u_witnesses(
-        assignment.shifted(shift), depth))
-        for shift in {sigma.shift, tau.shift}}
-    lefts = _validated(group, assignment, tables[sigma.shift], sigma)
-    rights = _validated(group, assignment, tables[tau.shift], tau)
+    sides = {}
+    for shift in {sigma.shift, tau.shift}:
+        rescales = [r for r in (sigma, tau) if r.shift == shift]
+        table = enumerate_u_witnesses(assignment.shifted(shift), depth)
+        sides.update(zip(rescales,
+                         _validated(group, assignment, table, rescales)))
+    lefts, rights = sides[sigma], sides[tau]
     # Independent route: the full reachability table of the combined set.
     reach = _reachable(assignment)
     identity = group.identity_value()
@@ -328,32 +327,47 @@ def check_UU(assignment: DyadicAssignment, sigma: Rescale, tau: Rescale,
     )
 
 
-def _validated(group, assignment: DyadicAssignment, items: list,
-               rescale: Rescale | None = None) -> list:
-    """(value, witness, valid in assignment) per sorted table item
-    (``_sorted_witness_items``); with a rescale, each witness is first
-    moved by it."""
-    out = []
-    for (value, _), witness in items:
-        if rescale is not None:
-            witness = tuple((rescale.apply(q), el) for q, el in witness)
-        out.append((value, witness,
-                    _witness_is_valid(group, assignment, witness, value)))
-    return out
+def _validated(group, assignment: DyadicAssignment, table: dict,
+               rescales: Sequence = (None,)) -> list:
+    """One side per rescaling (None moves nothing) of (value, moved
+    witness, valid) per table item in sorted order: valid when the moved
+    indices pass ``_indices_valid`` and ``setspec.witness_holds`` takes
+    the factors.  The rescalings share one shift, so the latter runs once
+    per item; each side moves each distinct index once."""
+    if rescales[0] is None:
+        stars, images = assignment.stars, [None]
+    else:
+        stars = assignment.stars[rescales[0].shift:]
+        distinct = {q for witness in table.values() for q, _ in witness}
+        images = [{q: r.apply(q) for q in distinct} for r in rescales]
+    top, sides = assignment.max_level, [[] for _ in rescales]
+    for (value, _), witness in _sorted_witness_items(group, table):
+        moved = [witness if image is None else
+                 tuple([(image[q], el) for q, el in witness])
+                 for image in images]
+        ok = [_indices_valid(top, w) for w in moved]
+        holds = any(ok) and witness_holds(
+            GroupElement(group, value), [el for _, el in witness],
+            [stars[q.level - 1] for q, _ in witness])
+        for side, w, w_ok in zip(sides, moved, ok):
+            side.append((value, w, w_ok and holds))
+    return sides
 
 
 def _witness_is_valid(group, assignment: DyadicAssignment,
                       witness: tuple, expected) -> bool:
-    """Indices strictly increase inside the materialized levels, and the
-    factors witness the expected product (``setspec.witness_holds``)."""
-    top, previous = assignment.max_level, None
+    """``_validated``'s rule for one witness of the expected value."""
+    return _validated(group, assignment, {(expected, -1): witness})[0][0][2]
+
+
+def _indices_valid(top: int, witness: tuple) -> bool:
+    """The indices strictly increase, none past level ``top``."""
+    previous = None
     for q, _ in witness:
         if q.level > top or (previous is not None and not previous < q):
             return False
         previous = q
-    return witness_holds(GroupElement(group, expected),
-                         [el for _, el in witness],
-                         [assignment.stars[q.level - 1] for q, _ in witness])
+    return True
 
 
 def _pair_failures(group, lefts: list, rights: list, confirm=None) -> tuple:
@@ -422,8 +436,7 @@ def check_translation(assignment: DyadicAssignment,
     witnesses = enumerate_u_witnesses(assignment, depth)
     group = assignment.levels[0].ambient()
     indices = assignment.indices()
-    xs = [x for x in _validated(group, assignment, _sorted_witness_items(
-        group, witnesses)) if x[1]]
+    xs = [x for x in _validated(group, assignment, witnesses)[0] if x[1]]
     by_top: dict = {}  # top index -> positions in xs of the x it tops
     for n, (_, witness, _) in enumerate(xs):
         by_top.setdefault(witness[-1][0], []).append(n)
@@ -431,8 +444,8 @@ def check_translation(assignment: DyadicAssignment,
     found = []
     for top, positions in by_top.items():
         above = [q for q in indices if top < q]
-        tail = _validated(group, assignment, _sorted_witness_items(
-            group, _products_over(group, assignment, above, depth)))
+        tail, = _validated(group, assignment, _products_over(
+            group, assignment, above, depth))
         pairs, bad = _pair_failures(group, [xs[n] for n in positions], tail)
         checked += pairs
         found += [(positions[i], j, tail[j][0]) for i, j in bad]

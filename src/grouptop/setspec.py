@@ -592,6 +592,15 @@ def subset_of(inner: SetLike, outer: SetLike) -> bool:
         return all(k in inner_b.excluded or k < inner_b.start
                    for k in outer_b.excluded)
 
+    if isinstance(outer_b, FiniteSet) and isinstance(inner_b, ResidueSet):
+        return not inner_b.residues  # a residue class is infinite
+    if isinstance(outer_b, FiniteSet) and isinstance(inner_b, TailSet):
+        # terms grow in absolute value: only a prefix's tail is finite
+        prefix = inner_b.sequence.prefix
+        return prefix is not None and all(
+            outer.contains_value(v) for k, v in enumerate(prefix)
+            if inner_b.admits(k))
+
     raise SubsetUndecidable(
         f"no exact subset test for {type(inner_b).__name__} within "
         f"{type(outer_b).__name__}"

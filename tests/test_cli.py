@@ -535,6 +535,42 @@ def test_recheck_flags_tampered_report(tmp_path, capsys):
     assert code == 2 and "FAIL" in out
 
 
+@pytest.mark.parametrize("number", ["2.0", "NaN"])
+def test_recheck_refuses_a_number_the_writer_never_emits(tmp_path, capsys,
+                                                        number):
+    """The writer emits integers only, so a float or a JSON constant in a
+    report fails the recheck by itself, after the claims' own lines, even
+    where the replay takes it as equal (a cupcap ``checked`` of 2.0)."""
+    report = tmp_path / "powers3.json"
+    run(["hausdorff", str(CONFIGS / "powers3.json"), "--out", str(report)],
+        capsys)
+    text = report.read_text()
+    assert '"checked": 2,' in text
+    report.write_text(text.replace('"checked": 2,', f'"checked": {number},',
+                                   1))
+    code, out, err = run(["recheck", str(report)], capsys)
+    assert (code, err) == (2, "")
+    assert out.splitlines()[-2:] == [
+        f"  FAIL   report: non-integer number {number}", "recheck: FAILED"]
+    assert out.count("non-integer") == 1
+
+
+def test_hausdorff_refuses_undirected_family_with_a_tail(tmp_path, capsys):
+    """An infinite tail lies in neither of two finite members, so the
+    directedness check decides the family instead of giving up."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": {"kind": "explicit", "members": [
+        {"kind": "finite", "elements": [1, 2]},
+        {"kind": "finite", "elements": [2, 3]},
+        {"kind": "tail", "sequence": "powers3", "start": 1}]},
+        "probes": [1, 5], "budgets": {"n_max": 3, "depth": 12,
+                                      "max_len": 5}}))
+    code, out, err = run(["hausdorff", str(cfg)], capsys)
+    assert (code, out) == (1, "")
+    assert err == ("bad config: explicit family is not downward directed: "
+                   "no member lies inside both member 0 and member 1\n")
+
+
 def test_recheck_flags_tampered_copy_of_an_intact_claim(tmp_path, capsys):
     """A claim rechecked after an intact copy of itself still fails: the
     replay's shared table keys sets by value, so the tampered member is

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import math
 import random
 
 import pytest
@@ -309,6 +310,83 @@ def test_check_uu_enumerates_one_table_per_shift(monkeypatch, sigma, tau,
     monkeypatch.setattr(nonabelian, "enumerate_u_witnesses", counting)
     assert check_UU(assign, sigma, tau, 3).status is Status.VERIFIED
     assert calls == tables
+
+
+@pytest.mark.parametrize("sigma, tau", [
+    (Rescale(0, 2), Rescale(3, 2)),
+    (Rescale(0, 2), Rescale(2, 3)),
+], ids=["equal-shifts", "unequal-shifts"])
+def test_check_uu_checks_each_table_item_once(monkeypatch, sigma, tau):
+    """The star-and-product check runs once per item of each shift's
+    table, whichever rescalings share it, and each side maps each
+    distinct index of its table through ``Rescale.apply`` at most once."""
+    _, assign = d4_assignment([["r"], ["r", "s"], ["r2"], ["r"], ["s"]])
+    tables = {shift: nonabelian.enumerate_u_witnesses(
+        assign.shifted(shift), 3) for shift in {sigma.shift, tau.shift}}
+    holds, apply = nonabelian.witness_holds, Rescale.apply
+    checks, images = 0, []
+
+    def counting_holds(*args):
+        nonlocal checks
+        checks += 1
+        return holds(*args)
+
+    def counting_apply(self, q):
+        images.append((self, q))
+        return apply(self, q)
+
+    monkeypatch.setattr(nonabelian, "witness_holds", counting_holds)
+    monkeypatch.setattr(Rescale, "apply", counting_apply)
+    assert check_UU(assign, sigma, tau, 3).status is Status.VERIFIED
+    assert checks == sum(len(table) for table in tables.values())
+    assert len(set(images)) == len(images)
+    for rescale in (sigma, tau):
+        distinct = {q for w in tables[rescale.shift].values() for q, _ in w}
+        assert {q for r, q in images if r == rescale} == distinct
+
+
+class _SwappedRescale(Rescale):
+    """A rescaling that maps 1/4 where 3/4 goes and 3/4 where 1/4 goes:
+    the images keep their levels but leave the order."""
+
+    def apply(self, q):
+        swap = {DyadicIndex(1, 2): DyadicIndex(3, 2),
+                DyadicIndex(3, 2): DyadicIndex(1, 2)}
+        return super().apply(swap.get(q, q))
+
+
+def test_check_uu_checks_the_order_of_each_sides_images():
+    """The star-and-product check is shared between the sides, but the
+    order of the moved indices is checked on each side: a tau that puts
+    two images out of order gives failures, the pairs the walk finds."""
+    _, assign = d4_assignment([["r"], ["r", "s"], ["r2"], ["r", "s"], ["s"]])
+    sigma, tau = Rescale(0, 2), _SwappedRescale(3, 2)
+    pairs, failures = _uu_by_pair_walk(assign, sigma, tau, 3)
+    rep = check_UU(assign, sigma, tau, 3)
+    assert failures and rep.status is Status.REFUTED
+    assert (rep.payload["pairs_checked"], rep.payload["failures"]) == \
+        (pairs, failures)
+
+
+def _reachable_reference(assignment):
+    """``_reachable`` as defined before identity factors were skipped."""
+    group = assignment.levels[0].ambient()
+    reach = {group.identity_value(): 0}
+    for q in assignment.indices():
+        for value, count in list(reach.items()):
+            for el in assignment.starred[q.level - 1]:
+                nxt = group._add(value, el.value)
+                if count + 1 < reach.get(nxt, math.inf):
+                    reach[nxt] = count + 1
+    return reach
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sets(st.sampled_from(D4_NAMES)), min_size=1, max_size=5))
+def test_reachable_matches_its_definition(levels):
+    """Skipping identity factors leaves every minimum count as it was."""
+    _, assign = d4_assignment([sorted(names) for names in levels])
+    assert nonabelian._reachable(assign) == _reachable_reference(assign)
 
 
 @settings(max_examples=300, deadline=None)

@@ -532,6 +532,36 @@ def test_subset_of_pairs():
     assert not subset_of(TailSet.of("powers3", 1), TailSet.of("powers3", 3))
 
 
+@pytest.mark.parametrize("outer", [
+    FiniteSet.of(Z, [1, 3, 9, 27]), star(FiniteSet.of(Z, [1, 3, 9, 27])),
+    FiniteSet.of(Z, [])], ids=["finite", "starred-finite", "empty"])
+def test_unbounded_tail_never_lies_in_a_finite_set(outer):
+    """A tail of an unbounded sequence is infinite, excluded indices or
+    not, so it lies in no finite set and in no finite set's star."""
+    for tail in (TailSet.of("powers3", 0), TailSet.of("powers3", 1, [2, 3]),
+                 TailSet.of("fibonacci", 4)):
+        assert subset_of(tail, outer) is False
+
+
+def test_finite_prefix_tail_in_a_finite_set_is_its_admitted_terms():
+    seq = prefix_sequence("steps", [1, 2, 5, 11])
+    within = FiniteSet.of(Z, [2, 5, 11, 40])
+    assert subset_of(TailSet.of(seq, 1), within)
+    assert not subset_of(TailSet.of(seq, 0), within)  # 1 is not in it
+    assert subset_of(TailSet.of(seq, 0, [0]), within)  # 1 is excluded
+    assert not subset_of(TailSet.of(seq, 1), FiniteSet.of(Z, [2, 5]))
+    assert subset_of(TailSet.of(seq, 1), star(FiniteSet.of(Z, [-2, 5, 11])))
+    assert subset_of(TailSet.of(seq, 4), FiniteSet.of(Z, []))  # no terms
+
+
+def test_residue_set_in_a_finite_set_only_when_empty():
+    finite = FiniteSet.of(Z, range(-20, 21))
+    assert subset_of(ResidueSet.of(9, {0, 4}), finite) is False
+    assert subset_of(star(ResidueSet.of(9, {4})), star(finite)) is False
+    assert subset_of(ResidueSet.of(9, []), finite) is True
+    assert subset_of(ResidueSet.of(9, []), FiniteSet.of(Z, [])) is True
+
+
 # --- divisor certificates ---
 
 def test_divisor_certificates():
