@@ -24,12 +24,12 @@ from typing import Iterator, Optional, Sequence, TextIO
 from . import examples as ex
 from .filters import (ExplicitFamily, FilterFamily, check_directed,
                       family_from_json, hausdorff_verdict)
-from .groups import integer_from_json, reject_unknown_keys
+from .groups import (check_enumeration_cap, integer_from_json,
+                     reject_unknown_keys)
 from .nonabelian import verify_fib_identity, verify_fib_words
 from .report import (Status, report_document, stopwatch,
                      write_canonical_json)
-from .setspec import (_ENUMERATION_CAP, EnumerationBudgetError, FoldTable,
-                      SubsetUndecidable)
+from .setspec import EnumerationBudgetError, FoldTable, SubsetUndecidable
 
 _EXIT_FOR_STATUS = {
     Status.VERIFIED: 0,
@@ -132,14 +132,12 @@ def _cmd_verify(args) -> int:
             not args.cover_m0:
         print("--cover-gmax needs --cover-m0", file=sys.stderr)
         return 1
-    if args.example == "sqrt7" and args.gmax * args.nmax > _ENUMERATION_CAP:
-        print(f"verify: the sqrt7 grid holds {args.gmax * args.nmax} "
-              f"claims, past the enumeration cap {_ENUMERATION_CAP}",
-              file=sys.stderr)
-        return 1
     try:
         with stopwatch() as elapsed:
             if args.example == "sqrt7":
+                claims = args.gmax * args.nmax
+                check_enumeration_cap(f"the sqrt7 grid holds {claims} claims",
+                                      claims)
                 reports = []  # the cover first: its cap refuses at once
                 if args.cover_m0:
                     m0 = args.cover_m0
@@ -182,7 +180,7 @@ def _cmd_hausdorff(args) -> int:
         return 1
     try:
         cfg = RunConfig.from_json(doc)
-    except (KeyError, ValueError) as err:
+    except (KeyError, ValueError, EnumerationBudgetError) as err:
         print(f"bad config: {err}", file=sys.stderr)
         return 1
     with stopwatch() as elapsed:

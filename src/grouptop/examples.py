@@ -12,9 +12,9 @@ Every verification returns a report whose witnesses re-verify by plain
 group addition.  Each kind's replayer sits beside its producer:
 ``replay_sqrt7_necessary`` applies the producer's rule
 (``sqrt7_necessary_rule``) to the payload, and every other kind's id
-names its inputs, so its ``rerun_*`` replayer bounds the work, re-runs
-the capped producer on them and hands the re-run to
-``report.rerun_facts``.
+names its inputs, so its ``rerun_*`` replayer re-runs the capped
+producer on them, whose cap refuses a crafted id before anything is
+built, and hands the re-run to ``report.rerun_facts``.
 """
 
 from __future__ import annotations
@@ -30,14 +30,14 @@ from .groups import (
     Integers,
     ProductMod,
     Rationals,
+    check_enumeration_cap,
+    enumeration_cap,
 )
 from .prefixsum import prefix_sum_membership
 from .report import (Status, VerificationReport, check_payload_keys,
                      id_numbers, rerun_facts)
 from .setspec import (
-    _ENUMERATION_CAP,
     BoxSet,
-    EnumerationBudgetError,
     FoldTable,
     ResidueSet,
     SetLike,
@@ -146,9 +146,12 @@ def verify_hensel(a: int, p: int, k: int) -> VerificationReport:
     """The table of canonical square roots of a modulo p, ..., p^k, each
     accepted by ``HenselWitness``, and their congruence chain: verified
     when each root agrees with the one before it modulo that one's
-    modulus.  Raises as ``hensel_roots`` does, and as ``_check_table_cap``
-    does before any root is lifted."""
-    _check_table_cap(f"the hensel table to k={k}", k, p)
+    modulus.  Raises as ``hensel_roots`` does, and EnumerationBudgetError
+    before any root is lifted when the table's bits pass the cap: level j
+    writes numbers of about j digits in base p."""
+    bits = k * k * p.bit_length() // 2
+    check_enumeration_cap(f"the hensel table to k={k} writes about {bits} "
+                          f"bits", bits)
     levels = [{"k": level, "modulus": p ** level,
                "root": HenselWitness(p, a, level, root).root}
               for level, root in enumerate(hensel_roots(a, p, k), start=1)]
@@ -162,12 +165,7 @@ def verify_hensel(a: int, p: int, k: int) -> VerificationReport:
 
 
 def rerun_hensel(claim: dict, table: FoldTable) -> tuple:
-    """The id's k must be the number of recorded levels, so the re-run
-    builds no more rows than the report holds."""
     p, a, k = id_numbers(r"hensel:p=(-?\d+):a=(-?\d+):k=(-?\d+)", claim)
-    if k != len(claim["payload"]["levels"]):
-        raise AssertionError(f"the id names {k} levels, the report holds "
-                             f"{len(claim['payload']['levels'])}")
     return rerun_facts(claim, verify_hensel(a, p, k))
 
 
@@ -322,46 +320,19 @@ def sqrt7_cover_witness(g: int, m0: int,
     )
 
 
-def _check_cap(what: str, held: int) -> None:
-    """Refuse work whose sets hold up to ``held`` residues between them
-    when that passes the enumeration cap."""
-    if held > _ENUMERATION_CAP:
-        raise EnumerationBudgetError(
-            f"{what} folds up to {held} residues, past the enumeration cap "
-            f"{_ENUMERATION_CAP}")
-
-
-def _check_table_cap(what: str, rows: int, base: int) -> None:
-    """Refuse a table whose row j writes numbers of about j digits in
-    ``base``, about rows^2 * bits(base) / 2 bits in all, when that passes
-    the enumeration cap."""
-    bits = rows * rows * base.bit_length() // 2
-    if bits > _ENUMERATION_CAP:
-        raise EnumerationBudgetError(
-            f"{what} writes about {bits} bits, past the enumeration cap "
-            f"{_ENUMERATION_CAP}")
-
-
 def _check_cover_cap(m0: int, deepest: int) -> None:
     """Each of the cover's 3^m0 + 1 suffix folds holds at most 3^deepest
     residues; refuse when they could pass the enumeration cap together.
     3^(m0 + deepest) alone passes it once m0 + deepest reaches the cap's
-    bit length, so no larger power is taken."""
-    if m0 + deepest >= _ENUMERATION_CAP.bit_length():
-        raise EnumerationBudgetError(
-            f"the sqrt7 cover at m0={m0} folds more than 3^{m0 + deepest} "
-            f"residues, past the enumeration cap {_ENUMERATION_CAP}")
-    _check_cap(f"the sqrt7 cover at m0={m0}",
-               (SQRT7_P ** m0 + 1) * SQRT7_P ** deepest)
-
-
-def _check_witness_cap(what: str, samples: int, values: int) -> None:
-    """Refuse ``samples`` witnesses whose summands hold ``values``
-    integers each when that passes the enumeration cap in all."""
-    if samples * values > _ENUMERATION_CAP:
-        raise EnumerationBudgetError(
-            f"{what} writes {samples} witnesses of {values} summand values "
-            f"each, past the enumeration cap {_ENUMERATION_CAP}")
+    bit length, so no larger power is taken: 2 to that length stands in
+    for it."""
+    what, top = f"the sqrt7 cover at m0={m0}", m0 + deepest
+    reach = enumeration_cap().bit_length()
+    if top >= reach:
+        check_enumeration_cap(f"{what} folds more than 3^{top} residues",
+                              2 ** reach)
+    held = (SQRT7_P ** m0 + 1) * SQRT7_P ** deepest
+    check_enumeration_cap(f"{what} folds up to {held} residues", held)
 
 
 def sqrt7_cover_levels(m0: int) -> list:
@@ -385,8 +356,9 @@ def verify_sqrt7_U_full(m0: int, ms: Sequence[int],
     _check_cover_cap(m0, max([m0, *ms]))
     if len(ms) != SQRT7_P ** m0:
         raise ValueError(f"need exactly {SQRT7_P ** m0} follower levels")
-    _check_witness_cap(f"the sqrt7 cover at m0={m0}", len(sample_gs),
-                       len(ms) + 1)
+    check_enumeration_cap(
+        f"the sqrt7 cover at m0={m0} writes {len(sample_gs)} witnesses of "
+        f"{len(ms) + 1} summand values each", len(sample_gs) * (len(ms) + 1))
     return _verify_cover(
         f"sqrt7-cover:m0={m0}:ms={','.join(map(str, ms))}",
         "sum_equals_all_residues",
@@ -476,8 +448,9 @@ def product_cover_levels(n_coords: int, m0: int) -> list:
     product-cover id names.  Each of the cover's m0 + 1 suffix folds
     holds at most 1 + 2 + ... + m0 residues, and the cap is checked from
     m0 alone before the list is built."""
-    _check_cap(f"the product cover at m0={m0}",
-               (m0 + 1) * m0 * (m0 + 1) // 2)
+    held = (m0 + 1) * m0 * (m0 + 1) // 2
+    check_enumeration_cap(f"the product cover at m0={m0} folds up to {held} "
+                          f"residues", held)
     return [min(m0 + i + 1, n_coords) for i in range(m0)]
 
 
@@ -493,8 +466,10 @@ def verify_product_sum_full(n_coords: int, m0: int, ms: Sequence[int],
     if list(ms) != product_cover_levels(n_coords, m0):
         raise ValueError("the follower levels must be min(m0 + i + 1, N) "
                          "for i < m0")
-    _check_witness_cap(f"the product cover at m0={m0}", len(sample_gs),
-                       (m0 + 1) * n_coords)
+    values = (m0 + 1) * n_coords
+    check_enumeration_cap(
+        f"the product cover at m0={m0} writes {len(sample_gs)} witnesses of "
+        f"{values} summand values each", len(sample_gs) * values)
     return _verify_cover(
         f"product-cover:N={n_coords}:m0={m0}", "sum_covers_group",
         [product_set(n_coords, m) for m in [m0, *ms]],
@@ -527,8 +502,9 @@ def verify_product_union_small(n_coords: int, n: int) -> VerificationReport:
     if n_coords < 1 or n < 1:
         raise ValueError("need positive coordinate count and n")
     # each n-fold sum A_1, ..., A_n holds up to c residues at coordinate c
-    _check_cap(f"product-union-small at N={n_coords}, n={n}",
-               n * n_coords * (n_coords + 1) // 2)
+    held = n * n_coords * (n_coords + 1) // 2
+    check_enumeration_cap(f"product-union-small at N={n_coords}, n={n} "
+                          f"folds up to {held} residues", held)
     # The boxes shrink as m grows, so their n-fold stars do too, and the
     # intersection is the deepest box's n-fold star.
     boxes = [product_set(n_coords, m) for m in range(1, n_coords + 1)]
@@ -593,7 +569,9 @@ def verify_interval_example(min_exp: int = 10) -> VerificationReport:
     """
     if min_exp < 0:
         raise ValueError("min_exp must be nonnegative")
-    _check_table_cap(f"the schedule to 2^-{min_exp}", min_exp + 1, 2)
+    bits = (min_exp + 1) ** 2  # row j writes 2^-j, of about j bits
+    check_enumeration_cap(f"the schedule to 2^-{min_exp} writes about "
+                          f"{bits} bits", bits)
     group = _RATIONALS
     # Pinned witness: 1 = (1 - eps/2) + eps/2, valid for every eps <= 2.
     steps = [(eps, (group.element(1 - eps / 2), group.element(eps / 2)),
@@ -621,13 +599,7 @@ def verify_interval_example(min_exp: int = 10) -> VerificationReport:
 
 
 def rerun_interval(claim: dict, table: FoldTable) -> tuple:
-    """The schedule must hold min_exp + 1 rows, so the re-run builds no
-    more than the report holds."""
     min_exp, = id_numbers(r"interval-no-extension:min_eps=2\^-(\d+)", claim)
-    if min_exp + 1 != len(claim["payload"]["schedule"]):
-        raise AssertionError(f"the id names {min_exp + 1} epsilons, the "
-                             f"schedule holds "
-                             f"{len(claim['payload']['schedule'])}")
     return rerun_facts(claim, verify_interval_example(min_exp))
 
 
@@ -636,10 +608,8 @@ def random_product_elements(n_coords: int, count: int,
     """Deterministic sample of elements of the truncated product,
     refused before it is drawn when its count * N coordinates pass the
     enumeration cap."""
-    if count * n_coords > _ENUMERATION_CAP:
-        raise EnumerationBudgetError(
-            f"{count} samples of {n_coords} coordinates pass the "
-            f"enumeration cap {_ENUMERATION_CAP}")
+    check_enumeration_cap(f"{count} samples of {n_coords} coordinates",
+                          count * n_coords)
     rng = random.Random(seed)
     group = ProductMod(n_coords)
     out = []

@@ -558,9 +558,9 @@ def replay_hausdorff(claim: dict, table: FoldTable) -> tuple:
     would derive: each cupcap entry's ``skipped_unknown``, and each
     blocking result's ``proof`` and ``note`` (a ``yes``, whose witness is
     re-checked, or an ``unknown``).  Checked by hand: the payload's keys,
-    index types and ranges, step and blocked counts, and member records'
-    JSON types, which ``==`` takes alike.  Probes are read in the family's
-    group."""
+    index types and ranges, step and blocked counts, and the JSON types of
+    member records and of each cupcap map, which ``==`` takes alike.
+    Probes are read in the family's group."""
     check_payload_keys(claim, {"family", "probes", "verdict"})
     payload, budgets = claim["payload"], claim["budgets"]
     family = family_from_json(payload["family"])
@@ -644,7 +644,8 @@ def replay_hausdorff(claim: dict, table: FoldTable) -> tuple:
             g, [cupcap(name, g, n, cupcaps.get(str(n), {}))
                 for n in range(1, top + 1)],
             separation(name, g, probe["separation"]))
-        if record != probe:
+        if record != probe or \
+                not same_json(record["cupcap"], probe["cupcap"]):
             raise AssertionError(
                 f"probe {name}: {mismatch('the entry', record, probe)}")
         outcomes.append(record["outcome"])

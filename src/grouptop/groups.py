@@ -22,6 +22,10 @@ class NotAGroupError(ValueError):
     """Raised when a multiplication table fails the group laws."""
 
 
+class EnumerationBudgetError(RuntimeError):
+    """An explicit enumeration outgrew its element budget."""
+
+
 ElementValue = Union[int, Fraction, tuple]
 
 
@@ -100,6 +104,29 @@ _INTEGERS = Integers()
 def integer_from_json(raw) -> int:
     """The integers' own check: bools, floats and strings are refused."""
     return _INTEGERS._normalize(raw)
+
+
+# The one bound on every explicit enumeration: sums, folds, tables,
+# witnesses, samples and parsed words are refused past it before their
+# memory is spent.  Every module reads it here at call time, so this is
+# its only binding.
+_ENUMERATION_CAP = 200_000
+
+
+def enumeration_cap() -> int:
+    return _ENUMERATION_CAP
+
+
+def within_enumeration_cap(count: int) -> bool:
+    return count <= _ENUMERATION_CAP
+
+
+def check_enumeration_cap(what: str, count: int) -> None:
+    """Refuse work that would enumerate ``count`` things, ``what`` says
+    which, when that passes the cap."""
+    if not within_enumeration_cap(count):
+        raise EnumerationBudgetError(
+            f"{what}, past the enumeration cap {_ENUMERATION_CAP}")
 
 
 def list_from_json(raw, key: str) -> list:
@@ -250,7 +277,8 @@ class FreeGroup(AmbientGroup):
 
     def _parse(self, text: str) -> tuple:
         # "x y^-1 x" or "x*y^-1"; also single-token powers like "x^3".
-        letters = []
+        # The powers are counted against the cap before any letter is built.
+        powers = []
         for token in text.replace("*", " ").split():
             if "^" in token:
                 name, exp = token.split("^")
@@ -261,9 +289,11 @@ class FreeGroup(AmbientGroup):
                 continue  # the identity, as format_value prints it
             if name not in self.generators:
                 raise ValueError(f"unknown generator {name!r}")
-            idx = self.generators.index(name) + 1
-            letters.extend([idx if power > 0 else -idx] * abs(power))
-        return tuple(letters)
+            powers.append((self.generators.index(name) + 1, power))
+        count = sum(abs(power) for _, power in powers)
+        check_enumeration_cap(f"a word of {count} letters", count)
+        return tuple(idx if power > 0 else -idx
+                     for idx, power in powers for _ in range(abs(power)))
 
     def _add(self, a: tuple, b: tuple) -> tuple:
         return reduce_word(a + b)

@@ -39,15 +39,15 @@ from .groups import (
     CayleyGroup,
     FreeGroup,
     GroupElement,
+    check_enumeration_cap,
     op_add,
     op_conjugate,
     op_neg,
+    within_enumeration_cap,
 )
 from .prefixsum import MembershipResult
 from .report import Status, VerificationReport, id_numbers, rerun_facts
 from .setspec import (
-    _ENUMERATION_CAP,
-    EnumerationBudgetError,
     FiniteSet,
     FoldTable,
     SetSpec,
@@ -140,10 +140,14 @@ class DyadicAssignment:
         return dyadic_indices(self.max_level)
 
     def shifted(self, shift: int) -> "DyadicAssignment":
-        """Assignment seen through a rescaling that adds ``shift`` levels."""
+        """Assignment seen through a rescaling that adds ``shift`` levels;
+        it shares this assignment's stars and starred elements."""
         if shift >= self.max_level:
             raise ValueError("shift swallows every materialized level")
-        return DyadicAssignment(self.levels[shift:])
+        view = DyadicAssignment(self.levels[shift:])
+        object.__setattr__(view, "stars", self.stars[shift:])
+        object.__setattr__(view, "starred", self.starred[shift:])
+        return view
 
     def to_json(self) -> dict:
         return {"levels": {str(i + 1): s.to_json()
@@ -625,14 +629,15 @@ def fib_word(n: int) -> FibWord:
 
 def _check_fib_cap(top: int) -> None:
     """The longest of the words f_0, ..., f_top, f_top, has F(top + 1)
-    letters; refuse when that passes the enumeration cap."""
+    letters; refuse when that passes the enumeration cap, counting no
+    further than the first length past it."""
     longest, following = 1, 1  # F(1) and F(2), the lengths of f_0 and f_1
     for _ in range(top):
+        if not within_enumeration_cap(longest):
+            break
         longest, following = following, longest + following
-        if longest > _ENUMERATION_CAP:
-            raise EnumerationBudgetError(
-                f"the fibonacci words up to n={top} pass the enumeration "
-                f"cap {_ENUMERATION_CAP} in length")
+    check_enumeration_cap(f"the fibonacci words up to n={top} run to at "
+                          f"least {longest} letters", longest)
 
 
 def verify_fib_words(top: int) -> VerificationReport:

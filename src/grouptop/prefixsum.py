@@ -43,9 +43,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .groups import GroupElement, Integers
+from .groups import (GroupElement, Integers, enumeration_cap,
+                     within_enumeration_cap)
 from .setspec import (
-    _ENUMERATION_CAP,
     BoxSet,
     EnumerationBudgetError,
     FiniteSet,
@@ -114,7 +114,7 @@ def enumeration_capped(err: EnumerationBudgetError) -> MembershipResult:
     nothing; the proof names the cap."""
     return MembershipResult(
         "unknown", note=str(err),
-        proof={"route": "exact-fold", "enumeration_cap": _ENUMERATION_CAP},
+        proof={"route": "exact-fold", "enumeration_cap": enumeration_cap()},
     )
 
 
@@ -355,8 +355,8 @@ def _envelope_exclusion(g: GroupElement, stars: Sequence[StarSet],
 def _envelope_sum_meets(envelopes: list, m: int, r: int) -> Optional[bool]:
     """Whether residue r lies in the sum of the envelopes mod m; None when
     that sum saturates, so no exclusion is possible, or when a sum past
-    ``_ENVELOPE_BITSET_CAP`` would pair more than ``_ENUMERATION_CAP``
-    residues.  Up to that cap the sum is a bitset of m residues, each
+    ``_ENVELOPE_BITSET_CAP`` would pair more residues than the enumeration
+    cap.  Up to the bitset cap the sum is a bitset of m residues, each
     envelope added by shifting and folding the overflow back (a
     rotate-and-OR); past it, a set of residues."""
     if m <= _ENVELOPE_BITSET_CAP:
@@ -372,7 +372,7 @@ def _envelope_sum_meets(envelopes: list, m: int, r: int) -> Optional[bool]:
         return acc >> r & 1 == 1
     acc = {0}
     for env in envelopes:
-        if len(acc) * len(env) > _ENUMERATION_CAP:
+        if not within_enumeration_cap(len(acc) * len(env)):
             return None
         acc = {(a + b) % m for a in acc for b in env}
         if len(acc) == m:

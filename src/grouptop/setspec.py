@@ -17,6 +17,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .groups import (
     AmbientGroup,
+    EnumerationBudgetError,
     GroupElement,
     GroupMismatchError,
     Integers,
@@ -24,9 +25,11 @@ from .groups import (
     Rationals,
     _require_same_group,
     description_kind,
+    enumeration_cap,
     group_from_json,
     integer_from_json,
     list_from_json,
+    within_enumeration_cap,
 )
 from .sequences import (
     IntegerSequence,
@@ -45,10 +48,6 @@ class SumsetUnsupported(ValueError):
 
 class SubsetUndecidable(ValueError):
     """No exact subset test exists for this pair of descriptions."""
-
-
-class EnumerationBudgetError(RuntimeError):
-    """An explicit enumeration outgrew its element budget."""
 
 
 class SetSpec:
@@ -354,14 +353,22 @@ def _base_of(spec: SetLike) -> SetSpec:
     return spec.base if isinstance(spec, StarSet) else spec
 
 
+def _check_pairs(xs: frozenset, ys: frozenset) -> None:
+    """Refuse a sumset that would pair more elements than the cap allows."""
+    if not within_enumeration_cap(len(xs) * len(ys)):
+        raise EnumerationBudgetError(
+            f"sumset of {len(xs)} x {len(ys)} elements exceeds the "
+            f"enumeration cap {enumeration_cap()}")
+
+
 def sumset(a: SetLike, b: SetLike) -> SetSpec:
     """Exact sumset (elementwise group law) of two descriptions.
 
     Starred arguments must be materialized.  Raises SumsetUnsupported for
     pairs with no exact representation; callers fall back to bounded
-    membership search.  Two finite sets whose product of sizes exceeds
-    ``_ENUMERATION_CAP`` raise EnumerationBudgetError before any sum is
-    formed.
+    membership search.  Finite and residue sets whose product of sizes
+    passes the enumeration cap raise EnumerationBudgetError before any sum
+    is formed.
     """
     if isinstance(a, StarSet):
         if not a.materialized:
@@ -375,16 +382,13 @@ def sumset(a: SetLike, b: SetLike) -> SetSpec:
     if isinstance(a, FiniteSet) and isinstance(b, FiniteSet):
         if a.group != b.group:
             raise GroupMismatchError("sumset of sets over different groups")
-        if len(a.values) * len(b.values) > _ENUMERATION_CAP:
-            raise EnumerationBudgetError(
-                f"sumset of {len(a.values)} x {len(b.values)} elements "
-                f"exceeds the enumeration cap {_ENUMERATION_CAP}"
-            )
+        _check_pairs(a.values, b.values)
         group = a.group
         out = {group._add(x, y) for x in a.values for y in b.values}
         return FiniteSet(group, frozenset(out))
 
     if isinstance(a, ResidueSet) and isinstance(b, ResidueSet):
+        _check_pairs(a.residues, b.residues)
         m = math.gcd(a.modulus, b.modulus)
         residues = {(x + y) % m for x in a.residues for y in b.residues}
         return ResidueSet(m, frozenset(residues))
@@ -395,6 +399,7 @@ def sumset(a: SetLike, b: SetLike) -> SetSpec:
     if isinstance(a, FiniteSet) and isinstance(b, ResidueSet):
         if a.group != _INTEGERS:
             raise SumsetUnsupported("finite+residue needs integer elements")
+        _check_pairs(a.values, b.residues)
         m = b.modulus
         residues = {(v + r) % m for v in a.values for r in b.residues}
         return ResidueSet(m, frozenset(residues))
@@ -636,7 +641,6 @@ def divides(d: int, g: int) -> bool:
     return g == 0 if d == 0 else g % d == 0
 
 
-_ENUMERATION_CAP = 200_000
 _ENVELOPE_SIZE_CAP = 4096
 _ENVELOPE_SCAN_CAP = 64
 
@@ -673,12 +677,15 @@ def residue_envelope(spec: SetLike, modulus: int,
     if isinstance(spec, FiniteSet):
         return frozenset(v % modulus for v in spec.values)
     if isinstance(spec, ResidueSet):
+        # each class r mod g lifts to modulus / g residues, so the size is
+        # known before any is built
         g = math.gcd(spec.modulus, modulus)
+        classes = {r % g for r in spec.residues}
+        if len(classes) * (modulus // g) > _ENVELOPE_SIZE_CAP:
+            return None
         out = set()
-        for r in spec.residues:
-            out.update(range(r % g, modulus, g))
-            if len(out) > _ENVELOPE_SIZE_CAP:
-                return None
+        for r in classes:
+            out.update(range(r, modulus, g))
         return frozenset(out)
     if isinstance(spec, TailSet):
         seq = spec.sequence

@@ -313,6 +313,26 @@ def test_hausdorff_malformed_config_value_exits_1(tmp_path, capsys, doc):
     assert err.startswith("bad config: ") and err.count("\n") == 1
 
 
+FREE_X = {"kind": "explicit", "members": [{"kind": "finite", "group": {
+    "kind": "free", "generators": ["x", "y"]}, "elements": ["x"]}]}
+
+
+@pytest.mark.parametrize("doc", [
+    {"family": FREE_X, "probes": ["x^200001"]},
+    {"family": {"kind": "explicit", "members": [{**FREE_X["members"][0],
+                                                 "elements": ["x y^-200000"]}]},
+     "probes": ["x"]},
+], ids=["probe", "member"])
+def test_hausdorff_refuses_a_word_past_the_cap(tmp_path, capsys, doc):
+    """A free-group word's letters are counted from its powers before any
+    is built: one past the cap exits 1 with one line, no traceback."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    code, out, err = run(["hausdorff", str(cfg)], capsys)
+    assert (code, out, err) == (1, "", "bad config: a word of 200001 "
+                                "letters, past the enumeration cap 200000\n")
+
+
 def test_hausdorff_takes_a_family_with_no_exact_subset_test(tmp_path,
                                                             capsys):
     """A residue class and a tail have no exact subset test, so whether
@@ -919,6 +939,22 @@ def test_recheck_holds_hausdorff_payload_to_the_producers_scan(
         f"  FAIL   {doc['claims'][0]['claim']}: {message}", out
 
 
+@pytest.mark.parametrize("field, probe", [("n", 1), ("checked", 2)])
+def test_recheck_holds_each_cupcap_map_to_its_json_type(tmp_path, capsys,
+                                                        field, probe):
+    """The first ``"n": 1`` or ``"checked": 1`` of a powers3 report turned
+    into ``true`` fails, though ``==`` takes True for 1."""
+    report = tmp_path / "report.json"
+    run(["hausdorff", str(CONFIGS / "powers3.json"), "--out", str(report)],
+        capsys)
+    text = report.read_text()
+    report.write_text(text.replace(f'"{field}": 1,', f'"{field}": true,', 1))
+    code, out, _ = run(["recheck", str(report)], capsys)
+    assert code == 2 and out.splitlines()[0] == (
+        f"  FAIL   hausdorff:powers3: probe {probe}: the replay gives the "
+        f"entry at ['cupcap']['1']['{field}']: 1, the report True"), out
+
+
 def test_recheck_takes_each_star_and_decodes_each_member_once(
         tmp_path, capsys, monkeypatch):
     """Rechecking the shipped sqrt7 report materializes each distinct
@@ -1106,8 +1142,8 @@ def test_recheck_replays_fibonacci_words(tmp_path, capsys):
     report.write_text(json.dumps(doc))
     code, out, _ = run(["recheck", str(report)], capsys)
     assert code == 2 and "  FAIL   fibonacci-words:n<=60: error: the " \
-        "fibonacci words up to n=60 pass the enumeration cap 200000 in " \
-        "length" in out.splitlines(), out
+        "fibonacci words up to n=60 run to at least 317811 letters, past " \
+        "the enumeration cap 200000" in out.splitlines(), out
 
 
 def _recheck_tampered(tmp_path, capsys, argv, kind, tamper):
@@ -1147,7 +1183,8 @@ def _words_x(claim):
 
 @pytest.mark.parametrize("argv, kind, tamper, message", [
     (["hensel"], "hensel", _rename("hensel:p=3:a=7:k=99"),
-     "the id names 99 levels, the report holds 3"),
+     "the replay gives levels at [3]: {'k': 4, 'modulus': 81, 'root': 13}, "
+     "the report nothing"),
     (["verify", "fibonacci", "--n", "2"], "fibonacci-commutator:n=2",
      _words_x, "the replay gives expected 'x y x^-1 y^-1', the report 'x'"),
     (["verify", "sqrt7", "--gmax", "1", "--nmax", "1", "--cover-m0", "1",
@@ -1211,15 +1248,17 @@ def test_recheck_fails_forged_facts(tmp_path, capsys, argv, kind, tamper,
 
 @pytest.mark.parametrize("cid, message", [
     ("hensel:p=3:a=7:k=1000000000",
-     "the id names 1000000000 levels, the report holds 3"),
+     "error: the hensel table to k=1000000000 writes about "
+     "1000000000000000000 bits, past the enumeration cap 200000"),
     ("interval-no-extension:min_eps=2^-1000000",
-     "the id names 1000001 epsilons, the schedule holds 11"),
+     "error: the schedule to 2^-1000000 writes about 1000002000001 bits, "
+     "past the enumeration cap 200000"),
     ("product-union-small:N=1000000:n=2",
      "error: product-union-small at N=1000000, n=2 folds up to "
      "1000001000000 residues, past the enumeration cap 200000"),
     ("fibonacci-commutator:n=60",
-     "error: the fibonacci words up to n=61 pass the enumeration cap 200000 "
-     "in length"),
+     "error: the fibonacci words up to n=61 run to at least 317811 letters, "
+     "past the enumeration cap 200000"),
     ("sqrt7-cover:m0=1000000000:ms=1",
      "error: the sqrt7 cover at m0=1000000000 folds more than "
      "3^2000000000 residues, past the enumeration cap 200000"),
@@ -1229,9 +1268,8 @@ def test_recheck_fails_forged_facts(tmp_path, capsys, argv, kind, tamper,
 ], ids=["hensel", "interval", "product-union-small", "fibonacci-commutator",
         "sqrt7-cover", "product-cover"])
 def test_recheck_refuses_crafted_ids_at_once(tmp_path, capsys, cid, message):
-    """An id naming a huge input fails in one line, before anything is
-    built: by the record's own size (hensel levels, interval epsilons) or
-    by the producer's cap."""
+    """An id naming a huge input fails in one line, refused by the
+    producer's cap before anything is built."""
     argv = {"hensel": ["hensel"],
             "interval-no-extension": ["verify", "interval"],
             "product-union-small": ["verify", "product", "--samples", "1"],
@@ -1355,7 +1393,7 @@ def test_cover_m0_refuses_before_building_followers(tmp_path, capsys):
      "the product cover at m0=2 writes 3 witnesses of 18 summand values "
      "each, past the enumeration cap 20"),
     (["verify", "product", "--m0", "2", "--union-n", "1", "--samples", "4"],
-     "4 samples of 6 coordinates pass the enumeration cap 20"),
+     "4 samples of 6 coordinates, past the enumeration cap 20"),
 ], ids=["sqrt7-cover-samples", "product-cover-samples", "product-samples"])
 def test_cover_samples_refuse_before_witnesses_are_built(
         tmp_path, capsys, monkeypatch, argv, message):
@@ -1366,8 +1404,8 @@ def test_cover_samples_refuse_before_witnesses_are_built(
     cap exits 1 with one line and no report; a lowered cap stands in for
     ``--cover-m0 5 --cover-gmax 1000``, which ran 23 s at 790 MB before
     the cap."""
-    from grouptop import examples
-    monkeypatch.setattr(examples, "_ENUMERATION_CAP", 20)
+    from grouptop import groups
+    monkeypatch.setattr(groups, "_ENUMERATION_CAP", 20)
     report = tmp_path / "report.json"
     code, out, err = run(argv + ["--out", str(report)], capsys)
     assert (code, out, err) == (1, "", f"verify: {message}\n")
@@ -1390,10 +1428,10 @@ def test_recheck_refuses_cover_witnesses_past_the_cap(tmp_path, capsys,
     """A cover claim re-runs its producer on the witnesses' targets, so a
     report with more witnesses than the cap allows fails on one line
     before any is rebuilt (a lowered cap stands in for a crafted report)."""
-    from grouptop import examples
+    from grouptop import groups
     report = tmp_path / "report.json"
     assert run(argv + ["--out", str(report)], capsys)[0] == 0
-    monkeypatch.setattr(examples, "_ENUMERATION_CAP", 20)
+    monkeypatch.setattr(groups, "_ENUMERATION_CAP", 20)
     code, out, _ = run(["recheck", str(report)], capsys)
     assert code == 2 and message in out.splitlines(), out
 

@@ -16,6 +16,7 @@ from grouptop import (
     op_neg,
     op_sub,
 )
+from grouptop import groups
 from grouptop.groups import group_from_json, reduce_word
 from grouptop.fixtures import dihedral8
 
@@ -226,3 +227,61 @@ def test_word_parsing_and_display():
     assert str(FREE.identity()) == "e"
     with pytest.raises(ValueError):
         FREE.element("z")
+
+
+def _cap_refusals():
+    """One refusal per module that enumerates: each returns whether it
+    refused, and none refuses at the shipped cap."""
+    from grouptop import cli, examples, nonabelian, prefixsum, setspec
+
+    def refused(call):
+        try:
+            call()
+        except groups.EnumerationBudgetError:
+            return True
+        return False
+
+    five = setspec.FiniteSet.of(Z, range(5))
+    wide = prefixsum._ENVELOPE_BITSET_CAP + 1
+    return {
+        "cli": lambda tmp: cli.main(
+            ["verify", "sqrt7", "--gmax", "3", "--nmax", "2", "--out",
+             str(tmp / "grid.json")]) == 1,
+        "examples": lambda tmp: refused(
+            lambda: examples.random_product_elements(6, 4, 0)),
+        "nonabelian": lambda tmp: refused(
+            lambda: nonabelian.verify_fib_words(10)),
+        "prefixsum": lambda tmp: prefixsum._envelope_sum_meets(
+            [frozenset(range(5))] * 2, wide, 9) is None,
+        "setspec": lambda tmp: refused(lambda: setspec.sumset(five, five)),
+    }
+
+
+def test_enumeration_cap_is_bound_in_groups_alone():
+    """Only ``groups`` binds or names the cap: every other module reads it
+    through the rule at call time."""
+    import importlib
+    import pkgutil
+    import grouptop
+    binders = []
+    for info in pkgutil.iter_modules(grouptop.__path__):
+        module = importlib.import_module(f"grouptop.{info.name}")
+        with open(module.__file__, encoding="utf-8") as fh:
+            named = "_ENUMERATION_CAP" in fh.read()
+        if named or "_ENUMERATION_CAP" in vars(module):
+            binders.append(info.name)
+    assert binders == ["groups"]
+
+
+@pytest.mark.parametrize("module", ["cli", "examples", "nonabelian",
+                                    "prefixsum", "setspec"])
+def test_patching_the_one_binding_moves_every_refusal(module, tmp_path,
+                                                      monkeypatch, capsys):
+    """Six sqrt7 claims, 4 x 6 sample coordinates, 89 fibonacci letters,
+    25 envelope pairs and 25 sumset pairs pass the shipped cap and are
+    refused once the binding in ``groups`` drops to 5."""
+    refusal = _cap_refusals()[module]
+    assert not refusal(tmp_path)
+    monkeypatch.setattr(groups, "_ENUMERATION_CAP", 5)
+    assert refusal(tmp_path)
+    capsys.readouterr()

@@ -89,6 +89,17 @@ def d4_assignment(levels_spec):
     )
 
 
+def test_shifted_view_shares_the_symmetrized_levels():
+    """A shifted assignment slices the combined one's stars and starred
+    elements instead of symmetrizing its levels again."""
+    _, assign = d4_assignment([["r"], ["r", "s"], ["r2"], ["r"], ["s"]])
+    view = assign.shifted(2)
+    assert view.levels == assign.levels[2:]
+    for i in range(view.max_level):
+        assert view.stars[i] is assign.stars[2 + i]
+        assert view.starred[i] is assign.starred[2 + i]
+
+
 def test_uq_identity_is_empty_product():
     _, assign = d4_assignment([["r"], ["r"], ["r"]])
     d4 = dihedral8()

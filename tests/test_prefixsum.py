@@ -18,7 +18,7 @@ from grouptop import (
 )
 from grouptop.examples import sqrt7_set
 from grouptop.groups import GroupElement, Rationals, op_sum
-from grouptop import prefixsum
+from grouptop import groups, prefixsum
 from grouptop.prefixsum import SEARCH_BUDGET
 from grouptop.sequences import IntegerSequence, get_sequence, prefix_sequence
 from grouptop.setspec import witness_holds
@@ -321,9 +321,9 @@ def test_envelope_set_sum_gives_up_past_the_enumeration_cap(monkeypatch):
     m = prefixsum._ENVELOPE_BITSET_CAP + 1
     envelopes = [frozenset({0, 10, 20, 30}), frozenset({0, 1, 2, 3})]
     assert envelope_sum_reference(envelopes, m, 5) is False
-    monkeypatch.setattr(prefixsum, "_ENUMERATION_CAP", 16)
+    monkeypatch.setattr(groups, "_ENUMERATION_CAP", 16)
     assert prefixsum._envelope_sum_meets(envelopes, m, 5) is False
-    monkeypatch.setattr(prefixsum, "_ENUMERATION_CAP", 15)
+    monkeypatch.setattr(groups, "_ENUMERATION_CAP", 15)
     assert prefixsum._envelope_sum_meets(envelopes, m, 5) is None
 
 

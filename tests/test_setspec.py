@@ -755,3 +755,36 @@ def test_setspec_json_round_trips():
 def test_spec_from_json_refuses_unknown_keys_and_coercion(doc):
     with pytest.raises(ValueError):
         spec_from_json(doc)
+
+
+def test_residue_envelope_is_sized_before_it_is_built():
+    """The odd residues mod 10! would be 1,814,400 residues, past the
+    envelope cap of 4,096: None, decided from the class count alone."""
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        envelope = residue_envelope(ResidueSet.of(2, [1]), 3628800)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert envelope is None and peak < 2 ** 20, peak
+    assert residue_envelope(ResidueSet.of(2, [1]), 8194) is None
+    assert residue_envelope(ResidueSet.of(2, [1]), 8192) == \
+        frozenset(range(1, 8192, 2))
+
+
+@pytest.mark.parametrize("left", [
+    ResidueSet.of(10 ** 6, range(448)), FiniteSet.of(Z, range(448))],
+    ids=["residue+residue", "finite+residue"])
+def test_sumset_refuses_residue_pairs_past_the_cap(left):
+    """448 x 448 = 200,704 pairs pass the cap and are refused before any
+    is formed, in either order, as finite pairs are; 448 x 446 = 199,808
+    pairs are summed."""
+    wide = ResidueSet.of(10 ** 6, range(448))
+    for a, b in [(left, wide), (wide, left)]:
+        with pytest.raises(EnumerationBudgetError) as err:
+            sumset(a, b)
+        assert str(err.value) == \
+            "sumset of 448 x 448 elements exceeds the enumeration cap 200000"
+    assert sumset(left, ResidueSet.of(10 ** 6, range(446))) == \
+        ResidueSet.of(10 ** 6, range(448 + 445))
