@@ -172,12 +172,19 @@ def _cmd_verify(args) -> int:
     return _emit(reports, args.out, args.format, elapsed())
 
 
-def _cmd_hausdorff(args) -> int:
+def _read_json(path: str, what: str, **hooks):
+    """The JSON document in the UTF-8 file ``path``, parsed with
+    ``json.loads``' ``hooks``; a file that cannot be read or parsed prints
+    one ``cannot read WHAT:`` line and exits 1."""
     try:
-        doc = json.loads(Path(args.config).read_text())
-    except (OSError, json.JSONDecodeError) as err:
-        print(f"cannot read config: {err}", file=sys.stderr)
-        return 1
+        return json.loads(Path(path).read_text(encoding="utf-8"), **hooks)
+    except (OSError, ValueError, RecursionError) as err:
+        print(f"cannot read {what}: {err}", file=sys.stderr)
+        raise SystemExit(1)
+
+
+def _cmd_hausdorff(args) -> int:
+    doc = _read_json(args.config, "config")
     try:
         cfg = RunConfig.from_json(doc)
     except (KeyError, ValueError, EnumerationBudgetError) as err:
@@ -208,12 +215,8 @@ def _cmd_recheck(args) -> int:
     def refuse(number: str) -> float:
         refused.append(f"  FAIL   report: non-integer number {number}")
         return float(number)
-    try:
-        doc = json.loads(Path(args.report).read_text(),
-                         parse_float=refuse, parse_constant=refuse)
-    except (OSError, json.JSONDecodeError) as err:
-        print(f"cannot read report: {err}", file=sys.stderr)
-        return 1
+    doc = _read_json(args.report, "report", parse_float=refuse,
+                     parse_constant=refuse)
     ok, details = recheck_document(doc)
     ok, details = ok and not refused, details + refused
     for line in details:
@@ -310,9 +313,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "verify":  # then the example's own options
             args = example_parser(args.example).parse_args(args.options,
                                                            args)
-    except SystemExit as done:  # a usage error exits 1, --help 0
+        return args.func(args)
+    except SystemExit as done:  # a bad usage or input exits 1, --help 0
         return done.code
-    return args.func(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

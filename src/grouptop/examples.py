@@ -9,12 +9,12 @@
   extended.
 
 Every verification returns a report whose witnesses re-verify by plain
-group addition.  Each kind's replayer sits beside its producer:
-``replay_sqrt7_necessary`` applies the producer's rule
-(``sqrt7_necessary_rule``) to the payload, and every other kind's id
-names its inputs, so its ``rerun_*`` replayer re-runs the capped
-producer on them, whose cap refuses a crafted id before anything is
-built, and hands the re-run to ``report.rerun_facts``.
+group addition.  Each kind's replayer sits beside its producer and
+returns the report it rebuilds: ``replay_sqrt7_necessary`` applies the
+producer's rule (``sqrt7_necessary_rule``) to the payload, and every
+other kind's id names its inputs, so its ``rerun_*`` replayer re-runs
+the capped producer on them, whose cap refuses a crafted id before
+anything is built.
 """
 
 from __future__ import annotations
@@ -34,8 +34,7 @@ from .groups import (
     enumeration_cap,
 )
 from .prefixsum import prefix_sum_membership
-from .report import (Status, VerificationReport, check_payload_keys,
-                     id_numbers, rerun_facts)
+from .report import Status, VerificationReport, id_numbers
 from .setspec import (
     BoxSet,
     FoldTable,
@@ -164,9 +163,9 @@ def verify_hensel(a: int, p: int, k: int) -> VerificationReport:
     )
 
 
-def rerun_hensel(claim: dict, table: FoldTable) -> tuple:
+def rerun_hensel(claim: dict, table: FoldTable) -> VerificationReport:
     p, a, k = id_numbers(r"hensel:p=(-?\d+):a=(-?\d+):k=(-?\d+)", claim)
-    return rerun_facts(claim, verify_hensel(a, p, k))
+    return verify_hensel(a, p, k)
 
 
 # The paper's chain lives in the 3-adic square roots of 7.
@@ -242,20 +241,22 @@ def verify_sqrt7_necessary(g: int, n: int,
         not bound_fold.contains_value(g) and not bound_fold.contains_value(-g)
 
     excluded, status = sqrt7_necessary_rule(g, folded, bound_ok, k, k_bound)
-    return VerificationReport(
-        claim=f"sqrt7-necessary:g={g}:n={n}",
-        status=status,
-        payload={
-            "k": k,
-            "k_bound": k_bound,
-            "divisibility_targets": targets,
-            "member": member.to_json(),
-            "n_fold": folded.to_json(),
-            "excluded": excluded,
-            "bound_level_also_excludes": bound_ok,
-        },
-        budgets={"n": n},
-    )
+    return _sqrt7_necessary_report(g, n, status, {
+        "k": k,
+        "k_bound": k_bound,
+        "divisibility_targets": targets,
+        "member": member.to_json(),
+        "n_fold": folded.to_json(),
+        "excluded": excluded,
+        "bound_level_also_excludes": bound_ok,
+    })
+
+
+def _sqrt7_necessary_report(g: int, n: int, status: Status,
+                            payload: dict) -> VerificationReport:
+    """The one writer of a sqrt7-necessary claim's id and budgets."""
+    return VerificationReport(f"sqrt7-necessary:g={g}:n={n}", status,
+                              payload, {"n": n})
 
 
 def sqrt7_necessary_rule(g: int, folded: ResidueSet, bound_ok: bool,
@@ -268,12 +269,12 @@ def sqrt7_necessary_rule(g: int, folded: ResidueSet, bound_ok: bool,
     return excluded, Status.VERIFIED if ok else Status.REFUTED
 
 
-def replay_sqrt7_necessary(claim: dict, table: FoldTable) -> tuple:
-    """The bound-level facts are read from the payload, not re-folded."""
+def replay_sqrt7_necessary(claim: dict,
+                           table: FoldTable) -> VerificationReport:
+    """The rule's ``excluded`` and status on the recorded member and
+    bound-level facts, which are not re-folded; the id and budgets are
+    rebuilt from g and n, and the other payload fields pass through."""
     g, n = id_numbers(r"sqrt7-necessary:g=(-?\d+):n=(\d+)", claim)
-    check_payload_keys(claim, {"bound_level_also_excludes",
-                               "divisibility_targets", "excluded", "k",
-                               "k_bound", "member", "n_fold"})
     payload = claim["payload"]
     folded = table.n_fold_star(spec_from_json(payload["member"]), n)
     excluded, status = sqrt7_necessary_rule(
@@ -281,7 +282,10 @@ def replay_sqrt7_necessary(claim: dict, table: FoldTable) -> tuple:
         payload["k_bound"])
     if payload["excluded"] and not excluded:
         raise AssertionError("target re-enters the n-fold set")
-    return status, {"excluded": excluded}
+    kept = ("bound_level_also_excludes", "divisibility_targets", "k",
+            "k_bound", "member", "n_fold")
+    return _sqrt7_necessary_report(
+        g, n, status, {**{k: payload[k] for k in kept}, "excluded": excluded})
 
 
 def _lifted_member(m_i: int, m0: int) -> int:
@@ -366,14 +370,14 @@ def verify_sqrt7_U_full(m0: int, ms: Sequence[int],
         [sqrt7_cover_witness(g, m0, ms) for g in sample_gs])
 
 
-def rerun_sqrt7_cover(claim: dict, table: FoldTable) -> tuple:
+def rerun_sqrt7_cover(claim: dict, table: FoldTable) -> VerificationReport:
     """The id names m0 and the follower levels, and the witnesses name
     their targets, read as integers."""
     m0, = id_numbers(r"sqrt7-cover:m0=(\d+):ms=(?:\d+,)*\d+", claim)
     ms = [int(m) for m in claim["claim"].partition(":ms=")[2].split(",")]
-    return rerun_facts(claim, verify_sqrt7_U_full(m0, ms, [
+    return verify_sqrt7_U_full(m0, ms, [
         _INTEGERS.element(w["target"]).value
-        for w in claim["payload"]["witnesses"]]))
+        for w in claim["payload"]["witnesses"]])
 
 
 def _verify_cover(claim: str, flag: str, sources: Sequence[SetLike],
@@ -476,14 +480,14 @@ def verify_product_sum_full(n_coords: int, m0: int, ms: Sequence[int],
         [product_cover_witness(g, m0, ms) for g in sample_gs])
 
 
-def rerun_product_cover(claim: dict, table: FoldTable) -> tuple:
+def rerun_product_cover(claim: dict, table: FoldTable) -> VerificationReport:
     """The id names N and m0, and the witnesses name their targets, read
     in the N-coordinate product."""
     n_coords, m0 = id_numbers(r"product-cover:N=(\d+):m0=(\d+)", claim)
     group = ProductMod(n_coords)
-    return rerun_facts(claim, verify_product_sum_full(
+    return verify_product_sum_full(
         n_coords, m0, product_cover_levels(n_coords, m0),
-        [group.element(w["target"]) for w in claim["payload"]["witnesses"]]))
+        [group.element(w["target"]) for w in claim["payload"]["witnesses"]])
 
 
 def small_representable(coord: int, n: int) -> frozenset:
@@ -552,9 +556,10 @@ def verify_product_union_small(n_coords: int, n: int) -> VerificationReport:
     )
 
 
-def rerun_product_union_small(claim: dict, table: FoldTable) -> tuple:
+def rerun_product_union_small(claim: dict,
+                              table: FoldTable) -> VerificationReport:
     n_coords, n = id_numbers(r"product-union-small:N=(\d+):n=(\d+)", claim)
-    return rerun_facts(claim, verify_product_union_small(n_coords, n))
+    return verify_product_union_small(n_coords, n)
 
 
 def verify_interval_example(min_exp: int = 10) -> VerificationReport:
@@ -598,9 +603,9 @@ def verify_interval_example(min_exp: int = 10) -> VerificationReport:
     )
 
 
-def rerun_interval(claim: dict, table: FoldTable) -> tuple:
+def rerun_interval(claim: dict, table: FoldTable) -> VerificationReport:
     min_exp, = id_numbers(r"interval-no-extension:min_eps=2\^-(\d+)", claim)
-    return rerun_facts(claim, verify_interval_example(min_exp))
+    return verify_interval_example(min_exp)
 
 
 def random_product_elements(n_coords: int, count: int,

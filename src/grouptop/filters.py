@@ -6,7 +6,8 @@ two Hausdorff-style checks (the n-fold exclusion condition and the
 separating-sequence construction) and the verdict drawn from them, by
 ``hausdorff_verdict`` and by its replayer ``replay_hausdorff`` with the
 same scan helpers and rules; the replayer rebuilds each recorded probe
-entry with the producer's writer, ``_probe_record``, and compares once.
+entry with the producer's writer, ``_probe_record``, compares once, and
+returns the producer's ``_hausdorff_report`` on the recorded entries.
 
 Every bounded search reports three-valued outcomes; "verified" and
 "refuted" are reserved for exact arithmetic or re-checked witnesses.
@@ -31,8 +32,7 @@ from .prefixsum import (
     enumeration_capped,
     prefix_sum_membership,
 )
-from .report import (Status, VerificationReport, check_payload_keys,
-                     mismatch, same_json)
+from .report import Status, VerificationReport, mismatch, same_json
 from .sequences import IntegerSequence, sequence_from_json, sequence_to_json
 from .setspec import (
     EnumerationBudgetError,
@@ -481,13 +481,22 @@ def hausdorff_verdict(
                    for n in range(1, n_max + 1)]
         sep = separating_sequence(g, family, max_len, depth, table)
         per_probe.append(_probe_record(g, cupcaps, sep))
+    return _hausdorff_report(family, per_probe, n_max, depth, max_len)
+
+
+def _hausdorff_report(family: FilterFamily, per_probe: list, n_max: int,
+                      depth: int, max_len: int) -> VerificationReport:
+    """A hausdorff claim on its probe entries, as ``hausdorff_verdict``
+    writes it and ``replay_hausdorff`` rebuilds it."""
     verdict, status = verdict_rule([p["outcome"] for p in per_probe])
+    doc = family.describe()
     return VerificationReport(
-        claim=_claim_id(family),
+        claim="hausdorff:" + (doc.get("name") or doc.get("sequence")
+                              or doc["kind"]),
         status=status,
-        payload={"verdict": verdict, "probes": per_probe,
-                 "family": family.describe()},
-        budgets=_budgets(n_max, depth, max_len),
+        payload={"verdict": verdict, "probes": per_probe, "family": doc},
+        budgets={"n_max": n_max, "depth": depth, "max_len": max_len,
+                 **SEARCH_BUDGET},
     )
 
 
@@ -501,17 +510,6 @@ def _probe_record(g: GroupElement, cupcaps: Sequence[CupcapResult],
         "separation": sep.to_json(),
         "outcome": probe_outcome(all(c.found for c in cupcaps), sep),
     }
-
-
-def _claim_id(family: FilterFamily) -> str:
-    doc = family.describe()
-    return "hausdorff:" + (doc.get("name") or doc.get("sequence")
-                           or doc["kind"])
-
-
-def _budgets(n_max: int, depth: int, max_len: int) -> dict:
-    return {"n_max": n_max, "depth": depth, "max_len": max_len,
-            **SEARCH_BUDGET}
 
 
 def probe_outcome(cupcap_ok: bool,
@@ -547,9 +545,9 @@ def verdict_rule(outcomes: Sequence[str]) -> tuple:
     return "unresolved-at-budget", Status.UNKNOWN
 
 
-def replay_hausdorff(claim: dict, table: FoldTable) -> tuple:
-    """(status, {"verdict": ..., "family": ...}) of a hausdorff claim as
-    the producer writes them; the first failure raises AssertionError.
+def replay_hausdorff(claim: dict, table: FoldTable) -> VerificationReport:
+    """The hausdorff claim the recorded probe entries give, once each
+    holds; the first failure raises AssertionError.
 
     Each probe entry is rebuilt by ``_probe_record`` from the family's own
     members at the recorded indices, the re-decided n-fold exclusions and
@@ -557,11 +555,10 @@ def replay_hausdorff(claim: dict, table: FoldTable) -> tuple:
     record once.  Taken from the record is only what a re-run of the scan
     would derive: each cupcap entry's ``skipped_unknown``, and each
     blocking result's ``proof`` and ``note`` (a ``yes``, whose witness is
-    re-checked, or an ``unknown``).  Checked by hand: the payload's keys,
-    index types and ranges, step and blocked counts, and the JSON types of
-    member records and of each cupcap map, which ``==`` takes alike.
-    Probes are read in the family's group."""
-    check_payload_keys(claim, {"family", "probes", "verdict"})
+    re-checked, or an ``unknown``).  Checked by hand: index types and
+    ranges, step and blocked counts, and the JSON types of member records
+    and of each cupcap map, which ``==`` takes alike.  Probes are read in
+    the family's group, and the entries themselves pass through."""
     payload, budgets = claim["payload"], claim["budgets"]
     family = family_from_json(payload["family"])
     n_max, depth, max_len = (integer_from_json(budgets[key])
@@ -635,7 +632,6 @@ def replay_hausdorff(claim: dict, table: FoldTable) -> tuple:
         return written(tuple(SeparationStep(s.member_index, s.member, res)
                              for s, res in zip(steps, exclusions)))
 
-    outcomes = []
     for probe in payload["probes"]:
         name, g = probe["probe"], group.element(probe["probe"])
         cupcaps = probe["cupcap"]
@@ -648,11 +644,5 @@ def replay_hausdorff(claim: dict, table: FoldTable) -> tuple:
                 not same_json(record["cupcap"], probe["cupcap"]):
             raise AssertionError(
                 f"probe {name}: {mismatch('the entry', record, probe)}")
-        outcomes.append(record["outcome"])
-    for what, replay, reported in [
-            ("claim", _claim_id(family), claim["claim"]),
-            ("budgets", _budgets(n_max, depth, max_len), budgets)]:
-        if not same_json(replay, reported):
-            raise AssertionError(mismatch(what, replay, reported))
-    verdict, status = verdict_rule(outcomes)
-    return status, {"verdict": verdict, "family": described}
+    return _hausdorff_report(family, payload["probes"], n_max, depth,
+                             max_len)

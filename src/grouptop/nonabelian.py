@@ -46,7 +46,7 @@ from .groups import (
     within_enumeration_cap,
 )
 from .prefixsum import MembershipResult
-from .report import Status, VerificationReport, id_numbers, rerun_facts
+from .report import Status, VerificationReport, id_numbers
 from .setspec import (
     FiniteSet,
     FoldTable,
@@ -660,9 +660,9 @@ def verify_fib_words(top: int) -> VerificationReport:
     )
 
 
-def rerun_fib_words(claim: dict, table: FoldTable) -> tuple:
+def rerun_fib_words(claim: dict, table: FoldTable) -> VerificationReport:
     top, = id_numbers(r"fibonacci-words:n<=(\d+)", claim)
-    return rerun_facts(claim, verify_fib_words(top))
+    return verify_fib_words(top)
 
 
 def commutator(a: GroupElement, b: GroupElement) -> GroupElement:
@@ -697,6 +697,6 @@ def verify_fib_identity(n: int) -> VerificationReport:
     )
 
 
-def rerun_fib_identity(claim: dict, table: FoldTable) -> tuple:
+def rerun_fib_identity(claim: dict, table: FoldTable) -> VerificationReport:
     n, = id_numbers(r"fibonacci-commutator:n=(\d+)", claim)
-    return rerun_facts(claim, verify_fib_identity(n))
+    return verify_fib_identity(n)

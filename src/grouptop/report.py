@@ -15,7 +15,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring_ascii as _quote
-from typing import AbstractSet, Iterable, TextIO
+from typing import Iterable, TextIO
 
 SCHEMA_VERSION = 1
 
@@ -48,28 +48,6 @@ def id_numbers(pattern: str, claim: dict) -> list:
     if not m:
         raise AssertionError("unparseable claim id")
     return [int(v) for v in m.groups()]
-
-
-def rerun_facts(claim: dict, report: VerificationReport) -> tuple:
-    """(status, payload) of ``report``, the capped producer re-run on the
-    inputs ``claim``'s id names, once the claim's id, payload keys and
-    budgets are the re-run's; ``recheck_document`` then compares each
-    payload key, in sorted order as a report lists them, and the status."""
-    check_payload_keys(claim, report.payload.keys())
-    for what, replay, reported in [
-            ("claim", report.claim, claim["claim"]),
-            ("budgets", report.budgets, claim["budgets"])]:
-        if not same_json(replay, reported):
-            raise AssertionError(mismatch(what, replay, reported))
-    return report.status, dict(sorted(report.payload.items()))
-
-
-def check_payload_keys(claim: dict, keys: AbstractSet[str]) -> None:
-    """Raise AssertionError unless ``claim``'s payload holds exactly
-    ``keys``, the keys its producer writes."""
-    if claim["payload"].keys() != keys:
-        raise AssertionError(mismatch("payload keys", sorted(keys),
-                                      sorted(claim["payload"])))
 
 
 def same_json(replayed, reported) -> bool:

@@ -522,6 +522,22 @@ def test_hausdorff_malformed_config_exits_1(tmp_path, capsys):
     assert code == 1 and "cannot read config" in err
 
 
+@pytest.mark.parametrize("command, what", [("hausdorff", "config"),
+                                           ("recheck", "report")])
+@pytest.mark.parametrize("data", [b"\xff\xfe{}", b"[" * 100000],
+                         ids=["not-utf8", "nested-100000"])
+def test_unreadable_input_exits_1_in_one_line(tmp_path, capsys, command,
+                                              what, data):
+    """Bytes that are not UTF-8, and arrays nested past the parser's
+    recursion limit, end in one ``cannot read`` line, not a traceback."""
+    path = tmp_path / "input.json"
+    path.write_bytes(data)
+    code, out, err = run([command, str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"cannot read {what}: ") and \
+        err.count("\n") == 1, err
+
+
 def test_reports_byte_identical_across_runs(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
@@ -1224,12 +1240,25 @@ def _words_x(claim):
      _rename("fibonacci-words:n<=01"),
      "the replay gives claim 'fibonacci-words:n<=1', the report "
      "'fibonacci-words:n<=01'"),
+    (["verify", "sqrt7", "--gmax", "1", "--nmax", "1"], "sqrt7-necessary",
+     lambda claim: claim["budgets"].update(n=7),
+     "the replay gives budgets {'n': 1}, the report {'n': 7}"),
+    (["verify", "sqrt7", "--gmax", "1", "--nmax", "1"], "sqrt7-necessary",
+     _rename("sqrt7-necessary:g=01:n=1"),
+     "the replay gives claim 'sqrt7-necessary:g=1:n=1', the report "
+     "'sqrt7-necessary:g=01:n=1'"),
+    (["verify", "sqrt7", "--gmax", "1", "--nmax", "1"], "sqrt7-necessary",
+     lambda claim: claim.update(note=""),
+     "the replay gives claim keys ['budgets', 'claim', 'payload', "
+     "'status'], the report ['budgets', 'claim', 'note', 'payload', "
+     "'status']"),
 ], ids=["hensel-k-99", "commutator-words-x", "sqrt7-cover-fold-z",
         "product-cover-fold-box", "interval-epsilon-raised",
         "union-small-matches", "union-small-intersection",
         "product-target-unreduced", "excluded-1", "sqrt7-extra-key",
         "budgets-n-true",
-        "id-leading-zero"])
+        "id-leading-zero", "sqrt7-budgets-n-7", "sqrt7-id-g-01",
+        "sqrt7-claim-key-note"])
 def test_recheck_fails_forged_facts(tmp_path, capsys, argv, kind, tamper,
                                     message):
     """Each kind whose id names its inputs re-runs its producer, so a
@@ -1239,7 +1268,10 @@ def test_recheck_fails_forged_facts(tmp_path, capsys, argv, kind, tamper,
     interval schedule with a raised epsilon, an edited union claim.  Facts
     compare by JSON type as well as value, targets are read strictly, a
     re-run must give the claim's own id and budgets, and a payload key
-    the producer never writes fails."""
+    the producer never writes fails.  The sqrt7-necessary replay, which
+    applies the producer's rule, rebuilds its id and budgets from the
+    id's g and n, and every claim's keys are compared with the
+    replay's."""
     code, lines, cid = _recheck_tampered(tmp_path, capsys, argv, kind,
                                          tamper)
     fail = f"  FAIL   {cid}: {message}"
@@ -1607,6 +1639,60 @@ def test_recheck_dispatches_on_the_exact_claim_kind(tmp_path, capsys):
         "['matches']",
         "  skip   u-translation:depth=1 (no embedded witnesses)",
         "recheck: FAILED"]
+
+
+def _emptied(doc):
+    doc.update(claims=[], status="verified")
+
+
+@pytest.mark.parametrize("argv, tamper, lines", [
+    (["hausdorff", str(CONFIGS / "sqrt7.json")], _emptied,
+     ["  FAIL   document: no claims"]),
+    (["hausdorff", str(CONFIGS / "sqrt7.json")],
+     lambda doc: doc.update(schema=99),
+     ["  ok     hausdorff:sqrt7",
+      "  FAIL   document: the replay gives schema 1, the report 99"]),
+    (["hausdorff", str(CONFIGS / "sqrt7.json")],
+     lambda doc: doc.update(note=""),
+     ["  ok     hausdorff:sqrt7",
+      "  FAIL   document: the replay gives keys ['claims', 'schema', "
+      "'status'], the report ['claims', 'note', 'schema', 'status']"]),
+    (["verify", "sqrt7", "--gmax", "1", "--nmax", "2"],
+     lambda doc: doc["claims"].reverse(),
+     ["  ok     sqrt7-necessary:g=1:n=2", "  ok     sqrt7-necessary:g=1:n=1",
+      "  FAIL   document: the claims are not in id order"]),
+], ids=["emptied", "schema-99", "extra-key", "reversed"])
+def test_recheck_checks_the_document_envelope(tmp_path, capsys, argv,
+                                              tamper, lines):
+    """A document must be as ``report_document`` writes it: its schema,
+    exactly its three keys, at least one claim, and the claims in id
+    order."""
+    report = tmp_path / "report.json"
+    run(argv + ["--out", str(report)], capsys)
+    doc = json.loads(report.read_text())
+    tamper(doc)
+    report.write_text(json.dumps(doc))
+    code, out, _ = run(["recheck", str(report)], capsys)
+    assert code == 2 and out.splitlines() == lines + ["recheck: FAILED"]
+
+
+def test_recheck_takes_duplicate_ids_in_id_order(tmp_path, capsys):
+    """``verify product --m0 2 2`` writes two identical claims, which
+    recheck ``ok``; the same claims reversed are out of id order."""
+    report = tmp_path / "report.json"
+    run(["verify", "product", "--m0", "2", "2", "--union-n", "1",
+         "--samples", "1", "--out", str(report)], capsys)
+    doc = json.loads(report.read_text())
+    ids = [claim["claim"] for claim in doc["claims"]]
+    assert ids == ["product-cover:N=6:m0=2"] * 2 + \
+        ["product-union-small:N=6:n=1"]
+    assert run(["recheck", str(report)], capsys)[:2] == (0, "".join(
+        f"  ok     {cid}\n" for cid in ids) + "recheck: ok\n")
+    doc["claims"].reverse()
+    report.write_text(json.dumps(doc))
+    code, out, _ = run(["recheck", str(report)], capsys)
+    assert code == 2 and out.splitlines()[-2:] == [
+        "  FAIL   document: the claims are not in id order", "recheck: FAILED"]
 
 
 def test_recheck_claim_without_id_fails(tmp_path, capsys):

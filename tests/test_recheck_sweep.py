@@ -15,7 +15,9 @@ import re
 
 import pytest
 
-from grouptop import family_from_json, hausdorff_verdict
+from grouptop import Integers, family_from_json, hausdorff_verdict
+from grouptop import examples as ex
+from grouptop.nonabelian import verify_fib_identity, verify_fib_words
 from grouptop.recheck import recheck_document
 from grouptop.report import canonical_json, report_document
 
@@ -189,3 +191,52 @@ def test_recheck_of_a_crafted_n_max_builds_one_entry_past_the_record():
         "  FAIL   hausdorff:powers3: probe 1: the replay gives the entry at "
         "['cupcap']['3']: {'found': False, 'n': 3, 'checked': 8}, the report "
         "nothing"), details
+
+
+# One small report of every replayed kind.
+SMALL = {
+    "hausdorff": lambda: hausdorff_verdict(
+        family_from_json(REPORTS["powers3"][0]), [Integers().element(1)],
+        1, 2, 1),
+    "sqrt7-necessary": lambda: ex.verify_sqrt7_necessary(1, 1),
+    "hensel": lambda: ex.verify_hensel(7, 3, 2),
+    "sqrt7-cover": lambda: ex.verify_sqrt7_U_full(
+        1, ex.sqrt7_cover_levels(1), [2]),
+    "product-cover": lambda: ex.verify_product_sum_full(
+        4, 2, ex.product_cover_levels(4, 2),
+        ex.random_product_elements(4, 1, 7)),
+    "product-union-small": lambda: ex.verify_product_union_small(3, 1),
+    "interval-no-extension": lambda: ex.verify_interval_example(2),
+    "fibonacci-words": lambda: verify_fib_words(3),
+    "fibonacci-commutator": lambda: verify_fib_identity(2),
+}
+
+# An edit of a claim, and the start of the message it must fail with.
+EDITS = {
+    "claim-key": (lambda claim: claim.update(note=""),
+                  "the replay gives claim keys "),
+    "payload-key": (lambda claim: claim["payload"].update(extra=0),
+                    "the replay gives payload keys "),
+    "budgets-key": (lambda claim: claim["budgets"].update(extra=0),
+                    "the replay gives budgets {"),
+    "id-leading-zero": (lambda claim: claim.update(
+        claim=re.sub(r"(\d+)$", r"0\1", claim["claim"])),
+        "the replay gives claim '"),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(EDITS))
+@pytest.mark.parametrize("kind", sorted(SMALL))
+def test_recheck_compares_keys_id_and_budgets_of_every_kind(kind, edit):
+    """The one comparison of a replay with its claim covers every kind:
+    a claim key, payload key or budgets key the producer never writes,
+    and an id the replay would not write (a leading zero on its last
+    number), each fail that claim."""
+    doc = json.loads(canonical_json(report_document([SMALL[kind]()])))
+    assert recheck_document(doc) == (True,
+                                     [f"  ok     {_claim(doc)['claim']}"])
+    tamper, message = EDITS[edit]
+    tamper(_claim(doc))
+    ok, details = recheck_document(doc)
+    assert not ok and details[0].startswith(
+        f"  FAIL   {_claim(doc)['claim']}: {message}"), details
