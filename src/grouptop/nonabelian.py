@@ -7,14 +7,16 @@ itself.  Assignments give every index the set attached to its lowest-terms
 level; towers T_0 >= T_1 >= ... with T_i T_i T_i inside T_{i-1} generate
 such assignments and admit the middle-thirds collapse certificate.
 
-Witnesses come from one breadth-first table (``enumerate_u_witnesses``)
-and are checked by one rule (``_validated``: the moved indices increase
-inside the levels, and ``setspec.witness_holds`` against the stars),
-shared by membership, product absorption, inverse closure and translation.
-Product absorption builds one table per distinct shift of its two
-rescalings; the rescalings of one shift share each item's star-and-product
-check, and each maps each distinct index once.  Witness pairs are decided
-per side (``_pair_failures``) and walked only to list failures.  Dyadic
+Witnesses come from one breadth-first table (``enumerate_u_witnesses``),
+the one enumeration of increasing-index products, which refuses past the
+enumeration cap, and are checked by one rule (``_validated``: the moved
+indices increase inside the levels, and ``setspec.witness_holds``
+against the stars), shared by membership, product absorption, inverse
+closure and translation.  Product absorption builds one table per
+distinct shift of its two rescalings; the rescalings of one shift share
+each item's star-and-product check, and each maps each distinct index
+once.  A witness pair is decided from its two validated sides and their
+join (``_pair_failures``), and walked only to list failures.  Dyadic
 indices and rescaled images compare as integers over a common power of
 two, and a rescaled image is built in lowest terms directly.
 
@@ -27,8 +29,6 @@ n-fold exclusion check over nonabelian finite sets is
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -37,9 +37,11 @@ from typing import Dict, Sequence
 from .filters import ExplicitFamily
 from .groups import (
     CayleyGroup,
+    EnumerationBudgetError,
     FreeGroup,
     GroupElement,
     check_enumeration_cap,
+    enumeration_cap,
     op_add,
     op_conjugate,
     op_neg,
@@ -94,7 +96,12 @@ class DyadicIndex:
 
 
 def dyadic_indices(max_level: int) -> list:
-    """All indices with level <= max_level, in increasing order."""
+    """All indices with level <= max_level, in increasing order, refused
+    past the enumeration cap from the level alone: 2^(cap's bit length + 1)
+    - 1 already passes it, so no larger power of two is taken."""
+    top = min(max_level, enumeration_cap().bit_length() + 1)
+    check_enumeration_cap(f"levels 1..{max_level} hold at least "
+                          f"{2 ** top - 1} dyadic indices", 2 ** top - 1)
     return [DyadicIndex.of(m, max_level) for m in range(1, 2 ** max_level)]
 
 
@@ -162,24 +169,6 @@ def assignment_from_json(doc: dict, group=None) -> DyadicAssignment:
     return DyadicAssignment.of(levels)
 
 
-def _reachable(assignment: DyadicAssignment) -> dict:
-    """Minimum factor count for every element of some increasing-index
-    product, over all indices of the materialized levels.  Identity
-    factors are skipped: they never lower a count."""
-    group = assignment.levels[0].ambient()
-    identity = group.identity_value()
-    steps = [[el.value for el in level if el.value != identity]
-             for level in assignment.starred]
-    reach = {identity: 0}
-    for q in assignment.indices():
-        for value, count in list(reach.items()):
-            for step in steps[q.level - 1]:
-                nxt = group._add(value, step)
-                if count + 1 < reach.get(nxt, math.inf):
-                    reach[nxt] = count + 1
-    return reach
-
-
 def uq_membership(g: GroupElement, assignment: DyadicAssignment,
                   depth: int) -> MembershipResult:
     """Does g lie in a product of starred sets along some increasing dyadic
@@ -189,32 +178,38 @@ def uq_membership(g: GroupElement, assignment: DyadicAssignment,
     carries the shortest witness in the ``enumerate_u_witnesses`` table,
     re-checked by ``_witness_is_valid``.  The empty product contributes the
     identity.  A miss upgrades from unknown to an exact "no" only over
-    finite table groups whose reachable products stabilize before the cap;
-    free-group misses stay unknown.
+    finite table groups, from the closed table (indices strictly increase,
+    so its depth is the index count), once every value's shortest witness
+    there is shorter than the depth cap.  Free-group misses stay unknown,
+    and so does a table past the enumeration cap, with the refusal noted.
     """
     if depth < 1:
         raise ValueError("depth must be positive")
     if g.is_identity():
         return MembershipResult("yes", witness=())
-    hits = [w for (value, _), w in
-            enumerate_u_witnesses(assignment, depth).items()
-            if value == g.value]
-    if hits:
-        witness = min(hits, key=len)
-        if not _witness_is_valid(g.group, assignment, witness, g.value):
-            raise AssertionError(f"witness for {g} does not re-verify")
-        return MembershipResult("yes", witness=witness)
     proof = {"depth": depth, "max_level": assignment.max_level}
-    if isinstance(g.group, CayleyGroup):
-        # The reachability table is complete for table groups: an element
-        # it never reaches, once it stabilizes inside the cap, is a "no".
-        reach = _reachable(assignment)
-        stabilized_at = max(reach.values())
-        if g.value not in reach and stabilized_at < depth:
-            proof["stabilized_at"] = stabilized_at
-            return MembershipResult("no", proof=proof)
-        if g.value not in reach:
-            proof["note"] = "unreached but closure not inside depth cap"
+    try:
+        hits = [w for (value, _), w in
+                enumerate_u_witnesses(assignment, depth).items()
+                if value == g.value]
+        if hits:
+            witness = min(hits, key=len)
+            if not _witness_is_valid(g.group, assignment, witness, g.value):
+                raise AssertionError(f"witness for {g} does not re-verify")
+            return MembershipResult("yes", witness=witness)
+        if not isinstance(g.group, CayleyGroup):
+            return MembershipResult("unknown", proof=proof)
+        closed = enumerate_u_witnesses(assignment, len(assignment.indices()))
+    except EnumerationBudgetError as err:
+        return MembershipResult("unknown", proof=proof, note=str(err))
+    # breadth first, so each value keeps its first witness's length
+    shortest = {value: len(w) for (value, _), w in reversed(closed.items())}
+    stabilized_at = max(shortest.values())
+    if g.value not in shortest and stabilized_at < depth:
+        proof["stabilized_at"] = stabilized_at
+        return MembershipResult("no", proof=proof)
+    if g.value not in shortest:
+        proof["note"] = "unreached but closure not inside depth cap"
     return MembershipResult("unknown", proof=proof)
 
 
@@ -224,7 +219,8 @@ def enumerate_u_witnesses(assignment: DyadicAssignment,
 
     Keyed by (element value, position of the top index used); the empty
     product appears as (identity, -1).  States are deduplicated, so the
-    table stays bounded by group size times index count.
+    table stays bounded by group size times index count, and refuses to
+    hold more than the enumeration cap.
     """
     indices = assignment.indices()
     group = assignment.levels[0].ambient()
@@ -233,7 +229,10 @@ def enumerate_u_witnesses(assignment: DyadicAssignment,
 
 def _products_over(group, assignment: DyadicAssignment,
                    indices: Sequence[DyadicIndex], depth: int) -> dict:
+    """Each state keeps the first witness to reach it, breadth first, so
+    a shortest one; refused before the table passes the cap."""
     factors = [assignment.starred[q.level - 1] for q in indices]
+    cap = enumeration_cap()
     out: dict = {(group.identity_value(), -1): ()}
     frontier = [(group.identity_value(), (), -1)]
     for _ in range(depth):
@@ -245,6 +244,8 @@ def _products_over(group, assignment: DyadicAssignment,
                     v2 = group._add(value, el.value)
                     if (v2, j) in out:
                         continue
+                    if len(out) == cap:  # one more state passes it
+                        check_enumeration_cap("the witness table", cap + 1)
                     w2 = witness + ((q, el),)
                     out[(v2, j)] = w2
                     nxt.append((v2, w2, j))
@@ -288,9 +289,10 @@ def check_UU(assignment: DyadicAssignment, sigma: Rescale, tau: Rescale,
     Requires sigma's image to lie entirely below tau's.  One witness
     table per distinct shift is validated once for the rescalings of that
     shift (``_validated``); a pair's concatenation is then a witness
-    exactly when the last left index lies below the first right index.
-    Each product is also confirmed by the independent reachability table
-    at the combined depth, and the pairs are decided per side.
+    exactly when both sides are valid and the last left index lies below
+    the first right index: the join has at most 2 * depth factors, each in
+    its level's star, since ``Rescale.apply`` adds exactly ``shift``
+    levels.  The pairs are decided per side (``_pair_failures``).
     """
     if not sigma.entirely_below(tau):
         raise ValueError("sigma's image must lie entirely below tau's")
@@ -306,13 +308,7 @@ def check_UU(assignment: DyadicAssignment, sigma: Rescale, tau: Rescale,
         sides.update(zip(rescales,
                          _validated(group, assignment, table, rescales)))
     lefts, rights = sides[sigma], sides[tau]
-    # Independent route: the full reachability table of the combined set.
-    reach = _reachable(assignment)
-    identity = group.identity_value()
-
-    pairs, bad = _pair_failures(
-        group, lefts, rights, lambda product: product == identity
-        or reach.get(product, math.inf) <= 2 * depth)
+    pairs, bad = _pair_failures(lefts, rights)
     failures = [{"left": group.value_to_json(lefts[i][0]),
                  "right": group.value_to_json(rights[j][0])}
                 for i, j in bad]
@@ -374,32 +370,28 @@ def _indices_valid(top: int, witness: tuple) -> bool:
     return True
 
 
-def _pair_failures(group, lefts: list, rights: list, confirm=None) -> tuple:
+def _pair_failures(lefts: list, rights: list) -> tuple:
     """The number of (left, right) pairs of validated witnesses, and the
     positions (i, j), in pair order, of the pairs whose concatenation
-    fails: either witness is invalid, the last left index is not below the
-    first right index, or ``confirm`` rejects the product of the values.
+    fails: either witness is invalid, or the last left index is not below
+    the first right index (two valid witnesses joined in order witness the
+    product of their values).
 
-    No pair fails exactly when every witness on each side is valid, the
+    No pair fails exactly when every witness on each side is valid and the
     largest last index among non-empty left witnesses lies below the
-    smallest first index among non-empty right witnesses, and ``confirm``
-    accepts every product of a distinct left and a distinct right value.
-    The pairs are walked only to list failures.
+    smallest first index among non-empty right witnesses.  The pairs are
+    walked only to list failures.
     """
     pairs = len(lefts) * len(rights)
     lasts = [w[-1][0] for _, w, _ in lefts if w]
     firsts = [w[0][0] for _, w, _ in rights if w]
     if all(ok for _, _, ok in lefts + rights) \
-            and (not lasts or not firsts or max(lasts) < min(firsts)) \
-            and (confirm is None or all(
-                confirm(group._add(lv, rv)) for lv, rv in itertools.product(
-                    {v for v, _, _ in lefts}, {v for v, _, _ in rights}))):
+            and (not lasts or not firsts or max(lasts) < min(firsts)):
         return pairs, []
     return pairs, [
-        (i, j) for i, (lv, lw, l_ok) in enumerate(lefts)
-        for j, (rv, rw, r_ok) in enumerate(rights)
-        if not (l_ok and r_ok and (not lw or not rw or lw[-1][0] < rw[0][0])
-                and (confirm is None or confirm(group._add(lv, rv))))]
+        (i, j) for i, (_, lw, l_ok) in enumerate(lefts)
+        for j, (_, rw, r_ok) in enumerate(rights)
+        if not (l_ok and r_ok and (not lw or not rw or lw[-1][0] < rw[0][0]))]
 
 
 def check_inverse_closure(assignment: DyadicAssignment,
@@ -450,7 +442,7 @@ def check_translation(assignment: DyadicAssignment,
         above = [q for q in indices if top < q]
         tail, = _validated(group, assignment, _products_over(
             group, assignment, above, depth))
-        pairs, bad = _pair_failures(group, [xs[n] for n in positions], tail)
+        pairs, bad = _pair_failures([xs[n] for n in positions], tail)
         checked += pairs
         found += [(positions[i], j, tail[j][0]) for i, j in bad]
     failures = [{"x": group.value_to_json(xs[n][0]),

@@ -11,7 +11,8 @@ payload fact in sorted order and the status, by JSON type as well as
 value.  It then checks the document as ``report_document`` writes it:
 its schema and keys, at least one claim, the claims in id order, and its
 status from its claims'.  Kinds without a replayer are listed as skipped,
-and a kind the program does not emit fails.
+and a kind the program does not emit fails.  A replay that reads a key
+the claim lacks fails on one line that names the key.
 """
 
 from __future__ import annotations
@@ -53,6 +54,8 @@ def recheck_document(doc: dict) -> Tuple[bool, list]:
             result = replayer and "ok"
         except AssertionError as err:  # a replay that no longer holds
             result = str(err)
+        except KeyError as err:  # a replay that reads a key the claim lacks
+            result = f"the report has no key {err.args[0]!r}"
         except Exception as err:  # any replay failure is a finding
             result = f"error: {err}"
         if result is None:

@@ -1197,6 +1197,21 @@ def _words_x(claim):
     claim["payload"].update(lhs="x", rhs="x", expected="x")
 
 
+def _drop(*path):
+    """A tamper that deletes the claim's value at ``path``, a list of
+    keys and list positions."""
+    def tamper(claim):
+        *parents, last = path
+        node = claim
+        for key in parents:
+            node = node[key]
+        del node[last]
+    return tamper
+
+
+_POWERS3 = ["hausdorff", str(CONFIGS / "powers3.json")]
+
+
 @pytest.mark.parametrize("argv, kind, tamper, message", [
     (["hensel"], "hensel", _rename("hensel:p=3:a=7:k=99"),
      "the replay gives levels at [3]: {'k': 4, 'modulus': 81, 'root': 13}, "
@@ -1252,13 +1267,23 @@ def _words_x(claim):
      "the replay gives claim keys ['budgets', 'claim', 'payload', "
      "'status'], the report ['budgets', 'claim', 'note', 'payload', "
      "'status']"),
+    (["verify", "sqrt7", "--gmax", "1", "--nmax", "1"], "sqrt7-necessary",
+     _drop("payload", "k"), "the report has no key 'k'"),
+    (_POWERS3, "hausdorff", _drop("payload", "probes", 0, "separation",
+                                  "steps", 0, "member_index"),
+     "the report has no key 'member_index'"),
+    (_POWERS3, "hausdorff", _drop("payload", "family"),
+     "the report has no key 'family'"),
+    (_POWERS3, "hausdorff", _drop("budgets", "depth"),
+     "the report has no key 'depth'"),
 ], ids=["hensel-k-99", "commutator-words-x", "sqrt7-cover-fold-z",
         "product-cover-fold-box", "interval-epsilon-raised",
         "union-small-matches", "union-small-intersection",
         "product-target-unreduced", "excluded-1", "sqrt7-extra-key",
         "budgets-n-true",
         "id-leading-zero", "sqrt7-budgets-n-7", "sqrt7-id-g-01",
-        "sqrt7-claim-key-note"])
+        "sqrt7-claim-key-note", "sqrt7-no-k", "hausdorff-no-member-index",
+        "hausdorff-no-family", "hausdorff-no-budgets-depth"])
 def test_recheck_fails_forged_facts(tmp_path, capsys, argv, kind, tamper,
                                     message):
     """Each kind whose id names its inputs re-runs its producer, so a
@@ -1271,7 +1296,8 @@ def test_recheck_fails_forged_facts(tmp_path, capsys, argv, kind, tamper,
     the producer never writes fails.  The sqrt7-necessary replay, which
     applies the producer's rule, rebuilds its id and budgets from the
     id's g and n, and every claim's keys are compared with the
-    replay's."""
+    replay's.  A claim that lacks a key its replay reads fails on one
+    line that names the key, before the keys are compared."""
     code, lines, cid = _recheck_tampered(tmp_path, capsys, argv, kind,
                                          tamper)
     fail = f"  FAIL   {cid}: {message}"

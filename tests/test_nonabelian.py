@@ -12,7 +12,8 @@ from grouptop import (FiniteSet, Integers, contains, op_add, op_neg, op_sum,
                       star)
 from grouptop.filters import ExplicitFamily, check_directed, cupcap_check
 from grouptop.fixtures import dihedral8
-from grouptop.groups import CayleyGroup
+from grouptop import groups
+from grouptop.groups import CayleyGroup, EnumerationBudgetError
 from grouptop import nonabelian
 from grouptop.nonabelian import (
     FREE_XY,
@@ -229,6 +230,11 @@ def _uu_sides(assign, sigma, tau, depth):
             for rescale in (sigma, tau)]
 
 
+# check_UU's rescaling pairs: equal shifts, then unequal ones
+_UU_RESCALES = [(Rescale(0, 2), Rescale(3, 2)),
+                (Rescale(0, 2), Rescale(2, 3))]
+
+
 def _uu_by_pair_walk(assign, sigma, tau, depth):
     """check_UU's pairs and failures from walking every concatenation."""
     d4 = dihedral8()
@@ -244,6 +250,31 @@ def _uu_by_pair_walk(assign, sigma, tau, depth):
     return len(sides[0]) * len(sides[1]), failures
 
 
+def _tampered_uu_tables(d4, product_fault_levels):
+    """``enumerate_u_witnesses`` with every third table item of two or
+    more factors broken: on a table of ``product_fault_levels`` levels its
+    last factor is moved off the product, on any other its first two
+    indices trade places.  Index faults never cancel in a concatenation;
+    product faults on one side alone cannot either, so only one side's
+    table may carry them."""
+    honest = nonabelian.enumerate_u_witnesses
+    r = d4.element("r")
+
+    def tampered(assignment, depth):
+        table = dict(honest(assignment, depth))
+        for n, (key, w) in enumerate(sorted(
+                table.items(), key=lambda kv: (d4.sort_key(kv[0][0]),
+                                               kv[0][1]))):
+            if len(w) < 2 or n % 3:
+                continue
+            if assignment.max_level == product_fault_levels:  # wrong product
+                table[key] = w[:-1] + ((w[-1][0], op_add(w[-1][1], r)),)
+            else:  # same factors, indices out of order
+                table[key] = ((w[1][0], w[0][1]), (w[0][0], w[1][1])) + w[2:]
+        return table
+    return tampered
+
+
 def test_check_uu_matches_pair_walk_on_seeded_assignments(monkeypatch):
     """Validating each side once plus the join gives the same pairs and
     failures as walking every concatenated witness, with equal shifts (one
@@ -252,8 +283,7 @@ def test_check_uu_matches_pair_walk_on_seeded_assignments(monkeypatch):
     order, so no pair's faults cancel)."""
     d4 = dihedral8()
     rng = random.Random(20261018)
-    for sigma, tau in ((Rescale(0, 2), Rescale(3, 2)),
-                       (Rescale(0, 2), Rescale(2, 3))):
+    for sigma, tau in _UU_RESCALES:
         for _ in range(4):
             assign = DyadicAssignment.of({
                 lvl: FiniteSet.of(d4, rng.sample(D4_NAMES,
@@ -265,23 +295,9 @@ def test_check_uu_matches_pair_walk_on_seeded_assignments(monkeypatch):
                     rep.payload["failures"]) == (pairs, failures) \
                 and failures == []
 
-    honest = nonabelian.enumerate_u_witnesses
-    r = d4.element("r")
-
-    def tampered(assignment, depth):
-        table = dict(honest(assignment, depth))
-        for n, (key, w) in enumerate(sorted(
-                table.items(), key=lambda kv: (d4.sort_key(kv[0][0]),
-                                               kv[0][1]))):
-            if len(w) < 2 or n % 3:
-                continue
-            if assignment.max_level == 3:  # sigma's side: wrong product
-                table[key] = w[:-1] + ((w[-1][0], op_add(w[-1][1], r)),)
-            else:  # tau's side: same factors, indices out of order
-                table[key] = ((w[1][0], w[0][1]), (w[0][0], w[1][1])) + w[2:]
-        return table
-
-    monkeypatch.setattr(nonabelian, "enumerate_u_witnesses", tampered)
+    # sigma's side (shift 2 of 5 levels) gets the product faults
+    monkeypatch.setattr(nonabelian, "enumerate_u_witnesses",
+                        _tampered_uu_tables(d4, 3))
     assign = DyadicAssignment.of({
         lvl: FiniteSet.of(d4, names) for lvl, names in
         enumerate([["r", "s"], ["r", "s"], ["rs", "r2"], ["r"], ["s"]], 1)})
@@ -291,6 +307,33 @@ def test_check_uu_matches_pair_walk_on_seeded_assignments(monkeypatch):
     assert failures and rep.status is Status.REFUTED
     assert (rep.payload["pairs_checked"], rep.payload["failures"]) == \
         (pairs, failures)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sets(st.sampled_from(D4_NAMES), min_size=1, max_size=3),
+                min_size=5, max_size=5),
+       st.sampled_from(_UU_RESCALES), st.booleans())
+def test_check_uu_matches_pair_walk_on_drawn_assignments(levels, rescales,
+                                                         tamper):
+    """Deciding each pair from its two validated sides and their join
+    gives the pair walk's pairs and failures on drawn assignments, with
+    honest witness tables and with tables tampered as in the seeded
+    test (with equal shifts both sides read one table, so it gets index
+    faults only): no product of two valid sides joined in order needs
+    more."""
+    d4, assign = d4_assignment([sorted(names) for names in levels])
+    sigma, tau = rescales
+    product_faults = 5 - sigma.shift if sigma.shift != tau.shift else None
+    with pytest.MonkeyPatch.context() as patch:
+        if tamper:
+            patch.setattr(nonabelian, "enumerate_u_witnesses",
+                          _tampered_uu_tables(d4, product_faults))
+        pairs, failures = _uu_by_pair_walk(assign, sigma, tau, 3)
+        rep = check_UU(assign, sigma, tau, 3)
+    assert (rep.payload["pairs_checked"], rep.payload["failures"]) == \
+        (pairs, failures)
+    assert rep.status is (Status.REFUTED if failures else Status.VERIFIED)
+    assert tamper or not failures
 
 
 def test_rescale_apply_is_the_reduced_image():
@@ -380,7 +423,8 @@ def test_check_uu_checks_the_order_of_each_sides_images():
 
 
 def _reachable_reference(assignment):
-    """``_reachable`` as defined before identity factors were skipped."""
+    """The fewest factors of each element over increasing-index products,
+    by one pass over the indices in order."""
     group = assignment.levels[0].ambient()
     reach = {group.identity_value(): 0}
     for q in assignment.indices():
@@ -393,11 +437,27 @@ def _reachable_reference(assignment):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(st.sets(st.sampled_from(D4_NAMES)), min_size=1, max_size=5))
-def test_reachable_matches_its_definition(levels):
-    """Skipping identity factors leaves every minimum count as it was."""
-    _, assign = d4_assignment([sorted(names) for names in levels])
-    assert nonabelian._reachable(assign) == _reachable_reference(assign)
+@given(st.lists(st.sets(st.sampled_from(D4_NAMES)), min_size=1, max_size=4))
+def test_uq_membership_matches_reachable_reference(levels):
+    """Every element at depths 1..6: "yes" exactly when it is reached
+    within the depth, with a witness of its fewest factors; "no" exactly
+    when it is never reached and every reached element is reached below
+    the depth, which the proof names; "unknown" otherwise."""
+    d4, assign = d4_assignment([sorted(names) for names in levels])
+    reach = _reachable_reference(assign)
+    stabilized_at = max(reach.values())
+    starred = _starred_by_level(d4, assign)
+    for g in d4.elements():
+        for depth in range(1, 7):
+            res = uq_membership(g, assign, depth)
+            if reach.get(g.value, math.inf) <= depth:
+                assert res.is_yes() and len(res.witness) == reach[g.value]
+                assert _walk_is_witness(d4, starred, res.witness, g.value)
+            elif g.value not in reach and stabilized_at < depth:
+                assert res.is_no()
+                assert res.proof["stabilized_at"] == stabilized_at
+            else:
+                assert res.status == "unknown"
 
 
 @settings(max_examples=300, deadline=None)
@@ -406,7 +466,6 @@ def test_pair_failures_match_nested_loop(data):
     """Deciding the pairs from facts about each side gives the nested
     loop's pair count and ordered failures, also for synthetic sides with
     join faults, which honest rescales never produce."""
-    d4 = dihedral8()
     indices = dyadic_indices(4)
     cut = data.draw(st.integers(0, len(indices)))
     overlap = data.draw(st.booleans())  # both sides draw from every index
@@ -421,47 +480,87 @@ def test_pair_failures_match_nested_loop(data):
                 for value, qs, ok in data.draw(st.lists(entry, max_size=8))]
 
     lefts, rights = side(pools[0]), side(pools[1])
-    unreached = data.draw(st.sets(st.integers(0, 7), max_size=2))
-    confirm = data.draw(st.sampled_from(
-        [None, lambda product: product not in unreached]))
 
     pairs, failures = 0, []
-    for i, (lv, lw, l_ok) in enumerate(lefts):
-        for j, (rv, rw, r_ok) in enumerate(rights):
+    for i, (_, lw, l_ok) in enumerate(lefts):
+        for j, (_, rw, r_ok) in enumerate(rights):
             pairs += 1
             joins = not lw or not rw or \
                 lw[-1][0].fraction() < rw[0][0].fraction()
-            confirmed = confirm is None or confirm(d4._add(lv, rv))
-            if not (l_ok and r_ok and joins and confirmed):
+            if not (l_ok and r_ok and joins):
                 failures.append((i, j))
-    assert nonabelian._pair_failures(d4, lefts, rights, confirm) == \
-        (pairs, failures)
+    assert nonabelian._pair_failures(lefts, rights) == (pairs, failures)
 
 
-def test_check_uu_lists_exactly_the_pairs_confirm_rejects(monkeypatch):
-    """With one reachable element dropped from the reachability table,
-    the failures are exactly the pairs whose product is that element, in
-    pair order."""
-    d4, assign = d4_assignment([["r"], ["r", "s"], ["r2"], ["r"], ["s"]])
-    sigma, tau = Rescale(0, 2), Rescale(3, 2)
-    dropped = d4.element("rs").value
-    honest = nonabelian._reachable
+def test_dyadic_indices_refuse_past_the_cap_from_the_level_alone(
+        monkeypatch):
+    """Levels 1..40 hold 2^40 - 1 indices: refused before one is built.
+    At a cap of 7, level 3's seven indices pass and level 4's fifteen do
+    not."""
+    def never(*args):
+        raise AssertionError("an index was built")
 
-    def tampered(assignment):
-        reach = dict(honest(assignment))
-        del reach[dropped]
-        return reach
+    with monkeypatch.context() as patch:
+        patch.setattr(DyadicIndex, "of", never)
+        with pytest.raises(EnumerationBudgetError, match="level"):
+            dyadic_indices(40)
+    monkeypatch.setattr(groups, "_ENUMERATION_CAP", 7)
+    assert len(dyadic_indices(3)) == 7
+    with pytest.raises(EnumerationBudgetError):
+        dyadic_indices(4)
 
-    monkeypatch.setattr(nonabelian, "_reachable", tampered)
-    rep = check_UU(assign, sigma, tau, 3)
-    lefts, rights = _uu_sides(assign, sigma, tau, 3)
-    expected = [{"left": d4.value_to_json(lv), "right": d4.value_to_json(rv)}
-                for lv, _ in lefts for rv, _ in rights
-                if d4._add(lv, rv) == dropped]
-    assert expected and len(expected) < len(lefts) * len(rights)
-    assert rep.status is Status.REFUTED
-    assert rep.payload["failures"] == expected
-    assert rep.payload["pairs_checked"] == len(lefts) * len(rights)
+
+def test_witness_table_holds_at_most_the_cap(monkeypatch):
+    """The table refuses at its first state past the cap, as it is built:
+    a cap of its own size passes, one less refuses, and a cap of 20 on a
+    table of thousands of states refuses within a few hundred
+    additions."""
+    _, five = d4_assignment([["r"], ["r", "s"], ["r2"], ["r"], ["s"]])
+    size = len(nonabelian.enumerate_u_witnesses(five, 3))
+    monkeypatch.setattr(groups, "_ENUMERATION_CAP", size)
+    assert len(nonabelian.enumerate_u_witnesses(five, 3)) == size
+    monkeypatch.setattr(groups, "_ENUMERATION_CAP", size - 1)
+    with pytest.raises(EnumerationBudgetError, match="witness table"):
+        nonabelian.enumerate_u_witnesses(five, 3)
+
+    _, wide = d4_assignment([["e", "r", "s"]] * 7)
+    add, calls = CayleyGroup._add, 0
+
+    def counting(self, a, b):
+        nonlocal calls
+        calls += 1
+        return add(self, a, b)
+
+    monkeypatch.setattr(CayleyGroup, "_add", counting)
+    monkeypatch.setattr(groups, "_ENUMERATION_CAP", 20)
+    with pytest.raises(EnumerationBudgetError):
+        nonabelian.enumerate_u_witnesses(wide, 3)
+    assert calls < 500
+
+
+def test_dyadic_checks_raise_and_membership_answers_unknown_past_the_cap(
+        monkeypatch):
+    """Past a cap of 20, check_UU's shift-2 table (47 states), and the
+    depth-3 tables of inverse closure and translation refuse; membership
+    answers unknown with the refusal as its note, both when its depth
+    table passes the cap and when only the closed table does."""
+    d4, five = d4_assignment([["r"], ["r", "s"], ["r2"], ["r"], ["s"]])
+    _, rotations = d4_assignment([["r"], ["r"], ["r"]])
+    assert uq_membership(d4.element("s"), rotations, 4).is_no()
+    monkeypatch.setattr(groups, "_ENUMERATION_CAP", 20)
+    for check in (lambda: check_UU(five, Rescale(0, 2), Rescale(3, 2), 3),
+                  lambda: check_inverse_closure(rotations, 3),
+                  lambda: check_translation(rotations, 3)):
+        with pytest.raises(EnumerationBudgetError):
+            check()
+    for g, depth in (("s", 4), ("s", 1), ("r2", 2)):
+        res = uq_membership(d4.element(g), rotations, depth)
+        assert res.status == "unknown", (g, depth)
+        assert res.note.endswith("past the enumeration cap 20")
+    monkeypatch.setattr(groups, "_ENUMERATION_CAP", 22)  # the depth-1 table
+    assert uq_membership(d4.element("r"), rotations, 1).is_yes()
+    res = uq_membership(d4.element("s"), rotations, 1)  # closed: 28 states
+    assert res.status == "unknown" and "witness table" in res.note
 
 
 def _translation_by_pair_walk(assign, depth):
