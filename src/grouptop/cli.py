@@ -1,5 +1,6 @@
-"""Command-line harness: parse arguments, read configs, and emit the
-reports that the claims' producers build.
+"""Command-line harness: parse arguments, hand each config to its reader
+(``filters.RunConfig`` for ``hausdorff``), and emit the reports that the
+claims' producers build.
 
 Exit codes follow the three-valued logic so automation can tell refutation
 from budget exhaustion: 0 all claims verified, 2 some claim refuted,
@@ -17,19 +18,16 @@ import json
 import os
 import sys
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Optional, Sequence, TextIO
 
 from . import examples as ex
-from .filters import (ExplicitFamily, FilterFamily, check_directed,
-                      family_from_json, hausdorff_verdict)
-from .groups import (check_enumeration_cap, integer_from_json,
-                     reject_unknown_keys)
+from .filters import RunConfig, hausdorff_verdict
+from .groups import check_enumeration_cap
 from .nonabelian import verify_fib_identity, verify_fib_words
 from .report import (Status, report_document, stopwatch,
                      write_canonical_json)
-from .setspec import EnumerationBudgetError, FoldTable, SubsetUndecidable
+from .setspec import EnumerationBudgetError, FoldTable
 
 _EXIT_FOR_STATUS = {
     Status.VERIFIED: 0,
@@ -37,62 +35,7 @@ _EXIT_FOR_STATUS = {
     Status.UNKNOWN: 3,
 }
 
-_CONFIG_KEYS = {"family", "probes", "budgets"}
-_BUDGET_KEYS = {"n_max", "depth", "max_len"}
 _EXAMPLES = ("sqrt7", "product", "interval", "fibonacci")  # of verify
-
-
-@dataclass
-class RunConfig:
-    """Parsed configuration for a family-level verification run."""
-
-    family: FilterFamily
-    probes: list  # list[GroupElement] of the family's ambient group
-    n_max: int = 3
-    depth: int = 12
-    max_len: int = 5
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "RunConfig":
-        reject_unknown_keys(doc, _CONFIG_KEYS, "config")
-        budgets = doc.get("budgets", {})
-        reject_unknown_keys(budgets, _BUDGET_KEYS, "budgets")
-        if not isinstance(doc["probes"], list):
-            raise ValueError("probes must be a JSON list")
-        # a budget the config leaves out takes its field's default
-        limits = {key: budgets.get(key, getattr(cls, key))
-                  for key in sorted(_BUDGET_KEYS)}
-        family = family_from_json(doc["family"])
-        if isinstance(family, ExplicitFamily):
-            _require_directed(family)
-        group = family.member(0).ambient()  # the probes' group
-        cfg = cls(
-            family=family,
-            probes=[group.element(p) for p in doc["probes"]],
-            **{key: integer_from_json(v) for key, v in limits.items()},
-        )
-        if min(cfg.n_max, cfg.depth, cfg.max_len) < 1:
-            raise ValueError("budgets must be positive")
-        if not cfg.probes:
-            raise ValueError("probe list must be nonempty")
-        if any(p.is_identity() for p in cfg.probes):
-            raise ValueError("probes must exclude the identity")
-        return cfg
-
-
-def _require_directed(family: ExplicitFamily) -> None:
-    """Refuse an explicit family with two members that contain no common
-    member: the criteria speak about downward directed families.  A family
-    with a pair of members that has no exact subset test is taken as
-    given."""
-    try:
-        pair = check_directed(family)
-    except SubsetUndecidable:
-        return
-    if pair is not None:
-        raise ValueError(f"explicit family is not downward directed: no "
-                         f"member lies inside both member {pair[0]} and "
-                         f"member {pair[1]}")
 
 
 def _emit(reports: list, out: Optional[str], fmt: str, elapsed: float) -> int:

@@ -214,10 +214,7 @@ def verify_sqrt7_necessary(g: int, n: int,
     the crude level bound p^k > max(g^2, a n^2) also works.  The n-fold
     sets come from ``table``, a fresh one when None.
     """
-    if g == 0:
-        raise ValueError("g must be nonzero")
-    if n < 1:
-        raise ValueError("n must be positive")
+    _require_sqrt7_inputs(g, n)
     if table is None:
         table = FoldTable()
     a, p = SQRT7_A, SQRT7_P
@@ -252,6 +249,14 @@ def verify_sqrt7_necessary(g: int, n: int,
     })
 
 
+def _require_sqrt7_inputs(g: int, n: int) -> None:
+    """Refuse what the producer cannot run: at g = 0 it never ends."""
+    if g == 0:
+        raise ValueError("g must be nonzero")
+    if n < 1:
+        raise ValueError("n must be positive")
+
+
 def _sqrt7_necessary_report(g: int, n: int, status: Status,
                             payload: dict) -> VerificationReport:
     """The one writer of a sqrt7-necessary claim's id and budgets."""
@@ -273,8 +278,9 @@ def replay_sqrt7_necessary(claim: dict,
                            table: FoldTable) -> VerificationReport:
     """The rule's ``excluded`` and status on the recorded member and
     bound-level facts, which are not re-folded; the id and budgets are
-    rebuilt from g and n, and the other payload fields pass through."""
+    rebuilt from g and n, checked first, and the rest pass through."""
     g, n = id_numbers(r"sqrt7-necessary:g=(-?\d+):n=(\d+)", claim)
+    _require_sqrt7_inputs(g, n)
     payload = claim["payload"]
     folded = table.n_fold_star(spec_from_json(payload["member"]), n)
     excluded, status = sqrt7_necessary_rule(

@@ -8,6 +8,8 @@ separating-sequence construction) and the verdict drawn from them, by
 same scan helpers and rules; the replayer rebuilds each recorded probe
 entry with the producer's writer, ``_probe_record``, compares once, and
 returns the producer's ``_hausdorff_report`` on the recorded entries.
+One reader, ``RunConfig``, reads a run from a ``hausdorff`` config and
+from a recorded claim alike, so the replay refuses what the command does.
 
 Every bounded search reports three-valued outcomes; "verified" and
 "refuted" are reserved for exact arithmetic or re-checked witnesses.
@@ -246,6 +248,53 @@ def check_directed(family: ExplicitFamily) -> Optional[tuple]:
                  is None), None)
 
 
+_CONFIG_KEYS = {"family", "probes", "budgets"}
+_BUDGET_KEYS = {"n_max", "depth", "max_len"}
+
+
+@dataclass
+class RunConfig:
+    """The inputs of a hausdorff run, read from a config or a claim."""
+
+    family: FilterFamily
+    probes: list  # list[GroupElement] of the family's ambient group
+    n_max: int = 3
+    depth: int = 12
+    max_len: int = 5
+
+    @classmethod
+    def from_json(cls, doc: dict) -> "RunConfig":
+        """Raise ValueError on any run ``hausdorff`` refuses.  A budget
+        left out takes its field's default.  An explicit family must be
+        downward directed."""
+        reject_unknown_keys(doc, _CONFIG_KEYS, "config")
+        budgets = doc.get("budgets", {})
+        reject_unknown_keys(budgets, _BUDGET_KEYS, "budgets")
+        if not isinstance(doc["probes"], list):
+            raise ValueError("probes must be a JSON list")
+        family = family_from_json(doc["family"])
+        if isinstance(family, ExplicitFamily):
+            try:
+                pair = check_directed(family)
+            except SubsetUndecidable:
+                pair = None  # no exact subset test: taken as given
+            if pair is not None:
+                raise ValueError(f"explicit family is not downward "
+                                 f"directed: no member lies inside both "
+                                 f"member {pair[0]} and member {pair[1]}")
+        group = family.member(0).ambient()  # the probes' group
+        cfg = cls(family, [group.element(p) for p in doc["probes"]],
+                  **{k: integer_from_json(budgets.get(k, getattr(cls, k)))
+                     for k in sorted(_BUDGET_KEYS)})
+        if min(cfg.n_max, cfg.depth, cfg.max_len) < 1:
+            raise ValueError("budgets must be positive")
+        if not cfg.probes:
+            raise ValueError("probe list must be nonempty")
+        if any(p.is_identity() for p in cfg.probes):
+            raise ValueError("probes must exclude the identity")
+        return cfg
+
+
 @dataclass(frozen=True)
 class CupcapResult:
     """Outcome of the n-fold exclusion search over the first members."""
@@ -435,29 +484,33 @@ def separating_sequence(
 
 def recheck_certificate(
         cert: Union[SeparationCertificate, StuckReport],
-        table: Optional[FoldTable] = None) -> list:
+        table: Optional[FoldTable] = None):
     """Replay a separation from its member descriptions alone: every
     prefix sum still excludes the target, and every witness that blocked a
     stuck report still holds.  The first failure raises AssertionError;
-    returns the replayed exclusion of each prefix, shortest first.  Every
-    membership is decided, and every star taken, through ``table``, a
-    fresh one when None; each witness is still checked in full."""
+    returns the separation rebuilt with the replayed exclusion of each
+    prefix.  Every membership is decided, and every star taken, through
+    ``table``, a fresh one when None; each witness is still checked in
+    full."""
     if table is None:
         table = FoldTable()
     stuck = isinstance(cert, StuckReport)
-    members = [s.member for s in (cert.prefix if stuck else cert.steps)]
+    prefix = cert.prefix if stuck else cert.steps
+    members = [s.member for s in prefix]
     stars = [table.star(m) for m in members]
-    exclusions = []
-    for n in range(1, len(members) + 1):
+    steps = []
+    for n, step in enumerate(prefix, 1):
         res = prefix_sum_membership(cert.target, members[:n], table)
         if not res.is_no():
             raise AssertionError(f"prefix {n} no longer excludes the target")
-        exclusions.append(res)
+        steps.append(SeparationStep(step.member_index, step.member, res))
     for i, member, res in cert.blocked if stuck else ():
         if res.is_yes() and not witness_holds(cert.target, res.witness,
                                               stars + [table.star(member)]):
             raise AssertionError(f"blocking witness at candidate {i} fails")
-    return exclusions
+    return StuckReport(cert.target, cert.step, tuple(steps), cert.blocked,
+                       cert.family) if stuck \
+        else SeparationCertificate(cert.target, tuple(steps), cert.family)
 
 
 def hausdorff_verdict(
@@ -557,14 +610,15 @@ def replay_hausdorff(claim: dict, table: FoldTable) -> VerificationReport:
     blocking result's ``proof`` and ``note`` (a ``yes``, whose witness is
     re-checked, or an ``unknown``).  Checked by hand: index types and
     ranges, step and blocked counts, and the JSON types of member records
-    and of each cupcap map, which ``==`` takes alike.  Probes are read in
-    the family's group, and the entries themselves pass through."""
+    and of each cupcap map, which ``==`` takes alike.  ``RunConfig``
+    reads the family, probes and budgets; the entries pass through."""
     payload, budgets = claim["payload"], claim["budgets"]
-    family = family_from_json(payload["family"])
-    n_max, depth, max_len = (integer_from_json(budgets[key])
-                             for key in ("n_max", "depth", "max_len"))
-    group = family.member(0).ambient()
-    limit = scan_limit(family, depth)
+    cfg = RunConfig.from_json({
+        "family": payload["family"],
+        "probes": [entry["probe"] for entry in payload["probes"]],
+        "budgets": {k: budgets[k] for k in ("depth", "max_len", "n_max")}})
+    family, max_len = cfg.family, cfg.max_len
+    limit = scan_limit(family, cfg.depth)
     described = family.describe()
     # member index -> the family's member, its JSON and the reprs of the
     # records found to be that JSON (repr, unlike ==, tells 1 from 1.0)
@@ -602,7 +656,7 @@ def replay_hausdorff(claim: dict, table: FoldTable) -> VerificationReport:
 
     def separation(name, g: GroupElement, doc: dict):
         stuck = "blocked" in doc
-        steps: list = []  # exclusions are the replay's, filled in below
+        steps: list = []  # exclusions are the replay's
         for step in doc["prefix" if stuck else "steps"]:
             i = step["member_index"]
             steps.append(SeparationStep(i, member(
@@ -617,25 +671,19 @@ def replay_hausdorff(claim: dict, table: FoldTable) -> VerificationReport:
             raise AssertionError(f"probe {name}: the blocked candidates are "
                                  f"not {start}..{limit - 1}")
         for i, b in enumerate(doc["blocked"] if stuck else (), start):
-            res = MembershipResult.from_json(group, b["result"])
+            res = MembershipResult.from_json(g.group, b["result"])
             if res.status not in ("yes", "unknown"):
                 raise AssertionError(f"probe {name}: candidate {i} is "
                                      f"blocked by {res.status!r}")
             blocked.append((i, member(name, i, b["member"], start), res))
+        return recheck_certificate(
+            StuckReport(g, len(steps), tuple(steps), tuple(blocked),
+                        described) if stuck
+            else SeparationCertificate(g, tuple(steps), described), table)
 
-        def written(steps: tuple):
-            return StuckReport(g, len(steps), steps, tuple(blocked),
-                               described) if stuck \
-                else SeparationCertificate(g, steps, described)
-
-        exclusions = recheck_certificate(written(tuple(steps)), table)
-        return written(tuple(SeparationStep(s.member_index, s.member, res)
-                             for s, res in zip(steps, exclusions)))
-
-    for probe in payload["probes"]:
-        name, g = probe["probe"], group.element(probe["probe"])
-        cupcaps = probe["cupcap"]
-        top = min(n_max, len(cupcaps) + 1)  # past it, the record differs
+    for probe, g in zip(payload["probes"], cfg.probes):
+        name, cupcaps = probe["probe"], probe["cupcap"]
+        top = min(cfg.n_max, len(cupcaps) + 1)  # past it, the record differs
         record = _probe_record(
             g, [cupcap(name, g, n, cupcaps.get(str(n), {}))
                 for n in range(1, top + 1)],
@@ -644,5 +692,5 @@ def replay_hausdorff(claim: dict, table: FoldTable) -> VerificationReport:
                 not same_json(record["cupcap"], probe["cupcap"]):
             raise AssertionError(
                 f"probe {name}: {mismatch('the entry', record, probe)}")
-    return _hausdorff_report(family, payload["probes"], n_max, depth,
-                             max_len)
+    return _hausdorff_report(family, payload["probes"], cfg.n_max,
+                             cfg.depth, max_len)

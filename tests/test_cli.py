@@ -868,6 +868,89 @@ def test_recheck_rederives_hausdorff_conclusions(tmp_path, capsys, tamper,
     assert code == 2 and message in out.splitlines(), out
 
 
+def _all_verified(doc):
+    """Conclude ``verified`` on every probe, in the claim and the
+    document."""
+    for tamper in (_claim_status_verified, _document_status_verified,
+                   _verdict_consistent, _outcomes_separated):
+        tamper(doc)
+
+
+def _no_steps_at_max_len_0(doc):
+    claim = doc["claims"][0]
+    claim["budgets"]["max_len"] = 0
+    probes = claim["payload"]["probes"]
+    certificate = next(p["separation"] for p in probes
+                       if "steps" in p["separation"])
+    for probe in probes:
+        probe["separation"] = dict(certificate, target=probe["probe"],
+                                   steps=[])
+    _all_verified(doc)
+
+
+def _no_probes(doc):
+    doc["claims"][0]["payload"]["probes"] = []
+    _all_verified(doc)
+
+
+def _member_2_undirected(doc):
+    payload = doc["claims"][0]["payload"]
+    for family in [payload["family"]] + [p["separation"]["family"]
+                                         for p in payload["probes"]]:
+        family["members"][2] = {"elements": [5, 6], "kind": "finite"}
+
+
+def _sqrt7_g_0(doc):
+    claim = doc["claims"][0]
+    claim["claim"] = "sqrt7-necessary:g=0:n=1"
+    claim["payload"]["excluded"] = False
+    claim["status"] = doc["status"] = "refuted"
+
+
+_DIRECTED_TRIPLE = {
+    "family": {"kind": "explicit", "members": [
+        {"kind": "finite", "elements": [2]},
+        {"kind": "finite", "elements": [1, 2]},
+        {"kind": "finite", "elements": [2, 3]}]},
+    "probes": [1],
+    "budgets": {"n_max": 2, "depth": 3, "max_len": 2}}
+
+
+@pytest.mark.parametrize("run_of, tamper, message", [
+    (["hausdorff", str(CONFIGS / "sqrt7.json")], _no_steps_at_max_len_0,
+     "hausdorff:sqrt7: error: budgets must be positive"),
+    (["hausdorff", str(CONFIGS / "sqrt7.json")], _no_probes,
+     "hausdorff:sqrt7: error: probe list must be nonempty"),
+    (_DIRECTED_TRIPLE, _member_2_undirected,
+     "hausdorff:explicit: error: explicit family is not downward "
+     "directed: no member lies inside both member 0 and member 2"),
+    (["verify", "sqrt7", "--gmax", "1", "--nmax", "1"], _sqrt7_g_0,
+     "sqrt7-necessary:g=0:n=1: error: g must be nonzero"),
+], ids=["sqrt7-max-len-0", "sqrt7-no-probes", "explicit-not-directed",
+        "sqrt7-necessary-g-0"])
+def test_recheck_refuses_every_run_its_producer_refuses(tmp_path, capsys,
+                                                        run_of, tamper,
+                                                        message):
+    """A report edited to describe a run its producer refuses fails with
+    the producer's own refusal, though every conclusion in it was edited
+    to agree: a hausdorff claim's family, probes and budgets are read by
+    the reader of ``hausdorff`` configs, and a sqrt7-necessary id's g and
+    n by the producer's checks."""
+    if isinstance(run_of, dict):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(run_of))
+        run_of = ["hausdorff", str(config)]
+    report = tmp_path / "report.json"
+    assert run(run_of + ["--out", str(report)], capsys)[0] in (0, 2)
+    doc = json.loads(report.read_text())
+    tamper(doc)
+    report.write_text(json.dumps(doc))
+    code, out, _ = run(["recheck", str(report)], capsys)
+    assert code == 2 and [line for line in out.splitlines()
+                          if line.startswith("  FAIL")] == [
+        f"  FAIL   {message}"], out
+
+
 def _cut_certificates(probes):
     for probe in probes:
         if "steps" in probe["separation"]:
