@@ -211,8 +211,9 @@ def verify_sqrt7_necessary(g: int, n: int,
     Picks the smallest level k at which p^k divides none of the integers
     g^2 - a m^2 for 0 <= m <= n, confirms by residue arithmetic that g is
     outside the n-fold starred set at that level, and cross-checks that
-    the crude level bound p^k > max(g^2, a n^2) also works.  The n-fold
-    sets come from ``table``, a fresh one when None.
+    the crude level bound (``sqrt7_bound_level``) also works.  The level
+    sets and their n-fold sets come from ``table``, a fresh one when None,
+    and the payload holds the table's descriptions of them.
     """
     _require_sqrt7_inputs(g, n)
     if table is None:
@@ -227,13 +228,11 @@ def verify_sqrt7_necessary(g: int, n: int,
     k = 1
     while not divides_none(k):
         k += 1
-    member = sqrt7_set(k)
+    member = table.level(sqrt7_set, k)
     folded = table.n_fold_star(member, n)
 
-    k_bound = 1
-    while p ** k_bound <= max(g * g, a * n * n):
-        k_bound += 1
-    bound_fold = table.n_fold_star(sqrt7_set(k_bound), n)
+    k_bound = sqrt7_bound_level(g, n)
+    bound_fold = table.n_fold_star(table.level(sqrt7_set, k_bound), n)
     bound_ok = divides_none(k_bound) and \
         not bound_fold.contains_value(g) and not bound_fold.contains_value(-g)
 
@@ -247,6 +246,14 @@ def verify_sqrt7_necessary(g: int, n: int,
         "excluded": excluded,
         "bound_level_also_excludes": bound_ok,
     })
+
+
+def sqrt7_bound_level(g: int, n: int) -> int:
+    """The crude level bound: the least k with p^k > max(g^2, a n^2)."""
+    bound, k_bound, pk = max(g * g, SQRT7_A * n * n), 1, SQRT7_P
+    while pk <= bound:
+        k_bound, pk = k_bound + 1, pk * SQRT7_P
+    return k_bound
 
 
 def _require_sqrt7_inputs(g: int, n: int) -> None:
@@ -276,22 +283,34 @@ def sqrt7_necessary_rule(g: int, folded: ResidueSet, bound_ok: bool,
 
 def replay_sqrt7_necessary(claim: dict,
                            table: FoldTable) -> VerificationReport:
-    """The rule's ``excluded`` and status on the recorded member and
-    bound-level facts, which are not re-folded; the id and budgets are
-    rebuilt from g and n, checked first, and the rest pass through."""
+    """The rule's ``excluded`` and status on the recorded member, which is
+    re-folded, and the recorded bound-level fact; the id and budgets are
+    rebuilt from g and n, checked first.  The bound level is derived from
+    g and n as the producer derives it (``sqrt7_bound_level``), and the
+    recorded level k must be an int in 1..k_bound; the replay's payload
+    holds that bound level and the table's level-k chain set as the
+    member, so a record that differs from either fails the comparison.
+    The rest pass through."""
     g, n = id_numbers(r"sqrt7-necessary:g=(-?\d+):n=(\d+)", claim)
     _require_sqrt7_inputs(g, n)
     payload = claim["payload"]
-    folded = table.n_fold_star(spec_from_json(payload["member"]), n)
+    k, k_bound = payload["k"], sqrt7_bound_level(g, n)
+    if type(k) is not int or not 1 <= k <= k_bound:
+        raise AssertionError(f"level k {k!r} lies outside 1..{k_bound}")
+    member, recorded = table.level(sqrt7_set, k), payload["member"]
+    # a record equal to the level-k set's description folds as that set;
+    # any other is read as it stands, and fails the comparison after
+    folded = table.n_fold_star(member if recorded == member.to_json()
+                               else spec_from_json(recorded), n)
     excluded, status = sqrt7_necessary_rule(
-        g, folded, payload["bound_level_also_excludes"], payload["k"],
-        payload["k_bound"])
+        g, folded, payload["bound_level_also_excludes"], k, k_bound)
     if payload["excluded"] and not excluded:
         raise AssertionError("target re-enters the n-fold set")
     kept = ("bound_level_also_excludes", "divisibility_targets", "k",
-            "k_bound", "member", "n_fold")
-    return _sqrt7_necessary_report(
-        g, n, status, {**{k: payload[k] for k in kept}, "excluded": excluded})
+            "n_fold")
+    return _sqrt7_necessary_report(g, n, status, {
+        **{key: payload[key] for key in kept}, "k_bound": k_bound,
+        "member": member.to_json(), "excluded": excluded})
 
 
 def _lifted_member(m_i: int, m0: int) -> int:

@@ -327,9 +327,9 @@ def _nfold_exclusion(g: GroupElement, n: int, spec: SetSpec,
     try:
         folded = table.n_fold_star(spec, n)
         if folded.contains_value(g.value):
-            return MembershipResult("yes", proof={"route": "exact-fold"})
+            return MembershipResult("yes", proof=table.proof("exact-fold"))
         return MembershipResult(
-            "no", proof={"route": "exact-fold", "fold": folded.to_json()})
+            "no", proof=table.proof("exact-fold", folded))
     except SumsetUnsupported:
         return prefix_sum_membership(g, [spec] * n, table)
     except EnumerationBudgetError as err:
@@ -353,8 +353,8 @@ def cupcap_check(g: GroupElement, n: int, family: FilterFamily,
                  ) -> CupcapResult:
     """Search the first ``depth`` members for one whose n-fold starred sum
     misses g.  Only exact exclusions count as found; inconclusive members
-    are skipped and tallied.  Folds come from ``table``, a fresh one when
-    None."""
+    are skipped and tallied.  Members are interned in, and folds come
+    from, ``table``, a fresh one when None."""
     if g.is_identity():
         raise ValueError("probe must not be the identity")
     if n < 1:
@@ -364,7 +364,7 @@ def cupcap_check(g: GroupElement, n: int, family: FilterFamily,
     top = scan_limit(family, depth)
     skipped = 0
     for i in range(top):
-        member = family.member(i)
+        member = table.intern(family.member(i))
         res = _nfold_exclusion(g, n, member, table)
         if res.is_no():
             return CupcapResult(True, n, i, member, res.proof, checked=i + 1,
@@ -458,17 +458,20 @@ def separating_sequence(
     which loses nothing: members only shrink, so a deeper member excludes
     whenever a shallower one does.  Returns a certificate on success and a
     stuck report (prefix plus every candidate's blocking membership)
-    otherwise.  Every membership is decided through ``table``.
+    otherwise.  Every membership is decided, and every member interned,
+    through ``table``, a fresh one when None.
     """
     if g.is_identity():
         raise ValueError("the identity cannot be separated")
+    if table is None:
+        table = FoldTable()
     steps: list = []
     fam_desc = family.describe()
     for step_no in range(max_len):
         blocked = []
         chosen = None
         for i in range(resume_index(family, steps), scan_limit(family, depth)):
-            member = family.member(i)
+            member = table.intern(family.member(i))
             chain = [s.member for s in steps] + [member]
             res = prefix_sum_membership(g, chain, table)
             if res.is_no():
@@ -630,7 +633,7 @@ def replay_hausdorff(claim: dict, table: FoldTable) -> VerificationReport:
             raise AssertionError(f"probe {name}: member index {index!r} lies "
                                  f"outside the scan {lowest}..{limit - 1}")
         if index not in members:
-            spec = family.member(index)
+            spec = table.intern(family.member(index))
             members[index] = spec, spec.to_json(), set()
         spec, own, typed = members[index]
         text = repr(doc)

@@ -30,11 +30,14 @@ sets of residues up to the enumeration cap; a tail's share of the
 envelope modulus is the divisor ``IntegerSequence.divisor_index`` finds.
 
 Everything a membership reads of its sets alone comes from the command's
-``FoldTable``: stars, exact folds, divisor certificates, each tail's
-window of tail divisors (the envelope modulus), residue envelopes per
-modulus and each tail's terms (the bounded search's candidates).  So a
-command reads each tail once, not once per membership; the witness and
-its check, and a tail's single-set membership, still run per membership.
+``FoldTable``: stars, exact folds, the CRT candidates of a residue set
+per class of the remainder, divisor certificates, each tail's window of
+tail divisors (the envelope modulus), residue envelopes per modulus and
+each tail's terms (the bounded search's candidates).  So a command reads
+each tail once, not once per membership; the witness and its check, and
+a tail's single-set membership, still run per membership.  Proofs that
+name only a route, or a route and a fold, are the table's one dict for
+them, shared by every result that carries them and never mutated.
 """
 
 from __future__ import annotations
@@ -144,15 +147,14 @@ def _peel(g: GroupElement, n: int, candidates: Callable,
     return tuple(GroupElement(group, v) for v in values)
 
 
-def _exact_candidates(st: StarSet, rem, rest_fold):
+def _exact_candidates(st: StarSet, rem, rest_fold, table: FoldTable):
     """Candidate summands from a materialized star against the folded sum
     of the sets after it, given the raw remainder ``rem``.
 
-    Residue-class summands are solved by CRT against the next fold, since
-    the right representative depends on the finer modulus downstream; the
-    gcd, step and inverse are computed once, and a pair of residues is
-    skipped by one test when its two congruences are incompatible.  A
-    box and an interval offer one candidate each: coordinate by coordinate
+    Residue-class summands are solved by CRT against the next fold, read
+    from ``table`` (``FoldTable.crt_candidates``), since the right
+    representative depends on the finer modulus downstream.  A box
+    and an interval offer one candidate each: coordinate by coordinate
     the smallest digit the rest allows, and the share of the remainder in
     proportion to the radii.
     """
@@ -162,29 +164,13 @@ def _exact_candidates(st: StarSet, rem, rest_fold):
             yield el.value
         return
     if isinstance(base, ResidueSet):
-        m = base.modulus
         if isinstance(rest_fold, ResidueSet):
-            n = rest_fold.modulus
-            g = math.gcd(m, n)
-            step, lcm = n // g, m * n // g
-            inverse = pow(m // g, -1, step) if step > 1 else 0
-            rest_residues = sorted(rest_fold.residues)
-            seen = set()
-            for r in sorted(base.residues):
-                for r2 in rest_residues:
-                    # x = r (mod m) and x = rem - r2 (mod n)
-                    if (rem - r2 - r) % g:
-                        continue
-                    b = (rem - r2) % n
-                    x = r + m * ((b - r) // g * inverse % step)
-                    if x not in seen:
-                        seen.add(x)
-                        yield x if x <= lcm // 2 else x - lcm
+            yield from table.crt_candidates(base, rest_fold, rem)
             return
         if isinstance(rest_fold, FiniteSet):
             for el in rest_fold.elements():
                 x = rem - el.value
-                if x % m in base.residues:
+                if x % base.modulus in base.residues:
                     yield x
             return
         raise SumsetUnsupported(
@@ -237,8 +223,8 @@ def prefix_sum_membership(g: GroupElement, chain: Sequence[SetLike],
         if contains(stars[0], g):
             _verify_witness(g, stars, (g,))
             return MembershipResult("yes", witness=(g,),
-                                    proof={"route": "single-set"})
-        return MembershipResult("no", proof={"route": "single-set"})
+                                    proof=table.proof("single-set"))
+        return MembershipResult("no", proof=table.proof("single-set"))
 
     try:
         folds = table.suffix_folds(stars)
@@ -247,15 +233,14 @@ def prefix_sum_membership(g: GroupElement, chain: Sequence[SetLike],
     if folds is not None:
         if not folds[0].contains_value(g.value):
             return MembershipResult(
-                "no",
-                proof={"route": "exact-fold", "fold": folds[0].to_json()},
-            )
+                "no", proof=table.proof("exact-fold", folds[0]))
         witness = _peel(
-            g, n, lambda i, r: _exact_candidates(stars[i], r, folds[i + 1]),
+            g, n,
+            lambda i, r: _exact_candidates(stars[i], r, folds[i + 1], table),
             lambda i, r: folds[i].contains_value(r))
         _verify_witness(g, stars, witness)
         return MembershipResult("yes", witness=witness,
-                                proof={"route": "exact-fold"})
+                                proof=table.proof("exact-fold"))
 
     # Integer chains: a common divisor of all candidate summands gives an
     # exact exclusion whenever it fails to divide the target.  Only they

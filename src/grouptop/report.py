@@ -135,6 +135,10 @@ def report_document(reports: list) -> dict:
 
 
 _BATCH = 256  # pieces per write: the most the writer joins into one string
+_KEPT = 4096  # longest text of a dict the writer keeps for its next meeting
+_EXACT_INT = frozenset({int})
+_MET = object()  # a dict met once
+_IN_FULL = object()  # a dict being kept, or too long to keep
 
 
 def write_canonical_json(doc: dict, fp: TextIO) -> None:
@@ -144,42 +148,80 @@ def write_canonical_json(doc: dict, fp: TextIO) -> None:
     With ``indent`` set, ``json`` falls back to its generator-based encoder;
     this one appends a piece (a key and an exact leaf, or a bracket) to a
     list per entry and writes the list out every ``_BATCH`` pieces, so the
-    whole text is never held at once.  It follows ``json``'s rules for str
-    and int subclasses (``Status`` encodes as its value), bools, None,
-    tuples and empty containers.  Reports carry exact values under string
-    keys only, so a float, a key that is not a string, or any value
-    ``json`` cannot encode raises TypeError, after the pieces before it
-    may have been written.
+    whole text is never held at once.  A list of at most ``_BATCH`` ints of
+    exact type is one piece, joined in one step.  A dict object met again is
+    written from its text: the second time it is met its text is kept, when
+    it is at most ``_KEPT`` characters and no batch was written out while it
+    was encoded (else the next meeting tries again), and every later meeting
+    appends that text as one piece, re-indented when it is met at another
+    depth.  So a description that many entries share, as a command's tables
+    share them, is encoded twice, not once per entry.  Dicts are known by
+    ``id`` (one entry per dict met) within this one call, so ``doc`` must
+    not change while it is written.  It follows ``json``'s rules for str and
+    int subclasses (``Status`` encodes as its value), bools, None, tuples
+    and empty containers.  Reports carry exact values under string keys
+    only, so a float, a key that is not a string, or any value ``json``
+    cannot encode raises TypeError, after the pieces before it may have been
+    written.
     """
     parts: list = []
     append = parts.append
+    # id of each dict met -> _MET, _IN_FULL, or its (indent, text) once kept
+    texts: dict = {}
+    keys: dict = {}  # each key met -> its quoted form and ": "
+    batches = 0  # batches written out so far
 
     def encode(value, newline: str) -> None:
-        # Leaves of exact type str or int are encoded inline with their
-        # key or comma; only containers, subclasses, bools and None recurse.
+        # Leaves of exact type str or int, and short lists of exact ints,
+        # are encoded inline with their key or comma; only containers,
+        # subclasses, bools and None recurse.
+        nonlocal batches
         inner = newline + "  "
         if isinstance(value, dict):
             if not value:
                 return append("{}")
-            lead = "{" + inner
-            for k, v in sorted(value.items()):
-                head = lead + _quote(k) + ": "
+            key = id(value)
+            met = texts.get(key)
+            if met is None:
+                texts[key] = _MET
+            elif met is _MET:
+                return keep(value, newline)
+            elif met is not _IN_FULL:
+                indent, text = met
+                return append(text if indent == newline
+                              else text.replace(indent, newline))
+            lead, nested = "{" + inner, inner + "  "
+            for k in sorted(value):
+                v = value[k]
+                quoted = keys.get(k)
+                if quoted is None:
+                    quoted = keys[k] = _quote(k) + ": "
+                head = lead + quoted
                 if type(v) is str:
                     append(head + _quote(v))
                 elif type(v) is int:
                     append(head + int.__repr__(v))
+                elif type(v) is list and 0 < len(v) <= _BATCH and \
+                        _EXACT_INT.issuperset(map(type, v)):
+                    append(head + "[" + nested + ("," + nested).join(
+                        map(int.__repr__, v)) + inner + "]")
                 else:
                     append(head)
                     encode(v, inner)
                 if len(parts) >= _BATCH:
                     fp.write("".join(parts))
                     parts.clear()
+                    batches += 1
                 lead = "," + inner
             return append(newline + "}")
         if isinstance(value, (list, tuple)):
             if not value:
                 return append("[]")
             lead = "[" + inner
+            if len(value) <= _BATCH and \
+                    _EXACT_INT.issuperset(map(type, value)):
+                return append(lead + ("," + inner).join(
+                    map(int.__repr__, value)) + newline + "]")
             for v in value:
                 if type(v) is str:
                     append(lead + _quote(v))
@@ -191,9 +233,24 @@ def write_canonical_json(doc: dict, fp: TextIO) -> None:
                 if len(parts) >= _BATCH:
                     fp.write("".join(parts))
                     parts.clear()
+                    batches += 1
                 lead = "," + inner
             return append(newline + "]")
         append(_leaf(value))
+
+    def keep(value: dict, newline: str) -> None:
+        """Encode a dict met a second time, and keep its text."""
+        key = id(value)
+        texts[key] = _IN_FULL
+        start, written = len(parts), batches
+        encode(value, newline)
+        if batches != written:
+            texts[key] = _MET  # try again at the next meeting
+            return
+        text = "".join(parts[start:])
+        if len(text) <= _KEPT:
+            parts[start:] = [text]
+            texts[key] = newline, text
 
     encode(doc, "\n")
     append("\n")

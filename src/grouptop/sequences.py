@@ -31,6 +31,27 @@ class SequenceError(ValueError):
     pass
 
 
+def hash_once(cls):
+    """Keep a frozen dataclass's hash on each instance once computed.
+
+    Values like sequences and set descriptions key every table of a
+    command, and the generated hash builds and hashes the field tuple
+    again on every call.  The kept hash is the generated one, so equal
+    values still hash alike."""
+    fields_hash = cls.__hash__
+
+    def __hash__(self) -> int:
+        found = getattr(self, "_hash", None)
+        if found is None:
+            found = fields_hash(self)
+            object.__setattr__(self, "_hash", found)
+        return found
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@hash_once
 @dataclass(frozen=True)
 class IntegerSequence:
     name: str

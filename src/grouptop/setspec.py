@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from functools import wraps
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .groups import (
     AmbientGroup,
@@ -34,6 +35,7 @@ from .groups import (
 from .sequences import (
     IntegerSequence,
     get_sequence,
+    hash_once,
     sequence_from_json,
     sequence_to_json,
 )
@@ -50,6 +52,25 @@ class SubsetUndecidable(ValueError):
     """No exact subset test exists for this pair of descriptions."""
 
 
+def _set_value(cls):
+    """A frozen set description whose hash and JSON description are
+    computed once per instance and kept on it.  Every caller of
+    ``to_json`` gets the one dict, so a description is never mutated:
+    copy it to edit it."""
+    describe = cls.to_json
+
+    @wraps(describe)
+    def to_json(self) -> dict:
+        doc = getattr(self, "_json", None)
+        if doc is None:
+            doc = describe(self)
+            object.__setattr__(self, "_json", doc)
+        return doc
+
+    cls.to_json = to_json
+    return hash_once(cls)
+
+
 class SetSpec:
     def ambient(self) -> AmbientGroup:
         raise NotImplementedError
@@ -61,6 +82,7 @@ class SetSpec:
         raise NotImplementedError
 
 
+@_set_value
 @dataclass(frozen=True)
 class FiniteSet(SetSpec):
     group: AmbientGroup
@@ -91,6 +113,7 @@ class FiniteSet(SetSpec):
         return doc
 
 
+@_set_value
 @dataclass(frozen=True)
 class ResidueSet(SetSpec):
     """{x in Z : x mod modulus in residues}; a union of residue classes."""
@@ -125,6 +148,7 @@ class ResidueSet(SetSpec):
         }
 
 
+@_set_value
 @dataclass(frozen=True)
 class BoxSet(SetSpec):
     """Elements of a truncated product whose first coordinates are confined.
@@ -177,6 +201,7 @@ class BoxSet(SetSpec):
         }
 
 
+@_set_value
 @dataclass(frozen=True)
 class SymmetricInterval(SetSpec):
     """The open rational interval (-epsilon, epsilon)."""
@@ -201,6 +226,7 @@ class SymmetricInterval(SetSpec):
         return {"kind": "interval", "epsilon": str(self.epsilon)}
 
 
+@_set_value
 @dataclass(frozen=True)
 class TailSet(SetSpec):
     """{x_k : k >= start, k not excluded} over an integer sequence."""
@@ -257,6 +283,7 @@ class TailSet(SetSpec):
         }
 
 
+@_set_value
 @dataclass(frozen=True)
 class StarSet:
     """S united with the identity and the inverses of S.
@@ -451,34 +478,103 @@ def suffix_folds(stars: Sequence[StarSet]) -> Optional[tuple]:
     return tuple(folds)
 
 
+def crt_candidates(base: ResidueSet, fold: ResidueSet, rem: int) -> tuple:
+    """Each x in a class of ``base`` with rem - x in a class of ``fold``,
+    one per class modulo lcm(m, n) (m, n the two moduli), as its
+    representative in (-lcm/2, lcm/2]; in the order of base's residues,
+    then fold's, each class first seen.
+
+    The pair of congruences x = r (mod m), x = rem - r2 (mod n) is solved
+    by CRT, the gcd, step and inverse computed once, and skipped by one
+    test when the two are incompatible.  The answer depends on ``rem``
+    only modulo n.
+    """
+    m, n = base.modulus, fold.modulus
+    g = math.gcd(m, n)
+    step, lcm = n // g, m * n // g
+    inverse = pow(m // g, -1, step) if step > 1 else 0
+    fold_residues = sorted(fold.residues)
+    seen = set()
+    out = []
+    for r in sorted(base.residues):
+        for r2 in fold_residues:
+            if (rem - r2 - r) % g:
+                continue
+            b = (rem - r2) % n
+            x = r + m * ((b - r) // g * inverse % step)
+            if x not in seen:
+                seen.add(x)
+                out.append(x if x <= lcm // 2 else x - lcm)
+    return tuple(out)
+
+
 class FoldTable:
     """Probe-independent facts, computed once per command.
 
-    Exact sums: each set's star, each star's n-fold sums A_1, A_2, ... as
-    far as they were asked for, and each tuple of stars' suffix folds.
-    Tail facts: each (sequence, start)'s terms and tail divisors, read
-    from the start as far as they were asked for; each (set, modulus)'s
-    residue envelope, None included; and each set's divisor certificate,
-    a tail's the first divisor of its window.  Keys are frozen set
-    values, so sets rebuilt from JSON hit the entries of equal sets built
-    in code.  Only what no probe enters is kept: every witness and its
-    check, and every membership of a tail, still runs per membership.  A
-    computation that raises is not stored, so it raises again at the same
-    step with the same message.  Tails have stars, marked rather than
-    materialized, and no exact fold.  Sequences compare by name, length
-    and prefix, so two sequences equal in those that compute other values
-    must not share a table.  A table lives as long as the command that
-    made it; nothing here is process-global.
+    Set values: one instance per value (``intern``), so a value's hash and
+    JSON description are computed once and every report entry that names
+    it holds the same dict; each chain level set ``level`` is asked for,
+    built once; and one proof dict per route and fold (``proof``).  Exact
+    sums: each set's star, each star's n-fold sums A_1, A_2, ... as far as
+    they were asked for, and each tuple of stars' suffix folds, every fold
+    interned.  Residue candidates: for a residue star against a residue
+    fold, the CRT representatives per class of the remainder modulo the
+    fold's modulus, which depend on no probe.  Tail facts: each (sequence,
+    start)'s terms and tail divisors, read from the start as far as they
+    were asked for; each (set, modulus)'s residue envelope, None included;
+    and each set's divisor certificate, a tail's the first divisor of its
+    window.  Keys are frozen set values, so sets rebuilt from JSON hit the
+    entries of equal sets built in code.  Only what no probe enters is
+    kept: every witness and its check, and every membership of a tail,
+    still runs per membership.  A computation that raises is not stored,
+    so it raises again at the same step with the same message.  Tails have
+    stars, marked rather than materialized, and no exact fold.  Sequences
+    compare by name, length and prefix, so two sequences equal in those
+    that compute other values must not share a table.  Descriptions and
+    proofs are shared by every report entry that names them, so they are
+    never mutated.  A table lives as long as the command that made it;
+    nothing here is process-global.
     """
 
     def __init__(self):
+        self._values: dict = {}
+        self._levels: dict = {}
+        self._proofs: dict = {}
         self._stars: dict = {}
         self._n_folds: dict = {}
         self._suffix_folds: dict = {}
+        self._candidates: dict = {}
         self._terms: dict = {}
         self._divisors: dict = {}
         self._envelopes: dict = {}
         self._certificates: dict = {}
+
+    def intern(self, spec: SetLike) -> SetLike:
+        """The table's one instance of the value ``spec``: the first equal
+        value it was given."""
+        return self._values.setdefault(spec, spec)
+
+    def level(self, make: Callable[[int], SetSpec], k: int) -> SetSpec:
+        """``make(k)``, a chain's level-k set, built once per level and
+        interned."""
+        key = make, k
+        found = self._levels.get(key)
+        if found is None:
+            found = self._levels[key] = self.intern(make(k))
+        return found
+
+    def proof(self, route: str, fold: Optional[SetSpec] = None) -> dict:
+        """The proof {"route": route}, with the description of ``fold``
+        when one is given; one dict per (route, fold), for proofs that
+        depend on the chain alone."""
+        key = route, fold
+        found = self._proofs.get(key)
+        if found is None:
+            found = {"route": route}
+            if fold is not None:
+                found["fold"] = fold.to_json()
+            self._proofs[key] = found
+        return found
 
     def star(self, spec: SetLike) -> StarSet:
         if isinstance(spec, StarSet):
@@ -505,9 +601,9 @@ class FoldTable:
             raise SumsetUnsupported("tail sets have no exact n-fold sumset")
         folds = self._n_folds.get(starred)
         if folds is None:
-            folds = self._n_folds[starred] = [starred.base]
+            folds = self._n_folds[starred] = [self.intern(starred.base)]
         while len(folds) < n:
-            folds.append(sumset(folds[-1], starred))
+            folds.append(self.intern(sumset(folds[-1], starred)))
         return folds[n - 1]
 
     def suffix_folds(self, stars: Sequence[StarSet]) -> Optional[tuple]:
@@ -519,7 +615,18 @@ class FoldTable:
         if found is None:
             found = suffix_folds(stars)
             if found is not None:
-                self._suffix_folds[key] = found
+                found = self._suffix_folds[key] = tuple(
+                    map(self.intern, found))
+        return found
+
+    def crt_candidates(self, base: ResidueSet, fold: ResidueSet,
+                       rem: int) -> tuple:
+        """``crt_candidates(base, fold, rem)``, kept per class of ``rem``
+        modulo the fold's modulus, on which alone it depends."""
+        key = base, fold, rem % fold.modulus
+        found = self._candidates.get(key)
+        if found is None:
+            found = self._candidates[key] = crt_candidates(base, fold, rem)
         return found
 
     def member_values(self, tail: TailSet, bound: int) -> list:

@@ -627,6 +627,49 @@ def test_recheck_flags_tampered_copy_of_an_intact_claim(tmp_path, capsys):
         "  FAIL   sqrt7-necessary:g=1:n=1: target re-enters the n-fold set"]
 
 
+_MOD3_ZERO = {"kind": "residue", "modulus": 3, "residues": [0]}
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"member": _MOD3_ZERO, "k": 1, "k_bound": 1},
+     "the replay gives k_bound 4, the report 1"),
+    ({"member": _MOD3_ZERO, "k": 1},
+     "the replay gives member {'kind': 'residue', 'modulus': 3, "
+     "'residues': [0, 1, 2]}, the report {'kind': 'residue', 'modulus': 3, "
+     "'residues': [0]}"),
+    ({"member": {"kind": "residue", "modulus": 81,
+                 "residues": [0, 13, 68, 13]}},
+     "the replay gives member {'kind': 'residue', 'modulus': 81, "
+     "'residues': [0, 13, 68]}, the report {'kind': 'residue', "
+     "'modulus': 81, 'residues': [0, 13, 68, 13]}"),
+    ({"k": 0}, "level k 0 lies outside 1..4"),
+    ({"k": 5, "k_bound": 5}, "level k 5 lies outside 1..4"),
+    ({"k": True}, "level k True lies outside 1..4"),
+], ids=["issue-forgery", "member-mod-3", "member-repeats-a-residue",
+        "k-0", "k-past-bound", "k-true"])
+def test_recheck_fails_a_forged_sqrt7_member(tmp_path, capsys, edit,
+                                            message):
+    """The sqrt7-necessary replay derives the bound level from g and n,
+    takes only a level k in 1..k_bound, and requires the recorded member
+    to be the level-k chain set, as the producer writes it: a smaller
+    set with a small level, under which g still avoids the n-fold sum,
+    fails (it printed ok while the member was only re-folded)."""
+    report = tmp_path / "sq.json"
+    run(["verify", "sqrt7", "--gmax", "1", "--nmax", "2",
+         "--out", str(report)], capsys)
+    doc = json.loads(report.read_text())
+    claim = next(c for c in doc["claims"]
+                 if c["claim"] == "sqrt7-necessary:g=1:n=2")
+    assert (claim["payload"]["k"], claim["payload"]["k_bound"]) == (4, 4)
+    claim["payload"].update(edit)
+    report.write_text(json.dumps(doc))
+    code, out, _ = run(["recheck", str(report)], capsys)
+    assert code == 2
+    assert out.splitlines() == [
+        "  ok     sqrt7-necessary:g=1:n=1",
+        f"  FAIL   sqrt7-necessary:g=1:n=2: {message}", "recheck: FAILED"]
+
+
 def test_hausdorff_folds_each_distinct_sum_once(tmp_path, capsys,
                                                 monkeypatch):
     """One run computes each distinct (member, n) n-fold star and each

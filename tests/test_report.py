@@ -58,12 +58,14 @@ def test_canonical_json_edge_cases(doc):
     assert canonical_json(doc) == reference(doc)
 
 
-def written(doc, batch: int) -> bytes:
+def written(doc, batch: int, kept: int = report._KEPT) -> bytes:
     """The bytes ``write_canonical_json`` writes to a binary-backed text
-    file when it writes out every ``batch`` pieces."""
+    file when it writes out every ``batch`` pieces and keeps the text of
+    dicts up to ``kept`` characters."""
     raw = io.BytesIO()
     fp = io.TextIOWrapper(raw, encoding="utf-8")
-    with mock.patch.object(report, "_BATCH", batch):
+    with mock.patch.object(report, "_BATCH", batch), \
+            mock.patch.object(report, "_KEPT", kept):
         write_canonical_json(doc, fp)
     fp.flush()
     return raw.getvalue()
@@ -76,9 +78,62 @@ def test_writer_streams_the_bytes_of_json_dumps(doc, batch):
     assert written(doc, batch) == reference(doc).encode()
 
 
+def _containers(inner):
+    return (st.lists(inner, max_size=5)
+            | st.lists(inner, max_size=3).map(tuple)
+            | st.dictionaries(strings, inner, max_size=5))
+
+
+# Lists of ints around the one-step join's bound, and short ones holding
+# bools or int subclasses, which keep the per-item path.
+int_lists = st.builds(
+    lambda start, size, step: list(range(start, start + size * step, step)),
+    st.integers(-10 ** 20, 10 ** 20),
+    st.integers(report._BATCH - 2, report._BATCH + 2),
+    st.integers(1, 10 ** 6)) | st.lists(
+    st.integers() | st.booleans() | st.sampled_from(list(Level)),
+    max_size=6)
+
+
+@st.composite
+def shared_documents(draw):
+    """A tree that holds each of a few container objects at many places
+    and depths: each pooled container may hold the ones before it, the
+    last is a non-empty dict, and the tree's leaves may be any of them."""
+    pool = []
+    for _ in range(draw(st.integers(1, 3))):
+        held = leaves | int_lists
+        if pool:
+            held = held | st.sampled_from(pool)
+        pool.append(draw(_containers(st.recursive(held, _containers,
+                                                  max_leaves=6))))
+    shared = draw(st.dictionaries(strings, leaves | st.sampled_from(pool)
+                                  | int_lists, min_size=1, max_size=4))
+    pool.append(shared)
+    tree = draw(st.recursive(leaves | int_lists | st.sampled_from(pool),
+                             _containers, max_leaves=30))
+    return {"tree": tree, "again": [shared, shared, (shared,)],
+            "deeper": {"a": [{"b": shared}], "c": shared},
+            "pool": pool}
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_documents(),
+       st.integers(min_value=1, max_value=4) | st.just(report._BATCH),
+       st.sampled_from([1, 40, report._KEPT]))
+def test_writer_reuses_shared_containers_as_json_dumps_writes_them(
+        doc, batch, kept):
+    """A container object met many times, at the same and at other
+    depths, is written as ``json.dumps`` writes each copy, whatever the
+    batch size and whichever dicts are short enough to keep."""
+    assert canonical_json(doc) == reference(doc)
+    assert written(doc, batch, kept) == reference(doc).encode()
+
+
 REFUSED = [
     {"x": 0.5}, [float("nan")], {"x": {1, 2}}, {"x": object()},
     {1: "a"}, {None: 0}, {True: 1}, {(1, 2): 3},
+    [1, 2.0], {"x": [1, 2.0]}, {"x": (1, 2.0)},
 ]
 
 
@@ -107,19 +162,29 @@ def test_out_file_and_stdout_get_the_same_bytes(tmp_path, capsys, argv):
 def test_emit_never_holds_the_whole_report_text(tmp_path, capsys):
     """A report of more than 2 MB of text is written to its file with
     under 1 MB allocated at the peak: the document exists beforehand, and
-    what the writer holds is one batch of pieces."""
-    reports = [VerificationReport(f"big:{i}", Status.VERIFIED,
-                                  {"values": list(range(i, i + 2_000))})
-               for i in range(100)]
-    out = tmp_path / "report.json"
-    tracemalloc.start()
-    try:
-        cli._emit(reports, str(out), "json", 0.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert out.stat().st_size > 2 * 2 ** 20
-    assert peak < 2 ** 20, peak
+    what the writer holds is one batch of pieces.  So it is when the
+    reports share one 2,000-int list, or one payload dict, whose text is
+    too long to keep."""
+    shared = list(range(2_000))
+    payload = {"values": shared}
+    for payloads in ([{"values": list(range(i, i + 2_000))}
+                      for i in range(100)],
+                     [{"values": shared} for _ in range(100)],
+                     [payload] * 100):
+        reports = [VerificationReport(f"big:{i}", Status.VERIFIED, doc)
+                   for i, doc in enumerate(payloads)]
+        out = tmp_path / "report.json"
+        tracemalloc.start()
+        try:
+            cli._emit(reports, str(out), "json", 0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.stat().st_size > 2 * 2 ** 20
+        assert peak < 2 ** 20, peak
+        claims = json.loads(out.read_text())["claims"]
+        assert {c["claim"]: c["payload"] for c in claims}["big:7"] == \
+            payloads[7]
     capsys.readouterr()
 
 

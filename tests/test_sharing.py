@@ -1,0 +1,139 @@
+"""One description per set per command.
+
+A command's ``FoldTable`` keeps one instance of each set value, and a set
+value describes itself once, so every report entry that names a set holds
+the same dict and the writer encodes it from the text it kept.  These
+tests pin the sharing itself: a refactor that stopped it would change no
+report byte and show only in the benchmark.
+"""
+
+import json
+import random
+from collections import defaultdict
+from pathlib import Path
+
+import pytest
+
+from grouptop import cli
+from grouptop import examples as ex
+from grouptop.prefixsum import _exact_candidates
+from grouptop.report import canonical_json
+from grouptop.setspec import (
+    _SPEC_KEYS,
+    FoldTable,
+    ResidueSet,
+    crt_candidates,
+    spec_from_json,
+    star,
+    sumset,
+)
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def _emitted_document(monkeypatch, capsys, argv) -> dict:
+    """The document the CLI hands its writer for ``argv``."""
+    documents = []
+    write = cli.write_canonical_json
+
+    def keep(doc, fp):
+        documents.append(doc)
+        write(doc, fp)
+
+    monkeypatch.setattr(cli, "write_canonical_json", keep)
+    assert cli.main(argv) in (0, 2)
+    capsys.readouterr()
+    (doc,) = documents
+    return doc
+
+
+def _set_descriptions(value, found: list) -> list:
+    """Every dict in ``value`` that is a set description."""
+    if isinstance(value, dict):
+        kind = value.get("kind")
+        if kind in _SPEC_KEYS and value.keys() <= _SPEC_KEYS[kind]:
+            found.append(value)
+        for item in value.values():
+            _set_descriptions(item, found)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            _set_descriptions(item, found)
+    return found
+
+
+@pytest.mark.parametrize("argv, kinds", [
+    (["verify", "sqrt7", "--gmax", "6", "--nmax", "4"], {"residue"}),
+    (["hausdorff", str(CONFIGS / "sqrt7.json")], {"residue"}),
+], ids=["verify-grid", "hausdorff-sqrt7"])
+def test_equal_set_descriptions_are_one_object(monkeypatch, capsys, argv,
+                                               kinds):
+    """In the document a command writes, every set description with the
+    same text is the same dict, and descriptions do repeat: members,
+    n-fold sets and the folds in exact-fold proofs."""
+    doc = _emitted_document(monkeypatch, capsys, argv)
+    found = _set_descriptions(doc, [])
+    objects = defaultdict(set)
+    for description in found:
+        objects[canonical_json(description)].add(id(description))
+    assert {d["kind"] for d in found} == kinds
+    assert len(found) > 2 * len(objects)
+    assert all(len(ids) == 1 for ids in objects.values()), \
+        [text for text, ids in objects.items() if len(ids) > 1][:2]
+
+
+def test_the_table_keeps_one_instance_per_set_value():
+    """Equal values intern to the first one; levels, n-fold sets and
+    suffix folds are interned, so an n-fold set equal to its member is
+    that member; route proofs are one dict per route and fold."""
+    table = FoldTable()
+    member = table.level(ex.sqrt7_set, 2)
+    assert member is table.level(ex.sqrt7_set, 2)
+    assert member is table.intern(ex.sqrt7_set(2))
+    assert member is table.intern(spec_from_json(member.to_json()))
+    assert member.to_json() is member.to_json()
+    assert table.n_fold_star(member, 1) is member  # sqrt7 sets are symmetric
+    two = table.n_fold_star(member, 2)
+    assert two is table.intern(sumset(star(member), star(member)))
+    deeper = table.level(ex.sqrt7_set, 3)
+    folds = table.suffix_folds([table.star(member), table.star(deeper)])
+    assert folds[1] is deeper
+    assert folds[0] is table.intern(sumset(star(member), star(deeper)))
+    proof = table.proof("exact-fold", two)
+    assert proof == {"route": "exact-fold", "fold": two.to_json()}
+    assert proof is table.proof("exact-fold", table.intern(
+        spec_from_json(two.to_json())))
+    assert proof["fold"] is two.to_json()
+    assert table.proof("single-set") is table.proof("single-set")
+    assert FoldTable().level(ex.sqrt7_set, 2) is not member
+
+
+def test_table_crt_candidates_equal_the_uncached_rule():
+    """For residue stars against residue folds, the candidates the table
+    keeps per class of the remainder are the ones ``_exact_candidates``
+    computes afresh for every remainder (with a fresh table), in the same
+    order."""
+    rng = random.Random(28)
+    table = FoldTable()
+    specs = [ex.sqrt7_set(k) for k in range(1, 5)] + [
+        ResidueSet.of(m, rng.sample(range(m), rng.randint(1, min(m, 4))))
+        for m in (2, 4, 6, 9, 10, 12, 27, 45) for _ in range(2)]
+    for _ in range(400):
+        st = table.star(rng.choice(specs))
+        fold = table.star(rng.choice(specs)).base
+        rem = rng.randint(-10 ** 6, 10 ** 6)
+        want = tuple(_exact_candidates(st, rem, fold, FoldTable()))
+        assert table.crt_candidates(st.base, fold, rem) == want
+        assert crt_candidates(st.base, fold, rem) == want
+        assert tuple(_exact_candidates(st, rem, fold, table)) == want
+    assert len(table._candidates) < 400  # classes repeat
+
+
+def test_shared_descriptions_write_the_bytes_of_unshared_copies(
+        monkeypatch, capsys):
+    """The document as the CLI builds it, shared descriptions and all,
+    and a copy with no object shared write the same text."""
+    doc = _emitted_document(monkeypatch, capsys,
+                            ["hausdorff", str(CONFIGS / "sqrt7.json")])
+    text = canonical_json(doc)
+    assert canonical_json(json.loads(text)) == text
+    assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
