@@ -81,6 +81,8 @@ def _cmd_verify(args) -> int:
                 claims = args.gmax * args.nmax
                 check_enumeration_cap(f"the sqrt7 grid holds {claims} claims",
                                       claims)
+                # its largest claim is refused first, and stands for all
+                ex.check_sqrt7_necessary_cap(args.gmax, args.nmax)
                 reports = []  # the cover first: its cap refuses at once
                 if args.cover_m0:
                     m0 = args.cover_m0

@@ -10,11 +10,10 @@
 
 Every verification returns a report whose witnesses re-verify by plain
 group addition.  Each kind's replayer sits beside its producer and
-returns the report it rebuilds: ``replay_sqrt7_necessary`` applies the
-producer's rule (``sqrt7_necessary_rule``) to the payload, and every
-other kind's id names its inputs, so its ``rerun_*`` replayer re-runs
-the capped producer on them, whose cap refuses a crafted id before
-anything is built.
+returns the report it rebuilds: every kind's id names its inputs, so
+its ``rerun_*`` replayer re-runs the capped producer on them, whose cap
+refuses a crafted id from those inputs alone, before anything is
+built.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ from .setspec import (
     SymmetricInterval,
     contains,
     n_fold_star,
-    spec_from_json,
     star,
     subset_of,
     suffix_folds,
@@ -208,109 +206,81 @@ def verify_sqrt7_necessary(g: int, n: int,
                            ) -> VerificationReport:
     """Exact check that g avoids the n-fold sum of a deep enough chain set.
 
-    Picks the smallest level k at which p^k divides none of the integers
-    g^2 - a m^2 for 0 <= m <= n, confirms by residue arithmetic that g is
-    outside the n-fold starred set at that level, and cross-checks that
-    the crude level bound (``sqrt7_bound_level``) also works.  The level
-    sets and their n-fold sets come from ``table``, a fresh one when None,
-    and the payload holds the table's descriptions of them.
+    The level k is the least at which p^k divides none of the integers
+    g^2 - a m^2 for 0 <= m <= n, one more than their largest p-adic
+    valuation.  Residue arithmetic confirms that g and -g lie outside the
+    n-fold starred set at that level, and that the crude bound level
+    (``check_sqrt7_necessary_cap``) works too: verified when both hold.
+    Raises before anything is built, as that check does: ValueError at
+    g = 0 (no level works) or n < 1, and EnumerationBudgetError past the
+    cap.  The level sets and their n-fold sets come from ``table``, a
+    fresh one when None, and the payload holds the table's descriptions
+    of them.
     """
-    _require_sqrt7_inputs(g, n)
+    k_bound = check_sqrt7_necessary_cap(g, n)
     if table is None:
         table = FoldTable()
-    a, p = SQRT7_A, SQRT7_P
-    targets = [g * g - a * m * m for m in range(n + 1)]  # 7 is no square
-
-    def divides_none(k: int) -> bool:
-        pk = p ** k
-        return all(t % pk != 0 for t in targets)
-
-    k = 1
-    while not divides_none(k):
-        k += 1
+    a, p, gg = SQRT7_A, SQRT7_P, g * g
+    targets = [gg - a * m * m for m in range(n + 1)]  # 7 is no square
+    k = 1  # one more than the largest p-adic valuation of a target
+    for t in targets:
+        level = 1
+        while t % p == 0:
+            t, level = t // p, level + 1
+        if level > k:
+            k = level
     member = table.level(sqrt7_set, k)
     folded = table.n_fold_star(member, n)
+    excluded = not folded.contains_value(g) and not folded.contains_value(-g)
 
-    k_bound = sqrt7_bound_level(g, n)
     bound_fold = table.n_fold_star(table.level(sqrt7_set, k_bound), n)
-    bound_ok = divides_none(k_bound) and \
+    # p^j divides no target at each level j >= k, so none at k_bound
+    bound_ok = k <= k_bound and \
         not bound_fold.contains_value(g) and not bound_fold.contains_value(-g)
-
-    excluded, status = sqrt7_necessary_rule(g, folded, bound_ok, k, k_bound)
-    return _sqrt7_necessary_report(g, n, status, {
-        "k": k,
-        "k_bound": k_bound,
-        "divisibility_targets": targets,
-        "member": member.to_json(),
-        "n_fold": folded.to_json(),
-        "excluded": excluded,
-        "bound_level_also_excludes": bound_ok,
-    })
-
-
-def sqrt7_bound_level(g: int, n: int) -> int:
-    """The crude level bound: the least k with p^k > max(g^2, a n^2)."""
-    bound, k_bound, pk = max(g * g, SQRT7_A * n * n), 1, SQRT7_P
-    while pk <= bound:
-        k_bound, pk = k_bound + 1, pk * SQRT7_P
-    return k_bound
+    return VerificationReport(
+        f"sqrt7-necessary:g={g}:n={n}",
+        Status.VERIFIED if excluded and bound_ok else Status.REFUTED, {
+            "k": k,
+            "k_bound": k_bound,
+            "divisibility_targets": targets,
+            "member": member.to_json(),
+            "n_fold": folded.to_json(),
+            "excluded": excluded,
+            "bound_level_also_excludes": bound_ok,
+        }, {"n": n})
 
 
-def _require_sqrt7_inputs(g: int, n: int) -> None:
-    """Refuse what the producer cannot run: at g = 0 it never ends."""
+def check_sqrt7_necessary_cap(g: int, n: int) -> int:
+    """The crude bound level of a claim ``verify_sqrt7_necessary`` can
+    run: the least k with p^k > max(g^2, a n^2), which passes every
+    target.  Refuses, from g and n alone, g = 0 or n < 1 (ValueError),
+    and work past the enumeration cap (EnumerationBudgetError): the folds
+    build up to (n + 1)^2 residues, and lifting the root to level k
+    writes about k^2 bits, as the hensel table to k does.  So n <= 446
+    and |g| < 3^223.5 (107 digits) pass.  Both grow with n and |g|, so
+    the ``verify sqrt7`` grid's largest claim stands for all of them."""
     if g == 0:
         raise ValueError("g must be nonzero")
     if n < 1:
         raise ValueError("n must be positive")
+    residues = (n + 1) ** 2
+    check_enumeration_cap(f"sqrt7-necessary at n={n} folds up to {residues} "
+                          f"residues", residues)
+    bound = max(g * g, SQRT7_A * n * n)
+    # 0.6309 < log_p 2, so p^k <= 2^(bits - 1) <= bound at the start
+    k = max(1, (bound.bit_length() - 1) * 6309 // 10000)
+    pk = SQRT7_P ** k
+    while pk <= bound:
+        k, pk = k + 1, pk * SQRT7_P
+    check_enumeration_cap(f"the sqrt7 chain to level k={k} lifts about "
+                          f"{k * k} bits", k * k)
+    return k
 
 
-def _sqrt7_necessary_report(g: int, n: int, status: Status,
-                            payload: dict) -> VerificationReport:
-    """The one writer of a sqrt7-necessary claim's id and budgets."""
-    return VerificationReport(f"sqrt7-necessary:g={g}:n={n}", status,
-                              payload, {"n": n})
-
-
-def sqrt7_necessary_rule(g: int, folded: ResidueSet, bound_ok: bool,
-                         k: int, k_bound: int) -> tuple:
-    """(excluded, status) of a sqrt7-necessary claim: whether the n-fold
-    set ``folded`` misses g and -g, and verified when it does, so does the
-    bound-level fold, and the level k is at most the bound level."""
-    excluded = not folded.contains_value(g) and not folded.contains_value(-g)
-    ok = excluded and bound_ok and k <= k_bound
-    return excluded, Status.VERIFIED if ok else Status.REFUTED
-
-
-def replay_sqrt7_necessary(claim: dict,
-                           table: FoldTable) -> VerificationReport:
-    """The rule's ``excluded`` and status on the recorded member, which is
-    re-folded, and the recorded bound-level fact; the id and budgets are
-    rebuilt from g and n, checked first.  The bound level is derived from
-    g and n as the producer derives it (``sqrt7_bound_level``), and the
-    recorded level k must be an int in 1..k_bound; the replay's payload
-    holds that bound level and the table's level-k chain set as the
-    member, so a record that differs from either fails the comparison.
-    The rest pass through."""
+def rerun_sqrt7_necessary(claim: dict,
+                          table: FoldTable) -> VerificationReport:
     g, n = id_numbers(r"sqrt7-necessary:g=(-?\d+):n=(\d+)", claim)
-    _require_sqrt7_inputs(g, n)
-    payload = claim["payload"]
-    k, k_bound = payload["k"], sqrt7_bound_level(g, n)
-    if type(k) is not int or not 1 <= k <= k_bound:
-        raise AssertionError(f"level k {k!r} lies outside 1..{k_bound}")
-    member, recorded = table.level(sqrt7_set, k), payload["member"]
-    # a record equal to the level-k set's description folds as that set;
-    # any other is read as it stands, and fails the comparison after
-    folded = table.n_fold_star(member if recorded == member.to_json()
-                               else spec_from_json(recorded), n)
-    excluded, status = sqrt7_necessary_rule(
-        g, folded, payload["bound_level_also_excludes"], k, k_bound)
-    if payload["excluded"] and not excluded:
-        raise AssertionError("target re-enters the n-fold set")
-    kept = ("bound_level_also_excludes", "divisibility_targets", "k",
-            "n_fold")
-    return _sqrt7_necessary_report(g, n, status, {
-        **{key: payload[key] for key in kept}, "k_bound": k_bound,
-        "member": member.to_json(), "excluded": excluded})
+    return verify_sqrt7_necessary(g, n, table)
 
 
 def _lifted_member(m_i: int, m0: int) -> int:

@@ -2,9 +2,9 @@
 
 A claim's kind, its id up to the first ":", picks its one replayer, which
 lives beside its producer and returns the report it rebuilds: a re-run of
-the capped producer on the inputs the id names, or what the producer's
-rule derives from the replayed evidence, with the fields it checks itself
-or cannot rebuild taken from the record as they stand.
+the capped producer on the inputs the id names, or, for ``hausdorff``,
+what the producer's rule derives from the replayed evidence, with the
+probe entries it checks itself taken from the record as they stand.
 ``recheck_document`` is the one place that compares a replay with its
 claim: the claim's keys, the payload's keys, the id, the budgets, each
 payload fact in sorted order and the status, by JSON type as well as
@@ -94,8 +94,7 @@ def _compare(replay: VerificationReport, claim: dict) -> None:
     for key, value, reported in [
             ("claim", replay.claim, claim["claim"]),
             ("budgets", replay.budgets, claim["budgets"]),
-            *[(k, facts[k], payload[k]) for k in sorted(facts)
-              if facts[k] is not payload[k]],
+            *[(k, facts[k], payload[k]) for k in sorted(facts)],
             ("status", replay.status.value, claim["status"])]:
         if not same_json(value, reported):
             raise AssertionError(mismatch(key, value, reported))
@@ -106,7 +105,7 @@ def _compare(replay: VerificationReport, claim: dict) -> None:
 # and are listed as skipped.  Any other kind fails.
 _REPLAYERS = {
     "hausdorff": replay_hausdorff,
-    "sqrt7-necessary": ex.replay_sqrt7_necessary,
+    "sqrt7-necessary": ex.rerun_sqrt7_necessary,
     "hensel": ex.rerun_hensel,
     "sqrt7-cover": ex.rerun_sqrt7_cover,
     "product-cover": ex.rerun_product_cover,

@@ -50,20 +50,36 @@ def id_numbers(pattern: str, claim: dict) -> list:
     return [int(v) for v in m.groups()]
 
 
+_INT = {int}  # the one type of an exact-int list
+
+
 def same_json(replayed, reported) -> bool:
     """Whether ``reported``, a value read back from JSON, is ``replayed``
     as ``canonical_json`` writes it: equal, and of the same JSON type at
-    every depth, so that True is not 1 and 1 is not 1.0."""
+    every depth, so that True is not 1 and 1 is not 1.0.  A value taken
+    from the record, the same object, is the same at once."""
+    if replayed is reported:
+        return True
     kind = str if isinstance(replayed, str) else \
         list if isinstance(replayed, tuple) else type(replayed)
     if type(reported) is not kind:
         return False
     if kind is dict:
-        return replayed.keys() == reported.keys() and \
-            all(same_json(v, reported[k]) for k, v in replayed.items())
+        if replayed.keys() != reported.keys():
+            return False
+        for key, value in replayed.items():
+            if not same_json(value, reported[key]):
+                return False
+        return True
     if kind is list:
-        return len(replayed) == len(reported) and \
-            all(map(same_json, replayed, reported))
+        if len(replayed) != len(reported):
+            return False
+        if {*map(type, replayed), *map(type, reported)} <= _INT:
+            return list(replayed) == reported  # exact ints on both sides
+        for value, other in zip(replayed, reported):
+            if not same_json(value, other):
+                return False
+        return True
     return replayed == reported
 
 

@@ -609,8 +609,8 @@ def test_hausdorff_refuses_undirected_family_with_a_tail(tmp_path, capsys):
 
 def test_recheck_flags_tampered_copy_of_an_intact_claim(tmp_path, capsys):
     """A claim rechecked after an intact copy of itself still fails: the
-    replay's shared table keys sets by value, so the tampered member is
-    folded afresh."""
+    re-run on the shared table gives the level-k chain set as the member,
+    whatever the record holds."""
     report = tmp_path / "sq.json"
     run(["verify", "sqrt7", "--gmax", "1", "--nmax", "1",
          "--out", str(report)], capsys)
@@ -624,7 +624,9 @@ def test_recheck_flags_tampered_copy_of_an_intact_claim(tmp_path, capsys):
     assert code == 2
     assert out.splitlines()[:2] == [
         "  ok     sqrt7-necessary:g=1:n=1",
-        "  FAIL   sqrt7-necessary:g=1:n=1: target re-enters the n-fold set"]
+        "  FAIL   sqrt7-necessary:g=1:n=1: the replay gives member {'kind': "
+        "'residue', 'modulus': 9, 'residues': [0, 4, 5]}, the report "
+        "{'kind': 'residue', 'modulus': 3, 'residues': [0, 1, 2]}"]
 
 
 _MOD3_ZERO = {"kind": "residue", "modulus": 3, "residues": [0]}
@@ -632,28 +634,25 @@ _MOD3_ZERO = {"kind": "residue", "modulus": 3, "residues": [0]}
 
 @pytest.mark.parametrize("edit, message", [
     ({"member": _MOD3_ZERO, "k": 1, "k_bound": 1},
-     "the replay gives k_bound 4, the report 1"),
-    ({"member": _MOD3_ZERO, "k": 1},
-     "the replay gives member {'kind': 'residue', 'modulus': 3, "
-     "'residues': [0, 1, 2]}, the report {'kind': 'residue', 'modulus': 3, "
-     "'residues': [0]}"),
+     "the replay gives k 4, the report 1"),
+    ({"member": _MOD3_ZERO, "k": 1}, "the replay gives k 4, the report 1"),
     ({"member": {"kind": "residue", "modulus": 81,
                  "residues": [0, 13, 68, 13]}},
      "the replay gives member {'kind': 'residue', 'modulus': 81, "
      "'residues': [0, 13, 68]}, the report {'kind': 'residue', "
      "'modulus': 81, 'residues': [0, 13, 68, 13]}"),
-    ({"k": 0}, "level k 0 lies outside 1..4"),
-    ({"k": 5, "k_bound": 5}, "level k 5 lies outside 1..4"),
-    ({"k": True}, "level k True lies outside 1..4"),
+    ({"k": 0}, "the replay gives k 4, the report 0"),
+    ({"k": 5, "k_bound": 5}, "the replay gives k 4, the report 5"),
+    ({"k": True}, "the replay gives k 4, the report True"),
 ], ids=["issue-forgery", "member-mod-3", "member-repeats-a-residue",
         "k-0", "k-past-bound", "k-true"])
 def test_recheck_fails_a_forged_sqrt7_member(tmp_path, capsys, edit,
                                             message):
-    """The sqrt7-necessary replay derives the bound level from g and n,
-    takes only a level k in 1..k_bound, and requires the recorded member
-    to be the level-k chain set, as the producer writes it: a smaller
-    set with a small level, under which g still avoids the n-fold sum,
-    fails (it printed ok while the member was only re-folded)."""
+    """The sqrt7-necessary replay re-runs the producer on the id's g and
+    n, so a recorded level, bound level or member that is not the one the
+    producer derives fails: a smaller set with a small level, under which
+    g still avoids the n-fold sum, fails at the level k, the first fact
+    in sorted order that differs."""
     report = tmp_path / "sq.json"
     run(["verify", "sqrt7", "--gmax", "1", "--nmax", "2",
          "--out", str(report)], capsys)
@@ -668,6 +667,45 @@ def test_recheck_fails_a_forged_sqrt7_member(tmp_path, capsys, edit,
     assert out.splitlines() == [
         "  ok     sqrt7-necessary:g=1:n=1",
         f"  FAIL   sqrt7-necessary:g=1:n=2: {message}", "recheck: FAILED"]
+
+
+def _refuted(claim, doc):
+    claim["payload"]["bound_level_also_excludes"] = False
+    claim["status"] = doc["status"] = "refuted"
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (lambda claim, doc: claim["payload"].update(
+        k=4, member={"kind": "residue", "modulus": 81,
+                     "residues": [0, 13, 68]}),
+     "the replay gives k 2, the report 4"),
+    (lambda claim, doc: claim["payload"].update(
+        n_fold={"kind": "residue", "modulus": 1, "residues": [0]},
+        divisibility_targets=[5]),
+     "the replay gives divisibility_targets [4, -3, -24], the report [5]"),
+    (_refuted, "the replay gives bound_level_also_excludes True, the "
+     "report False"),
+], ids=["k-past-least-level", "n-fold-whole-group", "false-refuted"])
+def test_recheck_fails_sqrt7_facts_the_replay_passed_through(
+        tmp_path, capsys, tamper, message):
+    """Facts of claim g = 2, n = 2 that once passed through the replay
+    unread: a level above the least one with that level's member, an
+    n-fold set of the whole group with other divisibility targets, and a
+    bound level said not to exclude, with the claim and document refuted
+    to match.  The re-run of the producer derives each of them."""
+    report = tmp_path / "sq.json"
+    run(["verify", "sqrt7", "--gmax", "3", "--nmax", "3",
+         "--out", str(report)], capsys)
+    doc = json.loads(report.read_text())
+    claim = next(c for c in doc["claims"]
+                 if c["claim"] == "sqrt7-necessary:g=2:n=2")
+    assert (claim["payload"]["k"], claim["payload"]["k_bound"]) == (2, 4)
+    tamper(claim, doc)
+    report.write_text(json.dumps(doc))
+    code, out, _ = run(["recheck", str(report)], capsys)
+    fails = [line for line in out.splitlines() if "FAIL" in line]
+    assert code == 2 and fails == [
+        f"  FAIL   sqrt7-necessary:g=2:n=2: {message}", "recheck: FAILED"]
 
 
 def test_hausdorff_folds_each_distinct_sum_once(tmp_path, capsys,
@@ -1394,7 +1432,11 @@ _POWERS3 = ["hausdorff", str(CONFIGS / "powers3.json")]
      "'status'], the report ['budgets', 'claim', 'note', 'payload', "
      "'status']"),
     (["verify", "sqrt7", "--gmax", "1", "--nmax", "1"], "sqrt7-necessary",
-     _drop("payload", "k"), "the report has no key 'k'"),
+     _drop("payload", "k"),
+     "the replay gives payload keys ['bound_level_also_excludes', "
+     "'divisibility_targets', 'excluded', 'k', 'k_bound', 'member', "
+     "'n_fold'], the report ['bound_level_also_excludes', "
+     "'divisibility_targets', 'excluded', 'k_bound', 'member', 'n_fold']"),
     (_POWERS3, "hausdorff", _drop("payload", "probes", 0, "separation",
                                   "steps", 0, "member_index"),
      "the report has no key 'member_index'"),
@@ -1419,18 +1461,30 @@ def test_recheck_fails_forged_facts(tmp_path, capsys, argv, kind, tamper,
     interval schedule with a raised epsilon, an edited union claim.  Facts
     compare by JSON type as well as value, targets are read strictly, a
     re-run must give the claim's own id and budgets, and a payload key
-    the producer never writes fails.  The sqrt7-necessary replay, which
-    applies the producer's rule, rebuilds its id and budgets from the
-    id's g and n, and every claim's keys are compared with the
-    replay's.  A claim that lacks a key its replay reads fails on one
-    line that names the key, before the keys are compared."""
+    the producer never writes, or a missing one, fails.  Every claim's
+    keys are compared with the replay's.  A hausdorff claim that lacks a
+    key its replay reads fails on one line that names the key, before
+    the keys are compared."""
     code, lines, cid = _recheck_tampered(tmp_path, capsys, argv, kind,
                                          tamper)
     fail = f"  FAIL   {cid}: {message}"
     assert code == 2 and any(line.startswith(fail) for line in lines), lines
 
 
-@pytest.mark.parametrize("cid, message", [
+# The report each kind's crafted id goes into: a run that emits the kind.
+_EMITTERS = {
+    "hensel": ["hensel"],
+    "interval-no-extension": ["verify", "interval"],
+    "product-union-small": ["verify", "product", "--samples", "1"],
+    "fibonacci-commutator": ["verify", "fibonacci", "--n", "2"],
+    "fibonacci-words": ["verify", "fibonacci", "--n", "2"],
+    "sqrt7-cover": ["verify", "sqrt7", "--gmax", "1", "--nmax", "1",
+                    "--cover-m0", "1", "--cover-gmax", "1"],
+    "product-cover": ["verify", "product", "--samples", "1"],
+    "sqrt7-necessary": ["verify", "sqrt7", "--gmax", "1", "--nmax", "1"],
+}
+_G_4000_DIGITS = "1" + "0" * 3999
+_CRAFTED = [
     ("hensel:p=3:a=7:k=1000000000",
      "error: the hensel table to k=1000000000 writes about "
      "1000000000000000000 bits, past the enumeration cap 200000"),
@@ -1443,30 +1497,49 @@ def test_recheck_fails_forged_facts(tmp_path, capsys, argv, kind, tamper,
     ("fibonacci-commutator:n=60",
      "error: the fibonacci words up to n=61 run to at least 317811 letters, "
      "past the enumeration cap 200000"),
+    ("fibonacci-words:n<=60",
+     "error: the fibonacci words up to n=60 run to at least 317811 letters, "
+     "past the enumeration cap 200000"),
     ("sqrt7-cover:m0=1000000000:ms=1",
      "error: the sqrt7 cover at m0=1000000000 folds more than "
      "3^2000000000 residues, past the enumeration cap 200000"),
     ("product-cover:N=1000000:m0=1000000",
      "error: the product cover at m0=1000000 folds up to "
      "500001000000500000 residues, past the enumeration cap 200000"),
-], ids=["hensel", "interval", "product-union-small", "fibonacci-commutator",
-        "sqrt7-cover", "product-cover"])
+    ("sqrt7-necessary:g=1:n=1000000000",
+     "error: sqrt7-necessary at n=1000000000 folds up to "
+     "1000000002000000001 residues, past the enumeration cap 200000"),
+    (f"sqrt7-necessary:g={_G_4000_DIGITS}:n=1",
+     "error: the sqrt7 chain to level k=16764 lifts about 281031696 bits, "
+     "past the enumeration cap 200000"),
+]
+
+
+def test_crafted_ids_cover_every_rerun_kind():
+    """Every kind whose replayer re-runs its producer has a crafted id
+    below, so a later re-run kind cannot skip the test."""
+    from grouptop.recheck import _REPLAYERS
+    reruns = {kind for kind, replayer in _REPLAYERS.items()
+              if replayer and replayer.__name__.startswith("rerun_")}
+    assert {cid.partition(":")[0] for cid, _ in _CRAFTED} == reruns
+    assert set(_EMITTERS) == reruns
+
+
+@pytest.mark.parametrize("cid, message", _CRAFTED, ids=[
+    "hensel", "interval", "product-union-small", "fibonacci-commutator",
+    "fibonacci-words", "sqrt7-cover", "product-cover", "sqrt7-necessary-n",
+    "sqrt7-necessary-g"])
 def test_recheck_refuses_crafted_ids_at_once(tmp_path, capsys, cid, message):
     """An id naming a huge input fails in one line, refused by the
-    producer's cap before anything is built."""
-    argv = {"hensel": ["hensel"],
-            "interval-no-extension": ["verify", "interval"],
-            "product-union-small": ["verify", "product", "--samples", "1"],
-            "fibonacci-commutator": ["verify", "fibonacci", "--n", "2"],
-            "sqrt7-cover": ["verify", "sqrt7", "--gmax", "1", "--nmax", "1",
-                            "--cover-m0", "1", "--cover-gmax", "1"],
-            "product-cover": ["verify", "product", "--samples", "1"],
-            }[cid.partition(":")[0]]
+    producer's cap before anything is built: a sqrt7-necessary id with
+    n = 10^9 before its targets are listed, and one with a g of 4,000
+    digits before its root is lifted."""
+    kind = cid.partition(":")[0]
     report = tmp_path / "report.json"
-    assert run(argv + ["--out", str(report)], capsys)[0] == 0
+    assert run(_EMITTERS[kind] + ["--out", str(report)], capsys)[0] == 0
     doc = json.loads(report.read_text())
     claim = next(c for c in doc["claims"]
-                 if c["claim"].partition(":")[0] == cid.partition(":")[0])
+                 if c["claim"].partition(":")[0] == kind)
     doc["claims"] = [dict(claim, claim=cid)]
     report.write_text(json.dumps(doc))
     t0 = time.perf_counter()
@@ -1515,13 +1588,15 @@ def test_every_default_report_rechecks_without_skips(tmp_path, capsys):
     ["verify", "sqrt7", "--cover-m0", "6"],
     ["verify", "sqrt7", "--cover-m0", "1000000000"],
     ["verify", "product", "--coords", "1000"],
+    ["verify", "sqrt7", "--gmax", "1", "--nmax", "447"],
 ], ids=["fibonacci-n-27", "sqrt7-cover-m0-6", "sqrt7-cover-m0-10^9",
-        "product-coords-1000"])
+        "product-coords-1000", "sqrt7-nmax-447"])
 def test_verify_past_enumeration_cap_exits_1(tmp_path, capsys, argv):
     """Words of length F(28), cover folds of 730 * 3^6 residues (or more
-    than 3^(2 * 10^9), refused before that power is taken) and the union
-    claims' folds over 1,000 coordinates pass the enumeration cap: one
-    line, no traceback, no report."""
+    than 3^(2 * 10^9), refused before that power is taken), the union
+    claims' folds over 1,000 coordinates and a sqrt7 grid whose largest
+    claim folds 448^2 residues pass the enumeration cap: one line, no
+    traceback, no report."""
     report = tmp_path / "report.json"
     code, out, err = run(argv + ["--out", str(report)], capsys)
     assert code == 1 and out == "" and err.count("\n") == 1, err
@@ -1537,12 +1612,17 @@ def test_verify_past_enumeration_cap_exits_1(tmp_path, capsys, argv):
      "the enumeration cap 200000"),
     (["hensel", "--k", "100000"], "hensel: the hensel table to k=100000 "
      "writes about 10000000000 bits, past the enumeration cap 200000"),
-], ids=["verify-sqrt7-grid", "verify-interval", "hensel"])
+    (["verify", "sqrt7", "--gmax", "1", "--nmax", "447"],
+     "verify: sqrt7-necessary at n=447 folds up to 200704 residues, past "
+     "the enumeration cap 200000"),
+], ids=["verify-sqrt7-grid", "verify-interval", "hensel",
+        "verify-sqrt7-nmax"])
 def test_oversized_grid_and_tables_exit_1_at_once(tmp_path, capsys, argv,
                                                   message):
-    """A sqrt7 grid of 2 * 10^7 claims, an interval schedule of 10^5 rows
-    and a Hensel table of 10^5 levels are refused from their arguments
-    before anything is built: one line, no report, within a second."""
+    """A sqrt7 grid of 2 * 10^7 claims, an interval schedule of 10^5 rows,
+    a Hensel table of 10^5 levels and a sqrt7 grid whose largest claim
+    passes the cap are refused from their arguments before anything is
+    built: one line, no report, within a second."""
     report = tmp_path / "report.json"
     t0 = time.perf_counter()
     code, out, err = run(argv + ["--out", str(report)], capsys)

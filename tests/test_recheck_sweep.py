@@ -1,10 +1,12 @@
-"""Every recorded fact of a small ``hausdorff`` report is bound.
+"""Every recorded fact of a small ``hausdorff`` or ``sqrt7-necessary``
+report is bound.
 
 The sweep edits one payload or budgets leaf at a time in three small
-reports and rechecks each edited copy: ints +1, bools flipped, strings
-with ``x`` appended and with their first integer +1, and lists replaced
-by ``[0]``, at most ``PER_PATTERN`` edits per path pattern (the path with
-list indices and cupcap keys as ``*``).  Each edit must fail, unless its
+``hausdorff`` reports and one ``sqrt7-necessary`` claim, and rechecks
+each edited copy: ints +1, bools flipped, strings with ``x`` appended
+and with their first integer +1, and lists replaced by ``[0]``, at most
+``PER_PATTERN`` edits per path pattern (the path with list indices and
+cupcap keys as ``*``).  Each edit must fail, unless its
 path pattern is on the free list below, whose reasons are the contract: a
 new field either joins the list with a reason or is bound by the replay.
 """
@@ -112,11 +114,9 @@ def _edited(doc: dict, path: tuple, value) -> dict:
     return edited
 
 
-@pytest.mark.parametrize("name", sorted(REPORTS))
-def test_every_payload_and_budgets_edit_fails_unless_free(name):
-    doc = _report(name)
+def _sweep(doc: dict, free: dict) -> tuple:
+    """(edits per path pattern, the edits outside ``free`` that pass)."""
     assert recheck_document(doc)[0]
-    free = _free(doc)
     claim = doc["claims"][0]
     per_pattern: dict = {}
     passed = []
@@ -130,7 +130,28 @@ def test_every_payload_and_budgets_edit_fails_unless_free(name):
                 if recheck_document(_edited(doc, path, edit))[0] and \
                         not _is_free(pattern, free):
                     passed.append((path, edit))
+    return per_pattern, passed
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_every_payload_and_budgets_edit_fails_unless_free(name):
+    doc = _report(name)
+    per_pattern, passed = _sweep(doc, _free(doc))
     assert sum(per_pattern.values()) > 100, per_pattern
+    assert not passed, passed
+
+
+def test_every_sqrt7_necessary_edit_fails():
+    """A sqrt7-necessary claim re-runs its producer on the id's g and n,
+    so no recorded fact is free: its ``n_fold`` and
+    ``divisibility_targets`` edits passed while the replay took them from
+    the record."""
+    doc = json.loads(canonical_json(report_document(
+        [ex.verify_sqrt7_necessary(2, 2)])))
+    per_pattern, passed = _sweep(doc, {})
+    assert {"payload.n_fold.residues.*", "payload.divisibility_targets.*",
+            "payload.bound_level_also_excludes", "budgets.n"} <= \
+        set(per_pattern), per_pattern
     assert not passed, passed
 
 

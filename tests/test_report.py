@@ -244,3 +244,84 @@ def test_mismatch_names_the_first_differing_path_of_long_values():
     text = mismatch("witnesses", long, 5)
     assert text.startswith("the replay gives witnesses at the top: [{") and \
         text.endswith(", the report 5") and len(text) < 160, text
+
+
+def oracle_same_json(replayed, reported) -> bool:
+    """``same_json`` as first written, the definition the faster one
+    must keep."""
+    kind = str if isinstance(replayed, str) else \
+        list if isinstance(replayed, tuple) else type(replayed)
+    if type(reported) is not kind:
+        return False
+    if kind is dict:
+        return replayed.keys() == reported.keys() and \
+            all(oracle_same_json(v, reported[k]) for k, v in replayed.items())
+    if kind is list:
+        return len(replayed) == len(reported) and \
+            all(map(oracle_same_json, replayed, reported))
+    return replayed == reported
+
+
+class Text(str):
+    pass
+
+
+json_values = st.recursive(
+    st.none() | st.booleans()
+    | st.integers(min_value=-10 ** 40, max_value=10 ** 40)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.just(1.0)
+    | st.text(max_size=3),
+    lambda inner: (st.lists(inner, max_size=6)
+                   | st.dictionaries(st.text(max_size=2), inner, max_size=4)),
+    max_leaves=30,
+)
+
+
+@st.composite
+def replays(draw) -> tuple:
+    """(replayed, reported): a value read back from JSON and a replayed
+    value made from it, which keeps each part as the same object, copies
+    it, or turns it into a look-alike: a bool or float for an int, an int
+    for a bool or an integral float, Level.ONE for 1, a str subclass,
+    Status.VERIFIED for "verified", a tuple for a list, or a changed
+    value."""
+    reported = json.loads(json.dumps(draw(json_values)))
+
+    def twin(value, lowest: int = 0):
+        choice = draw(st.integers(min_value=lowest, max_value=3))
+        if choice == 0:
+            return value  # the same object
+        if isinstance(value, dict):
+            return {key: twin(v) for key, v in value.items()}
+        if isinstance(value, list):
+            items = [twin(v) for v in value]
+            return tuple(items) if choice == 1 else \
+                items + [0] if choice == 2 and not items else items
+        if isinstance(value, bool):
+            return int(value) if choice == 1 else value
+        if isinstance(value, int):
+            return [bool(value % 2), float(value),
+                    Level.ONE if value == 1 else value + 1][choice - 1]
+        if isinstance(value, float):
+            return int(value) if choice == 1 and value.is_integer() else \
+                value + 1 if choice == 2 else value
+        if isinstance(value, str):
+            return [Text(value), Status.VERIFIED if value == "verified"
+                    else value + "x", str(value)][choice - 1]
+        return value  # None
+    return twin(reported, 1), reported  # never the whole record
+
+
+@settings(max_examples=500, deadline=None)
+@given(replays() | st.tuples(documents, json_values.map(
+    lambda value: json.loads(json.dumps(value)))))
+def test_same_json_agrees_with_its_first_definition(pair):
+    """The faster ``same_json`` (the same object at once, exact-int lists
+    by one comparison) gives what its first definition gives, on
+    replayed values against values read back from JSON: bool against
+    int, 1.0 against 1, tuple against list, str subclasses and str enums,
+    at every depth of nesting."""
+    replayed, reported = pair
+    assert report.same_json(replayed, reported) == \
+        oracle_same_json(replayed, reported)
+    assert report.same_json(reported, reported)
