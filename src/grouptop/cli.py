@@ -83,6 +83,9 @@ def _cmd_verify(args) -> int:
                                       claims)
                 # its largest claim is refused first, and stands for all
                 ex.check_sqrt7_necessary_cap(args.gmax, args.nmax)
+                numbers = args.gmax * args.nmax * (3 * args.nmax + 7) // 2
+                check_enumeration_cap(  # n + 1 targets, 2n + 1 residues each
+                    f"the sqrt7 grid records {numbers} numbers", numbers)
                 reports = []  # the cover first: its cap refuses at once
                 if args.cover_m0:
                     m0 = args.cover_m0

@@ -257,8 +257,8 @@ def check_sqrt7_necessary_cap(g: int, n: int) -> int:
     and work past the enumeration cap (EnumerationBudgetError): the folds
     build up to (n + 1)^2 residues, and lifting the root to level k
     writes about k^2 bits, as the hensel table to k does.  So n <= 446
-    and |g| < 3^223.5 (107 digits) pass.  Both grow with n and |g|, so
-    the ``verify sqrt7`` grid's largest claim stands for all of them."""
+    and |g| < 3^223.5 (107 digits) pass.  ``verify sqrt7`` checks its
+    grid's largest claim, which stands for all (its grid takes n <= 363)."""
     if g == 0:
         raise ValueError("g must be nonzero")
     if n < 1:

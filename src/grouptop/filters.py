@@ -6,8 +6,8 @@ two Hausdorff-style checks (the n-fold exclusion condition and the
 separating-sequence construction) and the verdict drawn from them, by
 ``hausdorff_verdict`` and by its replayer ``replay_hausdorff`` with the
 same scan helpers and rules; the replayer rebuilds each recorded probe
-entry with the producer's writer, ``_probe_record``, compares once, and
-returns the producer's ``_hausdorff_report`` on the recorded entries.
+entry with the producer's writer, ``_probe_record``, and returns the
+producer's ``_hausdorff_report`` on them for ``recheck._compare``.
 One reader, ``RunConfig``, reads a run from a ``hausdorff`` config and
 from a recorded claim alike, so the replay refuses what the command does.
 
@@ -34,7 +34,7 @@ from .prefixsum import (
     enumeration_capped,
     prefix_sum_membership,
 )
-from .report import Status, VerificationReport, mismatch, same_json
+from .report import Status, VerificationReport
 from .sequences import IntegerSequence, sequence_from_json, sequence_to_json
 from .setspec import (
     EnumerationBudgetError,
@@ -602,19 +602,19 @@ def verdict_rule(outcomes: Sequence[str]) -> tuple:
 
 
 def replay_hausdorff(claim: dict, table: FoldTable) -> VerificationReport:
-    """The hausdorff claim the recorded probe entries give, once each
-    holds; the first failure raises AssertionError.
+    """The claim the replayed evidence gives, for ``recheck._compare`` to
+    compare with the record; a failed replay raises AssertionError.
 
     Each probe entry is rebuilt by ``_probe_record`` from the family's own
     members at the recorded indices, the re-decided n-fold exclusions and
-    the separation ``recheck_certificate`` replays, and compared with the
-    record once.  Taken from the record is only what a re-run of the scan
-    would derive: each cupcap entry's ``skipped_unknown``, and each
-    blocking result's ``proof`` and ``note`` (a ``yes``, whose witness is
-    re-checked, or an ``unknown``).  Checked by hand: index types and
-    ranges, step and blocked counts, and the JSON types of member records
-    and of each cupcap map, which ``==`` takes alike.  ``RunConfig``
-    reads the family, probes and budgets; the entries pass through."""
+    the separation ``recheck_certificate`` replays, and the verdict is
+    drawn from the rebuilt outcomes.  Taken from the record is only what a
+    re-run of the scan would derive: each cupcap entry's
+    ``skipped_unknown``, and each blocking result's ``proof`` and ``note``
+    (a ``yes``, whose witness is re-checked, or an ``unknown``).  Checked
+    here, as no comparison can: index types and ranges, step and blocked
+    counts, and each blocking status.  ``RunConfig`` reads the family,
+    probes and budgets."""
     payload, budgets = claim["payload"], claim["budgets"]
     cfg = RunConfig.from_json({
         "family": payload["family"],
@@ -623,26 +623,13 @@ def replay_hausdorff(claim: dict, table: FoldTable) -> VerificationReport:
     family, max_len = cfg.family, cfg.max_len
     limit = scan_limit(family, cfg.depth)
     described = family.describe()
-    # member index -> the family's member, its JSON and the reprs of the
-    # records found to be that JSON (repr, unlike ==, tells 1 from 1.0)
-    members: dict = {}
 
-    def member(name, index, doc, lowest: int) -> SetSpec:
+    def member(name, index, lowest: int) -> SetSpec:
         """The member at a recorded index in the scan from ``lowest``."""
         if type(index) is not int or not lowest <= index < limit:
             raise AssertionError(f"probe {name}: member index {index!r} lies "
                                  f"outside the scan {lowest}..{limit - 1}")
-        if index not in members:
-            spec = table.intern(family.member(index))
-            members[index] = spec, spec.to_json(), set()
-        spec, own, typed = members[index]
-        text = repr(doc)
-        if text not in typed:
-            if not same_json(own, doc):
-                raise AssertionError(
-                    f"probe {name}: member {index} is not the family's")
-            typed.add(text)
-        return spec
+        return table.intern(family.member(index))
 
     def cupcap(name, g: GroupElement, n: int, doc: dict) -> CupcapResult:
         skipped = doc.get("skipped_unknown", 0)
@@ -650,7 +637,7 @@ def replay_hausdorff(claim: dict, table: FoldTable) -> VerificationReport:
             return CupcapResult(False, n, checked=limit,
                                 skipped_unknown=skipped)
         i = doc.get("member_index")
-        spec = member(name, i, doc.get("member"), 0)
+        spec = member(name, i, 0)
         res = _nfold_exclusion(g, n, spec, table)
         if not res.is_no():
             raise AssertionError(f"cupcap member no longer excludes {name}")
@@ -663,7 +650,7 @@ def replay_hausdorff(claim: dict, table: FoldTable) -> VerificationReport:
         for step in doc["prefix" if stuck else "steps"]:
             i = step["member_index"]
             steps.append(SeparationStep(i, member(
-                name, i, step["member"], resume_index(family, steps)), None))
+                name, i, resume_index(family, steps)), None))
         if len(steps) >= max_len if stuck else len(steps) != max_len:
             what = "stuck report" if stuck else "certificate"
             raise AssertionError(f"probe {name}: the {what} has "
@@ -678,22 +665,19 @@ def replay_hausdorff(claim: dict, table: FoldTable) -> VerificationReport:
             if res.status not in ("yes", "unknown"):
                 raise AssertionError(f"probe {name}: candidate {i} is "
                                      f"blocked by {res.status!r}")
-            blocked.append((i, member(name, i, b["member"], start), res))
+            blocked.append((i, member(name, i, start), res))
         return recheck_certificate(
             StuckReport(g, len(steps), tuple(steps), tuple(blocked),
                         described) if stuck
             else SeparationCertificate(g, tuple(steps), described), table)
 
+    per_probe = []
     for probe, g in zip(payload["probes"], cfg.probes):
         name, cupcaps = probe["probe"], probe["cupcap"]
         top = min(cfg.n_max, len(cupcaps) + 1)  # past it, the record differs
-        record = _probe_record(
+        per_probe.append(_probe_record(
             g, [cupcap(name, g, n, cupcaps.get(str(n), {}))
                 for n in range(1, top + 1)],
-            separation(name, g, probe["separation"]))
-        if record != probe or \
-                not same_json(record["cupcap"], probe["cupcap"]):
-            raise AssertionError(
-                f"probe {name}: {mismatch('the entry', record, probe)}")
-    return _hausdorff_report(family, payload["probes"], cfg.n_max,
-                             cfg.depth, max_len)
+            separation(name, g, probe["separation"])))
+    return _hausdorff_report(family, per_probe, cfg.n_max, cfg.depth,
+                             max_len)

@@ -51,6 +51,7 @@ def id_numbers(pattern: str, claim: dict) -> list:
 
 
 _INT = {int}  # the one type of an exact-int list
+_NOTHING = object()  # no JSON value: what a side lacks at a key or index
 
 
 def same_json(replayed, reported) -> bool:
@@ -60,31 +61,43 @@ def same_json(replayed, reported) -> bool:
     from the record, the same object, is the same at once."""
     if replayed is reported:
         return True
-    kind = str if isinstance(replayed, str) else \
-        list if isinstance(replayed, tuple) else type(replayed)
-    if type(reported) is not kind:
-        return False
+    kind = type(replayed)
     if kind is dict:
-        if replayed.keys() != reported.keys():
+        if type(reported) is not dict or len(replayed) != len(reported):
             return False
-        for key, value in replayed.items():
-            if not same_json(value, reported[key]):
+        for key, value in replayed.items():  # exact leaves, int lists inline
+            other, leaf = reported.get(key, _NOTHING), type(value)
+            if leaf is str or leaf is int or leaf is bool:
+                if type(other) is not leaf or value != other:
+                    return False
+            elif leaf is list and type(other) is list and \
+                    {*map(type, value), *map(type, other)} <= _INT:
+                if value != other:
+                    return False
+            elif not same_json(value, other):
                 return False
         return True
+    kind = str if isinstance(replayed, str) else \
+        list if isinstance(replayed, tuple) else kind
+    if type(reported) is not kind:
+        return False
     if kind is list:
         if len(replayed) != len(reported):
             return False
         if {*map(type, replayed), *map(type, reported)} <= _INT:
             return list(replayed) == reported  # exact ints on both sides
-        for value, other in zip(replayed, reported):
-            if not same_json(value, other):
+        for value, other in zip(replayed, reported):  # exact leaves inline
+            leaf = type(value)
+            if leaf is str or leaf is int or leaf is bool:
+                if type(other) is not leaf or value != other:
+                    return False
+            elif not same_json(value, other):
                 return False
         return True
     return replayed == reported
 
 
 _SHOWN = 200  # longest repr a mismatch message prints in full
-_NOTHING = object()  # the side of a difference that has no value there
 
 
 def mismatch(what: str, replayed, reported) -> str:
@@ -112,8 +125,7 @@ def _first_difference(replayed, reported, path: str) -> tuple:
         keys = ()
     for key in keys:
         mine, theirs = _value_at(replayed, key), _value_at(reported, key)
-        if mine is _NOTHING or theirs is _NOTHING or \
-                not same_json(mine, theirs):
+        if not same_json(mine, theirs):  # _NOTHING is no JSON value
             return _first_difference(mine, theirs, f"{path}[{key!r}]")
     return path, replayed, reported
 

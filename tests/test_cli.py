@@ -867,11 +867,12 @@ def _tamper_interval_witness(probe):
 
 
 @pytest.mark.parametrize("source, tamper, message", [
-    ("powers3", _tamper_powers3_step, "probe 1: member 2 is not the family's"),
-    ("powers3", _tamper_powers3_cupcap,
-     "probe 1: member 1 is not the family's"),
-    ("powers3", _tamper_powers3_target, "probe 1: the replay gives the entry "
-     "at ['separation']['target']: 1, the report 2"),
+    ("powers3", _tamper_powers3_step, "the replay gives probes at "
+     "[0]['separation']['steps'][1]['member']['start']: 2, the report 0"),
+    ("powers3", _tamper_powers3_cupcap, "the replay gives probes at "
+     "[0]['cupcap']['2']['member']['start']: 1, the report 0"),
+    ("powers3", _tamper_powers3_target, "the replay gives probes at "
+     "[0]['separation']['target']: 1, the report 2"),
     ("sqrt7", _tamper_sqrt7_witness, "blocking witness at candidate 2 fails"),
     ("interval", _tamper_interval_witness,
      "blocking witness at candidate 1 fails"),
@@ -930,8 +931,8 @@ SQRT7_GAP_VERDICT = ("necessary-condition-holds-but-separation-blocked: "
     (_verdict_consistent, f"  FAIL   hausdorff:sqrt7: the replay gives "
      f"verdict {SQRT7_GAP_VERDICT!r}, the report "
      f"'consistent-with-hausdorff'"),
-    (_outcomes_separated, "  FAIL   hausdorff:sqrt7: probe 1: the replay "
-     "gives the entry at ['outcome']: 'gap', the report 'separated'"),
+    (_outcomes_separated, "  FAIL   hausdorff:sqrt7: the replay gives "
+     "probes at [0]['outcome']: 'gap', the report 'separated'"),
 ], ids=["claim-status", "document-status", "verdict", "outcomes"])
 def test_recheck_rederives_hausdorff_conclusions(tmp_path, capsys, tamper,
                                                  message):
@@ -1078,24 +1079,25 @@ def _prefix_proof_invented(probes):
 @pytest.mark.parametrize("source, tamper, message", [
     ("powers3", _cut_certificates, "probe 1: the certificate has 1 steps, "
                                    "max_len 5"),
-    ("powers3", _cupcap_only_n1, "probe 1: the replay gives the entry at "
-     "['cupcap']['2']: {'found': False, 'n': 2, 'checked': 14}, the report "
-     "nothing"),
-    ("powers3", _step_deeper_tail, "probe 1: member 2 is not the family's"),
-    ("powers3", _cupcap_deeper_tail, "probe 1: member 1 is not the "
-                                     "family's"),
+    ("powers3", _cupcap_only_n1, "the replay gives probes at "
+     "[0]['cupcap']['2']: {'found': False, 'n': 2, 'checked': 14}, the "
+     "report nothing"),
+    ("powers3", _step_deeper_tail, "the replay gives probes at "
+     "[0]['separation']['steps'][1]['member']['start']: 2, the report 7"),
+    ("powers3", _cupcap_deeper_tail, "the replay gives probes at "
+     "[0]['cupcap']['2']['member']['start']: 1, the report 6"),
     ("sqrt7", _cut_blocked, "probe 1: the blocked candidates are not "
                             "2..11"),
-    ("powers3", _step_proof_made_up, "probe 1: the replay gives the entry at "
-     "['separation']['steps'][2]['exclusion']['proof']['route']: 'divisor', "
-     "the report 'made-up'"),
-    ("powers3", _cupcap_proof_nonsense, "probe 1: the replay gives the entry "
-     "at ['cupcap']['2']['proof']['route']: 'divisor', the report "
+    ("powers3", _step_proof_made_up, "the replay gives probes at "
+     "[0]['separation']['steps'][2]['exclusion']['proof']['route']: "
+     "'divisor', the report 'made-up'"),
+    ("powers3", _cupcap_proof_nonsense, "the replay gives probes at "
+     "[0]['cupcap']['2']['proof']['route']: 'divisor', the report "
      "'nonsense'"),
-    ("powers3", _cupcap_checked_99, "probe 1: the replay gives the entry at "
-     "['cupcap']['2']['checked']: 2, the report 99"),
-    ("sqrt7", _prefix_proof_invented, "probe 1: the replay gives the entry at "
-     "['separation']['prefix'][0]['exclusion']['proof']['invented']: "
+    ("powers3", _cupcap_checked_99, "the replay gives probes at "
+     "[0]['cupcap']['2']['checked']: 2, the report 99"),
+    ("sqrt7", _prefix_proof_invented, "the replay gives probes at "
+     "[0]['separation']['prefix'][0]['exclusion']['proof']['invented']: "
      "nothing, the report True"),
 ], ids=["powers3-certificates-cut", "powers3-cupcap-only-n1",
         "powers3-step-deeper-tail", "powers3-cupcap-deeper-tail",
@@ -1131,8 +1133,29 @@ def test_recheck_holds_each_cupcap_map_to_its_json_type(tmp_path, capsys,
     report.write_text(text.replace(f'"{field}": 1,', f'"{field}": true,', 1))
     code, out, _ = run(["recheck", str(report)], capsys)
     assert code == 2 and out.splitlines()[0] == (
-        f"  FAIL   hausdorff:powers3: probe {probe}: the replay gives the "
-        f"entry at ['cupcap']['1']['{field}']: 1, the report True"), out
+        f"  FAIL   hausdorff:powers3: the replay gives probes at "
+        f"[{probe - 1}]['cupcap']['1']['{field}']: 1, the report True"), out
+
+
+@pytest.mark.parametrize("field", ["target", "stuck_at_step"])
+def test_recheck_holds_each_separation_map_to_its_json_type(tmp_path, capsys,
+                                                            field):
+    """Probe 1's separation ``target`` or ``stuck_at_step`` in the shipped
+    sqrt7 report, both 1, turned into ``true`` fails on one line, though
+    ``==`` takes True for 1."""
+    report = tmp_path / "report.json"
+    run(["hausdorff", str(CONFIGS / "sqrt7.json"), "--out", str(report)],
+        capsys)
+    doc = json.loads(report.read_text())
+    separation = doc["claims"][0]["payload"]["probes"][0]["separation"]
+    assert separation[field] == 1
+    separation[field] = True
+    report.write_text(json.dumps(doc))
+    code, out, _ = run(["recheck", str(report)], capsys)
+    assert code == 2 and out.splitlines() == [
+        f"  FAIL   hausdorff:sqrt7: the replay gives probes at "
+        f"[0]['separation']['{field}']: 1, the report True",
+        "recheck: FAILED"], out
 
 
 def test_recheck_takes_each_star_and_decodes_each_member_once(
@@ -1188,19 +1211,26 @@ def _repeated_prefix_residue_false(probes):
 
 
 @pytest.mark.parametrize("tamper, message", [
-    (_blocked_member_moved_up, "probe 2: member 4 is not the family's"),
-    (_repeated_prefix_member_residue,
-     "probe 2: member 1 is not the family's"),
-    (_repeated_blocked_modulus_float, "probe 2: member 4 is not the family's"),
-    (_repeated_prefix_residue_false, "probe 2: member 1 is not the family's"),
+    (_blocked_member_moved_up, "the replay gives probes at "
+     "[1]['separation']['blocked'][0]['member']['modulus']: 243, the report "
+     "729"),
+    (_repeated_prefix_member_residue, "the replay gives probes at "
+     "[1]['separation']['prefix'][0]['member']['residues'][1]: 4, the "
+     "report 5"),
+    (_repeated_blocked_modulus_float, "the replay gives probes at "
+     "[1]['separation']['blocked'][0]['member']['modulus']: 243, the report "
+     "243.0"),
+    (_repeated_prefix_residue_false, "the replay gives probes at "
+     "[1]['separation']['prefix'][0]['member']['residues'][0]: 0, the "
+     "report False"),
 ], ids=["blocked-member-moved-up", "prefix-member-residue",
         "modulus-float", "residue-false"])
 def test_recheck_decodes_every_edited_member_record(tmp_path, capsys,
                                                     tamper, message):
     """A member record edited after an earlier probe recorded the same
-    member untouched is held to the family's own member afresh and fails
-    as on its own: by value, or by type where an integer is replaced by an
-    equal float or bool."""
+    member untouched fails as on its own, against the family's own member:
+    by value, or by type where an integer is replaced by an equal float or
+    bool."""
     report = tmp_path / "report.json"
     run(["hausdorff", str(CONFIGS / "sqrt7.json"), "--out", str(report)],
         capsys)
@@ -1615,14 +1645,23 @@ def test_verify_past_enumeration_cap_exits_1(tmp_path, capsys, argv):
     (["verify", "sqrt7", "--gmax", "1", "--nmax", "447"],
      "verify: sqrt7-necessary at n=447 folds up to 200704 residues, past "
      "the enumeration cap 200000"),
+    (["verify", "sqrt7", "--gmax", "448", "--nmax", "446"],
+     "verify: the sqrt7 grid records 134370880 numbers, past the "
+     "enumeration cap 200000"),
+    (["verify", "sqrt7", "--gmax", "1", "--nmax", "364"],
+     "verify: the sqrt7 grid records 200018 numbers, past the enumeration "
+     "cap 200000"),
 ], ids=["verify-sqrt7-grid", "verify-interval", "hensel",
-        "verify-sqrt7-nmax"])
+        "verify-sqrt7-nmax", "verify-sqrt7-numbers", "verify-sqrt7-n-364"])
 def test_oversized_grid_and_tables_exit_1_at_once(tmp_path, capsys, argv,
                                                   message):
     """A sqrt7 grid of 2 * 10^7 claims, an interval schedule of 10^5 rows,
-    a Hensel table of 10^5 levels and a sqrt7 grid whose largest claim
-    passes the cap are refused from their arguments before anything is
-    built: one line, no report, within a second."""
+    a Hensel table of 10^5 levels, a sqrt7 grid whose largest claim
+    passes the cap and two sqrt7 grids whose claims would record more
+    numbers than the cap (n + 1 targets and 2n + 1 fold residues for
+    claim n), though each claim passes it, are refused from their
+    arguments before anything is built: one line, no report, within a
+    second."""
     report = tmp_path / "report.json"
     t0 = time.perf_counter()
     code, out, err = run(argv + ["--out", str(report)], capsys)

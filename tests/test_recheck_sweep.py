@@ -6,9 +6,11 @@ The sweep edits one payload or budgets leaf at a time in three small
 each edited copy: ints +1, bools flipped, strings with ``x`` appended
 and with their first integer +1, and lists replaced by ``[0]``, at most
 ``PER_PATTERN`` edits per path pattern (the path with list indices and
-cupcap keys as ``*``).  Each edit must fail, unless its
-path pattern is on the free list below, whose reasons are the contract: a
-new field either joins the list with a reason or is bound by the replay.
+cupcap keys as ``*``).  A second sweep makes one more kind of edit, an
+int 0 or 1 turned into the bool of equal value, which ``==`` takes
+alike.  Each edit must fail, unless its path pattern is on the free list
+below, whose reasons are the contract: a new field either joins the list
+with a reason or is bound by the replay.
 """
 
 import copy
@@ -95,6 +97,11 @@ def _edits(value) -> list:
         value[first.end():]] if first else [])
 
 
+def _bool_edits(value) -> list:
+    """The bool equal to an int 0 or 1."""
+    return [bool(value)] if type(value) is int and value in (0, 1) else []
+
+
 def _pattern(path: tuple) -> str:
     return ".".join("*" if isinstance(key, int) or key.isdigit() else key
                     for key in path)
@@ -114,8 +121,9 @@ def _edited(doc: dict, path: tuple, value) -> dict:
     return edited
 
 
-def _sweep(doc: dict, free: dict) -> tuple:
-    """(edits per path pattern, the edits outside ``free`` that pass)."""
+def _sweep(doc: dict, free: dict, edits=_edits) -> tuple:
+    """(edits per path pattern, the edits outside ``free`` that pass),
+    each of ``edits``' edits of every leaf."""
     assert recheck_document(doc)[0]
     claim = doc["claims"][0]
     per_pattern: dict = {}
@@ -123,7 +131,7 @@ def _sweep(doc: dict, free: dict) -> tuple:
     for section in ("payload", "budgets"):
         for path, value in _nodes(claim[section], (section,)):
             pattern = _pattern(path)
-            for edit in _edits(value):
+            for edit in edits(value):
                 if per_pattern.get(pattern, 0) == PER_PATTERN:
                     break
                 per_pattern[pattern] = per_pattern.get(pattern, 0) + 1
@@ -146,12 +154,30 @@ def test_every_sqrt7_necessary_edit_fails():
     so no recorded fact is free: its ``n_fold`` and
     ``divisibility_targets`` edits passed while the replay took them from
     the record."""
-    doc = json.loads(canonical_json(report_document(
-        [ex.verify_sqrt7_necessary(2, 2)])))
+    doc = _sqrt7_necessary()
     per_pattern, passed = _sweep(doc, {})
     assert {"payload.n_fold.residues.*", "payload.divisibility_targets.*",
             "payload.bound_level_also_excludes", "budgets.n"} <= \
         set(per_pattern), per_pattern
+    assert not passed, passed
+
+
+def _sqrt7_necessary() -> dict:
+    return json.loads(canonical_json(report_document(
+        [ex.verify_sqrt7_necessary(2, 2)])))
+
+
+@pytest.mark.parametrize("name", [*sorted(REPORTS), "sqrt7-necessary"])
+def test_every_int_0_or_1_made_bool_fails_unless_free(name):
+    """An int 0 or 1 turned into false or true fails wherever an edit
+    by value fails: a hausdorff probe entry is compared with its replay
+    by JSON type, as every other fact is.  Setting a separation's
+    ``target`` or ``stuck_at_step`` to ``true`` passed while the replay
+    compared the entries by ``==``."""
+    doc = _report(name) if name in REPORTS else _sqrt7_necessary()
+    per_pattern, passed = _sweep(doc, _free(doc) if name in REPORTS else {},
+                                 _bool_edits)
+    assert per_pattern, per_pattern
     assert not passed, passed
 
 
@@ -165,17 +191,17 @@ def _probe(doc, i=0):
 
 @pytest.mark.parametrize("name, tamper, message", [
     ("powers3", lambda d: _probe(d)["separation"].update(policy="any"),
-     "probe 1: the replay gives the entry at ['separation']['policy']"),
+     "the replay gives probes at [0]['separation']['policy']"),
     ("powers3", lambda d: _probe(d)["separation"]["budget"].update(
-        per_set_candidates=65), "probe 1: the replay gives the entry at "
-     "['separation']['budget']['per_set_candidates']: 64, the report 65"),
+        per_set_candidates=65), "the replay gives probes at "
+     "[0]['separation']['budget']['per_set_candidates']: 64, the report 65"),
     ("powers3", lambda d: _probe(d)["separation"]["steps"][0][
-        "exclusion"].update(status="unknown"), "probe 1: the replay gives "
-     "the entry at ['separation']['steps'][0]['exclusion']['status']: 'no', "
-     "the report 'unknown'"),
+        "exclusion"].update(status="unknown"), "the replay gives probes at "
+     "[0]['separation']['steps'][0]['exclusion']['status']: 'no', the "
+     "report 'unknown'"),
     ("fibonacci", lambda d: _probe(d)["cupcap"]["2"].update(checked=4),
-     "probe 4: the replay gives the entry at ['cupcap']['2']['checked']: 5, "
-     "the report 4"),
+     "the replay gives probes at [0]['cupcap']['2']['checked']: 5, the "
+     "report 4"),
     ("powers3", lambda d: _claim(d)["budgets"].update(value_cap_factor=2),
      "the replay gives budgets"),
     ("powers3", lambda d: _claim(d).update(claim="hausdorff:powers4"),
@@ -209,9 +235,9 @@ def test_recheck_of_a_crafted_n_max_builds_one_entry_past_the_record():
     _claim(doc)["budgets"]["n_max"] = 10 ** 9
     ok, details = recheck_document(doc)
     assert not ok and details[0].startswith(
-        "  FAIL   hausdorff:powers3: probe 1: the replay gives the entry at "
-        "['cupcap']['3']: {'found': False, 'n': 3, 'checked': 8}, the report "
-        "nothing"), details
+        "  FAIL   hausdorff:powers3: the replay gives probes at "
+        "[0]['cupcap']['3']: {'found': False, 'n': 3, 'checked': 8}, the "
+        "report nothing"), details
 
 
 # One small report of every replayed kind.
