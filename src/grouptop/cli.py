@@ -75,6 +75,7 @@ def _cmd_verify(args) -> int:
             not args.cover_m0:
         print("--cover-gmax needs --cover-m0", file=sys.stderr)
         return 1
+    table = FoldTable()  # the claims share every set, star and fold
     try:
         with stopwatch() as elapsed:
             if args.example == "sqrt7":
@@ -92,10 +93,9 @@ def _cmd_verify(args) -> int:
                     gmax = 20 if args.cover_gmax is None else args.cover_gmax
                     reports.append(ex.verify_sqrt7_U_full(
                         m0, ex.sqrt7_cover_levels(m0),
-                        range(-gmax, gmax + 1)))
-                table = FoldTable()  # the grid shares every n-fold set
+                        range(-gmax, gmax + 1), table))
                 reports += [
-                    ex.verify_sqrt7_necessary(g, n, table=table)
+                    ex.verify_sqrt7_necessary(g, n, table)
                     for g in range(1, args.gmax + 1)
                     for n in range(1, args.nmax + 1)
                 ]
@@ -104,12 +104,12 @@ def _cmd_verify(args) -> int:
                 samples = ex.random_product_elements(coords, args.samples,
                                                      args.seed)
                 reports = [ex.verify_product_sum_full(
-                    coords, m0, ex.product_cover_levels(coords, m0), samples)
-                    for m0 in args.m0]
-                reports += [ex.verify_product_union_small(coords, n)
+                    coords, m0, ex.product_cover_levels(coords, m0), samples,
+                    table) for m0 in args.m0]
+                reports += [ex.verify_product_union_small(coords, n, table)
                             for n in args.union_n]
             elif args.example == "interval":
-                reports = [ex.verify_interval_example(args.min_exp)]
+                reports = [ex.verify_interval_example(args.min_exp, table)]
             else:  # fibonacci; argparse restricts the examples
                 reports = [verify_fib_words(args.n)]
                 reports.extend(verify_fib_identity(n)

@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from .groups import (
     GroupElement,
@@ -41,10 +41,8 @@ from .setspec import (
     SetLike,
     SymmetricInterval,
     contains,
-    n_fold_star,
     star,
     subset_of,
-    suffix_folds,
     witness_holds,
 )
 
@@ -202,8 +200,7 @@ class DecompositionWitness:
 
 
 def verify_sqrt7_necessary(g: int, n: int,
-                           table: Optional[FoldTable] = None
-                           ) -> VerificationReport:
+                           table: FoldTable) -> VerificationReport:
     """Exact check that g avoids the n-fold sum of a deep enough chain set.
 
     The level k is the least at which p^k divides none of the integers
@@ -213,13 +210,10 @@ def verify_sqrt7_necessary(g: int, n: int,
     (``check_sqrt7_necessary_cap``) works too: verified when both hold.
     Raises before anything is built, as that check does: ValueError at
     g = 0 (no level works) or n < 1, and EnumerationBudgetError past the
-    cap.  The level sets and their n-fold sets come from ``table``, a
-    fresh one when None, and the payload holds the table's descriptions
-    of them.
+    cap.  The level sets and their n-fold sets come from ``table``, and
+    the payload holds the table's descriptions of them.
     """
     k_bound = check_sqrt7_necessary_cap(g, n)
-    if table is None:
-        table = FoldTable()
     a, p, gg = SQRT7_A, SQRT7_P, g * g
     targets = [gg - a * m * m for m in range(n + 1)]  # 7 is no square
     k = 1  # one more than the largest p-adic valuation of a target
@@ -342,7 +336,8 @@ def sqrt7_cover_levels(m0: int) -> list:
 
 
 def verify_sqrt7_U_full(m0: int, ms: Sequence[int],
-                        sample_gs: Sequence[int]) -> VerificationReport:
+                        sample_gs: Sequence[int],
+                        table: FoldTable) -> VerificationReport:
     """Exact proof that the starred chain sets at levels m0, m1, ... sum to
     all of Z, with explicit re-verified witnesses for the samples.
 
@@ -361,8 +356,8 @@ def verify_sqrt7_U_full(m0: int, ms: Sequence[int],
     return _verify_cover(
         f"sqrt7-cover:m0={m0}:ms={','.join(map(str, ms))}",
         "sum_equals_all_residues",
-        [sqrt7_set(m) for m in [m0, *ms]],
-        [sqrt7_cover_witness(g, m0, ms) for g in sample_gs])
+        [table.level(sqrt7_set, m) for m in [m0, *ms]],
+        [sqrt7_cover_witness(g, m0, ms) for g in sample_gs], table)
 
 
 def rerun_sqrt7_cover(claim: dict, table: FoldTable) -> VerificationReport:
@@ -372,17 +367,17 @@ def rerun_sqrt7_cover(claim: dict, table: FoldTable) -> VerificationReport:
     ms = [int(m) for m in claim["claim"].partition(":ms=")[2].split(",")]
     return verify_sqrt7_U_full(m0, ms, [
         _INTEGERS.element(w["target"]).value
-        for w in claim["payload"]["witnesses"]])
+        for w in claim["payload"]["witnesses"]], table)
 
 
 def _verify_cover(claim: str, flag: str, sources: Sequence[SetLike],
-                  witnesses: Sequence[DecompositionWitness]
-                  ) -> VerificationReport:
-    """A cover claim on the suffix fold of the starred ``sources``: its
-    ``flag`` says whether the fold contains the whole group (Z as 0 mod 1,
-    a product as the unconstrained box), and it is verified when it does
-    and every sample's witness holds."""
-    folded = suffix_folds([star(src) for src in sources])[0]
+                  witnesses: Sequence[DecompositionWitness],
+                  table: FoldTable) -> VerificationReport:
+    """A cover claim on the suffix fold of the starred ``sources``, from
+    ``table``: its ``flag`` says whether the fold contains the whole group
+    (Z as 0 mod 1, a product as the unconstrained box), and it is verified
+    when it does and every sample's witness holds."""
+    folded = table.suffix_folds([table.star(src) for src in sources])[0]
     whole = BoxSet(folded.n_coords, ()) if isinstance(folded, BoxSet) \
         else ResidueSet.of(1, [0])
     covers = subset_of(whole, folded)
@@ -454,8 +449,8 @@ def product_cover_levels(n_coords: int, m0: int) -> list:
 
 
 def verify_product_sum_full(n_coords: int, m0: int, ms: Sequence[int],
-                            sample_gs: Sequence[GroupElement]
-                            ) -> VerificationReport:
+                            sample_gs: Sequence[GroupElement],
+                            table: FoldTable) -> VerificationReport:
     """Exact box-sumset proof that the starred boxes cover the whole
     truncated product, with re-verified per-sample witnesses.  The
     follower levels must be ``product_cover_levels``', which the claim's
@@ -472,7 +467,7 @@ def verify_product_sum_full(n_coords: int, m0: int, ms: Sequence[int],
     return _verify_cover(
         f"product-cover:N={n_coords}:m0={m0}", "sum_covers_group",
         [product_set(n_coords, m) for m in [m0, *ms]],
-        [product_cover_witness(g, m0, ms) for g in sample_gs])
+        [product_cover_witness(g, m0, ms) for g in sample_gs], table)
 
 
 def rerun_product_cover(claim: dict, table: FoldTable) -> VerificationReport:
@@ -482,7 +477,8 @@ def rerun_product_cover(claim: dict, table: FoldTable) -> VerificationReport:
     group = ProductMod(n_coords)
     return verify_product_sum_full(
         n_coords, m0, product_cover_levels(n_coords, m0),
-        [group.element(w["target"]) for w in claim["payload"]["witnesses"]])
+        [group.element(w["target"]) for w in claim["payload"]["witnesses"]],
+        table)
 
 
 def small_representable(coord: int, n: int) -> frozenset:
@@ -490,7 +486,8 @@ def small_representable(coord: int, n: int) -> frozenset:
     return frozenset(v % coord for v in range(-n, n + 1))
 
 
-def verify_product_union_small(n_coords: int, n: int) -> VerificationReport:
+def verify_product_union_small(n_coords: int, n: int,
+                               table: FoldTable) -> VerificationReport:
     """The intersection of the n-fold starred boxes is exactly the box of
     small-representable coordinates.
 
@@ -510,7 +507,7 @@ def verify_product_union_small(n_coords: int, n: int) -> VerificationReport:
     if not all(subset_of(inner, outer)
                for outer, inner in zip(boxes, boxes[1:])):
         raise AssertionError("product sets must nest")
-    intersection = n_fold_star(boxes[-1], n)
+    intersection = table.n_fold_star(boxes[-1], n)
 
     expected = BoxSet(
         n_coords,
@@ -554,10 +551,11 @@ def verify_product_union_small(n_coords: int, n: int) -> VerificationReport:
 def rerun_product_union_small(claim: dict,
                               table: FoldTable) -> VerificationReport:
     n_coords, n = id_numbers(r"product-union-small:N=(\d+):n=(\d+)", claim)
-    return verify_product_union_small(n_coords, n)
+    return verify_product_union_small(n_coords, n, table)
 
 
-def verify_interval_example(min_exp: int = 10) -> VerificationReport:
+def verify_interval_example(min_exp: int,
+                            table: FoldTable) -> VerificationReport:
     """The one-step interval exclusion that cannot be extended.
 
     With exact rationals: 1 lies outside the open unit interval, yet for
@@ -575,7 +573,8 @@ def verify_interval_example(min_exp: int = 10) -> VerificationReport:
     group = _RATIONALS
     # Pinned witness: 1 = (1 - eps/2) + eps/2, valid for every eps <= 2.
     steps = [(eps, (group.element(1 - eps / 2), group.element(eps / 2)),
-              prefix_sum_membership(_ONE, [_UNIT, SymmetricInterval(eps)]))
+              prefix_sum_membership(_ONE, [_UNIT, SymmetricInterval(eps)],
+                                    table))
              for eps in (Fraction(1, 2 ** j) for j in range(min_exp + 1))]
     first_excluded = not contains(star(_UNIT), _ONE)
     ok = first_excluded and all(
@@ -600,7 +599,7 @@ def verify_interval_example(min_exp: int = 10) -> VerificationReport:
 
 def rerun_interval(claim: dict, table: FoldTable) -> VerificationReport:
     min_exp, = id_numbers(r"interval-no-extension:min_eps=2\^-(\d+)", claim)
-    return verify_interval_example(min_exp)
+    return verify_interval_example(min_exp, table)
 
 
 def random_product_elements(n_coords: int, count: int,

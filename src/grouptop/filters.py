@@ -23,6 +23,7 @@ from typing import Callable, Optional, Sequence, Union
 
 from .groups import (
     GroupElement,
+    check_enumeration_cap,
     description_kind,
     integer_from_json,
     list_from_json,
@@ -43,6 +44,7 @@ from .setspec import (
     SubsetUndecidable,
     SumsetUnsupported,
     TailSet,
+    _base_of,
     spec_from_json,
     subset_of,
     witness_holds,
@@ -78,7 +80,6 @@ class ChainFamily(FilterFamily):
         self._generator = generator
         self._length = length
         self.name = name
-        self._cache: dict = {}
         self._validate()
 
     def _validate(self) -> None:
@@ -96,9 +97,7 @@ class ChainFamily(FilterFamily):
     def member(self, i: int) -> SetSpec:
         if i < 0 or (self._length is not None and i >= self._length):
             raise IndexError(f"chain index {i} out of range")
-        if i not in self._cache:
-            self._cache[i] = self._generator(i)
-        return self._cache[i]
+        return self._generator(i)
 
     def size(self) -> Optional[int]:
         return self._length
@@ -124,14 +123,11 @@ class CofiniteFamily(FilterFamily):
                  base_start: int = 0):
         self.sequence = TailSet.of(sequence, base_start).sequence
         self.base_start = base_start
-        self._cache: dict = {}
 
     def member(self, i: int) -> TailSet:
         if i < 0:
             raise IndexError("member index must be nonnegative")
-        if i not in self._cache:
-            self._cache[i] = TailSet.of(self.sequence, self.base_start + i)
-        return self._cache[i]
+        return TailSet.of(self.sequence, self.base_start + i)
 
     def monotone_chain(self) -> bool:
         return True
@@ -226,6 +222,9 @@ def _chain_family(generator, coords: int) -> ChainFamily:
             name="interval-halving",
         )
     if generator == "product-boxes":
+        if coords < 1:
+            raise ValueError(f"product-boxes needs at least 1 coordinate, "
+                             f"got {coords}")
         from .examples import product_set
         return ChainFamily(lambda i: product_set(coords, i + 1),
                            length=coords, name=f"product-boxes-{coords}")
@@ -264,15 +263,21 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, doc: dict) -> "RunConfig":
-        """Raise ValueError on any run ``hausdorff`` refuses.  A budget
-        left out takes its field's default.  An explicit family must be
-        downward directed."""
+        """Raise ValueError on any run ``hausdorff`` refuses, and
+        EnumerationBudgetError on a tail scanned past the cap before any
+        term is computed.  A budget left out takes its field's default.
+        An explicit family must be downward directed."""
         reject_unknown_keys(doc, _CONFIG_KEYS, "config")
         budgets = doc.get("budgets", {})
         reject_unknown_keys(budgets, _BUDGET_KEYS, "budgets")
         if not isinstance(doc["probes"], list):
             raise ValueError("probes must be a JSON list")
         family = family_from_json(doc["family"])
+        sizes = {k: integer_from_json(budgets.get(k, getattr(cls, k)))
+                 for k in sorted(_BUDGET_KEYS)}
+        deepest = _deepest_tail_index(family, sizes["depth"])
+        check_enumeration_cap(f"the scan reads index {deepest} of a tail",
+                              deepest)
         if isinstance(family, ExplicitFamily):
             try:
                 pair = check_directed(family)
@@ -283,9 +288,7 @@ class RunConfig:
                                  f"directed: no member lies inside both "
                                  f"member {pair[0]} and member {pair[1]}")
         group = family.member(0).ambient()  # the probes' group
-        cfg = cls(family, [group.element(p) for p in doc["probes"]],
-                  **{k: integer_from_json(budgets.get(k, getattr(cls, k)))
-                     for k in sorted(_BUDGET_KEYS)})
+        cfg = cls(family, [group.element(p) for p in doc["probes"]], **sizes)
         if min(cfg.n_max, cfg.depth, cfg.max_len) < 1:
             raise ValueError("budgets must be positive")
         if not cfg.probes:
@@ -293,6 +296,15 @@ class RunConfig:
         if any(p.is_identity() for p in cfg.probes):
             raise ValueError("probes must exclude the identity")
         return cfg
+
+
+def _deepest_tail_index(family: FilterFamily, depth: int) -> int:
+    """The deepest sequence index a scan of ``depth`` members names."""
+    if isinstance(family, CofiniteFamily):
+        return family.base_start + depth
+    members = family.members if isinstance(family, ExplicitFamily) else ()
+    return max((m.start for m in map(_base_of, members)
+                if isinstance(m, TailSet)), default=0)
 
 
 @dataclass(frozen=True)
@@ -349,22 +361,19 @@ def resume_index(family: FilterFamily, steps: Sequence) -> int:
 
 
 def cupcap_check(g: GroupElement, n: int, family: FilterFamily,
-                 depth: int, table: Optional[FoldTable] = None
-                 ) -> CupcapResult:
+                 depth: int, table: FoldTable) -> CupcapResult:
     """Search the first ``depth`` members for one whose n-fold starred sum
     misses g.  Only exact exclusions count as found; inconclusive members
-    are skipped and tallied.  Members are interned in, and folds come
-    from, ``table``, a fresh one when None."""
+    are skipped and tallied.  Members are the levels of, and folds come
+    from, ``table``."""
     if g.is_identity():
         raise ValueError("probe must not be the identity")
     if n < 1:
         raise ValueError("n must be positive")
-    if table is None:
-        table = FoldTable()
     top = scan_limit(family, depth)
     skipped = 0
     for i in range(top):
-        member = table.intern(family.member(i))
+        member = table.level(family.member, i)
         res = _nfold_exclusion(g, n, member, table)
         if res.is_no():
             return CupcapResult(True, n, i, member, res.proof, checked=i + 1,
@@ -448,7 +457,7 @@ def separating_sequence(
     family: FilterFamily,
     max_len: int,
     depth: int,
-    table: Optional[FoldTable] = None,
+    table: FoldTable,
 ):
     """Greedily extend a member sequence keeping g outside the prefix sum.
 
@@ -458,20 +467,18 @@ def separating_sequence(
     which loses nothing: members only shrink, so a deeper member excludes
     whenever a shallower one does.  Returns a certificate on success and a
     stuck report (prefix plus every candidate's blocking membership)
-    otherwise.  Every membership is decided, and every member interned,
-    through ``table``, a fresh one when None.
+    otherwise.  Every membership is decided, and every member built,
+    through ``table``.
     """
     if g.is_identity():
         raise ValueError("the identity cannot be separated")
-    if table is None:
-        table = FoldTable()
     steps: list = []
     fam_desc = family.describe()
     for step_no in range(max_len):
         blocked = []
         chosen = None
         for i in range(resume_index(family, steps), scan_limit(family, depth)):
-            member = table.intern(family.member(i))
+            member = table.level(family.member, i)
             chain = [s.member for s in steps] + [member]
             res = prefix_sum_membership(g, chain, table)
             if res.is_no():
@@ -487,16 +494,13 @@ def separating_sequence(
 
 def recheck_certificate(
         cert: Union[SeparationCertificate, StuckReport],
-        table: Optional[FoldTable] = None):
+        table: FoldTable):
     """Replay a separation from its member descriptions alone: every
     prefix sum still excludes the target, and every witness that blocked a
     stuck report still holds.  The first failure raises AssertionError;
     returns the separation rebuilt with the replayed exclusion of each
     prefix.  Every membership is decided, and every star taken, through
-    ``table``, a fresh one when None; each witness is still checked in
-    full."""
-    if table is None:
-        table = FoldTable()
+    ``table``; each witness is still checked in full."""
     stuck = isinstance(cert, StuckReport)
     prefix = cert.prefix if stuck else cert.steps
     members = [s.member for s in prefix]
@@ -629,7 +633,7 @@ def replay_hausdorff(claim: dict, table: FoldTable) -> VerificationReport:
         if type(index) is not int or not lowest <= index < limit:
             raise AssertionError(f"probe {name}: member index {index!r} lies "
                                  f"outside the scan {lowest}..{limit - 1}")
-        return table.intern(family.member(index))
+        return table.level(family.member, index)
 
     def cupcap(name, g: GroupElement, n: int, doc: dict) -> CupcapResult:
         skipped = doc.get("skipped_unknown", 0)

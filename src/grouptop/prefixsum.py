@@ -188,21 +188,18 @@ def _exact_candidates(st: StarSet, rem, rest_fold, table: FoldTable):
 
 
 def prefix_sum_membership(g: GroupElement, chain: Sequence[SetLike],
-                          table: Optional[FoldTable] = None
-                          ) -> MembershipResult:
+                          table: FoldTable) -> MembershipResult:
     """Decide g in S_0* + ... + S_{n-1}* for the given chain.
 
     Exact when every set supports exact sumsets or a divisor certificate
     applies; otherwise a bounded witness search that can only answer yes
     or unknown.  Inconclusiveness is a value, not an error.  The chain's
-    stars and exact folds come from ``table``, a fresh one when None.
+    stars and exact folds come from ``table``.
     """
     group = g.group
     for spec in chain:
         if spec.ambient() != group:
             raise ValueError("chain sets must share the probe's ambient group")
-    if table is None:
-        table = FoldTable()
     stars = [table.star(s) for s in chain]
     n = len(stars)
 

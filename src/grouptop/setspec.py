@@ -511,6 +511,10 @@ def crt_candidates(base: ResidueSet, fold: ResidueSet, rem: int) -> tuple:
 class FoldTable:
     """Probe-independent facts, computed once per command.
 
+    Each command builds one FoldTable and passes it down, a required
+    argument of everything below it; only the wrapper ``n_fold_star``
+    makes its own.
+
     Set values: one instance per value (``intern``), so a value's hash and
     JSON description are computed once and every report entry that names
     it holds the same dict; each chain level set ``level`` is asked for,
@@ -522,8 +526,8 @@ class FoldTable:
     fold's modulus, which depend on no probe.  Tail facts: each (sequence,
     start)'s terms and tail divisors, read from the start as far as they
     were asked for; each (set, modulus)'s residue envelope, None included;
-    and each set's divisor certificate, a tail's the first divisor of its
-    window.  Keys are frozen set values, so sets rebuilt from JSON hit the
+    and each set's divisor certificate, by the module's one rule, kept
+    per set.  Keys are frozen set values, so sets rebuilt from JSON hit the
     entries of equal sets built in code.  Only what no probe enters is
     kept: every witness and its check, and every membership of a tail,
     still runs per membership.  A computation that raises is not stored,
@@ -652,15 +656,10 @@ class FoldTable:
         return self._envelopes[key]
 
     def divisor_certificate(self, spec: SetLike) -> int:
+        """``divisor_certificate(spec)``, kept per set."""
         found = self._certificates.get(spec)
         if found is None:
-            base = _base_of(spec)
-            if isinstance(base, TailSet):
-                window = self.divisor_index(base.sequence, base.start, 0)
-                found = 1 if window is None else window[1]
-            else:
-                found = divisor_certificate(spec)
-            self._certificates[spec] = found
+            found = self._certificates[spec] = divisor_certificate(spec)
         return found
 
 
@@ -753,8 +752,7 @@ _ENVELOPE_SCAN_CAP = 64
 
 
 def residue_envelope(spec: SetLike, modulus: int,
-                     table: Optional[FoldTable] = None
-                     ) -> Optional[frozenset]:
+                     table: FoldTable) -> Optional[frozenset]:
     """The exact set of residues modulo ``modulus`` attained by elements.
 
     None when the representation cannot be reduced exactly (a tail that
@@ -764,7 +762,7 @@ def residue_envelope(spec: SetLike, modulus: int,
     which yields exact exclusion proofs beyond the plain divisor route:
     tail elements past the index where the tail divisor is a multiple of
     the modulus all collapse onto residue zero.  A tail reads its tail
-    divisors through ``table`` when one is given.
+    divisors through ``table``.
     """
     if modulus < 1:
         raise ValueError("modulus must be positive")
@@ -796,12 +794,8 @@ def residue_envelope(spec: SetLike, modulus: int,
         return frozenset(out)
     if isinstance(spec, TailSet):
         seq = spec.sequence
-        if table is None:
-            found = seq.divisor_index(spec.start, _ENVELOPE_SCAN_CAP,
-                                      multiple_of=modulus)
-        else:
-            found = table.divisor_index(seq, spec.start, _ENVELOPE_SCAN_CAP,
-                                        multiple_of=modulus)
+        found = table.divisor_index(seq, spec.start, _ENVELOPE_SCAN_CAP,
+                                    multiple_of=modulus)
         if found is not None:
             cutoff = found[0]
         elif seq.length is not None and \

@@ -57,6 +57,7 @@ from grouptop.nonabelian import (
     FREE_XY,
 )
 from grouptop.report import Status
+from grouptop.setspec import FoldTable
 
 Z = Integers()
 D4_NAMES = ["e", "r", "r2", "r3", "s", "rs", "r2s", "r3s"]
@@ -74,7 +75,7 @@ def test_criterion_1_sqrt7_necessary_condition():
     count = 0
     for g in range(1, 51):
         for n in range(1, 6):
-            rep = verify_sqrt7_necessary(g, n)
+            rep = verify_sqrt7_necessary(g, n, FoldTable())
             assert rep.status is Status.VERIFIED, (g, n)
             # the crude bound 3^k > max(g^2, 7 n^2) must also exclude
             assert rep.payload["bound_level_also_excludes"], (g, n)
@@ -121,7 +122,8 @@ def test_criterion_2_sqrt7_hausdorff_failure():
 
     # the separating construction sticks at step 1 with exact blocks
     fam = ChainFamily(lambda i: sqrt7_set(i + 1), name="sqrt7")
-    stuck = separating_sequence(Z.element(1), fam, max_len=5, depth=10)
+    stuck = separating_sequence(Z.element(1), fam, max_len=5, depth=10,
+                                table=FoldTable())
     assert isinstance(stuck, StuckReport)
     assert stuck.step == 1
     assert [s.member for s in stuck.prefix] == [sqrt7_set(2)]
@@ -156,13 +158,13 @@ def test_criterion_4_product_example():
     samples = random_product_elements(6, 50, seed=20260808)
     for m0 in (2, 3):
         ms = [min(m0 + i + 1, 6) for i in range(m0)]
-        rep = verify_product_sum_full(6, m0, ms, samples)
+        rep = verify_product_sum_full(6, m0, ms, samples, FoldTable())
         assert rep.status is Status.VERIFIED, m0
         for g in samples:
             assert product_cover_witness(g, m0, ms).verify()
 
     for n in (1, 2):
-        rep = verify_product_union_small(6, n)
+        rep = verify_product_union_small(6, n, FoldTable())
         assert rep.status is Status.VERIFIED, n
         inter = rep.payload["intersection"]
         # brute force: intersect the n-fold boxes by full enumeration
@@ -181,7 +183,7 @@ def test_criterion_4_product_example():
 
 def test_criterion_5_interval_example():
     t0 = time.perf_counter()
-    rep = verify_interval_example(10)
+    rep = verify_interval_example(10, FoldTable())
     assert rep.status is Status.VERIFIED
     sched = rep.payload["schedule"]
     assert len(sched) == 11 and sched[-1]["epsilon"] == "1/1024"
@@ -195,7 +197,8 @@ def test_criterion_6_positive_separation(budget_sums):
     fam = CofiniteFamily("powers3")
     for g in range(1, 51):
         el = Z.element(g)
-        cert = separating_sequence(el, fam, max_len=5, depth=14)
+        cert = separating_sequence(el, fam, max_len=5, depth=14,
+                                   table=FoldTable())
         assert isinstance(cert, SeparationCertificate), g
         assert len(cert) == 5
         members = cert.members()
@@ -203,7 +206,8 @@ def test_criterion_6_positive_separation(budget_sums):
             # no decomposition within the search budget, by plain set sums
             assert g not in budget_sums(g, members[:n]), (g, n)
             # necessity: the n-fold exclusion condition holds
-            assert cupcap_check(el, n, fam, depth=14).found, (g, n)
+            assert cupcap_check(el, n, fam, depth=14,
+                                table=FoldTable()).found, (g, n)
     elapsed = time.perf_counter() - t0
     _report(6, elapsed, 60,
             "length-5 certificates for g=1..50, every step brute-force "
@@ -334,7 +338,7 @@ def test_criterion_9_algebra_property_suites():
                 chain.append(FiniteSet.of(
                     Z, [rng.randrange(-8, 9) for _ in range(rng.randint(1, 4))]))
         el = Z.element(rng.randrange(-30, 31))
-        res = prefix_sum_membership(el, chain)
+        res = prefix_sum_membership(el, chain, FoldTable())
         if not res.is_yes():
             continue
         yes_cases += 1
@@ -342,7 +346,7 @@ def test_criterion_9_algebra_property_suites():
             assert contains(star(spec), s)
         assert op_sum(Z, res.witness).value == el.value
         extended = chain + [rng.choice(extensions)]
-        assert prefix_sum_membership(el, extended).is_yes()
+        assert prefix_sum_membership(el, extended, FoldTable()).is_yes()
 
     elapsed = time.perf_counter() - t0
     _report(9, elapsed, 30,

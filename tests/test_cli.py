@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from grouptop.cli import main
+from grouptop.report import SCHEMA_VERSION
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
@@ -394,26 +395,89 @@ def test_hausdorff_takes_a_family_with_no_exact_subset_test(tmp_path,
         {"kind": "finite", "elements": [2, 3]}]},
      "not downward directed: no member lies inside both member 0 and "
      "member 1"),
+    ({"kind": "chain", "generator": "product-boxes", "coords": 0},
+     "product-boxes needs at least 1 coordinate, got 0"),
+    ({"kind": "chain", "generator": "product-boxes", "coords": -2},
+     "product-boxes needs at least 1 coordinate, got -2"),
 ], ids=["cofinite-key", "cofinite-start-float", "tail-key",
         "tail-start-float", "residue-modulus-string", "chain-coords-float",
         "chain-key", "chain-coords-unused", "members-number",
         "elements-number", "residues-number", "allowed-number",
         "excluded-number", "group-number", "free-generators-number",
         "cayley-table-number", "product-element-number", "group-key",
-        "not-directed"])
+        "not-directed", "chain-coords-0", "chain-coords-negative"])
 def test_hausdorff_malformed_family_description_exits_1(tmp_path, capsys,
                                                         family, named):
     """Unknown keys in a family or set description, integer fields that
     are not integers and list fields that are not lists are refused
     instead of ignored, coerced or ending in a traceback.  So is an
     explicit family that is not downward directed ({1, 2} and {2, 3}
-    contain no common member), since the criteria do not apply to it."""
+    contain no common member), since the criteria do not apply to it,
+    and a box chain of no coordinates, which has no member 0."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"family": family, "probes": [1, 2]}))
     code, out, err = run(["hausdorff", str(cfg)], capsys)
     assert code == 1 and out == ""
     assert err.startswith("bad config: ") and err.count("\n") == 1
     assert named in err
+
+
+_FAR_TAIL = {"kind": "tail", "sequence": "powers3", "start": 10 ** 7,
+             "excluded": []}
+
+
+@pytest.mark.parametrize("family, deepest", [
+    ({"kind": "cofinite", "sequence": "powers3", "start": 10 ** 7},
+     10 ** 7 + 2),
+    ({"kind": "cofinite", "sequence": "powers3", "start": 199_999}, 200_001),
+    ({"kind": "explicit", "members": [{"kind": "finite", "elements": [1]},
+                                      _FAR_TAIL]}, 10 ** 7),
+    ({"kind": "explicit", "members": [{"kind": "star", "materialized": False,
+                                       "base": _FAR_TAIL}]}, 10 ** 7),
+], ids=["cofinite", "cofinite-just-past", "explicit-tail", "explicit-star"])
+def test_hausdorff_refuses_a_tail_scanned_past_the_cap_at_once(
+        tmp_path, capsys, monkeypatch, family, deepest):
+    """A tail whose deepest scanned index (start + depth for a cofinite
+    family, the start of a tail member) passes the enumeration cap is
+    refused in one line before any term or tail divisor is computed, by
+    ``hausdorff`` and by ``recheck`` of a claim that names it."""
+    from grouptop.sequences import IntegerSequence
+
+    def no_terms(*args):
+        raise AssertionError("a term was computed")
+
+    for name in ("value", "terms", "tail_divisor", "divisor_index"):
+        monkeypatch.setattr(IntegerSequence, name, no_terms)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": family, "probes": [1, 2],
+                               "budgets": {"n_max": 1, "depth": 2,
+                                           "max_len": 1}}))
+    code, out, err = run(["hausdorff", str(cfg)], capsys)
+    message = (f"the scan reads index {deepest} of a tail, past the "
+               f"enumeration cap 200000")
+    assert (code, out, err) == (1, "", f"bad config: {message}\n")
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({
+        "schema": SCHEMA_VERSION, "status": "verified", "claims": [{
+            "claim": "hausdorff:powers3", "status": "verified",
+            "budgets": {"n_max": 1, "depth": 2, "max_len": 1},
+            "payload": {"family": family, "probes": [
+                {"probe": 1}, {"probe": 2}]}}]}))
+    code, out, _ = run(["recheck", str(report)], capsys)
+    assert code == 2 and out.splitlines() == [
+        f"  FAIL   hausdorff:powers3: error: {message}", "recheck: FAILED"]
+
+
+def test_hausdorff_scans_a_tail_up_to_the_cap(tmp_path, capsys):
+    """The deepest index the cap allows is scanned: a cofinite family
+    whose scan ends at index 200000 runs."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "family": {"kind": "cofinite", "sequence": "powers2",
+                   "start": 199_998},
+        "probes": [1], "budgets": {"n_max": 1, "depth": 2, "max_len": 1}}))
+    code, _, err = run(["hausdorff", str(cfg)], capsys)
+    assert code != 1, err
 
 
 @pytest.mark.parametrize("config, digest", [
@@ -1894,8 +1958,8 @@ def test_recheck_dispatches_on_the_exact_claim_kind(tmp_path, capsys):
     code, out, _ = run(["recheck", str(report)], capsys)
     assert code == 0, out
     assert "  ok     hausdorff:a-necessary:g=1:n=1" in out.splitlines()
-    report.write_text(json.dumps({"schema": 1, "status": "verified",
-                                  "claims": [
+    report.write_text(json.dumps({"schema": SCHEMA_VERSION,
+                                  "status": "verified", "claims": [
         {"claim": "foo:1", "status": "verified", "payload": {}},
         {"claim": "product-union-small:N=6:n=1", "status": "verified",
          "payload": {"matches": True}, "budgets": {"n": 1}},
@@ -1920,9 +1984,10 @@ def _emptied(doc):
     (["hausdorff", str(CONFIGS / "sqrt7.json")], _emptied,
      ["  FAIL   document: no claims"]),
     (["hausdorff", str(CONFIGS / "sqrt7.json")],
-     lambda doc: doc.update(schema=99),
+     lambda doc: doc.update(schema=SCHEMA_VERSION + 98),
      ["  ok     hausdorff:sqrt7",
-      "  FAIL   document: the replay gives schema 1, the report 99"]),
+      f"  FAIL   document: the replay gives schema {SCHEMA_VERSION}, the "
+      f"report {SCHEMA_VERSION + 98}"]),
     (["hausdorff", str(CONFIGS / "sqrt7.json")],
      lambda doc: doc.update(note=""),
      ["  ok     hausdorff:sqrt7",
@@ -1968,7 +2033,8 @@ def test_recheck_takes_duplicate_ids_in_id_order(tmp_path, capsys):
 
 def test_recheck_claim_without_id_fails(tmp_path, capsys):
     report = tmp_path / "report.json"
-    report.write_text(json.dumps({"schema": 1, "status": "verified",
+    report.write_text(json.dumps({"schema": SCHEMA_VERSION,
+                                  "status": "verified",
                                   "claims": [{"status": "verified",
                                               "payload": {}}]}))
     code, out, _ = run(["recheck", str(report)], capsys)

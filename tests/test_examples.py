@@ -21,7 +21,7 @@ from grouptop.examples import (
     verify_sqrt7_necessary,
 )
 from grouptop.report import Status
-from grouptop.setspec import EnumerationBudgetError
+from grouptop.setspec import EnumerationBudgetError, FoldTable
 
 Z = Integers()
 
@@ -78,7 +78,7 @@ def test_sqrt7_sets_frozen():
 # --- necessary condition ---
 
 def test_necessary_g1_n1():
-    rep = verify_sqrt7_necessary(1, 1)
+    rep = verify_sqrt7_necessary(1, 1, FoldTable())
     assert rep.status is Status.VERIFIED
     assert rep.payload["k"] == 2
 
@@ -88,7 +88,7 @@ def test_necessary_g3_n2():
     targets = [9 - 7 * m * m for m in range(3)]
     assert targets == [9, 2, -19]
     # 3 | 9 and 9 | 9, so k = 3 is the first level dividing none
-    rep = verify_sqrt7_necessary(3, 2)
+    rep = verify_sqrt7_necessary(3, 2, FoldTable())
     assert rep.status is Status.VERIFIED
     assert rep.payload["k"] == 3
     assert rep.payload["divisibility_targets"] == targets
@@ -96,18 +96,18 @@ def test_necessary_g3_n2():
 
 def test_necessary_rejects_zero():
     with pytest.raises(ValueError):
-        verify_sqrt7_necessary(0, 1)
+        verify_sqrt7_necessary(0, 1, FoldTable())
 
 
 def test_necessary_sign_symmetric():
-    assert verify_sqrt7_necessary(-5, 2).payload["k"] == \
-        verify_sqrt7_necessary(5, 2).payload["k"]
+    assert verify_sqrt7_necessary(-5, 2, FoldTable()).payload["k"] == \
+        verify_sqrt7_necessary(5, 2, FoldTable()).payload["k"]
 
 
 # --- full cover over the integers ---
 
 def test_cover_m0_1_trivial():
-    rep = verify_sqrt7_U_full(1, [1, 1, 1], [0, 1, -4])
+    rep = verify_sqrt7_U_full(1, [1, 1, 1], [0, 1, -4], FoldTable())
     assert rep.status is Status.VERIFIED
 
 
@@ -132,14 +132,14 @@ def test_cover_witness_lifted_levels_g5():
 
 def test_cover_report_mixed_levels():
     rep = verify_sqrt7_U_full(2, [1, 2, 3, 4, 5, 1, 2, 3, 4],
-                              list(range(-10, 11)))
+                              list(range(-10, 11)), FoldTable())
     assert rep.status is Status.VERIFIED
     assert rep.payload["sum_equals_all_residues"]
 
 
 def test_cover_rejects_wrong_length():
     with pytest.raises(ValueError):
-        verify_sqrt7_U_full(2, [2] * 8, [1])
+        verify_sqrt7_U_full(2, [2] * 8, [1], FoldTable())
 
 
 # --- product boxes ---
@@ -173,7 +173,7 @@ def test_product_cover_identity_witness():
 
 def test_product_cover_report_random():
     samples = random_product_elements(6, 50, seed=3)
-    rep = verify_product_sum_full(6, 3, [4, 5, 6], samples)
+    rep = verify_product_sum_full(6, 3, [4, 5, 6], samples, FoldTable())
     assert rep.status is Status.VERIFIED
 
 
@@ -183,17 +183,18 @@ def test_product_cover_refuses_levels_its_id_cannot_name():
     assert product_cover_levels(6, 2) == [3, 4]
     assert product_cover_levels(4, 3) == [4, 4, 4]
     with pytest.raises(ValueError, match="follower levels"):
-        verify_product_sum_full(6, 2, [2, 2], [])
+        verify_product_sum_full(6, 2, [2, 2], [], FoldTable())
 
 
 @pytest.mark.parametrize("build", [
-    lambda: verify_product_union_small(1000, 1),
-    lambda: verify_product_union_small(6, 10 ** 5),
+    lambda: verify_product_union_small(1000, 1, FoldTable()),
+    lambda: verify_product_union_small(6, 10 ** 5, FoldTable()),
     lambda: product_cover_levels(10 ** 9, 10 ** 9),
     lambda: random_product_elements(6, 40_000, seed=3),
     lambda: verify_product_sum_full(
-        6, 3, [4, 5, 6], [ProductMod(6).identity()] * 10_000),
-    lambda: verify_sqrt7_U_full(2, [2] * 9, range(-10_000, 10_001)),
+        6, 3, [4, 5, 6], [ProductMod(6).identity()] * 10_000, FoldTable()),
+    lambda: verify_sqrt7_U_full(2, [2] * 9, range(-10_000, 10_001),
+                                FoldTable()),
 ], ids=["union-N-1000", "union-n-10^5", "cover-m0-10^9", "samples-40000",
         "product-cover-witnesses", "sqrt7-cover-witnesses"])
 def test_product_claims_refuse_past_the_cap(build):
@@ -207,7 +208,7 @@ def test_product_claims_refuse_past_the_cap(build):
 
 
 def test_union_small_n1():
-    rep = verify_product_union_small(6, 1)
+    rep = verify_product_union_small(6, 1, FoldTable())
     assert rep.status is Status.VERIFIED
     # coordinate 4 misses residue 2, giving the excluded element
     assert rep.payload["excluded_element"] == [0, 0, 0, 2, 0, 0]
@@ -216,13 +217,13 @@ def test_union_small_n1():
 
 
 def test_union_small_n2_coordinate6():
-    rep = verify_product_union_small(6, 2)
+    rep = verify_product_union_small(6, 2, FoldTable())
     assert rep.status is Status.VERIFIED
     assert rep.payload["intersection"]["allowed"][5] == [0, 1, 2, 4, 5]
 
 
 def test_union_small_truncation_artifact():
-    rep = verify_product_union_small(4, 4)
+    rep = verify_product_union_small(4, 4, FoldTable())
     assert rep.status is Status.VERIFIED
     assert rep.payload["whole_group"] and rep.payload["truncation_artifact"]
 
@@ -231,7 +232,7 @@ def test_union_small_matches_brute_force():
     # independent oracle: enumerate all 720 elements and test membership in
     # every n-fold box directly from the small-representability definition
     n_coords, n = 6, 1
-    rep = verify_product_union_small(n_coords, n)
+    rep = verify_product_union_small(n_coords, n, FoldTable())
     inter = rep.payload["intersection"]
     import itertools
     g6 = ProductMod(n_coords)
@@ -249,7 +250,7 @@ def test_union_small_matches_brute_force():
 # --- intervals ---
 
 def test_interval_example_verified():
-    rep = verify_interval_example(10)
+    rep = verify_interval_example(10, FoldTable())
     assert rep.status is Status.VERIFIED
     assert rep.payload["one_outside_unit_interval"]
     sched = rep.payload["schedule"]

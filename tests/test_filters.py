@@ -24,6 +24,7 @@ from grouptop import (
 from grouptop.examples import sqrt7_set
 from grouptop.filters import recheck_certificate
 from grouptop.report import Status
+from grouptop.setspec import FoldTable
 
 Z = Integers()
 
@@ -68,12 +69,14 @@ def test_chain_validation_rejects_non_decreasing():
 # --- cupcap ---
 
 def test_cupcap_sqrt7_g1():
-    res = cupcap_check(Z.element(1), 1, sqrt7_family(), depth=8)
+    res = cupcap_check(Z.element(1), 1, sqrt7_family(), depth=8,
+                       table=FoldTable())
     assert res.found and res.member == sqrt7_set(2)
 
 
 def test_cupcap_sqrt7_g7_n2_with_crude_level_bound():
-    res = cupcap_check(Z.element(7), 2, sqrt7_family(), depth=8)
+    res = cupcap_check(Z.element(7), 2, sqrt7_family(), depth=8,
+                       table=FoldTable())
     assert res.found
     # the crude level bound: 3^k > max(49, 28) gives k = 4, and the found
     # member may sit earlier in the chain
@@ -82,16 +85,22 @@ def test_cupcap_sqrt7_g7_n2_with_crude_level_bound():
 
 
 def test_chain_and_cofinite_members_are_built_once_per_index():
-    """A family hands out one object per index, so the fold table's
-    entries for a member are found by identity as well as by value."""
+    """A command's table hands out one object per member index, so its
+    entries for a member are found by identity as well as by value; the
+    family itself keeps nothing."""
     for fam in [sqrt7_family(), CofiniteFamily("powers3", 2)]:
-        assert fam.member(3) is fam.member(3)
-        assert fam.member(3) is not fam.member(4)
+        table = FoldTable()
+        member = table.level(fam.member, 3)
+        assert member is table.level(fam.member, 3)
+        assert member is table.intern(fam.member(3))
+        assert member is not table.level(fam.member, 4)
+        assert fam.member(3) == member
+        assert not hasattr(fam, "_cache")
 
 
 def test_cupcap_cofinite_with_brute_force_oracle():
     fam = CofiniteFamily("powers3")
-    res = cupcap_check(Z.element(5), 2, fam, depth=8)
+    res = cupcap_check(Z.element(5), 2, fam, depth=8, table=FoldTable())
     assert res.found
     member = res.member
     # oracle: all 2-element signed sums from the capped tail avoid 5
@@ -104,7 +113,7 @@ def test_cupcap_cofinite_with_brute_force_oracle():
 def test_cupcap_found_is_monotone_in_n():
     fam = sqrt7_family()
     for g in [1, 2, 7]:
-        res = cupcap_check(Z.element(g), 3, fam, depth=10)
+        res = cupcap_check(Z.element(g), 3, fam, depth=10, table=FoldTable())
         assert res.found
         for m in (1, 2, 3):
             folded = n_fold_star(res.member, m)
@@ -113,14 +122,15 @@ def test_cupcap_found_is_monotone_in_n():
 
 def test_cupcap_rejects_identity():
     with pytest.raises(ValueError):
-        cupcap_check(Z.element(0), 1, sqrt7_family(), depth=3)
+        cupcap_check(Z.element(0), 1, sqrt7_family(), depth=3,
+                     table=FoldTable())
 
 
 # --- separating sequences ---
 
 def test_separating_sqrt7_sticks_at_step_one():
     res = separating_sequence(Z.element(1), sqrt7_family(),
-                              max_len=5, depth=8)
+                              max_len=5, depth=8, table=FoldTable())
     assert isinstance(res, StuckReport)
     assert res.step == 1
     assert [s.member for s in res.prefix] == [sqrt7_set(2)]
@@ -131,12 +141,12 @@ def test_separating_sqrt7_sticks_at_step_one():
 
 def test_separating_cofinite_builds_length5():
     cert = separating_sequence(Z.element(1), CofiniteFamily("powers3"),
-                               max_len=5, depth=12)
+                               max_len=5, depth=12, table=FoldTable())
     assert isinstance(cert, SeparationCertificate)
     assert len(cert) == 5
     starts = [s.member.start for s in cert.steps]
     assert starts == sorted(starts) and len(set(starts)) == 5
-    assert recheck_certificate(cert)
+    assert recheck_certificate(cert, FoldTable())
 
 
 def test_separating_over_nonabelian_family():
@@ -159,7 +169,8 @@ def test_separating_over_nonabelian_family():
     for g in d4.elements():
         if g.is_identity():
             continue
-        res = separating_sequence(g, fam, max_len=4, depth=2)
+        res = separating_sequence(g, fam, max_len=4, depth=2,
+                                  table=FoldTable())
         assert isinstance(res, (SeparationCertificate, StuckReport)), str(g)
         members = [step.member for step in
                    (res.steps if isinstance(res, SeparationCertificate)
@@ -175,12 +186,14 @@ def test_separating_over_nonabelian_family():
 
 def test_separating_rejects_identity():
     with pytest.raises(ValueError):
-        separating_sequence(Z.element(0), sqrt7_family(), max_len=3, depth=3)
+        separating_sequence(Z.element(0), sqrt7_family(), max_len=3, depth=3,
+                            table=FoldTable())
 
 
 def test_separating_trivial_explicit_family():
     fam = ExplicitFamily([FiniteSet.of(Z, [0])])
-    cert = separating_sequence(Z.element(4), fam, max_len=3, depth=2)
+    cert = separating_sequence(Z.element(4), fam, max_len=3, depth=2,
+                               table=FoldTable())
     assert isinstance(cert, SeparationCertificate) and len(cert) == 3
 
 
@@ -189,23 +202,25 @@ def test_necessity_invariant_on_corpus():
     # the certificate length
     fam = CofiniteFamily("powers3")
     for g in [1, 2, 5, 10, 27]:
-        cert = separating_sequence(Z.element(g), fam, max_len=4, depth=12)
+        cert = separating_sequence(Z.element(g), fam, max_len=4, depth=12,
+                                   table=FoldTable())
         assert isinstance(cert, SeparationCertificate)
         for n in range(1, len(cert) + 1):
-            assert cupcap_check(Z.element(g), n, fam, depth=12).found
+            assert cupcap_check(Z.element(g), n, fam, depth=12,
+                                table=FoldTable()).found
 
 
 def test_separation_determinism():
     a = separating_sequence(Z.element(7), CofiniteFamily("powers3"),
-                            max_len=4, depth=12)
+                            max_len=4, depth=12, table=FoldTable())
     b = separating_sequence(Z.element(7), CofiniteFamily("powers3"),
-                            max_len=4, depth=12)
+                            max_len=4, depth=12, table=FoldTable())
     assert a.to_json() == b.to_json()
 
 
 def test_certificate_steps_brute_force_recheck(budget_sums):
     cert = separating_sequence(Z.element(2), CofiniteFamily("powers3"),
-                               max_len=4, depth=12)
+                               max_len=4, depth=12, table=FoldTable())
     members = cert.members()
     for n in range(1, len(members) + 1):
         assert 2 not in budget_sums(2, members[:n])

@@ -35,6 +35,7 @@ from grouptop.nonabelian import (
     verify_fib_identity,
 )
 from grouptop.report import Status, canonical_json, report_document
+from grouptop.setspec import FoldTable
 
 Z = Integers()
 D4_NAMES = ["e", "r", "r2", "r3", "s", "rs", "r2s", "r3s"]
@@ -791,7 +792,7 @@ def test_cupcap_nonab_reflection_excluded():
     d4 = dihedral8()
     fam = ExplicitFamily([FiniteSet.of(d4, ["r"])])
     for n in (1, 2, 3, 4):
-        res = cupcap_check(d4.element("s"), n, fam, depth=2)
+        res = cupcap_check(d4.element("s"), n, fam, depth=2, table=FoldTable())
         assert res.found  # powers of the rotation never reach a reflection
         assert (res.member_index, res.checked) == (0, 1)
 
@@ -799,8 +800,10 @@ def test_cupcap_nonab_reflection_excluded():
 def test_cupcap_nonab_rotation_not_excluded():
     d4 = dihedral8()
     fam = ExplicitFamily([FiniteSet.of(d4, ["r"])])
-    assert not cupcap_check(d4.element("r"), 1, fam, depth=2).found
-    assert not cupcap_check(d4.element("r2"), 2, fam, depth=2).found
+    assert not cupcap_check(d4.element("r"), 1, fam, depth=2,
+                            table=FoldTable()).found
+    assert not cupcap_check(d4.element("r2"), 2, fam, depth=2,
+                            table=FoldTable()).found
 
 
 def test_cupcap_nonab_matches_product_enumeration():
@@ -819,7 +822,7 @@ def test_cupcap_nonab_matches_product_enumeration():
         for g in d4.elements():
             if g.is_identity():
                 continue
-            res = cupcap_check(g, n, fam, depth=3)
+            res = cupcap_check(g, n, fam, depth=3, table=FoldTable())
             missing = [i for i, p in enumerate(products) if g.value not in p]
             assert res.found == bool(missing), (n, str(g))
             assert res.skipped_unknown == 0

@@ -8,6 +8,7 @@ import pytest
 
 from grouptop import (
     FiniteSet,
+    FoldTable,
     Integers,
     ResidueSet,
     SymmetricInterval,
@@ -35,47 +36,47 @@ def assert_witness_ok(res, g, chain):
 
 def test_identity_in_any_chain():
     chain = [sqrt7_set(2), TailSet.of("powers3", 1)]
-    res = prefix_sum_membership(Z.element(0), chain)
+    res = prefix_sum_membership(Z.element(0), chain, FoldTable())
     assert res.is_yes()
     assert all(s.value == 0 for s in res.witness)
 
 
 def test_empty_chain_is_identity_only():
-    assert prefix_sum_membership(Z.element(0), []).is_yes()
-    assert prefix_sum_membership(Z.element(3), []).is_no()
+    assert prefix_sum_membership(Z.element(0), [], FoldTable()).is_yes()
+    assert prefix_sum_membership(Z.element(3), [], FoldTable()).is_no()
 
 
 def test_sqrt7_two_sets_contain_one():
     # oracle: 5 + 5 = 10 = 1 mod 9, so 1 lies in the two-fold class sum
     chain = [sqrt7_set(2), sqrt7_set(2)]
-    res = prefix_sum_membership(Z.element(1), chain)
+    res = prefix_sum_membership(Z.element(1), chain, FoldTable())
     assert_witness_ok(res, Z.element(1), chain)
 
 
 def test_sqrt7_single_set_excludes_one():
-    res = prefix_sum_membership(Z.element(1), [sqrt7_set(2)])
+    res = prefix_sum_membership(Z.element(1), [sqrt7_set(2)], FoldTable())
     assert res.is_no()
 
 
 def test_mixed_modulus_chain_witness():
     # needs the CRT representative: 1 = 14 + (-13) across levels 2 and 3
     chain = [sqrt7_set(2), sqrt7_set(3)]
-    res = prefix_sum_membership(Z.element(1), chain)
+    res = prefix_sum_membership(Z.element(1), chain, FoldTable())
     assert_witness_ok(res, Z.element(1), chain)
 
 
 def test_interval_chain_witness_exact():
     q = Rationals()
     chain = [SymmetricInterval.of(1), SymmetricInterval.of("1/4")]
-    res = prefix_sum_membership(q.element(1), chain)
+    res = prefix_sum_membership(q.element(1), chain, FoldTable())
     assert_witness_ok(res, q.element(1), chain)
-    out = prefix_sum_membership(q.element(2), chain)
+    out = prefix_sum_membership(q.element(2), chain, FoldTable())
     assert out.is_no()
 
 
 def test_tail_chain_divisor_exclusion():
     chain = [TailSet.of("powers3", 2), TailSet.of("powers3", 3)]
-    res = prefix_sum_membership(Z.element(5), chain)
+    res = prefix_sum_membership(Z.element(5), chain, FoldTable())
     assert res.is_no()
     assert res.proof["route"] == "divisor"
     assert res.proof["chain_divisor"] == 9
@@ -83,7 +84,7 @@ def test_tail_chain_divisor_exclusion():
 
 def test_tail_chain_witness_found():
     chain = [TailSet.of("powers3", 0), TailSet.of("powers3", 1)]
-    res = prefix_sum_membership(Z.element(4), chain)
+    res = prefix_sum_membership(Z.element(4), chain, FoldTable())
     assert_witness_ok(res, Z.element(4), chain)  # 1 + 3
 
 
@@ -91,7 +92,7 @@ def test_tail_chain_envelope_exclusion():
     # signed sums of two powers of 3 never reach 5; the residue envelope
     # modulo 27 certifies it exactly
     chain = [TailSet.of("powers3", 0), TailSet.of("powers3", 0)]
-    res = prefix_sum_membership(Z.element(5), chain)
+    res = prefix_sum_membership(Z.element(5), chain, FoldTable())
     assert res.is_no()
     assert res.proof["route"] == "residue-envelope"
 
@@ -100,14 +101,16 @@ def test_tail_chain_unknown_is_honest():
     # Fibonacci tails carry no divisor structure, so nothing upgrades the
     # failed bounded search to an exact exclusion
     chain = [TailSet.of("fibonacci", 0), TailSet.of("fibonacci", 0)]
-    res = prefix_sum_membership(Z.element(40), chain)
+    res = prefix_sum_membership(Z.element(40), chain, FoldTable())
     assert res.status == "unknown"
 
 
 def test_single_tail_set_exact_membership():
-    res = prefix_sum_membership(Z.element(-27), [TailSet.of("powers3", 2)])
+    res = prefix_sum_membership(Z.element(-27), [TailSet.of("powers3", 2)],
+                                FoldTable())
     assert res.is_yes()
-    res2 = prefix_sum_membership(Z.element(5), [TailSet.of("powers3", 0)])
+    res2 = prefix_sum_membership(Z.element(5), [TailSet.of("powers3", 0)],
+                                 FoldTable())
     assert res2.is_no()
     assert res2.proof["route"] == "single-set"
 
@@ -120,13 +123,13 @@ def test_monotonicity_yes_extends():
         sets = [ResidueSet.of(mod, {rng.randrange(mod) for _ in range(2)})
                 for _ in range(rng.randint(1, 3))]
         g = Z.element(rng.randrange(-20, 21))
-        res = prefix_sum_membership(g, sets)
+        res = prefix_sum_membership(g, sets, FoldTable())
         if not res.is_yes():
             continue
         cases += 1
         extended = sets + [rng.choice([ResidueSet.of(9, {7}),
                                        FiniteSet.of(Z, [2, 4])])]
-        assert prefix_sum_membership(g, extended).is_yes()
+        assert prefix_sum_membership(g, extended, FoldTable()).is_yes()
 
 
 def test_witness_reverification_bulk():
@@ -144,7 +147,7 @@ def test_witness_reverification_bulk():
                                       for _ in range(rng.randint(1, 4))])
                      for _ in range(rng.randint(1, 3))]
         g = Z.element(rng.randrange(-30, 31))
-        res = prefix_sum_membership(g, chain)
+        res = prefix_sum_membership(g, chain, FoldTable())
         if res.is_yes():
             assert_witness_ok(res, g, chain)
             verified += 1
@@ -165,7 +168,7 @@ def test_two_set_d4_chains_against_brute_force():
         reachable = {op_sum(d4, pair).value for pair in itertools.product(
             star(a).base.elements(), star(b).base.elements())}
         for g in d4.elements():
-            res = prefix_sum_membership(g, chain)
+            res = prefix_sum_membership(g, chain, FoldTable())
             assert res.status in ("yes", "no")
             assert res.is_yes() == (g.value in reachable), (chain, str(g))
             if res.is_yes():
@@ -179,11 +182,11 @@ def test_bounded_search_budget_respected():
     # value_cap_factor * 2 * |2| = 4, so the search stays unknown
     assert witness_holds(Z.element(2), [Z.element(1002), Z.element(-1000)],
                          chain)
-    res = prefix_sum_membership(Z.element(2), chain)
+    res = prefix_sum_membership(Z.element(2), chain, FoldTable())
     assert res.status == "unknown"
     assert res.proof == {"route": "bounded-search", "budget": SEARCH_BUDGET}
     # 6 = 3 + 3 lies inside the cap 2 * |6| = 12
-    res = prefix_sum_membership(Z.element(6), chain)
+    res = prefix_sum_membership(Z.element(6), chain, FoldTable())
     assert res.is_yes() and [s.value for s in res.witness] == [3, 3]
 
 
@@ -192,10 +195,10 @@ def test_decomposition_recheck_agrees(budget_sums):
     a "yes"."""
     chain = [TailSet.of("powers3", 1), TailSet.of("powers3", 2)]
     assert 5 not in budget_sums(5, chain)
-    assert prefix_sum_membership(Z.element(5), chain).is_no()
+    assert prefix_sum_membership(Z.element(5), chain, FoldTable()).is_no()
     chain2 = [TailSet.of("powers3", 0), TailSet.of("powers3", 1)]
     assert 4 in budget_sums(4, chain2)
-    assert prefix_sum_membership(Z.element(4), chain2).is_yes()
+    assert prefix_sum_membership(Z.element(4), chain2, FoldTable()).is_yes()
 
 
 def first_in_product_order(g: int, lists):
@@ -206,7 +209,7 @@ def assert_matches_product_order(g: int, chain, lists):
     """Same status and the identical witness as the first tuple of
     itertools.product over the candidate lists; returns the result."""
     expected = first_in_product_order(g, lists)
-    res = prefix_sum_membership(Z.element(g), chain)
+    res = prefix_sum_membership(Z.element(g), chain, FoldTable())
     if expected is None:
         complete = all(isinstance(spec, FiniteSet) for spec in chain)
         assert res.status == "no" if complete else res.status != "yes"
@@ -373,12 +376,12 @@ def test_finite_chains_fold_and_other_groups_never_plan_a_search(
         if not all_finite:
             chain[rng.randrange(len(chain))] = others[group]()
         g = GroupElement(group, rng.choice(pools[group]))
-        res = prefix_sum_membership(g, chain)
+        res = prefix_sum_membership(g, chain, FoldTable())
         if all_finite and not g.is_identity():
             assert res.proof["route"] == "exact-fold", (chain, g)
             folded += 1
     wide = FiniteSet.of(Z, range(500))
-    res = prefix_sum_membership(Z.element(1), [wide, wide])
+    res = prefix_sum_membership(Z.element(1), [wide, wide], FoldTable())
     assert res.status == "unknown" and res.proof == {
         "route": "exact-fold", "enumeration_cap": 200_000}
     assert folded >= 80
@@ -407,12 +410,12 @@ def test_uncertified_tails_skip_divisor_scans(monkeypatch):
         starts = [rng.randint(0, 4) for _ in range(rng.randint(2, 4))]
         g = Z.element(rng.choice([v for v in range(-40, 41) if v]))
         expected = prefix_sum_membership(
-            g, [TailSet.of(scanned, t) for t in starts])
+            g, [TailSet.of(scanned, t) for t in starts], FoldTable())
         calls.clear()
         with monkeypatch.context() as patch:
             patch.setattr(IntegerSequence, "tail_divisor", spy)
             res = prefix_sum_membership(g, [TailSet.of(fib, t)
-                                            for t in starts])
+                                            for t in starts], FoldTable())
         assert len(calls) <= len(starts)
         assert res == expected, (g, starts)
         routes.add((res.status, res.proof["route"]))
@@ -425,7 +428,8 @@ def test_hausdorff_reads_each_tail_divisor_once_per_window(
     """One ``hausdorff`` run on the shipped powers3 config reads every
     tail divisor through its command's table: at most one
     ``tail_divisor`` call per (sequence, start, index) of the table's
-    windows, where each membership used to rescan its tails."""
+    windows and one per tail whose divisor certificate it keeps, where
+    each membership used to rescan its tails."""
     from collections import Counter
     from pathlib import Path
 
@@ -455,6 +459,8 @@ def test_hausdorff_reads_each_tail_divisor_once_per_window(
     windows = Counter()
     for (seq, start), window in table._divisors.items():
         windows.update((seq.name, start + i) for i in range(len(window)))
+    windows.update((spec.base.sequence.name, spec.base.start)
+                   for spec in table._certificates)  # the chains' stars
     assert calls and all(n <= windows[key] for key, n in calls.items()), \
         (calls, windows)
     assert sum(calls.values()) <= sum(windows.values()) < 200
@@ -462,4 +468,5 @@ def test_hausdorff_reads_each_tail_divisor_once_per_window(
 
 def test_chain_must_share_ambient_group():
     with pytest.raises(ValueError):
-        prefix_sum_membership(Z.element(1), [SymmetricInterval.of(1)])
+        prefix_sum_membership(Z.element(1), [SymmetricInterval.of(1)],
+                              FoldTable())

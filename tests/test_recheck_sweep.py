@@ -24,6 +24,7 @@ from grouptop import examples as ex
 from grouptop.nonabelian import verify_fib_identity, verify_fib_words
 from grouptop.recheck import recheck_document
 from grouptop.report import canonical_json, report_document
+from grouptop.setspec import FoldTable
 
 PER_PATTERN = 6
 
@@ -164,7 +165,7 @@ def test_every_sqrt7_necessary_edit_fails():
 
 def _sqrt7_necessary() -> dict:
     return json.loads(canonical_json(report_document(
-        [ex.verify_sqrt7_necessary(2, 2)])))
+        [ex.verify_sqrt7_necessary(2, 2, FoldTable())])))
 
 
 @pytest.mark.parametrize("name", [*sorted(REPORTS), "sqrt7-necessary"])
@@ -245,15 +246,17 @@ SMALL = {
     "hausdorff": lambda: hausdorff_verdict(
         family_from_json(REPORTS["powers3"][0]), [Integers().element(1)],
         1, 2, 1),
-    "sqrt7-necessary": lambda: ex.verify_sqrt7_necessary(1, 1),
+    "sqrt7-necessary": lambda: ex.verify_sqrt7_necessary(1, 1, FoldTable()),
     "hensel": lambda: ex.verify_hensel(7, 3, 2),
     "sqrt7-cover": lambda: ex.verify_sqrt7_U_full(
-        1, ex.sqrt7_cover_levels(1), [2]),
+        1, ex.sqrt7_cover_levels(1), [2], FoldTable()),
     "product-cover": lambda: ex.verify_product_sum_full(
         4, 2, ex.product_cover_levels(4, 2),
-        ex.random_product_elements(4, 1, 7)),
-    "product-union-small": lambda: ex.verify_product_union_small(3, 1),
-    "interval-no-extension": lambda: ex.verify_interval_example(2),
+        ex.random_product_elements(4, 1, 7), FoldTable()),
+    "product-union-small": lambda: ex.verify_product_union_small(3, 1,
+                                                                 FoldTable()),
+    "interval-no-extension": lambda: ex.verify_interval_example(2,
+                                                                FoldTable()),
     "fibonacci-words": lambda: verify_fib_words(3),
     "fibonacci-commutator": lambda: verify_fib_identity(2),
 }

@@ -422,8 +422,9 @@ def test_fold_table_tail_reads_match_uncached(data):
     and repeated, in any order: member values (and the scan-cap error
     past ``_SCAN_CAP`` terms, with its message), the first divisor above
     a threshold or a multiple of a modulus in a window, the residue
-    envelope of a tail and of its star per modulus, None included, and
-    the divisor certificate."""
+    envelope of a tail and of its star per modulus, None included (the
+    uncached one read through a fresh table), and the divisor
+    certificate."""
     from grouptop import sequences
     seq = _tail_sequence(data, "table-drawn")
     table = FoldTable()
@@ -458,7 +459,7 @@ def test_fold_table_tail_reads_match_uncached(data):
                 m = small % 30 + 1
                 for each in (spec, star(tail) if spec is tail else tail):
                     assert table.residue_envelope(each, m) == \
-                        residue_envelope(each, m)
+                        residue_envelope(each, m, FoldTable())
             else:
                 for each in (spec, star(tail) if spec is tail else tail):
                     assert table.divisor_certificate(each) == \
@@ -682,14 +683,14 @@ def test_tails_agree_with_brute_force():
         if terms[tail.start:]:
             moduli.add(abs(terms[-1]))  # a divisor of the last tail only
         for m in moduli:
-            env = residue_envelope(tail, m)
+            env = residue_envelope(tail, m, FoldTable())
             if env is None:
                 if seq.length is not None:
                     cap_bound += tail.start + 65 < seq.length
                 continue
             decided += 1
             assert env == {x % m for x in admitted}, (tail, m)
-            assert residue_envelope(star(tail), m) == \
+            assert residue_envelope(star(tail), m, FoldTable()) == \
                 env | {0} | {-r % m for r in env}, (tail, m)
     assert cap_bound and decided
 
@@ -706,11 +707,11 @@ def test_residue_envelope_modulo_one_sees_only_whether_a_set_is_empty():
                  TailSet.of("fibonacci", 4, excluded={4, 5}),
                  BoxSet.of(3, [{0}]), SymmetricInterval.of("1/2")]
     for spec in empty:
-        assert residue_envelope(spec, 1) == frozenset(), spec
+        assert residue_envelope(spec, 1, FoldTable()) == frozenset(), spec
     for spec in empty + inhabited:
-        assert residue_envelope(star(spec), 1) == {0}, spec
+        assert residue_envelope(star(spec), 1, FoldTable()) == {0}, spec
     for spec in inhabited:
-        assert residue_envelope(spec, 1) == {0}, spec
+        assert residue_envelope(spec, 1, FoldTable()) == {0}, spec
 
 
 # --- JSON round-trips ---
@@ -763,13 +764,14 @@ def test_residue_envelope_is_sized_before_it_is_built():
     import tracemalloc
     tracemalloc.start()
     try:
-        envelope = residue_envelope(ResidueSet.of(2, [1]), 3628800)
+        envelope = residue_envelope(ResidueSet.of(2, [1]), 3628800,
+                                    FoldTable())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert envelope is None and peak < 2 ** 20, peak
-    assert residue_envelope(ResidueSet.of(2, [1]), 8194) is None
-    assert residue_envelope(ResidueSet.of(2, [1]), 8192) == \
+    assert residue_envelope(ResidueSet.of(2, [1]), 8194, FoldTable()) is None
+    assert residue_envelope(ResidueSet.of(2, [1]), 8192, FoldTable()) == \
         frozenset(range(1, 8192, 2))
 
 

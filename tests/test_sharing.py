@@ -137,3 +137,54 @@ def test_shared_descriptions_write_the_bytes_of_unshared_copies(
     text = canonical_json(doc)
     assert canonical_json(json.loads(text)) == text
     assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def _rechecked_table(monkeypatch, capsys, tmp_path, argv) -> tuple:
+    """(table, document): the one table ``recheck_document`` builds to
+    recheck the report ``argv`` writes, and that report."""
+    from grouptop import recheck
+
+    report = tmp_path / "report.json"
+    assert cli.main(argv + ["--out", str(report)]) == 0
+    capsys.readouterr()
+    doc = json.loads(report.read_text())
+    tables = []
+
+    def recorded():
+        tables.append(FoldTable())
+        return tables[-1]
+
+    monkeypatch.setattr(recheck, "FoldTable", recorded)
+    ok, details = recheck.recheck_document(doc)
+    assert ok, details
+    table, = tables
+    return table, doc
+
+
+def test_recheck_replays_the_examples_through_its_one_table(
+        monkeypatch, capsys, tmp_path):
+    """The replayers of the examples whose producers fold sets pass the
+    recheck's table on: the two product-union-small claims of one
+    document extend one n-fold list, and a sqrt7 cover's fold is the
+    table's interned suffix fold."""
+    table, doc = _rechecked_table(
+        monkeypatch, capsys, tmp_path,
+        ["verify", "product", "--m0", "2", "--union-n", "1", "2",
+         "--samples", "1"])
+    unions = [c for c in doc["claims"]
+              if c["claim"].startswith("product-union-small:")]
+    assert len(unions) == 2
+    (folds,) = table._n_folds.values()
+    assert [f.to_json() for f in folds] == \
+        [c["payload"]["intersection"] for c in unions]
+
+    table, doc = _rechecked_table(
+        monkeypatch, capsys, tmp_path,
+        ["verify", "sqrt7", "--gmax", "1", "--nmax", "1",
+         "--cover-m0", "1", "--cover-gmax", "2"])
+    (cover,) = [c for c in doc["claims"]
+                if c["claim"].startswith("sqrt7-cover:")]
+    fold = spec_from_json(cover["payload"]["fold"])
+    (suffix,) = table._suffix_folds.values()
+    assert table.intern(fold) is suffix[0]
+    assert table.level(ex.sqrt7_set, 1) is suffix[-1]

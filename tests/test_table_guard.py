@@ -1,0 +1,79 @@
+"""One FoldTable per command, passed down.
+
+An ``ast`` scan of ``src/grouptop``: each command builds its table at
+the top and hands it to everything below, so no function takes a table
+that defaults to None (and so builds a throwaway one), and ``FoldTable()``
+is called only where a command starts, plus the one-call wrapper
+``setspec.n_fold_star``.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "grouptop"
+
+# module.function -> the command (or wrapper) whose table it builds.
+BUILDERS = {
+    "cli._cmd_verify": "verify",
+    "filters.hausdorff_verdict": "hausdorff",
+    "recheck.recheck_document": "recheck",
+    "setspec.n_fold_star": "the one-call wrapper the bench tracer wraps",
+}
+
+
+def _functions():
+    """(module.qualified name, function node) for every function."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        todo = [(path.stem, node) for node in tree.body]
+        while todo:
+            prefix, node = todo.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                name = f"{prefix}.{node.name}"
+                if not isinstance(node, ast.ClassDef):
+                    yield name, node
+                todo += [(name, child) for child in node.body]
+
+
+def _table_builders() -> set:
+    """The innermost function around each ``FoldTable()`` call, or the
+    module for a call outside every function."""
+    found = set()
+
+    def visit(node, owner: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef, ast.Lambda)):
+            name = getattr(node, "name", "<lambda>")
+            owner = f"{owner}.{name}"
+        if isinstance(node, ast.Call) and "FoldTable" in (
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None)):
+            found.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return found
+
+
+def _defaults(args: ast.arguments):
+    """(parameter, default) for every parameter that has a default."""
+    positional = args.posonlyargs + args.args
+    yield from zip(positional[len(positional) - len(args.defaults):],
+                   args.defaults)
+    yield from ((a, d) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                if d is not None)
+
+
+def test_no_function_takes_a_table_that_defaults_to_none():
+    optional = [name for name, fn in _functions()
+                for arg, default in _defaults(fn.args)
+                if arg.arg == "table" and isinstance(default, ast.Constant)
+                and default.value is None]
+    assert optional == []
+
+
+def test_fold_tables_are_built_only_where_a_command_starts():
+    assert _table_builders() == set(BUILDERS)
