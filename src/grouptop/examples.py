@@ -9,11 +9,14 @@
   extended.
 
 Every verification returns a report whose witnesses re-verify by plain
-group addition.  Each kind's replayer sits beside its producer and
-returns the report it rebuilds: every kind's id names its inputs, so
-its ``rerun_*`` replayer re-runs the capped producer on them, whose cap
-refuses a crafted id from those inputs alone, before anything is
-built.
+group addition.  A cover witness is the tuple of its summands, one per
+chain set; the cover and interval claims check their witnesses against,
+and write them with, the stars they read from the command's
+``FoldTable``, so this module builds no star itself.  Each kind's
+replayer sits beside its producer and returns the report it rebuilds:
+every kind's id names its inputs, so its ``rerun_*`` replayer re-runs
+the capped producer on them, whose cap refuses a crafted id from those
+inputs alone, before anything is built.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from .setspec import (
     SetLike,
     SymmetricInterval,
     contains,
-    star,
     subset_of,
     witness_holds,
 )
@@ -177,28 +179,6 @@ def sqrt7_set(k: int) -> ResidueSet:
     return ResidueSet.of(pk, {0, w.root, (pk - w.root) % pk})
 
 
-@dataclass(frozen=True)
-class DecompositionWitness:
-    """Summands drawn from named star-sets totalling the target."""
-
-    target: GroupElement
-    summands: tuple  # tuple[GroupElement, ...]
-    sources: tuple  # tuple[SetLike, ...], parallel to summands
-
-    def verify(self) -> bool:
-        return witness_holds(self.target, self.summands, self.sources)
-
-    def to_json(self) -> dict:
-        group = self.target.group
-        return {
-            "type": "decomposition",
-            "group": group.describe(),
-            "target": group.value_to_json(self.target.value),
-            "summands": [group.value_to_json(s.value) for s in self.summands],
-            "sets": [star(src).to_json() for src in self.sources],
-        }
-
-
 def verify_sqrt7_necessary(g: int, n: int,
                            table: FoldTable) -> VerificationReport:
     """Exact check that g avoids the n-fold sum of a deep enough chain set.
@@ -287,10 +267,9 @@ def _lifted_member(m_i: int, m0: int) -> int:
     return hensel_sqrt(SQRT7_A, SQRT7_P, m_i).root
 
 
-def sqrt7_cover_witness(g: int, m0: int,
-                        ms: Sequence[int]) -> DecompositionWitness:
-    """The explicit decomposition of g across the chain sets at levels
-    m0, m1, ..., following the residue recipe.
+def sqrt7_cover_witness(g: int, m0: int, ms: Sequence[int]) -> tuple:
+    """The summands of g, one from each starred chain set at levels m0,
+    m1, ..., in that order, following the residue recipe.
 
     h copies of a lifted root plus zeros land in the right class modulo
     3^m0; one multiple of 3^m0 drawn from the level-m0 set closes the gap.
@@ -305,12 +284,7 @@ def sqrt7_cover_witness(g: int, m0: int,
         summands[slot] = _lifted_member(ms[slot], m0)
     corrector = g - sum(summands)
     assert corrector % pk == 0, "recipe must leave a multiple of 3^m0"
-    group = _INTEGERS
-    return DecompositionWitness(
-        target=group.element(g),
-        summands=tuple(group.element(v) for v in [corrector] + summands),
-        sources=tuple(sqrt7_set(m) for m in [m0, *ms]),
-    )
+    return tuple(map(_INTEGERS.element, [corrector, *summands]))
 
 
 def _check_cover_cap(m0: int, deepest: int) -> None:
@@ -357,7 +331,8 @@ def verify_sqrt7_U_full(m0: int, ms: Sequence[int],
         f"sqrt7-cover:m0={m0}:ms={','.join(map(str, ms))}",
         "sum_equals_all_residues",
         [table.level(sqrt7_set, m) for m in [m0, *ms]],
-        [sqrt7_cover_witness(g, m0, ms) for g in sample_gs], table)
+        [(_INTEGERS.element(g), sqrt7_cover_witness(g, m0, ms))
+         for g in sample_gs], table)
 
 
 def rerun_sqrt7_cover(claim: dict, table: FoldTable) -> VerificationReport:
@@ -371,24 +346,36 @@ def rerun_sqrt7_cover(claim: dict, table: FoldTable) -> VerificationReport:
 
 
 def _verify_cover(claim: str, flag: str, sources: Sequence[SetLike],
-                  witnesses: Sequence[DecompositionWitness],
+                  witnesses: Sequence[tuple],
                   table: FoldTable) -> VerificationReport:
     """A cover claim on the suffix fold of the starred ``sources``, from
     ``table``: its ``flag`` says whether the fold contains the whole group
     (Z as 0 mod 1, a product as the unconstrained box), and it is verified
-    when it does and every sample's witness holds."""
-    folded = table.suffix_folds([table.star(src) for src in sources])[0]
+    when it does and every sample's witness holds.  ``witnesses`` are
+    (target, summands) pairs, one per sample, repeats kept; each is
+    checked against, and written with, the stars the claim folds."""
+    stars = [table.star(src) for src in sources]
+    folded = table.suffix_folds(stars)[0]
     whole = BoxSet(folded.n_coords, ()) if isinstance(folded, BoxSet) \
         else ResidueSet.of(1, [0])
     covers = subset_of(whole, folded)
-    ok = covers and all(w.verify() for w in witnesses)
+    ok = covers and all(witness_holds(target, summands, stars)
+                        for target, summands in witnesses)
+    sets = [st.to_json() for st in stars]
     return VerificationReport(
         claim=claim,
         status=Status.VERIFIED if ok else Status.REFUTED,
         payload={
             flag: covers,
             "fold": folded.to_json(),
-            "witnesses": [w.to_json() for w in witnesses],
+            "witnesses": [{
+                "type": "decomposition",
+                "group": target.group.describe(),
+                "target": target.group.value_to_json(target.value),
+                "summands": [target.group.value_to_json(s.value)
+                             for s in summands],
+                "sets": sets,
+            } for target, summands in witnesses],
         },
         budgets={"samples": len(witnesses)},
     )
@@ -405,8 +392,9 @@ def product_set(n_coords: int, m: int) -> BoxSet:
 
 
 def product_cover_witness(g: GroupElement, m0: int,
-                          ms: Sequence[int]) -> DecompositionWitness:
-    """Decomposition of g across box sets at levels m0, m1, ..., m_{m0}.
+                          ms: Sequence[int]) -> tuple:
+    """The summands of g, one from each box set at levels m0, m1, ...,
+    m_{m0}, in that order.
 
     Coordinates up to m0 are written as sums of digits in {-1, 0, 1}
     spread over the follower summands; the level-m0 summand carries every
@@ -428,13 +416,7 @@ def product_cover_witness(g: GroupElement, m0: int,
                 vectors[slot][i] = digit % coord
         else:
             vectors[0][i] = g.value[i]
-    sources = [product_set(n_coords, m0)] + \
-        [product_set(n_coords, m) for m in ms]
-    return DecompositionWitness(
-        target=g,
-        summands=tuple(group.element(v) for v in vectors),
-        sources=tuple(sources),
-    )
+    return tuple(map(group.element, vectors))
 
 
 def product_cover_levels(n_coords: int, m0: int) -> list:
@@ -467,7 +449,7 @@ def verify_product_sum_full(n_coords: int, m0: int, ms: Sequence[int],
     return _verify_cover(
         f"product-cover:N={n_coords}:m0={m0}", "sum_covers_group",
         [product_set(n_coords, m) for m in [m0, *ms]],
-        [product_cover_witness(g, m0, ms) for g in sample_gs], table)
+        [(g, product_cover_witness(g, m0, ms)) for g in sample_gs], table)
 
 
 def rerun_product_cover(claim: dict, table: FoldTable) -> VerificationReport:
@@ -571,17 +553,19 @@ def verify_interval_example(min_exp: int,
     check_enumeration_cap(f"the schedule to 2^-{min_exp} writes about "
                           f"{bits} bits", bits)
     group = _RATIONALS
-    # Pinned witness: 1 = (1 - eps/2) + eps/2, valid for every eps <= 2.
-    steps = [(eps, (group.element(1 - eps / 2), group.element(eps / 2)),
-              prefix_sum_membership(_ONE, [_UNIT, SymmetricInterval(eps)],
-                                    table))
-             for eps in (Fraction(1, 2 ** j) for j in range(min_exp + 1))]
-    first_excluded = not contains(star(_UNIT), _ONE)
+    unit = table.star(_UNIT)
+    steps = []
+    for eps in (Fraction(1, 2 ** j) for j in range(min_exp + 1)):
+        chain = [unit, table.star(SymmetricInterval(eps))]
+        # Pinned witness: 1 = (1 - eps/2) + eps/2, valid for every eps <= 2.
+        pinned = group.element(1 - eps / 2), group.element(eps / 2)
+        steps.append((eps, chain, pinned,
+                      prefix_sum_membership(_ONE, chain, table)))
+    first_excluded = not contains(unit, _ONE)
     ok = first_excluded and all(
-        res.is_yes() and all(witness_holds(_ONE, summands,
-                                           [_UNIT, SymmetricInterval(eps)])
+        res.is_yes() and all(witness_holds(_ONE, summands, chain)
                              for summands in (pinned, res.witness))
-        for eps, pinned, res in steps)
+        for _, chain, pinned, res in steps)
     return VerificationReport(
         claim=f"interval-no-extension:min_eps=2^-{min_exp}",
         status=Status.VERIFIED if ok else Status.REFUTED,
@@ -591,7 +575,7 @@ def verify_interval_example(min_exp: int,
                 "epsilon": str(eps),
                 "witness": [group.value_to_json(s.value) for s in pinned],
                 "membership": res.to_json(),
-            } for eps, pinned, res in steps],
+            } for eps, _, pinned, res in steps],
         },
         budgets={"min_exp": min_exp},
     )

@@ -825,11 +825,18 @@ _SPEC_KEYS = {
 
 def spec_from_json(doc: dict, group: Optional[AmbientGroup] = None) -> SetLike:
     """Inverse of ``to_json``; ``group`` overrides the embedded descriptor.
-    Unknown kinds and keys and non-integer integers raise ValueError."""
+    Unknown kinds and keys, non-integer integers, and a star's
+    ``materialized`` other than the bool ``star`` gives its base raise
+    ValueError."""
     kind = description_kind(doc, _SPEC_KEYS, "set")
     if kind == "star":
-        inner = spec_from_json(doc["base"], group)
-        return star(inner)
+        starred = star(spec_from_json(doc["base"], group))
+        flag = doc.get("materialized", starred.materialized)
+        if flag is not starred.materialized:
+            raise ValueError(f"star materialized must be "
+                             f"{str(starred.materialized).lower()} for its "
+                             f"base, got {flag!r}")
+        return starred
     if kind == "finite":
         if group is None:
             group = group_from_json(doc["group"]) if "group" in doc else _INTEGERS

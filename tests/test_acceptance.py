@@ -31,6 +31,7 @@ from grouptop import (
 from grouptop.examples import (
     hensel_sqrt,
     product_cover_witness,
+    product_set,
     random_product_elements,
     small_representable,
     sqrt7_cover_witness,
@@ -57,7 +58,7 @@ from grouptop.nonabelian import (
     FREE_XY,
 )
 from grouptop.report import Status
-from grouptop.setspec import FoldTable
+from grouptop.setspec import FoldTable, witness_holds
 
 Z = Integers()
 D4_NAMES = ["e", "r", "r2", "r3", "s", "rs", "r2s", "r3s"]
@@ -117,7 +118,8 @@ def test_criterion_2_sqrt7_hausdorff_failure():
     for key in cover:
         for g in range(-20, 21):
             w = sqrt7_cover_witness(g, m0, list(key))
-            assert w.verify(), (key, g)
+            assert witness_holds(Z.element(g), w,
+                                 [sqrt7_set(m) for m in (m0, *key)]), (key, g)
             n_witnesses += 1
 
     # the separating construction sticks at step 1 with exact blocks
@@ -160,8 +162,9 @@ def test_criterion_4_product_example():
         ms = [min(m0 + i + 1, 6) for i in range(m0)]
         rep = verify_product_sum_full(6, m0, ms, samples, FoldTable())
         assert rep.status is Status.VERIFIED, m0
+        boxes = [product_set(6, m) for m in (m0, *ms)]
         for g in samples:
-            assert product_cover_witness(g, m0, ms).verify()
+            assert witness_holds(g, product_cover_witness(g, m0, ms), boxes)
 
     for n in (1, 2):
         rep = verify_product_union_small(6, n, FoldTable())

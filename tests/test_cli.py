@@ -399,13 +399,27 @@ def test_hausdorff_takes_a_family_with_no_exact_subset_test(tmp_path,
      "product-boxes needs at least 1 coordinate, got 0"),
     ({"kind": "chain", "generator": "product-boxes", "coords": -2},
      "product-boxes needs at least 1 coordinate, got -2"),
+    ({"kind": "explicit", "members": [
+        {"kind": "star", "materialized": "banana",
+         "base": {"kind": "finite", "elements": [3]}}]},
+     "star materialized must be true for its base, got 'banana'"),
+    ({"kind": "explicit", "members": [
+        {"kind": "star", "materialized": False,
+         "base": {"kind": "finite", "elements": [3]}}]},
+     "star materialized must be true for its base, got False"),
+    ({"kind": "explicit", "members": [
+        {"kind": "star", "materialized": True,
+         "base": {"kind": "tail", "sequence": "powers3", "start": 1}}]},
+     "star materialized must be false for its base, got True"),
 ], ids=["cofinite-key", "cofinite-start-float", "tail-key",
         "tail-start-float", "residue-modulus-string", "chain-coords-float",
         "chain-key", "chain-coords-unused", "members-number",
         "elements-number", "residues-number", "allowed-number",
         "excluded-number", "group-number", "free-generators-number",
         "cayley-table-number", "product-element-number", "group-key",
-        "not-directed", "chain-coords-0", "chain-coords-negative"])
+        "not-directed", "chain-coords-0", "chain-coords-negative",
+        "star-materialized-string", "star-materialized-false-finite",
+        "star-materialized-true-tail"])
 def test_hausdorff_malformed_family_description_exits_1(tmp_path, capsys,
                                                         family, named):
     """Unknown keys in a family or set description, integer fields that
@@ -413,7 +427,9 @@ def test_hausdorff_malformed_family_description_exits_1(tmp_path, capsys,
     instead of ignored, coerced or ending in a traceback.  So is an
     explicit family that is not downward directed ({1, 2} and {2, 3}
     contain no common member), since the criteria do not apply to it,
-    and a box chain of no coordinates, which has no member 0."""
+    and a box chain of no coordinates, which has no member 0.  A star's
+    ``materialized`` must be the bool its base gets: false for a tail,
+    true for every other base."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"family": family, "probes": [1, 2]}))
     code, out, err = run(["hausdorff", str(cfg)], capsys)

@@ -3,8 +3,8 @@
 import pytest
 
 from grouptop import Integers, ProductMod, ResidueSet
+from grouptop import examples as ex
 from grouptop.examples import (
-    DecompositionWitness,
     HenselError,
     hensel_sqrt,
     product_cover_levels,
@@ -21,7 +21,7 @@ from grouptop.examples import (
     verify_sqrt7_necessary,
 )
 from grouptop.report import Status
-from grouptop.setspec import EnumerationBudgetError, FoldTable
+from grouptop.setspec import EnumerationBudgetError, FoldTable, witness_holds
 
 Z = Integers()
 
@@ -115,19 +115,35 @@ def test_cover_witness_spec_case_g1():
     # h = 1 * c^-1 mod 9 with c = 4, so h = 7: seven lifted roots, two
     # zeros, and the corrector -27 from the base set
     w = sqrt7_cover_witness(1, 2, [2] * 9)
-    values = [s.value for s in w.summands]
+    values = [s.value for s in w]
     assert values[0] == -27
     assert values[1:].count(4) == 7 and values[1:].count(0) == 2
-    assert w.verify()
+    assert witness_holds(Z.element(1), w, [sqrt7_set(2)] * 10)
 
 
 def test_cover_witness_lifted_levels_g5():
     # followers at level 3 lift the root to 13 = 4 mod 9; h = 5*7 mod 9 = 8
     w = sqrt7_cover_witness(5, 2, [3] * 9)
-    values = [s.value for s in w.summands]
+    values = [s.value for s in w]
     assert values[1:].count(13) == 8 and values[1:].count(0) == 1
     assert sum(values) == 5
-    assert w.verify()
+    assert witness_holds(Z.element(5), w, [sqrt7_set(2)] + [sqrt7_set(3)] * 9)
+
+
+@pytest.mark.parametrize("summands", [
+    lambda g, n: [g] + [0] * n,  # 1 lies outside the level-2 star {0, 4, 5}
+    lambda g, n: [0] * (n + 1),  # every summand in its star, sum 0
+], ids=["summand-outside-its-star", "wrong-sum"])
+def test_cover_refutes_a_witness_that_fails_the_claims_stars(monkeypatch,
+                                                             summands):
+    """Each sample's summands are checked against the stars the claim
+    folds: a witness with a summand outside its star, or one that does
+    not total its target, refutes the cover though the fold covers Z."""
+    monkeypatch.setattr(ex, "sqrt7_cover_witness", lambda g, m0, ms: tuple(
+        map(Z.element, summands(g, len(ms)))))
+    rep = verify_sqrt7_U_full(2, [2] * 9, [1], FoldTable())
+    assert rep.payload["sum_equals_all_residues"]
+    assert rep.status is Status.REFUTED
 
 
 def test_cover_report_mixed_levels():
@@ -160,15 +176,15 @@ def test_product_cover_witness_spec_case():
     g6 = ProductMod(6)
     g = g6.element((0, 1, 2, 3, 4, 5))
     w = product_cover_witness(g, 2, [3, 4])
-    assert len(w.summands) == 3
-    assert w.verify()
+    assert len(w) == 3
+    assert witness_holds(g, w, [product_set(6, m) for m in (2, 3, 4)])
 
 
 def test_product_cover_identity_witness():
     g6 = ProductMod(6)
     w = product_cover_witness(g6.identity(), 2, [2, 2])
-    assert all(s.value == g6.identity_value() for s in w.summands)
-    assert w.verify()
+    assert all(s.value == g6.identity_value() for s in w)
+    assert witness_holds(g6.identity(), w, [product_set(6, 2)] * 3)
 
 
 def test_product_cover_report_random():
@@ -259,11 +275,3 @@ def test_interval_example_verified():
     assert sched[2]["epsilon"] == "1/4"
     assert sched[2]["witness"] == ["7/8", "1/8"]
 
-
-def test_decomposition_witness_rejects_bad_sum():
-    w = DecompositionWitness(
-        target=Z.element(5),
-        summands=(Z.element(1), Z.element(1)),
-        sources=(sqrt7_set(1), sqrt7_set(1)),
-    )
-    assert not w.verify()

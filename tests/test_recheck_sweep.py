@@ -1,16 +1,16 @@
-"""Every recorded fact of a small ``hausdorff`` or ``sqrt7-necessary``
-report is bound.
+"""Every recorded fact of a small report of each replayed kind is bound.
 
 The sweep edits one payload or budgets leaf at a time in three small
-``hausdorff`` reports and one ``sqrt7-necessary`` claim, and rechecks
-each edited copy: ints +1, bools flipped, strings with ``x`` appended
-and with their first integer +1, and lists replaced by ``[0]``, at most
-``PER_PATTERN`` edits per path pattern (the path with list indices and
-cupcap keys as ``*``).  A second sweep makes one more kind of edit, an
-int 0 or 1 turned into the bool of equal value, which ``==`` takes
-alike.  Each edit must fail, unless its path pattern is on the free list
-below, whose reasons are the contract: a new field either joins the list
-with a reason or is bound by the replay.
+``hausdorff`` reports and one small claim of every other replayed kind,
+and rechecks each edited copy: ints +1, bools flipped, strings with ``x``
+appended and with their first integer +1, and lists replaced by ``[0]``
+(skipped where the list is ``[0]`` already, since that changes nothing),
+at most ``PER_PATTERN`` edits per path pattern (the path with list
+indices and cupcap keys as ``*``).  A second sweep makes one more kind of
+edit, an int 0 or 1 turned into the bool of equal value, which ``==``
+takes alike.  Each edit must fail, unless its path pattern is on its
+kind's free list below, whose reasons are the contract: a new field
+either joins the list with a reason or is bound by the replay.
 """
 
 import copy
@@ -23,7 +23,7 @@ from grouptop import Integers, family_from_json, hausdorff_verdict
 from grouptop import examples as ex
 from grouptop.nonabelian import verify_fib_identity, verify_fib_words
 from grouptop.recheck import recheck_document
-from grouptop.report import canonical_json, report_document
+from grouptop.report import canonical_json, report_document, same_json
 from grouptop.setspec import FoldTable
 
 PER_PATTERN = 6
@@ -50,6 +50,44 @@ FREE = {
     "payload.probes.*.separation.blocked.*.result.note":
         "free text beside a blocking membership",
 }
+
+
+# One small report of every replayed kind.
+SMALL = {
+    "hausdorff": lambda: hausdorff_verdict(
+        family_from_json(REPORTS["powers3"][0]), [Integers().element(1)],
+        1, 2, 1),
+    "sqrt7-necessary": lambda: ex.verify_sqrt7_necessary(1, 1, FoldTable()),
+    "hensel": lambda: ex.verify_hensel(7, 3, 2),
+    "sqrt7-cover": lambda: ex.verify_sqrt7_U_full(
+        1, ex.sqrt7_cover_levels(1), [2], FoldTable()),
+    "product-cover": lambda: ex.verify_product_sum_full(
+        4, 2, ex.product_cover_levels(4, 2),
+        ex.random_product_elements(4, 1, 7), FoldTable()),
+    "product-union-small": lambda: ex.verify_product_union_small(3, 1,
+                                                                 FoldTable()),
+    "interval-no-extension": lambda: ex.verify_interval_example(2,
+                                                                FoldTable()),
+    "fibonacci-words": lambda: verify_fib_words(3),
+    "fibonacci-commutator": lambda: verify_fib_identity(2),
+}
+
+# Path patterns whose edits may pass in the small report of each kind
+# but hausdorff, each with the reason why: none, since each of these
+# kinds re-runs its producer on the inputs its id names.
+SMALL_FREE = {
+    "sqrt7-necessary": {},
+    "hensel": {},
+    "sqrt7-cover": {},
+    "product-cover": {},
+    "product-union-small": {},
+    "interval-no-extension": {},
+    "fibonacci-words": {},
+    "fibonacci-commutator": {},
+}
+
+# Kinds whose small report holds no int 0 or 1 for the bool sweep to edit.
+NO_BIT_INTS = {"interval-no-extension", "fibonacci-commutator"}
 
 
 def _report(name: str) -> dict:
@@ -133,6 +171,8 @@ def _sweep(doc: dict, free: dict, edits=_edits) -> tuple:
         for path, value in _nodes(claim[section], (section,)):
             pattern = _pattern(path)
             for edit in edits(value):
+                if same_json(edit, value):
+                    continue  # a list that is [0] already: no edit
                 if per_pattern.get(pattern, 0) == PER_PATTERN:
                     break
                 per_pattern[pattern] = per_pattern.get(pattern, 0) + 1
@@ -156,7 +196,7 @@ def test_every_sqrt7_necessary_edit_fails():
     ``divisibility_targets`` edits passed while the replay took them from
     the record."""
     doc = _sqrt7_necessary()
-    per_pattern, passed = _sweep(doc, {})
+    per_pattern, passed = _sweep(doc, SMALL_FREE["sqrt7-necessary"])
     assert {"payload.n_fold.residues.*", "payload.divisibility_targets.*",
             "payload.bound_level_also_excludes", "budgets.n"} <= \
         set(per_pattern), per_pattern
@@ -168,17 +208,41 @@ def _sqrt7_necessary() -> dict:
         [ex.verify_sqrt7_necessary(2, 2, FoldTable())])))
 
 
-@pytest.mark.parametrize("name", [*sorted(REPORTS), "sqrt7-necessary"])
+def _small(kind: str) -> dict:
+    return json.loads(canonical_json(report_document([SMALL[kind]()])))
+
+
+def _document(name: str) -> dict:
+    """The report the sweeps edit for ``name``: a ``REPORTS`` entry, the
+    g = 2, n = 2 sqrt7-necessary claim, or another kind's small report."""
+    return _report(name) if name in REPORTS else _sqrt7_necessary() \
+        if name == "sqrt7-necessary" else _small(name)
+
+
+@pytest.mark.parametrize("kind", sorted(set(SMALL_FREE) - {"sqrt7-necessary"}))
+def test_every_edit_of_each_replayed_kind_fails_unless_free(kind):
+    """Every other replayed kind's small report is swept as the
+    sqrt7-necessary claim is.  A cover witness's ``sets`` are bound: the
+    replay writes them from the stars the claim folds."""
+    doc = _small(kind)
+    per_pattern, passed = _sweep(doc, SMALL_FREE[kind])
+    assert per_pattern, per_pattern
+    assert not passed, passed
+
+
+@pytest.mark.parametrize("name", [
+    *sorted(REPORTS), "sqrt7-necessary",
+    *sorted(set(SMALL_FREE) - {"sqrt7-necessary"})])
 def test_every_int_0_or_1_made_bool_fails_unless_free(name):
     """An int 0 or 1 turned into false or true fails wherever an edit
     by value fails: a hausdorff probe entry is compared with its replay
     by JSON type, as every other fact is.  Setting a separation's
     ``target`` or ``stuck_at_step`` to ``true`` passed while the replay
     compared the entries by ``==``."""
-    doc = _report(name) if name in REPORTS else _sqrt7_necessary()
-    per_pattern, passed = _sweep(doc, _free(doc) if name in REPORTS else {},
-                                 _bool_edits)
-    assert per_pattern, per_pattern
+    doc = _document(name)
+    free = _free(doc) if name in REPORTS else SMALL_FREE[name]
+    per_pattern, passed = _sweep(doc, free, _bool_edits)
+    assert bool(per_pattern) == (name not in NO_BIT_INTS), per_pattern
     assert not passed, passed
 
 
@@ -241,26 +305,6 @@ def test_recheck_of_a_crafted_n_max_builds_one_entry_past_the_record():
         "report nothing"), details
 
 
-# One small report of every replayed kind.
-SMALL = {
-    "hausdorff": lambda: hausdorff_verdict(
-        family_from_json(REPORTS["powers3"][0]), [Integers().element(1)],
-        1, 2, 1),
-    "sqrt7-necessary": lambda: ex.verify_sqrt7_necessary(1, 1, FoldTable()),
-    "hensel": lambda: ex.verify_hensel(7, 3, 2),
-    "sqrt7-cover": lambda: ex.verify_sqrt7_U_full(
-        1, ex.sqrt7_cover_levels(1), [2], FoldTable()),
-    "product-cover": lambda: ex.verify_product_sum_full(
-        4, 2, ex.product_cover_levels(4, 2),
-        ex.random_product_elements(4, 1, 7), FoldTable()),
-    "product-union-small": lambda: ex.verify_product_union_small(3, 1,
-                                                                 FoldTable()),
-    "interval-no-extension": lambda: ex.verify_interval_example(2,
-                                                                FoldTable()),
-    "fibonacci-words": lambda: verify_fib_words(3),
-    "fibonacci-commutator": lambda: verify_fib_identity(2),
-}
-
 # An edit of a claim, and the start of the message it must fail with.
 EDITS = {
     "claim-key": (lambda claim: claim.update(note=""),
@@ -282,7 +326,7 @@ def test_recheck_compares_keys_id_and_budgets_of_every_kind(kind, edit):
     a claim key, payload key or budgets key the producer never writes,
     and an id the replay would not write (a leading zero on its last
     number), each fail that claim."""
-    doc = json.loads(canonical_json(report_document([SMALL[kind]()])))
+    doc = _small(kind)
     assert recheck_document(doc) == (True,
                                      [f"  ok     {_claim(doc)['claim']}"])
     tamper, message = EDITS[edit]

@@ -747,12 +747,19 @@ def test_setspec_json_round_trips():
     {"kind": "tail", "sequence": "powers3", "start": 1, "excluded": [2.0]},
     {"kind": "star", "base": {"kind": "interval", "epsilon": "1/2"},
      "extra": 1},
+    {"kind": "star", "materialized": "banana",
+     "base": {"kind": "finite", "elements": [3]}},
+    {"kind": "star", "materialized": False,
+     "base": {"kind": "finite", "elements": [3]}},
+    {"kind": "star", "materialized": True,
+     "base": {"kind": "tail", "sequence": "powers3", "start": 1}},
     {"kind": "nope"},
     ["kind", "finite"],
 ], ids=["finite-key", "residue-key", "residue-modulus-float",
         "residue-float", "box-coords-bool", "interval-float", "tail-key",
         "tail-start-string", "tail-excluded-float", "star-key",
-        "unknown-kind", "not-an-object"])
+        "star-materialized-string", "star-materialized-false-finite",
+        "star-materialized-true-tail", "unknown-kind", "not-an-object"])
 def test_spec_from_json_refuses_unknown_keys_and_coercion(doc):
     with pytest.raises(ValueError):
         spec_from_json(doc)

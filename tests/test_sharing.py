@@ -81,6 +81,29 @@ def test_equal_set_descriptions_are_one_object(monkeypatch, capsys, argv,
         [text for text, ids in objects.items() if len(ids) > 1][:2]
 
 
+@pytest.mark.parametrize("argv, covers", [
+    (["verify", "sqrt7", "--gmax", "1", "--nmax", "1", "--cover-m0", "2"], 1),
+    (["verify", "product", "--samples", "5"], 2),
+], ids=["sqrt7-cover", "product-cover"])
+def test_cover_witnesses_name_the_claims_own_stars(monkeypatch, capsys,
+                                                   argv, covers):
+    """A cover claim's witnesses are written from the stars it folds, so
+    every witness's ``sets[j]`` is the first witness's ``sets[j]``, one
+    dict.  Descriptions of equal text elsewhere need not be shared: each
+    star's closed base is its own set value."""
+    doc = _emitted_document(monkeypatch, capsys, argv)
+    claims = [c for c in doc["claims"]
+              if c["claim"].startswith(("sqrt7-cover:", "product-cover:"))]
+    assert len(claims) == covers
+    for claim in claims:
+        first, *rest = claim["payload"]["witnesses"]
+        assert rest
+        for witness in rest:
+            assert len(witness["sets"]) == len(first["sets"])
+            assert all(mine is theirs for mine, theirs
+                       in zip(witness["sets"], first["sets"]))
+
+
 def test_the_table_keeps_one_instance_per_set_value():
     """Equal values intern to the first one; levels, n-fold sets and
     suffix folds are interned, so an n-fold set equal to its member is

@@ -4,7 +4,8 @@ An ``ast`` scan of ``src/grouptop``: each command builds its table at
 the top and hands it to everything below, so no function takes a table
 that defaults to None (and so builds a throwaway one), and ``FoldTable()``
 is called only where a command starts, plus the one-call wrapper
-``setspec.n_fold_star``.
+``setspec.n_fold_star``.  Stars come from that table too: ``setspec.star``
+is called only inside ``setspec`` and where no command table exists.
 """
 
 import ast
@@ -36,26 +37,63 @@ def _functions():
                 todo += [(name, child) for child in node.body]
 
 
-def _table_builders() -> set:
-    """The innermost function around each ``FoldTable()`` call, or the
-    module for a call outside every function."""
+# module.function -> why it stars sets without a command's table.
+STARRERS = {
+    "nonabelian.DyadicAssignment.stars":
+        "check_UU has no command table: the bench calls it directly",
+}
+
+
+def _callers(callee) -> set:
+    """The innermost function around each call whose function node
+    ``callee(module tree)`` accepts, or the module for a call outside
+    every function."""
     found = set()
 
-    def visit(node, owner: str) -> None:
+    def visit(node, owner: str, accepts) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef, ast.Lambda)):
             name = getattr(node, "name", "<lambda>")
             owner = f"{owner}.{name}"
-        if isinstance(node, ast.Call) and "FoldTable" in (
-                getattr(node.func, "id", None),
-                getattr(node.func, "attr", None)):
+        if isinstance(node, ast.Call) and accepts(node.func):
             found.add(owner)
         for child in ast.iter_child_nodes(node):
-            visit(child, owner)
+            visit(child, owner, accepts)
 
     for path in sorted(PACKAGE.glob("*.py")):
-        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        visit(tree, path.stem, callee(tree))
     return found
+
+
+def _table_builders() -> set:
+    """The innermost function around each ``FoldTable()`` call."""
+    return _callers(lambda tree: lambda func: "FoldTable" in (
+        getattr(func, "id", None), getattr(func, "attr", None)))
+
+
+def _star_names(tree: ast.Module) -> set:
+    """The callee texts by which a module reaches ``setspec.star``: the
+    name it imports ``star`` as, from setspec or from the package, and
+    ``M.star`` for the name M it imports setspec itself as."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                bound = alias.asname or alias.name
+                if alias.name == "star":
+                    names.add(bound)
+                elif alias.name == "setspec":
+                    names.add(f"{bound}.star")
+    return names
+
+
+def _star_callers() -> set:
+    """The innermost function around each call of ``setspec.star``."""
+    def callee(tree):
+        names = _star_names(tree)
+        return lambda func: ast.unparse(func) in names
+    return _callers(callee)
 
 
 def _defaults(args: ast.arguments):
@@ -77,3 +115,13 @@ def test_no_function_takes_a_table_that_defaults_to_none():
 
 def test_fold_tables_are_built_only_where_a_command_starts():
     assert _table_builders() == set(BUILDERS)
+
+
+def test_stars_come_from_the_command_table():
+    """Outside ``setspec``, whose ``FoldTable.star`` builds each star
+    once per command, only ``STARRERS`` call ``setspec.star``: every
+    witness is checked against, and written from, the stars its claim
+    reads from the table."""
+    callers = {owner for owner in _star_callers()
+               if owner.split(".")[0] != "setspec"}
+    assert callers == set(STARRERS)
