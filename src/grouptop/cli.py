@@ -104,8 +104,7 @@ def _cmd_verify(args) -> int:
                 samples = ex.random_product_elements(coords, args.samples,
                                                      args.seed)
                 reports = [ex.verify_product_sum_full(
-                    coords, m0, ex.product_cover_levels(coords, m0), samples,
-                    table) for m0 in args.m0]
+                    coords, m0, samples, table) for m0 in args.m0]
                 reports += [ex.verify_product_union_small(coords, n, table)
                             for n in args.union_n]
             elif args.example == "interval":

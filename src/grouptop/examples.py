@@ -430,18 +430,16 @@ def product_cover_levels(n_coords: int, m0: int) -> list:
     return [min(m0 + i + 1, n_coords) for i in range(m0)]
 
 
-def verify_product_sum_full(n_coords: int, m0: int, ms: Sequence[int],
+def verify_product_sum_full(n_coords: int, m0: int,
                             sample_gs: Sequence[GroupElement],
                             table: FoldTable) -> VerificationReport:
     """Exact box-sumset proof that the starred boxes cover the whole
     truncated product, with re-verified per-sample witnesses.  The
-    follower levels must be ``product_cover_levels``', which the claim's
+    follower levels are ``product_cover_levels``', the ones the claim's
     id names.  Raises EnumerationBudgetError before any witness is built
     when the samples' witnesses, m0 + 1 summands of N coordinates each,
     could pass the enumeration cap."""
-    if list(ms) != product_cover_levels(n_coords, m0):
-        raise ValueError("the follower levels must be min(m0 + i + 1, N) "
-                         "for i < m0")
+    ms = product_cover_levels(n_coords, m0)
     values = (m0 + 1) * n_coords
     check_enumeration_cap(
         f"the product cover at m0={m0} writes {len(sample_gs)} witnesses of "
@@ -456,9 +454,10 @@ def rerun_product_cover(claim: dict, table: FoldTable) -> VerificationReport:
     """The id names N and m0, and the witnesses name their targets, read
     in the N-coordinate product."""
     n_coords, m0 = id_numbers(r"product-cover:N=(\d+):m0=(\d+)", claim)
+    product_cover_levels(n_coords, m0)  # refuses a huge m0 before a target
     group = ProductMod(n_coords)
     return verify_product_sum_full(
-        n_coords, m0, product_cover_levels(n_coords, m0),
+        n_coords, m0,
         [group.element(w["target"]) for w in claim["payload"]["witnesses"]],
         table)
 

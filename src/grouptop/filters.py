@@ -264,9 +264,11 @@ class RunConfig:
     @classmethod
     def from_json(cls, doc: dict) -> "RunConfig":
         """Raise ValueError on any run ``hausdorff`` refuses, and
-        EnumerationBudgetError on a tail scanned past the cap before any
-        term is computed.  A budget left out takes its field's default.
-        An explicit family must be downward directed."""
+        EnumerationBudgetError, before any member is built, on an n_max
+        past the bound ``examples.check_sqrt7_necessary_cap`` puts on n
+        (so n_max <= 446) or a tail scanned past the cap.  A budget left
+        out takes its field's default.  An explicit family must be
+        downward directed."""
         reject_unknown_keys(doc, _CONFIG_KEYS, "config")
         budgets = doc.get("budgets", {})
         reject_unknown_keys(budgets, _BUDGET_KEYS, "budgets")
@@ -275,6 +277,12 @@ class RunConfig:
         family = family_from_json(doc["family"])
         sizes = {k: integer_from_json(budgets.get(k, getattr(cls, k)))
                  for k in sorted(_BUDGET_KEYS)}
+        if min(sizes.values()) < 1:
+            raise ValueError("budgets must be positive")
+        folds = (sizes["n_max"] + 1) ** 2  # sqrt7-necessary's bound on n
+        check_enumeration_cap(f"n_max={sizes['n_max']} folds chains of up "
+                              f"to n_max copies, (n_max + 1)^2 = {folds}",
+                              folds)
         deepest = _deepest_tail_index(family, sizes["depth"])
         check_enumeration_cap(f"the scan reads index {deepest} of a tail",
                               deepest)
@@ -289,8 +297,6 @@ class RunConfig:
                                  f"member {pair[0]} and member {pair[1]}")
         group = family.member(0).ambient()  # the probes' group
         cfg = cls(family, [group.element(p) for p in doc["probes"]], **sizes)
-        if min(cfg.n_max, cfg.depth, cfg.max_len) < 1:
-            raise ValueError("budgets must be positive")
         if not cfg.probes:
             raise ValueError("probe list must be nonempty")
         if any(p.is_identity() for p in cfg.probes):

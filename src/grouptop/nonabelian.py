@@ -12,13 +12,18 @@ the one enumeration of increasing-index products, which refuses past the
 enumeration cap, and are checked by one rule (``_validated``: the moved
 indices increase inside the levels, and ``setspec.witness_holds``
 against the stars), shared by membership, product absorption, inverse
-closure and translation.  Product absorption builds one table per
-distinct shift of its two rescalings; the rescalings of one shift share
-each item's star-and-product check, and each maps each distinct index
-once.  A witness pair is decided from its two validated sides and their
-join (``_pair_failures``), and walked only to list failures.  Dyadic
-indices and rescaled images compare as integers over a common power of
-two, and a rescaled image is built in lowest terms directly.
+closure and translation.  Product absorption builds one witness table
+per distinct shift of its two rescalings; the rescalings of one shift
+share each item's star-and-product check, and each maps each distinct
+index once.  A witness pair is decided from its two validated sides and
+their join (``_pair_failures``), and walked only to list failures.
+Dyadic indices and rescaled images compare as integers over a common
+power of two, and a rescaled image is built in lowest terms directly.
+
+Every star comes from one ``FoldTable``, a required argument of every
+check: ``check_UU`` builds its own, which both of its shifts read, as
+the bench calls it directly.  A tower's triple products are folded once,
+when ``TowerChain`` is built; the collapse certificate relies on that.
 
 The module also carries the conjugation closure of a family, and the
 Fibonacci endomorphism x -> y, y -> xy of the free group on two
@@ -31,7 +36,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Dict, Sequence
 
 from .filters import ExplicitFamily
@@ -53,7 +57,6 @@ from .setspec import (
     FiniteSet,
     FoldTable,
     SetSpec,
-    star,
     subset_of,
     sumset,
     witness_holds,
@@ -132,29 +135,14 @@ class DyadicAssignment:
             raise ValueError(f"index {q} beyond materialized level")
         return self.levels[q.level - 1]
 
-    @cached_property
-    def stars(self) -> tuple:
-        """Each level's ``StarSet``, symmetrized once for the life of the
-        assignment; stars[i-1] belongs to level i."""
-        return tuple(star(s) for s in self.levels)
-
-    @cached_property
-    def starred(self) -> tuple:
-        """Each level's starred elements; starred[i-1] belongs to level i."""
-        return tuple(tuple(s.base.elements()) for s in self.stars)
-
     def indices(self) -> list:
         return dyadic_indices(self.max_level)
 
     def shifted(self, shift: int) -> "DyadicAssignment":
-        """Assignment seen through a rescaling that adds ``shift`` levels;
-        it shares this assignment's stars and starred elements."""
+        """Assignment seen through a rescaling that adds ``shift`` levels."""
         if shift >= self.max_level:
             raise ValueError("shift swallows every materialized level")
-        view = DyadicAssignment(self.levels[shift:])
-        object.__setattr__(view, "stars", self.stars[shift:])
-        object.__setattr__(view, "starred", self.starred[shift:])
-        return view
+        return DyadicAssignment(self.levels[shift:])
 
     def to_json(self) -> dict:
         return {"levels": {str(i + 1): s.to_json()
@@ -170,13 +158,14 @@ def assignment_from_json(doc: dict, group=None) -> DyadicAssignment:
 
 
 def uq_membership(g: GroupElement, assignment: DyadicAssignment,
-                  depth: int) -> MembershipResult:
+                  depth: int, table: FoldTable) -> MembershipResult:
     """Does g lie in a product of starred sets along some increasing dyadic
     index sequence of length <= depth?
 
     Exhaustive within the materialized levels and the depth cap: a "yes"
-    carries the shortest witness in the ``enumerate_u_witnesses`` table,
-    re-checked by ``_witness_is_valid``.  The empty product contributes the
+    carries the summands of the shortest witness in the
+    ``enumerate_u_witnesses`` table, re-checked by ``_witness_is_valid``,
+    and its indices in the proof.  The empty product contributes the
     identity.  A miss upgrades from unknown to an exact "no" only over
     finite table groups, from the closed table (indices strictly increase,
     so its depth is the index count), once every value's shortest witness
@@ -190,16 +179,20 @@ def uq_membership(g: GroupElement, assignment: DyadicAssignment,
     proof = {"depth": depth, "max_level": assignment.max_level}
     try:
         hits = [w for (value, _), w in
-                enumerate_u_witnesses(assignment, depth).items()
+                enumerate_u_witnesses(assignment, depth, table).items()
                 if value == g.value]
         if hits:
             witness = min(hits, key=len)
-            if not _witness_is_valid(g.group, assignment, witness, g.value):
+            if not _witness_is_valid(g.group, assignment, witness, g.value,
+                                     table):
                 raise AssertionError(f"witness for {g} does not re-verify")
-            return MembershipResult("yes", witness=witness)
+            proof["indices"] = [str(q) for q, _ in witness]
+            return MembershipResult("yes", tuple(el for _, el in witness),
+                                    proof)
         if not isinstance(g.group, CayleyGroup):
             return MembershipResult("unknown", proof=proof)
-        closed = enumerate_u_witnesses(assignment, len(assignment.indices()))
+        closed = enumerate_u_witnesses(assignment, len(assignment.indices()),
+                                       table)
     except EnumerationBudgetError as err:
         return MembershipResult("unknown", proof=proof, note=str(err))
     # breadth first, so each value keeps its first witness's length
@@ -213,8 +206,8 @@ def uq_membership(g: GroupElement, assignment: DyadicAssignment,
     return MembershipResult("unknown", proof=proof)
 
 
-def enumerate_u_witnesses(assignment: DyadicAssignment,
-                          depth: int) -> dict:
+def enumerate_u_witnesses(assignment: DyadicAssignment, depth: int,
+                          table: FoldTable) -> dict:
     """Witnesses with <= depth factors over the assignment's indices.
 
     Keyed by (element value, position of the top index used); the empty
@@ -224,14 +217,18 @@ def enumerate_u_witnesses(assignment: DyadicAssignment,
     """
     indices = assignment.indices()
     group = assignment.levels[0].ambient()
-    return _products_over(group, assignment, indices, depth)
+    return _products_over(group, assignment, indices, depth, table)
 
 
 def _products_over(group, assignment: DyadicAssignment,
-                   indices: Sequence[DyadicIndex], depth: int) -> dict:
+                   indices: Sequence[DyadicIndex], depth: int,
+                   table: FoldTable) -> dict:
     """Each state keeps the first witness to reach it, breadth first, so
-    a shortest one; refused before the table passes the cap."""
-    factors = [assignment.starred[q.level - 1] for q in indices]
+    a shortest one; refused before the table passes the cap.  Each
+    level's starred elements are read once, from ``table``'s star."""
+    starred = [tuple(table.star(s).base.elements())
+               for s in assignment.levels]
+    factors = [starred[q.level - 1] for q in indices]
     cap = enumeration_cap()
     out: dict = {(group.identity_value(), -1): ()}
     frontier = [(group.identity_value(), (), -1)]
@@ -292,7 +289,8 @@ def check_UU(assignment: DyadicAssignment, sigma: Rescale, tau: Rescale,
     exactly when both sides are valid and the last left index lies below
     the first right index: the join has at most 2 * depth factors, each in
     its level's star, since ``Rescale.apply`` adds exactly ``shift``
-    levels.  The pairs are decided per side (``_pair_failures``).
+    levels.  The pairs are decided per side (``_pair_failures``).  The
+    check builds one FoldTable, so both shifts star each level once.
     """
     if not sigma.entirely_below(tau):
         raise ValueError("sigma's image must lie entirely below tau's")
@@ -300,13 +298,15 @@ def check_UU(assignment: DyadicAssignment, sigma: Rescale, tau: Rescale,
     if shift_cap < 1:
         raise ValueError("assignment too shallow for these rescalings")
 
+    table = FoldTable()
     group = assignment.levels[0].ambient()
     sides = {}
     for shift in {sigma.shift, tau.shift}:
         rescales = [r for r in (sigma, tau) if r.shift == shift]
-        table = enumerate_u_witnesses(assignment.shifted(shift), depth)
-        sides.update(zip(rescales,
-                         _validated(group, assignment, table, rescales)))
+        witnesses = enumerate_u_witnesses(assignment.shifted(shift), depth,
+                                          table)
+        sides.update(zip(rescales, _validated(group, assignment, witnesses,
+                                              table, rescales)))
     lefts, rights = sides[sigma], sides[tau]
     pairs, bad = _pair_failures(lefts, rights)
     failures = [{"left": group.value_to_json(lefts[i][0]),
@@ -327,21 +327,23 @@ def check_UU(assignment: DyadicAssignment, sigma: Rescale, tau: Rescale,
     )
 
 
-def _validated(group, assignment: DyadicAssignment, table: dict,
-               rescales: Sequence = (None,)) -> list:
+def _validated(group, assignment: DyadicAssignment, witnesses: dict,
+               table: FoldTable, rescales: Sequence = (None,)) -> list:
     """One side per rescaling (None moves nothing) of (value, moved
-    witness, valid) per table item in sorted order: valid when the moved
-    indices pass ``_indices_valid`` and ``setspec.witness_holds`` takes
-    the factors.  The rescalings share one shift, so the latter runs once
-    per item; each side moves each distinct index once."""
+    witness, valid) per item of ``witnesses`` in sorted order: valid when
+    the moved indices pass ``_indices_valid`` and ``setspec.witness_holds``
+    takes the factors against ``table``'s stars of their levels.  The
+    rescalings share one shift, so the latter runs once per item; each
+    side moves each distinct index once."""
     if rescales[0] is None:
-        stars, images = assignment.stars, [None]
+        shift, images = 0, [None]
     else:
-        stars = assignment.stars[rescales[0].shift:]
-        distinct = {q for witness in table.values() for q, _ in witness}
+        shift = rescales[0].shift
+        distinct = {q for witness in witnesses.values() for q, _ in witness}
         images = [{q: r.apply(q) for q in distinct} for r in rescales]
+    stars = [table.star(s) for s in assignment.levels[shift:]]
     top, sides = assignment.max_level, [[] for _ in rescales]
-    for (value, _), witness in _sorted_witness_items(group, table):
+    for (value, _), witness in _sorted_witness_items(group, witnesses):
         moved = [witness if image is None else
                  tuple([(image[q], el) for q, el in witness])
                  for image in images]
@@ -355,9 +357,10 @@ def _validated(group, assignment: DyadicAssignment, table: dict,
 
 
 def _witness_is_valid(group, assignment: DyadicAssignment,
-                      witness: tuple, expected) -> bool:
+                      witness: tuple, expected, table: FoldTable) -> bool:
     """``_validated``'s rule for one witness of the expected value."""
-    return _validated(group, assignment, {(expected, -1): witness})[0][0][2]
+    return _validated(group, assignment, {(expected, -1): witness},
+                      table)[0][0][2]
 
 
 def _indices_valid(top: int, witness: tuple) -> bool:
@@ -394,12 +397,12 @@ def _pair_failures(lefts: list, rights: list) -> tuple:
         if not (l_ok and r_ok and (not lw or not rw or lw[-1][0] < rw[0][0]))]
 
 
-def check_inverse_closure(assignment: DyadicAssignment,
-                          depth: int) -> VerificationReport:
+def check_inverse_closure(assignment: DyadicAssignment, depth: int,
+                          table: FoldTable) -> VerificationReport:
     """Reversing an increasing witness and inverting its factors witnesses
     the inverse element; level-keyed assignments are reflection-invariant,
     so the reversed witness lives in the same assignment."""
-    witnesses = enumerate_u_witnesses(assignment, depth)
+    witnesses = enumerate_u_witnesses(assignment, depth, table)
     group = assignment.levels[0].ambient()
     failures = []
     for (value, _), witness in _sorted_witness_items(group, witnesses):
@@ -408,7 +411,7 @@ def check_inverse_closure(assignment: DyadicAssignment,
             (q.reflected(), op_neg(el)) for q, el in reversed(witness)
         )
         if not _witness_is_valid(group, assignment, reversed_witness,
-                                 inv_value):
+                                 inv_value, table):
             failures.append(group.value_to_json(value))
     status = Status.VERIFIED if not failures else Status.REFUTED
     return VerificationReport(
@@ -419,8 +422,8 @@ def check_inverse_closure(assignment: DyadicAssignment,
     )
 
 
-def check_translation(assignment: DyadicAssignment,
-                      depth: int) -> VerificationReport:
+def check_translation(assignment: DyadicAssignment, depth: int,
+                      table: FoldTable) -> VerificationReport:
     """For x in the neighborhood set with top index q, products with the
     set restricted above q stay inside: witnesses concatenate.
 
@@ -429,10 +432,11 @@ def check_translation(assignment: DyadicAssignment,
     pairs of the x sharing one top index are decided together
     (``_pair_failures``).
     """
-    witnesses = enumerate_u_witnesses(assignment, depth)
+    witnesses = enumerate_u_witnesses(assignment, depth, table)
     group = assignment.levels[0].ambient()
     indices = assignment.indices()
-    xs = [x for x in _validated(group, assignment, witnesses)[0] if x[1]]
+    xs = [x for x in _validated(group, assignment, witnesses, table)[0]
+          if x[1]]
     by_top: dict = {}  # top index -> positions in xs of the x it tops
     for n, (_, witness, _) in enumerate(xs):
         by_top.setdefault(witness[-1][0], []).append(n)
@@ -441,7 +445,7 @@ def check_translation(assignment: DyadicAssignment,
     for top, positions in by_top.items():
         above = [q for q in indices if top < q]
         tail, = _validated(group, assignment, _products_over(
-            group, assignment, above, depth))
+            group, assignment, above, depth, table), table)
         pairs, bad = _pair_failures([xs[n] for n in positions], tail)
         checked += pairs
         found += [(positions[i], j, tail[j][0]) for i, j in bad]
@@ -490,7 +494,6 @@ class ReductionStage:
     level: int
     indices: tuple  # tuple[str, ...] current index set
     merges: tuple  # tuple[(left, mid, right), ...] as strings
-    inclusion_exact: bool
 
 
 @dataclass(frozen=True)
@@ -509,8 +512,9 @@ def s_in_u_reduce(tower: TowerChain, j: int) -> ReductionCertificate:
     Entries at the deepest level are first promoted one tower step; each
     remaining middle index is flanked by two deepest-level indices, and
     every such triple merges into the next tower set up.  Iterating lands
-    on the single index 1/2 assigned the tower's base set.  Each distinct
-    merge inclusion is verified exactly on the tower's sets.
+    on the single index 1/2 assigned the tower's base set.  Every triple
+    at a stage carries T_{level-1} and the merged index T_{level-2}, an
+    inclusion ``TowerChain`` proved exactly at construction.
     """
     if not 1 <= j <= tower.top_level + 1:
         raise ValueError(f"need 1 <= j <= {tower.top_level + 1}")
@@ -525,19 +529,10 @@ def s_in_u_reduce(tower: TowerChain, j: int) -> ReductionCertificate:
                 left, right = indices[mid_pos - 1], indices[mid_pos + 1]
                 if left.level == level and right.level == level:
                     merges.append((str(left), str(mid), str(right)))
-        # Sets in every triple equal T_{level-1}; the merged index takes
-        # T_{level-2}.  Verify that inclusion once per stage.
-        t = tower.sets[level - 1]
-        target = tower.sets[level - 2]
-        triple = sumset(sumset(t, t), t)
-        exact = subset_of(triple, target)
-        if not exact:
-            raise ValueError(f"merge inclusion fails at level {level}")
         stages.append(ReductionStage(
             level=level,
             indices=tuple(str(q) for q in indices),
             merges=tuple(merges),
-            inclusion_exact=exact,
         ))
         level -= 1
     return ReductionCertificate(j=j, stages=tuple(stages),
@@ -558,17 +553,11 @@ def fg_closure(family: ExplicitFamily,
     for member in family.members:
         if not isinstance(member, FiniteSet):
             raise ValueError("conjugation closure needs explicit finite sets")
-        group = member.group
-        if group.is_abelian:
-            closed.append(member)
-            continue
         values = set()
         for c in conjugators:
             for el in member.elements():
                 values.add(op_conjugate(c, el).value)
-        out = FiniteSet(group, frozenset(values))
-        assert subset_of(member, out), "closure must contain the original"
-        closed.append(out)
+        closed.append(FiniteSet(member.group, frozenset(values)))
     return ExplicitFamily(closed, name=f"{family.name}^conj")
 
 

@@ -75,8 +75,7 @@ SEARCH_BUDGET = {"per_set_candidates": 64, "value_cap_factor": 1}
 @dataclass(frozen=True)
 class MembershipResult:
     status: str  # "yes" | "no" | "unknown"
-    # tuple[GroupElement, ...]; uq_membership's are (DyadicIndex, element)
-    witness: Optional[tuple] = None
+    witness: Optional[tuple] = None  # tuple[GroupElement, ...], summands
     proof: Optional[dict] = None
     note: str = ""
 

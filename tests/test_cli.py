@@ -334,6 +334,36 @@ def test_hausdorff_refuses_a_word_past_the_cap(tmp_path, capsys, doc):
                                 "letters, past the enumeration cap 200000\n")
 
 
+@pytest.mark.parametrize("n_max", [447, 10 ** 9])
+def test_hausdorff_refuses_an_n_max_past_the_bound_at_once(
+        tmp_path, capsys, monkeypatch, n_max):
+    """Each n hands the membership a chain of n copies, so n_max takes
+    the bound sqrt7-necessary puts on n, 446: one past it exits 1 with
+    one line before any member is built."""
+    from grouptop.filters import CofiniteFamily
+
+    def never(self, i):
+        raise AssertionError("a member was built")
+
+    monkeypatch.setattr(CofiniteFamily, "member", never)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": POWERS3, "probes": [1], "budgets": {
+        "n_max": n_max, "depth": 1, "max_len": 1}}))
+    code, out, err = run(["hausdorff", str(cfg)], capsys)
+    assert (code, out, err) == (1, "", (
+        f"bad config: n_max={n_max} folds chains of up to n_max copies, "
+        f"(n_max + 1)^2 = {(n_max + 1) ** 2}, past the enumeration cap "
+        f"200000\n"))
+
+
+def test_run_config_accepts_the_largest_n_max():
+    """n_max 446 passes the bound; the run itself is not made here."""
+    from grouptop.filters import RunConfig
+    cfg = RunConfig.from_json({"family": POWERS3, "probes": [1], "budgets": {
+        "n_max": 446, "depth": 1, "max_len": 1}})
+    assert cfg.n_max == 446
+
+
 def test_hausdorff_takes_a_family_with_no_exact_subset_test(tmp_path,
                                                             capsys):
     """A residue class and a tail have no exact subset test, so whether

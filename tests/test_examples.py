@@ -189,17 +189,15 @@ def test_product_cover_identity_witness():
 
 def test_product_cover_report_random():
     samples = random_product_elements(6, 50, seed=3)
-    rep = verify_product_sum_full(6, 3, [4, 5, 6], samples, FoldTable())
+    rep = verify_product_sum_full(6, 3, samples, FoldTable())
     assert rep.status is Status.VERIFIED
 
 
 def test_product_cover_refuses_levels_its_id_cannot_name():
-    """A product-cover id names N and m0 only, so the follower levels must
-    be the recipe's, min(m0 + i + 1, N)."""
+    """A product-cover id names N and m0 only, so the follower levels are
+    the recipe's, min(m0 + i + 1, N), and the cover takes no others."""
     assert product_cover_levels(6, 2) == [3, 4]
     assert product_cover_levels(4, 3) == [4, 4, 4]
-    with pytest.raises(ValueError, match="follower levels"):
-        verify_product_sum_full(6, 2, [2, 2], [], FoldTable())
 
 
 @pytest.mark.parametrize("build", [
@@ -208,7 +206,7 @@ def test_product_cover_refuses_levels_its_id_cannot_name():
     lambda: product_cover_levels(10 ** 9, 10 ** 9),
     lambda: random_product_elements(6, 40_000, seed=3),
     lambda: verify_product_sum_full(
-        6, 3, [4, 5, 6], [ProductMod(6).identity()] * 10_000, FoldTable()),
+        6, 3, [ProductMod(6).identity()] * 10_000, FoldTable()),
     lambda: verify_sqrt7_U_full(2, [2] * 9, range(-10_000, 10_001),
                                 FoldTable()),
 ], ids=["union-N-1000", "union-n-10^5", "cover-m0-10^9", "samples-40000",

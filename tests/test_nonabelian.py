@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +13,7 @@ from grouptop import (FiniteSet, Integers, contains, op_add, op_neg, op_sum,
                       star)
 from grouptop.filters import ExplicitFamily, check_directed, cupcap_check
 from grouptop.fixtures import dihedral8
-from grouptop import groups
+from grouptop import groups, setspec
 from grouptop.groups import CayleyGroup, EnumerationBudgetError
 from grouptop import nonabelian
 from grouptop.nonabelian import (
@@ -34,6 +35,7 @@ from grouptop.nonabelian import (
     uq_membership,
     verify_fib_identity,
 )
+from grouptop.prefixsum import MembershipResult
 from grouptop.report import Status, canonical_json, report_document
 from grouptop.setspec import FoldTable
 
@@ -91,49 +93,77 @@ def d4_assignment(levels_spec):
     )
 
 
-def test_shifted_view_shares_the_symmetrized_levels():
-    """A shifted assignment slices the combined one's stars and starred
-    elements instead of symmetrizing its levels again."""
-    _, assign = d4_assignment([["r"], ["r", "s"], ["r2"], ["r"], ["s"]])
-    view = assign.shifted(2)
-    assert view.levels == assign.levels[2:]
-    for i in range(view.max_level):
-        assert view.stars[i] is assign.stars[2 + i]
-        assert view.starred[i] is assign.starred[2 + i]
+def test_shifted_view_shares_the_symmetrized_levels(monkeypatch):
+    """Both shifts of one ``check_UU`` call read their levels' stars from
+    the call's one table: each level a shift views is symmetrized once,
+    and no level is symmetrized again."""
+    _, assign = d4_assignment([["r"], ["r", "s"], ["r2"], ["rs"], ["s"]])
+    assert assign.shifted(2).levels == assign.levels[2:]
+    honest, starred = setspec.star, []
+
+    def counting(spec):  # a star handed back unchanged is no new work
+        if not isinstance(spec, setspec.StarSet):
+            starred.append(spec)
+        return honest(spec)
+
+    monkeypatch.setattr(setspec, "star", counting)
+    rep = check_UU(assign, Rescale(0, 2), Rescale(2, 3), depth=3)
+    assert rep.status is Status.VERIFIED
+    assert starred == list(assign.levels[2:])
 
 
 def test_uq_identity_is_empty_product():
     _, assign = d4_assignment([["r"], ["r"], ["r"]])
     d4 = dihedral8()
-    res = uq_membership(d4.identity(), assign, depth=3)
+    res = uq_membership(d4.identity(), assign, 3, FoldTable())
     assert res.is_yes() and res.witness == ()
 
 
 def test_uq_single_index_member():
     d4, assign = d4_assignment([["r"], ["s"], ["r2"]])
-    res = uq_membership(d4.element("s"), assign, depth=1)
+    res = uq_membership(d4.element("s"), assign, 1, FoldTable())
     assert res.is_yes() and len(res.witness) == 1
+
+
+def _index(text):
+    """The dyadic index a proof names as ``str(q)``."""
+    q = Fraction(text)
+    return DyadicIndex.of(q.numerator, q.denominator.bit_length() - 1)
 
 
 def test_uq_r_squared_two_factors():
     d4, assign = d4_assignment([["r"], ["r"], ["r"]])
-    res = uq_membership(d4.element("r2"), assign, depth=3)
+    res = uq_membership(d4.element("r2"), assign, 3, FoldTable())
     assert res.is_yes()
-    assert [str(el) for _, el in res.witness] == ["r", "r"]
-    qs = [q for q, _ in res.witness]
-    assert qs == sorted(qs, key=DyadicIndex.fraction)
+    assert [str(el) for el in res.witness] == ["r", "r"]
+    qs = [_index(q) for q in res.proof["indices"]]
+    assert len(qs) == 2 and qs == sorted(qs, key=DyadicIndex.fraction)
+    assert [str(q) for q in qs] == res.proof["indices"]
+
+
+def test_uq_yes_serializes_its_summands_and_indices():
+    """A "yes" writes its summands as every membership witness is
+    written, and its indices in the proof, and reads back."""
+    d4, assign = d4_assignment([["r"], ["r"], ["r"]])
+    res = uq_membership(d4.element("r2"), assign, 3, FoldTable())
+    doc = res.to_json()
+    r = d4.value_to_json(d4.element("r").value)
+    assert doc == {"status": "yes", "witness": [r, r],
+                   "proof": {"depth": 3, "max_level": 3,
+                             "indices": ["1/8", "1/4"]}}
+    assert MembershipResult.from_json(d4, doc) == res
 
 
 def test_uq_exact_no_on_cayley():
     d4, assign = d4_assignment([["r"], ["r"], ["r"]])
-    res = uq_membership(d4.element("s"), assign, depth=4)
+    res = uq_membership(d4.element("s"), assign, 4, FoldTable())
     assert res.status == "no"
     assert "stabilized_at" in res.proof
 
 
 def test_uq_free_group_miss_stays_unknown():
     assign = DyadicAssignment.of({1: FiniteSet.of(FREE_XY, ["x"])})
-    res = uq_membership(FREE_XY.element("y"), assign, depth=2)
+    res = uq_membership(FREE_XY.element("y"), assign, 2, FoldTable())
     assert res.status == "unknown"
 
 
@@ -141,7 +171,7 @@ def test_uq_depth1_agrees_with_star_membership():
     d4, assign = d4_assignment([["r", "s"], ["r", "s"], ["r", "s"]])
     starred = star(FiniteSet.of(d4, ["r", "s"]))
     for el in d4.elements():
-        res = uq_membership(el, assign, depth=1)
+        res = uq_membership(el, assign, 1, FoldTable())
         expected = el.is_identity() or contains(starred, el)
         assert res.is_yes() == expected
 
@@ -169,8 +199,9 @@ def test_check_uu_rejects_overlap():
 
 def test_inverse_closure_and_translation_exhaustive():
     _, assign = d4_assignment([["r"], ["r", "s"], ["r2"]])
-    assert check_inverse_closure(assign, depth=3).status is Status.VERIFIED
-    assert check_translation(assign, depth=3).status is Status.VERIFIED
+    table = FoldTable()
+    assert check_inverse_closure(assign, 3, table).status is Status.VERIFIED
+    assert check_translation(assign, 3, table).status is Status.VERIFIED
 
 
 def test_witness_is_valid_rejects_each_fault():
@@ -180,7 +211,8 @@ def test_witness_is_valid_rejects_each_fault():
     product = op_add(r, s_).value
 
     def valid(witness, expected=product):
-        return nonabelian._witness_is_valid(d4, assign, witness, expected)
+        return nonabelian._witness_is_valid(d4, assign, witness, expected,
+                                            FoldTable())
 
     assert valid(((half, r), (three_quarters, s_)))
     assert not valid(((three_quarters, r), (half, s_)))  # indices decrease
@@ -227,7 +259,7 @@ def _uu_sides(assign, sigma, tau, depth):
     return [[(value, tuple((rescale.apply(q), el) for q, el in w))
              for value, w in _sorted_witnesses(
                  d4, nonabelian.enumerate_u_witnesses(
-                     assign.shifted(rescale.shift), depth))]
+                     assign.shifted(rescale.shift), depth, FoldTable()))]
             for rescale in (sigma, tau)]
 
 
@@ -261,8 +293,8 @@ def _tampered_uu_tables(d4, product_fault_levels):
     honest = nonabelian.enumerate_u_witnesses
     r = d4.element("r")
 
-    def tampered(assignment, depth):
-        table = dict(honest(assignment, depth))
+    def tampered(assignment, depth, fold_table):
+        table = dict(honest(assignment, depth, fold_table))
         for n, (key, w) in enumerate(sorted(
                 table.items(), key=lambda kv: (d4.sort_key(kv[0][0]),
                                                kv[0][1]))):
@@ -357,10 +389,10 @@ def test_check_uu_enumerates_one_table_per_shift(monkeypatch, sigma, tau,
     _, assign = d4_assignment([["r"], ["r", "s"], ["r2"], ["r"], ["s"]])
     honest, calls = nonabelian.enumerate_u_witnesses, 0
 
-    def counting(assignment, depth):
+    def counting(assignment, depth, table):
         nonlocal calls
         calls += 1
-        return honest(assignment, depth)
+        return honest(assignment, depth, table)
 
     monkeypatch.setattr(nonabelian, "enumerate_u_witnesses", counting)
     assert check_UU(assign, sigma, tau, 3).status is Status.VERIFIED
@@ -377,7 +409,8 @@ def test_check_uu_checks_each_table_item_once(monkeypatch, sigma, tau):
     distinct index of its table through ``Rescale.apply`` at most once."""
     _, assign = d4_assignment([["r"], ["r", "s"], ["r2"], ["r"], ["s"]])
     tables = {shift: nonabelian.enumerate_u_witnesses(
-        assign.shifted(shift), 3) for shift in {sigma.shift, tau.shift}}
+        assign.shifted(shift), 3, FoldTable())
+        for shift in {sigma.shift, tau.shift}}
     holds, apply = nonabelian.witness_holds, Rescale.apply
     checks, images = 0, []
 
@@ -430,7 +463,7 @@ def _reachable_reference(assignment):
     reach = {group.identity_value(): 0}
     for q in assignment.indices():
         for value, count in list(reach.items()):
-            for el in assignment.starred[q.level - 1]:
+            for el in star(assignment.set_at(q)).base.elements():
                 nxt = group._add(value, el.value)
                 if count + 1 < reach.get(nxt, math.inf):
                     reach[nxt] = count + 1
@@ -450,10 +483,15 @@ def test_uq_membership_matches_reachable_reference(levels):
     starred = _starred_by_level(d4, assign)
     for g in d4.elements():
         for depth in range(1, 7):
-            res = uq_membership(g, assign, depth)
+            res = uq_membership(g, assign, depth, FoldTable())
             if reach.get(g.value, math.inf) <= depth:
                 assert res.is_yes() and len(res.witness) == reach[g.value]
-                assert _walk_is_witness(d4, starred, res.witness, g.value)
+                indices = [_index(q) for q in (res.proof or {}).get(
+                    "indices", ())]
+                assert _walk_is_witness(d4, starred,
+                                        tuple(zip(indices, res.witness)),
+                                        g.value)
+                assert len(indices) == len(res.witness)
             elif g.value not in reach and stabilized_at < depth:
                 assert res.is_no()
                 assert res.proof["stabilized_at"] == stabilized_at
@@ -517,12 +555,13 @@ def test_witness_table_holds_at_most_the_cap(monkeypatch):
     table of thousands of states refuses within a few hundred
     additions."""
     _, five = d4_assignment([["r"], ["r", "s"], ["r2"], ["r"], ["s"]])
-    size = len(nonabelian.enumerate_u_witnesses(five, 3))
+    size = len(nonabelian.enumerate_u_witnesses(five, 3, FoldTable()))
     monkeypatch.setattr(groups, "_ENUMERATION_CAP", size)
-    assert len(nonabelian.enumerate_u_witnesses(five, 3)) == size
+    assert len(nonabelian.enumerate_u_witnesses(five, 3,
+                                                FoldTable())) == size
     monkeypatch.setattr(groups, "_ENUMERATION_CAP", size - 1)
     with pytest.raises(EnumerationBudgetError, match="witness table"):
-        nonabelian.enumerate_u_witnesses(five, 3)
+        nonabelian.enumerate_u_witnesses(five, 3, FoldTable())
 
     _, wide = d4_assignment([["e", "r", "s"]] * 7)
     add, calls = CayleyGroup._add, 0
@@ -535,7 +574,7 @@ def test_witness_table_holds_at_most_the_cap(monkeypatch):
     monkeypatch.setattr(CayleyGroup, "_add", counting)
     monkeypatch.setattr(groups, "_ENUMERATION_CAP", 20)
     with pytest.raises(EnumerationBudgetError):
-        nonabelian.enumerate_u_witnesses(wide, 3)
+        nonabelian.enumerate_u_witnesses(wide, 3, FoldTable())
     assert calls < 500
 
 
@@ -547,20 +586,21 @@ def test_dyadic_checks_raise_and_membership_answers_unknown_past_the_cap(
     table passes the cap and when only the closed table does."""
     d4, five = d4_assignment([["r"], ["r", "s"], ["r2"], ["r"], ["s"]])
     _, rotations = d4_assignment([["r"], ["r"], ["r"]])
-    assert uq_membership(d4.element("s"), rotations, 4).is_no()
+    assert uq_membership(d4.element("s"), rotations, 4, FoldTable()).is_no()
     monkeypatch.setattr(groups, "_ENUMERATION_CAP", 20)
     for check in (lambda: check_UU(five, Rescale(0, 2), Rescale(3, 2), 3),
-                  lambda: check_inverse_closure(rotations, 3),
-                  lambda: check_translation(rotations, 3)):
+                  lambda: check_inverse_closure(rotations, 3, FoldTable()),
+                  lambda: check_translation(rotations, 3, FoldTable())):
         with pytest.raises(EnumerationBudgetError):
             check()
     for g, depth in (("s", 4), ("s", 1), ("r2", 2)):
-        res = uq_membership(d4.element(g), rotations, depth)
+        res = uq_membership(d4.element(g), rotations, depth, FoldTable())
         assert res.status == "unknown", (g, depth)
         assert res.note.endswith("past the enumeration cap 20")
     monkeypatch.setattr(groups, "_ENUMERATION_CAP", 22)  # the depth-1 table
-    assert uq_membership(d4.element("r"), rotations, 1).is_yes()
-    res = uq_membership(d4.element("s"), rotations, 1)  # closed: 28 states
+    assert uq_membership(d4.element("r"), rotations, 1, FoldTable()).is_yes()
+    # closed: 28 states
+    res = uq_membership(d4.element("s"), rotations, 1, FoldTable())
     assert res.status == "unknown" and "witness table" in res.note
 
 
@@ -573,13 +613,14 @@ def _translation_by_pair_walk(assign, depth):
     indices = assign.indices()
     checked, failures = 0, []
     for xv, xw in _sorted_witnesses(
-            d4, nonabelian.enumerate_u_witnesses(assign, depth)):
+            d4, nonabelian.enumerate_u_witnesses(assign, depth,
+                                                 FoldTable())):
         if not xw:
             continue
         top = xw[-1][0].fraction()
         above = [q for q in indices if top < q.fraction()]
         for uv, uw in _sorted_witnesses(d4, nonabelian._products_over(
-                d4, assign, above, depth)):
+                d4, assign, above, depth, FoldTable())):
             checked += 1
             if not _walk_is_witness(d4, starred, xw + uw, d4._add(xv, uv)):
                 failures.append({"x": d4.value_to_json(xv),
@@ -599,15 +640,15 @@ def test_check_translation_matches_pair_walk(monkeypatch):
             lvl: FiniteSet.of(d4, rng.sample(D4_NAMES, rng.randint(1, 3)))
             for lvl in range(1, 4)})
         checked, failures = _translation_by_pair_walk(assign, 3)
-        rep = check_translation(assign, 3)
+        rep = check_translation(assign, 3, FoldTable())
         assert (rep.payload["products_checked"], rep.payload["failures"]) \
             == (checked, failures) and failures == []
 
     honest = nonabelian._products_over
     r = d4.element("r")
 
-    def tampered(group, assignment, indices, depth):
-        table = dict(honest(group, assignment, indices, depth))
+    def tampered(group, assignment, indices, depth, fold_table):
+        table = dict(honest(group, assignment, indices, depth, fold_table))
         whole = len(indices) == len(assignment.indices())
         for n, (key, w) in enumerate(sorted(
                 table.items(), key=lambda kv: (d4.sort_key(kv[0][0]),
@@ -623,7 +664,7 @@ def test_check_translation_matches_pair_walk(monkeypatch):
     monkeypatch.setattr(nonabelian, "_products_over", tampered)
     _, assign = d4_assignment([["r", "s"], ["r", "s"], ["rs", "r2"]])
     checked, failures = _translation_by_pair_walk(assign, 3)
-    rep = check_translation(assign, 3)
+    rep = check_translation(assign, 3, FoldTable())
     assert failures and rep.status is Status.REFUTED
     assert (rep.payload["products_checked"], rep.payload["failures"]) == \
         (checked, failures)
@@ -663,8 +704,10 @@ def test_nonabelian_report_bytes_pinned():
         check_UU(five, Rescale(0, 2), Rescale(3, 2), 3),
         check_UU(five, Rescale(1, 3), Rescale(6, 3), 2),
         *[check_UU(a, Rescale(0, 2), Rescale(3, 2), 3) for a in seeded],
-        check_inverse_closure(three, 3), check_translation(three, 3),
-        check_inverse_closure(five, 2), check_translation(five, 2),
+        check_inverse_closure(three, 3, FoldTable()),
+        check_translation(three, 3, FoldTable()),
+        check_inverse_closure(five, 2, FoldTable()),
+        check_translation(five, 2, FoldTable()),
     ]
     text = canonical_json(report_document(reports))
     assert hashlib.sha256(text.encode()).hexdigest() == \
@@ -686,7 +729,6 @@ def test_interval_tower_collapse_exact():
         assert [s.level for s in cert.stages] == list(range(top + 1, 1, -1))
         assert [len(s.merges) for s in cert.stages] == \
             [2 ** (lv - 2) for lv in range(top + 1, 1, -1)]
-        assert all(s.inclusion_exact for s in cert.stages)
         assert cert.final_set == tower.sets[0]
         # oracle: the triple sums are exact interval identities
         from grouptop.setspec import sumset

@@ -62,8 +62,7 @@ SMALL = {
     "sqrt7-cover": lambda: ex.verify_sqrt7_U_full(
         1, ex.sqrt7_cover_levels(1), [2], FoldTable()),
     "product-cover": lambda: ex.verify_product_sum_full(
-        4, 2, ex.product_cover_levels(4, 2),
-        ex.random_product_elements(4, 1, 7), FoldTable()),
+        4, 2, ex.random_product_elements(4, 1, 7), FoldTable()),
     "product-union-small": lambda: ex.verify_product_union_small(3, 1,
                                                                  FoldTable()),
     "interval-no-extension": lambda: ex.verify_interval_example(2,
@@ -294,15 +293,28 @@ def test_recheck_binds_fields_nothing_read(name, tamper, message):
 
 
 def test_recheck_of_a_crafted_n_max_builds_one_entry_past_the_record():
-    """Budgets claiming 10^9 cupcap entries fail at the first one the
-    probe does not record, without building the rest."""
+    """Budgets claiming 446 cupcap entries, the most a config may ask
+    for, fail at the first one the probe does not record, without
+    building the rest."""
     doc = _report("powers3")
-    _claim(doc)["budgets"]["n_max"] = 10 ** 9
+    _claim(doc)["budgets"]["n_max"] = 446
     ok, details = recheck_document(doc)
     assert not ok and details[0].startswith(
         "  FAIL   hausdorff:powers3: the replay gives probes at "
         "[0]['cupcap']['3']: {'found': False, 'n': 3, 'checked': 8}, the "
         "report nothing"), details
+
+
+@pytest.mark.parametrize("n_max", [447, 10 ** 9])
+def test_recheck_refuses_an_n_max_past_the_bound_in_one_line(n_max):
+    """A claim whose budgets name an n_max past 446 fails in one line, as
+    ``hausdorff`` refuses such a config, before any member is built."""
+    doc = _report("powers3")
+    _claim(doc)["budgets"]["n_max"] = n_max
+    assert recheck_document(doc) == (False, [
+        f"  FAIL   hausdorff:powers3: error: n_max={n_max} folds chains of "
+        f"up to n_max copies, (n_max + 1)^2 = {(n_max + 1) ** 2}, past the "
+        f"enumeration cap 200000"])
 
 
 # An edit of a claim, and the start of the message it must fail with.

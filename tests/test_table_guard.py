@@ -4,8 +4,10 @@ An ``ast`` scan of ``src/grouptop``: each command builds its table at
 the top and hands it to everything below, so no function takes a table
 that defaults to None (and so builds a throwaway one), and ``FoldTable()``
 is called only where a command starts, plus the one-call wrapper
-``setspec.n_fold_star``.  Stars come from that table too: ``setspec.star``
-is called only inside ``setspec`` and where no command table exists.
+``setspec.n_fold_star`` and ``nonabelian.check_UU``, which the bench
+calls directly.  Stars come from that table too: no function outside
+``setspec`` calls ``setspec.star``, and no ``cached_property`` keeps a
+second cache beside the table.
 """
 
 import ast
@@ -17,6 +19,7 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "grouptop"
 BUILDERS = {
     "cli._cmd_verify": "verify",
     "filters.hausdorff_verdict": "hausdorff",
+    "nonabelian.check_UU": "the bench's dyadic-d4 entry",
     "recheck.recheck_document": "recheck",
     "setspec.n_fold_star": "the one-call wrapper the bench tracer wraps",
 }
@@ -35,13 +38,6 @@ def _functions():
                 if not isinstance(node, ast.ClassDef):
                     yield name, node
                 todo += [(name, child) for child in node.body]
-
-
-# module.function -> why it stars sets without a command's table.
-STARRERS = {
-    "nonabelian.DyadicAssignment.stars":
-        "check_UU has no command table: the bench calls it directly",
-}
 
 
 def _callers(callee) -> set:
@@ -119,9 +115,23 @@ def test_fold_tables_are_built_only_where_a_command_starts():
 
 def test_stars_come_from_the_command_table():
     """Outside ``setspec``, whose ``FoldTable.star`` builds each star
-    once per command, only ``STARRERS`` call ``setspec.star``: every
-    witness is checked against, and written from, the stars its claim
-    reads from the table."""
+    once per command, no function calls ``setspec.star``: every witness
+    is checked against, and written from, the stars its claim reads from
+    the table."""
     callers = {owner for owner in _star_callers()
                if owner.split(".")[0] != "setspec"}
-    assert callers == set(STARRERS)
+    assert callers == set()
+
+
+def test_no_cached_property_caches_beside_the_table():
+    """``functools.cached_property`` is neither imported nor used: a
+    value worth keeping per command lives in the command's table."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = [alias.name for alias in node.names] \
+                if isinstance(node, ast.ImportFrom) else []
+            if "cached_property" in names or "cached_property" in (
+                    getattr(node, "id", None), getattr(node, "attr", None)):
+                found.append(f"{path.stem}:{node.lineno}")
+    assert found == []
