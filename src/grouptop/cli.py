@@ -172,6 +172,16 @@ def _cmd_recheck(args) -> int:
     return 0 if ok else 2
 
 
+# name -> (what it does, what runs it)
+_COMMANDS = {
+    "verify": ("run a named example suite", _cmd_verify),
+    "hausdorff": ("run both criteria over a configured family",
+                  _cmd_hausdorff),
+    "hensel": ("square-root lifting table", _cmd_hensel),
+    "recheck": ("re-verify every witness in a report file", _cmd_recheck),
+}
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit 2 would read as "some claim refuted"
         self.exit(1, f"{self.prog}: error: {message}\n")
@@ -188,38 +198,46 @@ def _at_least(least: int):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command's name and its arguments, still unparsed: each command
+    parses them with its own ``command_parser``.  ``main`` needs this
+    parser only for help, a usage error or a command after ``--``."""
     parser = _Parser(
         prog="grouptop",
         description="certified verifications of set-family convergence "
                     "criteria",
+        epilog="commands:\n" + "".join(
+            f"  {name:<11}{about}\n"
+            for name, (about, _) in _COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_verify = sub.add_parser("verify", help="run a named example suite")
-    p_verify.add_argument("example", choices=_EXAMPLES)
-    p_verify.add_argument("options", nargs=argparse.REMAINDER,
-                          help="the example's own options (verify EXAMPLE "
-                               "-h lists them)")
-    p_verify.set_defaults(func=_cmd_verify)
-
-    p_h = sub.add_parser("hausdorff",
-                         help="run both criteria over a configured family")
-    p_h.add_argument("config", help="JSON run configuration")
-    _common_output(p_h)
-    p_h.set_defaults(func=_cmd_hausdorff)
-
-    p_hensel = sub.add_parser("hensel", help="square-root lifting table")
-    p_hensel.add_argument("--p", type=int, default=3)
-    p_hensel.add_argument("--a", type=int, default=7)
-    p_hensel.add_argument("--k", type=_at_least(1), default=3)
-    _common_output(p_hensel)
-    p_hensel.set_defaults(func=_cmd_hensel)
-
-    p_re = sub.add_parser("recheck",
-                          help="re-verify every witness in a report file")
-    p_re.add_argument("report")
-    p_re.set_defaults(func=_cmd_recheck)
+    parser.add_argument("command", choices=_COMMANDS)
+    rest = parser.add_argument("options", nargs=argparse.REMAINDER,
+                               help="the command's own arguments (grouptop "
+                                    "COMMAND -h lists them)")
+    rest.required = False  # a missing command names the command alone
     return parser
+
+
+def command_parser(command: str) -> argparse.ArgumentParser:
+    """The arguments of one command and only those, built when that
+    command is run."""
+    p = _Parser(prog=f"grouptop {command}")
+    if command == "verify":
+        p.add_argument("example", choices=_EXAMPLES)
+        p.add_argument("options", nargs=argparse.REMAINDER,
+                       help="the example's own options (verify EXAMPLE "
+                            "-h lists them)")
+    elif command == "hausdorff":
+        p.add_argument("config", help="JSON run configuration")
+        _common_output(p)
+    elif command == "hensel":
+        p.add_argument("--p", type=int, default=3)
+        p.add_argument("--a", type=int, default=7)
+        p.add_argument("--k", type=_at_least(1), default=3)
+        _common_output(p)
+    else:  # recheck
+        p.add_argument("report")
+    return p
 
 
 def example_parser(example: str) -> argparse.ArgumentParser:
@@ -255,12 +273,19 @@ def _common_output(p: argparse.ArgumentParser) -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command; a call builds that command's parser alone."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
-        if args.command == "verify":  # then the example's own options
+        if argv and argv[0] in _COMMANDS:  # what build_parser would read
+            command, options = argv[0], argv[1:]
+        else:
+            top = build_parser().parse_args(argv)
+            command, options = top.command, top.options
+        args = command_parser(command).parse_args(options)
+        if command == "verify":  # then the example's own options
             args = example_parser(args.example).parse_args(args.options,
                                                            args)
-        return args.func(args)
+        return _COMMANDS[command][1](args)
     except SystemExit as done:  # a bad usage or input exits 1, --help 0
         return done.code
 

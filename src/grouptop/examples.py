@@ -43,7 +43,6 @@ from .setspec import (
     ResidueSet,
     SetLike,
     SymmetricInterval,
-    contains,
     subset_of,
     witness_holds,
 )
@@ -359,7 +358,7 @@ def _verify_cover(claim: str, flag: str, sources: Sequence[SetLike],
     whole = BoxSet(folded.n_coords, ()) if isinstance(folded, BoxSet) \
         else ResidueSet.of(1, [0])
     covers = subset_of(whole, folded)
-    ok = covers and all(witness_holds(target, summands, stars)
+    ok = covers and all(witness_holds(target, summands, stars, table)
                         for target, summands in witnesses)
     sets = [st.to_json() for st in stars]
     return VerificationReport(
@@ -560,9 +559,9 @@ def verify_interval_example(min_exp: int,
         pinned = group.element(1 - eps / 2), group.element(eps / 2)
         steps.append((eps, chain, pinned,
                       prefix_sum_membership(_ONE, chain, table)))
-    first_excluded = not contains(unit, _ONE)
+    first_excluded = not table.contains(unit, _ONE)
     ok = first_excluded and all(
-        res.is_yes() and all(witness_holds(_ONE, summands, chain)
+        res.is_yes() and all(witness_holds(_ONE, summands, chain, table)
                              for summands in (pinned, res.witness))
         for _, chain, pinned, res in steps)
     return VerificationReport(

@@ -518,8 +518,9 @@ def recheck_certificate(
             raise AssertionError(f"prefix {n} no longer excludes the target")
         steps.append(SeparationStep(step.member_index, step.member, res))
     for i, member, res in cert.blocked if stuck else ():
-        if res.is_yes() and not witness_holds(cert.target, res.witness,
-                                              stars + [table.star(member)]):
+        if res.is_yes() and not witness_holds(
+                cert.target, res.witness, stars + [table.star(member)],
+                table):
             raise AssertionError(f"blocking witness at candidate {i} fails")
     return StuckReport(cert.target, cert.step, tuple(steps), cert.blocked,
                        cert.family) if stuck \

@@ -350,7 +350,7 @@ def _validated(group, assignment: DyadicAssignment, witnesses: dict,
         ok = [_indices_valid(top, w) for w in moved]
         holds = any(ok) and witness_holds(
             GroupElement(group, value), [el for _, el in witness],
-            [stars[q.level - 1] for q, _ in witness])
+            [stars[q.level - 1] for q, _ in witness], table)
         for side, w, w_ok in zip(sides, moved, ok):
             side.append((value, w, w_ok and holds))
     return sides

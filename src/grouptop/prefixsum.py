@@ -32,12 +32,14 @@ envelope modulus is the divisor ``IntegerSequence.divisor_index`` finds.
 Everything a membership reads of its sets alone comes from the command's
 ``FoldTable``: stars, exact folds, the CRT candidates of a residue set
 per class of the remainder, divisor certificates, each tail's window of
-tail divisors (the envelope modulus), residue envelopes per modulus and
-each tail's terms (the bounded search's candidates).  So a command reads
-each tail once, not once per membership; the witness and its check, and
-a tail's single-set membership, still run per membership.  Proofs that
-name only a route, or a route and a fold, are the table's one dict for
-them, shared by every result that carries them and never mutated.
+tail divisors (the envelope modulus), residue envelopes per modulus, the
+envelope sum of a chain per modulus and each tail's terms (the bounded
+search's candidates, and the single-set and witness memberships).  So a
+command reads each tail once, not once per membership, and an envelope
+exclusion is one bit test against a kept sum; only the peel and the
+witness check run per membership.  Proofs that name only a route, or a
+route and a fold, are the table's one dict for them, shared by every
+result that carries them and never mutated.
 """
 
 from __future__ import annotations
@@ -59,7 +61,6 @@ from .setspec import (
     SumsetUnsupported,
     SymmetricInterval,
     TailSet,
-    contains,
     divides,
     witness_holds,
 )
@@ -106,8 +107,9 @@ class MembershipResult:
 
 
 def _verify_witness(g: GroupElement, stars: Sequence[StarSet],
-                    summands: Optional[Sequence[GroupElement]]) -> None:
-    if summands is None or not witness_holds(g, summands, stars):
+                    summands: Optional[Sequence[GroupElement]],
+                    table: FoldTable) -> None:
+    if summands is None or not witness_holds(g, summands, stars, table):
         raise AssertionError(f"witness for {g} does not re-verify")
 
 
@@ -210,14 +212,14 @@ def prefix_sum_membership(g: GroupElement, chain: Sequence[SetLike],
 
     if g.is_identity():
         zeros = tuple(group.identity() for _ in stars)
-        _verify_witness(g, stars, zeros)
+        _verify_witness(g, stars, zeros, table)
         return MembershipResult("yes", witness=zeros,
                                 proof={"route": "identity"})
 
     if n == 1:
         # Single-set membership is exact for every representation.
-        if contains(stars[0], g):
-            _verify_witness(g, stars, (g,))
+        if table.contains(stars[0], g):
+            _verify_witness(g, stars, (g,), table)
             return MembershipResult("yes", witness=(g,),
                                     proof=table.proof("single-set"))
         return MembershipResult("no", proof=table.proof("single-set"))
@@ -234,7 +236,7 @@ def prefix_sum_membership(g: GroupElement, chain: Sequence[SetLike],
             g, n,
             lambda i, r: _exact_candidates(stars[i], r, folds[i + 1], table),
             lambda i, r: folds[i].contains_value(r))
-        _verify_witness(g, stars, witness)
+        _verify_witness(g, stars, witness, table)
         return MembershipResult("yes", witness=witness,
                                 proof=table.proof("exact-fold"))
 
@@ -258,7 +260,7 @@ def prefix_sum_membership(g: GroupElement, chain: Sequence[SetLike],
             return env_no
         found = _bounded_search(g, _plan(g, stars, table))
         if found is not None:
-            _verify_witness(g, stars, found)
+            _verify_witness(g, stars, found, table)
             return MembershipResult("yes", witness=found,
                                     proof={"route": "bounded-search"})
 
@@ -294,7 +296,7 @@ def _envelope_modulus(g: GroupElement, stars: Sequence[StarSet],
     """
     threshold = 2 * len(stars) * max(abs(g.value), 1)
     m = 1
-    for st in stars:
+    for st in dict.fromkeys(stars):  # an n-fold chain repeats one star
         base = st.base
         if isinstance(base, ResidueSet):
             m = math.lcm(m, base.modulus)
@@ -314,32 +316,28 @@ def _envelope_exclusion(g: GroupElement, stars: Sequence[StarSet],
                         table: FoldTable) -> Optional[MembershipResult]:
     """Exact exclusion by reducing every set to its residues mod a common
     modulus; applicable only when every envelope is exactly computable.
-    The modulus and the envelopes come from ``table``."""
+    The modulus, and the envelopes' sum and sizes, come from ``table``."""
     m = _envelope_modulus(g, stars, table)
     if m <= 1:
         return None
-    envelopes = []
-    for st in stars:
-        env = table.residue_envelope(st, m)
-        if env is None:
-            return None
-        envelopes.append(env)
-    if _envelope_sum_meets(envelopes, m, g.value % m) is not False:
+    found = table.envelope_sum(stars, m, _envelope_sum)
+    if found is None or _in_envelope_sum(found[0], g.value % m):
         return None
     return MembershipResult(
         "no",
         proof={"route": "residue-envelope", "modulus": m,
-               "envelope_sizes": [len(e) for e in envelopes]},
+               "envelope_sizes": list(found[1])},
     )
 
 
-def _envelope_sum_meets(envelopes: list, m: int, r: int) -> Optional[bool]:
-    """Whether residue r lies in the sum of the envelopes mod m; None when
-    that sum saturates, so no exclusion is possible, or when a sum past
+def _envelope_sum(envelopes: Sequence[frozenset], m: int):
+    """The residues of the sum of the envelopes mod m; None when that sum
+    saturates, so no exclusion is possible, or when a sum past
     ``_ENVELOPE_BITSET_CAP`` would pair more residues than the enumeration
     cap.  Up to the bitset cap the sum is a bitset of m residues, each
     envelope added by shifting and folding the overflow back (a
-    rotate-and-OR); past it, a set of residues."""
+    rotate-and-OR); past it, a frozenset of residues.
+    ``_in_envelope_sum`` reads either."""
     if m <= _ENVELOPE_BITSET_CAP:
         full = (1 << m) - 1
         acc = 1
@@ -350,7 +348,7 @@ def _envelope_sum_meets(envelopes: list, m: int, r: int) -> Optional[bool]:
             acc = (shifted & full) | (shifted >> m)
             if acc == full:
                 return None
-        return acc >> r & 1 == 1
+        return acc
     acc = {0}
     for env in envelopes:
         if not within_enumeration_cap(len(acc) * len(env)):
@@ -358,7 +356,14 @@ def _envelope_sum_meets(envelopes: list, m: int, r: int) -> Optional[bool]:
         acc = {(a + b) % m for a in acc for b in env}
         if len(acc) == m:
             return None
-    return r in acc
+    return frozenset(acc)
+
+
+def _in_envelope_sum(residues, r: int) -> bool:
+    """Whether residue r lies in a sum ``_envelope_sum`` built."""
+    if isinstance(residues, int):
+        return residues >> r & 1 == 1
+    return r in residues
 
 
 def _plan(g: GroupElement, stars: Sequence[StarSet],

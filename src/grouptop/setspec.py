@@ -261,8 +261,11 @@ class TailSet(SetSpec):
         return any(self.admits(i)
                    for i in range(k, k + len(self.excluded) + 1))
 
-    def contains_value(self, value: int) -> bool:
-        for k, v in self.sequence.terms(self.start, abs(value)):
+    def contains_value(self, value: int, known: Optional[list] = None
+                       ) -> bool:
+        """Whether ``value`` is a tail value; the terms read from
+        ``known`` as ``IntegerSequence.terms`` does."""
+        for k, v in self.sequence.terms(self.start, abs(value), known):
             if v == value:
                 return k not in self.excluded
         return False
@@ -343,7 +346,9 @@ def star(spec: SetLike) -> StarSet:
 
 
 def contains(spec: SetLike, g: GroupElement) -> bool:
-    """Exact membership for every description kind."""
+    """Exact membership for every description kind.  Only ``setspec``
+    calls it: everything else asks its command's ``FoldTable.contains``,
+    which reads a tail's terms once per command."""
     ambient = spec.ambient()
     if g.group is not ambient and g.group != ambient:
         raise GroupMismatchError(
@@ -354,18 +359,18 @@ def contains(spec: SetLike, g: GroupElement) -> bool:
 
 
 def witness_holds(target: GroupElement, summands: Sequence[GroupElement],
-                  sets: Sequence[SetLike]) -> bool:
+                  sets: Sequence[SetLike], table: FoldTable) -> bool:
     """True when there is one summand per set, each summand lies in its
     starred set, and the summands total the target in order.
 
-    Every summand is tested against its star before any sum is formed, so
-    a summand outside its star gives False first.  The summands are then
-    added as raw values; one from another group than the target's raises
-    GroupMismatchError, as ``op_sum`` does."""
+    Every summand is tested against its star, read from ``table``, before
+    any sum is formed, so a summand outside its star gives False first.
+    The summands are then added as raw values; one from another group than
+    the target's raises GroupMismatchError, as ``op_sum`` does."""
     if len(summands) != len(sets):
         return False
     for s, spec in zip(summands, sets):
-        if not contains(star(spec), s):
+        if not table.contains(table.star(spec), s):
             return False
     group = target.group
     total = group.identity_value()
@@ -525,12 +530,15 @@ class FoldTable:
     fold, the CRT representatives per class of the remainder modulo the
     fold's modulus, which depend on no probe.  Tail facts: each (sequence,
     start)'s terms and tail divisors, read from the start as far as they
-    were asked for; each (set, modulus)'s residue envelope, None included;
-    and each set's divisor certificate, by the module's one rule, kept
-    per set.  Keys are frozen set values, so sets rebuilt from JSON hit the
-    entries of equal sets built in code.  Only what no probe enters is
-    kept: every witness and its check, and every membership of a tail,
-    still runs per membership.  A computation that raises is not stored,
+    were asked for, so a tail's values and its memberships (``contains``)
+    compute each term once; each (set, modulus)'s residue envelope, None
+    included; each (tuple of stars, modulus)'s envelope sum and envelope
+    sizes, None included, for moduli within the enumeration cap; and each
+    set's divisor certificate, by the module's one rule, kept per set.
+    Keys are frozen set values, so sets rebuilt from JSON hit the entries
+    of equal sets built in code.  Only what no probe enters is kept: each
+    witness and its check still run per membership, reading the terms and
+    stars kept here.  A computation that raises is not stored,
     so it raises again at the same step with the same message.  Tails have
     stars, marked rather than materialized, and no exact fold.  Sequences
     compare by name, length and prefix, so two sequences equal in those
@@ -551,6 +559,7 @@ class FoldTable:
         self._terms: dict = {}
         self._divisors: dict = {}
         self._envelopes: dict = {}
+        self._envelope_sums: dict = {}
         self._certificates: dict = {}
 
     def intern(self, spec: SetLike) -> SetLike:
@@ -636,8 +645,26 @@ class FoldTable:
     def member_values(self, tail: TailSet, bound: int) -> list:
         """``tail.member_values(bound)``, each term read once per
         (sequence, start)."""
-        return tail.member_values(
-            bound, self._terms.setdefault((tail.sequence, tail.start), []))
+        return tail.member_values(bound, self._tail_terms(tail))
+
+    def contains(self, spec: SetLike, g: GroupElement) -> bool:
+        """``contains(spec, g)``.  A tail, or a tail's star, reads its
+        terms from the ones ``member_values`` reads, each computed once
+        per (sequence, start)."""
+        base = spec.base if isinstance(spec, StarSet) else spec
+        if not isinstance(base, TailSet) or g.group != _INTEGERS:
+            return contains(spec, g)
+        value = g.value
+        if base is spec:
+            return base.contains_value(value, self._tail_terms(base))
+        if value == 0:
+            return True
+        known = self._tail_terms(base)
+        return base.contains_value(value, known) or \
+            base.contains_value(-value, known)
+
+    def _tail_terms(self, tail: TailSet) -> list:
+        return self._terms.setdefault((tail.sequence, tail.start), [])
 
     def divisor_index(self, sequence: IntegerSequence, start: int,
                       scan: int, above: int = 0,
@@ -654,6 +681,34 @@ class FoldTable:
         if key not in self._envelopes:
             self._envelopes[key] = residue_envelope(spec, modulus, self)
         return self._envelopes[key]
+
+    def envelope_sum(self, stars: Sequence[StarSet], modulus: int,
+                     build: Callable) -> Optional[tuple]:
+        """(sum, sizes) of the residue envelopes of ``stars`` modulo
+        ``modulus``: the sum ``build(envelopes, modulus)`` and the size of
+        each envelope, in chain order.  None when some envelope is None or
+        ``build`` gives None.  Kept per (build, stars, modulus) when the
+        modulus is within the enumeration cap, so a kept sum of residues
+        up to it is small (a bitset of 25 KB at the shipped cap); a wider
+        one is built again for each call."""
+        key = build, tuple(stars), modulus
+        try:
+            return self._envelope_sums[key]
+        except KeyError:
+            pass
+        found, envelopes = None, []
+        for st in stars:
+            env = self.residue_envelope(st, modulus)
+            if env is None:
+                break
+            envelopes.append(env)
+        else:
+            residues = build(envelopes, modulus)
+            if residues is not None:
+                found = residues, tuple(len(env) for env in envelopes)
+        if within_enumeration_cap(modulus):
+            self._envelope_sums[key] = found
+        return found
 
     def divisor_certificate(self, spec: SetLike) -> int:
         """``divisor_certificate(spec)``, kept per set."""

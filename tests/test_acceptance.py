@@ -119,7 +119,8 @@ def test_criterion_2_sqrt7_hausdorff_failure():
         for g in range(-20, 21):
             w = sqrt7_cover_witness(g, m0, list(key))
             assert witness_holds(Z.element(g), w,
-                                 [sqrt7_set(m) for m in (m0, *key)]), (key, g)
+                                 [sqrt7_set(m) for m in (m0, *key)],
+                                 FoldTable()), (key, g)
             n_witnesses += 1
 
     # the separating construction sticks at step 1 with exact blocks
@@ -164,7 +165,8 @@ def test_criterion_4_product_example():
         assert rep.status is Status.VERIFIED, m0
         boxes = [product_set(6, m) for m in (m0, *ms)]
         for g in samples:
-            assert witness_holds(g, product_cover_witness(g, m0, ms), boxes)
+            assert witness_holds(g, product_cover_witness(g, m0, ms), boxes,
+                                 FoldTable())
 
     for n in (1, 2):
         rep = verify_product_union_small(6, n, FoldTable())

@@ -1690,20 +1690,14 @@ def test_recheck_refuses_crafted_ids_at_once(tmp_path, capsys, cid, message):
     assert elapsed < 1.0, elapsed
 
 
-def _subcommands(parser):
-    import argparse
-    return next(action.choices for action in parser._actions
-                if isinstance(action, argparse._SubParsersAction))
-
-
 def test_every_default_report_rechecks_without_skips(tmp_path, capsys):
     """Each verify example's default report, and hensel's, rechecks
     ``ok``: every kind they emit has a replayer.  Only the three
     noncommutative kinds may print skip, and none of them is emitted
     here."""
-    from grouptop.cli import build_parser
-    verify = _subcommands(build_parser())["verify"]
-    examples = next(action.choices for action in verify._actions
+    from grouptop.cli import command_parser
+    examples = next(action.choices
+                    for action in command_parser("verify")._actions
                     if action.dest == "example")
     assert sorted(examples) == ["fibonacci", "interval", "product", "sqrt7"]
     kinds = set()
@@ -1892,6 +1886,78 @@ def test_verify_example_help_lists_its_own_options(capsys):
     code, out, _ = run(["verify", "interval", "--help"], capsys)
     assert code == 0 and out.startswith("usage: grouptop verify interval")
     assert "--min-exp" in out and "--out" in out and "--gmax" not in out
+
+
+def _usage_words(out: str, prog: str) -> set:
+    """The words of a help text's usage block after ``usage: PROG``, with
+    the brackets around optional arguments taken off."""
+    usage = out.partition("\n\n")[0]
+    assert usage.startswith(f"usage: {prog} "), usage
+    return {word.strip("[]") for word in usage[len(prog) + 8:].split()}
+
+
+@pytest.mark.parametrize("command, words", [
+    ("hausdorff", {"-h", "--out", "OUT", "--format", "{json,text}",
+                   "config"}),
+    ("hensel", {"-h", "--p", "P", "--a", "A", "--k", "K", "--out", "OUT",
+                "--format", "{json,text}"}),
+    ("recheck", {"-h", "report"}),
+])
+def test_command_help_lists_its_own_options(capsys, command, words):
+    """Each command parses its own arguments, so its help lists only
+    them."""
+    code, out, err = run([command, "-h"], capsys)
+    assert code == 0 and err == ""
+    assert _usage_words(out, f"grouptop {command}") == words
+
+
+def test_top_level_help_lists_the_four_commands(capsys):
+    code, out, _ = run(["-h"], capsys)
+    assert code == 0
+    assert _usage_words(out, "grouptop") == {
+        "-h", "{verify,hausdorff,hensel,recheck}", "..."}
+    listed = out.partition("\ncommands:\n")[2].splitlines()
+    assert [line.split()[0] for line in listed] == [
+        "verify", "hausdorff", "hensel", "recheck"]
+    assert all(len(line.split()) > 1 for line in listed), listed
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["bogus"], "argument command: invalid choice: 'bogus' (choose from "
+                "'verify', 'hausdorff', 'hensel', 'recheck')"),
+], ids=["missing", "unknown"])
+def test_missing_or_unknown_command_exits_1(capsys, argv, message):
+    code, out, err = run(argv, capsys)
+    assert (code, out, err) == (1, "", f"grouptop: error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, progs", [
+    (["hensel", "-h"], ["grouptop hensel"]),
+    (["recheck", "-h"], ["grouptop recheck"]),
+    (["verify", "interval", "-h"],
+     ["grouptop verify", "grouptop verify interval"]),
+    (["-h"], ["grouptop"]),
+    (["--", "hensel", "-h"], ["grouptop", "grouptop hensel"]),
+], ids=["hensel", "recheck", "verify-interval", "top", "after-dashes"])
+def test_a_call_builds_only_its_own_parsers(monkeypatch, capsys, argv,
+                                            progs):
+    """A call that names its command first builds only the parser of that
+    command (and of the example, for ``verify``); the top parser, which
+    reads only the name, is built for help, errors and a command after
+    ``--``."""
+    from grouptop import cli
+
+    built = []
+    init = cli._Parser.__init__
+
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(cli._Parser, "__init__", recorded)
+    assert run(argv, capsys)[0] == 0
+    assert built == progs
 
 
 @pytest.mark.parametrize("argv", [

@@ -118,7 +118,7 @@ def test_cover_witness_spec_case_g1():
     values = [s.value for s in w]
     assert values[0] == -27
     assert values[1:].count(4) == 7 and values[1:].count(0) == 2
-    assert witness_holds(Z.element(1), w, [sqrt7_set(2)] * 10)
+    assert witness_holds(Z.element(1), w, [sqrt7_set(2)] * 10, FoldTable())
 
 
 def test_cover_witness_lifted_levels_g5():
@@ -127,7 +127,8 @@ def test_cover_witness_lifted_levels_g5():
     values = [s.value for s in w]
     assert values[1:].count(13) == 8 and values[1:].count(0) == 1
     assert sum(values) == 5
-    assert witness_holds(Z.element(5), w, [sqrt7_set(2)] + [sqrt7_set(3)] * 9)
+    assert witness_holds(Z.element(5), w,
+                         [sqrt7_set(2)] + [sqrt7_set(3)] * 9, FoldTable())
 
 
 @pytest.mark.parametrize("summands", [
@@ -177,14 +178,16 @@ def test_product_cover_witness_spec_case():
     g = g6.element((0, 1, 2, 3, 4, 5))
     w = product_cover_witness(g, 2, [3, 4])
     assert len(w) == 3
-    assert witness_holds(g, w, [product_set(6, m) for m in (2, 3, 4)])
+    assert witness_holds(g, w, [product_set(6, m) for m in (2, 3, 4)],
+                         FoldTable())
 
 
 def test_product_cover_identity_witness():
     g6 = ProductMod(6)
     w = product_cover_witness(g6.identity(), 2, [2, 2])
     assert all(s.value == g6.identity_value() for s in w)
-    assert witness_holds(g6.identity(), w, [product_set(6, 2)] * 3)
+    assert witness_holds(g6.identity(), w, [product_set(6, 2)] * 3,
+                         FoldTable())
 
 
 def test_product_cover_report_random():

@@ -181,7 +181,8 @@ def test_separating_over_nonabelian_family():
             assert res.all_candidates_exactly_blocked(), str(g)
             for index, _, blocking in res.blocked:
                 chain = members + [fam.member(index)]
-                assert witness_holds(g, blocking.witness, chain)
+                assert witness_holds(g, blocking.witness, chain,
+                                     FoldTable())
 
 
 def test_separating_rejects_identity():

@@ -172,7 +172,7 @@ def test_two_set_d4_chains_against_brute_force():
             assert res.status in ("yes", "no")
             assert res.is_yes() == (g.value in reachable), (chain, str(g))
             if res.is_yes():
-                assert witness_holds(g, res.witness, chain)
+                assert witness_holds(g, res.witness, chain, FoldTable())
 
 
 def test_bounded_search_budget_respected():
@@ -181,7 +181,7 @@ def test_bounded_search_budget_respected():
     # 2 = 1002 - 1000, but both summands lie past the value cap
     # value_cap_factor * 2 * |2| = 4, so the search stays unknown
     assert witness_holds(Z.element(2), [Z.element(1002), Z.element(-1000)],
-                         chain)
+                         chain, FoldTable())
     res = prefix_sum_membership(Z.element(2), chain, FoldTable())
     assert res.status == "unknown"
     assert res.proof == {"route": "bounded-search", "budget": SEARCH_BUDGET}
@@ -290,10 +290,20 @@ def envelope_sum_reference(envelopes, m: int, r: int):
     return r in acc
 
 
+def envelope_sum_meets(envelopes, m: int, r: int):
+    """What the sum builder says of residue r: None when it built no sum
+    (saturated, or past the cap), else whether r lies in the sum."""
+    residues = prefixsum._envelope_sum(envelopes, m)
+    return None if residues is None else \
+        prefixsum._in_envelope_sum(residues, r)
+
+
 def test_envelope_bitset_sum_matches_set_sum():
     """Rotate-and-OR over a bitset of residues against a plain set
     comprehension, on seeded envelopes and moduli on both sides of the
-    bitset cap, and on fixed ones either side of the envelopes' own."""
+    bitset cap, and on fixed ones either side of the envelopes' own.  A
+    saturated sum is None for every residue; otherwise a residue lies in
+    the built sum exactly when it lies in the reference."""
     rng = random.Random(12)
     saturated = decided = 0
     for _ in range(300):
@@ -305,8 +315,8 @@ def test_envelope_bitset_sum_matches_set_sum():
                      for _ in range(rng.randint(1, 4))]
         for r in {0, 1, m - 1, rng.randrange(m)}:
             expected = envelope_sum_reference(envelopes, m, r)
-            assert prefixsum._envelope_sum_meets(envelopes, m, r) == \
-                expected, (m, envelopes, r)
+            assert envelope_sum_meets(envelopes, m, r) == expected, \
+                (m, envelopes, r)
             saturated += expected is None
             decided += expected is False
     assert saturated and decided
@@ -314,7 +324,7 @@ def test_envelope_bitset_sum_matches_set_sum():
     for m in (wide, wide + 1):
         envelopes = [frozenset({0, 1, m - 5}), frozenset({0, 7, m - 2})]
         for r in (0, 8, m - 1, 3):  # in the sum but 3
-            assert prefixsum._envelope_sum_meets(envelopes, m, r) == \
+            assert envelope_sum_meets(envelopes, m, r) == \
                 envelope_sum_reference(envelopes, m, r) == (r != 3), (m, r)
 
 
@@ -325,9 +335,66 @@ def test_envelope_set_sum_gives_up_past_the_enumeration_cap(monkeypatch):
     envelopes = [frozenset({0, 10, 20, 30}), frozenset({0, 1, 2, 3})]
     assert envelope_sum_reference(envelopes, m, 5) is False
     monkeypatch.setattr(groups, "_ENUMERATION_CAP", 16)
-    assert prefixsum._envelope_sum_meets(envelopes, m, 5) is False
+    assert envelope_sum_meets(envelopes, m, 5) is False
     monkeypatch.setattr(groups, "_ENUMERATION_CAP", 15)
-    assert prefixsum._envelope_sum_meets(envelopes, m, 5) is None
+    assert prefixsum._envelope_sum(envelopes, m) is None
+
+
+@pytest.mark.parametrize("m, kept", [(3 ** 11, True), (3 ** 12, False)],
+                         ids=["within-the-cap", "past-the-cap"])
+def test_table_keeps_envelope_sums_up_to_the_enumeration_cap(m, kept):
+    """A chain's envelope sum and sizes are kept per (stars, modulus) when
+    the modulus is within the enumeration cap; past it the sum is built
+    again for each call, with the same answer."""
+    table = FoldTable()
+    stars = [table.star(FiniteSet.of(Z, [1, 5])),
+             table.star(TailSet.of("powers3", 1)),
+             table.star(FiniteSet.of(Z, [2, 7, -4]))]
+    envelopes = [table.residue_envelope(st, m) for st in stars]
+    first = table.envelope_sum(stars, m, prefixsum._envelope_sum)
+    residues, sizes = first
+    assert sizes == tuple(map(len, envelopes))
+    assert residues == prefixsum._envelope_sum(envelopes, m)
+    for r in (0, 1, 2, 3, 4, m - 1):
+        assert prefixsum._in_envelope_sum(residues, r) == \
+            envelope_sum_reference(envelopes, m, r)
+    again = table.envelope_sum(stars, m, prefixsum._envelope_sum)
+    assert again == first and (again is first) == kept
+    assert len(table._envelope_sums) == kept
+
+
+def test_one_table_decides_as_a_fresh_table_per_probe():
+    """Memberships through one table shared by every probe, in random
+    order, give the status and proof a fresh table gives each probe, on
+    seeded tail, residue and finite chains; the shared table answers
+    envelope exclusions from the sums it keeps."""
+    rng = random.Random(34)
+    shared = FoldTable()
+    routes = set()
+    for _ in range(300):
+        kind = rng.choice(["tail", "residue", "finite"])
+        n = rng.randint(1, 4)
+        if kind == "tail":
+            seq = rng.choice(["powers2", "powers3", "factorial",
+                              "fibonacci"])
+            chain = [TailSet.of(seq, rng.randint(0, 2))] * n if \
+                rng.random() < 0.5 else \
+                [TailSet.of(seq, rng.randint(0, 2)) for _ in range(n)]
+        elif kind == "residue":
+            chain = [sqrt7_set(rng.randint(1, 4)) for _ in range(n)]
+        else:
+            chain = [FiniteSet.of(Z, rng.sample(range(-9, 10),
+                                                rng.randint(1, 3)))
+                     for _ in range(n)]
+        g = Z.element(rng.randint(-60, 60))
+        res = prefix_sum_membership(g, chain, shared)
+        fresh = prefix_sum_membership(g, chain, FoldTable())
+        assert (res.status, res.proof) == (fresh.status, fresh.proof), \
+            (chain, g)
+        routes.add(res.proof["route"])
+    assert {"residue-envelope", "exact-fold", "bounded-search",
+            "single-set"} <= routes
+    assert shared._envelope_sums
 
 
 def test_finite_chains_fold_and_other_groups_never_plan_a_search(

@@ -226,7 +226,7 @@ def test_witness_holds_matches_its_definition(data):
             target = data.draw(foreign)
     if data.draw(st.booleans()):
         sets = [star(spec) for spec in sets]
-    got = _outcome(witness_holds, target, summands, sets)
+    got = _outcome(witness_holds, target, summands, sets, FoldTable())
     assert got == _outcome(_witness_holds_reference, target, summands, sets)
     if not faults:
         assert got is True
@@ -465,6 +465,46 @@ def test_fold_table_tail_reads_match_uncached(data):
                     assert table.divisor_certificate(each) == \
                         divisor_certificate(each)
             assert table.star(tail) == star(tail)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_fold_table_tail_membership_matches_the_definition(data):
+    """``FoldTable.contains`` on a tail and on its star agrees with
+    membership as defined, read term by term with no table: v lies in the
+    tail when v = x_k for an admitted k, and in its star when v = 0 or v
+    or -v lies in the tail.  Values are 0, the first terms of the
+    sequence with both signs (before the start and excluded ones too) and
+    values between them, asked of a fresh table each and of one table in
+    a drawn order, so no answer depends on how far the terms had grown."""
+    seq = _tail_sequence(data, "contains-drawn")
+    start = data.draw(st.integers(0, 9))
+    excluded = data.draw(st.sets(st.integers(max(0, start - 2), start + 6),
+                                 max_size=3))
+    tail = TailSet.of(seq, start, excluded)
+    firsts = [seq.value(k) for k in range(start + 8) if seq.in_range(k)]
+    values = {0} | {sign * (abs(x) + d) for x in firsts
+                    for sign in (1, -1) for d in (0, 1)}
+
+    def defined(v: int) -> bool:
+        k = start
+        while seq.in_range(k) and abs(seq.value(k)) <= abs(v):
+            if seq.value(k) == v and k not in excluded:
+                return True
+            k += 1
+        return False
+
+    shared = FoldTable()
+    for v in data.draw(st.permutations(sorted(values))):
+        g = Z.element(v)
+        in_tail = defined(v)
+        in_star = v == 0 or in_tail or defined(-v)
+        assert contains(tail, g) == in_tail and \
+            contains(star(tail), g) == in_star, v
+        for table in (shared, FoldTable()):
+            assert table.contains(tail, g) == in_tail, v
+            assert table.contains(table.star(tail), g) == in_star, v
+    assert list(shared._terms) == [(seq, start)]
 
 
 def test_fold_table_repeats_cap_failures(monkeypatch):

@@ -211,3 +211,58 @@ def test_recheck_replays_the_examples_through_its_one_table(
     (suffix,) = table._suffix_folds.values()
     assert table.intern(fold) is suffix[0]
     assert table.level(ex.sqrt7_set, 1) is suffix[-1]
+
+
+def test_hausdorff_builds_each_envelope_sum_and_tail_term_once(
+        monkeypatch, capsys, tmp_path):
+    """One ``hausdorff`` run over a cofinite powers3 batch, at the bench's
+    budgets, builds each (chain, modulus) envelope sum once however many
+    probes ask for it, and computes each (sequence, start)'s terms once
+    for the search's candidates, the single-set memberships and the
+    witness checks alike."""
+    from collections import Counter
+
+    from grouptop import prefixsum
+    from grouptop.sequences import IntegerSequence
+
+    requests, builds, stack = Counter(), Counter(), []
+    real_sum, real_build = FoldTable.envelope_sum, prefixsum._envelope_sum
+
+    def envelope_sum(self, stars, modulus, build):
+        stack.append((tuple(stars), modulus))
+        requests[stack[-1]] += 1
+        try:
+            return real_sum(self, stars, modulus, build)
+        finally:
+            stack.pop()
+
+    def counted_build(envelopes, m):
+        builds[stack[-1]] += 1
+        return real_build(envelopes, m)
+
+    computed = Counter()
+    real_terms = IntegerSequence.terms
+
+    def terms(seq, start, bound, known=None):
+        known = [] if known is None else known
+        before = len(known)
+        found = real_terms(seq, start, bound, known)
+        computed.update((seq, start, k) for k, _ in known[before:])
+        return found
+
+    monkeypatch.setattr(FoldTable, "envelope_sum", envelope_sum)
+    monkeypatch.setattr(prefixsum, "_envelope_sum", counted_build)
+    monkeypatch.setattr(IntegerSequence, "terms", terms)
+    config = tmp_path / "powers3.json"
+    config.write_text(json.dumps({
+        "family": {"kind": "cofinite", "sequence": "powers3"},
+        "probes": [1, -4, 5, 8, -10, 11, 14, -16, 17, 20],
+        "budgets": {"n_max": 5, "depth": 30, "max_len": 8}}))
+    assert cli.main(["hausdorff", str(config),
+                     "--out", str(tmp_path / "report.json")]) == 0
+    capsys.readouterr()
+    assert builds and set(builds.values()) == {1}, builds.most_common(2)
+    assert sum(requests.values()) > len(requests)
+    assert all(m <= 200_000 for _, m in requests)
+    assert computed and set(computed.values()) == {1}, \
+        computed.most_common(2)

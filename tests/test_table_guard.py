@@ -5,9 +5,10 @@ the top and hands it to everything below, so no function takes a table
 that defaults to None (and so builds a throwaway one), and ``FoldTable()``
 is called only where a command starts, plus the one-call wrapper
 ``setspec.n_fold_star`` and ``nonabelian.check_UU``, which the bench
-calls directly.  Stars come from that table too: no function outside
-``setspec`` calls ``setspec.star``, and no ``cached_property`` keeps a
-second cache beside the table.
+calls directly.  Stars and memberships come from that table too: no
+function outside ``setspec`` calls ``setspec.star`` or
+``setspec.contains``, and no ``cached_property`` keeps a second cache
+beside the table.
 """
 
 import ast
@@ -68,26 +69,26 @@ def _table_builders() -> set:
         getattr(func, "id", None), getattr(func, "attr", None)))
 
 
-def _star_names(tree: ast.Module) -> set:
-    """The callee texts by which a module reaches ``setspec.star``: the
-    name it imports ``star`` as, from setspec or from the package, and
-    ``M.star`` for the name M it imports setspec itself as."""
+def _setspec_names(tree: ast.Module, name: str) -> set:
+    """The callee texts by which a module reaches ``setspec.NAME``: the
+    name it imports NAME as, from setspec or from the package, and
+    ``M.NAME`` for the name M it imports setspec itself as."""
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             for alias in node.names:
                 bound = alias.asname or alias.name
-                if alias.name == "star":
+                if alias.name == name:
                     names.add(bound)
                 elif alias.name == "setspec":
-                    names.add(f"{bound}.star")
+                    names.add(f"{bound}.{name}")
     return names
 
 
-def _star_callers() -> set:
-    """The innermost function around each call of ``setspec.star``."""
+def _setspec_callers(name: str) -> set:
+    """The innermost function around each call of ``setspec.NAME``."""
     def callee(tree):
-        names = _star_names(tree)
+        names = _setspec_names(tree, name)
         return lambda func: ast.unparse(func) in names
     return _callers(callee)
 
@@ -118,9 +119,23 @@ def test_stars_come_from_the_command_table():
     once per command, no function calls ``setspec.star``: every witness
     is checked against, and written from, the stars its claim reads from
     the table."""
-    callers = {owner for owner in _star_callers()
+    callers = {owner for owner in _setspec_callers("star")
                if owner.split(".")[0] != "setspec"}
     assert callers == set()
+
+
+def test_memberships_come_from_the_command_table():
+    """Outside ``setspec`` no function calls ``setspec.contains``: a
+    single-set membership and every witness check ask the command's
+    ``FoldTable.contains``, which reads each tail's terms once per
+    command.  The rule's docstring says so."""
+    from grouptop import setspec
+
+    callers = {owner for owner in _setspec_callers("contains")
+               if owner.split(".")[0] != "setspec"}
+    assert callers == set()
+    assert "Only ``setspec`` calls it" in " ".join(
+        setspec.contains.__doc__.split())
 
 
 def test_no_cached_property_caches_beside_the_table():
