@@ -9,14 +9,19 @@ such assignments and admit the middle-thirds collapse certificate.
 
 Witnesses come from one breadth-first table (``enumerate_u_witnesses``),
 the one enumeration of increasing-index products, which refuses past the
-enumeration cap, and are checked by one rule (``_validated``: the moved
-indices increase inside the levels, and ``setspec.witness_holds``
-against the stars), shared by membership, product absorption, inverse
-closure and translation.  Product absorption builds one witness table
-per distinct shift of its two rescalings; the rescalings of one shift
-share each item's star-and-product check, and each maps each distinct
-index once.  A witness pair is decided from its two validated sides and
-their join (``_pair_failures``), and walked only to list failures.
+enumeration cap, and are checked a whole table at a time by one rule
+(``_validated``: the moved indices increase inside the levels, each
+factor lies in its level's star, and the factors multiply to the item's
+value), shared by membership, product absorption, inverse closure and
+translation.  A table check decides each distinct (level, element value)
+once, by ``table.contains`` as ``setspec.witness_holds`` decides a
+factor, and folds each item's product from raw values.  Product
+absorption builds one witness table per distinct shift of its two
+rescalings; the rescalings of one shift share each item's
+star-and-product check, and each maps each distinct index once.  Inverse
+closure checks its reversed witnesses as one table.  A witness pair is
+decided from its two validated sides and their join
+(``_pair_failures``), and walked only to list failures.
 Dyadic indices and rescaled images compare as integers over a common
 power of two, and a rescaled image is built in lowest terms directly.
 
@@ -50,6 +55,7 @@ from .groups import (
     op_conjugate,
     op_neg,
     within_enumeration_cap,
+    _require_same_group,
 )
 from .prefixsum import MembershipResult
 from .report import Status, VerificationReport, id_numbers
@@ -59,7 +65,6 @@ from .setspec import (
     SetSpec,
     subset_of,
     sumset,
-    witness_holds,
 )
 
 
@@ -331,29 +336,60 @@ def _validated(group, assignment: DyadicAssignment, witnesses: dict,
                table: FoldTable, rescales: Sequence = (None,)) -> list:
     """One side per rescaling (None moves nothing) of (value, moved
     witness, valid) per item of ``witnesses`` in sorted order: valid when
-    the moved indices pass ``_indices_valid`` and ``setspec.witness_holds``
-    takes the factors against ``table``'s stars of their levels.  The
-    rescalings share one shift, so the latter runs once per item; each
-    side moves each distinct index once."""
-    if rescales[0] is None:
-        shift, images = 0, [None]
-    else:
-        shift = rescales[0].shift
-        distinct = {q for witness in witnesses.values() for q, _ in witness}
-        images = [{q: r.apply(q) for q in distinct} for r in rescales]
+    the factors hold and the moved indices pass ``_indices_valid``.
+
+    The rescalings share one shift, and the whole table is checked once
+    for all of them: each distinct (level, element value) is decided once,
+    as ``setspec.witness_holds`` decides a factor, by ``table.contains``
+    on the star of its level (``_star_member``), and each item's factors
+    hold when every one of them lies in its star and their product, folded
+    from raw values, is the item's value.  A factor of another group
+    raises GroupMismatchError.  Each side moves each distinct index once
+    (``_Images``) and checks the order of its own images."""
+    shift = 0 if rescales[0] is None else rescales[0].shift
     stars = [table.star(s) for s in assignment.levels[shift:]]
+    images = [None if r is None else _Images(r) for r in rescales]
     top, sides = assignment.max_level, [[] for _ in rescales]
+    add, identity = group._add, group.identity_value()
+    member: dict = {}  # (level, element value) -> in that level's star
     for (value, _), witness in _sorted_witness_items(group, witnesses):
-        moved = [witness if image is None else
-                 tuple([(image[q], el) for q, el in witness])
-                 for image in images]
-        ok = [_indices_valid(top, w) for w in moved]
-        holds = any(ok) and witness_holds(
-            GroupElement(group, value), [el for _, el in witness],
-            [stars[q.level - 1] for q, _ in witness], table)
-        for side, w, w_ok in zip(sides, moved, ok):
-            side.append((value, w, w_ok and holds))
+        total, holds = identity, True
+        for q, el in witness:
+            key = (q.level, el.value)
+            if el.group is not group or key not in member:
+                member[key] = _star_member(group, stars, q, el, table)
+            holds = holds and member[key]
+            total = add(total, el.value)
+        holds = holds and total == value
+        for side, image in zip(sides, images):
+            moved = witness if image is None else \
+                tuple([(image[q], el) for q, el in witness])
+            side.append((value, moved, holds and _indices_valid(top, moved)))
     return sides
+
+
+class _Images(dict):
+    """q -> ``rescale.apply(q)``, each distinct index moved once, when it
+    is first looked up."""
+
+    def __init__(self, rescale: Rescale):
+        super().__init__()
+        self.rescale = rescale
+
+    def __missing__(self, q: DyadicIndex) -> DyadicIndex:
+        image = self[q] = self.rescale.apply(q)
+        return image
+
+
+def _star_member(group, stars: list, q: DyadicIndex, el: GroupElement,
+                 table: FoldTable) -> bool:
+    """Is el in the star of q's level (``table.contains``, which raises
+    GroupMismatchError for an element of another group)?  No star lies
+    past the levels, but the group is checked there too."""
+    if q.level <= len(stars):
+        return table.contains(stars[q.level - 1], el)
+    _require_same_group(group.identity(), el)
+    return False
 
 
 def _witness_is_valid(group, assignment: DyadicAssignment,
@@ -401,18 +437,21 @@ def check_inverse_closure(assignment: DyadicAssignment, depth: int,
                           table: FoldTable) -> VerificationReport:
     """Reversing an increasing witness and inverting its factors witnesses
     the inverse element; level-keyed assignments are reflection-invariant,
-    so the reversed witness lives in the same assignment."""
+    so the reversed witness lives in the same assignment.  The reversed
+    witnesses are validated as one table, keyed by the inverse and the
+    position of their witness in check order, which the failures keep."""
     witnesses = enumerate_u_witnesses(assignment, depth, table)
     group = assignment.levels[0].ambient()
-    failures = []
-    for (value, _), witness in _sorted_witness_items(group, witnesses):
-        inv_value = group._neg(value)
-        reversed_witness = tuple(
-            (q.reflected(), op_neg(el)) for q, el in reversed(witness)
-        )
-        if not _witness_is_valid(group, assignment, reversed_witness,
-                                 inv_value, table):
-            failures.append(group.value_to_json(value))
+    items = _sorted_witness_items(group, witnesses)
+    reversed_table = {
+        (group._neg(value), n): tuple(
+            (q.reflected(), op_neg(el)) for q, el in reversed(witness))
+        for n, ((value, _), witness) in enumerate(items)}
+    side, = _validated(group, assignment, reversed_table, table)
+    valid = {n: ok for ((_, n), _), (_, _, ok) in zip(
+        _sorted_witness_items(group, reversed_table), side)}
+    failures = [group.value_to_json(value)
+                for n, ((value, _), _) in enumerate(items) if not valid[n]]
     status = Status.VERIFIED if not failures else Status.REFUTED
     return VerificationReport(
         claim=f"u-inverse-closure:depth={depth}",

@@ -404,29 +404,36 @@ def test_check_uu_enumerates_one_table_per_shift(monkeypatch, sigma, tau,
     (Rescale(0, 2), Rescale(2, 3)),
 ], ids=["equal-shifts", "unequal-shifts"])
 def test_check_uu_checks_each_table_item_once(monkeypatch, sigma, tau):
-    """The star-and-product check runs once per item of each shift's
-    table, whichever rescalings share it, and each side maps each
-    distinct index of its table through ``Rescale.apply`` at most once."""
+    """Each shift's table is checked once for the rescalings that share
+    it: it asks ``FoldTable.contains`` once for each distinct (level,
+    element value) among its factors, against that level's star, and
+    each side maps each distinct index of its table through
+    ``Rescale.apply`` at most once."""
     _, assign = d4_assignment([["r"], ["r", "s"], ["r2"], ["r"], ["s"]])
     tables = {shift: nonabelian.enumerate_u_witnesses(
         assign.shifted(shift), 3, FoldTable())
         for shift in {sigma.shift, tau.shift}}
-    holds, apply = nonabelian.witness_holds, Rescale.apply
-    checks, images = 0, []
+    contains, apply = FoldTable.contains, Rescale.apply
+    asked, images = [], []
 
-    def counting_holds(*args):
-        nonlocal checks
-        checks += 1
-        return holds(*args)
+    def counting_contains(self, spec, g):
+        asked.append((spec, g.value))
+        return contains(self, spec, g)
 
     def counting_apply(self, q):
         images.append((self, q))
         return apply(self, q)
 
-    monkeypatch.setattr(nonabelian, "witness_holds", counting_holds)
+    monkeypatch.setattr(FoldTable, "contains", counting_contains)
     monkeypatch.setattr(Rescale, "apply", counting_apply)
     assert check_UU(assign, sigma, tau, 3).status is Status.VERIFIED
-    assert checks == sum(len(table) for table in tables.values())
+    expected = []
+    for shift, table in tables.items():
+        levels = assign.shifted(shift).levels
+        expected += [(star(levels[level - 1]), value) for level, value in
+                     {(q.level, el.value) for w in table.values()
+                      for q, el in w}]
+    assert sorted(asked, key=repr) == sorted(expected, key=repr)
     assert len(set(images)) == len(images)
     for rescale in (sigma, tau):
         distinct = {q for w in tables[rescale.shift].values() for q, _ in w}
@@ -454,6 +461,156 @@ def test_check_uu_checks_the_order_of_each_sides_images():
     assert failures and rep.status is Status.REFUTED
     assert (rep.payload["pairs_checked"], rep.payload["failures"]) == \
         (pairs, failures)
+
+
+# _validated's calls over one assignment: the rescalings sharing a shift
+_VALIDATED_CALLS = [[(Rescale(0, 2), Rescale(3, 2))],  # equal shifts
+                    [(Rescale(0, 2),), (Rescale(2, 3),)],  # unequal shifts
+                    [(None,)]]  # nothing moved
+_TAMPERS = ["none", "outside-star", "wrong-value", "repeated-index",
+            "decreasing-index", "past-top", "other-group"]
+
+
+def _validated_by_witness(d4, assign, witnesses, rescales):
+    """``_validated``'s sides by the per-witness rule: ``_indices_valid``
+    on each moved witness, then ``witness_holds`` on its factors against
+    the stars of their levels."""
+    shift = 0 if rescales[0] is None else rescales[0].shift
+    levels, top = assign.levels[shift:], assign.max_level
+    sides = [[] for _ in rescales]
+    for value, w in _sorted_witnesses(d4, witnesses):
+        for side, r in zip(sides, rescales):
+            moved = w if r is None else \
+                tuple((r.apply(q), el) for q, el in w)
+            side.append((value, moved, nonabelian._indices_valid(top, moved)
+                         and setspec.witness_holds(
+                             groups.GroupElement(d4, value),
+                             [el for _, el in w],
+                             [levels[q.level - 1] for q, _ in w],
+                             FoldTable())))
+    return sides
+
+
+def _tampered(d4, levels, witnesses, tamper, every):
+    """``witnesses`` with every ``every``-th item in check order broken as
+    ``tamper`` names, and whether any item was: a factor swapped for one
+    outside its level's star, the item moved to another value (its key
+    keeps a distinct position), the second index repeating or preceding
+    the first, the last index one level past the table's levels, or a
+    factor of another group."""
+    out, changed = dict(witnesses), False
+    for n, (key, w) in enumerate(sorted(
+            witnesses.items(),
+            key=lambda kv: (d4.sort_key(kv[0][0]), kv[0][1]))):
+        if n % every or tamper == "none":
+            continue
+        value, pos = key
+        if tamper == "wrong-value":
+            del out[key]
+            out[(d4._add(value, d4.element("r").value), pos + 100)] = w
+        elif not w:
+            continue
+        elif tamper == "outside-star":
+            (q, _), rest = w[0], w[1:]
+            inside = {el.value for el in star(levels[q.level - 1]).base
+                      .elements()}
+            outside = [el for el in d4.elements() if el.value not in inside]
+            if not outside:
+                continue
+            out[key] = ((q, outside[0]),) + rest
+        elif tamper == "other-group":
+            out[key] = ((w[0][0], Z.element(1)),) + w[1:]
+        elif tamper == "past-top":
+            level = len(levels) + 1
+            out[key] = w[:-1] + ((DyadicIndex(2 ** level - 1, level),
+                                  w[-1][1]),)
+        elif len(w) < 2:
+            continue
+        elif tamper == "repeated-index":
+            out[key] = (w[0], (w[0][0], w[1][1])) + w[2:]
+        else:  # decreasing-index
+            out[key] = ((w[1][0], w[0][1]), (w[0][0], w[1][1])) + w[2:]
+        changed = True
+    return out, changed
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sets(st.sampled_from(D4_NAMES), min_size=1, max_size=3),
+                min_size=5, max_size=5),
+       st.sampled_from(_VALIDATED_CALLS), st.sampled_from(_TAMPERS),
+       st.integers(1, 4))
+def test_validated_matches_the_per_witness_rule(levels, calls, tamper,
+                                                every):
+    """Checking the whole table, each (level, element value) decided once,
+    gives every item of every side exactly as checking each witness on its
+    own does, on honest and tampered tables; a factor of another group
+    raises GroupMismatchError."""
+    d4, assign = d4_assignment([sorted(names) for names in levels])
+    for rescales in calls:
+        shift = 0 if rescales[0] is None else rescales[0].shift
+        shifted = DyadicAssignment(assign.levels[shift:])
+        witnesses, changed = _tampered(
+            d4, shifted.levels,
+            nonabelian.enumerate_u_witnesses(shifted, 3, FoldTable()),
+            tamper, every)
+        if tamper == "other-group" and changed:
+            with pytest.raises(groups.GroupMismatchError):
+                nonabelian._validated(d4, assign, witnesses, FoldTable(),
+                                      rescales)
+            continue
+        sides = nonabelian._validated(d4, assign, witnesses, FoldTable(),
+                                      rescales)
+        assert sides == _validated_by_witness(d4, assign, witnesses,
+                                              rescales)
+        assert not changed or not all(ok for side in sides
+                                      for _, _, ok in side)
+
+
+@pytest.mark.parametrize("level", [1, 4], ids=["inside", "past-levels"])
+def test_validated_raises_for_a_factor_of_another_group(level):
+    """An integer factor raises GroupMismatchError though a D4 factor of
+    the same level and value was decided before it, and past the levels,
+    where no star is asked."""
+    d4, assign = d4_assignment([["r"], ["r", "s"], ["r2"]])
+    r, half = d4.element("r"), DyadicIndex(1, 1)
+    witnesses = {(r.value, 0): ((half, r),),
+                 (r.value, 1): ((DyadicIndex(1, level), Z.element(r.value)),)}
+    with pytest.raises(groups.GroupMismatchError):
+        nonabelian._validated(d4, assign, witnesses, FoldTable())
+
+
+def test_inverse_closure_reports_tampered_witnesses_in_check_order(
+        monkeypatch):
+    """The reversed witnesses are validated as one table, and the failures
+    are the values, in check order, whose reversed witness fails the
+    per-witness rule: here one witness of r and one of r2 moved off their
+    products, whose inverses r3 and r2 sort the other way round."""
+    d4, assign = d4_assignment([["r"], ["r", "s"], ["r2"]])
+    honest, s_ = nonabelian.enumerate_u_witnesses, d4.element("s")
+
+    def tampered(assignment, depth, table):
+        out = dict(honest(assignment, depth, table))
+        for name in ("r", "r2"):
+            key, w = min((kv for kv in out.items()
+                          if kv[0][0] == d4.element(name).value and kv[1]),
+                         key=lambda kv: kv[0][1])
+            out[key] = w[:-1] + ((w[-1][0], op_add(w[-1][1], s_)),)
+        return out
+
+    monkeypatch.setattr(nonabelian, "enumerate_u_witnesses", tampered)
+    rep = check_inverse_closure(assign, 3, FoldTable())
+    starred = _starred_by_level(d4, assign)
+    expected = [
+        d4.value_to_json(value)
+        for value, w in _sorted_witnesses(d4, tampered(assign, 3,
+                                                       FoldTable()))
+        if not _walk_is_witness(
+            d4, starred,
+            tuple((q.reflected(), op_neg(el)) for q, el in reversed(w)),
+            d4._neg(value))]
+    assert rep.status is Status.REFUTED
+    assert rep.payload["failures"] == expected == \
+        [d4.value_to_json(d4.element(name).value) for name in ("r", "r2")]
 
 
 def _reachable_reference(assignment):

@@ -42,6 +42,8 @@ UNREACHED = {
     "nonabelian.Rescale": _NONCOMMUTATIVE,
     "nonabelian.check_UU": _NONCOMMUTATIVE,
     "nonabelian._validated": _NONCOMMUTATIVE,
+    "nonabelian._Images": _NONCOMMUTATIVE,
+    "nonabelian._star_member": _NONCOMMUTATIVE,
     "nonabelian._witness_is_valid": _NONCOMMUTATIVE,
     "nonabelian._indices_valid": _NONCOMMUTATIVE,
     "nonabelian._pair_failures": _NONCOMMUTATIVE,
