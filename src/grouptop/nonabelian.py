@@ -12,16 +12,15 @@ the one enumeration of increasing-index products, which refuses past the
 enumeration cap, and are checked a whole table at a time by one rule
 (``_validated``: the moved indices increase inside the levels, each
 factor lies in its level's star, and the factors multiply to the item's
-value), shared by membership, product absorption, inverse closure and
-translation.  A table check decides each distinct (level, element value)
-once, by ``table.contains`` as ``setspec.witness_holds`` decides a
-factor, and folds each item's product from raw values.  Product
-absorption builds one witness table per distinct shift of its two
-rescalings; the rescalings of one shift share each item's
-star-and-product check, and each maps each distinct index once.  Inverse
-closure checks its reversed witnesses as one table.  A witness pair is
-decided from its two validated sides and their join
-(``_pair_failures``), and walked only to list failures.
+value), shared by product absorption, inverse closure and translation.
+A table check decides each distinct (level, element value) once, by
+``table.contains`` as ``setspec.witness_holds`` decides a factor, and
+folds each item's product from raw values.  Product absorption builds one
+witness table per distinct shift of its two rescalings; the rescalings of
+one shift share each item's star-and-product check, and each maps each
+distinct index once.  Inverse closure checks its reversed witnesses as
+one table.  A witness pair is decided from its two validated sides and
+their join (``_pair_failures``), and walked only to list failures.
 Dyadic indices and rescaled images compare as integers over a common
 power of two, and a rescaled image is built in lowest terms directly.
 
@@ -30,39 +29,36 @@ check: ``check_UU`` builds its own, which both of its shifts read, as
 the bench calls it directly.  A tower's triple products are folded once,
 when ``TowerChain`` is built; the collapse certificate relies on that.
 
-The module also carries the conjugation closure of a family, and the
-Fibonacci endomorphism x -> y, y -> xy of the free group on two
-generators with the producers and replayers of its two claims.  The
+The module also carries the Fibonacci endomorphism x -> y, y -> xy of
+the free group on two generators with the producers and replayers of its
+two claims.  It rests on ``groups``, ``setspec`` and ``report`` only; the
 n-fold exclusion check over nonabelian finite sets is
 ``filters.cupcap_check``, shared with the abelian families.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Sequence
 
-from .filters import ExplicitFamily
 from .groups import (
-    CayleyGroup,
-    EnumerationBudgetError,
     FreeGroup,
     GroupElement,
     check_enumeration_cap,
     enumeration_cap,
     op_add,
-    op_conjugate,
     op_neg,
+    reject_unknown_keys,
     within_enumeration_cap,
     _require_same_group,
 )
-from .prefixsum import MembershipResult
 from .report import Status, VerificationReport, id_numbers
 from .setspec import (
-    FiniteSet,
     FoldTable,
     SetSpec,
+    spec_from_json,
     subset_of,
     sumset,
 )
@@ -155,60 +151,18 @@ class DyadicAssignment:
 
 
 def assignment_from_json(doc: dict, group=None) -> DyadicAssignment:
-    """Ingest ``{"levels": {"1": setspec, "2": setspec, ...}}``."""
-    from .setspec import spec_from_json
-    levels = {int(k): spec_from_json(v, group=group)
-              for k, v in doc["levels"].items()}
-    return DyadicAssignment.of(levels)
-
-
-def uq_membership(g: GroupElement, assignment: DyadicAssignment,
-                  depth: int, table: FoldTable) -> MembershipResult:
-    """Does g lie in a product of starred sets along some increasing dyadic
-    index sequence of length <= depth?
-
-    Exhaustive within the materialized levels and the depth cap: a "yes"
-    carries the summands of the shortest witness in the
-    ``enumerate_u_witnesses`` table, re-checked by ``_witness_is_valid``,
-    and its indices in the proof.  The empty product contributes the
-    identity.  A miss upgrades from unknown to an exact "no" only over
-    finite table groups, from the closed table (indices strictly increase,
-    so its depth is the index count), once every value's shortest witness
-    there is shorter than the depth cap.  Free-group misses stay unknown,
-    and so does a table past the enumeration cap, with the refusal noted.
-    """
-    if depth < 1:
-        raise ValueError("depth must be positive")
-    if g.is_identity():
-        return MembershipResult("yes", witness=())
-    proof = {"depth": depth, "max_level": assignment.max_level}
-    try:
-        hits = [w for (value, _), w in
-                enumerate_u_witnesses(assignment, depth, table).items()
-                if value == g.value]
-        if hits:
-            witness = min(hits, key=len)
-            if not _witness_is_valid(g.group, assignment, witness, g.value,
-                                     table):
-                raise AssertionError(f"witness for {g} does not re-verify")
-            proof["indices"] = [str(q) for q, _ in witness]
-            return MembershipResult("yes", tuple(el for _, el in witness),
-                                    proof)
-        if not isinstance(g.group, CayleyGroup):
-            return MembershipResult("unknown", proof=proof)
-        closed = enumerate_u_witnesses(assignment, len(assignment.indices()),
-                                       table)
-    except EnumerationBudgetError as err:
-        return MembershipResult("unknown", proof=proof, note=str(err))
-    # breadth first, so each value keeps its first witness's length
-    shortest = {value: len(w) for (value, _), w in reversed(closed.items())}
-    stabilized_at = max(shortest.values())
-    if g.value not in shortest and stabilized_at < depth:
-        proof["stabilized_at"] = stabilized_at
-        return MembershipResult("no", proof=proof)
-    if g.value not in shortest:
-        proof["note"] = "unreached but closure not inside depth cap"
-    return MembershipResult("unknown", proof=proof)
+    """Ingest ``{"levels": {"1": setspec, "2": setspec, ...}}``, as
+    ``to_json`` writes it; any other key, or a level key other than
+    ``str(i)`` for a positive i, raises ValueError."""
+    reject_unknown_keys(doc, {"levels"}, "dyadic assignment")
+    levels = doc.get("levels")
+    if not isinstance(levels, dict):
+        raise ValueError(f"levels must be a JSON object, got {levels!r}")
+    for key in levels:
+        if not isinstance(key, str) or not re.fullmatch(r"[1-9][0-9]*", key):
+            raise ValueError(f"level key {key!r} is not str(i) for i >= 1")
+    return DyadicAssignment.of({int(k): spec_from_json(v, group=group)
+                                for k, v in levels.items()})
 
 
 def enumerate_u_witnesses(assignment: DyadicAssignment, depth: int,
@@ -392,13 +346,6 @@ def _star_member(group, stars: list, q: DyadicIndex, el: GroupElement,
     return False
 
 
-def _witness_is_valid(group, assignment: DyadicAssignment,
-                      witness: tuple, expected, table: FoldTable) -> bool:
-    """``_validated``'s rule for one witness of the expected value."""
-    return _validated(group, assignment, {(expected, -1): witness},
-                      table)[0][0][2]
-
-
 def _indices_valid(top: int, witness: tuple) -> bool:
     """The indices strictly increase, none past level ``top``."""
     previous = None
@@ -576,28 +523,6 @@ def s_in_u_reduce(tower: TowerChain, j: int) -> ReductionCertificate:
         level -= 1
     return ReductionCertificate(j=j, stages=tuple(stages),
                                 final_set=tower.sets[0])
-
-
-def fg_closure(family: ExplicitFamily,
-               conjugators: Sequence[GroupElement]) -> ExplicitFamily:
-    """Close each member under conjugation by the listed elements.
-
-    The conjugators stand in for the whole group (and are the whole group
-    for finite table groups when every element is listed); the identity
-    must be among them so each closed member contains its original."""
-    conjugators = list(conjugators)
-    if not conjugators or not any(c.is_identity() for c in conjugators):
-        raise ValueError("conjugator list must include the identity")
-    closed = []
-    for member in family.members:
-        if not isinstance(member, FiniteSet):
-            raise ValueError("conjugation closure needs explicit finite sets")
-        values = set()
-        for c in conjugators:
-            for el in member.elements():
-                values.add(op_conjugate(c, el).value)
-        closed.append(FiniteSet(member.group, frozenset(values)))
-    return ExplicitFamily(closed, name=f"{family.name}^conj")
 
 
 # Fibonacci endomorphism of the free group on x, y.

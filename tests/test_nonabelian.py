@@ -4,14 +4,14 @@ import hashlib
 import itertools
 import math
 import random
-from fractions import Fraction
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from grouptop import (FiniteSet, Integers, contains, op_add, op_neg, op_sum,
                       star)
-from grouptop.filters import ExplicitFamily, check_directed, cupcap_check
+from grouptop.filters import ExplicitFamily, cupcap_check
 from grouptop.fixtures import dihedral8
 from grouptop import groups, setspec
 from grouptop.groups import CayleyGroup, EnumerationBudgetError
@@ -27,15 +27,12 @@ from grouptop.nonabelian import (
     check_translation,
     commutator,
     dyadic_indices,
-    fg_closure,
     fib_word,
     phi_apply,
     phi_iterate,
     s_in_u_reduce,
-    uq_membership,
     verify_fib_identity,
 )
-from grouptop.prefixsum import MembershipResult
 from grouptop.report import Status, canonical_json, report_document
 from grouptop.setspec import FoldTable
 
@@ -112,70 +109,6 @@ def test_shifted_view_shares_the_symmetrized_levels(monkeypatch):
     assert starred == list(assign.levels[2:])
 
 
-def test_uq_identity_is_empty_product():
-    _, assign = d4_assignment([["r"], ["r"], ["r"]])
-    d4 = dihedral8()
-    res = uq_membership(d4.identity(), assign, 3, FoldTable())
-    assert res.is_yes() and res.witness == ()
-
-
-def test_uq_single_index_member():
-    d4, assign = d4_assignment([["r"], ["s"], ["r2"]])
-    res = uq_membership(d4.element("s"), assign, 1, FoldTable())
-    assert res.is_yes() and len(res.witness) == 1
-
-
-def _index(text):
-    """The dyadic index a proof names as ``str(q)``."""
-    q = Fraction(text)
-    return DyadicIndex.of(q.numerator, q.denominator.bit_length() - 1)
-
-
-def test_uq_r_squared_two_factors():
-    d4, assign = d4_assignment([["r"], ["r"], ["r"]])
-    res = uq_membership(d4.element("r2"), assign, 3, FoldTable())
-    assert res.is_yes()
-    assert [str(el) for el in res.witness] == ["r", "r"]
-    qs = [_index(q) for q in res.proof["indices"]]
-    assert len(qs) == 2 and qs == sorted(qs, key=DyadicIndex.fraction)
-    assert [str(q) for q in qs] == res.proof["indices"]
-
-
-def test_uq_yes_serializes_its_summands_and_indices():
-    """A "yes" writes its summands as every membership witness is
-    written, and its indices in the proof, and reads back."""
-    d4, assign = d4_assignment([["r"], ["r"], ["r"]])
-    res = uq_membership(d4.element("r2"), assign, 3, FoldTable())
-    doc = res.to_json()
-    r = d4.value_to_json(d4.element("r").value)
-    assert doc == {"status": "yes", "witness": [r, r],
-                   "proof": {"depth": 3, "max_level": 3,
-                             "indices": ["1/8", "1/4"]}}
-    assert MembershipResult.from_json(d4, doc) == res
-
-
-def test_uq_exact_no_on_cayley():
-    d4, assign = d4_assignment([["r"], ["r"], ["r"]])
-    res = uq_membership(d4.element("s"), assign, 4, FoldTable())
-    assert res.status == "no"
-    assert "stabilized_at" in res.proof
-
-
-def test_uq_free_group_miss_stays_unknown():
-    assign = DyadicAssignment.of({1: FiniteSet.of(FREE_XY, ["x"])})
-    res = uq_membership(FREE_XY.element("y"), assign, 2, FoldTable())
-    assert res.status == "unknown"
-
-
-def test_uq_depth1_agrees_with_star_membership():
-    d4, assign = d4_assignment([["r", "s"], ["r", "s"], ["r", "s"]])
-    starred = star(FiniteSet.of(d4, ["r", "s"]))
-    for el in d4.elements():
-        res = uq_membership(el, assign, 1, FoldTable())
-        expected = el.is_identity() or contains(starred, el)
-        assert res.is_yes() == expected
-
-
 # --- product absorption, inverses, translation ---
 
 def test_check_uu_verified_on_d4():
@@ -211,8 +144,9 @@ def test_witness_is_valid_rejects_each_fault():
     product = op_add(r, s_).value
 
     def valid(witness, expected=product):
-        return nonabelian._witness_is_valid(d4, assign, witness, expected,
-                                            FoldTable())
+        side, = nonabelian._validated(d4, assign, {(expected, -1): witness},
+                                      FoldTable())
+        return side[0][2]
 
     assert valid(((half, r), (three_quarters, s_)))
     assert not valid(((three_quarters, r), (half, s_)))  # indices decrease
@@ -629,31 +563,27 @@ def _reachable_reference(assignment):
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.sets(st.sampled_from(D4_NAMES)), min_size=1, max_size=4))
-def test_uq_membership_matches_reachable_reference(levels):
-    """Every element at depths 1..6: "yes" exactly when it is reached
-    within the depth, with a witness of its fewest factors; "no" exactly
-    when it is never reached and every reached element is reached below
-    the depth, which the proof names; "unknown" otherwise."""
+def test_witness_table_matches_reachable_reference(levels):
+    """At depths 1..6 the witness table holds exactly the elements reached
+    within the depth, the identity as the empty product keyed (identity,
+    -1); each element's shortest witness has its fewest factors, and every
+    witness walks.  At depth 1 they are the identity and the members of
+    the levels' stars."""
     d4, assign = d4_assignment([sorted(names) for names in levels])
     reach = _reachable_reference(assign)
-    stabilized_at = max(reach.values())
     starred = _starred_by_level(d4, assign)
-    for g in d4.elements():
-        for depth in range(1, 7):
-            res = uq_membership(g, assign, depth, FoldTable())
-            if reach.get(g.value, math.inf) <= depth:
-                assert res.is_yes() and len(res.witness) == reach[g.value]
-                indices = [_index(q) for q in (res.proof or {}).get(
-                    "indices", ())]
-                assert _walk_is_witness(d4, starred,
-                                        tuple(zip(indices, res.witness)),
-                                        g.value)
-                assert len(indices) == len(res.witness)
-            elif g.value not in reach and stabilized_at < depth:
-                assert res.is_no()
-                assert res.proof["stabilized_at"] == stabilized_at
-            else:
-                assert res.status == "unknown"
+    for depth in range(1, 7):
+        table = nonabelian.enumerate_u_witnesses(assign, depth, FoldTable())
+        assert table[(d4.identity_value(), -1)] == ()
+        shortest = {}
+        for (value, _), witness in table.items():
+            assert _walk_is_witness(d4, starred, witness, value)
+            shortest[value] = min(shortest.get(value, math.inf),
+                                  len(witness))
+        assert shortest == {v: n for v, n in reach.items() if n <= depth}
+        assert depth > 1 or set(shortest) == {
+            el.value for el in d4.elements() if el.is_identity()
+            or any(contains(star(spec), el) for spec in assign.levels)}
 
 
 @settings(max_examples=300, deadline=None)
@@ -735,30 +665,17 @@ def test_witness_table_holds_at_most_the_cap(monkeypatch):
     assert calls < 500
 
 
-def test_dyadic_checks_raise_and_membership_answers_unknown_past_the_cap(
-        monkeypatch):
+def test_dyadic_checks_raise_past_the_cap(monkeypatch):
     """Past a cap of 20, check_UU's shift-2 table (47 states), and the
-    depth-3 tables of inverse closure and translation refuse; membership
-    answers unknown with the refusal as its note, both when its depth
-    table passes the cap and when only the closed table does."""
-    d4, five = d4_assignment([["r"], ["r", "s"], ["r2"], ["r"], ["s"]])
+    depth-3 tables of inverse closure and translation refuse."""
+    _, five = d4_assignment([["r"], ["r", "s"], ["r2"], ["r"], ["s"]])
     _, rotations = d4_assignment([["r"], ["r"], ["r"]])
-    assert uq_membership(d4.element("s"), rotations, 4, FoldTable()).is_no()
     monkeypatch.setattr(groups, "_ENUMERATION_CAP", 20)
     for check in (lambda: check_UU(five, Rescale(0, 2), Rescale(3, 2), 3),
                   lambda: check_inverse_closure(rotations, 3, FoldTable()),
                   lambda: check_translation(rotations, 3, FoldTable())):
         with pytest.raises(EnumerationBudgetError):
             check()
-    for g, depth in (("s", 4), ("s", 1), ("r2", 2)):
-        res = uq_membership(d4.element(g), rotations, depth, FoldTable())
-        assert res.status == "unknown", (g, depth)
-        assert res.note.endswith("past the enumeration cap 20")
-    monkeypatch.setattr(groups, "_ENUMERATION_CAP", 22)  # the depth-1 table
-    assert uq_membership(d4.element("r"), rotations, 1, FoldTable()).is_yes()
-    # closed: 28 states
-    res = uq_membership(d4.element("s"), rotations, 1, FoldTable())
-    assert res.status == "unknown" and "witness table" in res.note
 
 
 def _translation_by_pair_walk(assign, depth):
@@ -933,56 +850,24 @@ def test_assignment_json_round_trip():
     assert back == assign
 
 
-# --- conjugation closure ---
-
-def test_fg_closure_d4_rotation():
-    d4 = dihedral8()
-    fam = ExplicitFamily([FiniteSet.of(d4, ["r"])])
-    closed = fg_closure(fam, d4.elements())
-    vals = {str(el) for el in closed.members[0].elements()}
-    assert vals == {"r", "r3"}
-    # oracle: conjugate r by every element directly
-    r = d4.element("r")
-    brute = {str(op_add(op_add(g, r), op_neg(g))) for g in d4.elements()}
-    assert brute == vals
+_LEVEL = {"kind": "finite", "elements": ["r"]}
+_BAD_LEVEL_KEYS = [" 2", "+2", "02", "1_0", " +0_2", "0"]
 
 
-def test_fg_closure_abelian_unchanged():
-    fam = ExplicitFamily([FiniteSet.of(Z, [1, 2])])
-    closed = fg_closure(fam, [Z.element(0)])
-    assert closed.members == fam.members
-
-
-def test_fg_closure_requires_identity():
-    d4 = dihedral8()
-    fam = ExplicitFamily([FiniteSet.of(d4, ["r"])])
-    with pytest.raises(ValueError):
-        fg_closure(fam, [])
-    with pytest.raises(ValueError):
-        fg_closure(fam, [d4.element("r")])
-
-
-def test_fg_closure_preserves_directedness():
-    d4 = dihedral8()
-    fam = ExplicitFamily([
-        FiniteSet.of(d4, ["e", "r", "r2", "r3"]),
-        FiniteSet.of(d4, ["e", "r2"]),
-    ])
-    assert check_directed(fam) is None
-    closed = fg_closure(fam, d4.elements())
-    assert check_directed(closed) is None
-
-
-def test_fg_closure_conjugation_invariant():
-    d4 = dihedral8()
-    fam = ExplicitFamily([FiniteSet.of(d4, ["r"]), FiniteSet.of(d4, ["s"])])
-    closed = fg_closure(fam, d4.elements())
-    for member in closed.members:
-        vals = {el.value for el in member.elements()}
-        for c in d4.elements():
-            conj = {op_add(op_add(c, el), op_neg(c)).value
-                    for el in member.elements()}
-            assert conj == vals
+@pytest.mark.parametrize("doc, named", [
+    ({"levels": {"1": _LEVEL, "2": _LEVEL}, "junk": 1}, "'junk'"),
+    ({"levels": [_LEVEL]}, "levels must be a JSON object"),
+    *[({"levels": {"1": _LEVEL, key: _LEVEL}}, repr(key))
+      for key in _BAD_LEVEL_KEYS],
+], ids=["unknown-key", "levels-list", "space", "plus", "leading-zero",
+        "underscore", "space-plus-zero-underscore", "zero"])
+def test_assignment_json_refuses_what_to_json_never_writes(doc, named):
+    """An unknown key, or a level key other than ``str(i)`` for a
+    positive i, is named in a ValueError, not dropped or coerced by
+    ``int()``."""
+    from grouptop.nonabelian import assignment_from_json
+    with pytest.raises(ValueError, match=re.escape(named)):
+        assignment_from_json(doc, group=dihedral8())
 
 
 # --- nonabelian exclusion ---

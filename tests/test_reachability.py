@@ -15,6 +15,9 @@ Every top-level definition the walk leaves unreached must be listed in
 delete it, or the bench or test code that uses it.  A new unreached
 definition fails the test, and so does an entry whose definition a
 command now reaches or that no longer exists.
+
+A second test keeps ``nonabelian`` beside ``filters`` and ``prefixsum``:
+it imports from the package only ``groups``, ``setspec`` and ``report``.
 """
 
 import ast
@@ -35,7 +38,6 @@ UNREACHED = {
     "nonabelian.dyadic_indices": _NONCOMMUTATIVE,
     "nonabelian.DyadicAssignment": _NONCOMMUTATIVE,
     "nonabelian.assignment_from_json": _NONCOMMUTATIVE,
-    "nonabelian.uq_membership": _NONCOMMUTATIVE,
     "nonabelian.enumerate_u_witnesses": _NONCOMMUTATIVE,
     "nonabelian._products_over": _NONCOMMUTATIVE,
     "nonabelian._sorted_witness_items": _NONCOMMUTATIVE,
@@ -44,7 +46,6 @@ UNREACHED = {
     "nonabelian._validated": _NONCOMMUTATIVE,
     "nonabelian._Images": _NONCOMMUTATIVE,
     "nonabelian._star_member": _NONCOMMUTATIVE,
-    "nonabelian._witness_is_valid": _NONCOMMUTATIVE,
     "nonabelian._indices_valid": _NONCOMMUTATIVE,
     "nonabelian._pair_failures": _NONCOMMUTATIVE,
     "nonabelian.check_inverse_closure": _NONCOMMUTATIVE,
@@ -53,11 +54,9 @@ UNREACHED = {
     "nonabelian.ReductionStage": _NONCOMMUTATIVE,
     "nonabelian.ReductionCertificate": _NONCOMMUTATIVE,
     "nonabelian.s_in_u_reduce": _NONCOMMUTATIVE,
-    "nonabelian.fg_closure": _NONCOMMUTATIVE,
     "groups.op_sum": "a public group operation; tier-1 uses it",
     "groups.op_sub": "a public group operation; tier-1 uses it",
-    "groups.op_conjugate": "a public group operation; tier-1 and "
-                           "nonabelian.fg_closure (ROADMAP item 13) use it",
+    "groups.op_conjugate": "a public group operation; tier-1 uses it",
     "fixtures.fixture_text": "reads the shipped tables for the bench "
                              "worker's D4 group and for tier-1",
     "fixtures.load_fixture_group": "loads the shipped tables for the bench "
@@ -124,3 +123,16 @@ def test_every_unreached_definition_is_in_the_ledger_with_a_reason():
     assert sorted(set(UNREACHED) - unreached) == [], \
         "in the ledger, but reached from cli.main or gone"
     assert all(reason.strip() for reason in UNREACHED.values())
+
+
+def test_nonabelian_rests_on_groups_setspec_and_report_only():
+    """The noncommutative module sits beside ``filters`` and
+    ``prefixsum``, not above them.  The package imports itself by
+    relative imports only."""
+    tree = ast.parse((PACKAGE / "nonabelian.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            imported |= {node.module} if node.module \
+                else {alias.name for alias in node.names}
+    assert imported <= {"groups", "setspec", "report"}
