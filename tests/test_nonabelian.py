@@ -563,12 +563,12 @@ def _reachable_reference(assignment):
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.sets(st.sampled_from(D4_NAMES)), min_size=1, max_size=4))
-def test_witness_table_matches_reachable_reference(levels):
-    """At depths 1..6 the witness table holds exactly the elements reached
-    within the depth, the identity as the empty product keyed (identity,
-    -1); each element's shortest witness has its fewest factors, and every
-    witness walks.  At depth 1 they are the identity and the members of
-    the levels' stars."""
+def test_uq_membership_matches_reachable_reference(levels):
+    """At depths 1..6 the witness table of U_q holds exactly the elements
+    reached within the depth, the identity as the empty product keyed
+    (identity, -1); each element's shortest witness has its fewest
+    factors, and every witness walks.  At depth 1 they are the identity
+    and the members of the levels' stars."""
     d4, assign = d4_assignment([sorted(names) for names in levels])
     reach = _reachable_reference(assign)
     starred = _starred_by_level(d4, assign)
@@ -584,6 +584,18 @@ def test_witness_table_matches_reachable_reference(levels):
         assert depth > 1 or set(shortest) == {
             el.value for el in d4.elements() if el.is_identity()
             or any(contains(star(spec), el) for spec in assign.levels)}
+
+
+def test_uq_depth1_agrees_with_star_membership():
+    """At depth 1 the witness table of U_q holds the identity and exactly
+    the members of the levels' common star."""
+    d4, assign = d4_assignment([["r", "s"], ["r", "s"], ["r", "s"]])
+    starred = star(FiniteSet.of(d4, ["r", "s"]))
+    table = nonabelian.enumerate_u_witnesses(assign, 1, FoldTable())
+    members = {value for value, _ in table}
+    for el in d4.elements():
+        expected = el.is_identity() or contains(starred, el)
+        assert (el.value in members) == expected
 
 
 @settings(max_examples=300, deadline=None)
